@@ -7,55 +7,58 @@
    of the compilation — and shows the same schedule cannot complete at
    t < n/2. *)
 
-(* Deliver a batch of (destination, message) pairs to the chosen recipients
-   only, feeding replies back to their senders; returns each recipient's
-   replies destined for [home]. *)
-let deliver_to ~recipients ~home ~peers msgs =
-  List.concat_map
-    (fun (dst, m) ->
-      if List.mem dst recipients then
-        Msgpass.Abd.handle peers.(dst) ~from:home m
-        |> List.filter (fun (back, _) -> back = home)
-        |> List.map snd
-      else [])
-    msgs
-
 let stale_read ~n ~quorum =
+  (* Each peer's sends since they were last taken, newest first. *)
+  let outbox = Array.make n [] in
+  let take me =
+    let sends = List.rev outbox.(me) in
+    outbox.(me) <- [];
+    sends
+  in
   let peers =
     Array.init n (fun me ->
-        Msgpass.Abd.create ~n ~t:0 ~me ~quorum ~registers:n
-          ~init:(fun _ -> 0) ())
+        Msgpass.Abd.create ~n ~t:0 ~quorum ~registers:n
+          ~init:(fun _ -> 0)
+          ~encoding:Msgpass.Abd.boxed
+          ~send:(fun ~dst m -> outbox.(me) <- (dst, m) :: outbox.(me))
+          ())
+  in
+  (* Deliver a batch of (destination, message) pairs to the chosen
+     recipients only; returns their replies destined for [home]. *)
+  let deliver_to ~recipients ~home msgs =
+    List.concat_map
+      (fun (dst, m) ->
+        if List.mem dst recipients then begin
+          ignore (Msgpass.Abd.handle peers.(dst) ~from:home m : bool);
+          take dst
+          |> List.filter (fun (back, _) -> back = home)
+          |> List.map snd
+        end
+        else [])
+      msgs
+  in
+  (* Feed replies to [home]; whether one of them completed its operation. *)
+  let complete home replies =
+    List.fold_left
+      (fun completed m ->
+        Msgpass.Abd.handle peers.(home) ~from:home m || completed)
+      false replies
   in
   (* Process 0 writes 42; only processes {0, 1} (a quorum at t = n/2) ever
      see it. *)
-  let writer = peers.(0) in
-  let write_msgs = Msgpass.Abd.begin_write writer ~reg:0 42 in
-  let acks = deliver_to ~recipients:[ 0; 1 ] ~home:0 ~peers write_msgs in
-  List.iter
-    (fun m -> ignore (Msgpass.Abd.handle writer ~from:0 m))
-    acks;
+  Msgpass.Abd.begin_write peers.(0) ~reg:0 42;
   let write_done =
-    match Msgpass.Abd.take_completion writer with
-    | Some Msgpass.Abd.Wrote -> true
-    | Some (Msgpass.Abd.Read_value _) | None -> false
+    complete 0 (deliver_to ~recipients:[ 0; 1 ] ~home:0 (take 0))
   in
   (* Process 2 then reads register 0, reaching only {2, 3}. *)
-  let reader = peers.(2) in
-  let read_msgs = Msgpass.Abd.begin_read reader ~reg:0 in
-  let replies = deliver_to ~recipients:[ 2; 3 ] ~home:2 ~peers read_msgs in
-  let write_back =
-    List.concat_map
-      (fun m -> Msgpass.Abd.handle reader ~from:2 m)
-      replies
+  Msgpass.Abd.begin_read peers.(2) ~reg:0;
+  let replies = deliver_to ~recipients:[ 2; 3 ] ~home:2 (take 2) in
+  ignore (complete 2 replies : bool);
+  let write_back = take 2 in
+  let read_done =
+    complete 2 (deliver_to ~recipients:[ 2; 3 ] ~home:2 write_back)
   in
-  let wb_acks = deliver_to ~recipients:[ 2; 3 ] ~home:2 ~peers write_back in
-  List.iter (fun m -> ignore (Msgpass.Abd.handle reader ~from:2 m)) wb_acks;
-  let read_result =
-    match Msgpass.Abd.take_completion reader with
-    | Some (Msgpass.Abd.Read_value v) -> Some v
-    | Some Msgpass.Abd.Wrote | None -> None
-  in
-  (write_done, read_result)
+  (write_done, if read_done then Some (Msgpass.Abd.result peers.(2)) else None)
 
 (* The staged schedule as a recorded history on a logical clock: the write
    spans [1,2] (or never completes), the read spans [3,4] — sequential, so

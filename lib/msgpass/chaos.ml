@@ -136,10 +136,54 @@ let churn_frontier ?(n = 8) ?(seed_members = 4) () =
 (* ------------------------------------------------------------------ *)
 (* Config validation *)
 
+(* A static fleet speaks {!Pack}ed messages, so its scripts must fit the
+   packed layout (per-pid op ids up to [max writes reads], timestamps and
+   values up to [writes]) and its quorum must be sized for [t < n/2]
+   unless overridden. *)
+let static_error config =
+  if
+    not
+      (Pack.fits_static ~registers:config.n ~writes:config.writes
+         ~max_ops:(max config.writes config.reads))
+  then
+    Some
+      (Printf.sprintf
+         "writes %d / reads %d outside the packed message layout (at most %d \
+          writes and %d operations per process)"
+         config.writes config.reads Pack.max_ts Pack.max_op)
+  else if config.quorum = None && 2 * config.t >= config.n then
+    Some
+      (Printf.sprintf
+         "t = %d needs t < n/2 (n = %d) for quorums of n - t to intersect; \
+          set quorum to override"
+         config.t config.n)
+  else None
+
+(* Soft problem: more crashes than the tolerance the quorum was sized
+   for. The campaign would silently clamp at the crash roll; clamp loudly
+   here instead. *)
+let clamp_crashes config =
+  if config.crashes > config.t then
+    Ok
+      ( { config with crashes = config.t },
+        [
+          Printf.sprintf
+            "crashes %d exceeds fault tolerance t = %d: clamped to %d (a \
+             quorum of n - t survives at most t crashes)"
+            config.crashes config.t config.t;
+        ] )
+  else Ok (config, [])
+
 let validate config =
   let err fmt = Printf.ksprintf (fun e -> Error e) fmt in
   if config.n <= 0 then err "n must be positive (got %d)" config.n
+  else if config.n > 61 then
+    err "n %d exceeds 61 (the network keeps membership in one-word bitsets)"
+      config.n
   else if config.t < 0 then err "t must be non-negative (got %d)" config.t
+  else if config.writes < 0 || config.readers < 0 || config.reads < 0 then
+    err "writes, readers and reads must be non-negative (got %d, %d, %d)"
+      config.writes config.readers config.reads
   else
     match config.quorum with
     | Some q when q < 1 || q > config.n ->
@@ -159,20 +203,11 @@ let validate config =
             err "width_bits %d outside 1..30" b
         | Some d when d.joiner_reads < 0 ->
             err "joiner_reads must be non-negative (got %d)" d.joiner_reads
-        | _ ->
-            (* Soft problem: more crashes than the tolerance the quorum
-               was sized for. The campaign would silently clamp at the
-               crash roll; clamp loudly here instead. *)
-            if config.crashes > config.t then
-              Ok
-                ( { config with crashes = config.t },
-                  [
-                    Printf.sprintf
-                      "crashes %d exceeds fault tolerance t = %d: clamped to \
-                       %d (a quorum of n - t survives at most t crashes)"
-                      config.crashes config.t config.t;
-                  ] )
-            else Ok (config, []))
+        | Some _ -> clamp_crashes config
+        | None -> (
+            match static_error config with
+            | Some e -> Error e
+            | None -> clamp_crashes config))
 
 type rng_point = {
   rng_state : int64;
@@ -194,86 +229,217 @@ type outcome = {
 let failed o =
   match o.verdict with L.Nonlinearizable _ -> true | L.Linearizable _ -> false
 
-(* The client fleet: ABD peers with operation scripts against register 0,
-   recording invocation/response events on a shared logical clock. Every
-   inv/res gets a fresh stamp, so the recorded real-time order is exactly
-   the callback order of the simulation. *)
-let build_static config =
+(* ------------------------------------------------------------------ *)
+(* The client recorder, shared by both fleets.
+
+   Pid 0 writes values [1..writes] to register 0; every other pid runs
+   [reads pid] sequential reads of it. Invocations and responses are
+   stamped on one logical clock — every inv/res gets a fresh stamp, so
+   the recorded real-time order is exactly the callback order of the
+   simulation — and completed operations land in growable int columns,
+   in completion order: (proc, write?, value, inv stamp, res stamp). A
+   pooled fleet rewinds the recorder with [rec_reset] instead of
+   rebuilding it. *)
+
+type recorder = {
+  r_writes : int;
+  r_reads : int array;  (** per pid: the script's read count *)
+  reads_left : int array;
+  mutable writes_started : int;
+  pend_inv : int array;  (** per pid: pending op's inv stamp, -1 none *)
+  pend_kind : int array;  (** 0 pending read, v >= 1 pending write of v *)
+  mutable stamp : int;
+  mutable h_len : int;
+  mutable h_proc : int array;
+  mutable h_wr : int array;
+  mutable h_val : int array;
+  mutable h_inv : int array;
+  mutable h_res : int array;
+}
+
+let recorder ~n ~writes ~reads =
+  let reads = Array.init n reads in
+  {
+    r_writes = writes;
+    r_reads = reads;
+    reads_left = Array.copy reads;
+    writes_started = 0;
+    pend_inv = Array.make n (-1);
+    pend_kind = Array.make n (-1);
+    stamp = 0;
+    h_len = 0;
+    h_proc = Array.make 64 0;
+    h_wr = Array.make 64 0;
+    h_val = Array.make 64 0;
+    h_inv = Array.make 64 0;
+    h_res = Array.make 64 0;
+  }
+
+let rec_reset r =
+  Array.blit r.r_reads 0 r.reads_left 0 (Array.length r.r_reads);
+  r.writes_started <- 0;
+  Array.fill r.pend_inv 0 (Array.length r.pend_inv) (-1);
+  Array.fill r.pend_kind 0 (Array.length r.pend_kind) (-1);
+  r.stamp <- 0;
+  r.h_len <- 0
+
+(* Invoke [me]'s next script operation: [v >= 1] to write [v], [0] to
+   read, [-1] when the script is exhausted. *)
+let rec_next r me =
+  let kind =
+    if me = 0 then
+      if r.writes_started < r.r_writes then begin
+        r.writes_started <- r.writes_started + 1;
+        r.writes_started
+      end
+      else -1
+    else if r.reads_left.(me) > 0 then begin
+      r.reads_left.(me) <- r.reads_left.(me) - 1;
+      0
+    end
+    else -1
+  in
+  if kind >= 0 then begin
+    r.stamp <- r.stamp + 1;
+    r.pend_inv.(me) <- r.stamp;
+    r.pend_kind.(me) <- kind
+  end;
+  kind
+
+let hist_grow r =
+  let g a =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 r.h_len;
+    b
+  in
+  r.h_proc <- g r.h_proc;
+  r.h_wr <- g r.h_wr;
+  r.h_val <- g r.h_val;
+  r.h_inv <- g r.h_inv;
+  r.h_res <- g r.h_res
+
+(* [me]'s pending operation responded; [value] is what a read returned
+   (a write records its own value). *)
+let rec_complete r me value =
+  let inv = r.pend_inv.(me) in
+  if inv >= 0 then begin
+    let kind = r.pend_kind.(me) in
+    r.pend_inv.(me) <- -1;
+    r.pend_kind.(me) <- -1;
+    r.stamp <- r.stamp + 1;
+    if r.h_len = Array.length r.h_proc then hist_grow r;
+    let i = r.h_len in
+    r.h_proc.(i) <- me;
+    r.h_wr.(i) <- (if kind >= 1 then 1 else 0);
+    r.h_val.(i) <- (if kind >= 1 then kind else value);
+    r.h_inv.(i) <- inv;
+    r.h_res.(i) <- r.stamp;
+    r.h_len <- i + 1
+  end
+
+(* The history: completed operations in completion order, then the
+   pending ones, by ascending pid (the static fleet) or descending (the
+   dynamic one). Both orders are pinned: the checker tries candidates in
+   event order, so the order shapes published witnesses. *)
+let rec_finalize r ~ascending =
+  let n = Array.length r.pend_inv in
+  let tail = ref [] in
+  for i = 0 to n - 1 do
+    let me = if ascending then n - 1 - i else i in
+    let inv = r.pend_inv.(me) in
+    if inv >= 0 then begin
+      let kind = r.pend_kind.(me) in
+      let op = if kind >= 1 then L.Write kind else L.Read 0 in
+      tail := { L.proc = me; reg = 0; op; inv; res = None } :: !tail
+    end
+  done;
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      let op =
+        if r.h_wr.(i) = 1 then L.Write r.h_val.(i) else L.Read r.h_val.(i)
+      in
+      go (i - 1)
+        ({ L.proc = r.h_proc.(i); reg = 0; op; inv = r.h_inv.(i);
+           res = Some r.h_res.(i) }
+        :: acc)
+  in
+  go (r.h_len - 1) !tail
+
+(* ------------------------------------------------------------------ *)
+(* The static fleet: one {!Abd} per pid speaking {!Pack}ed int messages
+   straight into the arena network, so a run's send/deliver path
+   allocates nothing. Instances are pooled per domain and per config: a
+   run is [reset] (rewind the ABD states and the recorder, re-run the
+   start scripts) rather than a rebuild, so the steady-state cost of a
+   chaos run is the fault loop itself. A handler's replies go out before
+   the next script operation its completion starts. *)
+
+type static = {
+  s_ft : int Faults.t;
+  s_reset : unit -> unit;
+  s_finalize : unit -> int L.event list;
+}
+
+let static_create config =
+  Option.iter (fun e -> invalid_arg ("Chaos: " ^ e)) (static_error config);
   let n = config.n in
-  let abds =
-    Array.init n (fun me ->
-        Abd.create ~n ~t:config.t ~me ?quorum:config.quorum ~registers:n
-          ~init:(fun _ -> 0)
-          ())
+  let r =
+    recorder ~n ~writes:config.writes ~reads:(fun me ->
+        if me >= 1 && me <= config.readers then config.reads else 0)
   in
-  let stamp = ref 0 in
-  let now () =
-    incr stamp;
-    !stamp
+  let abds = ref [] in
+  let nodes ~send me =
+    let abd =
+      Abd.create ~n ~t:config.t ?quorum:config.quorum ~registers:n
+        ~init:(fun _ -> 0) ~encoding:Pack.encoding ~send ()
+    in
+    abds := abd :: !abds;
+    let start () =
+      let op = rec_next r me in
+      if op >= 1 then Abd.begin_write abd ~reg:0 op
+      else if op = 0 then Abd.begin_read abd ~reg:0
+    in
+    let message ~from m =
+      if Abd.handle abd ~from m then begin
+        rec_complete r me (Abd.result abd);
+        start ()
+      end
+    in
+    { Net.p_start = start; p_message = message; p_leave = ignore }
   in
-  let history = ref [] in
-  let pending : (int * [ `W of int | `R ]) option array = Array.make n None in
-  let scripts =
-    Array.init n (fun me ->
-        if me = 0 then ref (List.init config.writes (fun i -> `W (i + 1)))
-        else if me <= config.readers then
-          ref (List.init config.reads (fun _ -> `R))
-        else ref [])
+  let net = Net.create_push ~n ~nodes () in
+  let ft = Faults.wrap net in
+  let reset () =
+    List.iter Abd.reset !abds;
+    rec_reset r;
+    Faults.reset ft;
+    Net.reset net
   in
-  let start_next me =
-    match !(scripts.(me)) with
-    | [] -> []
-    | op :: rest ->
-        scripts.(me) := rest;
-        pending.(me) <- Some (now (), op);
-        (match op with
-        | `W v -> Abd.begin_write abds.(me) ~reg:0 v
-        | `R -> Abd.begin_read abds.(me) ~reg:0)
+  {
+    s_ft = ft;
+    s_reset = reset;
+    s_finalize = (fun () -> rec_finalize r ~ascending:true);
+  }
+
+(* One pooled instance per (domain, config): parallel campaign workers
+   each grow their own pool in domain-local storage, so no fleet state is
+   ever shared across domains. *)
+let pool : (config, static) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let static_acquire config =
+  let tbl = Domain.DLS.get pool in
+  let p =
+    match Hashtbl.find_opt tbl config with
+    | Some p -> p
+    | None ->
+        let p = static_create config in
+        Hashtbl.add tbl config p;
+        p
   in
-  let complete me c =
-    match pending.(me) with
-    | None -> ()
-    | Some (inv, kind) ->
-        pending.(me) <- None;
-        let op =
-          match (c, kind) with
-          | Abd.Wrote, `W v -> L.Write v
-          | Abd.Read_value v, `R -> L.Read v
-          | Abd.Wrote, `R -> L.Read 0
-          | Abd.Read_value v, `W _ -> L.Write v
-        in
-        history :=
-          { L.proc = me; reg = 0; op; inv; res = Some (now ()) } :: !history
-  in
-  let node me =
-    {
-      Net.on_start = (fun () -> start_next me);
-      on_message =
-        (fun ~from m ->
-          let outs = Abd.handle abds.(me) ~from m in
-          match Abd.take_completion abds.(me) with
-          | None -> outs
-          | Some c ->
-              complete me c;
-              outs @ start_next me);
-      on_leave = (fun () -> []);
-    }
-  in
-  let net = Net.create ~n ~nodes:node () in
-  let finalize () =
-    let tail = ref [] in
-    Array.iteri
-      (fun me p ->
-        match p with
-        | Some (inv, `W v) ->
-            tail := { L.proc = me; reg = 0; op = L.Write v; inv; res = None } :: !tail
-        | Some (inv, `R) ->
-            tail := { L.proc = me; reg = 0; op = L.Read 0; inv; res = None } :: !tail
-        | None -> ())
-      pending;
-    List.rev_append !history !tail
-  in
-  (net, finalize)
+  p.s_reset ();
+  p
 
 (* The dynamic client fleet: Dynreg peers over a churning membership.
    Slots [0 .. seed_members - 1] are seeded (writer 0, readers 1..);
@@ -291,48 +457,18 @@ let build_dyn config dyn =
           ~init:(fun _ -> 0)
           ~initial ())
   in
-  let stamp = ref 0 in
-  let now () =
-    incr stamp;
-    !stamp
-  in
-  let history = ref [] in
-  let pending : (int * [ `W of int | `R ]) option array = Array.make n None in
-  let scripts =
-    Array.init n (fun me ->
-        if me = 0 then ref (List.init config.writes (fun i -> `W (i + 1)))
-        else if me < dyn.seed_members && me <= config.readers then
-          ref (List.init config.reads (fun _ -> `R))
-        else if me >= dyn.seed_members then
-          ref (List.init dyn.joiner_reads (fun _ -> `R))
-        else ref [])
+  let r =
+    recorder ~n ~writes:config.writes ~reads:(fun me ->
+        if me = 0 then 0
+        else if me >= dyn.seed_members then dyn.joiner_reads
+        else if me <= config.readers then config.reads
+        else 0)
   in
   let start_next me =
-    match !(scripts.(me)) with
-    | [] -> []
-    | op :: rest ->
-        scripts.(me) := rest;
-        pending.(me) <- Some (now (), op);
-        (match op with
-        | `W v -> Dynreg.begin_write regs.(me) ~reg:0 v
-        | `R -> Dynreg.begin_read regs.(me) ~reg:0)
-  in
-  let complete me c =
-    match pending.(me) with
-    | None -> ()
-    | Some (inv, kind) ->
-        pending.(me) <- None;
-        let op =
-          match (c, kind) with
-          | Dynreg.Wrote, `W v -> L.Write v
-          | Dynreg.Read_value v, `R -> L.Read v
-          | Dynreg.Wrote, `R -> L.Read 0
-          | Dynreg.Read_value v, `W _ -> L.Write v
-          | Dynreg.Activated, `W v -> L.Write v
-          | Dynreg.Activated, `R -> L.Read 0
-        in
-        history :=
-          { L.proc = me; reg = 0; op; inv; res = Some (now ()) } :: !history
+    let op = rec_next r me in
+    if op >= 1 then Dynreg.begin_write regs.(me) ~reg:0 op
+    else if op = 0 then Dynreg.begin_read regs.(me) ~reg:0
+    else []
   in
   let node me =
     {
@@ -347,7 +483,10 @@ let build_dyn config dyn =
           | None -> outs
           | Some Dynreg.Activated -> outs @ start_next me
           | Some c ->
-              complete me c;
+              rec_complete r me
+                (match c with
+                | Dynreg.Read_value v -> v
+                | Dynreg.Wrote | Dynreg.Activated -> 0);
               outs @ start_next me);
       on_leave = (fun () -> Dynreg.farewell regs.(me));
     }
@@ -355,366 +494,22 @@ let build_dyn config dyn =
   let net =
     Net.create ~present:(fun pid -> pid < dyn.seed_members) ~n ~nodes:node ()
   in
-  let finalize () =
-    let tail = ref [] in
-    Array.iteri
-      (fun me p ->
-        match p with
-        | Some (inv, `W v) ->
-            tail :=
-              { L.proc = me; reg = 0; op = L.Write v; inv; res = None } :: !tail
-        | Some (inv, `R) ->
-            tail :=
-              { L.proc = me; reg = 0; op = L.Read 0; inv; res = None } :: !tail
-        | None -> ())
-      pending;
-    List.rev_append !history !tail
-  in
-  (net, finalize)
+  (net, fun () -> rec_finalize r ~ascending:false)
 
-(* The static and dynamic fleets speak different message types; the
-   drivers below only ever wrap the network in the fault layer and call
-   the finalizer, so the type packs away. *)
-type built = Built : 'm Net.t * (unit -> int L.event list) -> built
-
-let build config =
-  match config.membership with
-  | None ->
-      let net, finalize = build_static config in
-      Built (net, finalize)
-  | Some dyn ->
-      let net, finalize = build_dyn config dyn in
-      Built (net, finalize)
-
-(* ------------------------------------------------------------------ *)
-(* The packed static fleet.
-
-   [build_static] above allocates a fresh boxed fleet per run — Abd
-   records, closure lists, message constructors — which dominates the
-   campaign hot path. This builder is its allocation-free twin for the
-   static (no-membership) configuration: the entire ABD protocol state
-   lives in flat int arrays indexed by pid (and [pid * n + reg] for the
-   register copies), messages are {!Pack}ed immediate ints pushed
-   straight into the arena network, and the history is recorded in
-   growable int columns. Instances are pooled per domain and per config:
-   a run is [reset] (fill the arrays, rewind the recorder, re-run the
-   start scripts) rather than a rebuild, so the steady-state cost of a
-   chaos run is the fault loop itself.
-
-   Observable equivalence with [build_static] is exact and is what the
-   differential tests in test_msgpass pin down: same send orders (a
-   handler's replies before the completion-triggered next script op, as
-   the boxed [outs @ start_next me] enqueued), same logical-clock
-   stamps, same history — including the quorum tie-break, where the
-   boxed fold over the newest-first reply list keeps the latest-arrived
-   reply among maximal timestamps, reproduced here by the incremental
-   [ts >= best_ts] replacement rule. *)
-
-(* Growable parallel int columns holding completed operations in
-   completion order: (proc, write?, value, inv stamp, res stamp). *)
-type hist = {
-  mutable h_len : int;
-  mutable h_proc : int array;
-  mutable h_wr : int array;
-  mutable h_val : int array;
-  mutable h_inv : int array;
-  mutable h_res : int array;
-}
-
-let hist_append h proc wr value inv res =
-  if h.h_len = Array.length h.h_proc then begin
-    let g a =
-      let b = Array.make (2 * Array.length a) 0 in
-      Array.blit a 0 b 0 h.h_len;
-      b
-    in
-    h.h_proc <- g h.h_proc;
-    h.h_wr <- g h.h_wr;
-    h.h_val <- g h.h_val;
-    h.h_inv <- g h.h_inv;
-    h.h_res <- g h.h_res
-  end;
-  let i = h.h_len in
-  h.h_proc.(i) <- proc;
-  h.h_wr.(i) <- wr;
-  h.h_val.(i) <- value;
-  h.h_inv.(i) <- inv;
-  h.h_res.(i) <- res;
-  h.h_len <- i + 1
-
-type packed = {
-  q_ft : int Faults.t;
-  q_reset : unit -> unit;
-  q_finalize : unit -> int L.event list;
-}
-
-(* Phase codes, mirroring [Abd.phase]. *)
-let ph_idle = 0
-let ph_writing = 1
-let ph_collecting = 2
-let ph_writing_back = 3
-
-let packed_create config =
-  (* The same construction-time validation [Abd.create] performs, with
-     the same error, so swapping builders never changes what raises. *)
-  (match config.quorum with
-  | Some _ -> ()
-  | None ->
-      if config.t < 0 || 2 * config.t >= config.n then
-        invalid_arg "Abd.create: need 0 <= t < n/2");
-  let n = config.n in
-  let quorum = Option.value config.quorum ~default:(n - config.t) in
-  let nn = n * n in
-  (* Protocol state: copies/[my_ts] are per (pid, reg); the rest per pid.
-     [ph_cnt] is the ack count in Writing/Writing_back and the reply
-     count in Collecting; [ph_ts]/[ph_val] track the running best reply
-     while Collecting, and [ph_val] then carries the read-back value
-     through Writing_back. *)
-  let copies_ts = Array.make nn 0 and copies_val = Array.make nn 0 in
-  let my_ts = Array.make nn 0 in
-  let next_op = Array.make n 0 in
-  let phase = Array.make n ph_idle in
-  let ph_op = Array.make n 0 and ph_reg = Array.make n 0 in
-  let ph_cnt = Array.make n 0 in
-  let ph_ts = Array.make n 0 and ph_val = Array.make n 0 in
-  let done_kind = Array.make n 0 (* 0 none, 1 Wrote, 2 Read_value *) in
-  let done_val = Array.make n 0 in
-  (* Scripts: pid 0 writes values [1..writes]; pids [1..readers] read.
-     [pend_kind]: -1 none, 0 pending read, v >= 1 pending write of v. *)
-  let writes_started = ref 0 in
-  let reads_left = Array.make n 0 in
-  let init_reads () =
-    for i = 0 to n - 1 do
-      reads_left.(i) <-
-        (if i >= 1 && i <= config.readers then config.reads else 0)
-    done
-  in
-  init_reads ();
-  let pend_inv = Array.make n (-1) and pend_kind = Array.make n (-1) in
-  let stamp = ref 0 in
-  let h =
-    {
-      h_len = 0;
-      h_proc = Array.make 64 0;
-      h_wr = Array.make 64 0;
-      h_val = Array.make 64 0;
-      h_inv = Array.make 64 0;
-      h_res = Array.make 64 0;
-    }
-  in
-  let nodes ~send me =
-    let base = me * n in
-    let start_next () =
-      if me = 0 then begin
-        if !writes_started < config.writes then begin
-          incr writes_started;
-          let v = !writes_started in
-          incr stamp;
-          pend_inv.(0) <- !stamp;
-          pend_kind.(0) <- v;
-          next_op.(0) <- next_op.(0) + 1;
-          my_ts.(base) <- my_ts.(base) + 1;
-          phase.(0) <- ph_writing;
-          ph_op.(0) <- next_op.(0);
-          ph_cnt.(0) <- 0;
-          let m =
-            Pack.write_req ~reg:0 ~ts:my_ts.(base) ~value:v ~op:next_op.(0)
-          in
-          for j = 0 to n - 1 do
-            send ~dst:j m
-          done
-        end
-      end
-      else if me <= config.readers && reads_left.(me) > 0 then begin
-        reads_left.(me) <- reads_left.(me) - 1;
-        incr stamp;
-        pend_inv.(me) <- !stamp;
-        pend_kind.(me) <- 0;
-        next_op.(me) <- next_op.(me) + 1;
-        phase.(me) <- ph_collecting;
-        ph_op.(me) <- next_op.(me);
-        ph_reg.(me) <- 0;
-        ph_cnt.(me) <- 0;
-        let m = Pack.read_req ~reg:0 ~op:next_op.(me) in
-        for j = 0 to n - 1 do
-          send ~dst:j m
-        done
-      end
-    in
-    (* A completion only ever arises from a Write_ack (as in [Abd]); the
-       boxed node then records the operation and starts the next script
-       entry — response stamp before the next invocation stamp. *)
-    let complete_and_continue () =
-      let dk = done_kind.(me) in
-      if dk <> 0 then begin
-        done_kind.(me) <- 0;
-        let inv = pend_inv.(me) in
-        if inv >= 0 then begin
-          let kind = pend_kind.(me) in
-          pend_inv.(me) <- -1;
-          pend_kind.(me) <- -1;
-          incr stamp;
-          if kind >= 1 then
-            hist_append h me 1 (if dk = 1 then kind else done_val.(me)) inv !stamp
-          else hist_append h me 0 (if dk = 1 then 0 else done_val.(me)) inv !stamp
-        end;
-        start_next ()
-      end
-    in
-    let p_message ~from m =
-      let tag = Pack.tag m in
-      if tag = Pack.t_write_req then begin
-        let reg = Pack.reg m in
-        let ts = Pack.ts m in
-        let idx = base + reg in
-        if ts > copies_ts.(idx) then begin
-          copies_ts.(idx) <- ts;
-          copies_val.(idx) <- Pack.value m
-        end;
-        send ~dst:from (Pack.write_ack ~reg ~op:(Pack.op m))
-      end
-      else if tag = Pack.t_read_req then begin
-        let reg = Pack.reg m in
-        let idx = base + reg in
-        send ~dst:from
-          (Pack.read_reply ~reg ~ts:copies_ts.(idx) ~value:copies_val.(idx)
-             ~op:(Pack.op m))
-      end
-      else if tag = Pack.t_write_ack then begin
-        let op = Pack.op m in
-        let ph = phase.(me) in
-        if (ph = ph_writing || ph = ph_writing_back) && ph_op.(me) = op then begin
-          let acks = ph_cnt.(me) + 1 in
-          if acks >= quorum then begin
-            phase.(me) <- ph_idle;
-            done_kind.(me) <- (if ph = ph_writing then 1 else 2);
-            done_val.(me) <- ph_val.(me)
-          end
-          else ph_cnt.(me) <- acks
-        end;
-        complete_and_continue ()
-      end
-      else begin
-        (* Read_reply *)
-        let reg = Pack.reg m in
-        let op = Pack.op m in
-        if phase.(me) = ph_collecting && ph_op.(me) = op && ph_reg.(me) = reg
-        then begin
-          let ts = Pack.ts m in
-          let cnt = ph_cnt.(me) + 1 in
-          if cnt = 1 || ts >= ph_ts.(me) then begin
-            ph_ts.(me) <- ts;
-            ph_val.(me) <- Pack.value m
-          end;
-          if cnt >= quorum then begin
-            (* Write back before completing: atomicity. *)
-            let best_ts = ph_ts.(me) and best = ph_val.(me) in
-            phase.(me) <- ph_writing_back;
-            ph_cnt.(me) <- 0;
-            let idx = base + reg in
-            if best_ts > copies_ts.(idx) then begin
-              copies_ts.(idx) <- best_ts;
-              copies_val.(idx) <- best
-            end;
-            let m = Pack.write_req ~reg ~ts:best_ts ~value:best ~op in
-            for j = 0 to n - 1 do
-              send ~dst:j m
-            done
-          end
-          else ph_cnt.(me) <- cnt
-        end
-      end
-    in
-    { Net.p_start = start_next; p_message; p_leave = ignore }
-  in
-  let net = Net.create_push ~n ~nodes () in
-  let ft = Faults.wrap net in
-  let reset () =
-    Array.fill copies_ts 0 nn 0;
-    Array.fill copies_val 0 nn 0;
-    Array.fill my_ts 0 nn 0;
-    Array.fill next_op 0 n 0;
-    Array.fill phase 0 n ph_idle;
-    Array.fill ph_op 0 n 0;
-    Array.fill ph_reg 0 n 0;
-    Array.fill ph_cnt 0 n 0;
-    Array.fill ph_ts 0 n 0;
-    Array.fill ph_val 0 n 0;
-    Array.fill done_kind 0 n 0;
-    Array.fill done_val 0 n 0;
-    writes_started := 0;
-    init_reads ();
-    Array.fill pend_inv 0 n (-1);
-    Array.fill pend_kind 0 n (-1);
-    stamp := 0;
-    h.h_len <- 0;
-    Faults.reset ft;
-    Net.reset net
-  in
-  let finalize () =
-    let tail = ref [] in
-    for me = n - 1 downto 0 do
-      let inv = pend_inv.(me) in
-      if inv >= 0 then begin
-        let kind = pend_kind.(me) in
-        let op = if kind >= 1 then L.Write kind else L.Read 0 in
-        tail := { L.proc = me; reg = 0; op; inv; res = None } :: !tail
-      end
-    done;
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        let op =
-          if h.h_wr.(i) = 1 then L.Write h.h_val.(i) else L.Read h.h_val.(i)
-        in
-        go (i - 1)
-          ({ L.proc = h.h_proc.(i); reg = 0; op; inv = h.h_inv.(i);
-             res = Some h.h_res.(i) }
-          :: acc)
-    in
-    go (h.h_len - 1) !tail
-  in
-  { q_ft = ft; q_reset = reset; q_finalize = finalize }
-
-(* One pooled instance per (domain, config): parallel campaign workers
-   each grow their own pool in domain-local storage, so no packed state
-   is ever shared across domains. *)
-let pool : (config, packed) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let packable config =
-  config.membership = None
-  && config.n >= 1 && config.n <= 61 && config.writes >= 0
-  && config.readers >= 0 && config.reads >= 0
-  && Pack.fits_static ~registers:config.n ~writes:config.writes
-       ~max_ops:(max config.writes config.reads)
-
-let packed_acquire config =
-  let tbl = Domain.DLS.get pool in
-  let p =
-    match Hashtbl.find_opt tbl config with
-    | Some p -> p
-    | None ->
-        let p = packed_create config in
-        Hashtbl.add tbl config p;
-        p
-  in
-  p.q_reset ();
-  p
-
-(* Every driver below funnels through [prepare]: the pooled packed fleet
-   when the static configuration fits the packed message layout, the
-   boxed per-run build otherwise (dynamic membership, or out-of-layout
-   parameters). *)
+(* Every driver below funnels through [prepare]: the pooled static fleet,
+   or a fresh dynamic one. The two speak different message types; the
+   drivers only ever run the fault layer and call the finalizer, so the
+   type packs away. *)
 type prepared = Prepared : 'm Faults.t * (unit -> int L.event list) -> prepared
 
 let prepare config =
-  if packable config then
-    let p = packed_acquire config in
-    Prepared (p.q_ft, p.q_finalize)
-  else
-    let (Built (net, finalize)) = build config in
-    Prepared (Faults.wrap net, finalize)
+  match config.membership with
+  | None ->
+      let p = static_acquire config in
+      Prepared (p.s_ft, p.s_finalize)
+  | Some dyn ->
+      let net, finalize = build_dyn config dyn in
+      Prepared (Faults.wrap net, finalize)
 
 let outcome_of ?rng_point ft finalize =
   let history = finalize () in

@@ -83,11 +83,16 @@ val churn_frontier : ?n:int -> ?seed_members:int -> unit -> config
 
 val validate : config -> (config * string list, string) result
 (** Construction-time validation. [Error] for unsatisfiable or vacuous
-    settings (quorum outside [1..n], bad churn parameters); [Ok] pairs a
-    possibly-clamped config with human-readable warnings (today:
-    [crashes > t] clamps to [t]). {!campaign} applies this itself —
-    hard errors raise [Invalid_argument], warnings print to stderr once
-    per campaign. *)
+    settings (quorum outside [1..n], [n > 61], negative script counts, bad
+    churn parameters) and for static configurations the pooled
+    {!Pack}ed fleet cannot run: [t >= n/2] without a [quorum] override,
+    or scripts that overflow a packed field ({!Pack.fits_static}). [Ok]
+    pairs a possibly-clamped config with human-readable warnings (today:
+    [crashes > t] clamps to [t]). {!campaign} applies this itself — hard
+    errors raise [Invalid_argument], warnings print to stderr once per
+    campaign. The single-run drivers raise [Invalid_argument] on a static
+    configuration outside the packed layout or with [t >= n/2] and no
+    override. *)
 
 type rng_point = {
   rng_state : int64;

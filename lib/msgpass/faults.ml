@@ -161,21 +161,35 @@ let action_of_code c =
 
 type compiled = int array
 
+(* Why [a] cannot run in a universe of [n] slots, if it cannot. *)
+let operand_error ~n a =
+  let bad pid = pid < 0 || pid >= n in
+  match a with
+  | Deliver { src; dst } | Drop { src; dst } | Duplicate { src; dst }
+  | Defer { src; dst }
+    when bad src || bad dst ->
+      Some (Printf.sprintf "channel %d>%d out of range" src dst)
+  | (Crash pid | Enter pid | Leave pid) when bad pid ->
+      Some (Printf.sprintf "pid %d out of range" pid)
+  | Deliver _ | Drop _ | Duplicate _ | Defer _ | Crash _ | Enter _ | Leave _ ->
+      None
+
+let check ~n plan =
+  let rec go i = function
+    | [] -> Ok ()
+    | a :: rest -> (
+        match operand_error ~n a with
+        | Some e -> Error (Printf.sprintf "action %d: %s (n = %d)" i e n)
+        | None -> go (i + 1) rest)
+  in
+  go 1 plan
+
 let compile_array ~n acts =
-  let check_pid pid =
-    if pid < 0 || pid >= n then
-      invalid_arg (Printf.sprintf "Faults.compile: pid %d out of range" pid)
-  in
-  let check_channel { src; dst } =
-    if src < 0 || src >= n || dst < 0 || dst >= n then
-      invalid_arg
-        (Printf.sprintf "Faults.compile: channel %d>%d out of range" src dst)
-  in
   Array.map
     (fun a ->
-      (match a with
-      | Deliver ch | Drop ch | Duplicate ch | Defer ch -> check_channel ch
-      | Crash pid | Enter pid | Leave pid -> check_pid pid);
+      Option.iter
+        (fun e -> invalid_arg ("Faults.compile: " ^ e))
+        (operand_error ~n a);
       code_of_action a)
     acts
 

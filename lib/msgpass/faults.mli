@@ -74,6 +74,10 @@ val plan_of_json : Obs.Json.t -> (plan, string) result
 
 type compiled
 
+val check : n:int -> plan -> (unit, string) result
+(** Every operand of the plan names a slot of a universe of size [n];
+    the [Error] names the first offending action (1-based). *)
+
 val compile : n:int -> plan -> compiled
 (** Validate every operand against universe size [n] and pack.
     @raise Invalid_argument on an out-of-range channel or pid — a

@@ -626,9 +626,17 @@ let replay_file file =
             Obs.Json.member_str "reason" j )
         with
         | Some cj, Some pj, Some th, Some ev, Some dl, Some reason -> (
-            match (config_of_json cj, Faults.plan_of_json pj) with
-            | Error e, _ | _, Error e -> Error (Printf.sprintf "%s: %s" file e)
-            | Ok config, Ok plan ->
+            let decoded =
+              let ( let* ) = Result.bind in
+              let* config = config_of_json cj in
+              let* config, _warnings = Chaos.validate config in
+              let* plan = Faults.plan_of_json pj in
+              let* () = Faults.check ~n:config.Chaos.n plan in
+              Ok (config, plan)
+            in
+            match decoded with
+            | Error e -> Error (Printf.sprintf "%s: %s" file e)
+            | Ok (config, plan) ->
                 let outcome = Chaos.run_plan config plan in
                 let sg = signature_of outcome in
                 let fresh_reason =

@@ -125,7 +125,10 @@ type replay = {
 
 val replay_file : string -> (replay, string) result
 (** Load a [witness-<class>.json] file and re-execute its plan against a
-    freshly built network of its stored configuration. *)
+    freshly built network of its stored configuration. A hand-edited file
+    gives an [Error] naming the file, never an exception: malformed JSON,
+    a configuration {!Chaos.validate} rejects, or a plan operand outside
+    the configuration's [n] slots. *)
 
 (** {1 Campaigns} *)
 

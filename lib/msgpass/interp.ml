@@ -12,21 +12,25 @@ type ('v, 'i) cell = Coord of 'v | Input of 'i option
 type ('v, 'i, 'a) t = {
   n : int;
   me : int;
-  abd : ('v, 'i) cell Abd.t;
+  abd : (('v, 'i) cell, ('v, 'i) cell Abd.msg) Abd.t;
+  outbox : (int * ('v, 'i) cell Abd.msg) list ref;  (** newest first *)
   code : ('v, 'i, 'a) C.code;
   mutable pc : int;
   mutable decided : 'a option;
   mutable steps : int;
 }
 
-(* Begin the ABD operation for the program's next shared-memory step;
-   returns its broadcast ([] when the program just decided). *)
+(* Everything ABD sent since the last flush, in send order. *)
+let flush t =
+  let sends = List.rev !(t.outbox) in
+  t.outbox := [];
+  sends
+
+(* Begin the ABD operation for the program's next shared-memory step
+   (nothing when the program just decided). *)
 let rec launch t =
   let op = C.op t.code t.pc in
-  if op = C.op_return then begin
-    t.decided <- Some (C.decision t.code t.pc);
-    []
-  end
+  if op = C.op_return then t.decided <- Some (C.decision t.code t.pc)
   else if op = C.op_output then begin
     if t.decided = None then t.decided <- Some (C.decision t.code t.pc);
     t.pc <- C.next_unit t.code t.pc;
@@ -43,43 +47,49 @@ let rec launch t =
 
 let create ~n ~t ~me ~init ~program =
   let init_cell reg = if reg < n then Coord init else Input None in
+  let outbox = ref [] in
   let interp =
     {
       n;
       me;
-      abd = Abd.create ~n ~t ~me ~registers:(2 * n) ~init:init_cell ();
+      abd =
+        Abd.create ~n ~t ~registers:(2 * n) ~init:init_cell
+          ~encoding:Abd.boxed
+          ~send:(fun ~dst m -> outbox := (dst, m) :: !outbox)
+          ();
+      outbox;
       code = Sched.Program.compile program;
       pc = C.root;
       decided = None;
       steps = 0;
     }
   in
-  (interp, launch interp)
+  launch interp;
+  (interp, flush interp)
 
-let advance t completion =
+(* The outstanding operation completed: step the program past it. *)
+let advance t =
   let continue pc =
     t.steps <- t.steps + 1;
     t.pc <- pc;
     launch t
   in
   let op = C.op t.code t.pc in
-  match completion with
-  | Abd.Wrote when op = C.op_write || op = C.op_write_input ->
-      continue (C.next_unit t.code t.pc)
-  | Abd.Read_value (Coord v) when op = C.op_read ->
-      continue (C.next_read t.code t.pc v)
-  | Abd.Read_value (Input x) when op = C.op_read_input ->
-      continue (C.next_read_input t.code t.pc x)
-  | Abd.Wrote | Abd.Read_value _ ->
-      assert false (* completions match the op that launched them *)
+  if op = C.op_write || op = C.op_write_input then
+    continue (C.next_unit t.code t.pc)
+  else
+    match Abd.result t.abd with
+    | Coord v when op = C.op_read -> continue (C.next_read t.code t.pc v)
+    | Input x when op = C.op_read_input ->
+        continue (C.next_read_input t.code t.pc x)
+    | Coord _ | Input _ ->
+        assert false (* completions match the op that launched them *)
 
 (* A decided process keeps serving quorum requests — stopping would count
    against the crash budget of everyone else's liveness. *)
 let handle t ~from msg =
-  let sends = Abd.handle t.abd ~from msg in
-  match Abd.take_completion t.abd with
-  | None -> sends
-  | Some completion -> sends @ advance t completion
+  if Abd.handle t.abd ~from msg then advance t;
+  flush t
 
 let decision t = t.decided
 let steps t = t.steps

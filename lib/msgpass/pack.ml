@@ -6,9 +6,8 @@
    payloads in plain [int array] rings — no per-message allocation, no
    boxing — which is what makes the pooled chaos fleet's send/deliver
    path allocation-free. The encoders do not range-check (they are the
-   hot path); builders must validate their configuration's bounds with
-   {!fits_static} up front and fall back to the boxed message type when
-   a field could overflow. Decoding is mask-and-shift; every field of
+   hot path); configurations are validated against {!fits_static} up
+   front ([Chaos.validate]). Decoding is mask-and-shift; every field of
    every tag is present in every word (unused fields are zero), so
    decoders never branch on tag to find a field. *)
 
@@ -28,12 +27,6 @@ let op_shift = reg_shift + reg_bits
 let ts_shift = op_shift + op_bits
 let value_shift = ts_shift + ts_bits
 
-(* Message tags, mirroring [Abd.msg] constructors. *)
-let t_write_req = 0
-let t_write_ack = 1
-let t_read_req = 2
-let t_read_reply = 3
-
 let pack ~tag ~reg ~op ~ts ~value =
   tag
   lor (reg lsl reg_shift)
@@ -41,10 +34,15 @@ let pack ~tag ~reg ~op ~ts ~value =
   lor (ts lsl ts_shift)
   lor (value lsl value_shift)
 
-let write_req ~reg ~ts ~value ~op = pack ~tag:t_write_req ~reg ~op ~ts ~value
-let write_ack ~reg ~op = pack ~tag:t_write_ack ~reg ~op ~ts:0 ~value:0
-let read_req ~reg ~op = pack ~tag:t_read_req ~reg ~op ~ts:0 ~value:0
-let read_reply ~reg ~ts ~value ~op = pack ~tag:t_read_reply ~reg ~op ~ts ~value
+let write_req ~reg ~ts ~value ~op =
+  pack ~tag:Abd.kind_write_req ~reg ~op ~ts ~value
+
+let write_ack ~reg ~op = pack ~tag:Abd.kind_write_ack ~reg ~op ~ts:0 ~value:0
+let read_req ~reg ~op = pack ~tag:Abd.kind_read_req ~reg ~op ~ts:0 ~value:0
+
+let read_reply ~reg ~ts ~value ~op =
+  pack ~tag:Abd.kind_read_reply ~reg ~op ~ts ~value
+
 let tag m = m land ((1 lsl tag_bits) - 1)
 let reg m = (m lsr reg_shift) land max_reg
 let op m = (m lsr op_shift) land max_op
@@ -59,16 +57,15 @@ let fits_static ~registers ~writes ~max_ops =
   registers - 1 <= max_reg && writes <= max_ts && writes <= max_value
   && max_ops <= max_op
 
-let to_msg m : int Abd.msg =
-  let t = tag m in
-  if t = t_write_req then
-    Abd.Write_req { reg = reg m; ts = ts m; value = value m; op = op m }
-  else if t = t_write_ack then Abd.Write_ack { reg = reg m; op = op m }
-  else if t = t_read_req then Abd.Read_req { reg = reg m; op = op m }
-  else Abd.Read_reply { reg = reg m; ts = ts m; value = value m; op = op m }
-
-let of_msg : int Abd.msg -> int = function
-  | Abd.Write_req { reg; ts; value; op } -> write_req ~reg ~ts ~value ~op
-  | Abd.Write_ack { reg; op } -> write_ack ~reg ~op
-  | Abd.Read_req { reg; op } -> read_req ~reg ~op
-  | Abd.Read_reply { reg; ts; value; op } -> read_reply ~reg ~ts ~value ~op
+let encoding : (int, int) Abd.encoding =
+  {
+    Abd.write_req;
+    write_ack;
+    read_req;
+    read_reply;
+    kind = tag;
+    reg;
+    op;
+    ts;
+    value;
+  }

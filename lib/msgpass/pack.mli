@@ -5,44 +5,22 @@
     instantiated at ['m = int] keeps its payload rings as [int array]s,
     so the packed chaos fleet's send/deliver path allocates nothing.
 
-    Encoders are unchecked (hot path); callers validate once with
-    {!fits_static} and fall back to the boxed ['v Abd.msg] build when the
-    configuration could overflow a field. *)
+    Encoders are unchecked (hot path); configurations are validated once
+    against {!fits_static} ({!Chaos.validate} refuses static chaos
+    configurations that could overflow a field). *)
 
 val max_reg : int
 val max_op : int
 val max_ts : int
 val max_value : int
 
-(** {1 Tags} — mirror the [Abd.msg] constructors. *)
-
-val t_write_req : int
-val t_write_ack : int
-val t_read_req : int
-val t_read_reply : int
-
-(** {1 Encoders} *)
-
-val write_req : reg:int -> ts:int -> value:int -> op:int -> int
-val write_ack : reg:int -> op:int -> int
-val read_req : reg:int -> op:int -> int
-val read_reply : reg:int -> ts:int -> value:int -> op:int -> int
-
-(** {1 Decoders} — mask-and-shift; unused fields of a tag decode as 0. *)
-
-val tag : int -> int
-val reg : int -> int
-val op : int -> int
-val ts : int -> int
-val value : int -> int
-
 val fits_static : registers:int -> writes:int -> max_ops:int -> bool
 (** Every field of a static ABD workload with these bounds fits the
     layout: registers in [0..max_reg], timestamps and values bounded by
     the write count, per-node operation ids bounded by [max_ops]. *)
 
-val to_msg : int -> int Abd.msg
-(** Decode to the boxed message type (differential tests, debugging). *)
-
-val of_msg : int Abd.msg -> int
-(** Encode a boxed message; fields must be in range (unchecked). *)
+val encoding : (int, int) Abd.encoding
+(** The packed encoding for {!Abd.create}: int values, int messages.
+    Its encoders are unchecked (fields must be in range); its decoders
+    are mask-and-shift, and fields a message kind does not carry decode
+    as 0. *)

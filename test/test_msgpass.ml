@@ -73,11 +73,22 @@ let prop_wire_roundtrip =
 
 (* ----- packed ABD messages (Codec.Pack) ----- *)
 
+(* Re-encode one ABD message from encoding [src] into encoding [dst]. *)
+let transcode (src : ('v, 'a) Msgpass.Abd.encoding)
+    (dst : ('v, 'b) Msgpass.Abd.encoding) m =
+  let module A = Msgpass.Abd in
+  let kind = src.kind m and reg = src.reg m and op = src.op m in
+  if kind = A.kind_write_req then
+    dst.write_req ~reg ~ts:(src.ts m) ~value:(src.value m) ~op
+  else if kind = A.kind_write_ack then dst.write_ack ~reg ~op
+  else if kind = A.kind_read_req then dst.read_req ~reg ~op
+  else dst.read_reply ~reg ~ts:(src.ts m) ~value:(src.value m) ~op
+
 (* Every field of the bit-packed layout — tag:2 | reg:10 | op:16 | ts:16 |
    value:18 — must decode to exactly what was encoded, including at the
    field boundaries (0, 1, max-1, max) where a mask or shift off by one
-   would silently alias neighbouring fields. The boxed Abd.msg roundtrip
-   pins the packed and boxed forms to each other. *)
+   would silently alias neighbouring fields. The roundtrip through the
+   boxed Abd.msg pins the two encodings to each other. *)
 let prop_pack_roundtrip_boundary =
   let module P = Msgpass.Pack in
   let field max =
@@ -95,18 +106,19 @@ let prop_pack_roundtrip_boundary =
   QCheck.Test.make ~name:"Pack roundtrips every field at boundary widths"
     ~count:400 (QCheck.make gen)
     (fun (tag, reg, op, ts, value) ->
-      let module P = Msgpass.Pack in
+      let module A = Msgpass.Abd in
+      let e = Msgpass.Pack.encoding in
       let m =
-        if tag = P.t_write_req then P.write_req ~reg ~ts ~value ~op
-        else if tag = P.t_write_ack then P.write_ack ~reg ~op
-        else if tag = P.t_read_req then P.read_req ~reg ~op
-        else P.read_reply ~reg ~ts ~value ~op
+        if tag = A.kind_write_req then e.write_req ~reg ~ts ~value ~op
+        else if tag = A.kind_write_ack then e.write_ack ~reg ~op
+        else if tag = A.kind_read_req then e.read_req ~reg ~op
+        else e.read_reply ~reg ~ts ~value ~op
       in
-      let carries_ts = tag = P.t_write_req || tag = P.t_read_reply in
-      P.tag m = tag && P.reg m = reg && P.op m = op
-      && P.ts m = (if carries_ts then ts else 0)
-      && P.value m = (if carries_ts then value else 0)
-      && P.of_msg (P.to_msg m) = m
+      let carries_ts = tag = A.kind_write_req || tag = A.kind_read_reply in
+      e.kind m = tag && e.reg m = reg && e.op m = op
+      && e.ts m = (if carries_ts then ts else 0)
+      && e.value m = (if carries_ts then value else 0)
+      && transcode A.boxed e (transcode e A.boxed m) = m
       && m >= 0)
 
 let test_pack_fits_static_boundaries () =
@@ -125,6 +137,71 @@ let test_pack_fits_static_boundaries () =
      overflows either. *)
   Alcotest.(check bool) "ts is the binding field" true
     (P.max_value > P.max_ts)
+
+(* One ABD, two message encodings: the same seeded run driven once with
+   {!Msgpass.Pack} ints and once with boxed [Abd.msg] values must send the
+   same messages in the same order, complete the same operations with the
+   same values, and leave the same register copies — for sound quorums
+   and for the t = n/2 frontier quorum alike. Duplication is on, so a
+   duplicated ack or reply reaches the counting paths too. *)
+let abd_encoding_run (type m) (enc : (int, m) Msgpass.Abd.encoding) ~n
+    ~quorum ~ops ~seed =
+  let module A = Msgpass.Abd in
+  let sends = ref [] and completions = ref [] in
+  let abds = Array.make n None in
+  let nodes ~send me =
+    let script = Bits.Rng.make ((seed * 64) + me) in
+    let left = ref ops in
+    let abd =
+      A.create ~n ~t:0 ~quorum ~registers:n ~init:(fun _ -> 0) ~encoding:enc
+        ~send:(fun ~dst m ->
+          sends := (me, dst, transcode enc A.boxed m) :: !sends;
+          send ~dst m)
+        ()
+    in
+    abds.(me) <- Some abd;
+    let start () =
+      if !left > 0 then begin
+        decr left;
+        if Bits.Rng.bool script then
+          A.begin_write abd ~reg:me ((me * 100) + !left)
+        else A.begin_read abd ~reg:(Bits.Rng.int script n)
+      end
+    in
+    {
+      Msgpass.Net.p_start = start;
+      p_message =
+        (fun ~from m ->
+          if A.handle abd ~from m then begin
+            completions := (me, A.result abd) :: !completions;
+            start ()
+          end);
+      p_leave = ignore;
+    }
+  in
+  let ft = Msgpass.Faults.wrap (Msgpass.Net.create_push ~n ~nodes ()) in
+  Msgpass.Faults.run_random ~rng:(Bits.Rng.make seed)
+    ~profile:{ Msgpass.Faults.reliable with duplicate = 0.1; defer = 0.1 }
+    ~max_events:5_000 ft;
+  let copies =
+    Array.map
+      (fun a -> List.init n (A.copy (Option.get a)))
+      abds
+  in
+  (List.rev !sends, List.rev !completions, copies)
+
+let prop_abd_encodings_agree =
+  QCheck.Test.make ~name:"ABD: packed and boxed encodings agree" ~count:200
+    QCheck.(
+      quad (int_range 2 8) bool (int_range 1 4) (int_bound 1_000_000))
+    (fun (n, frontier, ops, seed) ->
+      let quorum = if frontier then n / 2 else n - ((n - 1) / 2) in
+      let packed =
+        abd_encoding_run Msgpass.Pack.encoding ~n ~quorum ~ops ~seed
+      in
+      let boxed = abd_encoding_run Msgpass.Abd.boxed ~n ~quorum ~ops ~seed in
+      let sends, completions, _ = packed in
+      sends <> [] && completions <> [] && packed = boxed)
 
 let test_wire_envelope_codec () =
   let codec =
@@ -543,6 +620,11 @@ let test_chaos_validate () =
       ("negative rate", C.churn ~rate:(-1) ());
       ("window 0", C.churn ~window:0 ());
       ("width 31", C.churn ~width_bits:31 ());
+      ("n = 62", { (C.sound ()) with C.n = 62 });
+      ("negative reads", { (C.sound ()) with C.reads = -1 });
+      ("t = n/2 without quorum", C.sound ~n:4 ~t:2 ());
+      ( "writes beyond the packed layout",
+        { (C.sound ()) with C.writes = 70_000 } );
     ]
 
 (* The churn mutation grammar is opt-in (static fleets must keep their
@@ -716,12 +798,12 @@ let test_plan_codec_rejects_garbage () =
 (* A rejected plan names the offending action and where it sits, so a
    hand-edited corpus line fails with something greppable instead of a
    bare "parse error". *)
+let contains hay needle =
+  let h = String.length hay and n = String.length needle in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let test_plan_parse_errors_are_positional () =
-  let contains hay needle =
-    let h = String.length hay and n = String.length needle in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun (text, fragments) ->
       match Msgpass.Faults.plan_of_string text with
@@ -846,6 +928,25 @@ let test_fleet_witness_dedup_and_replay () =
   Alcotest.(check int) "resumed fleet does not republish the class" 0
     (List.length r2.F.witnesses);
   rm_rf dir
+
+(* Hand-edited witness files (test/data) must come back as an [Error]
+   naming the file: a t = n/2 config with no quorum override, a plan
+   channel outside n, and a write count that overflows the packed
+   message layout. *)
+let test_fleet_replay_rejects_hand_edits () =
+  List.iter
+    (fun (file, needle) ->
+      let file = Filename.concat "data" file in
+      match Msgpass.Fleet.replay_file file with
+      | Ok _ -> Alcotest.failf "%s replayed" file
+      | Error e ->
+          if not (contains e file && contains e needle) then
+            Alcotest.failf "error for %s lacks %S: %s" file needle e)
+    [
+      ("witness-unsound-t.json", "t < n/2");
+      ("witness-channel-out-of-range.json", "channel 9>0 out of range");
+      ("witness-writes-outside-pack.json", "packed message layout");
+    ]
 
 (* ABD + Interp over the complete network: baseline eps-agreement survives
    minority crashes. *)
@@ -1102,6 +1203,8 @@ let () =
             `Quick test_fleet_witness_dedup_and_replay;
           Alcotest.test_case "parallel campaigns match sequential" `Quick
             test_chaos_jobs_invariant;
+          Alcotest.test_case "witness replay rejects hand edits" `Quick
+            test_fleet_replay_rejects_hand_edits;
         ] );
       ( "membership",
         [
@@ -1120,6 +1223,7 @@ let () =
             test_abd_message_passing;
           Alcotest.test_case "ABD atomicity (reader monotonicity)" `Quick
             test_abd_atomicity;
+          QCheck_alcotest.to_alcotest prop_abd_encodings_agree;
           Alcotest.test_case "ring flooding survives crashes" `Quick
             test_router_flooding;
         ] );
