@@ -56,6 +56,20 @@ fi
 dune exec bin/boundedreg.exe -- chaos --churn-frontier --runs 40 --seed 1 \
   --expect violation
 
+# Pipeline smoke: Theorem 1.3's compiled protocol over 6-bit registers
+# (n=3, t=1) must reproduce seed 31's decisions and per-process step
+# counts exactly. ~927k steps per process: it runs in about a second
+# because pipeline programs compile to constant-size stateful code.
+echo "== pipeline smoke"
+pipeline_got=$(dune exec bin/boundedreg.exe -- pipeline --seed 31 | grep '^process')
+pipeline_want='process 0: decides 1/2 after 927080 steps
+process 1: decides 1/2 after 926570 steps
+process 2: decides 1/2 after 926223 steps'
+if [ "$pipeline_got" != "$pipeline_want" ]; then
+  printf 'check.sh: pipeline --seed 31 drifted:\n%s\n' "$pipeline_got" >&2
+  exit 1
+fi
+
 # Trace smoke: a budgeted exploration captured to JSONL must validate —
 # parseable events, balanced spans — via the trace summarizer; metrics go
 # to a JSON file CI archives. Runs in both modes (it is a fraction of a

@@ -37,7 +37,7 @@ let compile ~n ~t ?(chunk = 1) ~value ~input ~init ~program ~me () =
   let env_codec =
     Wire.envelope_codec (Wire.abd_msg_codec (Wire.cell_codec value input))
   in
-  (* Mutable per-run state: compiled programs are not fork-safe. *)
+  (* Mutable per-run state, hence the [Stateful] root below. *)
   let router = Router.create ~topology ~me in
   let interp, first = Interp.create ~n ~t ~me ~init ~program in
   let senders = List.map (fun s -> (s, Alt_bit.sender ~chunk)) succs in
@@ -112,7 +112,7 @@ let compile ~n ~t ?(chunk = 1) ~value ~input ~init ~program ~me () =
         P.output d (loop ())
     | Some _ | None -> loop ()
   in
-  loop ()
+  P.Stateful (loop ())
 
 let algorithm ~n ~t ?(chunk = 1) ~value ~input ~init ~source ~name () =
   {

@@ -18,8 +18,12 @@
     its own once. Processes decide via {!Sched.Program.Output} and keep
     serving quorums forever (a halted majority would block survivors), so
     run compiled protocols with [Scheduler.run_random ~until_outputs:true].
-    Compiled programs carry hidden mutable state: they are {e not} fork-safe
-    and must not be run under {!Sched.Explore}. *)
+    Compiled programs carry per-run mutable state (router, ABD,
+    alternating-bit channels) and are marked {!Sched.Program.Stateful}:
+    each runs forward once, in constant compiled size. A second start of
+    the same code, and {!Sched.Explore}, [Scheduler.copy],
+    [Scheduler.enable_journal] and [Scheduler.raw_dfs] over it, raise
+    [Invalid_argument]; build a fresh program per run. *)
 
 type register = {
   data : Alt_bit.field array;  (** per successor: outgoing channel field *)
@@ -58,4 +62,5 @@ val algorithm :
   unit ->
   (register, 'i, 'a) Tasks.Harness.algorithm
 (** Harness packaging: fresh [3 (t+1)]-bit memory, one compiled process per
-    pid. Check with {!Tasks.Harness.check_random} (resilience <= t) only. *)
+    pid. Check with {!Tasks.Harness.check_random} (resilience <= t) only:
+    the exhaustive checks explore, which stateful programs refuse. *)

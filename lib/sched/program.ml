@@ -5,6 +5,7 @@ type ('v, 'i, 'a) t =
   | Write_input of 'i * (unit -> ('v, 'i, 'a) t)
   | Read_input of int * ('i option -> ('v, 'i, 'a) t)
   | Output of 'a * (unit -> ('v, 'i, 'a) t)
+  | Stateful of ('v, 'i, 'a) t
 
 let return x = Return x
 
@@ -17,6 +18,7 @@ let rec bind m f =
   | Read_input (j, k) -> Read_input (j, fun v -> bind (k v) f)
   | Output (_, _) ->
       invalid_arg "Program.bind: cannot bind past an Output decision"
+  | Stateful p -> Stateful (bind p f)
 
 let map f m = bind m (fun x -> Return (f x))
 let write v = Write (v, fun () -> Return ())
@@ -68,7 +70,9 @@ module Compiled = struct
 
      A [code] value is mutable (it grows as new positions are reached)
      and therefore single-domain: share it freely across sequential
-     runs and undo-based backtracking, never across [Domain]s. *)
+     runs and undo-based backtracking, never across [Domain]s. The one
+     exception to purity, [Stateful], opts out of the memo (see
+     [place]). *)
 
   (* Opcodes. [op] is the scheduler's dispatch value; keep them dense. *)
   let op_write = 0
@@ -99,6 +103,8 @@ module Compiled = struct
     | K_read of ('v -> ('v, 'i, 'a) t) * ('v, int) Hashtbl.t
     | K_read_input of
         ('i option -> ('v, 'i, 'a) t) * ('i option, int) Hashtbl.t
+    | K_read_once of ('v -> ('v, 'i, 'a) t)  (** stateful: no memo *)
+    | K_read_input_once of ('i option -> ('v, 'i, 'a) t)
 
   type ('v, 'i, 'a) code = {
     mutable ops : int array;  (** opcode per pc *)
@@ -107,6 +113,10 @@ module Compiled = struct
     mutable pays : ('v, 'i, 'a) payload array;
     mutable konts : ('v, 'i, 'a) kont array;
     mutable len : int;
+    stateful : bool;
+    mutable scratch : int;
+        (** stateful: first of the two scratch slots, -1 until reserved *)
+    mutable started : bool;  (** stateful: handed to a run already *)
   }
 
   let length c = c.len
@@ -125,44 +135,89 @@ module Compiled = struct
     c.pays <- extend c.pays P_read;
     c.konts <- extend c.konts K_resolved
 
-  let add c ~op ~reg ~pay ~kont =
-    if c.len = Array.length c.ops then grow c;
-    let pc = c.len in
+  let set c pc ~op ~reg ~pay ~kont =
     c.ops.(pc) <- op;
     c.regs.(pc) <- reg;
     c.nexts.(pc) <- -1;
     c.pays.(pc) <- pay;
-    c.konts.(pc) <- kont;
+    c.konts.(pc) <- kont
+
+  let add c ~op ~reg ~pay ~kont =
+    if c.len = Array.length c.ops then grow c;
+    let pc = c.len in
+    set c pc ~op ~reg ~pay ~kont;
     c.len <- pc + 1;
     pc
 
-  (* Lower the head of a program into a fresh slot, suspending its
-     continuation. *)
-  let enter c (p : ('v, 'i, 'a) t) =
+  (* Stateful lowering. A [Stateful] program's continuations mutate state
+     outside the monad, so no position ever runs twice and a memo would
+     only pin one dead slot per step. Its memory-op heads therefore take
+     turns in two scratch slots — each overwrites the one the process is
+     not standing on ([from]) — while [Return]/[Output] heads are still
+     appended, because a scheduler keeps their pcs as the announced
+     decisions. *)
+  let place c ~from ~op ~reg ~pay ~kont =
+    if c.stateful then begin
+      if c.scratch < 0 then begin
+        c.scratch <- c.len;
+        for _ = 1 to 2 do
+          ignore (add c ~op ~reg:0 ~pay:P_read ~kont:K_resolved : int)
+        done
+      end;
+      let pc = if from = c.scratch then c.scratch + 1 else c.scratch in
+      set c pc ~op ~reg ~pay ~kont;
+      pc
+    end
+    else add c ~op ~reg ~pay ~kont
+
+  (* Lower the head of a program into a slot, suspending its
+     continuation; [from] is the slot the process is leaving. *)
+  let rec enter c ~from (p : ('v, 'i, 'a) t) =
     match p with
     | Return a ->
         add c ~op:op_return ~reg:0 ~pay:(P_decide (Some a)) ~kont:K_resolved
-    | Write (v, k) -> add c ~op:op_write ~reg:0 ~pay:(P_write v) ~kont:(K_unit k)
+    | Write (v, k) ->
+        place c ~from ~op:op_write ~reg:0 ~pay:(P_write v) ~kont:(K_unit k)
     | Read (j, k) ->
-        add c ~op:op_read ~reg:j ~pay:P_read
-          ~kont:(K_read (k, Hashtbl.create 4))
+        place c ~from ~op:op_read ~reg:j ~pay:P_read
+          ~kont:
+            (if c.stateful then K_read_once k
+             else K_read (k, Hashtbl.create 4))
     | Write_input (x, k) ->
-        add c ~op:op_write_input ~reg:0 ~pay:(P_write_input x) ~kont:(K_unit k)
+        place c ~from ~op:op_write_input ~reg:0 ~pay:(P_write_input x)
+          ~kont:(K_unit k)
     | Read_input (j, k) ->
-        add c ~op:op_read_input ~reg:j ~pay:P_read
-          ~kont:(K_read_input (k, Hashtbl.create 4))
+        place c ~from ~op:op_read_input ~reg:j ~pay:P_read
+          ~kont:
+            (if c.stateful then K_read_input_once k
+             else K_read_input (k, Hashtbl.create 4))
     | Output (a, k) ->
         add c ~op:op_output ~reg:0 ~pay:(P_decide (Some a)) ~kont:(K_unit k)
+    | Stateful p ->
+        if not c.stateful then
+          invalid_arg "Program.Compiled: Stateful below a pure program's root";
+        enter c ~from p
 
   let root = 0
 
   let of_program p =
     let c =
       { ops = [||]; regs = [||]; nexts = [||]; pays = [||]; konts = [||];
-        len = 0 }
+        len = 0;
+        stateful = (match p with Stateful _ -> true | _ -> false);
+        scratch = -1; started = false }
     in
-    ignore (enter c p : int);
+    ignore (enter c ~from:(-1) p : int);
     c
+
+  let stateful c = c.stateful
+
+  let claim c =
+    if c.stateful then begin
+      if c.started then
+        invalid_arg "Program.Compiled.claim: stateful code already ran";
+      c.started <- true
+    end
 
   (* {3 Hot accessors — one array read each}
 
@@ -204,11 +259,13 @@ module Compiled = struct
   let resolve_unit c pc =
     match c.konts.(pc) with
     | K_unit k ->
-        let nx = enter c (k ()) in
+        let nx = enter c ~from:pc (k ()) in
         c.nexts.(pc) <- nx;
         c.konts.(pc) <- K_resolved;
         nx
-    | K_resolved | K_read _ | K_read_input _ -> assert false
+    | K_resolved | K_read _ | K_read_input _ | K_read_once _
+    | K_read_input_once _ ->
+        assert false
 
   let[@inline] next_unit c pc =
     let nx = Array.unsafe_get c.nexts pc in
@@ -216,28 +273,31 @@ module Compiled = struct
 
   (* Resolve a read continuation for the value just read: a memo probe
      (no allocation on the hit path) after the first time that value is
-     seen at this position. *)
+     seen at this position. Stateful reads run once and keep no memo. *)
   let next_read c pc v =
     match c.konts.(pc) with
+    | K_read_once k -> enter c ~from:pc (k v)
     | K_read (k, memo) -> (
         match Hashtbl.find memo v with
         | nx -> nx
         | exception Not_found ->
-            let nx = enter c (k v) in
+            let nx = enter c ~from:pc (k v) in
             Hashtbl.add memo v nx;
             nx)
-    | K_resolved | K_unit _ | K_read_input _ -> assert false
+    | K_resolved | K_unit _ | K_read_input _ | K_read_input_once _ ->
+        assert false
 
   let next_read_input c pc v =
     match c.konts.(pc) with
+    | K_read_input_once k -> enter c ~from:pc (k v)
     | K_read_input (k, memo) -> (
         match Hashtbl.find memo v with
         | nx -> nx
         | exception Not_found ->
-            let nx = enter c (k v) in
+            let nx = enter c ~from:pc (k v) in
             Hashtbl.add memo v nx;
             nx)
-    | K_resolved | K_unit _ | K_read _ -> assert false
+    | K_resolved | K_unit _ | K_read _ | K_read_once _ -> assert false
 end
 
 let compile = Compiled.of_program

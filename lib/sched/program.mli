@@ -11,7 +11,9 @@
     scheduler can interleave processes arbitrarily, replay a schedule
     bit-for-bit, stop a process forever (a crash), or exhaustively enumerate
     interleavings. Protocol code must be pure between steps (all state in the
-    continuation), which the combinators below make natural. *)
+    continuation), which the combinators below make natural. The one
+    exception says so: a program wrapped in {!Stateful} keeps state outside
+    the monad and may only run forward, once. *)
 
 type ('v, 'i, 'a) t =
   | Return of 'a  (** decide and halt *)
@@ -25,6 +27,14 @@ type ('v, 'i, 'a) t =
       (** announce the decision but keep running — used by simulations whose
           processes must keep serving others after deciding (deciding and
           halting are distinct events in the model); costs no memory step *)
+  | Stateful of ('v, 'i, 'a) t
+      (** [p] breaks the purity contract: its continuations mutate state
+          outside the monad, so replaying, forking or backtracking it is
+          meaningless. Compiled without a memo (see {!Compiled}); the
+          scheduler runs such code forward exactly once and rejects
+          journaling, forking and the fused exploration over it. Only
+          meaningful at a program's root; a [Stateful] below the root of a
+          pure program is rejected when lowering reaches it. *)
 
 val return : 'a -> ('v, 'i, 'a) t
 val bind : ('v, 'i, 'a) t -> ('a -> ('v, 'i, 'b) t) -> ('v, 'i, 'b) t
@@ -65,7 +75,15 @@ end
     reached). Sharing one across sequential runs, copies, and
     undo-based backtracking is safe and is where the memoization pays;
     sharing one across [Domain]s is not — parallel drivers give each
-    worker its own compilation (see {!Par}). *)
+    worker its own compilation (see {!Par}).
+
+    A {!Stateful} program is lowered without a memo: reads keep only
+    their continuation, memory-op heads take turns in two scratch slots
+    (each overwrites the one the process is not standing on), and
+    [Return]/[Output] heads are appended so decision pcs stay valid —
+    {!Compiled.length} stays at most [2 +] the number of decisions
+    announced, however long the run. Such code runs forward once:
+    {!Compiled.claim} rejects a second run. *)
 
 module Compiled : sig
   type ('v, 'i, 'a) code
@@ -78,7 +96,15 @@ module Compiled : sig
   (** The entry program counter of every compiled program. *)
 
   val length : ('v, 'i, 'a) code -> int
-  (** Number of program positions materialized so far. *)
+  (** Number of program slots materialized so far. *)
+
+  val stateful : ('v, 'i, 'a) code -> bool
+  (** Lowered from a {!Stateful} program. *)
+
+  val claim : ('v, 'i, 'a) code -> unit
+  (** Mark the code as handed to a run. No-op on pure code.
+      @raise Invalid_argument on stateful code claimed before — it has
+      already run and cannot start over. *)
 
   (** {2 Execution interface (used by {!Scheduler})}
 

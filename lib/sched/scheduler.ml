@@ -8,7 +8,8 @@ module C = Program.Compiled
    stores — no constructor or closure allocation per atomic op. [start]
    compiles the free-monad programs it is given; [start_compiled] reuses
    code compiled earlier (single-domain reuse only — compiled code
-   memoizes in place).
+   memoizes in place). Stateful code is claimed by the one run it may
+   take part in, and the journal, [copy] and [raw_dfs] refuse it.
 
    The undo journal is a flat column arena rather than a list of entry
    records: one slot per {!step}/{!crash} spread over parallel arrays
@@ -148,10 +149,12 @@ let rec settle t pid =
 
 let start_compiled ?(record_trace = false) ~memory ~programs () =
   let n = Memory.n memory in
+  let code = Array.init n programs in
+  Array.iter C.claim code;
   let t =
     {
       mem = memory;
-      code = Array.init n programs;
+      code;
       pcs = Array.make n C.root;
       status = Array.make n s_running;
       running = (if n >= Sys.int_size then -1 else (1 lsl n) - 1);
@@ -278,7 +281,16 @@ let crash t pid =
 
 type journal_mark = int
 
-let enable_journal t = t.journaling <- true
+(* Stateful code runs forward once: undo, forks and the fused walk
+   would all re-enter positions whose continuations have moved on. *)
+let forward_only t what =
+  if Array.exists C.stateful t.code then
+    invalid_arg (Printf.sprintf "Scheduler.%s: stateful program" what)
+
+let enable_journal t =
+  forward_only t "enable_journal";
+  t.journaling <- true
+
 let journal_mark t = t.j_len
 
 let undo_to t m =
@@ -339,6 +351,7 @@ let undo_to t m =
 
 let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
   if t.record_trace then invalid_arg "Scheduler.raw_dfs: state records traces";
+  forward_only t "raw_dfs";
   let terminals = ref 0 and truncated = ref 0 in
   let peak = ref depth in
   let n = Array.length t.status in
@@ -629,6 +642,7 @@ let steps_of t pid = t.step_counts.(pid)
 let trace t = List.rev t.events
 
 let copy t =
+  forward_only t "copy";
   {
     t with
     mem = Memory.copy t.mem;

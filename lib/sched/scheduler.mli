@@ -36,7 +36,9 @@ val start_compiled :
 (** Like {!start} but reusing already-compiled programs, so repeated runs
     of the same protocol (harness sampling, benchmarks) skip re-lowering
     and share the positions memoized by earlier runs. Compiled code is
-    mutable: states sharing it must stay within one domain. *)
+    mutable: states sharing it must stay within one domain.
+    @raise Invalid_argument when a {!Program.Stateful} code has already
+    been started: it runs forward once ({!Program.Compiled.claim}). *)
 
 val memory : ('v, 'i, 'a) state -> ('v, 'i) Memory.t
 val n : ('v, 'i, 'a) state -> int
@@ -60,7 +62,10 @@ type journal_mark
 
 val enable_journal : ('v, 'i, 'a) state -> unit
 (** Start journaling. Off by default ([step] stays allocation-free for plain
-    runs). Steps taken before enabling cannot be undone. *)
+    runs). Steps taken before enabling cannot be undone. So
+    {!module:Explore}, which journals every state it walks, rejects
+    stateful programs through this call.
+    @raise Invalid_argument when a process runs {!Program.Stateful} code. *)
 
 val journal_mark : ('v, 'i, 'a) state -> journal_mark
 (** The current rewind point. *)
@@ -95,7 +100,8 @@ val raw_dfs :
     it; marks taken before the call remain valid.
     @raise Invalid_argument on a [record_trace] state — the per-step
     trace would have to be journaled, which this walk avoids; callers
-    gate on {!recording_trace}. *)
+    gate on {!recording_trace} — and when a process runs
+    {!Program.Stateful} code. *)
 
 val recording_trace : ('v, 'i, 'a) state -> bool
 (** Whether the state was started with [~record_trace:true]. *)
@@ -152,10 +158,12 @@ val trace : ('v, 'i, 'a) state -> 'v Trace.event list
 val copy : ('v, 'i, 'a) state -> ('v, 'i, 'a) state
 (** Independent copy (memory deep-copied). Programs must be pure between
     steps — all per-process state in the continuation — for the copy to be a
-    true fork; every protocol in this repository is. The copy shares the
+    true fork; every protocol in this repository is, except the Theorem 1.3
+    pipeline, which says so with {!Program.Stateful}. The copy shares the
     original's compiled code (an append-only memo, identical for every
     fork), so both must stay within one domain. The copy starts with an
-    empty undo journal: it cannot be rewound past the copy point. *)
+    empty undo journal: it cannot be rewound past the copy point.
+    @raise Invalid_argument when a process runs {!Program.Stateful} code. *)
 
 (** {1 Drivers} *)
 

@@ -185,7 +185,9 @@ let check_random ~task ~algorithm ?resilience ?(max_steps = 100_000) ~runs
      code both skips re-lowering and keeps the positions earlier runs
      already memoized. Sound here because this loop is sequential;
      [check_supervised]'s jobs>1 sampling compiles per worker instead
-     (compiled code must not cross domains). *)
+     (compiled code must not cross domains). Stateful code is never
+     cached: its continuations carry the state of the run that compiled
+     it, so every run builds its own. *)
   let compiled = Array.make (Array.length configurations) None in
   let start_cached ?record_trace ci =
     let inputs = configurations.(ci) in
@@ -198,7 +200,8 @@ let check_random ~task ~algorithm ?resilience ?(max_steps = 100_000) ~runs
                 Sched.Program.compile
                   (algorithm.program ~pid ~input:inputs.(pid)))
           in
-          compiled.(ci) <- Some codes;
+          if not (Array.exists Sched.Program.Compiled.stateful codes) then
+            compiled.(ci) <- Some codes;
           codes
     in
     Scheduler.start_compiled ?record_trace

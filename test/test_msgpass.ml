@@ -1150,6 +1150,84 @@ let test_pipeline_chunk_ablation () =
   Alcotest.(check bool) "chunk=8 wider registers" true (bits8 > bits1);
   Alcotest.(check bool) "chunk=8 fewer steps" true (steps8 < steps1)
 
+(* The pipeline's programs are stateful: each run must compile its own.
+   Seeds 4 and 5 both draw input configuration 5; a per-configuration
+   code cache would replay seed 4's mutated router and channel state in
+   seed 5, where decoding a garbled envelope raises. *)
+let test_pipeline_check_random_fresh_code () =
+  let n = 3 and t = 1 and rounds = 1 in
+  let task =
+    Tasks.Eps_agreement.task ~n ~k:(Core.Baseline_unbounded.denominator ~rounds)
+  in
+  let algorithm = pipeline_algorithm ~n ~t ~rounds ~chunk:1 in
+  match
+    H.check_random ~task ~algorithm ~resilience:t ~max_steps:30_000_000
+      ~runs:5 ~seed:1 ()
+  with
+  | H.Fail v ->
+      Alcotest.failf "pipeline: %a" (H.pp_violation Format.pp_print_int) v
+  | H.Pass stats ->
+      Alcotest.(check int) "seed 5's steps per process" 937_776
+        stats.H.max_process_steps
+
+(* Seed 31 through [check_random]'s seeded drive, with the compiled code
+   kept for inspection: ~927k steps per process, and each process's code
+   is two scratch slots plus its one announced decision. *)
+let test_pipeline_constant_code () =
+  let n = 3 and t = 1 and rounds = 1 in
+  let task =
+    Tasks.Eps_agreement.task ~n ~k:(Core.Baseline_unbounded.denominator ~rounds)
+  in
+  let algorithm = pipeline_algorithm ~n ~t ~rounds ~chunk:1 in
+  let configurations = Array.of_list (Tasks.Task.input_configurations task) in
+  let rng = Bits.Rng.make 31 in
+  let inputs =
+    configurations.(Bits.Rng.int rng (Array.length configurations))
+  in
+  let crashes =
+    let how_many = Bits.Rng.int rng (t + 1) in
+    let pids = Array.init n Fun.id in
+    Bits.Rng.shuffle rng pids;
+    List.init how_many (fun i -> (pids.(i), Bits.Rng.int rng 30))
+  in
+  let codes =
+    Array.init n (fun pid ->
+        Sched.Program.compile (algorithm.H.program ~pid ~input:inputs.(pid)))
+  in
+  let state =
+    Sched.Scheduler.start_compiled ~memory:(algorithm.H.memory ())
+      ~programs:(fun pid -> codes.(pid))
+      ()
+  in
+  Sched.Scheduler.run_random ~max_steps:30_000_000 ~crashes
+    ~until_outputs:true rng state;
+  Alcotest.(check bool) "every survivor decided" true
+    (Sched.Scheduler.all_output state);
+  let per_proc =
+    List.fold_left max 0
+      (List.init n (Sched.Scheduler.steps_of state))
+  in
+  Alcotest.(check int) "steps per process" 927_045 per_proc;
+  Array.iteri
+    (fun pid code ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p%d compiled length <= 3" pid)
+        true
+        (Sched.Program.Compiled.length code <= 3))
+    codes
+
+(* Exhaustive checking explores, and exploration journals: both refuse
+   the pipeline's stateful programs instead of backtracking into them. *)
+let test_pipeline_refuses_explore () =
+  let n = 3 and t = 1 and rounds = 1 in
+  let task =
+    Tasks.Eps_agreement.task ~n ~k:(Core.Baseline_unbounded.denominator ~rounds)
+  in
+  let algorithm = pipeline_algorithm ~n ~t ~rounds ~chunk:1 in
+  match H.check_exhaustive ~task ~algorithm ~max_steps:8 () with
+  | _ -> Alcotest.fail "explored a stateful program"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "msgpass"
     [
@@ -1235,5 +1313,11 @@ let () =
             test_pipeline_end_to_end;
           Alcotest.test_case "chunk ablation" `Slow
             test_pipeline_chunk_ablation;
+          Alcotest.test_case "check_random compiles each run afresh" `Slow
+            test_pipeline_check_random_fresh_code;
+          Alcotest.test_case "constant-size compiled code" `Slow
+            test_pipeline_constant_code;
+          Alcotest.test_case "exhaustive checking refused" `Quick
+            test_pipeline_refuses_explore;
         ] );
     ]

@@ -349,7 +349,9 @@ module Oracle = struct
   }
 
   (* [Return] records the first decision and halts; [Output] records and
-     continues — mirroring [Scheduler]'s settling of decision heads. *)
+     continues — mirroring [Scheduler]'s settling of decision heads.
+     [Stateful] only changes how a program is compiled, not what it
+     does, so the oracle steps through it. *)
   let rec settle st pid (p : _ Sched.Program.t) =
     match p with
     | Sched.Program.Return a ->
@@ -358,6 +360,7 @@ module Oracle = struct
     | Sched.Program.Output (a, k) ->
         if st.decisions.(pid) = None then st.decisions.(pid) <- Some a;
         settle st pid (k ())
+    | Sched.Program.Stateful p -> settle st pid p
     | p -> st.procs.(pid) <- Susp p
 
   let start ~n ~init programs =
@@ -396,7 +399,10 @@ module Oracle = struct
         st.inputs.(pid) <- Some x;
         settle st pid (k ())
     | Susp (Sched.Program.Read_input (j, k)) -> settle st pid (k st.inputs.(j))
-    | Susp (Sched.Program.Return _ | Sched.Program.Output _) | Halted ->
+    | Susp
+        ( Sched.Program.Return _ | Sched.Program.Output _
+        | Sched.Program.Stateful _ )
+    | Halted ->
         assert false
 
   let running st =
@@ -558,6 +564,89 @@ let prop_trace_replay =
       and d' = Sched.Scheduler.decisions s' in
       Array.for_all2 (Option.equal Q.equal) d d')
 
+(* Stateful lowering is a memory-layout change only: on pure random
+   scripts — the [`W]/[`R] ops above plus [`O], which announces the reads
+   so far and keeps going — [Stateful p] must run exactly like [p] under
+   the same seeded random schedule and crash list (same trace, decisions,
+   statuses and step counts), in at most two scratch slots plus one per
+   decision head. *)
+let stateful_gen =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun n ->
+    let op =
+      frequency
+        [
+          (3, map (fun v -> `W v) (int_range 0 3));
+          (3, map (fun j -> `R j) (int_range 0 (n - 1)));
+          (1, return `O);
+        ]
+    in
+    list_repeat n (list_size (int_range 0 12) op) >>= fun progs ->
+    list_size (int_range 0 2) (pair (int_range 0 (n - 1)) (int_range 0 6))
+    >>= fun crashes ->
+    int >>= fun seed -> return (n, crashes, seed, Array.of_list progs))
+
+let stateful_print (n, crashes, seed, progs) =
+  Printf.sprintf "n=%d crashes=[%s] seed=%d [%s]" n
+    (String.concat ";"
+       (List.map (fun (p, a) -> Printf.sprintf "p%d@%d" p a) crashes))
+    seed
+    (String.concat "; "
+       (Array.to_list progs
+       |> List.map (fun ops ->
+              String.concat ","
+                (List.map
+                   (function
+                     | `W v -> Printf.sprintf "W%d" v
+                     | `R j -> Printf.sprintf "R%d" j
+                     | `O -> "O")
+                   ops))))
+
+let prop_stateful_equals_pure =
+  QCheck.Test.make ~name:"compiled: Stateful p runs exactly like p" ~count:300
+    (QCheck.make ~print:stateful_print stateful_gen)
+    (fun (n, crashes, seed, progs) ->
+      let build ops =
+        let rec go ops acc =
+          match ops with
+          | [] -> Sched.Program.Return (List.rev acc)
+          | `W v :: rest -> Sched.Program.Write (v, fun () -> go rest acc)
+          | `R j :: rest ->
+              Sched.Program.Read (j, fun v -> go rest (v :: acc))
+          | `O :: rest ->
+              Sched.Program.Output (List.rev acc, fun () -> go rest acc)
+        in
+        go ops []
+      in
+      let run wrap =
+        let codes =
+          Array.map (fun ops -> Sched.Program.compile (wrap (build ops))) progs
+        in
+        let s =
+          Sched.Scheduler.start_compiled ~record_trace:true
+            ~memory:
+              (Sched.Memory.create ~n ~budget:Bits.Width.Unbounded
+                 ~measure:Bits.Width.unbounded ~init:0)
+            ~programs:(fun pid -> codes.(pid))
+            ()
+        in
+        Sched.Scheduler.run_random ~crashes (Bits.Rng.make seed) s;
+        ( ( Sched.Scheduler.trace s,
+            Sched.Scheduler.decisions s,
+            List.init n (Sched.Scheduler.status s),
+            List.init n (Sched.Scheduler.steps_of s) ),
+          codes )
+      in
+      let pure, _ = run Fun.id in
+      let stateful, codes = run (fun p -> Sched.Program.Stateful p) in
+      let decide_heads ops = 1 + List.length (List.filter (( = ) `O) ops) in
+      pure = stateful
+      && Array.for_all2
+           (fun code ops ->
+             Sched.Program.Compiled.stateful code
+             && Sched.Program.Compiled.length code <= 2 + decide_heads ops)
+           codes progs)
+
 let () =
   Alcotest.run "properties"
     [
@@ -575,6 +664,7 @@ let () =
             prop_explore_differential;
             prop_par_raw_equals_seq;
             prop_compiled_equals_free_monad;
+            prop_stateful_equals_pure;
             prop_par_digest_width_invariant;
             prop_trace_replay;
           ] );

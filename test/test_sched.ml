@@ -835,6 +835,98 @@ let test_fused_equals_journaled () =
         (stats_fused = stats_journaled))
     [ 0; 1 ]
 
+(* A stateful program keeps its state outside the monad — here a step
+   counter bumped by every continuation, the shape of the Theorem 1.3
+   pipeline's event loop. It reads its register, writes back one more,
+   and announces the value it read on its 500th read, forever. *)
+let stateful_counter () =
+  let reads = ref 0 in
+  let rec loop () =
+    P.Read
+      ( 0,
+        fun v ->
+          incr reads;
+          if !reads = 500 then P.Output (v, fun () -> P.Write (v + 1, loop))
+          else P.Write (v + 1, loop) )
+  in
+  P.Stateful (loop ())
+
+let raises_invalid_arg label f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no Invalid_argument" label
+  | exception Invalid_argument _ -> ()
+
+(* Stateful lowering: memory-op heads share two scratch slots and the
+   decision gets one appended slot, so 2,000 steps leave three slots —
+   the memoized lowering would hold one per step. *)
+let test_stateful_code_constant_size () =
+  let code = P.compile (stateful_counter ()) in
+  Alcotest.(check bool) "marked stateful" true (P.Compiled.stateful code);
+  let s =
+    S.start_compiled ~memory:(make_memory ~n:1 ()) ~programs:(fun _ -> code) ()
+  in
+  S.run_round_robin ~max_steps:2_000 s;
+  Alcotest.(check int) "steps" 2_000 (S.steps_taken s);
+  Alcotest.(check int) "register after 1,000 increments" 1_000
+    (M.peek (S.memory s) 0);
+  Alcotest.(check (array (option int))) "decision announced once" [| Some 499 |]
+    (S.decisions s);
+  Alcotest.(check bool) "still serving" true (S.status s 0 = S.Running);
+  Alcotest.(check int) "two scratch slots + one decision" 3
+    (P.Compiled.length code);
+  (* A [Return] ends the run on a slot the scratch pair never reuses, and
+     a decision at the root is appended before the pair is reserved. *)
+  let ret =
+    P.compile
+      (P.Stateful
+         (P.Output (3, fun () -> P.Write (1, fun () -> P.Return 7))))
+  in
+  let s =
+    S.start_compiled ~memory:(make_memory ~n:1 ()) ~programs:(fun _ -> ret) ()
+  in
+  S.run_round_robin s;
+  Alcotest.(check bool) "returned" true (S.status s 0 = S.Decided 7);
+  Alcotest.(check (array (option int))) "first decision kept" [| Some 3 |]
+    (S.decisions s);
+  Alcotest.(check int) "output + two scratch + return" 4 (P.Compiled.length ret)
+
+(* Stateful code runs forward once: restarting it, forking it,
+   journaling it or walking it must fail loudly, not replay moved-on
+   continuations. *)
+let test_stateful_rejections () =
+  let memory () = make_memory ~n:1 () in
+  let code = P.compile (stateful_counter ()) in
+  let s = S.start_compiled ~memory:(memory ()) ~programs:(fun _ -> code) () in
+  S.run_round_robin ~max_steps:10 s;
+  raises_invalid_arg "second start" (fun () ->
+      S.start_compiled ~memory:(memory ()) ~programs:(fun _ -> code) ());
+  raises_invalid_arg "copy" (fun () -> S.copy s);
+  raises_invalid_arg "enable_journal" (fun () -> S.enable_journal s);
+  raises_invalid_arg "raw_dfs" (fun () ->
+      S.raw_dfs s ~depth:0 ~max_depth:4
+        ~visit:(fun _ _ -> ())
+        ~on_truncated:(fun _ -> ()));
+  let init () =
+    S.start ~memory:(memory ()) ~programs:(fun _ -> stateful_counter ()) ()
+  in
+  raises_invalid_arg "explore" (fun () ->
+      Sched.Explore.explore ~max_steps:4 ~init (fun _ -> ()));
+  raises_invalid_arg "naive walker" (fun () ->
+      Sched.Explore.interleavings_naive ~max_steps:4 ~init (fun _ -> ()));
+  raises_invalid_arg "Stateful below a pure root" (fun () ->
+      let s =
+        S.start ~memory:(memory ())
+          ~programs:(fun _ -> P.Write (1, fun () -> P.Stateful (P.Return ())))
+          ()
+      in
+      S.step s 0);
+  (* Pure code is still shareable across runs. *)
+  let pure = P.compile (P.Write (1, fun () -> P.Return ())) in
+  for _ = 1 to 2 do
+    S.run_round_robin
+      (S.start_compiled ~memory:(memory ()) ~programs:(fun _ -> pure) ())
+  done
+
 let () =
   Alcotest.run "sched"
     [
@@ -917,5 +1009,9 @@ let () =
             test_compiled_code_shared_across_runs;
           Alcotest.test_case "fused walk = journaled walk" `Quick
             test_fused_equals_journaled;
+          Alcotest.test_case "stateful code stays constant-size" `Quick
+            test_stateful_code_constant_size;
+          Alcotest.test_case "stateful code runs forward once" `Quick
+            test_stateful_rejections;
         ] );
     ]
