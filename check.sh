@@ -168,6 +168,22 @@ for w in "$fleet_j1"/witness-*.json; do
   diff "$w" "$fleet_j2/$(basename "$w")"
   dune exec bin/boundedreg.exe -- fleet --replay "$w"
 done
+# The jobs diff above compares one build with itself, so a codec change
+# that altered the corpus bytes would still pass it. Pin the seed-9
+# artifacts' digests (measured with OCaml 5.1.1).
+pin_md5() {
+  if [ ! -f "$fleet_j1/$1" ]; then
+    echo "check.sh: seed-9 fleet wrote no $1" >&2
+    exit 1
+  fi
+  got=$(md5sum < "$fleet_j1/$1" | cut -d' ' -f1)
+  if [ "$got" != "$2" ]; then
+    echo "check.sh: seed-9 fleet $1 drifted: md5 $got, pinned $2" >&2
+    exit 1
+  fi
+}
+pin_md5 corpus.jsonl 76cf3687e0e650644b98abcc3d4d006d
+pin_md5 witness-11d375a62583849e.json efac722480726f73db467b5258911096
 # Cache-effectiveness smoke: a second fleet resumed over the (fixed-seed,
 # hence byte-deterministic) corpus re-executes every corpus plan once to
 # seed coverage and the content-addressed run cache, so mutants that

@@ -11,14 +11,26 @@ type action =
 
 type plan = action list
 
-let pp_action ppf = function
-  | Deliver { src; dst } -> Format.fprintf ppf "deliver %d>%d" src dst
-  | Drop { src; dst } -> Format.fprintf ppf "drop %d>%d" src dst
-  | Duplicate { src; dst } -> Format.fprintf ppf "dup %d>%d" src dst
-  | Defer { src; dst } -> Format.fprintf ppf "defer %d>%d" src dst
-  | Crash pid -> Format.fprintf ppf "crash %d" pid
-  | Enter pid -> Format.fprintf ppf "enter %d" pid
-  | Leave pid -> Format.fprintf ppf "leave %d" pid
+(* The one printer of the action grammar. The fleet encodes every
+   action of every corpus line, so it skips [Format]; operands come from
+   a table of every 8-bit opcode operand, built on first use. *)
+let small_ints = lazy (Array.init 256 string_of_int)
+
+let int_str i =
+  if i >= 0 && i < 256 then (Lazy.force small_ints).(i) else string_of_int i
+
+let chan_str kw { src; dst } = kw ^ int_str src ^ ">" ^ int_str dst
+
+let action_to_string = function
+  | Deliver ch -> chan_str "deliver " ch
+  | Drop ch -> chan_str "drop " ch
+  | Duplicate ch -> chan_str "dup " ch
+  | Defer ch -> chan_str "defer " ch
+  | Crash pid -> "crash " ^ int_str pid
+  | Enter pid -> "enter " ^ int_str pid
+  | Leave pid -> "leave " ^ int_str pid
+
+let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
 
 let pp_plan ppf plan =
   Format.fprintf ppf "@[<hov>%a@]"
@@ -35,13 +47,11 @@ let deliveries plan =
 (* {2 Plan codecs}
 
    The corpus files of the chaos fleet must be human-editable, so the
-   serialized form of an action is exactly what [pp_action] prints —
-   the grammar quoted in EXPERIMENTS.md — and a plan is either the
-   ";"-separated rendering of [pp_plan] or a JSON array of action
+   serialized form of an action is exactly what [action_to_string]
+   prints — the grammar quoted in EXPERIMENTS.md — and a plan is either
+   the ";"-separated rendering of [pp_plan] or a JSON array of action
    strings (one corpus line). Parsing accepts any whitespace where the
    pretty-printer may break a line. *)
-
-let action_to_string a = Format.asprintf "%a" pp_action a
 
 let action_of_string s =
   let s = String.trim s in

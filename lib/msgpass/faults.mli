@@ -32,9 +32,8 @@ type action =
 type plan = action list
 
 val pp_action : Format.formatter -> action -> unit
-(** [deliver 0>2], [drop 0>2], [dup 0>2], [defer 0>2], [crash 3],
-    [enter 3], [leave 3] — the fault-plan grammar quoted in
-    EXPERIMENTS.md. *)
+(** Prints {!action_to_string} as one token: {!pp_plan} breaks lines
+    only at its "; " separators. *)
 
 val pp_plan : Format.formatter -> plan -> unit
 val deliveries : plan -> int
@@ -43,11 +42,16 @@ val deliveries : plan -> int
 (** {1 Plan codecs}
 
     The chaos-fleet corpus persists plans on disk in a human-editable
-    form: every action serializes to exactly what {!pp_action} prints,
-    and the parsers below invert {!pp_action}/{!pp_plan} (accepting any
-    whitespace where the pretty-printer breaks lines). *)
+    form: every action serializes to exactly what {!action_to_string}
+    returns, and the parsers below invert it and {!pp_plan} (accepting
+    any whitespace where the pretty-printer breaks lines). *)
 
 val action_to_string : action -> string
+(** [deliver 0>2], [drop 0>2], [dup 0>2], [defer 0>2], [crash 3],
+    [enter 3], [leave 3] — the fault-plan grammar quoted in
+    EXPERIMENTS.md. The single printer of that grammar: {!pp_action},
+    {!pp_plan} and {!plan_to_json} go through it. *)
+
 val action_of_string : string -> (action, string) result
 (** Inverse of {!action_to_string}; [Error] names the offending token
     (unknown keyword, malformed channel, non-integer pid). *)

@@ -344,24 +344,20 @@ let corpus_file dir = Filename.concat dir "corpus.jsonl"
 
 let load_corpus dir =
   let file = corpus_file dir in
+  (* Errors number lines as on disk, blank ones included. *)
+  let rec go lineno acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
+    | line :: rest -> (
+        match Result.bind (Obs.Json.of_string line) entry_of_json with
+        | Ok e -> go (lineno + 1) (e :: acc) rest
+        | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e))
+  in
   if not (Sys.file_exists file) then Ok []
   else
-    In_channel.with_open_text file In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.fold_left
-         (fun acc line ->
-           match acc with
-           | Error _ as e -> e
-           | Ok entries -> (
-               match Obs.Json.of_string line with
-               | Error e -> Error (Printf.sprintf "%s: %s" file e)
-               | Ok j -> (
-                   match entry_of_json j with
-                   | Ok e -> Ok (e :: entries)
-                   | Error e -> Error (Printf.sprintf "%s: %s" file e))))
-         (Ok [])
-    |> Result.map List.rev
+    go 1 []
+      (String.split_on_char '\n'
+         (In_channel.with_open_text file In_channel.input_all))
 
 (* Oldest first, newest at [size - 1] — matching the JSONL on disk. A
    growable array, not a list: generation planning picks parents by

@@ -81,8 +81,9 @@ type entry = { id : int; origin : string; plan : Faults.plan }
 
 val load_corpus : string -> (entry list, string) result
 (** Parse [<dir>/corpus.jsonl], oldest first. [Ok []] when the file does
-    not exist; [Error] names the file and the offending line's problem
-    (the corpus is human-editable, so failures are loud, not skipped). *)
+    not exist; [Error] reads [<file>:<line>: <problem>], the problem
+    carrying the column for a JSON syntax error (the corpus is
+    human-editable, so failures are loud, not skipped). *)
 
 (** {1 Witnesses} *)
 

@@ -17,18 +17,21 @@ type t =
 
 let escape_to b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if not (String.exists (fun c -> c = '"' || c = '\\' || c < ' ') s) then
+    Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
   Buffer.add_char b '"'
 
 let rec to_buffer b = function
@@ -104,51 +107,67 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let hex = String.sub s !pos 4 in
+    match int_of_string_opt ("0x" ^ hex) with
+    | Some v when not (String.contains hex '_') ->
+        pos := !pos + 4;
+        v
+    | _ -> fail "bad \\u escape"
+  in
+  (* A \u escape, a surrogate pair combined into one code point. *)
+  let unicode_escape () =
+    let hi = hex4 () in
+    if hi land 0xfc00 = 0xdc00 then fail "unpaired low surrogate";
+    if hi land 0xfc00 <> 0xd800 then hi
+    else if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo land 0xfc00 <> 0xdc00 then fail "unpaired high surrogate";
+      0x10000 + (((hi land 0x3ff) lsl 10) lor (lo land 0x3ff))
+    end
+    else fail "unpaired high surrogate"
+  in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'; advance ()
-           | '\\' -> Buffer.add_char b '\\'; advance ()
-           | '/' -> Buffer.add_char b '/'; advance ()
-           | 'n' -> Buffer.add_char b '\n'; advance ()
-           | 'r' -> Buffer.add_char b '\r'; advance ()
-           | 't' -> Buffer.add_char b '\t'; advance ()
-           | 'b' -> Buffer.add_char b '\b'; advance ()
-           | 'f' -> Buffer.add_char b '\012'; advance ()
-           | 'u' ->
-               advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let hex = String.sub s !pos 4 in
-               let code =
-                 try int_of_string ("0x" ^ hex)
-                 with _ -> fail "bad \\u escape"
-               in
-               pos := !pos + 4;
-               (* Codepoints above one byte round-trip only for the
-                  control characters the printer emits; that is all the
-                  telemetry format uses. *)
-               if code < 0x80 then Buffer.add_char b (Char.chr code)
-               else begin
-                 Buffer.add_char b (Char.chr (0xc0 lor (code lsr 6)));
-                 Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-               end
-           | c -> fail (Printf.sprintf "bad escape %C" c));
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
+    (* Fast path: no escape before the closing quote is one slice. *)
+    let start = !pos in
+    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do advance () done;
+    if !pos < n && s.[!pos] = '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let b = Buffer.create 16 in
+      Buffer.add_substring b s start (!pos - start);
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        match s.[!pos] with
+        | '"' -> advance ()
+        | '\\' ->
+            advance ();
+            (if !pos >= n then fail "unterminated escape";
+             match s.[!pos] with
+             | ('"' | '\\' | '/') as c -> Buffer.add_char b c; advance ()
+             | 'n' -> Buffer.add_char b '\n'; advance ()
+             | 'r' -> Buffer.add_char b '\r'; advance ()
+             | 't' -> Buffer.add_char b '\t'; advance ()
+             | 'b' -> Buffer.add_char b '\b'; advance ()
+             | 'f' -> Buffer.add_char b '\012'; advance ()
+             | 'u' ->
+                 advance ();
+                 Buffer.add_utf_8_uchar b (Uchar.of_int (unicode_escape ()))
+             | c -> fail (Printf.sprintf "bad escape %C" c));
+            go ()
+        | c ->
+            Buffer.add_char b c;
+            advance ();
+            go ()
+      in
+      go ();
+      Buffer.contents b
+    end
   in
   let parse_number () =
     let start = !pos in

@@ -652,11 +652,10 @@ let test_fleet_churn_mutants () =
 
 (* ----- chaos fleet ----- *)
 
-let fault_plan_gen =
+let fault_plan_gen_over operand =
   let open QCheck.Gen in
   let chan k =
-    map2 (fun src dst -> k { Msgpass.Faults.src; dst }) (int_bound 9)
-      (int_bound 9)
+    map2 (fun src dst -> k { Msgpass.Faults.src; dst }) operand operand
   in
   list_size (int_bound 40)
     (oneof
@@ -665,24 +664,57 @@ let fault_plan_gen =
          chan (fun ch -> Msgpass.Faults.Drop ch);
          chan (fun ch -> Msgpass.Faults.Duplicate ch);
          chan (fun ch -> Msgpass.Faults.Defer ch);
-         map (fun pid -> Msgpass.Faults.Crash pid) (int_bound 9);
-         map (fun pid -> Msgpass.Faults.Enter pid) (int_bound 9);
-         map (fun pid -> Msgpass.Faults.Leave pid) (int_bound 9);
+         map (fun pid -> Msgpass.Faults.Crash pid) operand;
+         map (fun pid -> Msgpass.Faults.Enter pid) operand;
+         map (fun pid -> Msgpass.Faults.Leave pid) operand;
        ])
 
+let plan_arbitrary gen =
+  QCheck.make ~print:(Format.asprintf "%a" Msgpass.Faults.pp_plan) gen
+
+(* Operands the Net oracle below can run: a universe of 10 slots. *)
 let fault_plan_arbitrary =
-  QCheck.make ~print:(Format.asprintf "%a" Msgpass.Faults.pp_plan)
-    fault_plan_gen
+  plan_arbitrary (fault_plan_gen_over (QCheck.Gen.int_bound 9))
 
 (* The corpus on disk is human-editable: the serialized form of a plan is
-   exactly what pp_plan prints, and both codecs invert it. *)
+   exactly what pp_plan prints, and both codecs invert it. Operands run
+   to 300, past the printer's 256-entry small-int table and across one-,
+   two- and three-digit widths. *)
 let prop_plan_codec_roundtrip =
   QCheck.Test.make ~name:"fault-plan codecs round-trip random plans"
-    ~count:200 fault_plan_arbitrary (fun plan ->
+    ~count:200
+    (plan_arbitrary (fault_plan_gen_over (QCheck.Gen.int_bound 300)))
+    (fun plan ->
       let text = Format.asprintf "%a" Msgpass.Faults.pp_plan plan in
       Msgpass.Faults.plan_of_string text = Ok plan
       && Msgpass.Faults.plan_of_json (Msgpass.Faults.plan_to_json plan)
          = Ok plan)
+
+(* pp_plan's line breaking is part of the CLI output ([chaos --plan]):
+   breaks fall only at the "; " separators, never inside an action. *)
+let test_pp_plan_golden () =
+  let open Msgpass.Faults in
+  let plan =
+    List.init 40 (fun i ->
+        let ch = { src = i mod 4; dst = i * 7 mod 13 } in
+        match i mod 9 with
+        | 0 | 1 | 2 -> Deliver ch
+        | 3 -> Drop ch
+        | 4 -> Duplicate { src = 250 + i; dst = 3 }
+        | 5 -> Defer ch
+        | 6 -> Crash (i * 10)
+        | 7 -> Enter i
+        | _ -> Leave (i + 1))
+  in
+  Alcotest.(check string) "pp_plan at the default margin"
+    "deliver 0>0; deliver 1>7; deliver 2>1; drop 3>8; dup 254>3; defer 1>9;\n\
+     crash 60; enter 7; leave 9; deliver 1>11; deliver 2>5; deliver 3>12;\n\
+     drop 0>6; dup 263>3; defer 2>7; crash 150; enter 16; leave 18; deliver 2>9;\n\
+     deliver 3>3; deliver 0>10; drop 1>4; dup 272>3; defer 3>5; crash 240;\n\
+     enter 25; leave 27; deliver 3>7; deliver 0>1; deliver 1>8; drop 2>2;\n\
+     dup 281>3; defer 0>3; crash 330; enter 34; leave 36; deliver 0>5;\n\
+     deliver 1>12; deliver 2>6; drop 3>0"
+    (Format.asprintf "%a" pp_plan plan)
 
 (* ----- pooled Net vs the Netref oracle ----- *)
 
@@ -947,6 +979,34 @@ let test_fleet_replay_rejects_hand_edits () =
       ("witness-channel-out-of-range.json", "channel 9>0 out of range");
       ("witness-writes-outside-pack.json", "packed message layout");
     ]
+
+(* A hand-edited corpus that no longer parses names the file, the line
+   on disk (blank lines counted) and, for JSON syntax, the column. *)
+let test_fleet_corpus_errors_name_the_line () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-corpus-lines"
+  in
+  let good id =
+    Printf.sprintf {|{"id":%d,"origin":"seed","plan":["deliver 0>1"]}|} id
+  in
+  List.iter
+    (fun (lines, needle) ->
+      rm_rf dir;
+      Sys.mkdir dir 0o755;
+      Out_channel.with_open_text (Filename.concat dir "corpus.jsonl")
+        (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      match Msgpass.Fleet.load_corpus dir with
+      | Ok _ -> Alcotest.failf "corpus with %S loaded" (List.nth lines 2)
+      | Error e ->
+          if not (contains e needle) then
+            Alcotest.failf "corpus error lacks %S: %s" needle e)
+    [
+      ( [ good 0; good 1; {|{"id":2,"origin":"seed","plan":["deliver 0>1"|} ],
+        "corpus.jsonl:3: at 45: expected ']'" );
+      ( [ good 0; ""; {|{"id":2,"origin":"seed","plan":["zap 3"]}|} ],
+        "corpus.jsonl:3: plan element 0: unknown action keyword" );
+    ];
+  rm_rf dir
 
 (* ABD + Interp over the complete network: baseline eps-agreement survives
    minority crashes. *)
@@ -1267,6 +1327,8 @@ let () =
           Alcotest.test_case "rng_point replays a mid-campaign run" `Quick
             test_chaos_rng_point_replay;
           QCheck_alcotest.to_alcotest prop_plan_codec_roundtrip;
+          Alcotest.test_case "pp_plan line breaking is pinned" `Quick
+            test_pp_plan_golden;
           QCheck_alcotest.to_alcotest prop_net_matches_netref;
           Alcotest.test_case "plan parser rejects garbage" `Quick
             test_plan_codec_rejects_garbage;
@@ -1283,6 +1345,8 @@ let () =
             test_chaos_jobs_invariant;
           Alcotest.test_case "witness replay rejects hand edits" `Quick
             test_fleet_replay_rejects_hand_edits;
+          Alcotest.test_case "corpus errors name the line" `Quick
+            test_fleet_corpus_errors_name_the_line;
         ] );
       ( "membership",
         [

@@ -66,7 +66,57 @@ let test_json_error_positions () =
   expect "{\"a\"" "at 4: expected ':'";
   expect "[1, 2" "at 5: expected ']'";
   expect "\"unterminated" "at 13: unterminated string";
-  expect "truexx" "at 4: trailing garbage"
+  expect "truexx" "at 4: trailing garbage";
+  (* \u escapes: malformed hex, truncation, lone surrogates. *)
+  expect {|"\u12g4"|} "at 3: bad \\u escape";
+  expect {|"\u12"|} "at 3: truncated \\u escape";
+  expect {|"\ud83d"|} "at 7: unpaired high surrogate";
+  expect {|"\ud83dx"|} "at 7: unpaired high surrogate";
+  expect {|"\ud83d\u0041"|} "at 13: unpaired high surrogate";
+  expect {|"\ude00"|} "at 7: unpaired low surrogate"
+
+(* \u escapes decode to UTF-8 at every width; a surrogate pair is one
+   four-byte code point. *)
+let test_json_unicode_escapes () =
+  List.iter
+    (fun (input, want) ->
+      match J.of_string input with
+      | Ok (J.Str got) ->
+          Alcotest.(check string) (Printf.sprintf "decode %s" input) want got
+      | Ok v -> Alcotest.failf "%s parsed as %s" input (J.to_string v)
+      | Error e -> Alcotest.failf "rejected %s: %s" input e)
+    [
+      ({|"a\u0007b"|}, "a\007b");
+      ({|"\u0041"|}, "A");
+      ({|"\u00e9"|}, "\195\169");
+      ({|"\u07FF"|}, "\223\191");
+      ({|"\u0800"|}, "\224\160\128");
+      ({|"\u20ac"|}, "\226\130\172");
+      ({|"\u4e2d"|}, "\228\184\173");
+      ({|"\uffff"|}, "\239\191\191");
+      ({|"\ud83d\ude00"|}, "\240\159\152\128");
+      ({|"x\u20acy\n"|}, "x\226\130\172y\n");
+    ]
+
+(* Any byte string survives print-then-parse. Half the draws are heavy
+   in quotes, backslashes and control bytes (the escaping printer and
+   the parser's Buffer path); the other half contain none of them (the
+   whole-string copy and the slice path). *)
+let prop_json_string_roundtrip =
+  let open QCheck.Gen in
+  let special = oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031' ] in
+  let escaped = frequency [ (1, special); (1, char) ] in
+  let plain =
+    map (fun c -> if c = '"' || c = '\\' || c < ' ' then 'x' else c) char
+  in
+  QCheck.Test.make ~name:"json strings round-trip any bytes" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (oneof
+          [
+            string_size ~gen:escaped (int_bound 40);
+            string_size ~gen:plain (int_bound 40);
+          ]))
+    (fun s -> J.of_string (J.to_string (J.Str s)) = Ok (J.Str s))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -523,6 +573,9 @@ let () =
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "error-positions" `Quick
             test_json_error_positions;
+          Alcotest.test_case "unicode-escapes" `Quick
+            test_json_unicode_escapes;
+          QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
         ] );
       ( "metrics",
         [
