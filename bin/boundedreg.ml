@@ -530,6 +530,60 @@ let check_config config =
       Format.eprintf "invalid configuration: %s@." e;
       exit 1
 
+(* The configuration flags chaos and fleet share: a static ABD preset
+   (sound, or --frontier) or a Dynreg one ([churn_term]), with --n, --t,
+   --quorum and --max-events overrides. *)
+type config_opts = {
+  cf_n : int option;
+  cf_t : int;
+  cf_quorum : int option;
+  cf_frontier : bool;
+  cf_churn : churn_opts;
+  cf_max_events : int option;
+}
+
+let config_term =
+  let n_arg = Arg.(value & opt (some int) None & info [ "n" ] ~docv:"N") in
+  let t_arg = Arg.(value & opt int 1 & info [ "t" ] ~docv:"T") in
+  let quorum_arg =
+    Arg.(value & opt (some int) None & info [ "quorum" ] ~docv:"Q")
+  in
+  let frontier_arg =
+    Arg.(
+      value & flag
+      & info [ "frontier" ]
+          ~doc:
+            "Use the t = n/2 frontier preset (disjoint quorums, the E13 \
+             configuration).")
+  in
+  let max_events_arg =
+    Arg.(value & opt (some int) None & info [ "max-events" ] ~docv:"E")
+  in
+  Term.(
+    const (fun cf_n cf_t cf_quorum cf_frontier cf_churn cf_max_events ->
+        { cf_n; cf_t; cf_quorum; cf_frontier; cf_churn; cf_max_events })
+    $ n_arg $ t_arg $ quorum_arg $ frontier_arg $ churn_term $ max_events_arg)
+
+(* The churn flags win over --frontier; --t and --quorum only adjust the
+   sound preset. Exits 1 on a configuration [Chaos.validate] rejects. *)
+let resolve_config o =
+  let open Msgpass.Chaos in
+  let config =
+    match dyn_config ?n:o.cf_n o.cf_churn with
+    | Some c -> c
+    | None when o.cf_frontier -> frontier ?n:o.cf_n ()
+    | None ->
+        let c = sound ?n:o.cf_n ~t:o.cf_t () in
+        if o.cf_quorum = None then c else { c with quorum = o.cf_quorum }
+  in
+  let config =
+    match o.cf_max_events with
+    | Some e -> { config with max_events = e }
+    | None -> config
+  in
+  check_config config;
+  config
+
 let pp_config_line tag config =
   let open Msgpass.Chaos in
   match config.membership with
@@ -552,25 +606,7 @@ let chaos_cmd =
      (or, with --churn, the dynamic-membership Dynreg emulation) and \
      machine-check linearizability of every run."
   in
-  let n_arg =
-    Arg.(value & opt (some int) None & info [ "n" ] ~docv:"N")
-  in
-  let t_arg = Arg.(value & opt int 1 & info [ "t" ] ~docv:"T") in
-  let quorum_arg =
-    Arg.(value & opt (some int) None & info [ "quorum" ] ~docv:"Q")
-  in
-  let frontier_arg =
-    Arg.(
-      value & flag
-      & info [ "frontier" ]
-          ~doc:
-            "Use the t = n/2 frontier preset (disjoint quorums, the E13 \
-             configuration).")
-  in
   let runs_arg = Arg.(value & opt int 100 & info [ "runs" ] ~docv:"RUNS") in
-  let max_events_arg =
-    Arg.(value & opt (some int) None & info [ "max-events" ] ~docv:"E")
-  in
   let plan_arg =
     Arg.(
       value & flag
@@ -603,8 +639,7 @@ let chaos_cmd =
             "Campaign base seed. When omitted, one is auto-picked and \
              echoed — a reported violation is replayable either way.")
   in
-  let run n t quorum frontier copts runs max_events seed print_plan expect
-      deadline jobs tel =
+  let run copts runs seed print_plan expect deadline jobs tel =
     with_telemetry tel @@ fun () ->
     (* Always echo the resolved seed: a violation found under an
        auto-picked seed must be replayable from the console output. *)
@@ -617,21 +652,7 @@ let chaos_cmd =
     in
     Format.printf "seed: %d%s@." seed picked;
     emit_meta ~seed ~jobs ();
-    let config =
-      match dyn_config ?n copts with
-      | Some c -> c
-      | None ->
-          if frontier then Msgpass.Chaos.frontier ?n ()
-          else
-            let c = Msgpass.Chaos.sound ?n ~t () in
-            { c with Msgpass.Chaos.quorum = Option.fold ~none:c.Msgpass.Chaos.quorum ~some:Option.some quorum }
-    in
-    let config =
-      match max_events with
-      | Some e -> { config with Msgpass.Chaos.max_events = e }
-      | None -> config
-    in
-    check_config config;
+    let config = resolve_config copts in
     pp_config_line "chaos" config;
     let c = Msgpass.Chaos.campaign ?deadline ~jobs ~seed ~runs config in
     Format.printf "@[<v>%a@]@." Msgpass.Chaos.pp_campaign c;
@@ -652,9 +673,8 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ n_arg $ t_arg $ quorum_arg $ frontier_arg $ churn_term
-      $ runs_arg $ max_events_arg $ chaos_seed_arg $ plan_arg $ expect_arg
-      $ chaos_deadline_arg $ jobs_arg $ telemetry_term)
+      const run $ config_term $ runs_arg $ chaos_seed_arg $ plan_arg
+      $ expect_arg $ chaos_deadline_arg $ jobs_arg $ telemetry_term)
 
 let fleet_cmd =
   let doc =
@@ -662,21 +682,6 @@ let fleet_cmd =
      and corpus-plan mutants, every coverage-moving plan fed back into the \
      corpus, every NONLINEARIZABLE run shrunk, deduplicated by violation \
      class and published as a replayable witness."
-  in
-  let n_arg =
-    Arg.(value & opt (some int) None & info [ "n" ] ~docv:"N")
-  in
-  let t_arg = Arg.(value & opt int 1 & info [ "t" ] ~docv:"T") in
-  let quorum_arg =
-    Arg.(value & opt (some int) None & info [ "quorum" ] ~docv:"Q")
-  in
-  let frontier_arg =
-    Arg.(
-      value & flag
-      & info [ "frontier" ]
-          ~doc:
-            "Use the t = n/2 frontier preset (disjoint quorums, the E13 \
-             configuration).")
   in
   let corpus_arg =
     Arg.(
@@ -719,9 +724,6 @@ let fleet_cmd =
             "Disable swarm testing: every generation keeps the preset's \
              fault profile instead of re-rolling a random feature mix.")
   in
-  let max_events_arg =
-    Arg.(value & opt (some int) None & info [ "max-events" ] ~docv:"E")
-  in
   let fleet_seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED")
   in
@@ -745,8 +747,8 @@ let fleet_cmd =
              non-zero unless it reproduces bit-for-bit (same verdict, \
              terminal hash, event and delivery counts).")
   in
-  let run n t quorum frontier copts corpus budget generations batch no_swarm
-      max_events seed expect replay jobs tel =
+  let run copts corpus budget generations batch no_swarm seed expect replay
+      jobs tel =
     with_telemetry tel @@ fun () ->
     match replay with
     | Some file -> (
@@ -788,32 +790,17 @@ let fleet_cmd =
               exit 1
             end)
     | None ->
-        let config =
-          match dyn_config ?n copts with
-          | Some c -> c
-          | None ->
-              if frontier then Msgpass.Chaos.frontier ?n ()
-              else
-                let c = Msgpass.Chaos.sound ?n ~t () in
-                {
-                  c with
-                  Msgpass.Chaos.quorum =
-                    Option.fold ~none:c.Msgpass.Chaos.quorum ~some:Option.some
-                      quorum;
-                }
-        in
-        let config =
-          match max_events with
-          | Some e -> { config with Msgpass.Chaos.max_events = e }
-          | None -> config
-        in
-        check_config config;
+        let config = resolve_config copts in
         pp_config_line "fleet" config;
         Format.printf "fleet: batch=%d swarm=%b@." batch (not no_swarm);
         emit_meta ~seed ~jobs ();
         let r =
-          Msgpass.Fleet.campaign ?budget ?generations ~jobs ~batch
-            ~swarm:(not no_swarm) ?corpus_dir:corpus ~seed config
+          try
+            Msgpass.Fleet.campaign ?budget ?generations ~jobs ~batch
+              ~swarm:(not no_swarm) ?corpus_dir:corpus ~seed config
+          with Msgpass.Fleet.Corpus_error e ->
+            Format.eprintf "%s@." e;
+            exit 1
         in
         Format.printf "%a@." Msgpass.Fleet.pp_report r;
         let witnesses = List.length r.Msgpass.Fleet.witnesses in
@@ -829,10 +816,9 @@ let fleet_cmd =
   in
   Cmd.v (Cmd.info "fleet" ~doc)
     Term.(
-      const run $ n_arg $ t_arg $ quorum_arg $ frontier_arg $ churn_term
-      $ corpus_arg $ budget_arg $ generations_arg $ batch_arg $ no_swarm_arg
-      $ max_events_arg $ fleet_seed_arg $ expect_arg $ replay_arg $ jobs_arg
-      $ telemetry_term)
+      const run $ config_term $ corpus_arg $ budget_arg $ generations_arg
+      $ batch_arg $ no_swarm_arg $ fleet_seed_arg $ expect_arg $ replay_arg
+      $ jobs_arg $ telemetry_term)
 
 let explore_cmd =
   let doc =

@@ -156,7 +156,8 @@ diff "$tmp_seq" "$tmp_par"
 # class was rediscovered.
 echo "== fleet smoke"
 fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d) && fleet_churn=$(mktemp -d)
-trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn"' EXIT
+fleet_bad=$(mktemp -d)
+trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_bad"' EXIT
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
   --corpus "$fleet_j1" --jobs 1 --expect witness > "$tmp_seq"
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
@@ -168,22 +169,36 @@ for w in "$fleet_j1"/witness-*.json; do
   diff "$w" "$fleet_j2/$(basename "$w")"
   dune exec bin/boundedreg.exe -- fleet --replay "$w"
 done
-# The jobs diff above compares one build with itself, so a codec change
-# that altered the corpus bytes would still pass it. Pin the seed-9
-# artifacts' digests (measured with OCaml 5.1.1).
+# The jobs diff above compares one build with itself, so a codec or
+# mutation-draw change that altered the corpus bytes would still pass
+# it. Pin the artifacts' digests (measured with OCaml 5.1.1).
+# Usage: pin_md5 LABEL DIR FILE MD5
 pin_md5() {
-  if [ ! -f "$fleet_j1/$1" ]; then
-    echo "check.sh: seed-9 fleet wrote no $1" >&2
+  if [ ! -f "$2/$3" ]; then
+    echo "check.sh: $1 fleet wrote no $3" >&2
     exit 1
   fi
-  got=$(md5sum < "$fleet_j1/$1" | cut -d' ' -f1)
-  if [ "$got" != "$2" ]; then
-    echo "check.sh: seed-9 fleet $1 drifted: md5 $got, pinned $2" >&2
+  got=$(md5sum < "$2/$3" | cut -d' ' -f1)
+  if [ "$got" != "$4" ]; then
+    echo "check.sh: $1 fleet $3 drifted: md5 $got, pinned $4" >&2
     exit 1
   fi
 }
-pin_md5 corpus.jsonl 76cf3687e0e650644b98abcc3d4d006d
-pin_md5 witness-11d375a62583849e.json efac722480726f73db467b5258911096
+pin_md5 seed-9 "$fleet_j1" corpus.jsonl 76cf3687e0e650644b98abcc3d4d006d
+pin_md5 seed-9 "$fleet_j1" witness-11d375a62583849e.json \
+  efac722480726f73db467b5258911096
+# A hand-edited corpus with an operand outside n must be refused cleanly:
+# exit 1 and a message naming the file and line, not an internal error.
+sed '1s/"deliver [0-9]*>[0-9]*"/"deliver 0>9"/' "$fleet_j1/corpus.jsonl" \
+  > "$fleet_bad/corpus.jsonl"
+status=0
+dune exec bin/boundedreg.exe -- fleet --frontier --generations 1 \
+  --corpus "$fleet_bad" > /dev/null 2> "$tmp_par" || status=$?
+if [ "$status" != 1 ] || ! grep -q 'corpus.jsonl:1:' "$tmp_par"; then
+  echo "check.sh: fleet over a bad corpus exited $status; stderr:" >&2
+  cat "$tmp_par" >&2
+  exit 1
+fi
 # Cache-effectiveness smoke: a second fleet resumed over the (fixed-seed,
 # hence byte-deterministic) corpus re-executes every corpus plan once to
 # seed coverage and the content-addressed run cache, so mutants that
@@ -200,8 +215,13 @@ fi
 # membership block (seed members, churn rate/window/slack, width), so a
 # dyn witness must round-trip through --replay bit-for-bit too. The
 # 1-bit width under sound churn is the fastest reliable witness class.
+# Its corpus holds mutants and crossovers drawn with the churn grammar
+# on, so the pins below also guard that draw order.
 dune exec bin/boundedreg.exe -- fleet --churn --width-bits 1 --generations 5 \
   --batch 16 --seed 1 --corpus "$fleet_churn" --expect witness
+pin_md5 churn "$fleet_churn" corpus.jsonl d6c502d20d797fd471a559839a0573ca
+pin_md5 churn "$fleet_churn" witness-11d375a62583849e.json \
+  a652ed9d40d4434ec68ec3b1f9cb3a4c
 for w in "$fleet_churn"/witness-*.json; do
   dune exec bin/boundedreg.exe -- fleet --replay "$w"
 done

@@ -134,9 +134,10 @@ let plan_of_json j =
 
    Internally an action is one immediate int — [kind:3 | a:8 | b:8] —
    so the run record is a growable [int array] rather than a consed
-   list, a compiled plan is a dense walkable array, and the random
-   driver never constructs a variant on its hot path. Eight bits per
-   operand is comfortably above [Net]'s 61-slot cap. *)
+   list, a compiled plan is a dense walkable array, and neither the
+   random driver nor the fleet's mutation engine constructs a variant
+   on its hot path. Eight bits per operand is comfortably above [Net]'s
+   61-slot cap. *)
 
 let k_deliver = 0
 let k_drop = 1
@@ -194,19 +195,19 @@ let check ~n plan =
   in
   go 1 plan
 
-let compile_array ~n acts =
-  Array.map
-    (fun a ->
-      Option.iter
-        (fun e -> invalid_arg ("Faults.compile: " ^ e))
-        (operand_error ~n a);
-      code_of_action a)
-    acts
+let compile ~n plan =
+  Array.of_list
+    (List.map
+       (fun a ->
+         Option.iter
+           (fun e -> invalid_arg ("Faults.compile: " ^ e))
+           (operand_error ~n a);
+         code_of_action a)
+       plan)
 
-let compile ~n plan = compile_array ~n (Array.of_list plan)
 let compiled_length = Array.length
-let decompile_array compiled = Array.map action_of_code compiled
-let decompile compiled = Array.to_list (decompile_array compiled)
+let decompile compiled =
+  Array.fold_right (fun c l -> action_of_code c :: l) compiled []
 
 let compiled_deliveries compiled =
   let k = ref 0 in
@@ -227,6 +228,111 @@ let compiled_equal (a : compiled) (b : compiled) =
           while !i < n && a.(!i) = b.(!i) do incr i done;
           !i = n
         end
+
+(* {2 Plan mutation}
+
+   The fleet's mutation engine works on opcodes directly. Every draw
+   happens in the order of the historical action-level mutator, so the
+   published fleet corpora and reports are unchanged: a random channel
+   draws its destination before its source (that mutator built the
+   record [{ src; dst }], which ocamlopt evaluates right to left). *)
+
+let random_channel rng k n =
+  let dst = Bits.Rng.int rng n in
+  encode k (Bits.Rng.int rng n) dst
+
+let random_pid rng k n = encode k (Bits.Rng.int rng n) 0
+
+(* The churn flag widens the grammar with enter/leave. It is off for
+   static-membership configs so their mutation rng streams are untouched
+   by the grammar's existence. *)
+let random_code rng ~churn n =
+  match Bits.Rng.int rng (if churn then 10 else 8) with
+  | 0 | 1 | 2 | 3 -> random_channel rng k_deliver n
+  | 4 -> random_channel rng k_drop n
+  | 5 -> random_channel rng k_duplicate n
+  | 6 -> random_channel rng k_defer n
+  | 7 -> random_pid rng k_crash n
+  | 8 -> random_pid rng k_enter n
+  | _ -> random_pid rng k_leave n
+
+(* Kind-preserving, so static plans (which never contain enter/leave)
+   draw exactly as before the churn grammar existed. *)
+let rekind rng n c =
+  let k = code_kind c in
+  if k < k_crash then random_channel rng k n else random_pid rng k n
+
+let mutate rng ~n ?(churn = false) plan =
+  (* A copy: the perturb operator edits in place, and the parent is a
+     live corpus entry. *)
+  let a = ref (Array.copy plan) in
+  let len () = Array.length !a in
+  let remove start k =
+    a :=
+      Array.append (Array.sub !a 0 start)
+        (Array.sub !a (start + k) (len () - start - k))
+  in
+  let insert at seg =
+    a := Array.concat [ Array.sub !a 0 at; seg; Array.sub !a at (len () - at) ]
+  in
+  let run_at () =
+    let start = Bits.Rng.int rng (len ()) in
+    (start, 1 + Bits.Rng.int rng (min 8 (len () - start)))
+  in
+  (* A fresh crash draws its pid before its position. *)
+  let insert_crash () =
+    let crash = [| random_pid rng k_crash n |] in
+    insert (Bits.Rng.int rng (len () + 1)) crash
+  in
+  let rounds = 1 + Bits.Rng.int rng 3 in
+  for _ = 1 to rounds do
+    match Bits.Rng.int rng 6 with
+    (* splice a run out *)
+    | 0 when len () > 0 ->
+        let start, k = run_at () in
+        remove start k
+    (* duplicate a run elsewhere *)
+    | 1 when len () > 0 ->
+        let start, k = run_at () in
+        let seg = Array.sub !a start k in
+        insert (Bits.Rng.int rng (len () + 1)) seg
+    (* move a run *)
+    | 2 when len () > 1 ->
+        let start, k = run_at () in
+        let seg = Array.sub !a start k in
+        remove start k;
+        insert (Bits.Rng.int rng (len () + 1)) seg
+    (* perturb one action: same kind, fresh endpoints / crash pid *)
+    | 3 when len () > 0 ->
+        let i = Bits.Rng.int rng (len ()) in
+        !a.(i) <- rekind rng n !a.(i)
+    (* perturb a crash: retarget and reposition one, or inject one at a
+       random index when the plan has none. Candidates are listed last
+       index first, the order the historical mutator picked from. *)
+    | 4 when len () > 0 ->
+        let crashes = ref [] in
+        Array.iteri
+          (fun i c -> if code_kind c = k_crash then crashes := i :: !crashes)
+          !a;
+        if !crashes <> [] then remove (Bits.Rng.pick rng !crashes) 1;
+        insert_crash ()
+    (* insert fresh random actions *)
+    | _ ->
+        let seg =
+          Array.init (1 + Bits.Rng.int rng 4) (fun _ -> random_code rng ~churn n)
+        in
+        insert (Bits.Rng.int rng (len () + 1)) seg
+  done;
+  !a
+
+let crossover rng a b =
+  if Array.length a = 0 then b
+  else if Array.length b = 0 then a
+  else begin
+    let i = Bits.Rng.int rng (Array.length a + 1) in
+    let j = Bits.Rng.int rng (Array.length b + 1) in
+    Array.append (Array.sub a 0 i) (Array.sub b j (Array.length b - j))
+  end
 
 type profile = {
   drop : float;
@@ -254,8 +360,7 @@ let reliable =
   }
 
 (* The wrapper's own state is flat: the recording is a growable int
-   array of opcodes (decoded to an action list only when {!plan} is
-   asked for), and the per-channel freeze/drop-budget matrices are
+   array of opcodes, and the per-channel freeze/drop-budget matrices are
    single [n * n] arrays. [chans]/[chans2] are the scratch buffers the
    random driver fills via {!Net.deliverable_into} — the only heap the
    driver touches after [wrap], which makes a pooled wrapper's steady
@@ -297,9 +402,6 @@ let reset t =
 let net t = t.net
 let events t = t.events
 
-let plan t =
-  List.init t.events (fun i -> action_of_code t.rec_buf.(i))
-
 let compiled_plan t = Array.sub t.rec_buf 0 t.events
 
 let record t code =
@@ -334,16 +436,6 @@ let apply_code t k a b =
   in
   if effective then record t (encode k a b);
   effective
-
-let apply t action =
-  match action with
-  | Deliver { src; dst } -> apply_code t k_deliver src dst
-  | Drop { src; dst } -> apply_code t k_drop src dst
-  | Duplicate { src; dst } -> apply_code t k_duplicate src dst
-  | Defer { src; dst } -> apply_code t k_defer src dst
-  | Crash pid -> apply_code t k_crash pid 0
-  | Enter pid -> apply_code t k_enter pid 0
-  | Leave pid -> apply_code t k_leave pid 0
 
 (* Schedule firing, as top-level recursions rather than closures: the
    random driver re-checks every entry each step, and a per-step closure
@@ -441,8 +533,6 @@ let run_random ~rng ~profile ?(max_events = 100_000) ?(until = fun () -> false)
       loop (budget - 1)
   in
   loop max_events
-
-let replay t plan = List.iter (fun a -> ignore (apply t a)) plan
 
 let replay_compiled t compiled =
   for i = 0 to Array.length compiled - 1 do

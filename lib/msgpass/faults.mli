@@ -13,10 +13,15 @@
     against a {!profile} of per-event fault probabilities (with delay
     bursts that freeze a channel for a stretch of events, and scheduled
     crash-at-event-index injections); whatever it ends up doing is
-    {!plan}-recorded. {!replay} re-executes a recorded plan bit-for-bit —
-    the random and scripted modes meet in the same [action] vocabulary, so
-    a shrunk counterexample (see {!Check.Shrink}) is replayed by the exact
-    machinery that found it. *)
+    recorded ({!compiled_plan}). {!replay_compiled} re-executes a recorded
+    plan bit-for-bit — the random and scripted modes meet in the same
+    [action] vocabulary, so a shrunk counterexample (see {!Check.Shrink})
+    is replayed by the exact machinery that found it.
+
+    In memory a plan has one working form, {!compiled}: the recorder
+    produces it, replay walks it, and the fleet mutates, crosses over and
+    stores it. The {!plan} list is the edge form, for text and JSON,
+    shrinking and witness identity. *)
 
 type channel = { src : int; dst : int }
 
@@ -72,9 +77,9 @@ val plan_of_json : Obs.Json.t -> (plan, string) result
 
     A compiled plan is the dense int-opcode form of an action list: one
     immediate int per action, walked by {!replay_compiled} with no
-    per-action pattern match or allocation. The fleet compiles each
-    corpus plan once and replays the flat array for every mutant and
-    cache probe derived from it. *)
+    per-action pattern match or allocation. Its layout is private to
+    this module; the fleet compiles each loaded corpus plan once and
+    from then on only mutates, keys and replays the packed form. *)
 
 type compiled
 
@@ -87,14 +92,7 @@ val compile : n:int -> plan -> compiled
     @raise Invalid_argument on an out-of-range channel or pid — a
     compiled plan can therefore be replayed unchecked. *)
 
-val compile_array : n:int -> action array -> compiled
-(** {!compile} over an action array — the fleet's mutation engine works
-    on arrays, so its mutants pack without a round-trip through lists. *)
-
 val decompile : compiled -> plan
-
-val decompile_array : compiled -> action array
-(** {!decompile} without the final list conversion. *)
 
 val compiled_length : compiled -> int
 
@@ -110,6 +108,29 @@ val compiled_hash : compiled -> int
 val compiled_equal : compiled -> compiled -> bool
 (** Opcode-array equality — the exact-identity check behind a
     {!compiled_hash} match. *)
+
+(** {1 Plan mutation}
+
+    The chaos fleet's mutation engine, over the packed form. Every
+    generated pid and channel endpoint is drawn in [[0, n)], so a mutant
+    of a plan compiled for [n] replays against the same universe
+    without raising, whatever the splicing did: {!replay_compiled}
+    skips ineffective actions silently. Both operators are
+    deterministic in the rng stream, and the stream they draw is pinned:
+    published fleet corpora depend on it. *)
+
+val mutate : Bits.Rng.t -> n:int -> ?churn:bool -> compiled -> compiled
+(** 1–3 rounds of: splice a run of actions out, duplicate a run, move a
+    run, re-roll one action's operands (same kind), retarget/reposition
+    a crash (or inject one when there is none), or insert 1–4 fresh
+    random actions. [churn] (default false) admits [enter]/[leave] among
+    the fresh actions; off, the rng stream is exactly the pre-churn one,
+    so static-membership corpora are unaffected by the wider grammar. *)
+
+val crossover : Bits.Rng.t -> compiled -> compiled -> compiled
+(** Single-point crossover: a prefix of the first parent spliced to a
+    suffix of the second. An empty parent yields the other unchanged,
+    with no draw. *)
 
 type profile = {
   drop : float;  (** per-event probability of losing the chosen head *)
@@ -133,20 +154,12 @@ type 'm t
 val wrap : 'm Net.t -> 'm t
 val net : 'm t -> 'm Net.t
 val events : 'm t -> int
-(** Actions executed so far (both drivers, and {!apply}). *)
-
-val plan : 'm t -> plan
-(** Every action executed so far, oldest first — the replayable record. *)
+(** Effective actions executed so far, by either driver. *)
 
 val compiled_plan : 'm t -> compiled
-(** The same record in packed form — one array copy, no decoding; what
-    the chaos layer stores in each outcome. *)
-
-val apply : 'm t -> action -> bool
-(** Execute one action. [false] (and no event recorded) when it has no
-    effect: empty channel, crashed destination, single-message [Defer],
-    [Crash] of a dead process. Replay skips such actions silently, which is
-    what lets {!Check.Shrink.ddmin} delete plan elements freely. *)
+(** Every effective action executed so far, oldest first — the
+    replayable record, one array copy; what the chaos layer stores in
+    each outcome. *)
 
 val step_random : Bits.Rng.t -> profile -> 'm t -> bool
 (** One randomized event: fire due schedule entries ([enter_at], then
@@ -164,15 +177,15 @@ val run_random :
 (** Drive {!step_random} until quiescence, [until ()], or [max_events]
     (default 100_000). *)
 
-val replay : 'm t -> plan -> unit
-(** Execute a plan action by action, skipping no-ops. Replaying the plan of
-    a previous run against a freshly built identical network reproduces
-    that run exactly: same deliveries, same handler executions, same final
-    state. *)
-
 val replay_compiled : 'm t -> compiled -> unit
-(** {!replay} over the packed form: execute opcode by opcode, skipping
-    no-ops, recording effective actions exactly as {!apply} does. *)
+(** Execute a plan action by action, recording the effective ones. An
+    action with no effect — empty channel, crashed destination,
+    single-message [Defer], [Crash] of a dead process, [Enter] of a
+    present slot — is skipped and not recorded, which is what lets
+    {!Check.Shrink.ddmin} delete plan elements freely. Replaying the
+    record of a previous run against a freshly built identical network
+    reproduces that run exactly: same deliveries, same handler
+    executions, same final state. *)
 
 val reset : 'm t -> unit
 (** Clear the wrapper back to its post-{!wrap} state — empty recording,

@@ -85,126 +85,12 @@ let coverage_observe cov s =
   new_hash || new_hop || new_verdict || new_depth
 
 (* ------------------------------------------------------------------ *)
-(* Plan mutation                                                       *)
+(* Plans                                                               *)
 
-let random_channel rng n =
-  { Faults.src = Bits.Rng.int rng n; dst = Bits.Rng.int rng n }
-
-(* The churn flag widens the action grammar with enter/leave. It is off
-   for static-membership configs so their mutation rng streams — and
-   hence every published fleet report and corpus — are untouched by the
-   grammar's existence. *)
-let random_action rng ~churn n =
-  match Bits.Rng.int rng (if churn then 10 else 8) with
-  | 0 | 1 | 2 | 3 -> Faults.Deliver (random_channel rng n)
-  | 4 -> Faults.Drop (random_channel rng n)
-  | 5 -> Faults.Duplicate (random_channel rng n)
-  | 6 -> Faults.Defer (random_channel rng n)
-  | 7 -> Faults.Crash (Bits.Rng.int rng n)
-  | 8 -> Faults.Enter (Bits.Rng.int rng n)
-  | _ -> Faults.Leave (Bits.Rng.int rng n)
-
-(* Kind-preserving, so static plans (which never contain enter/leave)
-   draw exactly as before. *)
-let rekind rng n = function
-  | Faults.Deliver _ -> Faults.Deliver (random_channel rng n)
-  | Faults.Drop _ -> Faults.Drop (random_channel rng n)
-  | Faults.Duplicate _ -> Faults.Duplicate (random_channel rng n)
-  | Faults.Defer _ -> Faults.Defer (random_channel rng n)
-  | Faults.Crash _ -> Faults.Crash (Bits.Rng.int rng n)
-  | Faults.Enter _ -> Faults.Enter (Bits.Rng.int rng n)
-  | Faults.Leave _ -> Faults.Leave (Bits.Rng.int rng n)
-
-(* Every generated pid and channel endpoint is drawn in [0, n), so a
-   mutated plan can never make [Faults.replay] raise: out-of-range
-   channels are impossible by construction, and every in-range action on
-   an empty channel (or dead process) is a recorded no-op the fault layer
-   skips silently. *)
-let mutate_arr rng ~n ?(churn = false) plan =
-  let a = ref (Array.copy plan) in
-  let len () = Array.length !a in
-  let remove start k =
-    a :=
-      Array.append (Array.sub !a 0 start)
-        (Array.sub !a (start + k) (len () - start - k))
-  in
-  let insert at seg =
-    a :=
-      Array.concat [ Array.sub !a 0 at; seg; Array.sub !a at (len () - at) ]
-  in
-  let run_at rng =
-    let start = Bits.Rng.int rng (len ()) in
-    let k = 1 + Bits.Rng.int rng (min 8 (len () - start)) in
-    (start, k)
-  in
-  let rounds = 1 + Bits.Rng.int rng 3 in
-  for _ = 1 to rounds do
-    match Bits.Rng.int rng 6 with
-    (* splice a run out *)
-    | 0 when len () > 0 ->
-        let start, k = run_at rng in
-        remove start k
-    (* duplicate a run elsewhere *)
-    | 1 when len () > 0 ->
-        let start, k = run_at rng in
-        let seg = Array.sub !a start k in
-        insert (Bits.Rng.int rng (len () + 1)) seg
-    (* move a run *)
-    | 2 when len () > 1 ->
-        let start, k = run_at rng in
-        let seg = Array.sub !a start k in
-        remove start k;
-        insert (Bits.Rng.int rng (len () + 1)) seg
-    (* perturb one action: same kind, fresh endpoints / crash pid *)
-    | 3 when len () > 0 ->
-        let i = Bits.Rng.int rng (len ()) in
-        !a.(i) <- rekind rng n !a.(i)
-    (* perturb a crash index: retarget and reposition one crash *)
-    | 4 when len () > 0 -> (
-        let crashes = ref [] in
-        Array.iteri
-          (fun i act ->
-            match act with
-            | Faults.Crash _ -> crashes := i :: !crashes
-            | _ -> ())
-          !a;
-        match !crashes with
-        | [] ->
-            (* no crash to perturb: inject one at a random index *)
-            insert
-              (Bits.Rng.int rng (len () + 1))
-              [| Faults.Crash (Bits.Rng.int rng n) |]
-        | idxs ->
-            let i = Bits.Rng.pick rng idxs in
-            remove i 1;
-            insert
-              (Bits.Rng.int rng (len () + 1))
-              [| Faults.Crash (Bits.Rng.int rng n) |])
-    (* insert fresh random actions *)
-    | _ ->
-        let seg =
-          Array.init
-            (1 + Bits.Rng.int rng 4)
-            (fun _ -> random_action rng ~churn n)
-        in
-        insert (Bits.Rng.int rng (len () + 1)) seg
-  done;
-  !a
-
+(* The list-typed face of {!Faults.mutate}; campaigns mutate the packed
+   form directly. *)
 let mutate rng ~n ?churn plan =
-  Array.to_list (mutate_arr rng ~n ?churn (Array.of_list plan))
-
-let crossover_arr rng a b =
-  if Array.length a = 0 then b
-  else if Array.length b = 0 then a
-  else begin
-    let i = Bits.Rng.int rng (Array.length a + 1) in
-    let j = Bits.Rng.int rng (Array.length b + 1) in
-    Array.append (Array.sub a 0 i) (Array.sub b j (Array.length b - j))
-  end
-
-let crossover rng p1 p2 =
-  Array.to_list (crossover_arr rng (Array.of_list p1) (Array.of_list p2))
+  Faults.decompile (Faults.mutate rng ~n ?churn (Faults.compile ~n plan))
 
 (* The exact identity of a shrunk plan: its action sequence with pids
    renamed by order of first appearance, so two minimal plans that
@@ -342,14 +228,20 @@ let entry_of_json j =
 
 let corpus_file dir = Filename.concat dir "corpus.jsonl"
 
-let load_corpus dir =
+(* Parse [<dir>/corpus.jsonl], oldest first, passing every entry through
+   [decode]. Errors number lines as on disk, blank ones included. *)
+let read_corpus dir decode =
   let file = corpus_file dir in
-  (* Errors number lines as on disk, blank ones included. *)
   let rec go lineno acc = function
     | [] -> Ok (List.rev acc)
     | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
     | line :: rest -> (
-        match Result.bind (Obs.Json.of_string line) entry_of_json with
+        let ( let* ) = Result.bind in
+        match
+          let* j = Obs.Json.of_string line in
+          let* e = entry_of_json j in
+          decode e
+        with
         | Ok e -> go (lineno + 1) (e :: acc) rest
         | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e))
   in
@@ -359,19 +251,15 @@ let load_corpus dir =
       (String.split_on_char '\n'
          (In_channel.with_open_text file In_channel.input_all))
 
+let load_corpus dir = read_corpus dir Result.ok
+
 (* Oldest first, newest at [size - 1] — matching the JSONL on disk. A
    growable array, not a list: generation planning picks parents by
    index, and a 60 s fleet grows the corpus to tens of thousands of
-   plans. In-memory entries carry the plan as a lazy action array: an
-   entry born from an executed run is only materialized (decompiled from
-   the opcode form) when it is picked as a mutation parent — or eagerly,
-   when a corpus directory needs its JSONL line. Most interesting runs
-   are never picked, so an in-memory fleet skips most decompilations. *)
-type centry = {
-  cid : int;
-  corigin : string;
-  cplan : Faults.action array Lazy.t;
-}
+   plans. Entries hold their plan compiled: a loaded line is compiled
+   once, an executed run's recorded plan is stored as is, and the
+   action list is rebuilt only for a corpus directory's JSONL line. *)
+type centry = { cid : int; corigin : string; cplan : Faults.compiled }
 
 type corpus = {
   dir : string option;
@@ -381,26 +269,27 @@ type corpus = {
   mutable added : int;  (** entries appended by this campaign *)
 }
 
-let dummy_entry = { cid = -1; corigin = ""; cplan = Lazy.from_val [||] }
+exception Corpus_error of string
 
-let corpus_open dir =
+let dummy_entry = { cid = -1; corigin = ""; cplan = Faults.compile ~n:0 [] }
+
+(* A hand-edited operand outside the campaign's [n] slots fails here,
+   positioned like a parse error, rather than in a later replay. *)
+let corpus_open ~n dir =
   match dir with
-  | None -> Ok { dir; arr = [||]; size = 0; next_id = 0; added = 0 }
-  | Some d ->
+  | None -> { dir; arr = [||]; size = 0; next_id = 0; added = 0 }
+  | Some d -> (
       if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-      Result.map
-        (fun loaded ->
-          let arr =
-            Array.of_list
-              (List.map
-                 (fun e ->
-                   {
-                     cid = e.id;
-                     corigin = e.origin;
-                     cplan = Lazy.from_val (Array.of_list e.plan);
-                   })
-                 loaded)
-          in
+      let compile e =
+        Result.map
+          (fun () ->
+            { cid = e.id; corigin = e.origin; cplan = Faults.compile ~n e.plan })
+          (Faults.check ~n e.plan)
+      in
+      match read_corpus d compile with
+      | Error e -> raise (Corpus_error e)
+      | Ok loaded ->
+          let arr = Array.of_list loaded in
           {
             dir;
             arr;
@@ -408,7 +297,6 @@ let corpus_open dir =
             next_id = Array.fold_left (fun m e -> max m (e.cid + 1)) 0 arr;
             added = 0;
           })
-        (load_corpus d)
 
 let corpus_add corpus ~origin cplan =
   let e = { cid = corpus.next_id; corigin = origin; cplan } in
@@ -424,21 +312,15 @@ let corpus_add corpus ~origin cplan =
   corpus.size <- corpus.size + 1;
   corpus.added <- corpus.added + 1;
   Obs.Metrics.set g_corpus corpus.size;
-  (match corpus.dir with
+  match corpus.dir with
   | None -> ()
   | Some d ->
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (corpus_file d) in
       output_string oc
         (Obs.Json.to_string
-           (entry_to_json
-              {
-                id = e.cid;
-                origin;
-                plan = Array.to_list (Lazy.force cplan);
-              }));
+           (entry_to_json { id = e.cid; origin; plan = Faults.decompile cplan }));
       output_char oc '\n';
-      close_out oc);
-  e
+      close_out oc
 
 (* Max of two uniform draws: biased toward the newest entries, where the
    coverage frontier is. *)
@@ -668,20 +550,15 @@ let replay_file file =
 
 type job =
   | Fresh of { seed : int; profile : Faults.profile; crashes : int }
-  | Mutant of { plan : Faults.action array; origin : string }
+  | Mutant of { plan : Faults.compiled; origin : string }
 
 let job_origin = function
   | Fresh { seed; _ } -> Printf.sprintf "seed:%d" seed
   | Mutant { origin; _ } -> origin
 
-(* Keying a mutant compiles its plan once; execution then replays the
-   same compiled form ({!Chaos.run_compiled}), so content addressing
-   costs no extra compilation. Mutants draw every operand in [0, n)
-   by construction, so [compile_array] cannot raise here. *)
-let job_key (chaos : Chaos.config) ~phash = function
+let job_key ~phash = function
   | Fresh { seed; profile; crashes } -> fresh_key ~phash ~seed ~profile ~crashes
-  | Mutant { plan; _ } ->
-      plan_cache_key (Faults.compile_array ~n:chaos.Chaos.n plan)
+  | Mutant { plan; _ } -> plan_cache_key plan
 
 (* Swarm diversity: each generation runs under a random feature mix —
    every fault knob of the profile independently toggled and scaled, the
@@ -727,14 +604,10 @@ type report = {
 let gen_rng seed g =
   Bits.Rng.make (Sched.Zobrist.combine (Sched.Zobrist.combine 0 seed) g)
 
-let exec chaos (job, key) =
-  match (job, key) with
-  | Fresh { seed; profile; crashes }, _ ->
+let exec chaos = function
+  | Fresh { seed; profile; crashes } ->
       Chaos.run_random ~seed { chaos with Chaos.profile; crashes }
-  | Mutant _, K_plan { c; _ } -> Chaos.run_compiled chaos c
-  | Mutant { plan; _ }, K_fresh _ ->
-      (* unreachable: [job_key] pairs mutants with [K_plan] *)
-      Chaos.run_plan chaos (Array.to_list plan)
+  | Mutant { plan; _ } -> Chaos.run_compiled chaos plan
 
 let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     ?corpus_dir ~seed chaos =
@@ -744,11 +617,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     | None, Some _ -> None
     | None, None -> Some 10
   in
-  let corpus =
-    match corpus_open corpus_dir with
-    | Ok c -> c
-    | Error e -> invalid_arg (Printf.sprintf "Fleet.campaign: %s" e)
-  in
+  let corpus = corpus_open ~n:chaos.Chaos.n corpus_dir in
   Obs.Metrics.set g_corpus corpus.size;
   (* The campaign's run cache. Probes and fills happen only on the
      calling domain — before dispatch for batch jobs, inline for triage
@@ -786,8 +655,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
      so mutants that reproduce a corpus entry answer without
      re-simulation. Fresh campaigns load nothing and skip this. *)
   for i = 0 to corpus.size - 1 do
-    let e = corpus.arr.(i) in
-    let c = Faults.compile_array ~n:chaos.Chaos.n (Lazy.force e.cplan) in
+    let c = corpus.arr.(i).cplan in
     let o =
       cached_run (plan_cache_key c) (fun () -> Chaos.run_compiled chaos c)
     in
@@ -862,9 +730,10 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
        stays uncached — its replay counts are part of the published
        reports — but duplicate violating runs ddmin onto the same
        1-minimal plan, and the confirmation replay hits. *)
+    let compiled = Faults.compile ~n:chaos.Chaos.n shrunk in
     let replay =
-      let c = Faults.compile ~n:chaos.Chaos.n shrunk in
-      cached_run (plan_cache_key c) (fun () -> Chaos.run_compiled chaos c)
+      cached_run (plan_cache_key compiled) (fun () ->
+          Chaos.run_compiled chaos compiled)
     in
     let reg, reason =
       match replay.Chaos.verdict with
@@ -920,10 +789,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
           "fleet.witness";
         (* The shrunk witness joins the corpus: its mutants probe the
            boundary of the violation class. *)
-        ignore
-          (corpus_add corpus
-             ~origin:(Printf.sprintf "witness:%016x" key)
-             (Lazy.from_val (Array.of_list shrunk)))
+        corpus_add corpus ~origin:(Printf.sprintf "witness:%016x" key) compiled
     end
   in
   let run_generation g =
@@ -942,9 +808,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
               let other = corpus_pick rng corpus in
               Mutant
                 {
-                  plan =
-                    crossover_arr rng (Lazy.force parent.cplan)
-                      (Lazy.force other.cplan);
+                  plan = Faults.crossover rng parent.cplan other.cplan;
                   origin =
                     Printf.sprintf "xover:%d+%d@g%d" parent.cid other.cid g;
                 }
@@ -953,9 +817,9 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
               Mutant
                 {
                   plan =
-                    mutate_arr rng ~n:chaos.Chaos.n
+                    Faults.mutate rng ~n:chaos.Chaos.n
                       ~churn:(chaos.Chaos.membership <> None)
-                      (Lazy.force parent.cplan);
+                      parent.cplan;
                   origin = Printf.sprintf "mut:%d@g%d" parent.cid g;
                 }
           end)
@@ -965,7 +829,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
        the misses. Results are filled back in batch order, so campaign
        state after a generation is identical at any [jobs] width. *)
     let phash = Sched.Zobrist.value_hash profile in
-    let keys = Array.map (job_key chaos ~phash) jobs_arr in
+    let keys = Array.map (job_key ~phash) jobs_arr in
     let slot = Array.make batch (-1) in
     let fresh_jobs = ref [] in
     let fresh_count = ref 0 in
@@ -987,7 +851,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
               Cache_tbl.add seen k !fresh_count;
               slot.(i) <- !fresh_count;
               incr fresh_count;
-              fresh_jobs := (jobs_arr.(i), k) :: !fresh_jobs)
+              fresh_jobs := jobs_arr.(i) :: !fresh_jobs)
       keys;
     let units = Array.of_list (List.rev !fresh_jobs) in
     let fresh =
@@ -1042,11 +906,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
           (* The *executed* plan joins the corpus: for mutants that is
              the effective action sequence (no-ops already dropped), so
              corpus plans stay tight and replayable. *)
-          let cplan = o.Chaos.plan in
-          ignore
-            (corpus_add corpus
-               ~origin:(job_origin jobs_arr.(i))
-               (lazy (Faults.decompile_array cplan)));
+          corpus_add corpus ~origin:(job_origin jobs_arr.(i)) o.Chaos.plan
         end;
         if Chaos.failed o then begin
           incr violations;

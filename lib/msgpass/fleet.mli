@@ -42,24 +42,12 @@ type signature = {
 
 val signature_of : Chaos.outcome -> signature
 
-(** {1 Plan mutation}
-
-    All generated pids and channel endpoints are drawn in [0, n), and
-    {!Faults.replay} skips ineffective actions silently — so every
-    mutant replays without raising, whatever the splicing did. *)
+(** {1 Plans} *)
 
 val mutate : Bits.Rng.t -> n:int -> ?churn:bool -> Faults.plan -> Faults.plan
-(** 1–3 rounds of: splice a run of actions out, duplicate a run, move a
-    run, re-roll one action's endpoints, retarget/reposition a crash, or
-    insert fresh random actions. Deterministic in the rng stream.
-    [churn] (default false) admits [enter]/[leave] among the freshly
-    inserted actions; off, the rng stream is exactly the pre-churn one,
-    so static-membership corpora and reports are unaffected by the wider
-    grammar. *)
-
-val crossover : Bits.Rng.t -> Faults.plan -> Faults.plan -> Faults.plan
-(** Single-point crossover: a prefix of the first parent spliced to a
-    suffix of the second. *)
+(** {!Faults.mutate} over the list form: compile for [n], mutate,
+    decompile — the same child a campaign draws from the same stream.
+    @raise Invalid_argument on an operand outside [[0, n)]. *)
 
 val plan_key : Faults.plan -> int
 (** The exact identity of a (shrunk) plan: a {!Sched.Zobrist} sequence
@@ -84,6 +72,13 @@ val load_corpus : string -> (entry list, string) result
     not exist; [Error] reads [<file>:<line>: <problem>], the problem
     carrying the column for a JSON syntax error (the corpus is
     human-editable, so failures are loud, not skipped). *)
+
+exception Corpus_error of string
+(** Raised by {!campaign} when its corpus directory does not load. The
+    message is positioned like {!load_corpus}'s errors; a campaign also
+    checks every operand against its configuration's [n] and names the
+    offending action:
+    [<dir>/corpus.jsonl:<line>: action <k>: channel 0>9 out of range (n = 4)]. *)
 
 (** {1 Witnesses} *)
 
@@ -188,7 +183,8 @@ val campaign :
     are byte-identical at any width. [corpus_dir] persists the corpus
     ([corpus.jsonl]) and witnesses; omitted, the campaign is in-memory.
 
-    @raise Invalid_argument when [corpus_dir] exists but fails to parse. *)
+    @raise Corpus_error when [corpus_dir] holds a corpus that fails to
+    parse or names a slot outside the configuration's [n]. *)
 
 val pp_witness : Format.formatter -> witness -> unit
 

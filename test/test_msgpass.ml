@@ -371,36 +371,36 @@ let prop_net_random_fifo =
 let test_faults_defer_breaks_fifo () =
   (* The only way to see non-FIFO per-channel delivery is through the
      Faults layer's defer action — the base substrate above stays FIFO. *)
+  let module F = Msgpass.Faults in
   let received = ref [] in
-  let net = two_node_net received in
-  let ft = Msgpass.Faults.wrap net in
-  let ch = { Msgpass.Faults.src = 0; dst = 1 } in
-  Alcotest.(check bool) "defer head" true
-    (Msgpass.Faults.apply ft (Msgpass.Faults.Defer ch));
-  List.iter
-    (fun _ ->
-      ignore (Msgpass.Faults.apply ft (Msgpass.Faults.Deliver ch)))
-    [ (); (); () ];
+  let ft = F.wrap (two_node_net received) in
+  let ch = { F.src = 0; dst = 1 } in
+  let replay plan = F.replay_compiled ft (F.compile ~n:2 plan) in
+  replay [ F.Defer ch ];
+  Alcotest.(check int) "defer head" 1 (F.events ft);
+  replay [ F.Deliver ch; F.Deliver ch; F.Deliver ch ];
   Alcotest.(check (list string)) "reordered delivery" [ "b"; "c"; "a" ]
     !received;
   (* The perturbation is part of the replayable record. *)
-  Alcotest.(check int) "plan records all four actions" 4
-    (List.length (Msgpass.Faults.plan ft))
+  Alcotest.(check (list string)) "record holds all four actions"
+    [ "defer 0>1"; "deliver 0>1"; "deliver 0>1"; "deliver 0>1" ]
+    (List.map F.action_to_string (F.decompile (F.compiled_plan ft)))
 
 let test_faults_drop_and_duplicate () =
+  let module F = Msgpass.Faults in
   let received = ref [] in
-  let net = two_node_net received in
-  let ft = Msgpass.Faults.wrap net in
-  let ch = { Msgpass.Faults.src = 0; dst = 1 } in
-  Alcotest.(check bool) "drop head" true
-    (Msgpass.Faults.apply ft (Msgpass.Faults.Drop ch));
-  Alcotest.(check bool) "duplicate new head" true
-    (Msgpass.Faults.apply ft (Msgpass.Faults.Duplicate ch));
-  while Msgpass.Faults.apply ft (Msgpass.Faults.Deliver ch) do
-    ()
-  done;
+  let ft = F.wrap (two_node_net received) in
+  let ch = { F.src = 0; dst = 1 } in
+  let replay plan = F.replay_compiled ft (F.compile ~n:2 plan) in
+  replay [ F.Drop ch ];
+  Alcotest.(check int) "drop head" 1 (F.events ft);
+  replay [ F.Duplicate ch ];
+  Alcotest.(check int) "duplicate new head" 2 (F.events ft);
+  replay (List.init 8 (fun _ -> F.Deliver ch));
   Alcotest.(check (list string)) "lost a, duplicated b" [ "b"; "c"; "b" ]
-    !received
+    !received;
+  Alcotest.(check int) "deliveries on an empty channel are not recorded" 5
+    (F.events ft)
 
 (* Regression: chaos campaigns are a pure function of the seed. Every
    shrunk counterexample in EXPERIMENTS.md is quoted by seed, so a drift
@@ -857,12 +857,13 @@ let test_plan_parse_errors_are_positional () =
    seed give byte-identical children. *)
 let test_fleet_mutator_deterministic () =
   let module C = Msgpass.Chaos in
-  let module F = Msgpass.Fleet in
+  let module Fa = Msgpass.Faults in
   let config = C.frontier () in
-  let base = Msgpass.Faults.decompile (C.run_random ~seed:11 config).C.plan in
+  let n = config.C.n in
+  let base = (C.run_random ~seed:11 config).C.plan in
   let children seed =
     let rng = Bits.Rng.make seed in
-    List.init 32 (fun _ -> F.mutate rng ~n:config.C.n base)
+    List.init 32 (fun _ -> Fa.decompile (Fa.mutate rng ~n base))
   in
   Alcotest.(check bool) "same seed: byte-identical children" true
     (children 5 = children 5);
@@ -870,27 +871,98 @@ let test_fleet_mutator_deterministic () =
     (children 5 <> children 6);
   let cross seed =
     let rng = Bits.Rng.make seed in
-    let other = Msgpass.Faults.decompile (C.run_random ~seed:12 config).C.plan in
-    List.init 32 (fun _ -> F.crossover rng base other)
+    let other = (C.run_random ~seed:12 config).C.plan in
+    List.init 32 (fun _ -> Fa.decompile (Fa.crossover rng base other))
   in
   Alcotest.(check bool) "crossover deterministic too" true (cross 5 = cross 5)
 
+(* The draw order of the mutation engine is part of every published
+   fleet corpus: these children were recorded from the action-level
+   mutator the opcode engine replaced, for fixed seeds and base plans —
+   static grammar, churn grammar (an empty parent too) and crossover,
+   empty parents included. *)
+let test_mutation_draws_pinned () =
+  let module Fa = Msgpass.Faults in
+  let compile ~n text =
+    match Fa.plan_of_string text with
+    | Ok p -> Fa.compile ~n p
+    | Error e -> Alcotest.fail e
+  in
+  let show c = String.concat "; " (List.map Fa.action_to_string (Fa.decompile c)) in
+  let static_base =
+    "deliver 0>1; deliver 1>2; drop 2>3; crash 3; dup 0>2; defer 1>0; \
+     deliver 3>1; deliver 2>0"
+  and churn_base =
+    "deliver 0>1; enter 5; deliver 1>2; leave 2; drop 2>3; dup 4>0; \
+     defer 1>6; deliver 5>1"
+  in
+  let rng = Bits.Rng.make 16 in
+  let static = compile ~n:4 static_base in
+  Alcotest.(check (list string)) "static mutants"
+    [
+      "deliver 0>1; deliver 1>2; drop 3>1; dup 0>2; defer 1>0; deliver 3>1; deliver 2>0; crash 3";
+      "deliver 2>0; deliver 0>0; dup 2>0; crash 1; drop 2>2; defer 2>2";
+      "deliver 0>1";
+      "deliver 0>1; deliver 1>2; drop 2>3; dup 0>2; defer 1>0; defer 2>0; crash 3; deliver 2>0; deliver 3>1; deliver 2>0";
+      "deliver 0>1; deliver 1>2; drop 2>3; crash 1; dup 0>2; defer 1>0; deliver 3>1";
+      "deliver 0>1; deliver 1>2; drop 2>3; dup 0>2; dup 0>2; defer 1>0; deliver 3>1; deliver 2>0; deliver 1>2; drop 2>3; dup 0>2; dup 0>2; defer 1>0; crash 3";
+      "deliver 0>1; deliver 1>2; deliver 1>0; deliver 2>0; defer 2>0; deliver 1>3; drop 2>3; crash 3; dup 0>2; defer 1>0; deliver 3>1; deliver 2>0; deliver 0>1";
+      "crash 0; deliver 1>3; deliver 0>1; dup 0>2; defer 1>0; deliver 3>1; deliver 2>0";
+      "deliver 0>1; deliver 1>2; drop 2>3; crash 3; crash 1; dup 0>2; deliver 0>1; deliver 1>2; drop 2>3; crash 3; crash 1; dup 0>2; defer 1>0; deliver 3>1; deliver 2>0";
+      "deliver 0>1; deliver 2>2; deliver 2>0; drop 2>3; crash 3; dup 0>2; defer 1>0; deliver 3>1";
+    ]
+    (List.init 10 (fun _ -> show (Fa.mutate rng ~n:4 static)));
+  let rng = Bits.Rng.make 16 in
+  let churn = compile ~n:8 churn_base and empty = compile ~n:8 "" in
+  Alcotest.(check (list string)) "churn mutants"
+    [
+      "deliver 0>1; enter 5; crash 1; dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; enter 5; deliver 1>2; leave 2; deliver 0>6; drop 2>3; dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; enter 5; deliver 5>1";
+      "deliver 7>4; defer 1>6; defer 1>6; deliver 5>1";
+      "deliver 0>1; enter 5; deliver 1>2; leave 2; crash 1; drop 2>3; dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; enter 5; deliver 1>2; leave 2; drop 2>3; dup 4>0; defer 1>6";
+      "deliver 0>1; enter 5; crash 1; deliver 1>2; leave 2; drop 2>3; drop 2>3; dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; dup 4>0; enter 5; deliver 1>2; leave 2; drop 2>3; crash 4; dup 4>0; defer 1>6; deliver 0>0; dup 4>1; deliver 5>1";
+      "deliver 0>1; dup 4>0; defer 1>6; deliver 5>1; enter 5; deliver 1>2; leave 2; drop 2>3; dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; enter 5; deliver 1>2; leave 2; drop 2>3; dup 4>0; deliver 0>1; enter 5; deliver 1>2; leave 2; drop 2>3; dup 4>0; defer 1>6; deliver 5>1; defer 1>6; deliver 5>1";
+      "leave 7; deliver 4>3; deliver 4>6; crash 5";
+      "crash 4";
+    ]
+    (List.init 10 (fun _ -> show (Fa.mutate rng ~n:8 ~churn:true churn))
+    @ List.init 2 (fun _ -> show (Fa.mutate rng ~n:8 ~churn:true empty)));
+  let rng = Bits.Rng.make 16 in
+  let static = compile ~n:8 static_base in
+  Alcotest.(check (list string)) "crossovers"
+    [
+      "deliver 0>1; deliver 1>2; drop 2>3; crash 3; dup 0>2; defer 1>6; deliver 5>1";
+      "deliver 0>1; deliver 1>2; drop 2>3; crash 3; drop 2>3; dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; deliver 1>2; leave 2; drop 2>3; dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; deliver 1>2; drop 2>3; dup 4>0; defer 1>6; deliver 5>1";
+      "dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; deliver 1>2; drop 2>3";
+      "deliver 0>1; enter 5; deliver 1>2; leave 2; drop 2>3; dup 4>0; defer 1>6; deliver 5>1";
+      "deliver 0>1; deliver 1>2; drop 2>3; crash 3; dup 0>2; defer 1>0; deliver 3>1; deliver 2>0";
+    ]
+    (List.init 6 (fun _ -> show (Fa.crossover rng static churn))
+    @ [ show (Fa.crossover rng empty churn); show (Fa.crossover rng static empty) ])
+
 (* Every mutant stays well-formed: endpoints are drawn in [0, n), and
    ineffective actions are skipped, so replay never raises — however the
-   splicing mangled the plan. *)
+   splicing mangled the plan. [run_plan] re-checks every operand. *)
 let prop_fleet_mutants_replay =
   let module C = Msgpass.Chaos in
-  let module F = Msgpass.Fleet in
+  let module Fa = Msgpass.Faults in
   let config = C.frontier () in
   QCheck.Test.make ~name:"mutants replay without Invalid_argument" ~count:60
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Bits.Rng.make seed in
-      let base = Msgpass.Faults.decompile (C.run_random ~seed:(seed land 31) config).C.plan in
-      let m = F.mutate rng ~n:config.C.n base in
-      let x = F.crossover rng m base in
-      ignore (C.run_plan config m);
-      ignore (C.run_plan config x);
+      let base = (C.run_random ~seed:(seed land 31) config).C.plan in
+      let m = Fa.mutate rng ~n:config.C.n base in
+      let x = Fa.crossover rng m base in
+      ignore (C.run_plan config (Fa.decompile m));
+      ignore (C.run_plan config (Fa.decompile x));
       true)
 
 (* Fleet reports are a pure function of the seed at any pool width: job
@@ -980,31 +1052,56 @@ let test_fleet_replay_rejects_hand_edits () =
       ("witness-writes-outside-pack.json", "packed message layout");
     ]
 
-(* A hand-edited corpus that no longer parses names the file, the line
-   on disk (blank lines counted) and, for JSON syntax, the column. *)
+(* A hand-edited corpus that no longer loads names the file, the line
+   on disk (blank lines counted) and, for JSON syntax, the column; a
+   campaign over it raises [Corpus_error] with the same position. An
+   operand outside the campaign's n parses, so only the campaign — which
+   knows n — rejects it, naming the action. *)
 let test_fleet_corpus_errors_name_the_line () =
+  let module F = Msgpass.Fleet in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-corpus-lines"
   in
   let good id =
     Printf.sprintf {|{"id":%d,"origin":"seed","plan":["deliver 0>1"]}|} id
   in
+  let campaign_error () =
+    match
+      F.campaign ~generations:0 ~corpus_dir:dir ~seed:1
+        (Msgpass.Chaos.frontier ())
+    with
+    | _ -> None
+    | exception F.Corpus_error e -> Some e
+  in
+  let expect_error what needle = function
+    | None -> Alcotest.failf "%s: corpus loaded, expected %S" what needle
+    | Some e ->
+        if not (contains e needle) then
+          Alcotest.failf "%s: corpus error lacks %S: %s" what needle e
+  in
   List.iter
-    (fun (lines, needle) ->
+    (fun (lines, parses, needle) ->
       rm_rf dir;
       Sys.mkdir dir 0o755;
       Out_channel.with_open_text (Filename.concat dir "corpus.jsonl")
         (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
-      match Msgpass.Fleet.load_corpus dir with
-      | Ok _ -> Alcotest.failf "corpus with %S loaded" (List.nth lines 2)
-      | Error e ->
-          if not (contains e needle) then
-            Alcotest.failf "corpus error lacks %S: %s" needle e)
+      let loaded =
+        match F.load_corpus dir with Ok _ -> None | Error e -> Some e
+      in
+      if parses then
+        Alcotest.(check (option string)) "load_corpus parses it" None loaded
+      else expect_error "load_corpus" needle loaded;
+      expect_error "campaign" needle (campaign_error ()))
     [
       ( [ good 0; good 1; {|{"id":2,"origin":"seed","plan":["deliver 0>1"|} ],
+        false,
         "corpus.jsonl:3: at 45: expected ']'" );
       ( [ good 0; ""; {|{"id":2,"origin":"seed","plan":["zap 3"]}|} ],
+        false,
         "corpus.jsonl:3: plan element 0: unknown action keyword" );
+      ( [ good 0; {|{"id":1,"origin":"seed","plan":["crash 1","deliver 0>9"]}|} ],
+        true,
+        "corpus.jsonl:2: action 2: channel 0>9 out of range (n = 4)" );
     ];
   rm_rf dir
 
@@ -1336,6 +1433,8 @@ let () =
             test_plan_parse_errors_are_positional;
           Alcotest.test_case "fleet mutator is seed-deterministic" `Quick
             test_fleet_mutator_deterministic;
+          Alcotest.test_case "mutation draws are pinned" `Quick
+            test_mutation_draws_pinned;
           QCheck_alcotest.to_alcotest prop_fleet_mutants_replay;
           Alcotest.test_case "fleet reports are jobs-invariant" `Quick
             test_fleet_jobs_invariant;
