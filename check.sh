@@ -158,6 +158,7 @@ echo "== fleet smoke"
 fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d) && fleet_churn=$(mktemp -d)
 fleet_bad=$(mktemp -d)
 trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_bad"' EXIT
+rm -f flight-nonlinearizable.jsonl
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
   --corpus "$fleet_j1" --jobs 1 --expect witness > "$tmp_seq"
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
@@ -169,6 +170,14 @@ for w in "$fleet_j1"/witness-*.json; do
   diff "$w" "$fleet_j2/$(basename "$w")"
   dune exec bin/boundedreg.exe -- fleet --replay "$w"
 done
+# The first violation dumps the flight recorder, scoped to the campaign:
+# the dump opens with the fleet.campaign Begin, not earlier events.
+if ! head -n 1 flight-nonlinearizable.jsonl 2>/dev/null \
+  | grep -q '"name":"fleet.campaign","cat":"fleet","ph":"B"'; then
+  echo "check.sh: seed-9 fleet dump missing or not opened by its campaign" >&2
+  exit 1
+fi
+rm -f flight-nonlinearizable.jsonl
 # The jobs diff above compares one build with itself, so a codec or
 # mutation-draw change that altered the corpus bytes would still pass
 # it. Pin the artifacts' digests (measured with OCaml 5.1.1).
@@ -233,6 +242,7 @@ else
   dune exec bin/boundedreg.exe -- fleet --frontier --generations 120 --seed 1 \
     --corpus ci-fleet-corpus --expect witness
 fi
+rm -f flight-nonlinearizable.jsonl
 
 echo "check.sh: OK"
 

@@ -629,6 +629,7 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
   in
   (* The campaign span carries the resolved seed: a violation reported
      from a trace is replayable without the console output. *)
+  let flight_mark = Obs.Recorder.mark () in
   Obs.Span.begin_ ~cat:"chaos"
     ~args:
       ([
@@ -739,7 +740,7 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
              (rng point, crash/churn schedule) and the shrink replays —
              enough to reproduce without having traced. Best-effort and
              silent: campaigns run inside tests too. *)
-          ignore (Obs.Recorder.dump ~reason:"nonlinearizable" () : string option);
+          ignore (Obs.Recorder.dump ~since:flight_mark ~reason:"nonlinearizable" ());
           Some found
       | first, _ -> first
     in

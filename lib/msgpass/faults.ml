@@ -11,24 +11,67 @@ type action =
 
 type plan = action list
 
-(* The one printer of the action grammar. The fleet encodes every
-   action of every corpus line, so it skips [Format]; operands come from
-   a table of every 8-bit opcode operand, built on first use. *)
+(* {2 Opcodes}
+
+   Internally an action is one immediate int — [kind:3 | a:8 | b:8] —
+   so the run record is a growable [int array] rather than a consed
+   list, a compiled plan is a dense walkable array, and neither the
+   random driver nor the fleet's mutation engine constructs a variant
+   on its hot path. Eight bits per operand is comfortably above [Net]'s
+   61-slot cap. *)
+
+let k_deliver = 0
+let k_drop = 1
+let k_duplicate = 2
+let k_defer = 3
+let k_crash = 4
+let k_enter = 5
+let k_leave = 6
+let encode k a b = k lor (a lsl 3) lor (b lsl 11)
+let code_kind c = c land 7
+let code_a c = (c lsr 3) land 0xff
+let code_b c = (c lsr 11) land 0xff
+
+(* [f kind a b] on an action's opcode fields, unpacked and unbounded. *)
+let with_fields f = function
+  | Deliver { src; dst } -> f k_deliver src dst
+  | Drop { src; dst } -> f k_drop src dst
+  | Duplicate { src; dst } -> f k_duplicate src dst
+  | Defer { src; dst } -> f k_defer src dst
+  | Crash pid -> f k_crash pid 0
+  | Enter pid -> f k_enter pid 0
+  | Leave pid -> f k_leave pid 0
+
+let action_of_code c =
+  let k = code_kind c and a = code_a c and b = code_b c in
+  if k = k_deliver then Deliver { src = a; dst = b }
+  else if k = k_drop then Drop { src = a; dst = b }
+  else if k = k_duplicate then Duplicate { src = a; dst = b }
+  else if k = k_defer then Defer { src = a; dst = b }
+  else if k = k_crash then Crash a
+  else if k = k_enter then Enter a
+  else Leave a
+
+(* The one printer of the action grammar, on opcode fields: the fleet
+   prints every corpus line straight from packed plans, without [Format]
+   and with operands from a table built on first use. *)
+let keywords =
+  [| "deliver "; "drop "; "dup "; "defer "; "crash "; "enter "; "leave " |]
+
 let small_ints = lazy (Array.init 256 string_of_int)
 
 let int_str i =
   if i >= 0 && i < 256 then (Lazy.force small_ints).(i) else string_of_int i
 
-let chan_str kw { src; dst } = kw ^ int_str src ^ ">" ^ int_str dst
+let add_action buf k a b =
+  Buffer.add_string buf keywords.(k);
+  Buffer.add_string buf (int_str a);
+  if k < k_crash then (Buffer.add_char buf '>'; Buffer.add_string buf (int_str b))
 
-let action_to_string = function
-  | Deliver ch -> chan_str "deliver " ch
-  | Drop ch -> chan_str "drop " ch
-  | Duplicate ch -> chan_str "dup " ch
-  | Defer ch -> chan_str "defer " ch
-  | Crash pid -> "crash " ^ int_str pid
-  | Enter pid -> "enter " ^ int_str pid
-  | Leave pid -> "leave " ^ int_str pid
+let action_to_string act =
+  let buf = Buffer.create 16 in
+  with_fields (add_action buf) act;
+  Buffer.contents buf
 
 let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
 
@@ -53,41 +96,66 @@ let deliveries plan =
    strings (one corpus line). Parsing accepts any whitespace where the
    pretty-printer may break a line. *)
 
+(* The fast path's scanners, top-level so that they allocate nothing. *)
+let rec index_gt s i =
+  if i >= String.length s || s.[i] = '>' then i else index_gt s (i + 1)
+
+let rec keyword_kind s k =
+  if k > k_leave || String.starts_with ~prefix:keywords.(k) s then k
+  else keyword_kind s (k + 1)
+
+(* [s.[i..j)] as a decimal below 260, or -1; [acc] starts at -1. *)
+let rec decimal s i j acc =
+  if i >= j then acc
+  else if s.[i] >= '0' && s.[i] <= '9' && acc < 26 then
+    decimal s (i + 1) j ((max acc 0 * 10) + Char.code s.[i] - 48)
+  else -1
+
 let action_of_string s =
-  let s = String.trim s in
-  let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
-  match String.index_opt s ' ' with
-  | None -> fail "cannot parse action %S: expected \"keyword arg\"" s
-  | Some i -> (
-      let kw = String.sub s 0 i in
-      let rest = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
-      let channel k =
-        match String.index_opt rest '>' with
-        | None -> fail "bad channel %S after %S: expected src>dst" rest kw
-        | Some j -> (
-            let src = String.trim (String.sub rest 0 j) in
-            let dst =
-              String.trim (String.sub rest (j + 1) (String.length rest - j - 1))
-            in
-            match (int_of_string_opt src, int_of_string_opt dst) with
-            | Some src, Some dst -> Ok (k { src; dst })
-            | None, _ -> fail "bad channel source %S after %S" src kw
-            | _, None -> fail "bad channel destination %S after %S" dst kw)
-      in
-      let pid k =
-        match int_of_string_opt rest with
-        | Some p -> Ok (k p)
-        | None -> fail "bad pid %S after %S" rest kw
-      in
-      match kw with
-      | "deliver" -> channel (fun ch -> Deliver ch)
-      | "drop" -> channel (fun ch -> Drop ch)
-      | "dup" -> channel (fun ch -> Duplicate ch)
-      | "defer" -> channel (fun ch -> Defer ch)
-      | "crash" -> pid (fun p -> Crash p)
-      | "enter" -> pid (fun p -> Enter p)
-      | "leave" -> pid (fun p -> Leave p)
-      | _ -> fail "unknown action keyword %S in %S" kw s)
+  (* Fast path: the printer's own form, operands up to 255, read in place.
+     Anything else (padding, signs, radix prefixes) takes the general path. *)
+  let k = keyword_kind s 0 and len = String.length s in
+  let i = if k > k_leave then len else String.length keywords.(k) in
+  let j = if k < k_crash then index_gt s i else len in
+  let a = decimal s i j (-1) in
+  let b = if k < k_crash then decimal s (j + 1) len (-1) else 0 in
+  if a >= 0 && a < 256 && b >= 0 && b < 256 then
+    Ok (action_of_code (encode k a b))
+  else
+    let s = String.trim s in
+    let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
+    match String.index_opt s ' ' with
+    | None -> fail "cannot parse action %S: expected \"keyword arg\"" s
+    | Some i -> (
+        let kw = String.sub s 0 i in
+        let rest = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
+        let channel k =
+          match String.index_opt rest '>' with
+          | None -> fail "bad channel %S after %S: expected src>dst" rest kw
+          | Some j -> (
+              let src = String.trim (String.sub rest 0 j) in
+              let dst =
+                String.trim (String.sub rest (j + 1) (String.length rest - j - 1))
+              in
+              match (int_of_string_opt src, int_of_string_opt dst) with
+              | Some src, Some dst -> Ok (k { src; dst })
+              | None, _ -> fail "bad channel source %S after %S" src kw
+              | _, None -> fail "bad channel destination %S after %S" dst kw)
+        in
+        let pid k =
+          match int_of_string_opt rest with
+          | Some p -> Ok (k p)
+          | None -> fail "bad pid %S after %S" rest kw
+        in
+        match kw with
+        | "deliver" -> channel (fun ch -> Deliver ch)
+        | "drop" -> channel (fun ch -> Drop ch)
+        | "dup" -> channel (fun ch -> Duplicate ch)
+        | "defer" -> channel (fun ch -> Defer ch)
+        | "crash" -> pid (fun p -> Crash p)
+        | "enter" -> pid (fun p -> Enter p)
+        | "leave" -> pid (fun p -> Leave p)
+        | _ -> fail "unknown action keyword %S in %S" kw s)
 
 let plan_of_string text =
   (* Walk the ";"-splits keeping the absolute character offset, so a
@@ -111,79 +179,40 @@ let plan_to_json plan =
   Obs.Json.List (List.map (fun a -> Obs.Json.Str (action_to_string a)) plan)
 
 let plan_of_json j =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | item :: rest -> (
+        match Option.map action_of_string (Obs.Json.to_str item) with
+        | None -> Error (Printf.sprintf "plan element %d is not a string" i)
+        | Some (Ok a) -> go (i + 1) (a :: acc) rest
+        | Some (Error e) -> Error (Printf.sprintf "plan element %d: %s" i e))
+  in
   match Obs.Json.to_list j with
   | None -> Error "plan is not a JSON array"
-  | Some items ->
-      List.fold_left
-        (fun (i, acc) item ->
-          ( i + 1,
-            match acc with
-            | Error _ as e -> e
-            | Ok actions -> (
-                match Obs.Json.to_str item with
-                | None -> Error (Printf.sprintf "plan element %d is not a string" i)
-                | Some s -> (
-                    match action_of_string s with
-                    | Ok a -> Ok (a :: actions)
-                    | Error e ->
-                        Error (Printf.sprintf "plan element %d: %s" i e))) ))
-        (0, Ok []) items
-      |> snd |> Result.map List.rev
-
-(* {2 Opcode coding}
-
-   Internally an action is one immediate int — [kind:3 | a:8 | b:8] —
-   so the run record is a growable [int array] rather than a consed
-   list, a compiled plan is a dense walkable array, and neither the
-   random driver nor the fleet's mutation engine constructs a variant
-   on its hot path. Eight bits per operand is comfortably above [Net]'s
-   61-slot cap. *)
-
-let k_deliver = 0
-let k_drop = 1
-let k_duplicate = 2
-let k_defer = 3
-let k_crash = 4
-let k_enter = 5
-let k_leave = 6
-let encode k a b = k lor (a lsl 3) lor (b lsl 11)
-let code_kind c = c land 7
-let code_a c = (c lsr 3) land 0xff
-let code_b c = (c lsr 11) land 0xff
-
-let code_of_action = function
-  | Deliver { src; dst } -> encode k_deliver src dst
-  | Drop { src; dst } -> encode k_drop src dst
-  | Duplicate { src; dst } -> encode k_duplicate src dst
-  | Defer { src; dst } -> encode k_defer src dst
-  | Crash pid -> encode k_crash pid 0
-  | Enter pid -> encode k_enter pid 0
-  | Leave pid -> encode k_leave pid 0
-
-let action_of_code c =
-  let k = code_kind c and a = code_a c and b = code_b c in
-  if k = k_deliver then Deliver { src = a; dst = b }
-  else if k = k_drop then Drop { src = a; dst = b }
-  else if k = k_duplicate then Duplicate { src = a; dst = b }
-  else if k = k_defer then Defer { src = a; dst = b }
-  else if k = k_crash then Crash a
-  else if k = k_enter then Enter a
-  else Leave a
+  | Some items -> go 0 [] items
 
 type compiled = int array
 
+(* Action text needs no JSON escaping: each element goes between quotes. *)
+let add_compiled_json buf c =
+  Array.iteri
+    (fun i code ->
+      Buffer.add_string buf (if i = 0 then "[\"" else ",\"");
+      add_action buf (code_kind code) (code_a code) (code_b code);
+      Buffer.add_char buf '"')
+    c;
+  Buffer.add_string buf (if Array.length c = 0 then "[]" else "]")
+
 (* Why [a] cannot run in a universe of [n] slots, if it cannot. *)
-let operand_error ~n a =
+let operand_error ~n =
   let bad pid = pid < 0 || pid >= n in
-  match a with
-  | Deliver { src; dst } | Drop { src; dst } | Duplicate { src; dst }
-  | Defer { src; dst }
-    when bad src || bad dst ->
-      Some (Printf.sprintf "channel %d>%d out of range" src dst)
-  | (Crash pid | Enter pid | Leave pid) when bad pid ->
-      Some (Printf.sprintf "pid %d out of range" pid)
-  | Deliver _ | Drop _ | Duplicate _ | Defer _ | Crash _ | Enter _ | Leave _ ->
-      None
+  with_fields (fun k a b ->
+      if k < k_crash then
+        if bad a || bad b then
+          Some (Printf.sprintf "channel %d>%d out of range" a b)
+        else None
+      else if bad a then Some (Printf.sprintf "pid %d out of range" a)
+      else None)
 
 let check ~n plan =
   let rec go i = function
@@ -202,7 +231,7 @@ let compile ~n plan =
          Option.iter
            (fun e -> invalid_arg ("Faults.compile: " ^ e))
            (operand_error ~n a);
-         code_of_action a)
+         with_fields encode a)
        plan)
 
 let compiled_length = Array.length

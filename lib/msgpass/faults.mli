@@ -55,11 +55,12 @@ val action_to_string : action -> string
 (** [deliver 0>2], [drop 0>2], [dup 0>2], [defer 0>2], [crash 3],
     [enter 3], [leave 3] — the fault-plan grammar quoted in
     EXPERIMENTS.md. The single printer of that grammar: {!pp_action},
-    {!pp_plan} and {!plan_to_json} go through it. *)
+    {!pp_plan}, {!plan_to_json} and {!add_compiled_json} go through it. *)
 
 val action_of_string : string -> (action, string) result
 (** Inverse of {!action_to_string}; [Error] names the offending token
-    (unknown keyword, malformed channel, non-integer pid). *)
+    (unknown keyword, malformed channel, non-integer pid). The printer's
+    own form is read in place, without allocating. *)
 
 val plan_of_string : string -> (plan, string) result
 (** Parse a ";"-separated action list — the {!pp_plan} rendering. Empty
@@ -93,6 +94,9 @@ val compile : n:int -> plan -> compiled
     compiled plan can therefore be replayed unchecked. *)
 
 val decompile : compiled -> plan
+
+val add_compiled_json : Buffer.t -> compiled -> unit
+(** Appends the text of [plan_to_json (decompile c)], building neither. *)
 
 val compiled_length : compiled -> int
 

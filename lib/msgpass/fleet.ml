@@ -208,13 +208,12 @@ let cache_cap = 1 lsl 16
 
 type entry = { id : int; origin : string; plan : Faults.plan }
 
-let entry_to_json e =
-  Obs.Json.Obj
-    [
-      ("id", Obs.Json.Int e.id);
-      ("origin", Obs.Json.Str e.origin);
-      ("plan", Faults.plan_to_json e.plan);
-    ]
+let corpus_line buf ~id ~origin cplan =
+  Printf.bprintf buf "{\"id\":%d,\"origin\":" id;
+  Obs.Json.to_buffer buf (Obs.Json.Str origin);
+  Buffer.add_string buf ",\"plan\":";
+  Faults.add_compiled_json buf cplan;
+  Buffer.add_char buf '}'
 
 let entry_of_json j =
   match
@@ -257,8 +256,7 @@ let load_corpus dir = read_corpus dir Result.ok
    growable array, not a list: generation planning picks parents by
    index, and a 60 s fleet grows the corpus to tens of thousands of
    plans. Entries hold their plan compiled: a loaded line is compiled
-   once, an executed run's recorded plan is stored as is, and the
-   action list is rebuilt only for a corpus directory's JSONL line. *)
+   once and an executed run's recorded plan is stored as is. *)
 type centry = { cid : int; corigin : string; cplan : Faults.compiled }
 
 type corpus = {
@@ -315,11 +313,11 @@ let corpus_add corpus ~origin cplan =
   match corpus.dir with
   | None -> ()
   | Some d ->
+      let line = Buffer.create 1024 in
+      corpus_line line ~id:e.cid ~origin cplan;
+      Buffer.add_char line '\n';
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (corpus_file d) in
-      output_string oc
-        (Obs.Json.to_string
-           (entry_to_json { id = e.cid; origin; plan = Faults.decompile cplan }));
-      output_char oc '\n';
+      Buffer.output_buffer oc line;
       close_out oc
 
 (* Max of two uniform draws: biased toward the newest entries, where the
@@ -661,6 +659,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     in
     ignore (coverage_observe cov (signature_of o) : bool)
   done;
+  let flight_mark = Obs.Recorder.mark () in
   Obs.Span.begin_ ~cat:"fleet"
     ~args:
       [
@@ -696,10 +695,12 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     match w.file with
     | None -> ()
     | Some f ->
-        Out_channel.with_open_text f (fun oc ->
+        (* A kill leaves a stray [.json.tmp], never a torn witness. *)
+        Out_channel.with_open_text (f ^ ".tmp") (fun oc ->
             output_string oc
               (Obs.Json.to_string (witness_to_json ~seed ~config:chaos w));
-            output_char oc '\n')
+            output_char oc '\n');
+        Sys.rename (f ^ ".tmp") f
   in
   (* Violations are pre-classed by the *original* verdict: digit
      scrubbing makes the class a template of the failure shape, so a
@@ -913,12 +914,12 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
           Obs.Metrics.inc m_violations;
           triage ~g ~origin:(job_origin jobs_arr.(i)) o;
           if not !flight_dumped then begin
-            (* First violating run of the campaign: dump the flight
-               rings once, after triage, so the dump carries the
+            (* First violating run of the campaign: dump this campaign's
+               events once, after triage, so the dump carries the
                fleet.run replay handle and the witness class. *)
             flight_dumped := true;
             ignore
-              (Obs.Recorder.dump ~reason:"nonlinearizable" ()
+              (Obs.Recorder.dump ~since:flight_mark ~reason:"nonlinearizable" ()
                 : string option)
           end
         end)

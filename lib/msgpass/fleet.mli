@@ -67,6 +67,9 @@ val violation_class : reg:int -> reason:string -> int
 
 type entry = { id : int; origin : string; plan : Faults.plan }
 
+val corpus_line : Buffer.t -> id:int -> origin:string -> Faults.compiled -> unit
+(** Append a [corpus.jsonl] line (no newline) printed from the opcodes. *)
+
 val load_corpus : string -> (entry list, string) result
 (** Parse [<dir>/corpus.jsonl], oldest first. [Ok []] when the file does
     not exist; [Error] reads [<file>:<line>: <problem>], the problem
@@ -182,6 +185,7 @@ val campaign :
     calling domain in batch order, so the report, corpus and witnesses
     are byte-identical at any width. [corpus_dir] persists the corpus
     ([corpus.jsonl]) and witnesses; omitted, the campaign is in-memory.
+    The first violating run's flight dump holds this campaign's events.
 
     @raise Corpus_error when [corpus_dir] holds a corpus that fails to
     parse or names a slot outside the configuration's [n]. *)

@@ -57,11 +57,13 @@ let record e =
   Array.unsafe_set r.slots (r.count land mask) e;
   r.count <- r.count + 1
 
-(* Oldest-to-newest contents of a ring. *)
-let ring_events r =
-  let n = min r.count capacity in
-  let start = r.count - n in
-  List.init n (fun i -> r.slots.((start + i) land mask))
+type mark = (ring * int) list
+
+(* Oldest-to-newest contents of a ring after its count in [since]. *)
+let ring_events ?(since = []) r =
+  let from = Option.value (List.assq_opt r since) ~default:0 in
+  let start = max (if from > r.count then 0 else from) (r.count - capacity) in
+  List.init (r.count - start) (fun i -> r.slots.((start + i) land mask))
 
 let retire () =
   let r = Domain.DLS.get key in
@@ -85,10 +87,13 @@ let all_rings () =
   locked (fun () ->
       let live = List.rev !rings in
       let mains, workers = List.partition (fun r -> r.main) live in
-      mains @ (if graveyard.count > 0 then [ graveyard ] else []) @ workers)
+      mains @ (graveyard :: workers))
 
-let events () =
-  List.concat_map (fun r -> List.map (fun e -> (r.domain, e)) (ring_events r))
+let mark () = List.map (fun r -> (r, r.count)) (all_rings ())
+
+let events ?since () =
+  List.concat_map
+    (fun r -> List.map (fun e -> (r.domain, e)) (ring_events ?since r))
     (all_rings ())
 
 let clear () =
@@ -96,8 +101,8 @@ let clear () =
       List.iter (fun r -> r.count <- 0) !rings;
       graveyard.count <- 0)
 
-let dump ?(dir = Filename.current_dir_name) ~reason () =
-  let recorded = events () in
+let dump ?(dir = Filename.current_dir_name) ?since ~reason () =
+  let recorded = events ?since () in
   if recorded = [] then None
   else
     let file = Filename.concat dir (Printf.sprintf "flight-%s.jsonl" reason) in

@@ -34,17 +34,23 @@ val retire : unit -> unit
     exits so a long run's dead domains don't accumulate; the tail of
     their events stays dumpable. No-op on the main domain. *)
 
-val dump : ?dir:string -> reason:string -> unit -> string option
+type mark
+
+val mark : unit -> mark
+(** Where every ring stands now, for {!dump}'s [since]. *)
+
+val dump : ?dir:string -> ?since:mark -> reason:string -> unit -> string option
 (** [dump ~reason ()] writes [flight-<reason>.jsonl] (under [dir],
     default the current directory): one JSON object per recorded event,
     each prefixed with a ["dom"] field naming the recording domain; the
-    main domain's events come first, oldest first. Returns the path, or
-    [None] when nothing was recorded or the write failed — a dump is
-    best-effort and never raises. *)
+    main domain's events come first, oldest first; with [since], only
+    those recorded after that mark (a ring created since gives all of
+    its own). Returns the path, or [None] when nothing was recorded or
+    the write failed — a dump is best-effort and never raises. *)
 
-val events : unit -> (int * Sink.event) list
+val events : ?since:mark -> unit -> (int * Sink.event) list
 (** Current contents of all rings, as [(domain, event)] pairs in dump
-    order. For tests. *)
+    order (from [since] on, as for {!dump}). For tests. *)
 
 val clear : unit -> unit
 (** Empty all rings. For tests. *)

@@ -690,6 +690,150 @@ let prop_plan_codec_roundtrip =
       && Msgpass.Faults.plan_of_json (Msgpass.Faults.plan_to_json plan)
          = Ok plan)
 
+(* The action parser before its in-place fast path, kept verbatim as
+   the oracle the fast path must agree with on every input: same
+   actions, same error texts. *)
+let reference_action_of_string s =
+  let open Msgpass.Faults in
+  let s = String.trim s in
+  let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
+  match String.index_opt s ' ' with
+  | None -> fail "cannot parse action %S: expected \"keyword arg\"" s
+  | Some i -> (
+      let kw = String.sub s 0 i in
+      let rest = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
+      let channel k =
+        match String.index_opt rest '>' with
+        | None -> fail "bad channel %S after %S: expected src>dst" rest kw
+        | Some j -> (
+            let src = String.trim (String.sub rest 0 j) in
+            let dst =
+              String.trim (String.sub rest (j + 1) (String.length rest - j - 1))
+            in
+            match (int_of_string_opt src, int_of_string_opt dst) with
+            | Some src, Some dst -> Ok (k { src; dst })
+            | None, _ -> fail "bad channel source %S after %S" src kw
+            | _, None -> fail "bad channel destination %S after %S" dst kw)
+      in
+      let pid k =
+        match int_of_string_opt rest with
+        | Some p -> Ok (k p)
+        | None -> fail "bad pid %S after %S" rest kw
+      in
+      match kw with
+      | "deliver" -> channel (fun ch -> Deliver ch)
+      | "drop" -> channel (fun ch -> Drop ch)
+      | "dup" -> channel (fun ch -> Duplicate ch)
+      | "defer" -> channel (fun ch -> Defer ch)
+      | "crash" -> pid (fun p -> Crash p)
+      | "enter" -> pid (fun p -> Enter p)
+      | "leave" -> pid (fun p -> Leave p)
+      | _ -> fail "unknown action keyword %S in %S" kw s)
+
+let action_keywords = [ "deliver"; "drop"; "dup"; "defer"; "crash"; "enter"; "leave" ]
+let channel_keyword kw = List.mem kw [ "deliver"; "drop"; "dup"; "defer" ]
+
+let check_against_reference s =
+  if Msgpass.Faults.action_of_string s <> reference_action_of_string s then
+    Alcotest.failf "action_of_string %S disagrees with the reference" s
+
+(* Every canonical action with operands 0..300: the fast path's whole
+   domain, past the 8-bit opcode range. *)
+let test_action_parser_canonical () =
+  List.iter
+    (fun kw ->
+      for a = 0 to 300 do
+        if channel_keyword kw then
+          for b = 0 to 300 do
+            check_against_reference (Printf.sprintf "%s %d>%d" kw a b)
+          done
+        else check_against_reference (Printf.sprintf "%s %d" kw a)
+      done)
+    action_keywords
+
+(* Canonical strings and their near misses: padding, signs, radix
+   prefixes, leading zeros, 20-digit operands, unknown keywords, missing
+   pieces, empty strings. *)
+let action_text_gen =
+  let open QCheck.Gen in
+  let operand =
+    frequency
+      [
+        (6, map string_of_int (int_bound 300));
+        (1, map (Printf.sprintf "+%d") (int_bound 300));
+        (1, map (Printf.sprintf "-%d") (int_bound 300));
+        (1, map (Printf.sprintf "0x%x") (int_bound 300));
+        (1, map (Printf.sprintf "00%d") (int_bound 300));
+        (1, map (Printf.sprintf " %d ") (int_bound 300));
+        (1, map (String.concat "") (list_repeat 20 (map string_of_int (int_bound 9))));
+        (1, oneofl [ ""; " "; "1_0"; "x"; "1>2"; "99999999999999999999" ]);
+      ]
+  in
+  let keyword =
+    frequency
+      [ (8, oneofl action_keywords); (1, oneofl [ "zap"; "Deliver"; ""; "crash>" ]) ]
+  in
+  let sep = frequency [ (8, return " "); (1, oneofl [ ""; "  "; "\t"; ">" ]) ] in
+  keyword >>= fun kw ->
+  sep >>= fun sp ->
+  operand >>= fun a ->
+  operand >>= fun b ->
+  (* Half the time the operand shape matches the keyword's kind. *)
+  bool >>= fun two ->
+  let text =
+    if channel_keyword kw = two then kw ^ sp ^ a ^ ">" ^ b else kw ^ sp ^ a
+  in
+  frequency
+    [
+      (6, return text);
+      (1, oneofl [ " " ^ text; text ^ " "; "\n" ^ text ^ "\t" ]);
+      (1, return "");
+    ]
+
+let prop_action_parser_matches_reference =
+  QCheck.Test.make ~name:"action parser agrees with its reference" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") action_text_gen)
+    (fun s -> Msgpass.Faults.action_of_string s = reference_action_of_string s)
+
+(* Origins are free text in the corpus: quotes, backslashes, control
+   bytes and UTF-8 must be escaped exactly as the JSON printer does. *)
+let origin_gen =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (4, map (String.make 1) (char_range 'a' 'z'));
+        (1, oneofl [ "\""; "\\"; "\n"; "\t"; "\r"; "\000"; "\031"; "\127" ]);
+        (1, oneofl [ "é"; "→"; "😀"; "seed:"; "mut:3@g1"; "xover:1+2@g0" ]);
+        (1, map (fun c -> String.make 1 (Char.chr c)) (int_bound 255));
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 12) piece)
+
+let prop_corpus_line_matches_json_tree =
+  let gen =
+    QCheck.Gen.triple QCheck.Gen.nat origin_gen
+      (fault_plan_gen_over (QCheck.Gen.int_bound 255))
+  in
+  QCheck.Test.make ~name:"corpus line writer matches the JSON tree" ~count:300
+    (QCheck.make
+       ~print:(fun (id, origin, plan) ->
+         Format.asprintf "%d %S %a" id origin Msgpass.Faults.pp_plan plan)
+       gen)
+    (fun (id, origin, plan) ->
+      let c = Msgpass.Faults.compile ~n:256 plan in
+      let buf = Buffer.create 64 in
+      Msgpass.Fleet.corpus_line buf ~id ~origin c;
+      Buffer.contents buf
+      = Obs.Json.to_string
+          (Obs.Json.Obj
+             [
+               ("id", Obs.Json.Int id);
+               ("origin", Obs.Json.Str origin);
+               ( "plan",
+                 Msgpass.Faults.plan_to_json (Msgpass.Faults.decompile c) );
+             ]))
+
 (* pp_plan's line breaking is part of the CLI output ([chaos --plan]):
    breaks fall only at the "; " separators, never inside an action. *)
 let test_pp_plan_golden () =
@@ -1031,6 +1175,94 @@ let test_fleet_witness_dedup_and_replay () =
     r2.F.corpus_size;
   Alcotest.(check int) "resumed fleet does not republish the class" 0
     (List.length r2.F.witnesses);
+  rm_rf dir
+
+(* Two campaigns in one process: the second one's first-violation dump
+   opens with its own fleet.campaign Begin and holds no event of the
+   first — not even the pool events an earlier parallel run left in the
+   graveyard ring. *)
+let test_fleet_dump_scoped_to_campaign () =
+  let module F = Msgpass.Fleet in
+  let config = Msgpass.Chaos.frontier () in
+  let dump = "flight-nonlinearizable.jsonl" in
+  let main = (Domain.self () :> int) in
+  let read_dump () =
+    let lines = In_channel.with_open_text dump In_channel.input_lines in
+    Sys.remove dump;
+    List.map
+      (fun l ->
+        match Obs.Json.of_string l with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "dump line %S: %s" l e)
+      lines
+  in
+  let check_opens_campaign ~seed = function
+    | first :: _ ->
+        Alcotest.(check (list (option string)))
+          (Printf.sprintf "seed %d dump opens with its campaign Begin" seed)
+          [ Some "fleet.campaign"; Some "B" ]
+          [ Obs.Json.member_str "name" first; Obs.Json.member_str "ph" first ];
+        Alcotest.(check (option int)) "Begin names the campaign's seed"
+          (Some seed)
+          (Option.bind (Obs.Json.member "args" first) (Obs.Json.member_int "seed"))
+    | [] -> Alcotest.failf "seed %d: empty dump" seed
+  in
+  ignore
+    (Sched.Par.run_units ~jobs:2 ~units:[| 0; 1 |] (fun _ ->
+         Obs.Span.instant ~cat:"test" "before-campaigns"));
+  if Sys.file_exists dump then Sys.remove dump;
+  let r1 = F.campaign ~generations:8 ~seed:9 config in
+  Alcotest.(check bool) "first campaign violates" true (r1.F.violations > 0);
+  check_opens_campaign ~seed:9 (read_dump ());
+  let last_ts =
+    List.fold_left
+      (fun m (dom, (e : Obs.Sink.event)) -> if dom = main then max m e.ts else m)
+      0 (Obs.Recorder.events ())
+  in
+  let r2 = F.campaign ~generations:8 ~seed:10 config in
+  Alcotest.(check bool) "second campaign violates" true (r2.F.violations > 0);
+  let second = read_dump () in
+  check_opens_campaign ~seed:10 second;
+  List.iter
+    (fun j ->
+      match (Obs.Json.member_int "dom" j, Obs.Json.member_int "ts" j) with
+      | Some dom, Some ts when dom = main ->
+          if ts <= last_ts then
+            Alcotest.failf "second dump holds an event of the first: %s"
+              (Obs.Json.to_string j)
+      | _ ->
+          Alcotest.failf "second dump holds another ring's event: %s"
+            (Obs.Json.to_string j))
+    second
+
+(* A witness is written to a temporary name and renamed into place. A
+   leftover temporary from a killed writer does not end in .json, so a
+   fleet over that directory neither counts it as a published class nor
+   trips over it. *)
+let test_fleet_witness_tmp_leftover () =
+  let module F = Msgpass.Fleet in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-witness-tmp"
+  in
+  rm_rf dir;
+  Sys.mkdir dir 0o755;
+  let leftover = Filename.concat dir "witness-11d375a62583849e.json.tmp" in
+  Out_channel.with_open_text leftover (fun oc -> output_string oc "{\"class\":");
+  let r =
+    F.campaign ~generations:8 ~seed:9 ~corpus_dir:dir (Msgpass.Chaos.frontier ())
+  in
+  (match r.F.witnesses with
+  | [ w ] -> (
+      Alcotest.(check int) "the leftover's class is still published"
+        0x11d375a62583849e w.F.class_key;
+      match F.replay_file (Option.get w.F.file) with
+      | Ok rep ->
+          Alcotest.(check bool) "renamed witness replays" true rep.F.bit_for_bit
+      | Error e -> Alcotest.fail e)
+  | ws -> Alcotest.failf "expected one witness, got %d" (List.length ws));
+  Alcotest.(check (list string)) "no temporary survives the campaign"
+    [ "corpus.jsonl"; "witness-11d375a62583849e.json" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
   rm_rf dir
 
 (* Hand-edited witness files (test/data) must come back as an [Error]
@@ -1424,6 +1656,10 @@ let () =
           Alcotest.test_case "rng_point replays a mid-campaign run" `Quick
             test_chaos_rng_point_replay;
           QCheck_alcotest.to_alcotest prop_plan_codec_roundtrip;
+          Alcotest.test_case "action parser: canonical 0..300" `Quick
+            test_action_parser_canonical;
+          QCheck_alcotest.to_alcotest prop_action_parser_matches_reference;
+          QCheck_alcotest.to_alcotest prop_corpus_line_matches_json_tree;
           Alcotest.test_case "pp_plan line breaking is pinned" `Quick
             test_pp_plan_golden;
           QCheck_alcotest.to_alcotest prop_net_matches_netref;
@@ -1442,6 +1678,10 @@ let () =
             `Quick test_fleet_witness_dedup_and_replay;
           Alcotest.test_case "parallel campaigns match sequential" `Quick
             test_chaos_jobs_invariant;
+          Alcotest.test_case "fleet dumps are scoped to their campaign"
+            `Quick test_fleet_dump_scoped_to_campaign;
+          Alcotest.test_case "witness temp leftovers are not classes" `Quick
+            test_fleet_witness_tmp_leftover;
           Alcotest.test_case "witness replay rejects hand edits" `Quick
             test_fleet_replay_rejects_hand_edits;
           Alcotest.test_case "corpus errors name the line" `Quick

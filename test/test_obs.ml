@@ -340,6 +340,75 @@ let test_recorder_ring () =
   Alcotest.(check int) "clear empties the rings" 0
     (List.length (Obs.Recorder.events ()))
 
+(* A mark scopes a dump to what every ring recorded after it: the main
+   ring, a worker ring that was already live, the graveyard a later pool
+   retires into, and — whole — a ring first created after the mark. A
+   dump without [since] still holds everything. *)
+let test_recorder_dump_since () =
+  Obs.Recorder.clear ();
+  let tick name = Obs.Span.instant ~cat:"app" name in
+  let pool name =
+    ignore (Sched.Par.run_units ~jobs:2 ~units:[| 0; 1; 2; 3 |] (fun _ -> tick name))
+  in
+  (* A domain whose ring predates the mark and records on both sides of
+     it; it is never retired, so its ring stays live. *)
+  let marked = Atomic.make false and recorded_pre = Atomic.make false in
+  let live =
+    Domain.spawn (fun () ->
+        tick "live-pre";
+        Atomic.set recorded_pre true;
+        while not (Atomic.get marked) do Domain.cpu_relax () done;
+        tick "live-post";
+        tick "live-post")
+  in
+  for _ = 1 to 5 do tick "pre" done;
+  pool "pool-pre";
+  while not (Atomic.get recorded_pre) do Domain.cpu_relax () done;
+  let m = Obs.Recorder.mark () in
+  Atomic.set marked true;
+  Domain.join live;
+  for _ = 1 to 3 do tick "post" done;
+  pool "pool-post";
+  Domain.join (Domain.spawn (fun () -> for _ = 1 to 4 do tick "late" done));
+  let counts evs =
+    List.sort_uniq compare (List.map (fun (_, (e : S.event)) -> e.S.name) evs)
+    |> List.map (fun name ->
+           ( name,
+             List.length
+               (List.filter (fun (_, (e : S.event)) -> e.S.name = name) evs) ))
+  in
+  let since = Obs.Recorder.events ~since:m () in
+  Alcotest.(check (list (pair string int)))
+    "since the mark: exactly the post-mark events of every ring"
+    [ ("late", 4); ("live-post", 2); ("pool-post", 4); ("post", 3) ]
+    (counts since);
+  Alcotest.(check (list (pair string int)))
+    "without since: every recorded event"
+    [
+      ("late", 4); ("live-post", 2); ("live-pre", 1); ("pool-post", 4);
+      ("pool-pre", 4); ("post", 3); ("pre", 5);
+    ]
+    (counts (Obs.Recorder.events ()));
+  let dump_lines since =
+    let dir = Filename.get_temp_dir_name () in
+    match Obs.Recorder.dump ~dir ?since ~reason:"since-test" () with
+    | None -> Alcotest.fail "dump returned no path"
+    | Some path ->
+        let lines = In_channel.with_open_text path In_channel.input_lines in
+        Sys.remove path;
+        lines
+  in
+  let render evs =
+    List.map
+      (fun (dom, e) -> J.to_string (J.Obj (("dom", J.Int dom) :: S.event_fields e)))
+      evs
+  in
+  Alcotest.(check (list string)) "dump ~since writes the post-mark events"
+    (render since) (dump_lines (Some m));
+  Alcotest.(check (list string)) "dump without since writes every event"
+    (render (Obs.Recorder.events ())) (dump_lines None);
+  Obs.Recorder.clear ()
+
 (* Worker-domain events surface on the main domain: each parallel unit's
    captured events replay after join in unit-index order, re-stamped by
    the main domain's clock — the trace is identical at any --jobs. *)
@@ -600,6 +669,8 @@ let () =
           Alcotest.test_case "event-roundtrip" `Quick
             test_event_json_roundtrip;
           Alcotest.test_case "recorder-ring" `Quick test_recorder_ring;
+          Alcotest.test_case "recorder-dump-since" `Quick
+            test_recorder_dump_since;
           Alcotest.test_case "worker-drain" `Quick test_worker_event_drain;
         ] );
       ( "trace",
