@@ -2,6 +2,28 @@
 
 open Cmdliner
 
+(* Write [contents] to [file] through [file.tmp] and a rename, so a kill
+   leaves the old file or the new one, never a truncated one. *)
+let write_file_atomic file contents =
+  let tmp = file ^ ".tmp" in
+  Out_channel.with_open_text tmp (fun oc -> output_string oc contents);
+  Sys.rename tmp file
+
+(* Load a --trace file (jsonl or catapult); unreadable or malformed input
+   exits 1 with a message naming the file. *)
+let read_trace file =
+  let text =
+    try In_channel.with_open_text file In_channel.input_all
+    with Sys_error e ->
+      Format.eprintf "cannot read trace: %s@." e;
+      exit 1
+  in
+  match Obs.Sink.events_of_string text with
+  | Ok events -> events
+  | Error m ->
+      Format.eprintf "invalid trace %s: %s@." file m;
+      exit 1
+
 (* ----- telemetry plumbing shared by the run/explore/chaos commands ----- *)
 
 type telemetry = {
@@ -103,9 +125,7 @@ let with_telemetry tel f =
         | None -> ()
         | Some "-" -> print_endline (Obs.Metrics.snapshot_string ())
         | Some file ->
-            Out_channel.with_open_text file (fun oc ->
-                output_string oc (Obs.Metrics.snapshot_string ());
-                output_char oc '\n')
+            write_file_atomic file (Obs.Metrics.snapshot_string () ^ "\n")
       end
   in
   at_exit teardown;
@@ -933,9 +953,7 @@ let explore_cmd =
     | Sched.Explore.Complete ->
         Format.printf "outcome: complete — every terminal state visited@."
     | Sched.Explore.Exhausted { frontier; reason } ->
-        Out_channel.with_open_text checkpoint (fun oc ->
-            Out_channel.output_string oc
-              (Sched.Budget.frontier_to_string frontier));
+        write_file_atomic checkpoint (Sched.Budget.frontier_to_string frontier);
         Format.printf
           "outcome: exhausted (%a); %d frontier path(s) -> %s@.resume with: \
            boundedreg explore -k %d --max-crashes %d --resume --checkpoint \
@@ -962,37 +980,10 @@ let trace_cmd =
       Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
     in
     let run file =
-      let text =
-        try In_channel.with_open_text file In_channel.input_all
-        with Sys_error e ->
-          Format.eprintf "cannot read trace: %s@." e;
-          exit 1
-      in
+      let events = read_trace file in
       let fail fmt = Format.kasprintf (fun m ->
           Format.eprintf "invalid trace %s: %s@." file m;
           exit 1) fmt
-      in
-      let event_of_json j =
-        match Obs.Sink.event_of_json j with
-        | Some e -> e
-        | None -> fail "object is not a trace event: %s" (Obs.Json.to_string j)
-      in
-      let trimmed = String.trim text in
-      let events =
-        if trimmed = "" then []
-        else if trimmed.[0] = '[' then
-          (* catapult: one JSON array of trace_event objects *)
-          match Obs.Json.of_string trimmed with
-          | Error e -> fail "unparseable catapult array (%s)" e
-          | Ok (Obs.Json.List items) -> List.map event_of_json items
-          | Ok _ -> fail "expected a top-level array"
-        else
-          String.split_on_char '\n' text
-          |> List.filter (fun l -> String.trim l <> "")
-          |> List.mapi (fun i line ->
-                 match Obs.Json.of_string line with
-                 | Error e -> fail "line %d unparseable (%s)" (i + 1) e
-                 | Ok j -> event_of_json j)
       in
       (* Every event must belong to a known subsystem category — a typo'd
          cat would otherwise slip through every downstream consumer
@@ -1096,39 +1087,7 @@ let report_cmd =
         Format.eprintf "cannot read %s: %s@." what e;
         exit 1
     in
-    let events =
-      match trace with
-      | None -> []
-      | Some file ->
-          let text = read_file "trace" file in
-          let fail fmt =
-            Format.kasprintf
-              (fun m ->
-                Format.eprintf "invalid trace %s: %s@." file m;
-                exit 1)
-              fmt
-          in
-          let event_of_json j =
-            match Obs.Sink.event_of_json j with
-            | Some e -> e
-            | None ->
-                fail "object is not a trace event: %s" (Obs.Json.to_string j)
-          in
-          let trimmed = String.trim text in
-          if trimmed = "" then []
-          else if trimmed.[0] = '[' then
-            match Obs.Json.of_string trimmed with
-            | Error e -> fail "unparseable catapult array (%s)" e
-            | Ok (Obs.Json.List items) -> List.map event_of_json items
-            | Ok _ -> fail "expected a top-level array"
-          else
-            String.split_on_char '\n' text
-            |> List.filter (fun l -> String.trim l <> "")
-            |> List.mapi (fun i line ->
-                   match Obs.Json.of_string line with
-                   | Error e -> fail "line %d unparseable (%s)" (i + 1) e
-                   | Ok j -> event_of_json j)
-    in
+    let events = match trace with None -> [] | Some file -> read_trace file in
     let parse_json what file =
       match Obs.Json.of_string (read_file what file) with
       | Ok j -> j
@@ -1145,9 +1104,7 @@ let report_cmd =
     in
     match out with
     | "-" -> print_string rendered
-    | file ->
-        Out_channel.with_open_text file (fun oc ->
-            Out_channel.output_string oc rendered)
+    | file -> write_file_atomic file rendered
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(

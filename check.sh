@@ -89,6 +89,29 @@ dune exec bin/boundedreg.exe -- report ci-smoke.trace.jsonl \
   --metrics ci-metrics.json --html -o ci-report.html
 grep -q "boundedreg health report" ci-report.md
 
+# Checkpoint smoke: a node-capped exploration writes its frontier, and
+# chained --resume runs finish it. The checkpoint (like --metrics and
+# report -o) is written to FILE.tmp and renamed into place, so no .tmp
+# may survive a run.
+echo "== checkpoint smoke"
+ckpt_dir=$(mktemp -d)
+dune exec bin/boundedreg.exe -- explore -k 3 --max-nodes 400 \
+  --checkpoint "$ckpt_dir/ckpt" | grep -q '^outcome: exhausted'
+resumes=0
+until dune exec bin/boundedreg.exe -- explore -k 3 --max-nodes 400 \
+  --resume --checkpoint "$ckpt_dir/ckpt" | grep -q '^outcome: complete'; do
+  resumes=$((resumes + 1))
+  if [ "$resumes" -ge 50 ]; then
+    echo "check.sh: checkpoint resume did not complete in 50 runs" >&2
+    exit 1
+  fi
+done
+if ls "$ckpt_dir"/*.tmp ./*.tmp 2>/dev/null | grep -q .; then
+  echo "check.sh: a .tmp file survived a checkpoint/report/metrics write" >&2
+  exit 1
+fi
+rm -rf "$ckpt_dir"
+
 if [ "$QUICK" = 1 ]; then
   # Supervised smoke: the whole experiment registry under a tight
   # per-experiment budget. Experiments degrade to sampled coverage
@@ -247,4 +270,4 @@ rm -f flight-nonlinearizable.jsonl
 echo "check.sh: OK"
 
 # Size report: every change states its lib/ line delta against this.
-echo "lib/ .ml+.mli lines: $(find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"
+echo "lib/: $(cat lib/*/*.ml lib/*/*.mli | wc -l) lines"

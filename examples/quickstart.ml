@@ -41,8 +41,8 @@ let () =
   (* All decision pairs reachable with inputs (0, 1): the chromatic path. *)
   Printf.printf "\nDecision pairs over all executions with inputs (0, 1):\n";
   let pairs = ref [] in
-  let (_ : Sched.Explore.outcome) =
-    Sched.Explore.interleavings
+  let (_ : Sched.Explore.result) =
+    Sched.Explore.explore
       ~init:(fun () ->
         Scheduler.start
           ~memory:(algorithm.H.memory ())

@@ -26,7 +26,6 @@ let div a b =
   if b.num = 0 then raise Division_by_zero;
   make (a.num * b.den) (a.den * b.num)
 
-let neg a = { a with num = -a.num }
 let abs a = { a with num = Stdlib.abs a.num }
 let compare a b = Stdlib.compare (a.num * b.den) (b.num * a.den)
 let equal a b = compare a b = 0

@@ -26,7 +26,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero if the divisor is zero. *)
 
-val neg : t -> t
 val abs : t -> t
 
 val compare : t -> t -> int

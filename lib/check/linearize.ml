@@ -30,21 +30,6 @@ let pp_verdict pp_v ppf = function
 let completed e = e.res <> None
 let is_read e = match e.op with Read _ -> true | Write _ -> false
 
-(* [e] may be linearized next iff no other remaining completed operation
-   finished before [e] was invoked. Pending operations never constrain
-   others (their response is in the open future). *)
-let minimal used evs i =
-  let e = evs.(i) in
-  let blocked = ref false in
-  Array.iteri
-    (fun j e' ->
-      if (not !blocked) && j <> i && not used.(j) then
-        match e'.res with
-        | Some r when r < e.inv -> blocked := true
-        | Some _ | None -> ())
-    evs;
-  not !blocked
-
 (* Decide one register's history. Pending reads were dropped by the caller;
    pending writes are optional. Greedy rule: a minimal completed read that
    returns the current value can always be linearized immediately — reads
@@ -57,8 +42,7 @@ let minimal used evs i =
    undo pops a trail of taken indices instead of copying the [used] array,
    and the write backtracking runs on an explicit frame stack. Candidate
    enumeration order is untouched, so witnesses — and hence every digest
-   built over verdicts — are byte-identical to the recursive search;
-   [check_naive] below stays as the differential oracle. *)
+   built over verdicts — are byte-identical to the recursive search. *)
 let check_reg ~pp ~init ~equal evs =
   let nn = Array.length evs in
   if nn = 0 then Ok []
@@ -252,37 +236,3 @@ let check ?(pp = default_pp) ~init ~equal events =
         | Error reason -> Nonlinearizable { reg; reason })
   in
   per_reg [] (group_by_reg events)
-
-(* The oracle: plain Wing–Gong, branching over every minimal candidate. *)
-let check_naive ~init ~equal events =
-  let one_reg (reg, evs) =
-    let evs =
-      Array.of_list
-        (List.filter (fun e -> completed e || not (is_read e)) evs)
-    in
-    let nn = Array.length evs in
-    let used = Array.make nn false in
-    let rec go value remaining =
-      if remaining = 0 then true
-      else begin
-        let ok = ref false in
-        for i = 0 to nn - 1 do
-          if (not !ok) && (not used.(i)) && minimal used evs i then begin
-            let attempt value' =
-              used.(i) <- true;
-              if go value' (if completed evs.(i) then remaining - 1 else remaining)
-              then ok := true
-              else used.(i) <- false
-            in
-            match evs.(i).op with
-            | Read v -> if equal v value then attempt value
-            | Write v -> attempt v
-          end
-        done;
-        !ok
-      end
-    in
-    go (init reg)
-      (Array.fold_left (fun k e -> if completed e then k + 1 else k) 0 evs)
-  in
-  List.for_all one_reg (group_by_reg events)

@@ -18,8 +18,9 @@
     matches the current value can always be taken greedily without losing
     completeness; backtracking is only ever over writes. Histories with [w]
     writes therefore cost O(w! · len) worst case but are near-linear in
-    practice — campaigns use a handful of writes. {!check_naive} is the
-    unoptimised full backtracking search, kept as the differential oracle.
+    practice — campaigns use a handful of writes. The differential tests
+    compare it with plain Wing–Gong backtracking, which lives in the
+    test-only oracle library ([test/oracle]).
 
     Incomplete operations (crashed or starved mid-flight, [res = None]) may
     or may not have taken effect: pending writes are linearized optionally,
@@ -58,9 +59,3 @@ val check :
     the register's value before any write; [pp] is only used to render the
     [reason] of a failure. Event order in the input list is irrelevant —
     only the [inv]/[res] stamps matter. *)
-
-val check_naive :
-  init:(int -> 'v) -> equal:('v -> 'v -> bool) -> 'v event list -> bool
-(** Reference oracle: exhaustive backtracking over every minimal candidate
-    (no greedy reads). Exponential — differential tests on small histories
-    only. *)

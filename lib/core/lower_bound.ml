@@ -128,8 +128,8 @@ let witness proto =
       ~programs:(fun pid -> proto.program ~me:pid ~input:pid)
       ()
   in
-  let (_ : Sched.Explore.outcome) =
-    Sched.Explore.interleavings ~max_steps:1_000_000 ~init (fun state ->
+  let (_ : Sched.Explore.result) =
+    Sched.Explore.explore ~max_steps:1_000_000 ~init (fun state ->
       let y0, y1 =
         match
           ((Scheduler.decisions state).(0), (Scheduler.decisions state).(1))

@@ -36,18 +36,6 @@ let rec depth = function
       in
       deepest + 1
 
-let inputs_seen view =
-  let rec collect acc = function
-    | Input { pid; value } ->
-        if List.mem_assoc pid acc then acc else (pid, value) :: acc
-    | Observed { seen; _ } ->
-        Array.fold_left
-          (fun acc entry ->
-            match entry with None -> acc | Some v -> collect acc v)
-          acc seen
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) (collect [] view)
-
 let protocol ~rounds ~me ~input ~decide =
   let rec go r view =
     if r > rounds then Proto.Decide (decide view)

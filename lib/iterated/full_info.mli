@@ -19,10 +19,6 @@ val pp : (Format.formatter -> 'i -> unit) -> Format.formatter -> 'i view -> unit
 val depth : 'i view -> int
 (** Number of rounds baked into the view (0 for [Input]). *)
 
-val inputs_seen : 'i view -> (int * 'i) list
-(** All (pid, input) pairs transitively visible in the view, deduplicated by
-    pid, ascending. *)
-
 val protocol :
   rounds:int -> me:int -> input:'i -> decide:('i view -> 'a) ->
   ('i view, 'a) Proto.t

@@ -21,8 +21,8 @@
     Compiled programs carry per-run mutable state (router, ABD,
     alternating-bit channels) and are marked {!Sched.Program.Stateful}:
     each runs forward once, in constant compiled size. A second start of
-    the same code, and {!Sched.Explore}, [Scheduler.copy],
-    [Scheduler.enable_journal] and [Scheduler.raw_dfs] over it, raise
+    the same code, and {!Sched.Explore}, [Scheduler.enable_journal]
+    and [Scheduler.raw_dfs] over it, raise
     [Invalid_argument]; build a fresh program per run. *)
 
 type register = {

@@ -30,7 +30,6 @@ let dec s =
 type 'v codec = { to_string : 'v -> string; of_string : string -> 'v }
 
 let int_codec = { to_string = string_of_int; of_string = int_of_string }
-let string_codec = { to_string = (fun s -> s); of_string = (fun s -> s) }
 
 let pair_codec a b =
   {

@@ -11,7 +11,6 @@ val dec : string -> string list
 type 'v codec = { to_string : 'v -> string; of_string : string -> 'v }
 
 val int_codec : int codec
-val string_codec : string codec
 val pair_codec : 'a codec -> 'b codec -> ('a * 'b) codec
 val list_codec : 'a codec -> 'a list codec
 val rational_codec : Bits.Rational.t codec

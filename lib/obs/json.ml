@@ -75,7 +75,6 @@ let to_str = function Str s -> Some s | _ -> None
 let to_list = function List vs -> Some vs | _ -> None
 let member_int key j = Option.bind (member key j) to_int
 let member_str key j = Option.bind (member key j) to_str
-let member_list key j = Option.bind (member key j) to_list
 
 (* {2 Parsing} *)
 

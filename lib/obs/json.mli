@@ -29,7 +29,6 @@ val to_list : t -> t list option
 
 val member_int : string -> t -> int option
 val member_str : string -> t -> string option
-val member_list : string -> t -> t list option
 (** [member] composed with the matching projection — the accessors the
     corpus and witness readers (fleet, trace summary) are built from. *)
 

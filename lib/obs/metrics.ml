@@ -139,7 +139,6 @@ let add c n = ignore (Atomic.fetch_and_add (shard c.cells) n)
 let counter_value c =
   Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
 
-let counter_name c = c.c_name
 let set g v = Atomic.set g.value v
 
 (* Lock-free high-watermark: retry the CAS only while our candidate is
@@ -253,20 +252,6 @@ let snapshot () =
     ]
 
 let snapshot_string () = Json.to_string (snapshot ())
-
-let pp_snapshot ppf () =
-  let section title fields =
-    if fields <> [] then begin
-      Format.fprintf ppf "%s:@." title;
-      List.iter
-        (fun (name, v) ->
-          Format.fprintf ppf "  %-36s %s@." name (Json.to_string v))
-        fields
-    end
-  in
-  section "counters" (sorted_fields `Counters);
-  section "gauges" (sorted_fields `Gauges);
-  section "histograms" (sorted_fields `Histograms)
 
 (* Interval arithmetic over two snapshot JSONs: what happened {e
    between} them. Counters and histogram counts/sums/buckets subtract;

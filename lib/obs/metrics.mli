@@ -42,7 +42,6 @@ val counter : string -> counter
 val inc : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val gauge : string -> gauge
 val set : gauge -> int -> unit
@@ -85,7 +84,6 @@ val snapshot : unit -> Json.t
     the per-bucket counts. *)
 
 val snapshot_string : unit -> string
-val pp_snapshot : Format.formatter -> unit -> unit
 
 val delta : before:Json.t -> after:Json.t -> Json.t
 (** Interval difference of two {!snapshot} values: counters and

@@ -15,7 +15,7 @@
      observability black holes: each unit's events are captured where
      they happen and drained on the main domain, in unit-index order,
      after the pool joins.
-   - [Mute]: events are dropped ({!muted} / {!quiesce}) — internal
+   - [Mute]: events are dropped ({!muted}) — internal
      segments of a larger run whose telemetry the driver reports as a
      whole. *)
 
@@ -33,12 +33,6 @@ type event = {
 type t = { emit : event -> unit; flush : unit -> unit }
 
 let nil = { emit = ignore; flush = ignore }
-
-let tee sinks =
-  {
-    emit = (fun e -> List.iter (fun s -> s.emit e) sinks);
-    flush = (fun () -> List.iter (fun s -> s.flush ()) sinks);
-  }
 
 (* {2 The global sink and the per-domain mode} *)
 
@@ -98,11 +92,6 @@ let captured f =
   (r, events ())
 
 let muted f = with_mode Mute nil f
-
-(* Historical name for [muted]: silences the calling domain for the
-   duration of [f]. Kept because "quiesce" is what the parallel drivers
-   have called this since PR 5. *)
-let quiesce f = muted f
 
 let set s =
   current := s;
@@ -174,6 +163,38 @@ let event_of_json j =
                 | _ -> []);
             })
   | _ -> None
+
+(* A trace file is either JSONL (one event object per non-blank line) or
+   a catapult array. Errors keep the wording [trace summary] and [report]
+   print after "invalid trace FILE: "; jsonl line numbers count non-blank
+   lines. *)
+let events_of_string text =
+  let event j =
+    match event_of_json j with
+    | Some e -> Ok e
+    | None -> Error ("object is not a trace event: " ^ Json.to_string j)
+  in
+  let rec all acc = function
+    | [] -> Ok (List.rev acc)
+    | Ok e :: rest -> all (e :: acc) rest
+    | Error m :: _ -> Error m
+  in
+  let trimmed = String.trim text in
+  if trimmed = "" then Ok []
+  else if trimmed.[0] = '[' then
+    match Json.of_string trimmed with
+    | Error e -> Error (Printf.sprintf "unparseable catapult array (%s)" e)
+    | Ok (Json.List items) -> all [] (List.map event items)
+    | Ok _ -> Error "expected a top-level array"
+  else
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.mapi (fun i line ->
+           match Json.of_string line with
+           | Error e ->
+               Error (Printf.sprintf "line %d unparseable (%s)" (i + 1) e)
+           | Ok j -> event j)
+    |> all []
 
 (* {2 Writers}
 

@@ -29,8 +29,6 @@ type t = { emit : event -> unit; flush : unit -> unit }
 val nil : t
 (** Drops everything. The installed default. *)
 
-val tee : t list -> t
-
 (** {2 The global sink} *)
 
 val enabled : unit -> bool
@@ -55,11 +53,6 @@ val muted : (unit -> 'a) -> 'a
 (** Run [f] with the calling domain's emissions dropped, restoring the
     previous mode afterwards even on exceptions. For internal segments
     of a larger run whose telemetry the driver reports as a whole. *)
-
-val quiesce : (unit -> 'a) -> 'a
-(** Historical alias of {!muted}. Note it now silences only the {e
-    calling} domain, not the global sink — other domains (in particular
-    the main one) keep tracing. *)
 
 val active : bool ref
 (** [true] iff a sink other than {!nil} is installed, as a bare ref for
@@ -96,6 +89,13 @@ val event_json : event -> Json.t
 val event_of_json : Json.t -> event option
 (** Inverse of {!event_json}; [None] when [name]/[ph] are missing.
     Unknown fields (e.g. a flight dump's [dom]) are ignored. *)
+
+val events_of_string : string -> (event list, string) result
+(** Parse a whole trace file, JSONL or catapult (chosen by a leading
+    [[]). The first bad line or object is the [Error]: [line N
+    unparseable (…)] (N counts non-blank lines), [object is not a trace
+    event: …], [unparseable catapult array (…)] or [expected a top-level
+    array]. Never raises. *)
 
 val kind_to_string : kind -> string
 

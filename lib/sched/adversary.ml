@@ -38,13 +38,5 @@ let lockstep view =
       if view.steps_of pid < view.steps_of best then pid else best)
     (List.hd view.running) (List.tl view.running)
 
-let balanced = lockstep
-
 let solo_then ~first view =
   if List.mem first view.running then first else lockstep view
-
-let starve ~victim ~budget view =
-  let others = List.filter (fun pid -> pid <> victim) view.running in
-  if view.step < budget && others <> [] then
-    lockstep { view with running = others }
-  else lockstep view

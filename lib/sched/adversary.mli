@@ -33,11 +33,3 @@ val lockstep : t
 val solo_then : first:int -> t
 (** Run [first] until it halts, then fall back to {!lockstep} for the rest
     — the paper's "solo execution followed by late arrivals" pattern. *)
-
-val starve : victim:int -> budget:int -> t
-(** Schedule everyone but [victim] in lockstep for [budget] steps, then
-    include the victim — maximal staleness without crashing it. *)
-
-val balanced : t
-(** Synonym for {!lockstep} (least-advanced-first is what strict
-    alternation degenerates to under ties). *)

@@ -125,20 +125,6 @@ type frontier = choice list list
 
 let frontier_size = List.length
 
-let pp_choice ppf = function
-  | Step p -> Format.fprintf ppf "s%d" p
-  | Crash p -> Format.fprintf ppf "c%d" p
-
-let pp_frontier ppf f =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list (fun ppf path ->
-         Format.fprintf ppf "@[<hov>%a@]"
-           (Format.pp_print_list
-              ~pp_sep:(fun ppf () -> Format.pp_print_space ppf ())
-              pp_choice)
-           path))
-    f
-
 (* The empty path (a budget that tripped at the root: the whole tree is
    the frontier) gets an explicit token, so it survives the round trip
    instead of reading back as a blank line. *)

@@ -111,8 +111,6 @@ type frontier = choice list list
 
 val frontier_size : frontier -> int
 
-val pp_frontier : Format.formatter -> frontier -> unit
-
 val frontier_to_string : frontier -> string
 (** One path per line, tokens [s<pid>] (step) and [c<pid>] (crash)
     separated by spaces; the empty path (whole tree) is the line [.].

@@ -1,10 +1,9 @@
 (* The exploration engine. Three independent mechanisms stack on top of a
    depth-first walk over one shared, journaled scheduler state:
 
-   - undo-based backtracking: instead of [Scheduler.copy] at every branch
-     (memory copy + five array copies), a branch is [step]; recurse;
-     [undo_to] — the journal is a flat arena, so a branch allocates
-     nothing at all in raw mode.
+   - undo-based backtracking: instead of copying the state at every
+     branch, a branch is [step]; recurse; [undo_to] — the journal is a
+     flat arena, so a branch allocates nothing at all in raw mode.
 
    - state deduplication: the canonical name of a state is the per-process
      observation history (which ops ran, and what every read returned).
@@ -116,13 +115,6 @@ type outcome =
 and exhausted = { frontier : Budget.frontier; reason : Budget.stop_reason }
 
 type result = { stats : stats; outcome : outcome }
-
-let pp_outcome ppf = function
-  | Complete -> Format.pp_print_string ppf "complete"
-  | Exhausted { frontier; reason } ->
-      Format.fprintf ppf "exhausted (%a, %d frontier paths)"
-        Budget.pp_stop_reason reason
-        (Budget.frontier_size frontier)
 
 let popcount m =
   let c = ref 0 and m = ref m in
@@ -506,83 +498,3 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ());
   { stats; outcome }
-
-(* {2 The naive reference walker} *)
-
-let interleavings_naive ?(max_steps = 10_000) ?(on_truncated = fun _ -> ())
-    ~init visit =
-  let rec go state depth =
-    match Scheduler.running state with
-    | [] -> visit state
-    | procs ->
-        if depth >= max_steps then on_truncated state
-        else
-          List.iter
-            (fun pid ->
-              let fork = Scheduler.copy state in
-              Scheduler.step fork pid;
-              go fork (depth + 1))
-            procs
-  in
-  go (init ()) 0
-
-let interleavings_with_crashes_naive ?(max_steps = 10_000)
-    ?(on_truncated = fun _ -> ()) ~max_crashes ~init visit =
-  let rec go state depth crashes crash_floor =
-    match Scheduler.running state with
-    | [] -> visit state
-    | procs ->
-        if depth >= max_steps then on_truncated state
-        else begin
-          List.iter
-            (fun pid ->
-              let fork = Scheduler.copy state in
-              Scheduler.step fork pid;
-              go fork (depth + 1) crashes 0)
-            procs;
-          (* Crashes between two steps commute; enumerating only the
-             increasing-pid order visits each crash set once. *)
-          if crashes < max_crashes then
-            List.iter
-              (fun pid ->
-                if pid >= crash_floor then begin
-                  let fork = Scheduler.copy state in
-                  Scheduler.crash fork pid;
-                  go fork depth (crashes + 1) (pid + 1)
-                end)
-              procs
-        end
-  in
-  go (init ()) 0 0 0
-
-(* {2 Compatibility wrappers} *)
-
-let interleavings ?max_steps ?budget ?on_truncated ~init visit =
-  (explore ?max_steps ?budget ?on_truncated ~init visit).outcome
-
-let interleavings_with_crashes ?max_steps ?budget ?on_truncated ~max_crashes
-    ~init visit =
-  (explore ?max_steps ~max_crashes ?budget ?on_truncated ~init visit).outcome
-
-exception Found
-
-let find ?max_steps ?budget ~init pred =
-  let result = ref None in
-  let outcome = ref Complete in
-  (try
-     let r =
-       explore ?max_steps ?budget ~init (fun state ->
-           if pred state then begin
-             result := Some state;
-             raise Found
-           end)
-     in
-     outcome := r.outcome
-   with Found -> ());
-  (!result, !outcome)
-
-let count ?max_steps ?budget ~init () =
-  let r =
-    explore ?max_steps ?budget ~dedup:false ~por:false ~init (fun _ -> ())
-  in
-  (r.stats.terminals, r.outcome)

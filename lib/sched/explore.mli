@@ -10,10 +10,11 @@
     reduction). Together these preserve the set of reachable {e final}
     states — every distinct terminal state is still visited exactly once —
     while the number of explored nodes collapses from the full
-    [C(2L, L) ~ 4^L] interleaving tree. {!interleavings_naive} is the
-    original copy-per-branch walker, kept as the reference oracle for
-    differential tests. See DESIGN.md "Exploration engine" for the
-    soundness argument. *)
+    [C(2L, L) ~ 4^L] interleaving tree. {!explore} is the one entry
+    point; the reference walker the differential tests compare it with
+    (one visit per schedule, forking by replay) lives in the test-only
+    oracle library ([test/oracle]). See DESIGN.md "Exploration engine"
+    for the soundness argument. *)
 
 type stats = {
   nodes : int;  (** DFS nodes expanded (including terminals) *)
@@ -54,9 +55,6 @@ and exhausted = {
 
 type result = { stats : stats; outcome : outcome }
 
-val pp_outcome : Format.formatter -> outcome -> unit
-(** [complete], or [exhausted (node-cap, 17 frontier paths)]. *)
-
 val explore :
   ?max_steps:int ->
   ?max_crashes:int ->
@@ -78,7 +76,7 @@ val explore :
     matters, not its order. [dedup] (default true) keys a visited set on the
     per-process observation histories; [por] (default true) enables
     sleep-set commutativity pruning. With both off the engine expands
-    exactly the naive walker's tree (one terminal visit per schedule).
+    exactly the full schedule tree (one terminal visit per schedule).
     Paths exceeding [max_steps] (default 10_000) memory steps are abandoned
     after calling [on_truncated] (default: nothing) — the guard against
     non-wait-free protocols.
@@ -103,67 +101,3 @@ val explore :
     anything ({!Scheduler.decisions}, {!Scheduler.trace}, memory contents,
     step counts — all reflect exactly the current path) but must not step,
     crash, or undo it, and must not retain it after returning. *)
-
-val interleavings :
-  ?max_steps:int ->
-  ?budget:Budget.t ->
-  ?on_truncated:(('v, 'i, 'a) Scheduler.state -> unit) ->
-  init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
-  (('v, 'i, 'a) Scheduler.state -> unit) ->
-  outcome
-(** [explore] with no crashes and the default reductions: the visitor runs
-    once per distinct reachable final state, and the outcome says whether
-    the enumeration was complete. Callers that need one visit per schedule
-    (counting, probability weighting) use {!interleavings_naive} or
-    [explore ~dedup:false ~por:false]. *)
-
-val interleavings_with_crashes :
-  ?max_steps:int ->
-  ?budget:Budget.t ->
-  ?on_truncated:(('v, 'i, 'a) Scheduler.state -> unit) ->
-  max_crashes:int ->
-  init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
-  (('v, 'i, 'a) Scheduler.state -> unit) ->
-  outcome
-(** [explore ~max_crashes] keeping only the outcome. *)
-
-val interleavings_naive :
-  ?max_steps:int ->
-  ?on_truncated:(('v, 'i, 'a) Scheduler.state -> unit) ->
-  init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
-  (('v, 'i, 'a) Scheduler.state -> unit) ->
-  unit
-(** The original engine: fork the full state ({!Scheduler.copy}) at every
-    branch, visit once per maximal schedule, no reductions. Kept as the
-    reference oracle — the differential property tests assert the optimized
-    engine reaches exactly the same terminal states. *)
-
-val interleavings_with_crashes_naive :
-  ?max_steps:int ->
-  ?on_truncated:(('v, 'i, 'a) Scheduler.state -> unit) ->
-  max_crashes:int ->
-  init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
-  (('v, 'i, 'a) Scheduler.state -> unit) ->
-  unit
-(** Copy-per-branch walker with crash branching (canonical increasing-pid
-    crash order, so each crash set is enumerated once per position). *)
-
-val find :
-  ?max_steps:int ->
-  ?budget:Budget.t ->
-  init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
-  (('v, 'i, 'a) Scheduler.state -> bool) ->
-  ('v, 'i, 'a) Scheduler.state option * outcome
-(** First complete crash-free execution satisfying the predicate. [None]
-    paired with [Complete] means no such execution exists; [None] with
-    [Exhausted _] means the budget tripped before the search could say. *)
-
-val count :
-  ?max_steps:int ->
-  ?budget:Budget.t ->
-  init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
-  unit ->
-  int * outcome
-(** Number of complete crash-free interleavings — schedules, not distinct
-    states, so this runs with [dedup] and [por] off. The count is exact
-    only when the outcome is [Complete]. *)

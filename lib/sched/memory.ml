@@ -115,9 +115,6 @@ let write_input t ~pid v =
 let read_input t j = t.inputs.(j)
 let contents t = Array.copy t.regs
 
-let copy t =
-  { t with regs = Array.copy t.regs; inputs = Array.copy t.inputs }
-
 let reads_performed t = t.reads
 let writes_performed t = t.writes
 let max_bits_written t = t.max_bits

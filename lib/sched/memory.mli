@@ -41,9 +41,6 @@ val contents : ('v, 'i) t -> 'v array
     concatenating the register contents" of the Section 4 pigeonhole
     argument, compared structurally. *)
 
-val copy : ('v, 'i) t -> ('v, 'i) t
-(** Deep copy; used by the exhaustive scheduler to branch. *)
-
 val reads_performed : ('v, 'i) t -> int
 val writes_performed : ('v, 'i) t -> int
 

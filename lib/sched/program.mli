@@ -29,10 +29,10 @@ type ('v, 'i, 'a) t =
           halting are distinct events in the model); costs no memory step *)
   | Stateful of ('v, 'i, 'a) t
       (** [p] breaks the purity contract: its continuations mutate state
-          outside the monad, so replaying, forking or backtracking it is
+          outside the monad, so replaying or backtracking it is
           meaningless. Compiled without a memo (see {!Compiled}); the
           scheduler runs such code forward exactly once and rejects
-          journaling, forking and the fused exploration over it. Only
+          journaling and the fused exploration over it. Only
           meaningful at a program's root; a [Stateful] below the root of a
           pure program is rejected when lowering reaches it. *)
 
@@ -88,10 +88,6 @@ end
 module Compiled : sig
   type ('v, 'i, 'a) code
 
-  val of_program : ('v, 'i, 'a) t -> ('v, 'i, 'a) code
-  (** Lower a program; only the root slot is materialized, the rest
-      compiles on first execution. *)
-
   val root : int
   (** The entry program counter of every compiled program. *)
 
@@ -140,4 +136,5 @@ module Compiled : sig
 end
 
 val compile : ('v, 'i, 'a) t -> ('v, 'i, 'a) Compiled.code
-(** Alias for {!Compiled.of_program}. *)
+(** Lower a program; only the root slot is materialized, the rest
+    compiles on first execution. *)

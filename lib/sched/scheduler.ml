@@ -9,7 +9,7 @@ module C = Program.Compiled
    compiles the free-monad programs it is given; [start_compiled] reuses
    code compiled earlier (single-domain reuse only — compiled code
    memoizes in place). Stateful code is claimed by the one run it may
-   take part in, and the journal, [copy] and [raw_dfs] refuse it.
+   take part in, and the journal and [raw_dfs] refuse it.
 
    The undo journal is a flat column arena rather than a list of entry
    records: one slot per {!step}/{!crash} spread over parallel arrays
@@ -281,8 +281,8 @@ let crash t pid =
 
 type journal_mark = int
 
-(* Stateful code runs forward once: undo, forks and the fused walk
-   would all re-enter positions whose continuations have moved on. *)
+(* Stateful code runs forward once: undo and the fused walk would both
+   re-enter positions whose continuations have moved on. *)
 let forward_only t what =
   if Array.exists C.stateful t.code then
     invalid_arg (Printf.sprintf "Scheduler.%s: stateful program" what)
@@ -614,13 +614,6 @@ let output t pid =
 
 let decisions t = Array.init (n t) (output t)
 
-let decided_values t =
-  let acc = ref [] in
-  for pid = n t - 1 downto 0 do
-    match output t pid with Some v -> acc := v :: !acc | None -> ()
-  done;
-  !acc
-
 (* Every non-crashed process has announced a decision (via [Return] or
    [Output]). *)
 let all_output t =
@@ -640,30 +633,6 @@ let crashed t =
 let steps_taken t = t.total_steps
 let steps_of t pid = t.step_counts.(pid)
 let trace t = List.rev t.events
-
-let copy t =
-  forward_only t "copy";
-  {
-    t with
-    mem = Memory.copy t.mem;
-    (* Compiled code is shared, not copied: it is an append-only memo of
-       the programs themselves, identical for every fork, and sharing it
-       lets forks reuse positions the original already compiled. (Like
-       the original, a copy must stay within one domain.) *)
-    pcs = Array.copy t.pcs;
-    status = Array.copy t.status;
-    out_pcs = Array.copy t.out_pcs;
-    step_counts = Array.copy t.step_counts;
-    (* The copy cannot rewind past its creation point, and sharing the
-       journal arena would corrupt it on divergent pushes. *)
-    j_kind = [||];
-    j_pid = [||];
-    j_pc = [||];
-    j_bits = [||];
-    j_val = [||];
-    j_events = [||];
-    j_len = 0;
-  }
 
 let run_schedule t pids =
   List.iter (fun pid -> if t.status.(pid) = s_running then step t pid) pids

@@ -148,22 +148,11 @@ val decisions : ('v, 'i, 'a) state -> 'a option array
 (** Announced decisions ([Return] or [Output]); [None] for processes that
     have not decided (crashed or still working). *)
 
-val decided_values : ('v, 'i, 'a) state -> 'a list
 val crashed : ('v, 'i, 'a) state -> int list
 val steps_taken : ('v, 'i, 'a) state -> int
 val steps_of : ('v, 'i, 'a) state -> int -> int
 val trace : ('v, 'i, 'a) state -> 'v Trace.event list
 (** Oldest first; empty unless [record_trace] was set. *)
-
-val copy : ('v, 'i, 'a) state -> ('v, 'i, 'a) state
-(** Independent copy (memory deep-copied). Programs must be pure between
-    steps — all per-process state in the continuation — for the copy to be a
-    true fork; every protocol in this repository is, except the Theorem 1.3
-    pipeline, which says so with {!Program.Stateful}. The copy shares the
-    original's compiled code (an append-only memo, identical for every
-    fork), so both must stay within one domain. The copy starts with an
-    empty undo journal: it cannot be rewound past the copy point.
-    @raise Invalid_argument when a process runs {!Program.Stateful} code. *)
 
 (** {1 Drivers} *)
 

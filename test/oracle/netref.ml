@@ -1,9 +1,10 @@
 (* The persistent reference network: the pre-arena implementation of
-   [Net], retained verbatim (minus telemetry) as a differential oracle.
-   Queues are [Queue.t]s, membership is three bool arrays — slow and
-   allocation-happy, but the semantics are the ones every published seed
-   was recorded against. The QCheck differential in test_msgpass drives
-   this and the arena [Net] with identical action sequences (including
+   [Msgpass.Net], kept as a differential oracle. Queues are [Queue.t]s,
+   membership is three bool arrays — slow and allocation-happy, but the
+   semantics are the ones every published seed was recorded against. It
+   ticks no metric counters and emits no trace instants, so driving it
+   alongside [Net] perturbs nothing observable. The QCheck differential in
+   test_msgpass drives both with identical action sequences (including
    churn) and requires identical observations at every step. *)
 
 type 'm node = {
@@ -24,7 +25,7 @@ type 'm t = {
 }
 
 let hop_bucket hops =
-  let bounds = Net.hop_bounds in
+  let bounds = Msgpass.Net.hop_bounds in
   let rec go i =
     if i >= Array.length bounds || hops <= bounds.(i) then i else go (i + 1)
   in
@@ -56,8 +57,6 @@ let create ?(present = fun _ -> true) ~n ~nodes () =
     if t.present.(pid) then enqueue t ~src:pid (t.nodes.(pid).on_start ())
   done;
   t
-
-let n t = t.size
 
 let deliverable t =
   let acc = ref [] in
@@ -93,13 +92,6 @@ let deliver t ~src ~dst =
     enqueue t ~src:dst (t.nodes.(dst).on_message ~from:src m);
     true
   end
-
-let deliver_random rng t =
-  match deliverable t with
-  | [] -> false
-  | channels ->
-      let src, dst = Bits.Rng.pick rng channels in
-      deliver t ~src ~dst
 
 let drop t ~src ~dst =
   check_channel t ~src ~dst;
@@ -161,10 +153,3 @@ let departed t =
 let quiescent t = deliverable t = []
 let deliveries t = t.delivered
 let hop_mask t = t.hop_mask
-
-let run_random ~rng ?(max_events = 1_000_000) ?(until = fun () -> false) t =
-  let rec loop budget =
-    if budget > 0 && (not (until ())) && deliver_random rng t then
-      loop (budget - 1)
-  in
-  loop max_events

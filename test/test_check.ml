@@ -130,7 +130,7 @@ let prop_check_vs_naive =
     (QCheck.make gen_history)
     (fun evs ->
       is_lin (check evs)
-      = L.check_naive ~init:(fun _ -> 0) ~equal:Int.equal evs)
+      = Oracle.Wing_gong.check ~init:(fun _ -> 0) ~equal:Int.equal evs)
 
 (* Differential at scale: the iterative fast path must also agree with the
    exhaustive oracle on real recorded histories — sound runs with crash
@@ -148,7 +148,8 @@ let prop_fast_vs_naive_chaos =
         (fun config ->
           let o = C.run_random ~seed config in
           is_lin o.C.verdict
-          = L.check_naive ~init:(fun _ -> 0) ~equal:Int.equal o.C.history)
+          = Oracle.Wing_gong.check ~init:(fun _ -> 0) ~equal:Int.equal
+              o.C.history)
         [ C.sound (); C.frontier (); C.churn (); C.churn_frontier () ])
 
 let test_ddmin () =

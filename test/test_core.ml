@@ -327,8 +327,8 @@ let test_ring_sim_exhaustive () =
           ()
       in
       let distinct = ref [] in
-      let (_ : Sched.Explore.outcome) =
-        Sched.Explore.interleavings ~max_steps:100_000 ~init (fun st ->
+      let (_ : Sched.Explore.result) =
+        Sched.Explore.explore ~max_steps:100_000 ~init (fun st ->
           match
             ( (Sched.Scheduler.decisions st).(0),
               (Sched.Scheduler.decisions st).(1) )

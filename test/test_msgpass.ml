@@ -863,7 +863,7 @@ let test_pp_plan_golden () =
 (* ----- pooled Net vs the Netref oracle ----- *)
 
 (* The arena-backed Net must stay observationally identical to the
-   retained Queue-backed Netref under any scripted fault sequence, churn
+   Queue-backed Netref (test/oracle) under any scripted fault sequence, churn
    included. Both networks run the same bounded gossip protocol and log
    every handler invocation; after every plan action the two must agree
    on the action's effect, the delivery log, the deliverable set, the
@@ -872,7 +872,7 @@ let test_pp_plan_golden () =
    absent so random Enter actions are effective. *)
 let prop_net_matches_netref =
   let module N = Msgpass.Net in
-  let module R = Msgpass.Netref in
+  let module R = Oracle.Netref in
   let module F = Msgpass.Faults in
   let n = 10 in
   let fanout = 3 * n in

@@ -480,6 +480,55 @@ let test_event_json_roundtrip () =
   | Some e' -> Alcotest.(check bool) "event roundtrip" true (e = e')
   | None -> Alcotest.fail "event_of_json rejected its own output"
 
+(* The one trace-file reader behind [trace summary] and [report]: both
+   encodings and flight dumps parse back to the events written, and each
+   malformed input is an [Error] carrying the CLI's message, not an
+   exception. *)
+let test_events_of_string () =
+  let ev kind name ts =
+    { S.kind; name; cat = "app"; track = 1; ts; args = [ ("x", J.Int ts) ] }
+  in
+  let evs = [ ev S.Begin "run" 1; ev S.Instant "tick" 2; ev S.End "run" 3 ] in
+  let render sink =
+    let b = Buffer.create 256 in
+    S.with_sink (sink (Buffer.add_string b)) (fun () -> List.iter S.emit evs);
+    Buffer.contents b
+  in
+  let parsed what text =
+    match S.events_of_string text with
+    | Ok got -> got
+    | Error m -> Alcotest.failf "%s rejected: %s" what m
+  in
+  let rejected what text =
+    match S.events_of_string text with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error m -> m
+  in
+  Alcotest.(check bool) "jsonl" true (parsed "jsonl" (render S.jsonl) = evs);
+  Alcotest.(check bool) "catapult" true
+    (parsed "catapult" (render S.catapult) = evs);
+  let dump =
+    String.concat "\n"
+      (List.map
+         (fun e -> J.to_string (J.Obj (("dom", J.Int 0) :: S.event_fields e)))
+         evs)
+  in
+  Alcotest.(check bool) "flight dump (dom ignored)" true
+    (parsed "flight dump" dump = evs);
+  Alcotest.(check int) "empty string" 0 (List.length (parsed "empty" ""));
+  let good = J.to_string (S.event_json (List.hd evs)) in
+  let m =
+    rejected "bad line 3" (String.concat "\n" [ good; good; "{\"name\":" ])
+  in
+  Alcotest.(check bool) ("names line 3: " ^ m) true
+    (String.starts_with ~prefix:"line 3 unparseable (" m);
+  Alcotest.(check string) "non-event object"
+    "object is not a trace event: {\"ph\":\"i\"}"
+    (rejected "non-event" "{\"ph\":\"i\"}");
+  let m = rejected "torn catapult" "[{\"name\":\"run\"" in
+  Alcotest.(check bool) ("torn catapult: " ^ m) true
+    (String.starts_with ~prefix:"unparseable catapult array (" m)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end traces                                                   *)
 
@@ -668,6 +717,7 @@ let () =
             test_span_closes_on_exception;
           Alcotest.test_case "event-roundtrip" `Quick
             test_event_json_roundtrip;
+          Alcotest.test_case "events-of-string" `Quick test_events_of_string;
           Alcotest.test_case "recorder-ring" `Quick test_recorder_ring;
           Alcotest.test_case "recorder-dump-since" `Quick
             test_recorder_dump_since;

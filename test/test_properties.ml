@@ -196,12 +196,12 @@ let prop_explore_count =
           ()
       in
       let rec fact n = if n = 0 then 1 else n * fact (n - 1) in
-      fst (Sched.Explore.count ~init ()) = fact (a + b) / (fact a * fact b))
+      Oracle.Walk.count ~init = fact (a + b) / (fact a * fact b))
 
 (* Differential oracle for the exploration engine: on random small programs
    (reads feed into decisions, so observation order matters), the journaled
-   engine with reductions off walks the same tree as the copy-per-branch
-   naive walker, and with dedup+POR on it reaches exactly the same set of
+   engine with reductions off walks the same tree as the replaying
+   reference walker, and with dedup+POR on it reaches exactly the same set of
    terminal states, each visited once. *)
 let explore_gen =
   QCheck.Gen.(
@@ -258,12 +258,8 @@ let prop_explore_differential =
           Sched.Scheduler.crashed st )
       in
       let naive = ref [] in
-      (if max_crashes = 0 then
-         Sched.Explore.interleavings_naive ~init (fun st ->
-             naive := signature st :: !naive)
-       else
-         Sched.Explore.interleavings_with_crashes_naive ~max_crashes ~init
-           (fun st -> naive := signature st :: !naive));
+      Oracle.Walk.interleavings ~max_crashes ~init (fun st ->
+          naive := signature st :: !naive);
       let raw = ref [] in
       let raw_stats =
         (Sched.Explore.explore ~max_crashes ~dedup:false ~por:false ~init
@@ -331,11 +327,11 @@ let prop_par_raw_equals_seq =
 
 (* Free-monad oracle: an interpreter over the [Program.t] constructors
    themselves — no [Scheduler], no compiled code, no journal — enumerating
-   schedules exactly like the naive walker (steps in pid order, crashes
+   schedules exactly like [Oracle.Walk] (steps in pid order, crashes
    with an increasing-pid floor). The engine lowers programs into flat
    step arrays and walks them with in-frame undo; this oracle pins that
    compiled execution to the paper-level semantics of the monad. *)
-module Oracle = struct
+module Monad_oracle = struct
   type ('v, 'i, 'a) proc =
     | Susp of ('v, 'i, 'a) Sched.Program.t  (* head is a memory op *)
     | Halted
@@ -476,9 +472,9 @@ let prop_compiled_equals_free_monad =
           Sched.Scheduler.crashed st )
       in
       let oracle = ref [] in
-      Oracle.interleavings ~max_crashes ~n ~init:0
+      Monad_oracle.interleavings ~max_crashes ~n ~init:0
         (fun pid -> build progs.(pid))
-        (fun st -> oracle := Oracle.signature st :: !oracle);
+        (fun st -> oracle := Monad_oracle.signature st :: !oracle);
       let engine = ref [] in
       let stats =
         (Sched.Explore.explore ~max_crashes ~dedup:false ~por:false ~init

@@ -37,13 +37,6 @@ let test_memory_inputs_write_once () =
     (Invalid_argument "Memory.write_input: input register is write-once")
     (fun () -> M.write_input m ~pid:0 "y")
 
-let test_memory_copy_independent () =
-  let m = make_memory () in
-  M.write m ~pid:0 1;
-  let m' = M.copy m in
-  M.write m' ~pid:0 2;
-  Alcotest.(check int) "original unchanged" 1 (M.read m 0)
-
 (* A tiny ping protocol: write own pid + 1, read the other register. *)
 let ping ~me : (int, string, int) P.t =
   let* () = P.write (me + 1) in
@@ -133,30 +126,30 @@ let test_explore_counts () =
       Alcotest.(check int)
         (Printf.sprintf "C(%d+%d,%d) interleavings" a b a)
         (choose a b)
-        (fst (Sched.Explore.count ~init ())))
+        (Oracle.Walk.count ~init))
     [ (1, 1); (2, 2); (3, 2); (4, 4) ]
 
 let test_explore_find () =
   let init () = start () in
   (* Find an execution where p1 saw p0's write. *)
   let found, _ =
-    Sched.Explore.find ~init (fun s ->
+    Oracle.Walk.exists ~init (fun s ->
         match (S.decisions s).(1) with Some 1 -> true | _ -> false)
   in
-  Alcotest.(check bool) "found" true (found <> None);
-  let not_found, complete =
-    Sched.Explore.find ~init (fun s ->
+  Alcotest.(check bool) "found" true found;
+  let found, complete =
+    Oracle.Walk.exists ~init (fun s ->
         match (S.decisions s).(1) with Some 7 -> true | _ -> false)
   in
-  Alcotest.(check bool) "absent outcome not found" true (not_found = None);
+  Alcotest.(check bool) "absent outcome not found" false found;
   Alcotest.(check bool) "absence is conclusive (complete search)" true
     (complete = Sched.Explore.Complete)
 
 let test_explore_crashes_include_solo () =
   (* With 1 crash allowed, solo executions of both processes appear. *)
   let solo_outcomes = ref [] in
-  let (_ : Sched.Explore.outcome) =
-    Sched.Explore.interleavings_with_crashes ~max_crashes:1
+  let (_ : Sched.Explore.result) =
+    Sched.Explore.explore ~max_crashes:1
       ~init:(fun () -> start ())
       (fun s ->
         match (S.decisions s).(0), (S.decisions s).(1) with
@@ -260,7 +253,7 @@ let terminal_signature s =
 let test_explore_reductions_5x () =
   let init = writers_3x4_init in
   let naive = ref [] in
-  Sched.Explore.interleavings_naive ~init (fun s ->
+  Oracle.Walk.interleavings ~init (fun s ->
       naive := terminal_signature s :: !naive);
   Alcotest.(check int) "naive schedule count: 12!/(4!)^3" 34650
     (List.length !naive);
@@ -318,7 +311,7 @@ let test_explore_canonical_crash_order () =
     (List.length (List.sort_uniq compare !states));
   (* And the naive crash walker agrees with the raw engine. *)
   let naive = ref 0 in
-  Sched.Explore.interleavings_with_crashes_naive ~max_crashes:2 ~init
+  Oracle.Walk.interleavings ~max_crashes:2 ~init
     (fun _ -> incr naive);
   Alcotest.(check int) "naive crash walker canonical too" 7 !naive
 
@@ -466,7 +459,7 @@ let collect_fold s acc = terminal_signature s :: acc
 let test_par_differential_sets () =
   let init = writers_3x4_init in
   let naive = ref [] in
-  Sched.Explore.interleavings_naive ~init (fun s ->
+  Oracle.Walk.interleavings ~init (fun s ->
       naive := terminal_signature s :: !naive);
   let seq = ref [] in
   ignore
@@ -490,7 +483,7 @@ let test_par_differential_crashes () =
      walker, branchy enough to split across units. *)
   let init = writers_init ~n:3 ~len:2 in
   let naive = ref [] in
-  Sched.Explore.interleavings_with_crashes_naive ~max_crashes:1 ~init
+  Oracle.Walk.interleavings ~max_crashes:1 ~init
     (fun s -> naive := terminal_signature s :: !naive);
   let seq = ref [] in
   ignore
@@ -890,9 +883,8 @@ let test_stateful_code_constant_size () =
     (S.decisions s);
   Alcotest.(check int) "output + two scratch + return" 4 (P.Compiled.length ret)
 
-(* Stateful code runs forward once: restarting it, forking it,
-   journaling it or walking it must fail loudly, not replay moved-on
-   continuations. *)
+(* Stateful code runs forward once: restarting it, journaling it or
+   walking it must fail loudly, not replay moved-on continuations. *)
 let test_stateful_rejections () =
   let memory () = make_memory ~n:1 () in
   let code = P.compile (stateful_counter ()) in
@@ -900,7 +892,6 @@ let test_stateful_rejections () =
   S.run_round_robin ~max_steps:10 s;
   raises_invalid_arg "second start" (fun () ->
       S.start_compiled ~memory:(memory ()) ~programs:(fun _ -> code) ());
-  raises_invalid_arg "copy" (fun () -> S.copy s);
   raises_invalid_arg "enable_journal" (fun () -> S.enable_journal s);
   raises_invalid_arg "raw_dfs" (fun () ->
       S.raw_dfs s ~depth:0 ~max_depth:4
@@ -911,8 +902,6 @@ let test_stateful_rejections () =
   in
   raises_invalid_arg "explore" (fun () ->
       Sched.Explore.explore ~max_steps:4 ~init (fun _ -> ()));
-  raises_invalid_arg "naive walker" (fun () ->
-      Sched.Explore.interleavings_naive ~max_steps:4 ~init (fun _ -> ()));
   raises_invalid_arg "Stateful below a pure root" (fun () ->
       let s =
         S.start ~memory:(memory ())
@@ -936,8 +925,6 @@ let () =
           Alcotest.test_case "budget enforced" `Quick test_memory_budget;
           Alcotest.test_case "inputs write-once" `Quick
             test_memory_inputs_write_once;
-          Alcotest.test_case "copy independent" `Quick
-            test_memory_copy_independent;
         ] );
       ( "scheduler",
         [
