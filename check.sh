@@ -179,8 +179,9 @@ diff "$tmp_seq" "$tmp_par"
 # class was rediscovered.
 echo "== fleet smoke"
 fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d) && fleet_churn=$(mktemp -d)
-fleet_bad=$(mktemp -d)
-trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_bad"' EXIT
+fleet_bad=$(mktemp -d) && fleet_torn=$(mktemp -d)
+fleet_ref=$(mktemp -d) && fleet_kill=$(mktemp -d)
+trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_bad" "$fleet_torn" "$fleet_ref" "$fleet_kill"' EXIT
 rm -f flight-nonlinearizable.jsonl
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
   --corpus "$fleet_j1" --jobs 1 --expect witness > "$tmp_seq"
@@ -231,6 +232,55 @@ if [ "$status" != 1 ] || ! grep -q 'corpus.jsonl:1:' "$tmp_par"; then
   cat "$tmp_par" >&2
   exit 1
 fi
+# A torn last line (a kill mid-append) is loaded around with exactly one
+# warning and cut off before the resume's first append, so the corpus
+# the resume leaves opens again without a warning.
+head -c -100 "$fleet_j1/corpus.jsonl" > "$fleet_torn/corpus.jsonl"
+dune exec bin/boundedreg.exe -- fleet --frontier --generations 1 \
+  --corpus "$fleet_torn" > /dev/null 2> "$tmp_par"
+if [ "$(grep -c 'torn final line' "$tmp_par")" != 1 ]; then
+  echo "check.sh: resume over a torn corpus did not warn once; stderr:" >&2
+  cat "$tmp_par" >&2
+  exit 1
+fi
+dune exec bin/boundedreg.exe -- fleet --frontier --generations 0 \
+  --corpus "$fleet_torn" > /dev/null 2> "$tmp_par"
+if grep -q 'torn final line' "$tmp_par"; then
+  echo "check.sh: the resume did not cut the torn line off" >&2
+  exit 1
+fi
+# SIGKILL mid-campaign: every line is flushed whole, so the complete
+# lines of a killed fleet's corpus are a byte prefix of an uninterrupted
+# run of the same seed, and a resume over the killed corpus succeeds.
+# The binary runs directly so that the kill reaches the fleet itself
+# (the shell then reports the job as "Killed").
+exe=_build/default/bin/boundedreg.exe
+"$exe" fleet --frontier --generations 400 --seed 9 --corpus "$fleet_ref" \
+  > /dev/null
+"$exe" fleet --frontier --generations 400 --seed 9 --corpus "$fleet_kill" \
+  > /dev/null &
+fleet_pid=$!
+until [ "$(cat "$fleet_kill/corpus.jsonl" 2>/dev/null | wc -c)" -ge 1000000 ]
+do
+  kill -0 "$fleet_pid" 2>/dev/null || break
+  sleep 0.01
+done
+kill -9 "$fleet_pid" 2>/dev/null || true
+status=0
+wait "$fleet_pid" || status=$?
+if [ "$status" != 137 ]; then
+  echo "check.sh: the fleet finished (exit $status) before the kill" >&2
+  exit 1
+fi
+kept=$(wc -l < "$fleet_kill/corpus.jsonl")
+head -n "$kept" "$fleet_kill/corpus.jsonl" > "$tmp_seq"
+if ! head -c "$(wc -c < "$tmp_seq")" "$fleet_ref/corpus.jsonl" \
+  | cmp -s - "$tmp_seq"; then
+  echo "check.sh: a killed fleet's $kept whole lines are not a prefix" >&2
+  exit 1
+fi
+"$exe" fleet --frontier --generations 1 --corpus "$fleet_kill" > /dev/null
+rm -f flight-nonlinearizable.jsonl
 # Cache-effectiveness smoke: a second fleet resumed over the (fixed-seed,
 # hence byte-deterministic) corpus re-executes every corpus plan once to
 # seed coverage and the content-addressed run cache, so mutants that

@@ -96,13 +96,18 @@ let deliveries plan =
    strings (one corpus line). Parsing accepts any whitespace where the
    pretty-printer may break a line. *)
 
-(* The fast path's scanners, top-level so that they allocate nothing. *)
-let rec index_gt s i =
-  if i >= String.length s || s.[i] = '>' then i else index_gt s (i + 1)
+(* Scanners of the printer's own form, top-level so that they allocate
+   nothing; [action_of_string] and [scan_compiled_json] share them. *)
+let rec index_of c s i j =
+  if i >= j || s.[i] = c then i else index_of c s (i + 1) j
 
-let rec keyword_kind s k =
-  if k > k_leave || String.starts_with ~prefix:keywords.(k) s then k
-  else keyword_kind s (k + 1)
+let rec has_prefix s i p k =
+  k = String.length p
+  || (i + k < String.length s && s.[i + k] = p.[k] && has_prefix s i p (k + 1))
+
+let rec keyword_kind s i k =
+  if k > k_leave || has_prefix s i keywords.(k) 0 then k
+  else keyword_kind s i (k + 1)
 
 (* [s.[i..j)] as a decimal below 260, or -1; [acc] starts at -1. *)
 let rec decimal s i j acc =
@@ -111,16 +116,21 @@ let rec decimal s i j acc =
     decimal s (i + 1) j ((max acc 0 * 10) + Char.code s.[i] - 48)
   else -1
 
+(* The opcode of [s.[i..j)] in the printer's form, operands up to 255;
+   -1 for any other spelling. *)
+let scan_action s i j =
+  let k = keyword_kind s i 0 in
+  let i = if k > k_leave then j else i + String.length keywords.(k) in
+  let g = if k < k_crash then index_of '>' s i j else j in
+  let a = decimal s i g (-1) in
+  let b = if k < k_crash then decimal s (g + 1) j (-1) else 0 in
+  if a >= 0 && a < 256 && b >= 0 && b < 256 then encode k a b else -1
+
 let action_of_string s =
-  (* Fast path: the printer's own form, operands up to 255, read in place.
-     Anything else (padding, signs, radix prefixes) takes the general path. *)
-  let k = keyword_kind s 0 and len = String.length s in
-  let i = if k > k_leave then len else String.length keywords.(k) in
-  let j = if k < k_crash then index_gt s i else len in
-  let a = decimal s i j (-1) in
-  let b = if k < k_crash then decimal s (j + 1) len (-1) else 0 in
-  if a >= 0 && a < 256 && b >= 0 && b < 256 then
-    Ok (action_of_code (encode k a b))
+  (* Anything but the printer's form (padding, signs, radix prefixes)
+     takes the general path, which alone decides errors. *)
+  let c = scan_action s 0 (String.length s) in
+  if c >= 0 then Ok (action_of_code c)
   else
     let s = String.trim s in
     let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
@@ -202,6 +212,27 @@ let add_compiled_json buf c =
       Buffer.add_char buf '"')
     c;
   Buffer.add_string buf (if Array.length c = 0 then "[]" else "]")
+
+let scan_compiled_json ~n s i j =
+  (* An element and its separator take at least 10 bytes. *)
+  let codes = Array.make (((j - i) / 10) + 1) 0 and len = ref 0 in
+  let rec elements p =
+    (p + 1 = j && s.[p] = ']' && !len = 0)
+    || p < j && s.[p] = '"' && !len < Array.length codes
+    &&
+    let q = index_of '"' s (p + 1) j in
+    let c = if q + 1 < j then scan_action s (p + 1) q else -1 in
+    c >= 0 && code_a c < n && code_b c < n
+    && begin
+         codes.(!len) <- c;
+         incr len;
+         if s.[q + 1] = ',' then elements (q + 2)
+         else s.[q + 1] = ']' && q + 2 = j
+       end
+  in
+  if i < j && s.[i] = '[' && elements (i + 1) then
+    Some (Array.sub codes 0 !len)
+  else None
 
 (* Why [a] cannot run in a universe of [n] slots, if it cannot. *)
 let operand_error ~n =

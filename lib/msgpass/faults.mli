@@ -36,11 +36,10 @@ type action =
 
 type plan = action list
 
-val pp_action : Format.formatter -> action -> unit
-(** Prints {!action_to_string} as one token: {!pp_plan} breaks lines
-    only at its "; " separators. *)
-
 val pp_plan : Format.formatter -> plan -> unit
+(** Each action as one {!action_to_string} token: lines break only at
+    the "; " separators. *)
+
 val deliveries : plan -> int
 (** Number of [Deliver] actions — the size metric for shrunk plans. *)
 
@@ -54,7 +53,7 @@ val deliveries : plan -> int
 val action_to_string : action -> string
 (** [deliver 0>2], [drop 0>2], [dup 0>2], [defer 0>2], [crash 3],
     [enter 3], [leave 3] — the fault-plan grammar quoted in
-    EXPERIMENTS.md. The single printer of that grammar: {!pp_action},
+    EXPERIMENTS.md. The single printer of that grammar:
     {!pp_plan}, {!plan_to_json} and {!add_compiled_json} go through it. *)
 
 val action_of_string : string -> (action, string) result
@@ -97,6 +96,11 @@ val decompile : compiled -> plan
 
 val add_compiled_json : Buffer.t -> compiled -> unit
 (** Appends the text of [plan_to_json (decompile c)], building neither. *)
+
+val scan_compiled_json : n:int -> string -> int -> int -> compiled option
+(** [s.[i..j)] when it is exactly text {!add_compiled_json} prints, every
+    operand below [n], read in one pass by {!action_of_string}'s scanner;
+    [None] leaves any other text to {!plan_of_json} and {!check}. *)
 
 val compiled_length : compiled -> int
 
@@ -165,12 +169,6 @@ val compiled_plan : 'm t -> compiled
     replayable record, one array copy; what the chaos layer stores in
     each outcome. *)
 
-val step_random : Bits.Rng.t -> profile -> 'm t -> bool
-(** One randomized event: fire due schedule entries ([enter_at], then
-    [leave_at], then [crash_at]), pick a deliverable channel (skipping
-    frozen ones unless all are frozen), roll the fault dice, apply.
-    [false] when the network is quiescent. *)
-
 val run_random :
   rng:Bits.Rng.t ->
   profile:profile ->
@@ -178,8 +176,11 @@ val run_random :
   ?until:(unit -> bool) ->
   'm t ->
   unit
-(** Drive {!step_random} until quiescence, [until ()], or [max_events]
-    (default 100_000). *)
+(** Randomized events until quiescence, [until ()], or [max_events]
+    (default 100_000). Each one fires the due schedule entries
+    ([enter_at], then [leave_at], then [crash_at]), picks a deliverable
+    channel (skipping frozen ones unless all are frozen), rolls the
+    fault dice and applies the outcome. *)
 
 val replay_compiled : 'm t -> compiled -> unit
 (** Execute a plan action by action, recording the effective ones. An

@@ -227,30 +227,77 @@ let entry_of_json j =
 
 let corpus_file dir = Filename.concat dir "corpus.jsonl"
 
-(* Parse [<dir>/corpus.jsonl], oldest first, passing every entry through
-   [decode]. Errors number lines as on disk, blank ones included. *)
-let read_corpus dir decode =
-  let file = corpus_file dir in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
-    | line :: rest -> (
-        let ( let* ) = Result.bind in
-        match
-          let* j = Obs.Json.of_string line in
-          let* e = entry_of_json j in
-          decode e
-        with
-        | Ok e -> go (lineno + 1) (e :: acc) rest
-        | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e))
-  in
-  if not (Sys.file_exists file) then Ok []
-  else
-    go 1 []
-      (String.split_on_char '\n'
-         (In_channel.with_open_text file In_channel.input_all))
+(* [text] as the contents of [file], through a renamed [file.tmp]: a kill
+   leaves a stray temporary, never a torn file. *)
+let write_atomic file text =
+  Out_channel.with_open_bin (file ^ ".tmp") (fun oc -> output_string oc text);
+  Sys.rename (file ^ ".tmp") file
 
-let load_corpus dir = read_corpus dir Result.ok
+let rec end_of s p j stop =
+  if p < j && not (stop s.[p]) then end_of s (p + 1) j stop else p
+
+let skip lit s p j =
+  let e = p + String.length lit in
+  if p >= 0 && e <= j && String.sub s p (e - p) = lit then e else -1
+
+(* [fast id origin plan] when [s.[i..j)] is exactly a line [corpus_line]
+   prints, its origin free of escapes and its operands below [n]. *)
+let scan_line ~n s i j fast =
+  let a = skip "{\"id\":" s i j in
+  let b = if a < 0 then a else end_of s a j (fun c -> c < '0' || c > '9') in
+  let c = if b <= a || b - a > 18 then -1 else skip ",\"origin\":\"" s b j in
+  let d = if c < 0 then c else end_of s c j (fun c -> c = '"' || c = '\\') in
+  let e = if c < 0 then c else skip "\",\"plan\":" s d j in
+  if e < 0 || s.[j - 1] <> '}' then None
+  else
+    Option.map
+      (fast (int_of_string (String.sub s a (b - a))) (String.sub s c (d - c)))
+      (Faults.scan_compiled_json ~n s e (j - 1))
+
+let m_torn = Obs.Metrics.counter "fleet.corpus_torn_lines"
+
+(* [<dir>/corpus.jsonl], oldest first: lines [scan_line] cannot take go
+   through [Obs.Json] and [general], which decide all errors (numbered by
+   line on disk). An unterminated last line that is not JSON is torn and
+   dropped. Also returns the text the file must hold before the next
+   append, if its tail is torn or lacks a newline. *)
+let read_corpus ~n dir ~fast ~general =
+  let file = corpus_file dir in
+  let s =
+    if Sys.file_exists file then
+      In_channel.with_open_bin file In_channel.input_all
+    else ""
+  in
+  let len = String.length s in
+  let rec go lineno i acc =
+    if i >= len then
+      let ended = s = "" || s.[len - 1] = '\n' in
+      Ok (List.rev acc, if ended then None else Some (s ^ "\n"))
+    else
+      let j = Option.value ~default:len (String.index_from_opt s i '\n') in
+      match scan_line ~n s i j fast with
+      | Some e -> go (lineno + 1) (j + 1) (e :: acc)
+      | None -> (
+          let line = String.sub s i (j - i) in
+          match Obs.Json.of_string line with
+          | _ when String.trim line = "" -> go (lineno + 1) (j + 1) acc
+          | Error e when j = len ->
+              Obs.Metrics.inc m_torn;
+              Printf.eprintf
+                "fleet: warning: %s:%d: torn final line ignored (%s)\n%!" file
+                lineno e;
+              Ok (List.rev acc, Some (String.sub s 0 i))
+          | json -> (
+              match Result.bind (Result.bind json entry_of_json) general with
+              | Ok e -> go (lineno + 1) (j + 1) (e :: acc)
+              | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e)))
+  in
+  go 1 0 []
+
+let load_corpus dir =
+  Result.map fst
+    (read_corpus ~n:256 dir ~general:Result.ok ~fast:(fun id origin c ->
+         { id; origin; plan = Faults.decompile c }))
 
 (* Oldest first, newest at [size - 1] — matching the JSONL on disk. A
    growable array, not a list: generation planning picks parents by
@@ -265,44 +312,54 @@ type corpus = {
   mutable size : int;
   mutable next_id : int;
   mutable added : int;  (** entries appended by this campaign *)
+  oc : out_channel Lazy.t;  (** the campaign's append channel *)
+  line : Buffer.t;
 }
 
 exception Corpus_error of string
 
-let dummy_entry = { cid = -1; corigin = ""; cplan = Faults.compile ~n:0 [] }
-
 (* A hand-edited operand outside the campaign's [n] slots fails here,
    positioned like a parse error, rather than in a later replay. *)
 let corpus_open ~n dir =
-  match dir with
-  | None -> { dir; arr = [||]; size = 0; next_id = 0; added = 0 }
-  | Some d -> (
-      if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-      let compile e =
-        Result.map
-          (fun () ->
-            { cid = e.id; corigin = e.origin; cplan = Faults.compile ~n e.plan })
-          (Faults.check ~n e.plan)
-      in
-      match read_corpus d compile with
-      | Error e -> raise (Corpus_error e)
-      | Ok loaded ->
-          let arr = Array.of_list loaded in
-          {
-            dir;
-            arr;
-            size = Array.length arr;
-            next_id = Array.fold_left (fun m e -> max m (e.cid + 1)) 0 arr;
-            added = 0;
-          })
+  let loaded, repair =
+    match dir with
+    | None -> ([], None)
+    | Some d -> (
+        if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+        let general e =
+          Result.map
+            (fun () ->
+              { cid = e.id; corigin = e.origin; cplan = Faults.compile ~n e.plan })
+            (Faults.check ~n e.plan)
+        in
+        let fast cid corigin cplan = { cid; corigin; cplan } in
+        match read_corpus ~n d ~fast ~general with
+        | Error e -> raise (Corpus_error e)
+        | Ok r -> r)
+  in
+  let arr = Array.of_list loaded in
+  (* The first append opens the channel, once the file ends with its
+     last good line. *)
+  let open_channel file =
+    Option.iter (write_atomic file) repair;
+    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 file
+  in
+  {
+    dir;
+    arr;
+    size = Array.length arr;
+    next_id = Array.fold_left (fun m e -> max m (e.cid + 1)) 0 arr;
+    added = 0;
+    oc = lazy (open_channel (corpus_file (Option.get dir)));
+    line = Buffer.create 1024;
+  }
 
+(* One [flush] per line: a kill loses at most the line being written. *)
 let corpus_add corpus ~origin cplan =
   let e = { cid = corpus.next_id; corigin = origin; cplan } in
   corpus.next_id <- corpus.next_id + 1;
   if corpus.size = Array.length corpus.arr then begin
-    let grown =
-      Array.make (max 64 (2 * Array.length corpus.arr)) dummy_entry
-    in
+    let grown = Array.make (max 64 (2 * Array.length corpus.arr)) e in
     Array.blit corpus.arr 0 grown 0 corpus.size;
     corpus.arr <- grown
   end;
@@ -310,15 +367,14 @@ let corpus_add corpus ~origin cplan =
   corpus.size <- corpus.size + 1;
   corpus.added <- corpus.added + 1;
   Obs.Metrics.set g_corpus corpus.size;
-  match corpus.dir with
-  | None -> ()
-  | Some d ->
-      let line = Buffer.create 1024 in
-      corpus_line line ~id:e.cid ~origin cplan;
-      Buffer.add_char line '\n';
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (corpus_file d) in
-      Buffer.output_buffer oc line;
-      close_out oc
+  if corpus.dir <> None then begin
+    let oc = Lazy.force corpus.oc in
+    Buffer.clear corpus.line;
+    corpus_line corpus.line ~id:e.cid ~origin cplan;
+    Buffer.add_char corpus.line '\n';
+    Buffer.output_buffer oc corpus.line;
+    flush oc
+  end
 
 (* Max of two uniform draws: biased toward the newest entries, where the
    coverage frontier is. *)
@@ -616,6 +672,9 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     | None, None -> Some 10
   in
   let corpus = corpus_open ~n:chaos.Chaos.n corpus_dir in
+  Fun.protect ~finally:(fun () ->
+      if Lazy.is_val corpus.oc then close_out_noerr (Lazy.force corpus.oc))
+  @@ fun () ->
   Obs.Metrics.set g_corpus corpus.size;
   (* The campaign's run cache. Probes and fills happen only on the
      calling domain — before dispatch for batch jobs, inline for triage
@@ -692,15 +751,8 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
   let leaves0 = Obs.Metrics.counter_value c_leaves in
   let health = Obs.Progress.create ~cat:"fleet" "fleet.health" in
   let write_witness w =
-    match w.file with
-    | None -> ()
-    | Some f ->
-        (* A kill leaves a stray [.json.tmp], never a torn witness. *)
-        Out_channel.with_open_text (f ^ ".tmp") (fun oc ->
-            output_string oc
-              (Obs.Json.to_string (witness_to_json ~seed ~config:chaos w));
-            output_char oc '\n');
-        Sys.rename (f ^ ".tmp") f
+    let text () = Obs.Json.to_string (witness_to_json ~seed ~config:chaos w) in
+    Option.iter (fun f -> write_atomic f (text () ^ "\n")) w.file
   in
   (* Violations are pre-classed by the *original* verdict: digit
      scrubbing makes the class a template of the failure shape, so a

@@ -10,13 +10,13 @@
     {!Sched.Par} domain pool), and folds the outcomes in batch-index
     order:
 
-    - every run is condensed to a {!signature} of observable signals
+    - every run is condensed to a signature of observable signals
       (terminal-state Zobrist hash of the recorded history, the network's
       hop-latency bucket mask, the verdict class, the event-depth
       bucket); a run that moves any signal is {e interesting} and its
       executed plan joins the corpus, to be mutated in later generations;
     - every NONLINEARIZABLE run is ddmin-shrunk ({!Chaos.shrink}),
-      deduplicated by the {!class_key} of its shrunk plan, and — first
+      deduplicated by the class of its shrunk plan, and — first
       time only — recorded as a {!witness} (replayed once more for its
       stored deliveries/events/terminal hash) and published to the corpus
       directory as [witness-<class>.json].
@@ -29,39 +29,12 @@
     campaign — corpus ids continue, and witness classes already published
     stay deduplicated across invocations. *)
 
-(** {1 Coverage signatures} *)
-
-type signature = {
-  terminal_hash : int;
-      (** order-sensitive {!Sched.Zobrist.combine} fold over the recorded
-          history's events — the run's terminal-state name *)
-  hop_mask : int;  (** {!Net.hop_mask}: hop-latency buckets occupied *)
-  verdict_class : int;  (** 0 linearizable, 1 nonlinearizable *)
-  depth_bucket : int;  (** power-of-two bucket of fault events executed *)
-}
-
-val signature_of : Chaos.outcome -> signature
-
 (** {1 Plans} *)
 
 val mutate : Bits.Rng.t -> n:int -> ?churn:bool -> Faults.plan -> Faults.plan
 (** {!Faults.mutate} over the list form: compile for [n], mutate,
     decompile — the same child a campaign draws from the same stream.
     @raise Invalid_argument on an operand outside [[0, n)]. *)
-
-val plan_key : Faults.plan -> int
-(** The exact identity of a (shrunk) plan: a {!Sched.Zobrist} sequence
-    hash of its actions with pids renamed in order of first appearance,
-    so two plans differing only in which symmetric process they exercise
-    share a key. *)
-
-val violation_class : reg:int -> reason:string -> int
-(** The dedup key of a violation: which register failed plus the shape
-    of the checker's explanation (digit runs — pids, timestamps, values —
-    scrubbed). ddmin from different failing runs converges on different
-    1-minimal plans of the same underlying violation; classing by failure
-    shape is what makes a fleet report the frontier's stale-read class
-    exactly once. *)
 
 (** {1 Corpus} *)
 
@@ -74,7 +47,9 @@ val load_corpus : string -> (entry list, string) result
 (** Parse [<dir>/corpus.jsonl], oldest first. [Ok []] when the file does
     not exist; [Error] reads [<file>:<line>: <problem>], the problem
     carrying the column for a JSON syntax error (the corpus is
-    human-editable, so failures are loud, not skipped). *)
+    human-editable, so failures are loud, not skipped) — except a torn
+    append: an unterminated last line that is not JSON is left out,
+    counted in [fleet.corpus_torn_lines] and named on stderr. *)
 
 exception Corpus_error of string
 (** Raised by {!campaign} when its corpus directory does not load. The
@@ -86,7 +61,7 @@ exception Corpus_error of string
 (** {1 Witnesses} *)
 
 type witness = {
-  class_key : int;  (** {!violation_class} of the shrunk replay's verdict *)
+  class_key : int;  (** the shrunk replay's register and scrubbed reason *)
   origin : string;  (** the job that first found the class *)
   found_gen : int;
   reg : int;
@@ -185,12 +160,13 @@ val campaign :
     calling domain in batch order, so the report, corpus and witnesses
     are byte-identical at any width. [corpus_dir] persists the corpus
     ([corpus.jsonl]) and witnesses; omitted, the campaign is in-memory.
+    Appends share one channel, opened by the first append (after cutting
+    off a torn last line or ending an unterminated one), flushed per line
+    so a kill loses at most one line, and closed when the campaign ends.
     The first violating run's flight dump holds this campaign's events.
 
     @raise Corpus_error when [corpus_dir] holds a corpus that fails to
     parse or names a slot outside the configuration's [n]. *)
-
-val pp_witness : Format.formatter -> witness -> unit
 
 val pp_report : Format.formatter -> report -> unit
 (** Deliberately excludes [elapsed]: the rendering is byte-deterministic

@@ -76,7 +76,7 @@ val pp : Format.formatter -> view -> unit
 
     A churn schedule is the membership analogue of the fault profile's
     [crash_at] list: (pid, fire at this fault-event index) entries that
-    {!Faults.step_random} turns into [Enter]/[Leave] actions. *)
+    {!Faults.run_random} turns into [Enter]/[Leave] actions. *)
 
 type churn = { enter_at : (int * int) list; leave_at : (int * int) list }
 

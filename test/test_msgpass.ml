@@ -1337,6 +1337,254 @@ let test_fleet_corpus_errors_name_the_line () =
     ];
   rm_rf dir
 
+let corpus_path dir = Filename.concat dir "corpus.jsonl"
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+let write_file f s = Out_channel.with_open_bin f (fun oc -> output_string oc s)
+let torn_lines () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "fleet.corpus_torn_lines")
+
+(* A corpus whose last line lost its newline loads as before, and the
+   next campaign ends that line before appending, so the line after it
+   is not glued on and a third campaign still opens the corpus. *)
+let test_fleet_unterminated_last_line () =
+  let module F = Msgpass.Fleet in
+  let config = Msgpass.Chaos.frontier () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-corpus-nl"
+  in
+  rm_rf dir;
+  let r = F.campaign ~generations:2 ~seed:9 ~corpus_dir:dir config in
+  let text = read_file (corpus_path dir) in
+  let cut = String.sub text 0 (String.length text - 1) in
+  write_file (corpus_path dir) cut;
+  let torn0 = torn_lines () in
+  let r2 = F.campaign ~generations:2 ~seed:11 ~corpus_dir:dir config in
+  Alcotest.(check int) "no line counted torn" torn0 (torn_lines ());
+  Alcotest.(check int) "every entry loaded" r.F.corpus_size
+    (r2.F.corpus_size - r2.F.corpus_added);
+  Alcotest.(check bool) "the resume appended" true (r2.F.corpus_added > 0);
+  Alcotest.(check bool) "the old last line is ended, not rewritten" true
+    (String.starts_with ~prefix:text (read_file (corpus_path dir)));
+  (match F.load_corpus dir with
+  | Ok entries ->
+      Alcotest.(check int) "corpus reloads whole" r2.F.corpus_size
+        (List.length entries)
+  | Error e -> Alcotest.fail e);
+  let r3 = F.campaign ~generations:1 ~seed:12 ~corpus_dir:dir config in
+  Alcotest.(check int) "a third campaign opens it" r2.F.corpus_size
+    (r3.F.corpus_size - r3.F.corpus_added);
+  rm_rf dir
+
+(* A kill mid-append leaves an unterminated line that is not JSON. It is
+   loaded around and counted, and the next append cuts it off: the file
+   is then its good prefix plus whole new lines. *)
+let test_fleet_torn_tail () =
+  let module F = Msgpass.Fleet in
+  let config = Msgpass.Chaos.frontier () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-corpus-torn"
+  in
+  rm_rf dir;
+  let r = F.campaign ~generations:8 ~seed:9 ~corpus_dir:dir config in
+  let text = read_file (corpus_path dir) in
+  let torn = String.sub text 0 (String.length text - 100) in
+  let good = String.sub torn 0 (String.rindex torn '\n' + 1) in
+  write_file (corpus_path dir) torn;
+  let torn0 = torn_lines () in
+  (match F.load_corpus dir with
+  | Ok entries ->
+      Alcotest.(check int) "all but the torn line load" (r.F.corpus_size - 1)
+        (List.length entries)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "the torn line is counted" (torn0 + 1) (torn_lines ());
+  Alcotest.(check string) "loading leaves the file alone" torn
+    (read_file (corpus_path dir));
+  let r2 = F.campaign ~generations:2 ~seed:11 ~corpus_dir:dir config in
+  Alcotest.(check int) "the campaign drops it too" (r.F.corpus_size - 1)
+    (r2.F.corpus_size - r2.F.corpus_added);
+  Alcotest.(check bool) "the resume appended" true (r2.F.corpus_added > 0);
+  let after = read_file (corpus_path dir) in
+  Alcotest.(check bool) "the good prefix survives, the torn tail does not"
+    true
+    (String.starts_with ~prefix:good after
+    && not (String.starts_with ~prefix:torn after));
+  (match F.load_corpus dir with
+  | Ok entries ->
+      Alcotest.(check int) "the mended corpus loads whole" r2.F.corpus_size
+        (List.length entries)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "no torn line after the mend" (torn0 + 2)
+    (torn_lines ());
+  Alcotest.(check bool) "no temporary survives" false
+    (Sys.file_exists (corpus_path dir ^ ".tmp"));
+  rm_rf dir
+
+(* The corpus reader before its line scanner, kept as the oracle: every
+   nonblank line through Obs.Json, the entry fields and plan_of_json,
+   then, for a campaign, the operand check against [n]. The final line,
+   when unterminated and not JSON, is torn and dropped. *)
+let reference_corpus ?n file text =
+  let lines = String.split_on_char '\n' text in
+  let last = List.length lines in
+  let entry j =
+    match
+      ( Obs.Json.member_int "id" j,
+        Obs.Json.member_str "origin" j,
+        Obs.Json.member "plan" j )
+    with
+    | Some id, Some origin, Some pj ->
+        Result.map
+          (fun plan -> { Msgpass.Fleet.id; origin; plan })
+          (Msgpass.Faults.plan_of_json pj)
+    | _ -> Error "corpus entry needs id, origin and plan fields"
+  in
+  let checked (e : Msgpass.Fleet.entry) =
+    match n with
+    | None -> Ok e
+    | Some n -> Result.map (fun () -> e) (Msgpass.Faults.check ~n e.plan)
+  in
+  let rec go lineno acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
+    | line :: rest -> (
+        match Obs.Json.of_string line with
+        | Error _ when lineno = last -> Ok (List.rev acc)
+        | j -> (
+            match Result.bind (Result.bind j entry) checked with
+            | Ok e -> go (lineno + 1) (e :: acc) rest
+            | Error e -> Error (Printf.sprintf "%s:%d: %s" file lineno e)))
+  in
+  go 1 [] lines
+
+(* Corpus files as the printer writes them, then edited at the byte
+   level: a deleted, inserted or replaced byte, a space, a CR, a cut, keys
+   in another order, leading zeros, operands 255/256/300, ids near and
+   past [max_int]; the last line with or without its newline. *)
+let corpus_text_gen =
+  let open QCheck.Gen in
+  let id =
+    frequency
+      [
+        (4, nat);
+        ( 1,
+          oneofl
+            [ max_int; max_int - 1; 999_999_999_999_999_999;
+              1_000_000_000_000_000_000 ] );
+      ]
+  in
+  let plan =
+    fault_plan_gen_over (frequency [ (9, int_bound 3); (1, pure 4) ])
+  in
+  let edit (op, pos, byte) line =
+    let len = String.length line in
+    let splice i drop ins =
+      String.sub line 0 i ^ ins ^ String.sub line (i + drop) (len - i - drop)
+    in
+    let rec find lit i =
+      if i + String.length lit > len then None
+      else if String.sub line i (String.length lit) = lit then Some i
+      else find lit (i + 1)
+    in
+    let after lit ins =
+      match find lit 0 with
+      | Some i -> splice (i + String.length lit) 0 ins
+      | None -> line
+    in
+    let pick a = a.(Char.code byte mod Array.length a) in
+    match op with
+    | 0 -> splice (pos mod len) 1 ""
+    | 1 -> splice (pos mod (len + 1)) 0 (String.make 1 byte)
+    | 2 -> splice (pos mod len) 1 (String.make 1 byte)
+    | 3 -> splice (pos mod (len + 1)) 0 " "
+    | 4 -> line ^ "\r"
+    | 5 -> String.sub line 0 (pos mod len)
+    | 6 -> splice (len - 1) (pos land 1) (String.make 1 byte)
+    | 7 -> after "\"id\":" "00"
+    | 8 -> (
+        (* a leading zero on the first action's first operand *)
+        match find "\"plan\":[\"" 0 with
+        | Some i -> (
+            match String.index_from_opt line i ' ' with
+            | Some j -> splice (j + 1) 0 "0"
+            | None -> line)
+        | None -> line)
+    | 9 -> (
+        let x =
+          pick [| "deliver 0>255"; "crash 256"; "dup 300>1"; "leave 255" |]
+        in
+        let x = "\"" ^ x ^ "\"" in
+        match String.rindex_opt line ']' with
+        | Some i when i > 0 && line.[i - 1] = '[' -> splice i 0 x
+        | Some i -> splice i 0 ("," ^ x)
+        | None -> line)
+    | 10 -> (
+        match String.index_opt line ',' with
+        | Some i ->
+            "{\"id\":"
+            ^ pick [| "4611686018427387904"; "4611686018427387903"; "-7" |]
+            ^ String.sub line i (len - i)
+        | None -> line)
+    | _ -> line
+  in
+  let line =
+    map2
+      (fun (id, origin, plan, reorder) e ->
+        if reorder then
+          Obs.Json.to_string
+            (Obs.Json.Obj
+               [
+                 ("plan", Msgpass.Faults.plan_to_json plan);
+                 ("origin", Obs.Json.Str origin);
+                 ("id", Obs.Json.Int id);
+               ])
+        else
+          let buf = Buffer.create 64 in
+          Msgpass.Fleet.corpus_line buf ~id ~origin
+            (Msgpass.Faults.compile ~n:256 plan);
+          edit e (Buffer.contents buf))
+      (quad id origin_gen plan (map (fun k -> k = 0) (int_bound 7)))
+      (frequency
+         [ (3, pure (-1, 0, ' '));
+           (4, triple (int_bound 10) nat char) ])
+  in
+  map2
+    (fun lines terminated ->
+      String.concat "\n" lines ^ if terminated then "\n" else "")
+    (list_size (int_range 1 4) line)
+    bool
+
+(* Printer lines go through the scanner, edited ones through Obs.Json:
+   either way [load_corpus] and a campaign's open return exactly what
+   the reference returns — the same entries or the same error text —
+   and never raise or touch the file. *)
+let prop_corpus_reader_matches_reference =
+  let module F = Msgpass.Fleet in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-corpus-prop"
+  in
+  let file = corpus_path dir in
+  QCheck.Test.make ~name:"corpus reader agrees with its reference" ~count:300
+    (QCheck.make ~print:(Printf.sprintf "%S") corpus_text_gen)
+    (fun text ->
+      rm_rf dir;
+      Sys.mkdir dir 0o755;
+      write_file file text;
+      let opened =
+        match
+          F.campaign ~generations:0 ~corpus_dir:dir ~seed:1
+            (Msgpass.Chaos.frontier ())
+        with
+        | r -> Ok r.F.corpus_size
+        | exception F.Corpus_error e -> Error e
+      in
+      let agrees =
+        F.load_corpus dir = reference_corpus file text
+        && opened = Result.map List.length (reference_corpus ~n:4 file text)
+        && read_file file = text
+      in
+      rm_rf dir;
+      agrees)
+
 (* ABD + Interp over the complete network: baseline eps-agreement survives
    minority crashes. *)
 let test_abd_message_passing () =
@@ -1686,6 +1934,11 @@ let () =
             test_fleet_replay_rejects_hand_edits;
           Alcotest.test_case "corpus errors name the line" `Quick
             test_fleet_corpus_errors_name_the_line;
+          Alcotest.test_case "corpus last line without newline" `Quick
+            test_fleet_unterminated_last_line;
+          Alcotest.test_case "corpus torn tail is dropped and cut" `Quick
+            test_fleet_torn_tail;
+          QCheck_alcotest.to_alcotest prop_corpus_reader_matches_reference;
         ] );
       ( "membership",
         [
