@@ -341,7 +341,7 @@ let json_chaos b =
          \"shrunk_events\": %d, \"shrunk_deliveries\": %d, \
          \"shrink_replays\": %d, \"find_and_shrink_sec\": %.2f}\n"
         f.C.seed
-        (Msgpass.Faults.compiled_length f.C.original.C.plan)
+        (Array.length f.C.original.C.plan)
         (List.length f.C.shrunk)
         (Msgpass.Faults.deliveries f.C.shrunk)
         f.C.shrink_tests frontier_s
@@ -575,7 +575,7 @@ let churn_stats b =
          \"plan_events\": %d, \"shrunk_events\": %d, \
          \"shrunk_churn_actions\": %d, \"shrink_replays\": %d}\n"
         f.C.seed frontier.C.violations
-        (Msgpass.Faults.compiled_length f.C.original.C.plan)
+        (Array.length f.C.original.C.plan)
         (List.length f.C.shrunk)
         (List.length
            (List.filter

@@ -31,15 +31,27 @@ dune runtest
 
 # Chaos smoke: the sound quorum must survive a quick seeded campaign, and
 # the published frontier seed must still find (and shrink) the E13-style
-# atomicity violation. --expect makes a mismatch a non-zero exit.
+# atomicity violation. --expect makes a mismatch a non-zero exit. Both
+# shrink lines are pinned: ddmin must reach the published witness in the
+# published number of probes (memoized probes count, they just do not
+# replay).
 echo "== chaos smoke"
+expect_shrink() {
+  want=$1; shift
+  out=$(dune exec bin/boundedreg.exe -- "$@")
+  printf '%s\n' "$out"
+  if ! printf '%s\n' "$out" | grep -qF "$want"; then
+    echo "check.sh: $* did not print '$want'" >&2
+    exit 1
+  fi
+}
 if [ "$QUICK" = 1 ]; then
   dune exec bin/boundedreg.exe -- chaos --runs 5 --seed 1 --expect pass
 else
   dune exec bin/boundedreg.exe -- chaos --runs 20 --seed 1 --expect pass
 fi
-dune exec bin/boundedreg.exe -- chaos --frontier --runs 1 --seed 127 \
-  --expect violation
+expect_shrink 'shrunk 23 (19 deliveries, 1746 replays)' \
+  chaos --frontier --runs 1 --seed 127 --expect violation
 
 # Churn smoke: the dynamic-membership emulation (lib/msgpass/dynreg.ml).
 # A sound churn campaign — slack covers the churn rate — must stay
@@ -53,8 +65,8 @@ if [ "$QUICK" = 1 ]; then
 else
   dune exec bin/boundedreg.exe -- chaos --churn --runs 50 --seed 1 --expect pass
 fi
-dune exec bin/boundedreg.exe -- chaos --churn-frontier --runs 40 --seed 1 \
-  --expect violation
+expect_shrink 'shrunk 50 (35 deliveries, 5097 replays)' \
+  chaos --churn-frontier --runs 40 --seed 1 --expect violation
 
 # Pipeline smoke: Theorem 1.3's compiled protocol over 6-bit registers
 # (n=3, t=1) must reproduce seed 31's decisions and per-process step

@@ -208,15 +208,16 @@ let check_reg ~pp ~init ~equal evs =
     end
   end
 
-let group_by_reg events =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let l = Option.value (Hashtbl.find_opt tbl e.reg) ~default:[] in
-      Hashtbl.replace tbl e.reg (e :: l))
-    events;
-  Hashtbl.fold (fun reg l acc -> (reg, List.rev l) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* The history split by register, ascending, each part in input order
+   with its pending reads dropped: they promise nothing. A partition per
+   register rather than a table, since a history seldom has more than
+   one. *)
+let rec by_reg = function
+  | [] -> []
+  | e :: _ as events ->
+      let mine, rest = List.partition (fun x -> x.reg = e.reg) events in
+      (e.reg, List.filter (fun e -> completed e || not (is_read e)) mine)
+      :: by_reg rest
 
 let default_pp ppf _ = Format.pp_print_string ppf "<v>"
 
@@ -224,15 +225,10 @@ let check ?(pp = default_pp) ~init ~equal events =
   let rec per_reg acc = function
     | [] -> Linearizable (List.concat (List.rev acc))
     | (reg, evs) :: rest -> (
-        (* Pending reads promise nothing: drop them. *)
-        let evs =
-          List.filter (fun e -> completed e || not (is_read e)) evs
-        in
         match
-          check_reg ~pp ~init:(fun () -> init reg) ~equal
-            (Array.of_list evs)
+          check_reg ~pp ~init:(fun () -> init reg) ~equal (Array.of_list evs)
         with
         | Ok witness -> per_reg (witness :: acc) rest
         | Error reason -> Nonlinearizable { reg; reason })
   in
-  per_reg [] (group_by_reg events)
+  per_reg [] (List.sort (fun (a, _) (b, _) -> Int.compare a b) (by_reg events))

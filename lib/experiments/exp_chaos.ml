@@ -35,7 +35,7 @@ let row ctx label config ~seed ~runs =
         [
           string_of_int f.C.seed;
           Printf.sprintf "%d -> %d (%d deliveries)"
-            (Msgpass.Faults.compiled_length f.C.original.C.plan)
+            (Array.length f.C.original.C.plan)
             (List.length f.C.shrunk)
             (Msgpass.Faults.deliveries f.C.shrunk);
           (match f.C.shrunk_outcome.C.verdict with

@@ -116,7 +116,7 @@ let run ctx ppf =
          --churn-frontier --seed %d --runs 1 --plan): %d events shrunk@\n\
          to %d (%d deliveries, %d churn actions):@\n  @[<hov>%a@]@\n@\n"
         witness_seed
-        (Msgpass.Faults.compiled_length f.C.original.C.plan)
+        (Array.length f.C.original.C.plan)
         (List.length f.C.shrunk)
         (Msgpass.Faults.deliveries f.C.shrunk)
         (List.length

@@ -226,8 +226,8 @@ type outcome = {
   rng_point : rng_point option;
 }
 
-let failed o =
-  match o.verdict with L.Nonlinearizable _ -> true | L.Linearizable _ -> false
+let violates = function L.Nonlinearizable _ -> true | L.Linearizable _ -> false
+let failed o = violates o.verdict
 
 (* ------------------------------------------------------------------ *)
 (* The client recorder, shared by both fleets.
@@ -422,20 +422,24 @@ let static_create config =
     s_finalize = (fun () -> rec_finalize r ~ascending:true);
   }
 
-(* One pooled instance per (domain, config): parallel campaign workers
-   each grow their own pool in domain-local storage, so no fleet state is
-   ever shared across domains. *)
-let pool : (config, static) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* One pooled instance per domain and network shape: campaign workers
+   each grow their own pool in domain-local storage. The key holds the
+   only fields an instance reads, so the fleet's per-generation fault
+   profiles share one, and it hashes in a few int ops. *)
+let pool = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let static_acquire config =
   let tbl = Domain.DLS.get pool in
+  let key =
+    (config.n, config.t, config.quorum, config.writes, config.readers,
+     config.reads)
+  in
   let p =
-    match Hashtbl.find_opt tbl config with
+    match Hashtbl.find_opt tbl key with
     | Some p -> p
     | None ->
         let p = static_create config in
-        Hashtbl.add tbl config p;
+        Hashtbl.add tbl key p;
         p
   in
   p.s_reset ();
@@ -511,13 +515,14 @@ let prepare config =
       let net, finalize = build_dyn config dyn in
       Prepared (Faults.wrap net, finalize)
 
+let check history =
+  L.check ~pp:Format.pp_print_int ~init:(fun _ -> 0) ~equal:Int.equal history
+
 let outcome_of ?rng_point ft finalize =
   let history = finalize () in
   let plan = Faults.compiled_plan ft in
   {
-    verdict =
-      L.check ~pp:Format.pp_print_int ~init:(fun _ -> 0) ~equal:Int.equal
-        history;
+    verdict = check history;
     history;
     plan;
     events = Faults.events ft;
@@ -591,9 +596,33 @@ let run_plan config plan =
      mutant re-execution takes. *)
   run_compiled config (Faults.compile ~n:config.n plan)
 
+(* Shrink probes on the compiled plan's sub-arrays. A probe asks only
+   whether the candidate still fails, so it skips every outcome field but
+   the verdict; a candidate ddmin already tried is answered from the memo
+   — it counts as a probe, but does not replay. *)
+module Probes = Hashtbl.Make (struct
+  type t = Faults.compiled
+
+  let hash = Faults.compiled_hash
+  let equal = Faults.compiled_equal
+end)
+
 let shrink config plan =
-  let test p = failed (run_plan config p) in
-  Check.Shrink.minimize_count ~test plan
+  let memo = Probes.create 256 in
+  let test c =
+    match Probes.find_opt memo c with
+    | Some fails -> fails
+    | None ->
+        let (Prepared (ft, finalize)) = prepare config in
+        Faults.replay_compiled ft c;
+        let fails = violates (check (finalize ())) in
+        Probes.add memo c fails;
+        fails
+  in
+  let shrunk, tests =
+    Check.Shrink.minimize_count ~test (Faults.compile ~n:config.n plan)
+  in
+  (Faults.decompile shrunk, tests)
 
 type found = {
   seed : int;
@@ -852,7 +881,7 @@ let pp_campaign ppf c =
         "@ first at seed %d: plan %d events -> shrunk %d (%d deliveries, %d \
          replays); replayed verdict: %a"
         f.seed
-        (Faults.compiled_length f.original.plan)
+        (Array.length f.original.plan)
         (List.length f.shrunk)
         (Faults.deliveries f.shrunk)
         f.shrink_tests

@@ -12,8 +12,8 @@
     runs whose completed write vanishes from a later read:
     [Nonlinearizable], found by seed search rather than eyeballing.
 
-    A failing random run is then {e shrunk}: {!Check.Shrink.ddmin} deletes
-    fault-plan actions while replaying ({!run_plan}) keeps the verdict,
+    A failing random run is then {e shrunk}: {!Check.Shrink.minimize_count}
+    deletes fault-plan actions while replaying keeps the verdict,
     converging on a 1-minimal plan — for the frontier configuration,
     around 17 delivery events: one write-request delivery, one read served
     by fresh copies, one read served by stale ones.
@@ -150,7 +150,11 @@ val run_compiled : config -> Faults.compiled -> outcome
 
 val shrink : config -> Faults.plan -> Faults.plan * int
 (** ddmin a failing plan down to a 1-minimal failing plan, and the number
-    of replays spent. Returns the input unchanged when it does not fail. *)
+    of probes spent (the "replays" reports print); the input when it does
+    not fail. Probes are verdicts on sub-arrays of the compiled plan. A
+    repeated candidate is answered from a memo: it counts as a probe but
+    does not replay, so only executed probes emit [net] instants or bump
+    [net.enters]/[net.leaves]. *)
 
 type found = {
   seed : int;

@@ -201,7 +201,8 @@ let plan_of_json j =
   | None -> Error "plan is not a JSON array"
   | Some items -> go 0 [] items
 
-type compiled = int array
+type code = int
+type compiled = code array
 
 (* Action text needs no JSON escaping: each element goes between quotes. *)
 let add_compiled_json buf c =
@@ -265,7 +266,6 @@ let compile ~n plan =
          with_fields encode a)
        plan)
 
-let compiled_length = Array.length
 let decompile compiled =
   Array.fold_right (fun c l -> action_of_code c :: l) compiled []
 

@@ -77,11 +77,15 @@ val plan_of_json : Obs.Json.t -> (plan, string) result
 
     A compiled plan is the dense int-opcode form of an action list: one
     immediate int per action, walked by {!replay_compiled} with no
-    per-action pattern match or allocation. Its layout is private to
-    this module; the fleet compiles each loaded corpus plan once and
-    from then on only mutates, keys and replays the packed form. *)
+    per-action pattern match or allocation. An opcode's layout is
+    private to this module; the array is not. Every opcode is checked
+    when it is made, so any subsequence or concatenation of plans
+    compiled for [n] is again a plan for [n] — the shrinker probes
+    [Array.sub]s of one. The fleet compiles each loaded corpus plan once
+    and from then on only mutates, keys and replays the packed form. *)
 
-type compiled
+type code
+type compiled = code array
 
 val check : n:int -> plan -> (unit, string) result
 (** Every operand of the plan names a slot of a universe of size [n];
@@ -102,8 +106,6 @@ val scan_compiled_json : n:int -> string -> int -> int -> compiled option
     operand below [n], read in one pass by {!action_of_string}'s scanner;
     [None] leaves any other text to {!plan_of_json} and {!check}. *)
 
-val compiled_length : compiled -> int
-
 val compiled_deliveries : compiled -> int
 (** {!deliveries} over the packed form, without decoding. *)
 
@@ -111,7 +113,7 @@ val compiled_hash : compiled -> int
 (** Content address of a compiled plan: a splitmix-seeded order-sensitive
     fold ({!Sched.Zobrist.combine}) over the opcode array — identical
     across runs, processes and domains. Non-negative. The fleet's run
-    cache keys scripted jobs on this. *)
+    cache keys scripted jobs on this, and a shrink its probe memo. *)
 
 val compiled_equal : compiled -> compiled -> bool
 (** Opcode-array equality — the exact-identity check behind a

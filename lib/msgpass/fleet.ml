@@ -779,10 +779,9 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     if skip_shrink then ()
     else begin
     let shrunk, shrink_tests = Chaos.shrink chaos (Faults.decompile o.Chaos.plan) in
-    (* The shrunk replay's verdict names the class. Shrinking itself
-       stays uncached — its replay counts are part of the published
-       reports — but duplicate violating runs ddmin onto the same
-       1-minimal plan, and the confirmation replay hits. *)
+    (* The shrunk replay's verdict names the class. Duplicate violating
+       runs ddmin onto the same 1-minimal plan, and the confirmation
+       replay hits. *)
     let compiled = Faults.compile ~n:chaos.Chaos.n shrunk in
     let replay =
       cached_run (plan_cache_key compiled) (fun () ->

@@ -3,6 +3,9 @@
 
 module L = Check.Linearize
 module S = Check.Shrink
+
+let ddmin ~test xs = fst (S.ddmin_count ~test xs)
+let minimize ~test xs = fst (S.minimize_count ~test xs)
 module C = Msgpass.Chaos
 
 let ev ?(proc = 0) ?(reg = 0) op inv res = { L.proc; reg; op; inv; res }
@@ -153,75 +156,115 @@ let prop_fast_vs_naive_chaos =
         [ C.sound (); C.frontier (); C.churn (); C.churn_frontier () ])
 
 let test_ddmin () =
-  let contains x xs = List.mem x xs in
-  Alcotest.(check (list int))
-    "single culprit" [ 7 ]
-    (S.ddmin ~test:(contains 7) [ 1; 2; 3; 7; 4; 5; 6 ]);
-  Alcotest.(check (list int))
-    "two culprits, order preserved" [ 3; 5 ]
-    (S.ddmin ~test:(fun xs -> contains 3 xs && contains 5 xs)
-       [ 9; 3; 1; 4; 5; 2 ]);
-  Alcotest.(check (list int))
-    "non-failing input unchanged" [ 1; 2 ]
-    (S.ddmin ~test:(fun _ -> false) [ 1; 2 ]);
-  let _, tests = S.ddmin_count ~test:(contains 7) [ 1; 2; 3; 7 ] in
+  let contains x xs = Array.mem x xs in
+  Alcotest.(check (array int))
+    "single culprit" [| 7 |]
+    (ddmin ~test:(contains 7) [| 1; 2; 3; 7; 4; 5; 6 |]);
+  Alcotest.(check (array int))
+    "two culprits, order preserved" [| 3; 5 |]
+    (ddmin ~test:(fun xs -> contains 3 xs && contains 5 xs)
+       [| 9; 3; 1; 4; 5; 2 |]);
+  Alcotest.(check (array int))
+    "non-failing input unchanged" [| 1; 2 |]
+    (ddmin ~test:(fun _ -> false) [| 1; 2 |]);
+  let _, tests = S.ddmin_count ~test:(contains 7) [| 1; 2; 3; 7 |] in
   Alcotest.(check bool) "test invocations counted" true (tests > 1)
 
 let test_minimize_pairs () =
   (* A failure only the whole list or a non-chunk-aligned pair removal can
      exhibit: ddmin alone is stuck at the full list, pair elimination finds
      the core. *)
-  let test xs = xs = [ 1; 2; 3; 4 ] || xs = [ 2; 3 ] in
-  Alcotest.(check (list int))
-    "ddmin alone is stuck" [ 1; 2; 3; 4 ]
-    (S.ddmin ~test [ 1; 2; 3; 4 ]);
-  Alcotest.(check (list int))
-    "pair elimination finds the core" [ 2; 3 ]
-    (S.minimize ~test [ 1; 2; 3; 4 ]);
-  let shrunk, tests = S.minimize_count ~test [ 1; 2; 3; 4 ] in
-  Alcotest.(check (list int)) "count variant agrees" [ 2; 3 ] shrunk;
+  let test xs = xs = [| 1; 2; 3; 4 |] || xs = [| 2; 3 |] in
+  Alcotest.(check (array int))
+    "ddmin alone is stuck" [| 1; 2; 3; 4 |]
+    (ddmin ~test [| 1; 2; 3; 4 |]);
+  Alcotest.(check (array int))
+    "pair elimination finds the core" [| 2; 3 |]
+    (minimize ~test [| 1; 2; 3; 4 |]);
+  let shrunk, tests = S.minimize_count ~test [| 1; 2; 3; 4 |] in
+  Alcotest.(check (array int)) "count variant agrees" [| 2; 3 |] shrunk;
   Alcotest.(check bool) "replay count positive" true (tests > 0)
 
 let test_shrink_edge_cases () =
   (* Empty plan: nothing to remove, whatever [test] says. *)
-  Alcotest.(check (list int))
-    "empty plan, failing" []
-    (S.ddmin ~test:(fun _ -> true) []);
-  Alcotest.(check (list int))
-    "empty plan, passing" []
-    (S.ddmin ~test:(fun _ -> false) []);
+  Alcotest.(check (array int))
+    "empty plan, failing" [||]
+    (ddmin ~test:(fun _ -> true) [||]);
+  Alcotest.(check (array int))
+    "empty plan, passing" [||]
+    (ddmin ~test:(fun _ -> false) [||]);
   (* Singleton: 1-minimal by construction when it still fails. *)
-  Alcotest.(check (list int))
-    "failing singleton kept" [ 42 ]
-    (S.ddmin ~test:(fun xs -> xs <> []) [ 42 ]);
+  Alcotest.(check (array int))
+    "failing singleton kept" [| 42 |]
+    (ddmin ~test:(fun xs -> xs <> [||]) [| 42 |]);
   (* Already minimal: every element is load-bearing, nothing is dropped
      and order is preserved. *)
-  let all_present xs = List.for_all (fun x -> List.mem x xs) [ 1; 2; 3 ] in
-  Alcotest.(check (list int))
-    "already-minimal plan unchanged" [ 1; 2; 3 ]
-    (S.ddmin ~test:all_present [ 1; 2; 3 ]);
-  Alcotest.(check (list int))
-    "minimize agrees on minimal plans" [ 1; 2; 3 ]
-    (S.minimize ~test:all_present [ 1; 2; 3 ])
+  let all_present xs = List.for_all (fun x -> Array.mem x xs) [ 1; 2; 3 ] in
+  Alcotest.(check (array int))
+    "already-minimal plan unchanged" [| 1; 2; 3 |]
+    (ddmin ~test:all_present [| 1; 2; 3 |]);
+  Alcotest.(check (array int))
+    "minimize agrees on minimal plans" [| 1; 2; 3 |]
+    (minimize ~test:all_present [| 1; 2; 3 |])
 
 let test_shrink_non_monotone_terminates () =
   (* An odd-length predicate is about as hostile as it gets: removing one
      element flips the verdict, removing two restores it. ddmin makes no
      monotonicity assumption — it must still terminate, return a
      subsequence, and keep the failure. *)
-  let odd xs = List.length xs mod 2 = 1 in
-  let input = [ 1; 2; 3; 4; 5; 6; 7 ] in
+  let odd xs = Array.length xs mod 2 = 1 in
+  let input = [| 1; 2; 3; 4; 5; 6; 7 |] in
   let shrunk, tests = S.minimize_count ~test:odd input in
   Alcotest.(check bool) "result still fails" true (odd shrunk);
   Alcotest.(check bool) "result is a subsequence" true
-    (List.for_all (fun x -> List.mem x input) shrunk);
+    (Array.for_all (fun x -> Array.mem x input) shrunk);
   Alcotest.(check bool) "bounded work" true (tests < 1000);
   (* Flapping predicate keyed on content, not length. *)
-  let spiky xs = List.mem 3 xs && not (List.mem 5 xs) in
-  let shrunk2 = S.ddmin ~test:spiky [ 1; 2; 3; 4; 5; 6 ] in
+  let spiky xs = Array.mem 3 xs && not (Array.mem 5 xs) in
+  let shrunk2 = ddmin ~test:spiky [| 1; 2; 3; 4; 5; 6 |] in
   Alcotest.(check bool)
     "ddmin on non-monotone input returns input when it passes" true
-    (spiky shrunk2 || shrunk2 = [ 1; 2; 3; 4; 5; 6 ])
+    (spiky shrunk2 || shrunk2 = [| 1; 2; 3; 4; 5; 6 |])
+
+(* The array shrinker against the list reference it replaced: for the
+   same deterministic predicate both must try the same candidates in the
+   same order, so they return the same subsequence after the same number
+   of tests. The predicates: the input contains a core of its elements
+   (monotone), the core is present and an even number of elements is
+   gone (removable only in pairs), and the parity of the sum (neither). *)
+let prop_shrink_vs_list_oracle =
+  QCheck.Test.make ~name:"array ddmin = list ddmin oracle" ~count:300
+    QCheck.(
+      triple (list_of_size Gen.(0 -- 40) small_nat) (int_bound 2) small_nat)
+    (fun (input, kind, salt) ->
+      let core =
+        List.filteri (fun i _ -> Hashtbl.hash (salt, i) mod 5 = 0) input
+      in
+      let len0 = List.length input in
+      let p xs =
+        let has_core = List.for_all (fun v -> List.mem v xs) core in
+        match kind with
+        | 0 -> has_core
+        | 1 -> has_core && (len0 - List.length xs) mod 2 = 0
+        | _ -> (List.fold_left ( + ) salt xs) mod 2 = 1
+      in
+      let logged () =
+        let log = ref [] in
+        ( log,
+          fun xs ->
+            log := xs :: !log;
+            p xs )
+      in
+      let same shrink reference =
+        let log_a, test_a = logged () and log_l, test_l = logged () in
+        let got, k =
+          shrink ~test:(fun a -> test_a (Array.to_list a)) (Array.of_list input)
+        in
+        let want, k' = reference ~test:test_l input in
+        Array.to_list got = want && k = k' && !log_a = !log_l
+      in
+      same S.ddmin_count Oracle.Ddmin.ddmin_count
+      && same S.minimize_count Oracle.Ddmin.minimize_count)
 
 (* Sound quorum (n - t, t < n/2): every seeded chaos run — crashes, drops,
    duplication, reordering, delay bursts — must record a linearizable
@@ -239,11 +282,15 @@ let test_frontier_seed_127 () =
   let config = C.frontier () in
   let o = C.run_random ~seed:127 config in
   Alcotest.(check bool) "seed 127 violates atomicity" true (C.failed o);
-  let shrunk, _replays = C.shrink config (Msgpass.Faults.decompile o.C.plan) in
+  let shrunk, replays = C.shrink config (Msgpass.Faults.decompile o.C.plan) in
   let deliveries = Msgpass.Faults.deliveries shrunk in
   Alcotest.(check bool)
     (Printf.sprintf "shrunk to <= 20 deliveries (got %d)" deliveries)
     true (deliveries <= 20);
+  (* The published witness: every chaos surface prints these figures. *)
+  Alcotest.(check (triple int int int))
+    "23 events, 19 deliveries, 1746 replays" (23, 19, 1746)
+    (List.length shrunk, deliveries, replays);
   let replayed = C.run_plan config shrunk in
   (match replayed.C.verdict with
   | L.Nonlinearizable { reg; _ } ->
@@ -253,6 +300,64 @@ let test_frontier_seed_127 () =
   let again = C.run_plan config shrunk in
   Alcotest.(check bool) "replay deterministic" true
     (again.C.history = replayed.C.history)
+
+(* [C.shrink] memoizes probes on the compiled plan; the reference replays
+   every probe with [run_plan] under the list ddmin. They must agree on
+   the witness and on the probe count — on the pooled static fleet and on
+   the unpooled dynamic one. *)
+let test_shrink_vs_reference () =
+  List.iter
+    (fun (name, config, seed) ->
+      let o = C.run_random ~seed config in
+      let plan = Msgpass.Faults.decompile o.C.plan in
+      let got, k = C.shrink config plan in
+      let want, k' =
+        Oracle.Ddmin.minimize_count
+          ~test:(fun p -> C.failed (C.run_plan config p))
+          plan
+      in
+      Alcotest.(check bool) (name ^ " fails") true (C.failed o);
+      Alcotest.(check int) (name ^ ": probes") k' k;
+      Alcotest.(check bool) (name ^ ": same witness") true (got = want))
+    [
+      ("frontier seed 127", C.frontier (), 127);
+      ("churn-frontier seed 29", C.churn_frontier (), 29);
+    ]
+
+(* The static pool keys an instance on the network's shape alone, so
+   configs that differ only in how a run is driven share one — as the
+   fleet's per-generation [{ chaos with profile; crashes }] copies do.
+   Alternating shapes (scripts, or only the quorum), a structurally equal
+   fresh copy and a different fault profile on a shared instance must
+   leave every outcome what it is on a fresh domain, whose pool holds
+   nothing. *)
+let test_pool_alternation () =
+  let a = C.sound () and b = C.frontier () in
+  let b' = { b with C.crashes = b.C.crashes } in
+  let b'' =
+    { b with C.profile = { b.C.profile with Msgpass.Faults.drop = 0.2 } }
+  in
+  let b_sound = { b with C.t = 1; quorum = None } in
+  let fresh f = Domain.join (Domain.spawn f) in
+  let jobs =
+    List.concat_map
+      (fun seed ->
+        List.map
+          (fun c ->
+            let p =
+              fresh (fun () -> (C.run_random ~seed:(seed + 1000) c).C.plan)
+            in
+            ((fun () -> C.run_random ~seed c), fun () -> C.run_compiled c p))
+          [ a; b; a; b'; b''; b_sound; b; b'; a; b''; b_sound ])
+      [ 1; 2; 127 ]
+  in
+  let want = List.map (fun (r, s) -> (fresh r, fresh s)) jobs in
+  List.iteri
+    (fun i ((r, s), (wr, ws)) ->
+      let say what = Printf.sprintf "job %d %s" i what in
+      Alcotest.(check bool) (say "run_random") true (r () = wr);
+      Alcotest.(check bool) (say "run_compiled") true (s () = ws))
+    (List.combine jobs want)
 
 let test_run_plan_reproduces_run_random () =
   let config = C.sound () in
@@ -286,6 +391,7 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_shrink_edge_cases;
           Alcotest.test_case "non-monotone predicates" `Quick
             test_shrink_non_monotone_terminates;
+          QCheck_alcotest.to_alcotest prop_shrink_vs_list_oracle;
         ] );
       ( "chaos",
         [
@@ -294,5 +400,9 @@ let () =
             `Quick test_frontier_seed_127;
           Alcotest.test_case "plan replay reproduces random run" `Quick
             test_run_plan_reproduces_run_random;
+          Alcotest.test_case "memoized shrink = unmemoized reference" `Quick
+            test_shrink_vs_reference;
+          Alcotest.test_case "pool alternation = fresh runs" `Quick
+            test_pool_alternation;
         ] );
     ]
