@@ -18,10 +18,3 @@ let protocol ~rounds ~input =
     else Proto.Round (est, fun view -> go (r + 1) (midpoint view))
   in
   go 1 (Q.of_int input)
-
-let decide_from_view ~rounds view =
-  let make ~pid:_ ~input = protocol ~rounds ~input in
-  match Full_info.replay ~make view with
-  | Proto.Decide d -> d
-  | Proto.Round _ ->
-      invalid_arg "Agreement.decide_from_view: view shorter than rounds"

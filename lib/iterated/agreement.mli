@@ -15,7 +15,3 @@ val protocol : rounds:int -> input:int -> (Q.t, Q.t) Proto.t
 
 val denominator : rounds:int -> int
 (** [2^rounds]. *)
-
-val decide_from_view : rounds:int -> int Full_info.view -> Q.t
-(** The same computation as a decision map on full-information views (via
-    {!Full_info.replay}) — what Algorithm 3's [decide] is for this task. *)

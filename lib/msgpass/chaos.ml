@@ -783,47 +783,22 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
         first;
       }
   in
+  (* Seeded runs are mutually independent — each builds its own fleet,
+     network and rng — so they are the pool's units. The deadline is
+     checked before each run: a run is bounded by [config.max_events], so
+     the overshoot is one run. A skipped run stops the fold, which
+     therefore always consumes a contiguous seed prefix; only a deadline
+     can make the counts depend on [jobs]. *)
   (try
-     if jobs <= 1 then
-       for s = seed to seed + runs - 1 do
-         (* The deadline is checked between runs: an individual run is
-            bounded by [config.max_events], so the overshoot is one run. *)
-         if over_deadline () then begin
-           acc := { !acc with degraded = true };
-           raise Exit
-         end;
-         tally s (run_random ~seed:s config)
-       done
-     else begin
-       (* Seeded runs are mutually independent — each builds its own
-          fleet, network and rng — so the campaign loop fans out as-is.
-          Workers skip (rather than start) runs past the deadline; the
-          fold below consumes outcomes in seed order and stops at the
-          first skipped one, mirroring the sequential contiguous-prefix
-          semantics, so only a deadline can make jobs counts differ. *)
-       let seeds = Array.init runs (fun i -> seed + i) in
-       let results =
-         Sched.Par.run_units_ev ~jobs ~units:seeds (fun s ->
-             if over_deadline () then None
-             else Some (run_random ~seed:s config))
-       in
-       (* Replay each unit's captured events immediately before its
-          tally — run events then run instant, run events then run
-          instant — exactly the interleaving the sequential loop
-          emits, so a traced campaign is byte-identical at any [jobs].
-          Events of runs past the first deadline skip are dropped; the
-          sequential loop never ran those runs at all. *)
-       Array.iteri
-         (fun i (r, events) ->
-           match r with
-           | None ->
-               acc := { !acc with degraded = true };
-               raise Exit
-           | Some o ->
-               Obs.Span.replay events;
-               tally seeds.(i) o)
-         results
-     end
+     Sched.Par.run_units ~jobs
+       ~units:(Array.init (max 0 runs) (fun i -> seed + i))
+       (fun s ->
+         if over_deadline () then None else Some (run_random ~seed:s config))
+       (fun i -> function
+         | None ->
+             acc := { !acc with degraded = true };
+             raise Exit
+         | Some o -> tally (seed + i) o)
    with Exit -> ());
   let c = !acc in
   Obs.Span.end_ ~cat:"chaos"
@@ -848,10 +823,6 @@ let verdict c =
   match c.first with
   | Some f -> Violation f
   | None -> Verified_sampled { runs = c.runs; requested = c.requested }
-
-let verdict_ok = function
-  | Verified_sampled _ -> true
-  | Violation _ -> false
 
 let pp_verdict ppf = function
   | Verified_sampled { runs; requested } ->

@@ -184,14 +184,15 @@ val campaign :
     is already bounded by [config.max_events], so the overshoot past the
     deadline is at most one run (plus one shrink, if that run fails).
 
-    [jobs] (default 1) fans the seeded runs — mutually independent by
-    construction — over a domain pool ({!Sched.Par.run_units}). Outcomes
-    are folded in seed order on the calling domain, where the per-run
-    metrics, trace instants and the first violation's shrink also happen:
-    for a fixed [seed], verdicts, counts and traces are byte-identical
-    across any [jobs]. The one exception is a tripped [deadline], where
-    how many runs finished inherently depends on the pool; the fold still
-    consumes a contiguous seed prefix, mirroring sequential semantics. *)
+    [jobs] (default 1) is the width of the {!Sched.Par.run_units} pool
+    the seeded runs — one unit each, mutually independent by
+    construction — go through. Outcomes are folded in seed order on the
+    calling domain, where the per-run metrics, trace instants and the
+    first violation's shrink also happen: for a fixed [seed], verdicts,
+    counts and traces are byte-identical across any [jobs]. The one
+    exception is a tripped [deadline], where how many runs finished
+    inherently depends on the pool; the fold still consumes a contiguous
+    seed prefix and stops at the first skipped run. *)
 
 type verdict =
   | Verified_sampled of { runs : int; requested : int }
@@ -200,7 +201,6 @@ type verdict =
   | Violation of found  (** a nonlinearizable run, shrunk and replayed *)
 
 val verdict : campaign -> verdict
-val verdict_ok : verdict -> bool
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val pp_campaign : Format.formatter -> campaign -> unit

@@ -906,22 +906,20 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
               fresh_jobs := jobs_arr.(i) :: !fresh_jobs)
       keys;
     let units = Array.of_list (List.rev !fresh_jobs) in
-    let fresh =
-      if Array.length units = 0 then [||]
-      else if jobs <= 1 then Array.map (exec chaos) units
-      else Sched.Par.run_units ~jobs ~units (exec chaos)
-    in
+    let fresh = Array.make (Array.length units) None in
+    Sched.Par.run_units ~jobs ~units (exec chaos) (fun j o ->
+        fresh.(j) <- Some o);
     Array.iteri
       (fun i k ->
         if
           slot.(i) >= 0
           && (not (Cache_tbl.mem cache k))
           && Cache_tbl.length cache < cache_cap
-        then Cache_tbl.add cache k fresh.(slot.(i)))
+        then Cache_tbl.add cache k (Option.get fresh.(slot.(i))))
       keys;
     let outcomes =
       Array.init batch (fun i ->
-          if slot.(i) >= 0 then fresh.(slot.(i))
+          if slot.(i) >= 0 then Option.get fresh.(slot.(i))
           else Cache_tbl.find cache keys.(i))
     in
     let gen_signals = ref 0 in

@@ -155,10 +155,10 @@ val campaign :
     generations run; given both, the budget can degrade the fixed count.
     [batch] (default 16) is runs per generation, [swarm] (default true)
     re-rolls a random fault feature mix each generation, [jobs]
-    (default 1) fans a generation's batch over {!Sched.Par.run_units} —
-    job planning, coverage, corpus growth and shrinking stay on the
-    calling domain in batch order, so the report, corpus and witnesses
-    are byte-identical at any width. [corpus_dir] persists the corpus
+    (default 1) is the width of the {!Sched.Par.run_units} pool that
+    runs a generation's uncached jobs — job planning, coverage, corpus
+    growth and shrinking stay on the calling domain in batch order, so
+    the report, corpus and witnesses are byte-identical at any width. [corpus_dir] persists the corpus
     ([corpus.jsonl]) and witnesses; omitted, the campaign is in-memory.
     Appends share one channel, opened by the first append (after cutting
     off a torn last line or ending an unterminated one), flushed per line

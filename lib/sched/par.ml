@@ -42,21 +42,23 @@ type 'r result = {
    domains than there are units. *)
 let max_jobs = 64
 
-let run_units_ev ~jobs ~units f =
+let run_units ~jobs ~units f k =
   let n = Array.length units in
-  if n = 0 then [||]
+  let jobs = max 1 (min (min jobs n) max_jobs) in
+  if jobs = 1 then
+    (* No pool, no capture: each unit runs and is consumed before the next
+       one starts, so a raising [k] leaves later units unrun. *)
+    Array.iteri (fun i u -> k i (f u)) units
   else begin
-    let jobs = max 1 (min (min jobs n) max_jobs) in
     (* Decide once, on the main domain, whether units trace. Each unit
        then runs under [Sink.captured] — events buffered privately on
        whichever domain executes it — or [Sink.muted] when the caller
        isn't tracing. Sinks are single-consumer, so even the main
        domain's own units capture rather than emitting directly: the
-       caller drains the buffers in unit-index order after the join,
-       which is what keeps traces byte-identical at any pool width. *)
+       buffers drain in unit-index order after the join, which is what
+       keeps traces byte-identical at any pool width. *)
     let capture = Obs.Sink.enabled () in
     let results = Array.make n None in
-    let errors = Array.make n None in
     let next = Atomic.make 0 in
     let failed = Atomic.make false in
     let exec u =
@@ -67,18 +69,19 @@ let run_units_ev ~jobs ~units f =
         Obs.Span.scratched (fun () -> Obs.Sink.captured (fun () -> f u))
       else (Obs.Sink.muted (fun () -> f u), [])
     in
-    (* Workers claim unit indices from one atomic counter; result and
-       error slots are per-index, so writes from distinct domains never
-       alias. A failed unit flips [failed] and the pool drains: in-flight
-       units finish, unclaimed ones stay untouched. *)
+    (* Workers claim unit indices in order from one atomic counter; result
+       slots are per-index, so writes from distinct domains never alias. A
+       failed unit flips [failed] and the pool drains: in-flight units
+       finish, unclaimed ones stay untouched. Every unit below a failed
+       one was claimed before it, so its slot is filled by the join. *)
     let rec worker () =
       if not (Atomic.get failed) then begin
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           (match exec units.(i) with
-          | r -> results.(i) <- Some r
+          | r -> results.(i) <- Some (Ok r)
           | exception exn ->
-              errors.(i) <- Some (exn, Printexc.get_raw_backtrace ());
+              results.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ()));
               Atomic.set failed true);
           worker ()
         end
@@ -94,25 +97,21 @@ let run_units_ev ~jobs ~units f =
     in
     worker ();
     List.iter Domain.join spawned;
-    Array.iter
-      (function
-        | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-        | None -> ())
-      errors;
-    Array.map
-      (function
-        | Some r -> r
-        | None -> invalid_arg "Par.run_units: unit skipped after failure")
+    (* Consume in unit-index order — the order a sequential pass would
+       have emitted and consumed them — replaying each unit's events,
+       re-stamped on the main domain's clock, just before its [k]. The
+       first failed slot ends the pass, so [k] sees exactly the units
+       the jobs = 1 loop would have reached. *)
+    Array.iteri
+      (fun i slot ->
+        match slot with
+        | Some (Ok (r, events)) ->
+            Obs.Span.replay events;
+            k i r
+        | Some (Error (exn, bt)) -> Printexc.raise_with_backtrace exn bt
+        | None -> assert false)
       results
   end
-
-let run_units ~jobs ~units f =
-  let pairs = run_units_ev ~jobs ~units f in
-  (* Drain captured events into the live trace in unit-index order —
-     the same order a sequential pass over [units] would have emitted
-     them — re-stamped on the main domain's clock. *)
-  Array.iter (fun (_, events) -> Obs.Span.replay events) pairs;
-  Array.map fst pairs
 
 (* {2 The parallel exploration driver} *)
 
@@ -303,31 +302,21 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
               `Done (!acc, r.Explore.stats, leftover, reason)
             end
           in
-          let results = run_units ~jobs ~units run_unit in
           (* Deterministic reduction: stats, values and leftover frontier
              paths combine in unit-index order, which is frontier order,
              which the seed pass fixed before any domain was spawned. *)
           let stats = ref !seed_stats in
           let value = ref !seed_acc in
           let first_reason = ref None in
-          Array.iter
-            (function
-              | `Done (_, st, _, reason) ->
-                  stats := Explore.add_stats !stats st;
-                  if !first_reason = None then first_reason := reason
-              | `Skipped _ -> ())
-            results;
-          Array.iter
-            (function
-              | `Done (acc, _, _, _) -> value := merge !value acc
-              | `Skipped _ -> ())
-            results;
-          let leftovers =
-            Array.to_list results
-            |> List.concat_map (function
-                 | `Done (_, _, leftover, _) -> leftover
-                 | `Skipped path -> [ path ])
-          in
+          let leftovers = ref [] in
+          run_units ~jobs ~units run_unit (fun _ -> function
+            | `Done (acc, st, leftover, reason) ->
+                stats := Explore.add_stats !stats st;
+                if !first_reason = None then first_reason := reason;
+                value := merge !value acc;
+                leftovers := List.rev_append leftover !leftovers
+            | `Skipped path -> leftovers := path :: !leftovers);
+          let leftovers = List.rev !leftovers in
           let outcome =
             if leftovers = [] then Explore.Complete
             else

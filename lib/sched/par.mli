@@ -19,8 +19,9 @@
       instants appear in traces, yet the published stream stays a single
       main-domain stream.
     - {b deterministic output}: stats, visitor values and leftover
-      frontiers reduce in unit-index order — fixed workload and seed give
-      byte-identical merged results regardless of worker scheduling.
+      frontiers reduce in unit-index order (in {!run_units}'s [k]) —
+      fixed workload and seed give byte-identical merged results
+      regardless of worker scheduling.
 
     With [dedup] on, a canonical state reachable under several prefixes
     may be visited by more than one worker (the sequential run would have
@@ -39,35 +40,32 @@ type 'r result = {
   units : int;  (** parallel work units dispatched (0 = never went parallel) *)
 }
 
-val run_units : jobs:int -> units:'a array -> ('a -> 'b) -> 'b array
-(** Run [f] over every element of [units] on a pool of [jobs] domains
-    (clamped to [1 .. min (Array.length units) 64]; the calling domain
-    participates, so [jobs - 1] domains are spawned). Results come back
-    indexed like [units].
+val run_units :
+  jobs:int -> units:'a array -> ('a -> 'b) -> (int -> 'b -> unit) -> unit
+(** [run_units ~jobs ~units f k] calls [k i (f units.(i))] for every
+    unit, [k] always on the calling domain and in unit-index order.
+    [jobs] is clamped to [1 .. min (Array.length units) 64]; the
+    calling domain participates, so [jobs - 1] domains are spawned.
 
-    When the caller is tracing ({!Obs.Sink.enabled} at entry), each
-    unit's events are captured on the executing domain and replayed into
-    the trace in unit-index order after the join ({!Obs.Span.replay}) —
-    the trace therefore does not depend on [jobs]. When not tracing,
-    units run muted. Worker domains fold their flight-recorder rings
-    into the graveyard as they exit ({!Obs.Recorder.retire}).
+    At [jobs = 1] (or a single unit) this is a plain loop: [f] then [k]
+    for each unit, with no capture or mute. If [f] or [k] raises, no
+    later unit runs.
 
-    If a unit raises, the pool stops claiming new units, in-flight units
-    finish, and the lowest-index exception is re-raised on the caller
-    (with its backtrace) after all domains join; captured events of a
-    failed pool are dropped.
+    At [jobs > 1] the [f] calls run on the pool, claimed in index order
+    from one atomic counter, and the [k] calls follow the join. When the
+    caller is tracing ({!Obs.Sink.enabled} at entry), each unit's events
+    are captured on the executing domain and replayed into the trace
+    ({!Obs.Span.replay}) just before its [k]; otherwise units run muted.
+    If an [f] raises, the pool stops claiming units and in-flight ones
+    finish; [k] then runs for every unit below the lowest-index failure,
+    whose exception is re-raised with its backtrace. Since [k] sees
+    exactly the units the jobs = 1 loop would have reached, with the
+    same events before each, the outcome and the trace do not depend on
+    [jobs]. Worker domains fold their flight-recorder rings into the
+    graveyard as they exit ({!Obs.Recorder.retire}).
 
-    [f] must be domain-safe: it runs off the main domain and concurrently
-    with itself on other units. *)
-
-val run_units_ev :
-  jobs:int -> units:'a array -> ('a -> 'b) -> ('b * Obs.Sink.event list) array
-(** Like {!run_units} but hands each unit's captured events back to the
-    caller instead of replaying them, for drivers that interleave their
-    own per-unit telemetry with the replay (see {!Msgpass.Chaos}). The
-    event lists are empty when the caller was not tracing at entry.
-    Captured stamps are scratch — emit them via {!Obs.Span.replay},
-    which re-stamps on the draining domain's clock. *)
+    [f] must be domain-safe when [jobs > 1]: it runs off the main domain
+    and concurrently with itself on other units. *)
 
 val explore :
   ?max_steps:int ->

@@ -184,10 +184,10 @@ let check_random ~task ~algorithm ?resilience ?(max_steps = 100_000) ~runs
      loop replays the same protocols up to [runs] times, and compiled
      code both skips re-lowering and keeps the positions earlier runs
      already memoized. Sound here because this loop is sequential;
-     [check_supervised]'s jobs>1 sampling compiles per worker instead
-     (compiled code must not cross domains). Stateful code is never
-     cached: its continuations carry the state of the run that compiled
-     it, so every run builds its own. *)
+     [check_supervised]'s frontier samples may run on pool domains, so
+     each compiles its own (compiled code must not cross domains).
+     Stateful code is never cached: its continuations carry the state of
+     the run that compiled it, so every run builds its own. *)
   let compiled = Array.make (Array.length configurations) None in
   let start_cached ?record_trace ci =
     let inputs = configurations.(ci) in
@@ -317,7 +317,6 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
   let sampled = ref 0 in
   let samples_left = ref samples in
   let stop_reason = ref None in
-  let rng = Bits.Rng.make seed in
   (* One budget for the whole check: each input configuration's exploration
      gets whatever the previous ones left over. *)
   let monitor = Sched.Budget.arm budget in
@@ -366,8 +365,12 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
                    Some (Sched.Trace.schedule_of (Scheduler.trace state))
          in
          (* Sample one abandoned subtree: re-execute its choice prefix and
-            finish the run under a seeded fair random schedule. *)
-         let sample_path path =
+            finish the run under a fair random schedule. Each sample
+            derives a private rng from [seed] and its global sample index,
+            so samples are independent completions and the verdict never
+            depends on how many domains ran them. *)
+         let sample (gi, path) =
+           let rng = Bits.Rng.make (seed + (7919 * (gi + 1))) in
            let state = init () in
            List.iter
              (fun choice ->
@@ -377,27 +380,33 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
              path;
            Scheduler.run_random ~max_steps:(max 1 max_steps)
              ~until_outputs:true rng state;
-           incr sampled;
-           Obs.Metrics.inc m_sampled;
            let events = Scheduler.trace state in
            match
              judge task ~inputs
                ~crashes:(Sched.Trace.crashes_of events)
                ~seed:(Some seed) ~schedule:None state
            with
-           | None -> stats := observe !stats state
+           | None -> `Ok state
            | Some v -> (
                match (truncation, Scheduler.all_output state) with
                | `Warn, false ->
                    (* An undecided sampled run under `Warn is a truncation
                       warning, exactly like an undecided exhaustive path. *)
-                   incr truncated_count;
-                   if !first_truncated = None then
-                     first_truncated :=
-                       Some (Sched.Trace.schedule_of events)
-               | _ ->
-                   stop
-                     { (witness state v.reason) with seed = Some seed })
+                   `Trunc (Sched.Trace.schedule_of events)
+               | _ -> `Viol { (witness state v.reason) with seed = Some seed })
+         in
+         (* Outcomes fold on this domain in sample order: stats,
+            truncation warnings and the winning violation are the same at
+            any [jobs]. *)
+         let tally _ outcome =
+           incr sampled;
+           Obs.Metrics.inc m_sampled;
+           match outcome with
+           | `Ok state -> stats := observe !stats state
+           | `Trunc schedule ->
+               incr truncated_count;
+               if !first_truncated = None then first_truncated := Some schedule
+           | `Viol v -> stop v
          in
          let sub_budget =
            Sched.Budget.remaining monitor ~nodes:!search.Sched.Explore.nodes
@@ -407,79 +416,20 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
            Sched.Explore.explore ~max_steps ~max_crashes ~budget:sub_budget
              ~on_truncated ~init visit
          in
-         (* Parallel sampling: the paths are independent completions, so
-            they fan out over the pool. Each sample derives a private rng
-            from [seed] and its global sample index — results depend on
-            the workload and seed, never on how many domains ran them
-            (though they differ from the jobs=1 path, which keeps the
-            original single-rng stream byte-for-byte). Outcomes fold on
-            this domain in sample order: stats, truncation warnings and
-            the winning violation are the same for any [jobs > 1]. *)
-         let sample_parallel paths =
-           let base = !sampled in
-           let units =
-             Array.of_list (List.mapi (fun i path -> (base + i, path)) paths)
-           in
-           let sample_unit (gi, path) =
-             let rng = Bits.Rng.make (seed + (7919 * (gi + 1))) in
-             let state = init () in
-             List.iter
-               (fun choice ->
-                 match choice with
-                 | Sched.Budget.Step p -> Scheduler.step state p
-                 | Sched.Budget.Crash p -> Scheduler.crash state p)
-               path;
-             Scheduler.run_random ~max_steps:(max 1 max_steps)
-               ~until_outputs:true rng state;
-             let events = Scheduler.trace state in
-             match
-               judge task ~inputs
-                 ~crashes:(Sched.Trace.crashes_of events)
-                 ~seed:(Some seed) ~schedule:None state
-             with
-             | None -> `Ok state
-             | Some v -> (
-                 match (truncation, Scheduler.all_output state) with
-                 | `Warn, false -> `Trunc (Sched.Trace.schedule_of events)
-                 | _ -> `Viol { (witness state v.reason) with seed = Some seed })
-           in
-           let results = Sched.Par.run_units ~jobs ~units sample_unit in
-           Array.iter
-             (fun r ->
-               incr sampled;
-               Obs.Metrics.inc m_sampled;
-               match r with
-               | `Ok state -> stats := observe !stats state
-               | `Trunc schedule ->
-                   incr truncated_count;
-                   if !first_truncated = None then
-                     first_truncated := Some schedule
-               | `Viol v -> stop v)
-             results
-         in
          search := Sched.Explore.add_stats !search r.Sched.Explore.stats;
          match r.Sched.Explore.outcome with
          | Sched.Explore.Complete -> ()
          | Sched.Explore.Exhausted { frontier; reason } ->
              stop_reason := Some reason;
              frontier_total := !frontier_total + List.length frontier;
-             if jobs > 1 then begin
-               let rec take k = function
-                 | path :: rest when k > 0 -> path :: take (k - 1) rest
-                 | _ -> []
-               in
-               let paths = take !samples_left frontier in
-               samples_left := !samples_left - List.length paths;
-               sample_parallel paths
-             end
-             else
-               List.iter
-                 (fun path ->
-                   if !samples_left > 0 then begin
-                     decr samples_left;
-                     sample_path path
-                   end)
-                 frontier)
+             let base = !sampled in
+             let units =
+               List.filteri (fun i _ -> i < !samples_left) frontier
+               |> List.mapi (fun i path -> (base + i, path))
+               |> Array.of_list
+             in
+             samples_left := !samples_left - Array.length units;
+             Sched.Par.run_units ~jobs ~units sample tally)
        (Task.input_configurations task)
    with Stop -> ());
   let verdict =

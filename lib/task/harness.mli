@@ -157,11 +157,11 @@ val check_supervised :
 
     [jobs] (default 1) fans the frontier sampling over a domain pool
     ({!Sched.Par.run_units}): samples are independent completions, each
-    with an rng derived from [seed] and its sample index, and outcomes
-    fold back in sample order — the verdict is the same for any
-    [jobs > 1], regardless of worker scheduling. [jobs = 1] keeps the
-    original single-rng sampling stream byte-for-byte, so existing seeds
-    reproduce; the exhaustive pass itself is not parallelized (its budget
+    with an rng derived from [seed] and its global sample index, and
+    outcomes fold back in sample order on the calling domain. The
+    verdict — stats, coverage counters, and a violation's schedule and
+    crashes — is therefore the same at every width, [jobs = 1]
+    included. The exhaustive pass itself is not parallelized (its budget
     accounting is what partitions the frontier in the first place). *)
 
 val check_exhaustive :

@@ -2,7 +2,7 @@
 """Performance gate for the fused exploration hot path.
 
 Compares a freshly measured bench JSON against the committed baseline
-(BENCH_PR6.json) and fails if the raw exploration benchmark has
+(BENCH_PR9.json in CI) and fails if the raw exploration benchmark has
 regressed past the tolerance. CI runners are noisy and heterogeneous, so
 the gate is deliberately loose (1.5x by default): it catches "someone
 re-introduced per-edge allocation or journal traffic", not 5% drift.

@@ -997,6 +997,72 @@ let test_plan_parse_errors_are_positional () =
       ("deliver 9", [ "action 0"; "char 0"; "src>dst" ]);
     ]
 
+(* Hostile plan text: byte-edit a valid [pp_plan] rendering (replace,
+   insert or delete, biased towards the grammar's own bytes) and parse
+   it. The parser never raises, every [Error] starts by naming the
+   action index, and every [Ok] re-prints and re-parses to itself. *)
+let prop_plan_parser_survives_byte_edits =
+  let module Fa = Msgpass.Faults in
+  let open QCheck.Gen in
+  let operand = int_range 0 12 in
+  let channel = map2 (fun src dst -> { Fa.src; dst }) operand operand in
+  let action =
+    oneof
+      [
+        map (fun ch -> Fa.Deliver ch) channel;
+        map (fun ch -> Fa.Drop ch) channel;
+        map (fun ch -> Fa.Duplicate ch) channel;
+        map (fun ch -> Fa.Defer ch) channel;
+        map (fun p -> Fa.Crash p) operand;
+        map (fun p -> Fa.Enter p) operand;
+        map (fun p -> Fa.Leave p) operand;
+      ]
+  in
+  let chars s = List.of_seq (String.to_seq s) in
+  let byte =
+    frequency
+      [
+        (3, oneofl (chars ";> \n\t-+_0x123456789"));
+        (2, oneofl (chars "delivrupfcash"));
+        (1, map Char.chr (int_range 0 255));
+      ]
+  in
+  let text_gen =
+    list_size (int_range 1 30) action >>= fun plan ->
+    let text = Format.asprintf "%a" Fa.pp_plan plan in
+    list_size (int_range 1 4)
+      (triple (int_range 0 2) (int_range 0 max_int) byte)
+    >|= fun edits ->
+    List.fold_left
+      (fun t (kind, at, b) ->
+        let len = String.length t in
+        let at = if len = 0 then 0 else at mod len in
+        let before = String.sub t 0 at in
+        match kind with
+        | 0 when len > 0 -> String.mapi (fun i c -> if i = at then b else c) t
+        | 1 -> before ^ String.make 1 b ^ String.sub t at (len - at)
+        | _ when len > 0 -> before ^ String.sub t (at + 1) (len - at - 1)
+        | _ -> t)
+      text edits
+  in
+  QCheck.Test.make ~name:"plan parser survives byte edits" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") text_gen)
+    (fun text ->
+      match Fa.plan_of_string text with
+      | exception exn ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string exn)
+      | Error e -> (
+          match
+            Scanf.sscanf_opt e "action %d (at char %d): " (fun i c -> (i, c))
+          with
+          | Some (i, c) when i >= 0 && c >= 0 && c <= String.length text ->
+              true
+          | _ -> QCheck.Test.fail_reportf "error names no action: %s" e)
+      | Ok plan -> (
+          match Fa.plan_of_string (Format.asprintf "%a" Fa.pp_plan plan) with
+          | Ok again when again = plan -> true
+          | _ -> QCheck.Test.fail_reportf "re-printed plan does not re-parse"))
+
 (* Mutation is a pure function of the rng stream: same corpus plan + same
    seed give byte-identical children. *)
 let test_fleet_mutator_deterministic () =
@@ -1207,9 +1273,9 @@ let test_fleet_dump_scoped_to_campaign () =
           (Option.bind (Obs.Json.member "args" first) (Obs.Json.member_int "seed"))
     | [] -> Alcotest.failf "seed %d: empty dump" seed
   in
-  ignore
-    (Sched.Par.run_units ~jobs:2 ~units:[| 0; 1 |] (fun _ ->
-         Obs.Span.instant ~cat:"test" "before-campaigns"));
+  Sched.Par.run_units ~jobs:2 ~units:[| 0; 1 |]
+    (fun _ -> Obs.Span.instant ~cat:"test" "before-campaigns")
+    (fun _ () -> ());
   if Sys.file_exists dump then Sys.remove dump;
   let r1 = F.campaign ~generations:8 ~seed:9 config in
   Alcotest.(check bool) "first campaign violates" true (r1.F.violations > 0);
@@ -1915,6 +1981,7 @@ let () =
             test_plan_codec_rejects_garbage;
           Alcotest.test_case "plan parse errors are positional" `Quick
             test_plan_parse_errors_are_positional;
+          QCheck_alcotest.to_alcotest prop_plan_parser_survives_byte_edits;
           Alcotest.test_case "fleet mutator is seed-deterministic" `Quick
             test_fleet_mutator_deterministic;
           Alcotest.test_case "mutation draws are pinned" `Quick

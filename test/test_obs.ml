@@ -348,7 +348,9 @@ let test_recorder_dump_since () =
   Obs.Recorder.clear ();
   let tick name = Obs.Span.instant ~cat:"app" name in
   let pool name =
-    ignore (Sched.Par.run_units ~jobs:2 ~units:[| 0; 1; 2; 3 |] (fun _ -> tick name))
+    Sched.Par.run_units ~jobs:2 ~units:[| 0; 1; 2; 3 |]
+      (fun _ -> tick name)
+      (fun _ () -> ())
   in
   (* A domain whose ring predates the mark and records on both sides of
      it; it is never retired, so its ring stays live. *)
@@ -409,21 +411,25 @@ let test_recorder_dump_since () =
     (render (Obs.Recorder.events ())) (dump_lines None);
   Obs.Recorder.clear ()
 
-(* Worker-domain events surface on the main domain: each parallel unit's
-   captured events replay after join in unit-index order, re-stamped by
-   the main domain's clock — the trace is identical at any --jobs. *)
+(* Worker-domain events surface on the main domain: after the join each
+   parallel unit's captured events replay just before its [k], in
+   unit-index order, re-stamped by the main domain's clock — the trace
+   is identical at any --jobs. *)
 let test_worker_event_drain () =
   let sink, events = S.memory () in
   Obs.Span.reset ();
   S.with_sink sink (fun () ->
       let units = [| 0; 1; 2; 3; 4; 5 |] in
-      let out =
-        Sched.Par.run_units ~jobs:2 ~units (fun u ->
-            Obs.Span.instant ~cat:"sched" ~args:[ ("unit", J.Int u) ] "unit";
-            u * 10)
-      in
-      Alcotest.(check (array int))
-        "results in unit order" [| 0; 10; 20; 30; 40; 50 |] out);
+      let out = ref [] in
+      Sched.Par.run_units ~jobs:2 ~units
+        (fun u ->
+          Obs.Span.instant ~cat:"sched" ~args:[ ("unit", J.Int u) ] "unit";
+          u * 10)
+        (fun i r -> out := (i, r) :: !out);
+      Alcotest.(check (list (pair int int)))
+        "results in unit order"
+        [ (0, 0); (1, 10); (2, 20); (3, 30); (4, 40); (5, 50) ]
+        (List.rev !out));
   let evs =
     List.filter (fun (e : S.event) -> e.S.name = "unit") (events ())
   in

@@ -556,6 +556,53 @@ let test_par_budget_resume () =
   Alcotest.(check bool) "same multiset of terminal states" true
     (List.sort compare !full = List.sort compare !collected)
 
+(* The unit runner's contract: [k] sees units in index order on the
+   calling domain; at jobs = 1 a raising [k] leaves later units unrun;
+   at jobs > 1 a failing [f] at unit j follows [k] for exactly 0..j-1. *)
+exception Unit_failed of int
+
+let test_par_run_units_contract () =
+  let units = Array.init 8 Fun.id in
+  List.iter
+    (fun jobs ->
+      let seen = ref [] in
+      Sched.Par.run_units ~jobs ~units
+        (fun u -> u * u)
+        (fun i r -> seen := (i, r) :: !seen);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "jobs %d: k in unit order" jobs)
+        (List.init 8 (fun i -> (i, i * i)))
+        (List.rev !seen))
+    [ 1; 2 ];
+  let f_calls = ref 0 in
+  let k_calls = ref [] in
+  (match
+     Sched.Par.run_units ~jobs:1 ~units
+       (fun u ->
+         incr f_calls;
+         u)
+       (fun i _ ->
+         k_calls := i :: !k_calls;
+         if i = 3 then raise (Unit_failed i))
+   with
+  | () -> Alcotest.fail "jobs 1: the raising k did not propagate"
+  | exception Unit_failed 3 -> ());
+  Alcotest.(check int) "jobs 1: no f after the raising k" 4
+    !f_calls;
+  Alcotest.(check (list int)) "jobs 1: k stopped at the raise" [ 0; 1; 2; 3 ]
+    (List.rev !k_calls);
+  let k_calls = ref [] in
+  (match
+     Sched.Par.run_units ~jobs:2 ~units
+       (fun u -> if u = 5 || u = 6 then raise (Unit_failed u) else u)
+       (fun i _ -> k_calls := i :: !k_calls)
+   with
+  | () -> Alcotest.fail "jobs 2: the failing f did not propagate"
+  | exception Unit_failed j ->
+      Alcotest.(check int) "jobs 2: the lowest-index failure wins" 5 j);
+  Alcotest.(check (list int)) "jobs 2: k ran for every unit below it"
+    [ 0; 1; 2; 3; 4 ] (List.rev !k_calls)
+
 (* Double-collect snapshots: under concurrent writers, a returned snapshot
    was instantaneously present in memory. We check the weaker testable
    property: two sequential snapshots by the same process are ordered by
@@ -973,6 +1020,8 @@ let () =
             test_par_raw_partition_exact;
           Alcotest.test_case "budget + resume through the pool" `Quick
             test_par_budget_resume;
+          Alcotest.test_case "run_units contract" `Quick
+            test_par_run_units_contract;
         ] );
       ( "snapshots",
         [ Alcotest.test_case "double collect" `Quick test_snapshot_clean ] );

@@ -338,27 +338,43 @@ let test_supervised_violation_found_while_sampling () =
       Alcotest.fail "sampling fallback missed the violation"
 
 let test_supervised_parallel_sampling () =
-  (* Frontier sampling over a domain pool: each sample derives its rng
-     from the seed and its global sample index, so the verdict and the
-     coverage counters are identical for any jobs > 1. A violation must
-     also still surface through the pool. *)
-  let k = 2 in
-  let task = Tasks.Eps_agreement.task ~n:2 ~k:(2 * k + 1) in
-  let algorithm = alg1_algorithm ~k in
-  let run jobs =
-    H.check_supervised ~task ~algorithm ~max_crashes:1
-      ~budget:(Sched.Budget.make ~max_nodes:50 ())
-      ~samples:32 ~seed:11 ~jobs ()
+  (* Frontier sampling gives every sample an rng derived from the seed
+     and its global sample index, and folds outcomes in sample order on
+     the calling domain, so the whole verdict — stats, coverage, and a
+     violation's schedule and crashes — is the same at jobs 1, 2 and 4. *)
+  let jobs_invariant name pp_i run =
+    let base = run 1 in
+    let show v = Format.asprintf "%a" (H.pp_verdict pp_i) v in
+    List.iter
+      (fun jobs ->
+        let v = run jobs in
+        Alcotest.(check string)
+          (Printf.sprintf "%s: jobs %d prints like jobs 1" name jobs)
+          (show base) (show v);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: jobs %d verdict = jobs 1" name jobs)
+          true (v = base))
+      [ 2; 4 ];
+    base
   in
-  (match (run 2, run 4) with
-  | H.Verified_sampled (s2, c2), H.Verified_sampled (s4, c4) ->
-      Alcotest.(check int) "same sampled count" c2.H.sampled c4.H.sampled;
-      Alcotest.(check int) "same frontier size" c2.H.frontier c4.H.frontier;
-      Alcotest.(check bool) "same stop reason" true (c2.H.stop = c4.H.stop);
-      Alcotest.(check int) "same total runs" s2.H.runs s4.H.runs;
-      Alcotest.(check int) "same step bound" s2.H.max_process_steps
-        s4.H.max_process_steps
-  | _ -> Alcotest.fail "expected sampled verification at both widths");
+  let sampled name ~k ~max_nodes ~seed =
+    let task = Tasks.Eps_agreement.task ~n:2 ~k:(2 * k + 1) in
+    let algorithm = alg1_algorithm ~k in
+    match
+      jobs_invariant name Format.pp_print_int (fun jobs ->
+          H.check_supervised ~task ~algorithm ~max_crashes:1
+            ~budget:(Sched.Budget.make ~max_nodes ())
+            ~samples:32 ~seed ~jobs ())
+    with
+    | H.Verified_sampled (_, c) ->
+        Alcotest.(check bool) (name ^ ": the frontier was sampled") true
+          (c.H.sampled > 0)
+    | _ -> Alcotest.failf "%s: expected sampled verification" name
+  in
+  sampled "alg1 k=2" ~k:2 ~max_nodes:50 ~seed:11;
+  (* Here the sampled step bound depends on the rng stream (9 or 7
+     steps/process), so a width-dependent stream would show. *)
+  sampled "alg1 k=8" ~k:8 ~max_nodes:30 ~seed:1;
   let bad =
     {
       H.name = "stepping-bad-half";
@@ -369,12 +385,17 @@ let test_supervised_parallel_sampling () =
     }
   in
   match
-    H.check_supervised ~task:(Tasks.Eps_agreement.task ~n:2 ~k:2)
-      ~algorithm:bad
-      ~budget:(Sched.Budget.make ~max_nodes:1 ())
-      ~seed:5 ~jobs:2 ()
+    jobs_invariant "bad-half" Format.pp_print_int (fun jobs ->
+        H.check_supervised ~task:(Tasks.Eps_agreement.task ~n:2 ~k:2)
+          ~algorithm:bad
+          ~budget:(Sched.Budget.make ~max_nodes:1 ())
+          ~seed:5 ~jobs ())
   with
-  | H.Violation _ -> ()
+  | H.Violation v ->
+      Alcotest.(check (option int)) "violation names the sample seed"
+        (Some 5) v.H.seed;
+      Alcotest.(check bool) "violation carries its schedule" true
+        (v.H.schedule <> None)
   | H.Verified_exhaustive _ | H.Verified_sampled _ ->
       Alcotest.fail "parallel sampling missed the violation"
 
