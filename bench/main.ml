@@ -112,7 +112,7 @@ let run_abd_ops () =
   in
   let net =
     Msgpass.Net.create ~n
-      ~nodes:(fun pid -> Msgpass.Interp.node interps.(pid))
+      ~nodes:(fun ~send pid -> Msgpass.Interp.node interps.(pid) ~send)
       ()
   in
   Msgpass.Net.run_random ~rng:(Bits.Rng.make 9) net

@@ -181,6 +181,14 @@ dune exec bin/boundedreg.exe -- chaos --churn-frontier --runs 40 --seed 1 \
 dune exec bin/boundedreg.exe -- chaos --churn-frontier --runs 40 --seed 1 \
   --jobs 2 --expect violation > "$tmp_par"
 diff "$tmp_seq" "$tmp_par"
+# Counters too: each domain's pooled instances are built with no start
+# script run, so warming a pool counts no sends and the metrics of a
+# jobs=2 campaign equal jobs=1's (net.sends 18050 for this one).
+dune exec bin/boundedreg.exe -- chaos --runs 200 --seed 1 --jobs 1 \
+  --metrics "$tmp_seq" > /dev/null
+dune exec bin/boundedreg.exe -- chaos --runs 200 --seed 1 --jobs 2 \
+  --metrics "$tmp_par" > /dev/null
+diff "$tmp_seq" "$tmp_par"
 
 # Fleet smoke: the coverage-guided chaos fleet. Generations mode pins the
 # workload, so a jobs=2 fleet must reproduce the jobs=1 report, corpus

@@ -237,9 +237,9 @@ let failed o = violates o.verdict
    stamped on one logical clock — every inv/res gets a fresh stamp, so
    the recorded real-time order is exactly the callback order of the
    simulation — and completed operations land in growable int columns,
-   in completion order: (proc, write?, value, inv stamp, res stamp). A
-   pooled fleet rewinds the recorder with [rec_reset] instead of
-   rebuilding it. *)
+   in completion order: (proc, write?, value, inv stamp, res stamp). The
+   pool rewinds the recorder with [rec_reset] instead of rebuilding
+   it. *)
 
 type recorder = {
   r_writes : int;
@@ -367,20 +367,35 @@ let rec_finalize r ~ascending =
   go (r.h_len - 1) !tail
 
 (* ------------------------------------------------------------------ *)
-(* The static fleet: one {!Abd} per pid speaking {!Pack}ed int messages
-   straight into the arena network, so a run's send/deliver path
-   allocates nothing. Instances are pooled per domain and per config: a
-   run is [reset] (rewind the ABD states and the recorder, re-run the
-   start scripts) rather than a rebuild, so the steady-state cost of a
-   chaos run is the fault loop itself. A handler's replies go out before
-   the next script operation its completion starts. *)
+(* The fleets. Both are push-mode peers over the arena network, pooled
+   per domain: a run [reset]s an instance (rewind the peers and the
+   recorder, clear the network, re-run the start scripts) rather than
+   rebuilding it, so the steady-state cost of a chaos run is the fault
+   loop itself. The network is created with every slot absent, so no
+   start script runs before the first reset and the first run on a
+   domain counts the same sends as every other. A handler's replies go
+   out before the next script operation its completion starts. The two
+   fleets speak different message types; the drivers only ever run the
+   fault layer and call the finalizer, so the type packs away. *)
 
-type static = {
-  s_ft : int Faults.t;
-  s_reset : unit -> unit;
-  s_finalize : unit -> int L.event list;
-}
+type prepared = Prepared : 'm Faults.t * (unit -> int L.event list) -> prepared
+type instance = { reset : unit -> unit; prepared : prepared }
 
+let instance ~n ~present ~nodes ~reset_nodes r ~ascending =
+  let net = Net.create ~present:(fun _ -> false) ~n ~nodes () in
+  let ft = Faults.wrap net in
+  {
+    reset =
+      (fun () ->
+        reset_nodes ();
+        rec_reset r;
+        Faults.reset ft;
+        Net.reset ~present net);
+    prepared = Prepared (ft, fun () -> rec_finalize r ~ascending);
+  }
+
+(* The static fleet: one {!Abd} per pid speaking {!Pack}ed int messages,
+   so a run's send/deliver path allocates nothing. *)
 let static_create config =
   Option.iter (fun e -> invalid_arg ("Chaos: " ^ e)) (static_error config);
   let n = config.n in
@@ -406,61 +421,21 @@ let static_create config =
         start ()
       end
     in
-    { Net.p_start = start; p_message = message; p_leave = ignore }
+    { Net.on_start = start; on_message = message; on_leave = ignore }
   in
-  let net = Net.create_push ~n ~nodes () in
-  let ft = Faults.wrap net in
-  let reset () =
-    List.iter Abd.reset !abds;
-    rec_reset r;
-    Faults.reset ft;
-    Net.reset net
-  in
-  {
-    s_ft = ft;
-    s_reset = reset;
-    s_finalize = (fun () -> rec_finalize r ~ascending:true);
-  }
+  instance ~n ~present:(fun _ -> true) ~nodes
+    ~reset_nodes:(fun () -> List.iter Abd.reset !abds)
+    r ~ascending:true
 
-(* One pooled instance per domain and network shape: campaign workers
-   each grow their own pool in domain-local storage. The key holds the
-   only fields an instance reads, so the fleet's per-generation fault
-   profiles share one, and it hashes in a few int ops. *)
-let pool = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let static_acquire config =
-  let tbl = Domain.DLS.get pool in
-  let key =
-    (config.n, config.t, config.quorum, config.writes, config.readers,
-     config.reads)
-  in
-  let p =
-    match Hashtbl.find_opt tbl key with
-    | Some p -> p
-    | None ->
-        let p = static_create config in
-        Hashtbl.add tbl key p;
-        p
-  in
-  p.s_reset ();
-  p
-
-(* The dynamic client fleet: Dynreg peers over a churning membership.
-   Slots [0 .. seed_members - 1] are seeded (writer 0, readers 1..);
-   the rest are late joiners whose read scripts start on [Activated].
-   A leaver's pending operation stays pending — finalize records it
-   incomplete, and the checker treats it as may-or-may-not have taken
-   effect, which is exactly the semantics of departing mid-operation. *)
-let build_dyn config dyn =
+(* The dynamic fleet: Dynreg peers over a churning membership. Slots
+   [0 .. seed_members - 1] are seeded (writer 0, readers 1..); the rest
+   are late joiners whose read scripts start on [Activated]. A leaver's
+   pending operation stays pending — finalize records it incomplete, and
+   the checker treats it as may-or-may-not have taken effect, which is
+   exactly the semantics of departing mid-operation. *)
+let dyn_create config dyn =
   let n = config.n in
   let initial = Membership.initial dyn.seed_members in
-  let regs =
-    Array.init n (fun me ->
-        Dynreg.create ~n ~me ~slack:dyn.churn_slack ?width_bits:dyn.width_bits
-          ~registers:1
-          ~init:(fun _ -> 0)
-          ~initial ())
-  in
   let r =
     recorder ~n ~writes:config.writes ~reads:(fun me ->
         if me = 0 then 0
@@ -468,52 +443,78 @@ let build_dyn config dyn =
         else if me <= config.readers then config.reads
         else 0)
   in
-  let start_next me =
-    let op = rec_next r me in
-    if op >= 1 then Dynreg.begin_write regs.(me) ~reg:0 op
-    else if op = 0 then Dynreg.begin_read regs.(me) ~reg:0
-    else []
+  let regs = ref [] in
+  let nodes ~send me =
+    let reg =
+      Dynreg.create ~n ~me ~slack:dyn.churn_slack ?width_bits:dyn.width_bits
+        ~registers:1
+        ~init:(fun _ -> 0)
+        ~initial ~send ()
+    in
+    regs := reg :: !regs;
+    let start_next () =
+      let op = rec_next r me in
+      if op >= 1 then Dynreg.begin_write reg ~reg:0 op
+      else if op = 0 then Dynreg.begin_read reg ~reg:0
+    in
+    let start () =
+      Dynreg.start reg;
+      if Dynreg.is_active reg then start_next ()
+    in
+    let message ~from m =
+      Dynreg.handle reg ~from m;
+      match Dynreg.take_completion reg with
+      | None -> ()
+      | Some Dynreg.Activated -> start_next ()
+      | Some c ->
+          rec_complete r me
+            (match c with
+            | Dynreg.Read_value v -> v
+            | Dynreg.Wrote | Dynreg.Activated -> 0);
+          start_next ()
+    in
+    let leave () = Dynreg.farewell reg in
+    { Net.on_start = start; on_message = message; on_leave = leave }
   in
-  let node me =
-    {
-      Net.on_start =
-        (fun () ->
-          let outs = Dynreg.start regs.(me) in
-          if Dynreg.is_active regs.(me) then outs @ start_next me else outs);
-      on_message =
-        (fun ~from m ->
-          let outs = Dynreg.handle regs.(me) ~from m in
-          match Dynreg.take_completion regs.(me) with
-          | None -> outs
-          | Some Dynreg.Activated -> outs @ start_next me
-          | Some c ->
-              rec_complete r me
-                (match c with
-                | Dynreg.Read_value v -> v
-                | Dynreg.Wrote | Dynreg.Activated -> 0);
-              outs @ start_next me);
-      on_leave = (fun () -> Dynreg.farewell regs.(me));
-    }
-  in
-  let net =
-    Net.create ~present:(fun pid -> pid < dyn.seed_members) ~n ~nodes:node ()
-  in
-  (net, fun () -> rec_finalize r ~ascending:false)
+  instance ~n
+    ~present:(fun pid -> pid < dyn.seed_members)
+    ~nodes
+    ~reset_nodes:(fun () -> List.iter Dynreg.reset !regs)
+    r ~ascending:false
 
-(* Every driver below funnels through [prepare]: the pooled static fleet,
-   or a fresh dynamic one. The two speak different message types; the
-   drivers only ever run the fault layer and call the finalizer, so the
-   type packs away. *)
-type prepared = Prepared : 'm Faults.t * (unit -> int L.event list) -> prepared
+(* One pool per domain, serving both fleets: campaign workers each grow
+   their own in domain-local storage. The key holds exactly the fields
+   an instance reads — the network shape and scripts, plus, for a
+   dynamic fleet, the seed group, slack, width and joiner scripts — so
+   configs that differ only in how a run is driven (fault profile,
+   crash budget, churn rate and window, which only the rng roll reads)
+   share one instance, and the key hashes in a few int ops. Every
+   driver below funnels through [prepare]. *)
+let pool = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let prepare config =
-  match config.membership with
-  | None ->
-      let p = static_acquire config in
-      Prepared (p.s_ft, p.s_finalize)
-  | Some dyn ->
-      let net, finalize = build_dyn config dyn in
-      Prepared (Faults.wrap net, finalize)
+  let tbl = Domain.DLS.get pool in
+  let key =
+    ( config.n, config.t, config.quorum, config.writes, config.readers,
+      config.reads,
+      Option.map
+        (fun d -> (d.seed_members, d.churn_slack, d.width_bits, d.joiner_reads))
+        config.membership )
+  in
+  let p =
+    match Hashtbl.find_opt tbl key with
+    | Some p -> p
+    | None ->
+        let p =
+          match config.membership with
+          | None -> static_create config
+          | Some dyn -> dyn_create config dyn
+        in
+        Hashtbl.add tbl key p;
+        p
+  in
+  p.reset ();
+  p.prepared
 
 let check history =
   L.check ~pp:Format.pp_print_int ~init:(fun _ -> 0) ~equal:Int.equal history
@@ -783,8 +784,9 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
         first;
       }
   in
-  (* Seeded runs are mutually independent — each builds its own fleet,
-     network and rng — so they are the pool's units. The deadline is
+  (* Seeded runs are mutually independent — each rewinds its domain's
+     pooled instance and draws its own rng — so they are the units of
+     [Par.run_units]. The deadline is
      checked before each run: a run is bounded by [config.max_events], so
      the overshoot is one run. A skipped run stops the fold, which
      therefore always consumes a contiguous seed prefix; only a deadline

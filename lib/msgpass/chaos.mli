@@ -1,7 +1,7 @@
 (** Chaos campaigns: ABD register emulations under injected faults, with
     machine-checked atomicity verdicts and shrunk counterexamples.
 
-    One run builds an [n]-process {!Net} of ABD peers ({!Abd}), gives
+    One run drives an [n]-process {!Net} of ABD peers ({!Abd}), gives
     process 0 a script of writes to register 0 and processes [1..readers] a
     script of sequential reads, drives deliveries through a {!Faults} layer,
     and records every operation's invocation/response on a logical clock.
@@ -23,7 +23,12 @@
     enter/leave events rolled per run (the ACEKW adversary) and quorums
     sized against gossiped views widened by [churn_slack]. The same
     checker, shrinker and replay machinery applies — churn events are
-    ordinary plan actions. *)
+    ordinary plan actions.
+
+    Neither fleet is rebuilt per run: each domain pools its instances
+    (network, peers, recorder) by the config fields they read, and
+    rewinds one before every run. Outcomes, traces and metric counters
+    are the same on a warm domain as on a new one. *)
 
 type dyn = {
   seed_members : int;  (** slots [0..seed_members-1] present at start *)
@@ -139,7 +144,7 @@ val run_at : rng_point -> config -> outcome
     run of a traced campaign is replayable from the trace alone. *)
 
 val run_plan : config -> Faults.plan -> outcome
-(** Deterministic replay of a plan against a fresh network — bit-for-bit:
+(** Deterministic replay of a plan from the initial state — bit-for-bit:
     [run_plan c (Faults.decompile (run_random ~seed c).plan)] reproduces
     the run. The plan is {!Faults.compile}d first, so out-of-range
     operands raise [Invalid_argument] before anything executes. *)

@@ -47,6 +47,9 @@ type 'v t = {
   me : int;
   slack : int;
   ts_mask : int;  (** -1: unbounded; else [2^b - 1] — the register width *)
+  init : int -> 'v;
+  initial : Membership.view;
+  send : dst:int -> 'v msg -> unit;
   copies : 'v payload array;
   mutable view : Membership.view;
   mutable active : bool;
@@ -55,7 +58,19 @@ type 'v t = {
   mutable done_ : 'v completion option;
 }
 
-let create ~n ~me ?(slack = 0) ?width_bits ~registers ~init ~initial () =
+let reset t =
+  let seeded = Membership.mem t.initial t.me in
+  for reg = 0 to Array.length t.copies - 1 do
+    t.copies.(reg) <- { ts = 0; rank = 0; value = t.init reg }
+  done;
+  t.view <- (if seeded then t.initial else Membership.enter t.initial t.me);
+  t.active <- seeded;
+  t.next_op <- 0;
+  t.phase <- (if seeded then Idle else Joining { acks = 0 });
+  t.done_ <- None
+
+let create ~n ~me ?(slack = 0) ?width_bits ~registers ~init ~initial ~send ()
+    =
   if me < 0 || me >= n then invalid_arg "Dynreg.create: me out of range";
   if registers < 1 then invalid_arg "Dynreg.create: registers >= 1";
   if slack < 0 then invalid_arg "Dynreg.create: slack >= 0";
@@ -67,19 +82,25 @@ let create ~n ~me ?(slack = 0) ?width_bits ~registers ~init ~initial () =
           invalid_arg "Dynreg.create: width_bits in 1..30";
         (1 lsl b) - 1
   in
-  let seeded = Membership.mem initial me in
-  {
-    n;
-    me;
-    slack;
-    ts_mask;
-    copies = Array.init registers (fun reg -> { ts = 0; rank = 0; value = init reg });
-    view = (if seeded then initial else Membership.enter initial me);
-    active = seeded;
-    next_op = 0;
-    phase = (if seeded then Idle else Joining { acks = 0 });
-    done_ = None;
-  }
+  let t =
+    {
+      n;
+      me;
+      slack;
+      ts_mask;
+      init;
+      initial;
+      send;
+      copies = Array.init registers (fun reg -> { ts = 0; rank = 0; value = init reg });
+      view = initial;
+      active = false;
+      next_op = 0;
+      phase = Idle;
+      done_ = None;
+    }
+  in
+  reset t;
+  t
 
 let view t = t.view
 let is_active t = t.active
@@ -97,7 +118,9 @@ let adopt t reg p = if newer p t.copies.(reg) then t.copies.(reg) <- p
 
 let everyone t body =
   let m = { view = t.view; body } in
-  List.init t.n (fun j -> (j, m))
+  for dst = 0 to t.n - 1 do
+    t.send ~dst m
+  done
 
 let fresh_op t =
   if not t.active then invalid_arg "Dynreg: not active yet";
@@ -122,7 +145,7 @@ let begin_read t ~reg =
   ;
   everyone t (Query { reg; op })
 
-let start t = if t.active then [] else everyone t Join
+let start t = if not t.active then everyone t Join
 
 let farewell t =
   t.view <- Membership.leave t.view t.me;
@@ -153,8 +176,7 @@ let advance t =
       t.view <- Membership.activate t.view t.me;
       t.phase <- Idle;
       t.done_ <- Some Activated;
-      milestone t "activated" [ ("quorum", Obs.Json.Int q) ];
-      []
+      milestone t "activated" [ ("quorum", Obs.Json.Int q) ]
   | Querying { op; reg; replies; best; intent }
     when Membership.popcount replies >= q ->
       let data, return =
@@ -189,62 +211,47 @@ let advance t =
               | Activated -> "activated"
               | Wrote -> "wrote"
               | Read_value _ -> "read") );
-        ];
-      []
-  | Joining _ | Idle | Querying _ | Updating _ -> []
+        ]
+  | Joining _ | Idle | Querying _ | Updating _ -> ()
 
 let handle t ~from (msg : _ msg) =
   t.view <- Membership.merge t.view msg.view;
-  let replies =
-    match msg.body with
-    | Join ->
-        (* Only activated members vouch for the state a joiner adopts. *)
-        if t.active then
-          [ (from, { view = t.view; body = Join_ack (Array.copy t.copies) }) ]
-        else []
-    | Join_ack copies ->
-        (match t.phase with
-        | Joining j when not t.active ->
-            Array.iteri (fun reg p -> adopt t reg p) copies;
-            t.phase <- Joining { acks = j.acks lor (1 lsl from) }
-        | _ -> ());
-        []
-    | Goodbye -> []  (* the envelope's view merge already recorded it *)
-    | Query { reg; op } ->
-        if t.active then
-          [
-            ( from,
+  let reply body = t.send ~dst:from { view = t.view; body } in
+  (match msg.body with
+  | Join ->
+      (* Only activated members vouch for the state a joiner adopts. *)
+      if t.active then reply (Join_ack (Array.copy t.copies))
+  | Join_ack copies -> (
+      match t.phase with
+      | Joining j when not t.active ->
+          Array.iteri (fun reg p -> adopt t reg p) copies;
+          t.phase <- Joining { acks = j.acks lor (1 lsl from) }
+      | _ -> ())
+  | Goodbye -> ()  (* the envelope's view merge already recorded it *)
+  | Query { reg; op } ->
+      if t.active then reply (Query_ack { reg; op; found = t.copies.(reg) })
+  | Query_ack { reg; op; found } -> (
+      match t.phase with
+      | Querying c when c.op = op && c.reg = reg ->
+          t.phase <-
+            Querying
               {
-                view = t.view;
-                body = Query_ack { reg; op; found = t.copies.(reg) };
-              } );
-          ]
-        else []
-    | Query_ack { reg; op; found } ->
-        (match t.phase with
-        | Querying c when c.op = op && c.reg = reg ->
-            t.phase <-
-              Querying
-                {
-                  c with
-                  replies = c.replies lor (1 lsl from);
-                  best = (if newer found c.best then found else c.best);
-                }
-        | _ -> ());
-        []
-    | Update { reg; op; data } ->
-        (* Joiners store and ack too: adopted state propagates through
-           them, and a write quorum may lean on nodes still joining. *)
-        adopt t reg data;
-        [ (from, { view = t.view; body = Update_ack { reg; op } }) ]
-    | Update_ack { reg; op } ->
-        (match t.phase with
-        | Updating u when u.op = op && u.reg = reg ->
-            t.phase <- Updating { u with acks = u.acks lor (1 lsl from) }
-        | _ -> ());
-        []
-  in
-  replies @ advance t
+                c with
+                replies = c.replies lor (1 lsl from);
+                best = (if newer found c.best then found else c.best);
+              }
+      | _ -> ())
+  | Update { reg; op; data } ->
+      (* Joiners store and ack too: adopted state propagates through
+         them, and a write quorum may lean on nodes still joining. *)
+      adopt t reg data;
+      reply (Update_ack { reg; op })
+  | Update_ack { reg; op } -> (
+      match t.phase with
+      | Updating u when u.op = op && u.reg = reg ->
+          t.phase <- Updating { u with acks = u.acks lor (1 lsl from) }
+      | _ -> ()));
+  advance t
 
 let take_completion t =
   let r = t.done_ in

@@ -18,7 +18,10 @@
     learn the highest timestamp before exceeding it); a read's update
     phase is the ABD write-back that makes it atomic. Departure
     ({!farewell}, wired to {!Net}'s [on_leave]) announces a [Goodbye]
-    so surviving views shrink.
+    so surviving views shrink. {!reset} puts a peer back at the start
+    of this lifecycle — active or joining, as [initial] says — so the
+    pooled chaos fleet ({!Chaos}) builds its peers once per domain and
+    rewinds them before every run.
 
     [width_bits] bounds the timestamp field to [b] bits, wrapping
     arithmetic mod [2^b] — the bounded-register knob of the source
@@ -27,9 +30,11 @@
     maps where on the churn-rate × width grid the emulation stays
     linearizable.
 
-    Like {!Abd}, the state machine is transport-agnostic: [start],
-    [begin_*], [handle] and [farewell] return the messages to send, and
-    the embedding moves them. One outstanding operation per process. *)
+    Like {!Abd}, the state machine is transport-agnostic: every message
+    goes out through the [send] callback given at {!create} — a
+    broadcast is one call per pid, [0 .. n-1] in order, and a handler
+    sends its reply before any broadcast the reply's quorum triggers.
+    One outstanding operation per process. *)
 
 type 'v payload = { ts : int; rank : int; value : 'v }
 (** A stamped copy: timestamps ordered lexicographically by
@@ -61,6 +66,7 @@ val create :
   registers:int ->
   init:(int -> 'v) ->
   initial:Membership.view ->
+  send:(dst:int -> 'v msg -> unit) ->
   unit ->
   'v t
 (** [n] is the slot universe ({!Net}'s size). A [me] inside [initial]
@@ -72,26 +78,31 @@ val create :
     @raise Invalid_argument on out-of-range [me], [registers < 1],
     negative [slack], or [width_bits] outside 1..30. *)
 
-val start : 'v t -> (int * 'v msg) list
+val reset : 'v t -> unit
+(** Back to the post-{!create} state: copies at [init reg], timestamp 0,
+    no operation outstanding, no completion pending. *)
+
+val start : 'v t -> unit
 (** The node's opening broadcast ({!Net}'s [on_start]): a [Join] for a
     late arrival, nothing for a seeded member. *)
 
-val farewell : 'v t -> (int * 'v msg) list
+val farewell : 'v t -> unit
 (** The departure broadcast ({!Net}'s [on_leave]): marks itself left,
     deactivates (dropping any pending operation), sends [Goodbye]. *)
 
-val begin_write : 'v t -> reg:int -> 'v -> (int * 'v msg) list
+val begin_write : 'v t -> reg:int -> 'v -> unit
 (** Query-then-update write: learn the highest timestamp from a quorum,
     exceed it (mod the width), install at a quorum.
     @raise Invalid_argument if not active or an op is outstanding. *)
 
-val begin_read : 'v t -> reg:int -> (int * 'v msg) list
+val begin_read : 'v t -> reg:int -> unit
 (** Query-then-update read: adopt the highest of a quorum of replies,
     write it back to a quorum before returning — atomicity, as in ABD. *)
 
-val handle : 'v t -> from:int -> 'v msg -> (int * 'v msg) list
-(** Merge the envelope view, process the body, re-evaluate the pending
-    quorum. Reply sets are pid bitsets, so duplicated deliveries never
+val handle : 'v t -> from:int -> 'v msg -> unit
+(** Merge the envelope view, process the body (sending any reply),
+    re-evaluate the pending quorum (broadcasting the next phase when it
+    closes). Reply sets are pid bitsets, so duplicated deliveries never
     double-count. Joiners answer [Update] (store-and-ack — adopted state
     propagates through them) but not [Query] or [Join]; only activated
     members vouch for state. *)

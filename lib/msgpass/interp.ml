@@ -94,16 +94,14 @@ let handle t ~from msg =
 let decision t = t.decided
 let steps t = t.steps
 
-let node (t, initial) =
+let node (t, initial) ~send =
+  let out = List.iter (fun (dst, m) -> send ~dst m) in
   let first = ref (Some initial) in
   {
     Net.on_start =
       (fun () ->
-        match !first with
-        | Some sends ->
-            first := None;
-            sends
-        | None -> []);
-    on_message = (fun ~from msg -> handle t ~from msg);
-    on_leave = (fun () -> []);
+        Option.iter out !first;
+        first := None);
+    on_message = (fun ~from msg -> out (handle t ~from msg));
+    on_leave = ignore;
   }

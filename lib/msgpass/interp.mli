@@ -32,6 +32,9 @@ val decision : ('v, 'i, 'a) t -> 'a option
 val steps : ('v, 'i, 'a) t -> int
 (** Shared-memory operations of the source program executed so far. *)
 
-val node : ('v, 'i, 'a) t * (int * ('v, 'i) cell Abd.msg) list ->
+val node :
+  ('v, 'i, 'a) t * (int * ('v, 'i) cell Abd.msg) list ->
+  send:(dst:int -> ('v, 'i) cell Abd.msg -> unit) ->
   ('v, 'i) cell Abd.msg Net.node
-(** Wrap as a {!Net} node (for the complete-network model). *)
+(** Wrap as a {!Net} node (for the complete-network model), sending
+    through [send]. *)

@@ -26,15 +26,9 @@ let hop_bucket hops =
   go 0
 
 type 'm node = {
-  on_start : unit -> (int * 'm) list;
-  on_message : from:int -> 'm -> (int * 'm) list;
-  on_leave : unit -> (int * 'm) list;
-}
-
-type 'm push = {
-  p_start : unit -> unit;
-  p_message : from:int -> 'm -> unit;
-  p_leave : unit -> unit;
+  on_start : unit -> unit;
+  on_message : from:int -> 'm -> unit;
+  on_leave : unit -> unit;
 }
 
 (* The arena layout. Channel [src -> dst] is the flat index
@@ -50,18 +44,23 @@ type 'm push = {
 
    Membership is three flat bitsets ([n <= 61] so a set is one
    immediate int): [alive] (not crashed), [present] (entered, not yet
-   departed), [left] (departed gracefully). The per-event deliverable
-   scan is a walk over [q_len] against [alive land present] — no list
-   is ever built; [deliverable_into] writes channel codes into the
-   preallocated [scratch] buffer in lexicographic order, exactly the
-   order the old persistent implementation enumerated. *)
+   departed), [left] (departed gracefully). A fourth, per source, marks
+   the non-empty channels: [rows.(src)] has bit [dst] set exactly when
+   [q_len] of [src -> dst] is positive — set on every push, cleared when
+   a delivery or drop empties the ring. The per-event deliverable scan
+   walks the set bits of [rows.(src) land alive land present] — no
+   list is ever built, and empty channels cost nothing;
+   [deliverable_into] writes channel codes into the preallocated
+   [scratch] buffer in lexicographic order, exactly the order the old
+   persistent implementation enumerated. *)
 type 'm t = {
   size : int;
-  pushes : 'm push array;
+  nodes : 'm node array;
   q_stamp : int array array;  (** per channel: ring of enqueue stamps *)
   q_msg : 'm array array;  (** per channel: ring of payloads; [] until first send *)
   q_head : int array;
   q_len : int array;
+  rows : int array;  (** per source: bitset of non-empty channels *)
   mutable alive : int;  (** bitset: not crashed *)
   mutable present : int;  (** bitset: entered and not departed *)
   mutable left : int;  (** bitset: departed gracefully *)
@@ -93,14 +92,23 @@ let grow t ch =
   end;
   t.q_head.(ch) <- 0
 
-let ring_push t ch stamp m =
+let ring_push t src dst stamp m =
+  let ch = (src * t.size) + dst in
   if t.q_len.(ch) = Array.length t.q_stamp.(ch) then grow t ch;
   let cap = Array.length t.q_stamp.(ch) in
   if Array.length t.q_msg.(ch) = 0 then t.q_msg.(ch) <- Array.make cap m;
   let tail = (t.q_head.(ch) + t.q_len.(ch)) land (cap - 1) in
   t.q_stamp.(ch).(tail) <- stamp;
   t.q_msg.(ch).(tail) <- m;
-  t.q_len.(ch) <- t.q_len.(ch) + 1
+  t.q_len.(ch) <- t.q_len.(ch) + 1;
+  t.rows.(src) <- t.rows.(src) lor bit dst
+
+(* Pop the head of a non-empty channel; the caller reads it first. *)
+let ring_pop t src dst =
+  let ch = (src * t.size) + dst in
+  t.q_head.(ch) <- (t.q_head.(ch) + 1) land (Array.length t.q_stamp.(ch) - 1);
+  t.q_len.(ch) <- t.q_len.(ch) - 1;
+  if t.q_len.(ch) = 0 then t.rows.(src) <- t.rows.(src) land lnot (bit dst)
 
 (* A node's own sends, while it is alive and present. Mirrors the old
    [enqueue]: messages from a crashed or absent source vanish silently,
@@ -109,14 +117,14 @@ let do_send t src dst m =
   if has t.alive src && has t.present src then begin
     if dst < 0 || dst >= t.size then invalid_arg "Net: destination out of range";
     if !Obs.Metrics.hot then Obs.Metrics.inc m_sends;
-    ring_push t ((src * t.size) + dst) t.delivered m
+    ring_push t src dst t.delivered m
   end
 
-let create_push ?(present = fun _ -> true) ~n ~nodes () =
+let create ?(present = fun _ -> true) ~n ~nodes () =
   if n <= 0 then invalid_arg "Net: n must be positive";
   if n > 61 then invalid_arg "Net: at most 61 slots (membership bitsets)";
   let dummy =
-    { p_start = ignore; p_message = (fun ~from:_ _ -> ()); p_leave = ignore }
+    { on_start = ignore; on_message = (fun ~from:_ _ -> ()); on_leave = ignore }
   in
   let present_mask = ref 0 in
   for pid = 0 to n - 1 do
@@ -125,11 +133,12 @@ let create_push ?(present = fun _ -> true) ~n ~nodes () =
   let t =
     {
       size = n;
-      pushes = Array.make n dummy;
+      nodes = Array.make n dummy;
       q_stamp = Array.init (n * n) (fun _ -> Array.make initial_cap 0);
       q_msg = Array.make (n * n) [||];
       q_head = Array.make (n * n) 0;
       q_len = Array.make (n * n) 0;
+      rows = Array.make n 0;
       alive = (1 lsl n) - 1;
       present = !present_mask;
       left = 0;
@@ -139,29 +148,18 @@ let create_push ?(present = fun _ -> true) ~n ~nodes () =
     }
   in
   for pid = 0 to n - 1 do
-    t.pushes.(pid) <- nodes ~send:(fun ~dst m -> do_send t pid dst m) pid
+    t.nodes.(pid) <- nodes ~send:(fun ~dst m -> do_send t pid dst m) pid
   done;
   for pid = 0 to n - 1 do
-    if has t.present pid then t.pushes.(pid).p_start ()
+    if has t.present pid then t.nodes.(pid).on_start ()
   done;
   t
-
-let create ?present ~n ~nodes () =
-  create_push ?present ~n
-    ~nodes:(fun ~send me ->
-      let node = nodes me in
-      let out sends = List.iter (fun (dst, m) -> send ~dst m) sends in
-      {
-        p_start = (fun () -> out (node.on_start ()));
-        p_message = (fun ~from m -> out (node.on_message ~from m));
-        p_leave = (fun () -> out (node.on_leave ()));
-      })
-    ()
 
 let reset ?(present = fun _ -> true) t =
   let n = t.size in
   Array.fill t.q_head 0 (n * n) 0;
   Array.fill t.q_len 0 (n * n) 0;
+  Array.fill t.rows 0 n 0;
   t.alive <- (1 lsl n) - 1;
   t.left <- 0;
   t.delivered <- 0;
@@ -172,7 +170,7 @@ let reset ?(present = fun _ -> true) t =
   done;
   t.present <- !present_mask;
   for pid = 0 to n - 1 do
-    if has t.present pid then t.pushes.(pid).p_start ()
+    if has t.present pid then t.nodes.(pid).on_start ()
   done
 
 let n t = t.size
@@ -182,12 +180,14 @@ let deliverable_into t buf =
   let live = t.alive land t.present in
   let k = ref 0 in
   for src = 0 to n - 1 do
-    let row = src * n in
-    for dst = 0 to n - 1 do
-      if t.q_len.(row + dst) > 0 && has live dst then begin
-        buf.(!k) <- row + dst;
+    let m = ref (t.rows.(src) land live) and ch = ref (src * n) in
+    while !m <> 0 do
+      if !m land 1 <> 0 then begin
+        buf.(!k) <- !ch;
         incr k
-      end
+      end;
+      m := !m lsr 1;
+      incr ch
     done
   done;
   !k
@@ -217,11 +217,9 @@ let deliver t ~src ~dst =
   then false
   else begin
     let head = t.q_head.(ch) in
-    let cap = Array.length t.q_stamp.(ch) in
     let stamp = t.q_stamp.(ch).(head) in
     let m = t.q_msg.(ch).(head) in
-    t.q_head.(ch) <- (head + 1) land (cap - 1);
-    t.q_len.(ch) <- t.q_len.(ch) - 1;
+    ring_pop t src dst;
     let hops = t.delivered - stamp in
     t.delivered <- t.delivered + 1;
     t.hop_mask <- t.hop_mask lor (1 lsl hop_bucket hops);
@@ -233,7 +231,7 @@ let deliver t ~src ~dst =
       Obs.Span.instant ~cat:"net" ~track:dst
         ~args:[ ("src", Obs.Json.Int src); ("hops", Obs.Json.Int hops) ]
         "deliver";
-    t.pushes.(dst).p_message ~from:src m;
+    t.nodes.(dst).on_message ~from:src m;
     true
   end
 
@@ -250,9 +248,7 @@ let drop t ~src ~dst =
   let ch = (src * t.size) + dst in
   if t.q_len.(ch) = 0 then false
   else begin
-    let cap = Array.length t.q_stamp.(ch) in
-    t.q_head.(ch) <- (t.q_head.(ch) + 1) land (cap - 1);
-    t.q_len.(ch) <- t.q_len.(ch) - 1;
+    ring_pop t src dst;
     if !Obs.Metrics.hot then Obs.Metrics.inc m_drops;
     if Obs.Sink.enabled () then
       Obs.Span.instant ~cat:"net" ~track:dst ~args:(channel_args ~src) "drop";
@@ -267,7 +263,7 @@ let duplicate t ~src ~dst =
     (* The copy keeps the original's stamp: its eventual delivery
        reports the age of the data, not of the duplication. *)
     let head = t.q_head.(ch) in
-    ring_push t ch t.q_stamp.(ch).(head) t.q_msg.(ch).(head);
+    ring_push t src dst t.q_stamp.(ch).(head) t.q_msg.(ch).(head);
     if !Obs.Metrics.hot then Obs.Metrics.inc m_duplicates;
     if Obs.Sink.enabled () then
       Obs.Span.instant ~cat:"net" ~track:dst ~args:(channel_args ~src)
@@ -281,12 +277,10 @@ let defer t ~src ~dst =
   if t.q_len.(ch) < 2 then false
   else begin
     let head = t.q_head.(ch) in
-    let cap = Array.length t.q_stamp.(ch) in
     let stamp = t.q_stamp.(ch).(head) in
     let m = t.q_msg.(ch).(head) in
-    t.q_head.(ch) <- (head + 1) land (cap - 1);
-    t.q_len.(ch) <- t.q_len.(ch) - 1;
-    ring_push t ch stamp m;
+    ring_pop t src dst;
+    ring_push t src dst stamp m;
     if !Obs.Metrics.hot then Obs.Metrics.inc m_defers;
     if Obs.Sink.enabled () then
       Obs.Span.instant ~cat:"net" ~track:dst ~args:(channel_args ~src) "defer";
@@ -333,7 +327,7 @@ let enter t pid =
     Obs.Metrics.inc m_enters;
     if Obs.Sink.enabled () then
       Obs.Span.instant ~cat:"membership" ~track:pid "node-enter";
-    t.pushes.(pid).p_start ();
+    t.nodes.(pid).on_start ();
     true
   end
 
@@ -342,7 +336,7 @@ let leave t pid =
   if (not (has t.present pid)) || not (has t.alive pid) then false
   else begin
     (* Farewell first: the process may still send while departing. *)
-    t.pushes.(pid).p_leave ();
+    t.nodes.(pid).on_leave ();
     t.present <- t.present land lnot (bit pid);
     t.left <- t.left lor bit pid;
     Obs.Metrics.inc m_leaves;

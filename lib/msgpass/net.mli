@@ -8,44 +8,33 @@
     schedules. *)
 
 type 'm node = {
-  on_start : unit -> (int * 'm) list;
-      (** messages to send when the process first runs (at creation for
+  on_start : unit -> unit;
+      (** called when the process first runs (at creation for
           initially-present slots, at {!enter} for late joiners) *)
-  on_message : from:int -> 'm -> (int * 'm) list;
-  on_leave : unit -> (int * 'm) list;
-      (** farewell messages sent when the process departs gracefully via
-          {!leave}; never called on {!crash} *)
+  on_message : from:int -> 'm -> unit;
+  on_leave : unit -> unit;
+      (** called when the process departs gracefully via {!leave}, while it
+          may still send its farewell; never called on {!crash} *)
 }
-
-(** Push-mode node: instead of returning a sends list (allocated per
-    handler call), the handler pushes each outgoing message directly into
-    the network through the [send] closure it was built over. The hot
-    protocol implementations (the packed ABD fleet) use this form; list
-    nodes are wrapped into it by {!create}. *)
-type 'm push = {
-  p_start : unit -> unit;
-  p_message : from:int -> 'm -> unit;
-  p_leave : unit -> unit;
-}
+(** A process. It sends by calling the [send] closure it was built over
+    (see {!create}), which pushes the message straight into the network:
+    no sends list is allocated per handler call. *)
 
 type 'm t
 
-val create : ?present:(int -> bool) -> n:int -> nodes:(int -> 'm node) -> unit -> 'm t
-(** [on_start] callbacks run immediately, in pid order, for every slot
-    where [present pid] holds (default: all). Slots that start absent are
-    future joiners: their [on_start] runs when {!enter} brings them in.
-    Processes may send to themselves. *)
-
-val create_push :
+val create :
   ?present:(int -> bool) ->
   n:int ->
-  nodes:(send:(dst:int -> 'm -> unit) -> int -> 'm push) ->
+  nodes:(send:(dst:int -> 'm -> unit) -> int -> 'm node) ->
   unit ->
   'm t
-(** Like {!create} for push-mode nodes. Each node is built over a [send]
-    closure bound to its own pid; sends from a crashed or departed source
-    vanish silently (matching the list-node semantics), and out-of-range
-    destinations raise [Invalid_argument].
+(** Each node is built over a [send] closure bound to its own pid; sends
+    from a crashed or departed source vanish silently, and out-of-range
+    destinations raise [Invalid_argument]. Processes may send to
+    themselves. [on_start] callbacks run immediately, in pid order, for
+    every slot where [present pid] holds (default: all). Slots that start
+    absent are future joiners: their [on_start] runs when {!enter} brings
+    them in.
     @raise Invalid_argument if [n] is not in [1..61] (membership is kept
     in single-word bitsets). *)
 
@@ -53,7 +42,7 @@ val reset : ?present:(int -> bool) -> 'm t -> unit
 (** Return a network to its post-{!create} state without reallocating:
     clears every channel, revives all slots, resets membership to
     [present] (default: all), zeroes the delivery counter and hop mask,
-    and re-runs [on_start]/[p_start] for present slots in pid order. The
+    and re-runs [on_start] for present slots in pid order. The
     node callbacks themselves are retained — callers pooling a network
     must reset their protocol state before calling this. Channel rings
     keep their grown capacity, which is the point: a pooled network stops
@@ -85,7 +74,9 @@ val deliverable_into : 'm t -> int array -> int
     must have length at least [n * n]. Picking index [Rng.int rng count]
     of the filled prefix draws the same channel the historical
     [Rng.pick rng (deliverable t)] drew, with the same single RNG step —
-    the fault layer's replay streams depend on this. *)
+    the fault layer's replay streams depend on this. The scan walks a
+    per-source bitset of non-empty channels, so empty channels cost
+    nothing. *)
 
 val pending : 'm t -> src:int -> dst:int -> int
 (** Messages queued on channel [src → dst].

@@ -13,6 +13,17 @@ type 'm node = {
   on_leave : unit -> (int * 'm) list;
 }
 
+(* A list node as a [Msgpass.Net] node: each sends list goes out through
+   [send] in order, so one node description drives both networks. *)
+let lift nodes ~send pid =
+  let node = nodes pid in
+  let out = List.iter (fun (dst, m) -> send ~dst m) in
+  {
+    Msgpass.Net.on_start = (fun () -> out (node.on_start ()));
+    on_message = (fun ~from m -> out (node.on_message ~from m));
+    on_leave = (fun () -> out (node.on_leave ()));
+  }
+
 type 'm t = {
   size : int;
   nodes : 'm node array;

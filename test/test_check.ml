@@ -303,8 +303,8 @@ let test_frontier_seed_127 () =
 
 (* [C.shrink] memoizes probes on the compiled plan; the reference replays
    every probe with [run_plan] under the list ddmin. They must agree on
-   the witness and on the probe count — on the pooled static fleet and on
-   the unpooled dynamic one. *)
+   the witness and on the probe count — on the static fleet and on the
+   dynamic one, both pooled. *)
 let test_shrink_vs_reference () =
   List.iter
     (fun (name, config, seed) ->
@@ -324,13 +324,15 @@ let test_shrink_vs_reference () =
       ("churn-frontier seed 29", C.churn_frontier (), 29);
     ]
 
-(* The static pool keys an instance on the network's shape alone, so
-   configs that differ only in how a run is driven share one — as the
-   fleet's per-generation [{ chaos with profile; crashes }] copies do.
-   Alternating shapes (scripts, or only the quorum), a structurally equal
-   fresh copy and a different fault profile on a shared instance must
-   leave every outcome what it is on a fresh domain, whose pool holds
-   nothing. *)
+(* One pool serves both fleets and keys an instance on the fields it
+   reads alone, so configs that differ only in how a run is driven share
+   one — as the fleet's per-generation [{ chaos with profile; crashes }]
+   copies do, and as churn configs differing only in rate or window do.
+   Alternating static shapes (scripts, or only the quorum), dynamic ones
+   (seed group, slack, width, joiner scripts), a structurally equal fresh
+   copy and a different fault profile or churn rate on a shared instance
+   must leave every outcome what it is on a fresh domain, whose pool
+   holds nothing. *)
 let test_pool_alternation () =
   let a = C.sound () and b = C.frontier () in
   let b' = { b with C.crashes = b.C.crashes } in
@@ -338,6 +340,19 @@ let test_pool_alternation () =
     { b with C.profile = { b.C.profile with Msgpass.Faults.drop = 0.2 } }
   in
   let b_sound = { b with C.t = 1; quorum = None } in
+  let ch = C.churn () and cf = C.churn_frontier () in
+  let ch_s0 = C.churn ~slack:0 () in
+  (* Two writes never lap a 2-bit timestamp, so width 2 runs like the
+     unbounded register; width 1 wraps on the second write. *)
+  let ch_w2 = C.churn ~width_bits:2 () and ch_w1 = C.churn ~width_bits:1 () in
+  let ch_seed4 = C.churn ~seed_members:4 () in
+  let ch_joiner =
+    match ch.C.membership with
+    | Some d -> { ch with C.membership = Some { d with C.joiner_reads = 1 } }
+    | None -> assert false
+  in
+  (* Rate 2 with slack 1 keys like [ch]: only the churn roll differs. *)
+  let ch_rate = C.churn ~rate:2 ~slack:1 () in
   let fresh f = Domain.join (Domain.spawn f) in
   let jobs =
     List.concat_map
@@ -348,8 +363,13 @@ let test_pool_alternation () =
               fresh (fun () -> (C.run_random ~seed:(seed + 1000) c).C.plan)
             in
             ((fun () -> C.run_random ~seed c), fun () -> C.run_compiled c p))
-          [ a; b; a; b'; b''; b_sound; b; b'; a; b''; b_sound ])
-      [ 1; 2; 127 ]
+          [
+            a; ch; b; cf; a; b'; ch_w2; b''; ch_s0; b_sound; ch_joiner; b; ch;
+            ch_w1; ch_rate; b'; cf; ch_seed4; a; ch_w2; b''; ch_joiner; ch_w1;
+            b_sound; ch_seed4; ch_s0;
+          ])
+      (* Seed 5 is one where width 1 wraps into a stale read. *)
+      [ 1; 2; 5; 127 ]
   in
   let want = List.map (fun (r, s) -> (fresh r, fresh s)) jobs in
   List.iteri

@@ -169,17 +169,17 @@ let abd_encoding_run (type m) (enc : (int, m) Msgpass.Abd.encoding) ~n
       end
     in
     {
-      Msgpass.Net.p_start = start;
-      p_message =
+      Msgpass.Net.on_start = start;
+      on_message =
         (fun ~from m ->
           if A.handle abd ~from m then begin
             completions := (me, A.result abd) :: !completions;
             start ()
           end);
-      p_leave = ignore;
+      on_leave = ignore;
     }
   in
-  let ft = Msgpass.Faults.wrap (Msgpass.Net.create_push ~n ~nodes ()) in
+  let ft = Msgpass.Faults.wrap (Msgpass.Net.create ~n ~nodes ()) in
   Msgpass.Faults.run_random ~rng:(Bits.Rng.make seed)
     ~profile:{ Msgpass.Faults.reliable with duplicate = 0.1; defer = 0.1 }
     ~max_events:5_000 ft;
@@ -289,16 +289,16 @@ let prop_alt_bit_fifo =
 (* Scripted delivery on the base substrate: per-channel FIFO is an
    invariant of Net itself, whatever delivery order the adversary picks. *)
 let two_node_net received =
-  Msgpass.Net.create ~n:2 ~nodes:(fun pid ->
+  Msgpass.Net.create ~n:2 ~nodes:(Oracle.Netref.lift (fun pid ->
       {
-        Msgpass.Net.on_start =
+        Oracle.Netref.on_start =
           (fun () -> if pid = 0 then [ (1, "a"); (1, "b"); (1, "c") ] else []);
         on_message =
           (fun ~from:_ m ->
             received := !received @ [ m ];
             []);
         on_leave = (fun () -> []);
-      })
+      }))
     ()
 
 let test_net_scripted_delivery () =
@@ -336,9 +336,9 @@ let prop_net_random_fifo =
       let n = 3 in
       let received = Array.make n [] in
       let net =
-        Msgpass.Net.create ~n ~nodes:(fun pid ->
+        Msgpass.Net.create ~n ~nodes:(Oracle.Netref.lift (fun pid ->
             {
-              Msgpass.Net.on_start =
+              Oracle.Netref.on_start =
                 (fun () ->
                   List.concat_map
                     (fun dst ->
@@ -350,7 +350,7 @@ let prop_net_random_fifo =
                   received.(pid) <- m :: received.(pid);
                   []);
               on_leave = (fun () -> []);
-            })
+            }))
           ()
       in
       Msgpass.Net.run_random ~rng:(Bits.Rng.make seed) net;
@@ -549,46 +549,46 @@ let prop_churn_schedule_rate_bounded =
 
 (* Dynreg under a faultless FIFO transport: the join protocol activates
    a late arrival, a seeded writer's value reaches a joiner's read, and
-   the emulation keeps answering after a departure. *)
+   the emulation keeps answering after a departure. Every peer's [send]
+   feeds one FIFO queue, drained in send order. *)
 let test_dynreg_join_read_write () =
   let module D = Msgpass.Dynreg in
   let n = 4 in
   let initial = Msgpass.Membership.initial 3 in
+  let q = Queue.create () in
   let peers =
     Array.init n (fun me ->
-        D.create ~n ~me ~registers:1 ~init:(fun _ -> 0) ~initial ())
-  in
-  let q = Queue.create () in
-  let send from msgs =
-    List.iter (fun (dst, m) -> Queue.add (from, dst, m) q) msgs
+        D.create ~n ~me ~registers:1 ~init:(fun _ -> 0) ~initial
+          ~send:(fun ~dst m -> Queue.add (me, dst, m) q)
+          ())
   in
   let drain () =
     while not (Queue.is_empty q) do
       let from, dst, m = Queue.pop q in
-      send dst (D.handle peers.(dst) ~from m)
+      D.handle peers.(dst) ~from m
     done
   in
   Alcotest.(check bool) "seeded member starts active" true
     (D.is_active peers.(0));
   Alcotest.(check bool) "joiner starts inactive" false (D.is_active peers.(3));
-  send 3 (D.start peers.(3));
+  D.start peers.(3);
   drain ();
   Alcotest.(check bool) "joiner activated" true (D.is_active peers.(3));
   Alcotest.(check bool) "activation completion" true
     (D.take_completion peers.(3) = Some D.Activated);
-  send 0 (D.begin_write peers.(0) ~reg:0 42);
+  D.begin_write peers.(0) ~reg:0 42;
   drain ();
   Alcotest.(check bool) "write completed" true
     (D.take_completion peers.(0) = Some D.Wrote);
-  send 3 (D.begin_read peers.(3) ~reg:0);
+  D.begin_read peers.(3) ~reg:0;
   drain ();
   (match D.take_completion peers.(3) with
   | Some (D.Read_value v) -> Alcotest.(check int) "joiner reads the write" 42 v
   | _ -> Alcotest.fail "joiner's read did not complete");
-  send 1 (D.farewell peers.(1));
+  D.farewell peers.(1);
   drain ();
   Alcotest.(check bool) "leaver deactivated" false (D.is_active peers.(1));
-  send 2 (D.begin_read peers.(2) ~reg:0);
+  D.begin_read peers.(2) ~reg:0;
   drain ();
   match D.take_completion peers.(2) with
   | Some (D.Read_value v) ->
@@ -869,7 +869,12 @@ let test_pp_plan_golden () =
    on the action's effect, the delivery log, the deliverable set, the
    membership view and the counters — and a final lexicographic drain
    must leave both quiescent with identical logs. Slots 7..9 start
-   absent so random Enter actions are effective. *)
+   absent so random Enter actions are effective. Each case runs two
+   plans through one Net, [reset] between them as the chaos pool does,
+   each against a fresh oracle. The first stops undrained, so the reset
+   meets queued traffic, grown rings and dead slots; the second plan then
+   pins what reset restores — rings, non-empty-channel rows, membership
+   and counters. *)
 let prop_net_matches_netref =
   let module N = Msgpass.Net in
   let module R = Oracle.Netref in
@@ -878,87 +883,90 @@ let prop_net_matches_netref =
   let fanout = 3 * n in
   QCheck.Test.make
     ~name:"pooled Net matches the Netref oracle on random fault plans"
-    ~count:120 fault_plan_arbitrary
-    (fun plan ->
+    ~count:120
+    (QCheck.pair fault_plan_arbitrary fault_plan_arbitrary)
+    (fun (plan, plan2) ->
       let log_n = ref [] and log_r = ref [] in
-      let net_nodes pid : int N.node =
-        {
-          N.on_start = (fun () -> [ ((pid + 1) mod n, pid) ]);
-          on_message =
-            (fun ~from m ->
-              log_n := (pid, from, m) :: !log_n;
-              if m < fanout then [ ((pid + 1) mod n, m + n) ] else []);
-          on_leave = (fun () -> [ ((pid + 2) mod n, 1000 + pid) ]);
-        }
-      in
-      let ref_nodes pid : int R.node =
+      let nodes log pid : int R.node =
         {
           R.on_start = (fun () -> [ ((pid + 1) mod n, pid) ]);
           on_message =
             (fun ~from m ->
-              log_r := (pid, from, m) :: !log_r;
+              log := (pid, from, m) :: !log;
               if m < fanout then [ ((pid + 1) mod n, m + n) ] else []);
           on_leave = (fun () -> [ ((pid + 2) mod n, 1000 + pid) ]);
         }
       in
       let present pid = pid < 7 in
-      let net = N.create ~present ~n ~nodes:net_nodes () in
-      let oracle = R.create ~present ~n ~nodes:ref_nodes () in
+      let net = N.create ~present ~n ~nodes:(R.lift (nodes log_n)) () in
       let pids = List.init n Fun.id in
-      let same_state () =
-        !log_n = !log_r
-        && N.deliverable net = R.deliverable oracle
-        && N.deliveries net = R.deliveries oracle
-        && N.hop_mask net = R.hop_mask oracle
-        && N.crashed net = R.crashed oracle
-        && N.departed net = R.departed oracle
-        && N.quiescent net = R.quiescent oracle
-        && List.for_all
-             (fun pid ->
-               N.alive net pid = R.alive oracle pid
-               && N.is_present net pid = R.is_present oracle pid)
-             pids
-        && List.for_all
-             (fun src ->
-               List.for_all
-                 (fun dst ->
-                   N.pending net ~src ~dst = R.pending oracle ~src ~dst)
-                 pids)
-             pids
+      let matches ~drain oracle plan =
+        let same_state () =
+          !log_n = !log_r
+          && N.deliverable net = R.deliverable oracle
+          && N.deliveries net = R.deliveries oracle
+          && N.hop_mask net = R.hop_mask oracle
+          && N.crashed net = R.crashed oracle
+          && N.departed net = R.departed oracle
+          && N.quiescent net = R.quiescent oracle
+          && List.for_all
+               (fun pid ->
+                 N.alive net pid = R.alive oracle pid
+                 && N.is_present net pid = R.is_present oracle pid)
+               pids
+          && List.for_all
+               (fun src ->
+                 List.for_all
+                   (fun dst ->
+                     N.pending net ~src ~dst = R.pending oracle ~src ~dst)
+                   pids)
+               pids
+        in
+        let apply = function
+          | F.Deliver { F.src; dst } ->
+              N.deliver net ~src ~dst = R.deliver oracle ~src ~dst
+          | F.Drop { F.src; dst } ->
+              N.drop net ~src ~dst = R.drop oracle ~src ~dst
+          | F.Duplicate { F.src; dst } ->
+              N.duplicate net ~src ~dst = R.duplicate oracle ~src ~dst
+          | F.Defer { F.src; dst } ->
+              N.defer net ~src ~dst = R.defer oracle ~src ~dst
+          | F.Crash pid ->
+              N.crash net pid;
+              R.crash oracle pid;
+              true
+          | F.Enter pid -> N.enter net pid = R.enter oracle pid
+          | F.Leave pid -> N.leave net pid = R.leave oracle pid
+        in
+        let scripted =
+          same_state () && List.for_all (fun a -> apply a && same_state ()) plan
+        in
+        let drained =
+          (not drain)
+          ||
+          let budget = ref 10_000 in
+          let ok = ref true in
+          let continue = ref true in
+          while !continue && !ok && !budget > 0 do
+            match R.deliverable oracle with
+            | [] -> continue := false
+            | (src, dst) :: _ ->
+                decr budget;
+                ok :=
+                  N.deliver net ~src ~dst = R.deliver oracle ~src ~dst
+                  && same_state ()
+          done;
+          !ok && !budget > 0 && N.quiescent net && R.quiescent oracle
+        in
+        scripted && drained
       in
-      let apply = function
-        | F.Deliver { F.src; dst } ->
-            N.deliver net ~src ~dst = R.deliver oracle ~src ~dst
-        | F.Drop { F.src; dst } ->
-            N.drop net ~src ~dst = R.drop oracle ~src ~dst
-        | F.Duplicate { F.src; dst } ->
-            N.duplicate net ~src ~dst = R.duplicate oracle ~src ~dst
-        | F.Defer { F.src; dst } ->
-            N.defer net ~src ~dst = R.defer oracle ~src ~dst
-        | F.Crash pid ->
-            N.crash net pid;
-            R.crash oracle pid;
-            true
-        | F.Enter pid -> N.enter net pid = R.enter oracle pid
-        | F.Leave pid -> N.leave net pid = R.leave oracle pid
-      in
-      let scripted = List.for_all (fun a -> apply a && same_state ()) plan in
-      let drained =
-        let budget = ref 10_000 in
-        let ok = ref true in
-        let continue = ref true in
-        while !continue && !ok && !budget > 0 do
-          match R.deliverable oracle with
-          | [] -> continue := false
-          | (src, dst) :: _ ->
-              decr budget;
-              ok :=
-                N.deliver net ~src ~dst = R.deliver oracle ~src ~dst
-                && same_state ()
-        done;
-        !ok && !budget > 0 && N.quiescent net && R.quiescent oracle
-      in
-      scripted && drained)
+      let oracle () = R.create ~present ~n ~nodes:(nodes log_r) () in
+      matches ~drain:false (oracle ()) plan
+      &&
+      (log_n := [];
+       log_r := [];
+       N.reset ~present net;
+       matches ~drain:true (oracle ()) plan2))
 
 let test_plan_codec_rejects_garbage () =
   List.iter
@@ -1668,7 +1676,7 @@ let test_abd_message_passing () =
     in
     let net =
       Msgpass.Net.create ~n
-        ~nodes:(fun pid -> Msgpass.Interp.node interps.(pid))
+        ~nodes:(fun ~send pid -> Msgpass.Interp.node interps.(pid) ~send)
         ()
     in
     let crash_pid = if Bits.Rng.bool rng then Some (Bits.Rng.int rng n) else None in
@@ -1734,7 +1742,7 @@ let test_abd_atomicity () =
     in
     let net =
       Msgpass.Net.create ~n
-        ~nodes:(fun pid -> Msgpass.Interp.node interps.(pid))
+        ~nodes:(fun ~send pid -> Msgpass.Interp.node interps.(pid) ~send)
         ()
     in
     Msgpass.Net.run_random ~rng:(Bits.Rng.make (400 + seed)) net;
@@ -1764,7 +1772,7 @@ let test_router_flooding () =
   let delivered = ref [] in
   let nodes pid =
     {
-      Msgpass.Net.on_start =
+      Oracle.Netref.on_start =
         (fun () ->
           if pid = 0 then
             (* 0 sends to its antipode through the ring. *)
@@ -1785,7 +1793,7 @@ let test_router_flooding () =
       on_leave = (fun () -> []);
     }
   in
-  let net = Msgpass.Net.create ~n ~nodes () in
+  let net = Msgpass.Net.create ~n ~nodes:(Oracle.Netref.lift nodes) () in
   (* Crash two consecutive intermediate nodes. *)
   Msgpass.Net.crash net 1;
   Msgpass.Net.crash net 2;

@@ -118,6 +118,100 @@ let prop_json_string_roundtrip =
           ]))
     (fun s -> J.of_string (J.to_string (J.Str s)) = Ok (J.Str s))
 
+(* Hostile input never raises: valid artifacts — random values as the
+   printer writes them, a witness file, a metrics snapshot, a trace
+   event line — with one to four bytes replaced, inserted or deleted
+   must parse to [Ok] or to an [Error] positioned inside the input
+   ("at P: ..." with 0 <= P <= length). An [Ok] value must print back
+   to text the parser accepts. The edit bytes lean on JSON's own
+   syntax, so most mutants get past the first character. *)
+let prop_json_survives_byte_edits =
+  let open QCheck.Gen in
+  let key = oneofl [ "a"; "seed"; "plan"; "\195\169"; "x\"y"; "" ] in
+  let value =
+    sized_size (int_bound 3)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [
+                 return J.Null;
+                 map (fun b -> J.Bool b) bool;
+                 map (fun i -> J.Int i) (oneof [ small_signed_int; int ]);
+                 map (fun f -> J.Float f) (oneofl [ 0.125; -2.5e-7; 1e20; 3. ]);
+                 map (fun s -> J.Str s) (string_size ~gen:char (int_bound 8));
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map
+                     (fun l -> J.List l)
+                     (list_size (int_bound 4) (self (depth - 1))) );
+                 ( 1,
+                   map
+                     (fun l -> J.Obj l)
+                     (list_size (int_bound 4) (pair key (self (depth - 1)))) );
+               ])
+  in
+  let e =
+    {
+      S.kind = S.Instant;
+      name = "deliver";
+      cat = "net";
+      track = 3;
+      ts = 17;
+      args = [ ("src", J.Int 1); ("hops", J.Int 4); ("why", J.Str "a\"b\n") ];
+    }
+  in
+  let artifacts =
+    [
+      {|{"class":"11d375a62583849e","fleet_seed":9,"config":{"n":4,"t":0,"quorum":2,"membership":null},"plan":["deliver 2>0","enter 5"],"ratio":0.25,"reason":"caf\u00e9 \ud83d\ude00"}|};
+      M.snapshot_string ();
+      J.to_string (S.event_json e);
+    ]
+  in
+  let chars s = List.of_seq (String.to_seq s) in
+  let byte =
+    frequency
+      [
+        (3, oneofl (chars "{}[]\":,\\ntfu0123456789.eE+-"));
+        (1, map Char.chr (int_range 0 255));
+      ]
+  in
+  let text_gen =
+    oneof [ oneofl artifacts; map J.to_string value ] >>= fun text ->
+    list_size (int_range 1 4)
+      (triple (int_range 0 2) (int_range 0 max_int) byte)
+    >|= fun edits ->
+    List.fold_left
+      (fun t (kind, at, b) ->
+        let len = String.length t in
+        let at = if len = 0 then 0 else at mod len in
+        match kind with
+        | 0 when len > 0 -> String.mapi (fun i c -> if i = at then b else c) t
+        | 1 -> String.sub t 0 at ^ String.make 1 b ^ String.sub t at (len - at)
+        | _ when len > 0 -> String.sub t 0 at ^ String.sub t (at + 1) (len - at - 1)
+        | _ -> t)
+      text edits
+  in
+  QCheck.Test.make ~name:"json parser survives byte edits" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") text_gen)
+    (fun text ->
+      match J.of_string text with
+      | exception exn ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string exn)
+      | Error err -> (
+          match Scanf.sscanf_opt err "at %d: %_s" (fun p -> p) with
+          | Some p when p >= 0 && p <= String.length text -> true
+          | _ -> QCheck.Test.fail_reportf "error not positioned: %s" err)
+      | Ok v -> (
+          match J.of_string (J.to_string v) with
+          | Ok _ -> true
+          | Error err -> QCheck.Test.fail_reportf "reprint rejected: %s" err))
+
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
 
@@ -700,6 +794,7 @@ let () =
           Alcotest.test_case "unicode-escapes" `Quick
             test_json_unicode_escapes;
           QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_survives_byte_edits;
         ] );
       ( "metrics",
         [
