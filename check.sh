@@ -82,6 +82,19 @@ if [ "$pipeline_got" != "$pipeline_want" ]; then
   exit 1
 fi
 
+# Iterated-models pin: the tables of the experiments that run the IIS/IC
+# round engine (Theorem 1.4, Propositions 7.1-7.2, Figures 1 and 4-6) must
+# stay byte-identical. The supervisor rows carry wall times, so they are
+# dropped before hashing (md5 measured with OCaml 5.1.1).
+echo "== iterated experiments pin"
+iterated_md5=$(dune exec bin/boundedreg.exe -- run E1 E6 E7 E8 E10 E12 \
+  | grep -v -E '^  E[0-9]+ +[a-z0-9.-]+ +pass +[0-9.]+s' | md5sum \
+  | cut -d' ' -f1)
+if [ "$iterated_md5" != b88940d99fc695e6d4bcbe58c1f900ff ]; then
+  echo "check.sh: iterated experiment tables drifted: md5 $iterated_md5" >&2
+  exit 1
+fi
+
 # Trace smoke: a budgeted exploration captured to JSONL must validate —
 # parseable events, balanced spans — via the trace summarizer; metrics go
 # to a JSON file CI archives. Runs in both modes (it is a fraction of a

@@ -1,7 +1,3 @@
-type ('v, 'a) program = ('v, 'a) Proto.t =
-  | Decide of 'a
-  | Round of 'v * ('v Views.vector -> ('v, 'a) program)
-
 (* Acyclicity of the misses digraph (edge i -> j when i missed j), checked
    by repeatedly removing sinks. *)
 let misses_acyclic ~participants sees =
@@ -46,202 +42,16 @@ let all_matrices ~n ~participants =
            assignment;
          if misses_acyclic ~participants sees then Some sees else None)
 
-(* Operational re-derivation: DFS over every interleaving of writes and
-   per-register reads (a process may read pending registers in any order). *)
-let matrices_by_interleaving ~n ~participants =
-  let module M = struct
-    type proc = { wrote : bool; pending : int list; seen : int list }
-  end in
-  let open M in
-  let results : bool array array list ref = ref [] in
-  let record procs =
-    let sees = Array.make_matrix n n false in
-    List.iter
-      (fun (i, p) ->
-        sees.(i).(i) <- true;
-        List.iter (fun j -> sees.(i).(j) <- true) p.seen)
-      procs;
-    if not (List.exists (fun m -> m = sees) !results) then
-      results := sees :: !results
-  in
-  let rec go procs written =
-    let moves =
-      List.concat_map
-        (fun (i, p) ->
-          if not p.wrote then [ `Write i ]
-          else List.map (fun j -> `Read (i, j)) p.pending)
-        procs
-    in
-    if moves = [] then record procs
-    else
-      List.iter
-        (fun move ->
-          match move with
-          | `Write i ->
-              let procs =
-                List.map
-                  (fun (i', p) ->
-                    if i' = i then (i', { p with wrote = true }) else (i', p))
-                  procs
-              in
-              go procs (i :: written)
-          | `Read (i, j) ->
-              let procs =
-                List.map
-                  (fun (i', p) ->
-                    if i' = i then
-                      ( i',
-                        {
-                          p with
-                          pending = List.filter (fun x -> x <> j) p.pending;
-                          seen =
-                            (if List.mem j written then j :: p.seen
-                             else p.seen);
-                        } )
-                    else (i', p))
-                  procs
-              in
-              go procs written)
-        moves
-  in
-  let others i = List.filter (fun j -> j <> i) participants in
-  go
-    (List.map
-       (fun i -> (i, { wrote = false; pending = others i; seen = [] }))
-       participants)
-    [];
-  !results
-
 type round_plan = { survivors : int list; sees : bool array array }
 
-type 'a outcome = {
-  decisions : 'a option array;
-  rounds_taken : int array;
-  max_bits : int;
-  history : bool array array list;
-}
+include Proto.Make (struct
+  type plan = round_plan
 
-type ('v, 'a) state = {
-  progs : ('v, 'a) program array;
-  alive : bool array;
-  rounds : int array;
-  mutable bits : int;
-  mutable past : bool array array list;
-}
+  let survivors p = p.survivors
+  let sees ~n:_ p = p.sees
 
-let initial_state ~n ~programs =
-  {
-    progs = Array.init n programs;
-    alive = Array.make n true;
-    rounds = Array.make n 0;
-    bits = 0;
-    past = [];
-  }
-
-let copy_state s =
-  {
-    progs = Array.copy s.progs;
-    alive = Array.copy s.alive;
-    rounds = Array.copy s.rounds;
-    bits = s.bits;
-    past = s.past;
-  }
-
-let participants s =
-  let acc = ref [] in
-  for pid = Array.length s.progs - 1 downto 0 do
-    (match s.progs.(pid) with
-    | Round _ when s.alive.(pid) -> acc := pid :: !acc
-    | Round _ | Decide _ -> ())
-  done;
-  !acc
-
-let outcome_of s =
-  {
-    decisions =
-      Array.map (function Decide v -> Some v | Round _ -> None) s.progs;
-    rounds_taken = Array.copy s.rounds;
-    max_bits = s.bits;
-    history = List.rev s.past;
-  }
-
-let exec_round ~budget ~measure s { survivors; sees } =
-  let n = Array.length s.progs in
-  let current = participants s in
-  List.iter
-    (fun pid ->
-      if not (List.mem pid survivors) then s.alive.(pid) <- false)
-    current;
-  let writes = Array.make n None in
-  let conts = Array.make n None in
-  List.iter
-    (fun pid ->
-      match s.progs.(pid) with
-      | Decide _ ->
-          invalid_arg
-            (Printf.sprintf "Ic: pid %d scheduled but already decided" pid)
-      | Round (v, k) ->
-          let bits = measure v in
-          Bits.Width.check budget bits;
-          if bits > s.bits then s.bits <- bits;
-          writes.(pid) <- Some v;
-          conts.(pid) <- Some k)
-    survivors;
-  List.iter
-    (fun pid ->
-      let view =
-        Array.init n (fun j -> if sees.(pid).(j) then writes.(j) else None)
-      in
-      match conts.(pid) with
-      | None -> assert false
-      | Some k ->
-          s.progs.(pid) <- k view;
-          s.rounds.(pid) <- s.rounds.(pid) + 1)
-    survivors;
-  s.past <- sees :: s.past
-
-let run ~n ~budget ~measure ~programs ~schedule ?(max_rounds = 10_000) () =
-  let s = initial_state ~n ~programs in
-  let rec loop round =
-    if round > max_rounds then outcome_of s
-    else
-      match participants s with
-      | [] -> outcome_of s
-      | procs ->
-          exec_round ~budget ~measure s (schedule ~round ~participants:procs);
-          loop (round + 1)
-  in
-  loop 1
-
-let run_random ~n ~budget ~measure ~programs ~rng ?(crash_probability = 0.)
-    ?max_rounds () =
-  let schedule ~round:_ ~participants =
-    let survivors =
-      match
-        List.filter
-          (fun _ -> Bits.Rng.float rng >= crash_probability)
-          participants
-      with
-      | [] -> [ List.nth participants 0 ]
-      | l -> l
-    in
-    let sees = Bits.Rng.pick rng (all_matrices ~n ~participants:survivors) in
-    { survivors; sees }
-  in
-  run ~n ~budget ~measure ~programs ~schedule ?max_rounds ()
-
-let enumerate ~n ~budget ~measure ~programs ~max_rounds visit =
-  let rec go s round =
-    match participants s with
-    | [] -> visit (outcome_of s)
-    | procs ->
-        if round > max_rounds then visit (outcome_of s)
-        else
-          List.iter
-            (fun sees ->
-              let fork = copy_state s in
-              exec_round ~budget ~measure fork { survivors = procs; sees };
-              go fork (round + 1))
-            (all_matrices ~n ~participants:procs)
-  in
-  go (initial_state ~n ~programs) 1
+  let all ~n participants =
+    List.map
+      (fun sees -> { survivors = participants; sees })
+      (all_matrices ~n ~participants)
+end)

@@ -1,6 +1,6 @@
-(** The iterated collect (IC) model: per round each process writes its
-    register of [M_r] and then reads the [n] registers one by one in an
-    arbitrary order.
+(** The iterated collect (IC) model: the {!Proto} engine over realizable
+    sees matrices. Per round each process writes its register of [M_r] and
+    then reads the [n] registers one by one in an arbitrary order.
 
     A round's outcome is fully described by its {e sees matrix}:
     [sees.(i).(j)] tells whether [i]'s read of [j]'s register returned the
@@ -8,66 +8,19 @@
     reflexive on participants (a process finds its own write) and its
     {e misses} relation — [i] missed [j] — is acyclic: [i] missing [j] means
     [i]'s read of [j] preceded [j]'s write, which itself precedes all of
-    [j]'s reads, so the misses order embeds in the write order.
-    [matrices_by_interleaving] re-derives the same set by brute-force
-    scheduling, and the test suite checks both agree. *)
-
-type ('v, 'a) program = ('v, 'a) Proto.t =
-  | Decide of 'a
-  | Round of 'v * ('v Views.vector -> ('v, 'a) program)
+    [j]'s reads, so the misses order embeds in the write order. The test
+    suite re-derives the same set by brute-force scheduling. *)
 
 val all_matrices : n:int -> participants:int list -> bool array array list
 (** Every realizable sees matrix for one round ([n x n]; rows and columns of
     non-participants are all-false). 3 matrices for two participants, 25 for
     three. *)
 
-val matrices_by_interleaving :
-  n:int -> participants:int list -> bool array array list
-(** The same set derived operationally: enumerate every interleaving of the
-    participants' writes and single-register reads (reads in every possible
-    order) and collect the distinct outcomes. Exponential — for tests with
-    at most 3 participants. *)
-
 type round_plan = {
   survivors : int list;  (** participants that execute this round *)
   sees : bool array array;
 }
-(** Participants not in [survivors] crash before writing this round. *)
+(** Participants not in [survivors] crash before writing this round.
+    [all] plans keep every participant, one per realizable matrix. *)
 
-type 'a outcome = {
-  decisions : 'a option array;
-  rounds_taken : int array;
-  max_bits : int;
-  history : bool array array list;  (** sees matrix of each round *)
-}
-
-val run :
-  n:int ->
-  budget:Bits.Width.budget ->
-  measure:'v Bits.Width.measure ->
-  programs:(int -> ('v, 'a) program) ->
-  schedule:(round:int -> participants:int list -> round_plan) ->
-  ?max_rounds:int ->
-  unit ->
-  'a outcome
-
-val run_random :
-  n:int ->
-  budget:Bits.Width.budget ->
-  measure:'v Bits.Width.measure ->
-  programs:(int -> ('v, 'a) program) ->
-  rng:Bits.Rng.t ->
-  ?crash_probability:float ->
-  ?max_rounds:int ->
-  unit ->
-  'a outcome
-
-val enumerate :
-  n:int ->
-  budget:Bits.Width.budget ->
-  measure:'v Bits.Width.measure ->
-  programs:(int -> ('v, 'a) program) ->
-  max_rounds:int ->
-  ('a outcome -> unit) ->
-  unit
-(** Every crash-free execution (all realizable matrices each round). *)
+include Proto.ENGINE with type plan := round_plan

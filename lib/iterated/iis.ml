@@ -1,7 +1,3 @@
-type ('v, 'a) program = ('v, 'a) Proto.t =
-  | Decide of 'a
-  | Round of 'v * ('v Views.vector -> ('v, 'a) program)
-
 type partition = int list list
 
 (* All ordered partitions: insert each element either into an existing block
@@ -23,150 +19,17 @@ let ordered_partitions elements =
     [ [] ] elements
   |> List.map (List.map (List.sort compare))
 
-type 'a outcome = {
-  decisions : 'a option array;
-  rounds_taken : int array;
-  max_bits : int;
-  history : partition list;
-}
+include Proto.Make (struct
+  type plan = partition
 
-type ('v, 'a) state = {
-  progs : ('v, 'a) program array;
-  alive : bool array;  (** false once crashed *)
-  rounds : int array;
-  mutable bits : int;
-  mutable past : partition list;  (** newest first *)
-}
+  let survivors = List.concat
 
-let initial_state ~n ~programs =
-  {
-    progs = Array.init n programs;
-    alive = Array.make n true;
-    rounds = Array.make n 0;
-    bits = 0;
-    past = [];
-  }
+  (* Block order: [i] sees [j] iff [j]'s block is not after [i]'s. *)
+  let sees ~n partition =
+    let block = Array.make n (-1) in
+    List.iteri (fun b -> List.iter (fun pid -> block.(pid) <- b)) partition;
+    Array.init n (fun i ->
+        Array.init n (fun j -> block.(j) >= 0 && block.(j) <= block.(i)))
 
-let copy_state s =
-  {
-    progs = Array.copy s.progs;
-    alive = Array.copy s.alive;
-    rounds = Array.copy s.rounds;
-    bits = s.bits;
-    past = s.past;
-  }
-
-let participants s =
-  let acc = ref [] in
-  for pid = Array.length s.progs - 1 downto 0 do
-    (match s.progs.(pid) with
-    | Round _ when s.alive.(pid) -> acc := pid :: !acc
-    | Round _ | Decide _ -> ())
-  done;
-  !acc
-
-let decisions_of s =
-  Array.map (function Decide v -> Some v | Round _ -> None) s.progs
-
-let outcome_of s =
-  {
-    decisions = decisions_of s;
-    rounds_taken = Array.copy s.rounds;
-    max_bits = s.bits;
-    history = List.rev s.past;
-  }
-
-(* Execute one round under the given ordered partition. Participants omitted
-   from the partition crash. *)
-let exec_round ~budget ~measure s partition =
-  let n = Array.length s.progs in
-  let current = participants s in
-  let in_partition = List.concat partition in
-  List.iter
-    (fun pid ->
-      if not (List.mem pid in_partition) then s.alive.(pid) <- false)
-    current;
-  List.iter
-    (fun pid ->
-      if not (List.mem pid current) then
-        invalid_arg
-          (Printf.sprintf "Iis: pid %d scheduled but not a participant" pid))
-    in_partition;
-  let memory : 'v option array = Array.make n None in
-  let continuations = Array.make n None in
-  List.iter
-    (fun block ->
-      (* Whole block writes... *)
-      List.iter
-        (fun pid ->
-          match s.progs.(pid) with
-          | Decide _ -> assert false
-          | Round (v, k) ->
-              let bits = measure v in
-              Bits.Width.check budget bits;
-              if bits > s.bits then s.bits <- bits;
-              memory.(pid) <- Some v;
-              continuations.(pid) <- Some k)
-        block;
-      (* ... then the whole block snapshots. *)
-      let snap = Array.copy memory in
-      List.iter
-        (fun pid ->
-          match continuations.(pid) with
-          | None -> assert false
-          | Some k ->
-              s.progs.(pid) <- k snap;
-              s.rounds.(pid) <- s.rounds.(pid) + 1)
-        block)
-    partition;
-  s.past <- partition :: s.past
-
-let run ~n ~budget ~measure ~programs ~schedule ?(max_rounds = 10_000) () =
-  let s = initial_state ~n ~programs in
-  let rec loop round =
-    if round > max_rounds then outcome_of s
-    else
-      match participants s with
-      | [] -> outcome_of s
-      | procs ->
-          let partition = schedule ~round ~participants:procs in
-          exec_round ~budget ~measure s partition;
-          loop (round + 1)
-  in
-  loop 1
-
-let random_partition rng participants =
-  let all = ordered_partitions participants in
-  Bits.Rng.pick rng all
-
-let run_random ~n ~budget ~measure ~programs ~rng ?(crash_probability = 0.)
-    ?max_rounds () =
-  let schedule ~round:_ ~participants =
-    let survivors =
-      match
-        List.filter
-          (fun _ -> Bits.Rng.float rng >= crash_probability)
-          participants
-      with
-      | [] -> [ List.nth participants 0 ]  (* keep at least one alive *)
-      | l -> l
-    in
-    random_partition rng survivors
-  in
-  run ~n ~budget ~measure ~programs ~schedule ?max_rounds ()
-
-let enumerate ~n ~budget ~measure ~programs ~max_rounds visit =
-  let rec go s round =
-    match participants s with
-    | [] -> visit (outcome_of s)
-    | procs ->
-        if round > max_rounds then visit (outcome_of s)
-        else
-          List.iter
-            (fun partition ->
-              let fork = copy_state s in
-              exec_round ~budget ~measure fork partition;
-              go fork (round + 1))
-            (ordered_partitions procs)
-  in
-  go (initial_state ~n ~programs) 1
+  let all ~n:_ = ordered_partitions
+end)

@@ -1,4 +1,5 @@
-(** The iterated immediate snapshot (IIS) model.
+(** The iterated immediate snapshot (IIS) model: the {!Proto} engine over
+    ordered partitions.
 
     Per round [r], every still-running process writes once to the fresh
     memory [M_r] and immediately snapshots it. The schedule of one round is
@@ -6,67 +7,13 @@
     block write and snapshot seeing only that block; later blocks see all
     earlier ones plus themselves. Ordered partitions are exactly the
     immediate-snapshot executions, so enumerating them enumerates the model
-    (3 per round for two processes, 13 for three — Figure 4's growth).
-
-    Register budgets are per round: each [M_r[i]] is a separate register, so
-    a 1-bit budget means every process writes one bit per round
-    (Theorem 1.4's regime). *)
-
-type ('v, 'a) program = ('v, 'a) Proto.t =
-  | Decide of 'a
-  | Round of 'v * ('v Views.vector -> ('v, 'a) program)
-      (** write the value into this round's memory, continue on the
-          immediate snapshot *)
+    (3 per round for two processes, 13 for three — Figure 4's growth). *)
 
 type partition = int list list
-(** Ordered partition; blocks in write order, each block a set of pids. *)
+(** Ordered partition; blocks in write order, each block a set of pids.
+    Participants in no block crash. *)
 
 val ordered_partitions : int list -> partition list
 (** All ordered partitions of a participant set (13 for 3 elements). *)
 
-type 'a outcome = {
-  decisions : 'a option array;
-  rounds_taken : int array;  (** per-process rounds executed *)
-  max_bits : int;  (** widest value written to any [M_r[i]] *)
-  history : partition list;  (** the partition of each executed round *)
-}
-
-val run :
-  n:int ->
-  budget:Bits.Width.budget ->
-  measure:'v Bits.Width.measure ->
-  programs:(int -> ('v, 'a) program) ->
-  schedule:(round:int -> participants:int list -> partition) ->
-  ?max_rounds:int ->
-  unit ->
-  'a outcome
-(** Rounds execute until every process decided or [max_rounds] (default
-    10_000) pass. The partition returned by [schedule] may omit processes:
-    omitted ones crash (take no further step, forever). Writes are checked
-    against [budget]. @raise Bits.Width.Overflow accordingly. *)
-
-val run_random :
-  n:int ->
-  budget:Bits.Width.budget ->
-  measure:'v Bits.Width.measure ->
-  programs:(int -> ('v, 'a) program) ->
-  rng:Bits.Rng.t ->
-  ?crash_probability:float ->
-  ?max_rounds:int ->
-  unit ->
-  'a outcome
-(** Uniform ordered partition each round; each round each live process
-    additionally crashes with [crash_probability] (default 0), leaving at
-    least one process alive. *)
-
-val enumerate :
-  n:int ->
-  budget:Bits.Width.budget ->
-  measure:'v Bits.Width.measure ->
-  programs:(int -> ('v, 'a) program) ->
-  max_rounds:int ->
-  ('a outcome -> unit) ->
-  unit
-(** Every crash-free execution: all [P(n)^r] partition words until everyone
-    decides (or [max_rounds] is hit, in which case the outcome has undecided
-    processes — the visitor sees it and can fail the test). *)
+include Proto.ENGINE with type plan := partition

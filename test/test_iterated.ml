@@ -26,7 +26,9 @@ let test_ic_matrices_match () =
   List.iter
     (fun n ->
       let a = Ic.all_matrices ~n ~participants:(pids n) in
-      let b = Ic.matrices_by_interleaving ~n ~participants:(pids n) in
+      let b =
+        Oracle.Ic_brute.matrices_by_interleaving ~n ~participants:(pids n)
+      in
       let subset xs ys =
         List.for_all (fun x -> List.exists (fun y -> y = x) ys) xs
       in
@@ -255,10 +257,8 @@ let test_replay_consistency () =
   Ic.enumerate ~n ~budget:Bits.Width.Unbounded
     ~measure:Bits.Width.unbounded ~programs:fi_programs ~max_rounds:rounds
     (fun o ->
-      (* Re-run the agreement protocol directly under the same matrices. *)
-      let schedule ~round ~participants =
-        { Ic.survivors = participants; sees = List.nth o.Ic.history (round - 1) }
-      in
+      (* Re-run the agreement protocol directly under the same plans. *)
+      let schedule ~round ~participants:_ = List.nth o.Ic.history (round - 1) in
       let direct =
         Ic.run ~n ~budget:Bits.Width.Unbounded ~measure:Bits.Width.unbounded
           ~programs:(fun pid -> make ~pid ~input:inputs.(pid))
@@ -277,6 +277,104 @@ let test_replay_consistency () =
                 (Q.to_string expected) (Q.to_string replayed)
           | _ -> Alcotest.fail "undecided")
         o.Ic.decisions)
+
+(* An immediate-snapshot round is a collect round in which each block sees
+   every block up to its own. So every IIS execution of the
+   full-information protocol, driven through IC by its partitions'
+   block-order matrices, must end the same way. The converter is written
+   here, independently of the library's. *)
+let block_order_matrix ~n partition =
+  let sees = Array.make_matrix n n false in
+  ignore
+    (List.fold_left
+       (fun written block ->
+         let written = block @ written in
+         List.iter
+           (fun i -> List.iter (fun j -> sees.(i).(j) <- true) written)
+           block;
+         written)
+       [] partition);
+  sees
+
+let test_iis_as_ic () =
+  let n = 3 and rounds = 2 in
+  let programs pid =
+    Full_info.protocol ~rounds ~me:pid ~input:(10 * pid) ~decide:(fun v -> v)
+  in
+  (* A measure that varies with the schedule, so max_bits is compared. *)
+  let rec size = function
+    | Full_info.Input _ -> 1
+    | Full_info.Observed { seen; _ } ->
+        Array.fold_left
+          (fun acc -> function None -> acc | Some v -> acc + size v)
+          1 seen
+  in
+  let same_view a b =
+    match (a, b) with
+    | Some a, Some b -> Full_info.equal Int.equal a b
+    | None, None -> true
+    | _ -> false
+  in
+  let executions = ref 0 in
+  Iis.enumerate ~n ~budget:Bits.Width.Unbounded ~measure:size ~programs
+    ~max_rounds:rounds (fun o ->
+      incr executions;
+      let schedule ~round ~participants:_ =
+        let partition = List.nth o.Iis.history (round - 1) in
+        {
+          Ic.survivors = List.concat partition;
+          sees = block_order_matrix ~n partition;
+        }
+      in
+      let ic =
+        Ic.run ~n ~budget:Bits.Width.Unbounded ~measure:size ~programs
+          ~schedule ~max_rounds:rounds ()
+      in
+      Alcotest.(check bool) "decisions" true
+        (Array.for_all2 same_view o.Iis.decisions ic.Ic.decisions);
+      Alcotest.(check (array int)) "rounds_taken" o.Iis.rounds_taken
+        ic.Ic.rounds_taken;
+      Alcotest.(check int) "max_bits" o.Iis.max_bits ic.Ic.max_bits);
+  Alcotest.(check int) "13^2 executions" 169 !executions
+
+(* A round's schedule may only name current participants, each once. *)
+let rejected what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: schedule accepted" what
+
+let two_rounds pid =
+  Proto.Round (pid, fun _ -> Proto.Round (pid, fun view -> Proto.Decide view))
+
+(* Runs stop after the listed plans: [max_rounds] is their count. *)
+let scheduled plans ~round ~participants:_ = List.nth plans (round - 1)
+
+let test_iis_schedule_validated () =
+  let run plans () =
+    Iis.run ~n:2 ~budget:Bits.Width.Unbounded ~measure:Bits.Width.unbounded
+      ~programs:two_rounds ~schedule:(scheduled plans)
+      ~max_rounds:(List.length plans) ()
+  in
+  rejected "pid in two blocks" (run [ [ [ 0 ]; [ 0; 1 ] ] ]);
+  rejected "pid out of range" (run [ [ [ 0; 1; 2 ] ] ]);
+  rejected "crashed pid" (run [ [ [ 0 ] ]; [ [ 0 ]; [ 1 ] ] ])
+
+let test_ic_schedule_validated () =
+  let n = 3 in
+  let plan survivors = { Ic.survivors; sees = Array.make_matrix n n true } in
+  let run ?(programs = two_rounds) plans () =
+    Ic.run ~n ~budget:Bits.Width.Unbounded ~measure:Bits.Width.unbounded
+      ~programs ~schedule:(scheduled plans) ~max_rounds:(List.length plans) ()
+  in
+  rejected "pid listed twice" (run [ plan [ 0; 0; 1 ] ]);
+  rejected "pid out of range" (run [ plan [ 0; 1; 3 ] ]);
+  rejected "crashed pid" (run [ plan [ 0; 1 ]; plan [ 0; 1; 2 ] ]);
+  let programs pid =
+    if pid = 0 then Proto.Round (pid, fun view -> Proto.Decide view)
+    else two_rounds pid
+  in
+  rejected "decided pid"
+    (run ~programs [ plan [ 0; 1; 2 ]; plan [ 0; 1; 2 ] ])
 
 (* Algorithm 4: exhaustive for one simulated round. *)
 let test_one_bit_sim_exhaustive () =
@@ -375,6 +473,12 @@ let () =
             test_figure4_growth;
           Alcotest.test_case "IIS midpoint agreement" `Quick
             test_iis_agreement;
+          Alcotest.test_case "IIS = IC under block-order matrices" `Quick
+            test_iis_as_ic;
+          Alcotest.test_case "IIS schedules validated" `Quick
+            test_iis_schedule_validated;
+          Alcotest.test_case "IC schedules validated" `Quick
+            test_ic_schedule_validated;
         ] );
       ( "bg-snapshot",
         [
