@@ -938,11 +938,21 @@ let explore_cmd =
           Sched.Scheduler.crashed st )
     in
     let r =
-      Sched.Par.explore ~max_crashes ~dedup:(not no_dedup) ~por:(not no_por)
-        ~budget ?resume:resume_frontier ~jobs ~init
-        ~fold:(fun st (count, digest) -> (count + 1, digest + terminal_digest st))
-        ~merge:(fun (c1, d1) (c2, d2) -> (c1 + c2, d1 + d2))
-        (0, 0)
+      (* A checkpoint that parses can still name a pid outside 0..n-1 or
+         a process that is no longer running: the engine rejects that
+         choice before replaying it. *)
+      try
+        Sched.Par.explore ~max_crashes ~dedup:(not no_dedup)
+          ~por:(not no_por) ~budget ?resume:resume_frontier ~jobs ~init
+          ~fold:(fun st (count, digest) ->
+            (count + 1, digest + terminal_digest st))
+          ~merge:(fun (c1, d1) (c2, d2) -> (c1 + c2, d1 + d2))
+          (0, 0)
+      with
+      | Invalid_argument m
+        when resume && String.starts_with ~prefix:"resume path " m ->
+          Format.eprintf "cannot resume from %s: %s@." checkpoint m;
+          exit 1
     in
     let _, digest = r.Sched.Par.value in
     Format.printf "k=%d max_crashes=%d jobs=%d budget: %a@.%a@.digest=0x%08x@."
@@ -973,8 +983,9 @@ let trace_cmd =
   let summary_cmd =
     let doc =
       "Validate and summarize a trace: every event is parsed (a malformed \
-       file exits non-zero) and per-event-name counts plus span totals are \
-       printed. Reads both jsonl and catapult formats."
+       file exits non-zero), then the Events and Span rollups sections of \
+       the health report (see $(b,report)) are printed. Reads both jsonl \
+       and catapult formats."
     in
     let file_arg =
       Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
@@ -995,17 +1006,14 @@ let trace_cmd =
           "harness"; "membership"; "meta"; "net"; "sched";
         ]
       in
-      let cat_counts = Hashtbl.create 8 in
       List.iter
         (fun (e : Obs.Sink.event) ->
           if not (List.mem e.cat known_categories) then
-            fail "unknown event category %S (event %S)" e.cat e.name;
-          Hashtbl.replace cat_counts e.cat
-            (1 + Option.value (Hashtbl.find_opt cat_counts e.cat) ~default:0))
+            fail "unknown event category %S (event %S)" e.cat e.name)
         events;
       (* Spans must nest: every End matches the innermost open Begin on
-         its track. The console summarizer reports totals; unbalanced
-         files fail the validation. *)
+         its track. The report's rollups pair them the same way;
+         unbalanced files fail the validation. *)
       let depth = Hashtbl.create 8 in
       List.iter
         (fun (e : Obs.Sink.event) ->
@@ -1021,15 +1029,7 @@ let trace_cmd =
         (fun track d ->
           if d > 0 then fail "%d unclosed span(s) on track %d" d track)
         depth;
-      if Hashtbl.length cat_counts > 0 then begin
-        Format.printf "categories:@.";
-        Hashtbl.fold (fun cat n acc -> (cat, n) :: acc) cat_counts []
-        |> List.sort compare
-        |> List.iter (fun (cat, n) -> Format.printf "  %-12s %6d@." cat n)
-      end;
-      let sink = Obs.Sink.console Format.std_formatter in
-      List.iter sink.Obs.Sink.emit events;
-      sink.Obs.Sink.flush ();
+      print_string (Obs.Report.to_markdown (Obs.Report.summary events));
       Format.printf "trace %s: valid@." file
     in
     Cmd.v (Cmd.info "summary" ~doc) Term.(const run $ file_arg)

@@ -96,14 +96,20 @@ if [ "$iterated_md5" != b88940d99fc695e6d4bcbe58c1f900ff ]; then
 fi
 
 # Trace smoke: a budgeted exploration captured to JSONL must validate —
-# parseable events, balanced spans — via the trace summarizer; metrics go
+# parseable events, balanced spans — via the trace summarizer, which then
+# prints the health report's Events and Span rollups sections; metrics go
 # to a JSON file CI archives. Runs in both modes (it is a fraction of a
 # second) and leaves ci-smoke.trace.jsonl / ci-metrics.json behind for
 # the artifact upload step.
 echo "== trace smoke"
 dune exec bin/boundedreg.exe -- explore -k 2 --max-nodes 2000 \
   --trace ci-smoke.trace.jsonl --metrics ci-metrics.json
-dune exec bin/boundedreg.exe -- trace summary ci-smoke.trace.jsonl
+summary=$(dune exec bin/boundedreg.exe -- trace summary ci-smoke.trace.jsonl)
+printf '%s\n' "$summary"
+if ! printf '%s\n' "$summary" | grep -q '^## Span rollups$'; then
+  echo "check.sh: trace summary printed no Span rollups section" >&2
+  exit 1
+fi
 
 # Report smoke: the health-report renderer must consume the trace and
 # metrics the step above just wrote. Both renderings are CI artifacts.
@@ -133,6 +139,19 @@ until dune exec bin/boundedreg.exe -- explore -k 3 --max-nodes 400 \
 done
 if ls "$ckpt_dir"/*.tmp ./*.tmp 2>/dev/null | grep -q .; then
   echo "check.sh: a .tmp file survived a checkpoint/report/metrics write" >&2
+  exit 1
+fi
+# A hand-edited checkpoint that parses but names pid 99 must be refused
+# with the position of the bad choice and exit 1, not die inside the
+# engine (an uncaught exception exits 125).
+printf 's0 s99\n' > "$ckpt_dir/hostile"
+status=0
+hostile_err=$(dune exec bin/boundedreg.exe -- explore -k 3 --resume \
+  --checkpoint "$ckpt_dir/hostile" 2>&1 >/dev/null) || status=$?
+if [ "$status" != 1 ] || ! printf '%s\n' "$hostile_err" \
+  | grep -qF 'resume path 1, choice 2: pid 99 outside 0..1'; then
+  printf 'check.sh: hostile checkpoint: exit %s, stderr:\n%s\n' \
+    "$status" "$hostile_err" >&2
   exit 1
 fi
 rm -rf "$ckpt_dir"

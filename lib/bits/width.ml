@@ -12,10 +12,6 @@ let bits_for n =
   let rec loop acc v = if v = 0 then acc else loop (acc + 1) (v lsr 1) in
   loop 0 n
 
-let pp ppf = function
-  | Unbounded -> Format.pp_print_string ppf "unbounded"
-  | Bounded b -> Format.fprintf ppf "%d bit%s" b (if b = 1 then "" else "s")
-
 type 'a measure = 'a -> int
 
 let bit (_ : bool) = 1
@@ -28,7 +24,4 @@ let uint ~max v =
 let enum ~cardinal _ = bits_for (cardinal - 1)
 let option m = function None -> 1 | Some v -> 1 + m v
 let pair ma mb (a, b) = ma a + mb b
-let triple ma mb mc (a, b, c) = ma a + mb b + mc c
-let list m vs = 1 + List.fold_left (fun acc v -> acc + 1 + m v) 0 vs
-let array m vs = 1 + Array.fold_left (fun acc v -> acc + 1 + m v) 0 vs
 let unbounded _ = 0

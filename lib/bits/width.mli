@@ -21,8 +21,6 @@ val bits_for : int -> int
     able to hold all of [0..n]; [bits_for 0 = 0].
     @raise Invalid_argument on negative [n]. *)
 
-val pp : Format.formatter -> budget -> unit
-
 (** {1 Measures}
 
     A measure assigns a bit size to each value of a type. Measures compose so
@@ -46,13 +44,6 @@ val option : 'a measure -> 'a option measure
     is {e not} assumed; [None] costs 1 bit). *)
 
 val pair : 'a measure -> 'b measure -> ('a * 'b) measure
-val triple : 'a measure -> 'b measure -> 'c measure -> ('a * 'b * 'c) measure
-
-val list : 'a measure -> 'a list measure
-(** Sum of element sizes plus one continuation bit per element and one
-    terminator bit (self-delimiting). *)
-
-val array : 'a measure -> 'a array measure
 
 val unbounded : 'a measure
 (** Measure for values kept in unbounded registers: always 0 bits, i.e. never

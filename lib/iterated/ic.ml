@@ -48,7 +48,23 @@ include Proto.Make (struct
   type plan = round_plan
 
   let survivors p = p.survivors
-  let sees ~n:_ p = p.sees
+
+  (* Only realizable matrices: n x n, every survivor finds its own write,
+     and the misses among survivors are acyclic. *)
+  let sees ~n p =
+    let reject why = invalid_arg ("Ic: sees matrix " ^ why) in
+    if
+      Array.length p.sees <> n
+      || Array.exists (fun row -> Array.length row <> n) p.sees
+    then reject (Printf.sprintf "is not %d x %d" n n);
+    List.iter
+      (fun i ->
+        if not p.sees.(i).(i) then
+          reject (Printf.sprintf "has survivor %d miss its own write" i))
+      p.survivors;
+    if not (misses_acyclic ~participants:p.survivors p.sees) then
+      reject "has cyclic misses among survivors";
+    p.sees
 
   let all ~n participants =
     List.map

@@ -21,6 +21,9 @@ type round_plan = {
   sees : bool array array;
 }
 (** Participants not in [survivors] crash before writing this round.
-    [all] plans keep every participant, one per realizable matrix. *)
+    [all] plans keep every participant, one per realizable matrix. [run]
+    rejects ([Invalid_argument]) a plan whose matrix is not [n x n], has
+    a survivor miss its own write, or has cyclic misses among the
+    survivors: no interleaving produces it. *)
 
 include Proto.ENGINE with type plan := round_plan

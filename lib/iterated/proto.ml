@@ -110,9 +110,10 @@ module Make (S : SHAPE) = struct
       history = List.rev s.past;
     }
 
-  (* Validate the whole plan before touching the state: a rejected round
-     is not executed at all. Every pid left out crashes; then all survivors
-     write, and then each reads the writes its row of [sees] selects. *)
+  (* Validate the whole plan, survivors then sees matrix, before touching
+     the state: a rejected round is not executed at all. Every pid left
+     out crashes; then all survivors write, and then each reads the writes
+     its row of [sees] selects. *)
   let exec_round ~budget ~measure s plan =
     let n = Array.length s.progs in
     let survivors = S.survivors plan in
@@ -127,6 +128,7 @@ module Make (S : SHAPE) = struct
         else if not (running s pid) then reject "is not a participant";
         scheduled.(pid) <- true)
       survivors;
+    let sees = S.sees ~n plan in
     Array.iteri (fun pid on -> if not on then s.alive.(pid) <- false) scheduled;
     let memory = Array.make n None in
     List.iter
@@ -139,7 +141,6 @@ module Make (S : SHAPE) = struct
             if bits > s.bits then s.bits <- bits;
             memory.(pid) <- Some v)
       survivors;
-    let sees = S.sees ~n plan in
     List.iter
       (fun pid ->
         match s.progs.(pid) with

@@ -25,7 +25,10 @@ module type SHAPE = sig
 
   val sees : n:int -> plan -> bool array array
   (** [sees.(i).(j)]: survivor [i]'s view holds [j]'s write. An [n x n]
-      matrix; only the survivors' rows are read. *)
+      matrix; only the survivors' rows are read. Called once per round,
+      after the survivors are validated and before any state changes.
+      @raise Invalid_argument on a plan no schedule of the model can
+      produce. *)
 
   val all : n:int -> int list -> plan list
   (** Every crash-free plan for a participant set, in enumeration order. *)
@@ -63,7 +66,8 @@ module type ENGINE = sig
       @raise Bits.Width.Overflow when a write exceeds [budget].
       @raise Invalid_argument when a plan's survivors name a pid out of
       range, one that is not a current participant (crashed or decided),
-      or one pid twice; the round is then not executed. *)
+      or one pid twice, or when the shape's [sees] rejects the plan; the
+      round is then not executed. *)
 
   val run_random :
     n:int ->

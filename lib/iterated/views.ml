@@ -12,9 +12,6 @@ let subseteq ~equal v v' =
   in
   Array.length v' = n && loop 0
 
-let subset ~equal v v' =
-  subseteq ~equal v v' && not (subseteq ~equal v' v)
-
 let validity ~equal ~written views =
   Array.for_all
     (fun view ->

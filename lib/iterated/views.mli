@@ -12,9 +12,6 @@ val subseteq : equal:('v -> 'v -> bool) -> 'v vector -> 'v vector -> bool
 (** [subseteq v v']: every defined entry of [v] is defined and equal in
     [v']. *)
 
-val subset : equal:('v -> 'v -> bool) -> 'v vector -> 'v vector -> bool
-(** Strict containment (the paper's [v ⊂ v']). *)
-
 val validity : equal:('v -> 'v -> bool) -> written:'v array -> 'v vector array -> bool
 (** Every defined entry [v_i[j]] equals the value [written.(j)]. *)
 

@@ -749,7 +749,6 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
   let c_leaves = Obs.Metrics.counter "net.leaves" in
   let enters0 = Obs.Metrics.counter_value c_enters in
   let leaves0 = Obs.Metrics.counter_value c_leaves in
-  let health = Obs.Progress.create ~cat:"fleet" "fleet.health" in
   let write_witness w =
     let text () = Obs.Json.to_string (witness_to_json ~seed ~config:chaos w) in
     Option.iter (fun f -> write_atomic f (text () ^ "\n")) w.file
@@ -985,8 +984,9 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     (* The deterministic health sample: cumulative campaign state, plus
        wall-derived rate and budget ETA only when the user opted into
        wall time (rates would otherwise break trace byte-determinism). *)
-    Obs.Progress.tick health (fun () ->
-        [
+    Obs.Span.instant ~cat:"fleet"
+      ~args:
+        ([
           ("generation", Obs.Json.Int g);
           ("runs", Obs.Json.Int !runs);
           ("violations", Obs.Json.Int !violations);
@@ -1014,6 +1014,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
           match budget with
           | Some b -> [ ("eta_s", Obs.Json.Float (Float.max 0. (b -. dt))) ]
           | None -> [])
+      "fleet.health"
   in
   (try
      let continue () =

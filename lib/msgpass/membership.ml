@@ -7,8 +7,6 @@
 
 type view = { entered : int; act : int; left : int }
 
-let empty = { entered = 0; act = 0; left = 0 }
-
 let of_list pids =
   let m = List.fold_left (fun m p -> m lor (1 lsl p)) 0 pids in
   (* A seeded view's members are born activated: there is no one to
@@ -63,30 +61,12 @@ let quorum ?(slack = 0) v =
   let c = popcount (active v) in
   min (max 1 c) ((c / 2) + 1 + slack)
 
-let pp ppf v =
-  let list m =
-    List.filter
-      (fun p -> m land (1 lsl p) <> 0)
-      (List.init Sys.int_size Fun.id)
-  in
-  let pp_pids =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-      Format.pp_print_int
-  in
-  Format.fprintf ppf "{in:%a join:%a out:%a}" pp_pids
-    (list (active v))
-    pp_pids
-    (list (current v land lnot v.act))
-    pp_pids (list v.left)
-
 (* ------------------------------------------------------------------ *)
 (* Churn schedules *)
 
 type churn = { enter_at : (int * int) list; leave_at : (int * int) list }
 
 let no_churn = { enter_at = []; leave_at = [] }
-let size c = List.length c.enter_at + List.length c.leave_at
 
 (* Rate-bounded random schedule: churn events are spaced at least
    [window / rate] fault events apart (plus jitter), so any window of

@@ -17,8 +17,6 @@ type view = { entered : int; act : int; left : int }
     [entered land lnot left]; only [act land lnot left] members answer
     queries, so quorums are sized against them. *)
 
-val empty : view
-
 val initial : int -> view
 (** [initial k]: slots [0 .. k-1] entered {e and activated} (a seeded
     member has nobody to adopt state from), nobody left — the seed
@@ -70,8 +68,6 @@ val quorum : ?slack:int -> view -> int
     [slack] churn events apart intersecting; the cap keeps the quorum
     satisfiable (it degrades to "every active member I know of"). *)
 
-val pp : Format.formatter -> view -> unit
-
 (** {1 Churn schedules}
 
     A churn schedule is the membership analogue of the fault profile's
@@ -81,9 +77,6 @@ val pp : Format.formatter -> view -> unit
 type churn = { enter_at : (int * int) list; leave_at : (int * int) list }
 
 val no_churn : churn
-
-val size : churn -> int
-(** Total scheduled churn events. *)
 
 val random :
   Bits.Rng.t ->

@@ -8,13 +8,6 @@ let augmented_ring ~n ~t =
   in
   { n; succs }
 
-let complete ~n =
-  let succs =
-    Array.init n (fun i ->
-        List.init n (fun j -> j) |> List.filter (fun j -> j <> i))
-  in
-  { n; succs }
-
 let n t = t.n
 let successors t i = t.succs.(i)
 

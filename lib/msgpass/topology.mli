@@ -11,9 +11,6 @@ type t
 val augmented_ring : n:int -> t:int -> t
 (** @raise Invalid_argument unless [0 <= t] and [t + 2 <= n]. *)
 
-val complete : n:int -> t
-(** The complete digraph (the message-passing model's own topology). *)
-
 val n : t -> int
 val successors : t -> int -> int list
 (** Out-neighbours, ascending by distance for the ring. *)

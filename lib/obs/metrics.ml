@@ -252,51 +252,3 @@ let snapshot () =
     ]
 
 let snapshot_string () = Json.to_string (snapshot ())
-
-(* Interval arithmetic over two snapshot JSONs: what happened {e
-   between} them. Counters and histogram counts/sums/buckets subtract;
-   gauges, maxima and percentiles are point-in-time readings with no
-   meaningful difference, so the [after] value passes through. Metrics
-   present only in [after] (registered mid-interval) diff against an
-   implicit zero. *)
-let delta ~before ~after =
-  let int_minus b a =
-    match (b, a) with
-    | Some (Json.Int b), Json.Int a -> Json.Int (a - b)
-    | _, a -> a
-  in
-  let hist_minus b a =
-    match (b, a) with
-    | Some bj, Json.Obj afields ->
-        Json.Obj
-          (List.map
-             (fun (k, av) ->
-               match k with
-               | "count" | "sum" -> (k, int_minus (Json.member k bj) av)
-               | "buckets" -> (
-                   match (Json.member "buckets" bj, av) with
-                   | Some bb, Json.Obj ab ->
-                       ( k,
-                         Json.Obj
-                           (List.map
-                              (fun (bk, bv) ->
-                                (bk, int_minus (Json.member bk bb) bv))
-                              ab) )
-                   | _ -> (k, av))
-               | _ -> (k, av))
-             afields)
-    | _, a -> a
-  in
-  let section name minus =
-    let b = Option.value (Json.member name before) ~default:(Json.Obj []) in
-    match Json.member name after with
-    | Some (Json.Obj fields) ->
-        Json.Obj (List.map (fun (k, av) -> (k, minus (Json.member k b) av)) fields)
-    | _ -> Json.Obj []
-  in
-  Json.Obj
-    [
-      ("counters", section "counters" int_minus);
-      ("gauges", section "gauges" (fun _ a -> a));
-      ("histograms", section "histograms" hist_minus);
-    ]

@@ -84,9 +84,3 @@ val snapshot : unit -> Json.t
     the per-bucket counts. *)
 
 val snapshot_string : unit -> string
-
-val delta : before:Json.t -> after:Json.t -> Json.t
-(** Interval difference of two {!snapshot} values: counters and
-    histogram counts/sums/buckets subtract ([after - before]); gauges,
-    maxima and percentiles are point-in-time readings, so the [after]
-    value passes through unchanged. *)

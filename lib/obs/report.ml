@@ -46,24 +46,37 @@ let meta_section events =
                (List.map (fun (k, v) -> Printf.sprintf "%s: %s" k v) fields));
         ]
 
-let overview_section events =
-  let last_ts = List.fold_left (fun acc e -> max acc e.Sink.ts) 0 events in
-  let by_cat = Hashtbl.create 8 in
+(* Counts of [key e] over the events, sorted by key. *)
+let tally key events =
+  let counts = Hashtbl.create 16 in
   List.iter
     (fun e ->
-      Hashtbl.replace by_cat e.Sink.cat
-        (1 + Option.value (Hashtbl.find_opt by_cat e.Sink.cat) ~default:0))
+      let k = key e in
+      Hashtbl.replace counts k
+        (1 + Option.value (Hashtbl.find_opt counts k) ~default:0))
     events;
-  let rows =
-    Hashtbl.fold (fun cat n acc -> [ cat; string_of_int n ] :: acc) by_cat []
-    |> List.sort compare
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] |> List.sort compare
+
+let overview_section events =
+  let last_ts = List.fold_left (fun acc e -> max acc e.Sink.ts) 0 events in
+  let by_cat =
+    List.map
+      (fun (cat, n) -> [ cat; string_of_int n ])
+      (tally (fun e -> e.Sink.cat) events)
+  in
+  let by_name =
+    List.map
+      (fun ((name, kind), n) ->
+        [ name; Sink.kind_to_string kind; string_of_int n ])
+      (tally (fun e -> (e.Sink.name, e.Sink.kind)) events)
   in
   [
     Heading (2, "Events");
     Para
       (Printf.sprintf "%d event(s), logical clock 1..%d." (List.length events)
          last_ts);
-    Table { headers = [ "category"; "events" ]; rows };
+    Table { headers = [ "category"; "events" ]; rows = by_cat };
+    Table { headers = [ "event"; "kind"; "events" ]; rows = by_name };
   ]
 
 (* Per-(cat, name) span rollups: pair each End with the innermost open
@@ -117,23 +130,16 @@ let rollup_section events =
 let verdict_section events =
   let runs = List.filter (named "chaos.run") events in
   if runs = [] then []
-  else begin
-    let tally = Hashtbl.create 4 in
-    List.iter
-      (fun e ->
-        let v = Option.value (arg_str e "verdict") ~default:"?" in
-        Hashtbl.replace tally v
-          (1 + Option.value (Hashtbl.find_opt tally v) ~default:0))
-      runs;
+  else
     let rows =
-      Hashtbl.fold (fun v n acc -> [ v; string_of_int n ] :: acc) tally []
-      |> List.sort compare
+      List.map
+        (fun (v, n) -> [ v; string_of_int n ])
+        (tally (fun e -> Option.value (arg_str e "verdict") ~default:"?") runs)
     in
     [
       Heading (2, "Verdicts");
       Table { headers = [ "verdict"; "runs" ]; rows };
     ]
-  end
 
 let witness_section events =
   let ws = List.filter (named "fleet.witness") events in
@@ -194,30 +200,6 @@ let coverage_section events =
 let int_member j k =
   match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
 
-(* Percentile from a snapshot's bucket object — parses the "le_<bound>"
-   labels, so it works on snapshots written before p50/p90/p99 fields
-   existed. *)
-let percentile_of_json hj p =
-  match (Json.member "buckets" hj, int_member hj "count") with
-  | Some (Json.Obj buckets), Some total when total > 0 ->
-      let rank =
-        max 1 (int_of_float (ceil (p /. 100. *. float_of_int total)))
-      in
-      let rec walk cum = function
-        | [] -> None
-        | (label, Json.Int c) :: rest ->
-            let cum = cum + c in
-            if cum >= rank then
-              if label = "inf" then int_member hj "max"
-              else
-                int_of_string_opt
-                  (String.sub label 3 (String.length label - 3))
-            else walk cum rest
-        | _ :: rest -> walk cum rest
-      in
-      walk 0 buckets
-  | _ -> None
-
 let metrics_section metrics =
   match metrics with
   | None -> []
@@ -248,14 +230,10 @@ let metrics_section metrics =
             let rows =
               List.map
                 (fun (k, hj) ->
-                  [
-                    k;
-                    cell (int_member hj "count");
-                    cell (percentile_of_json hj 50.);
-                    cell (percentile_of_json hj 90.);
-                    cell (percentile_of_json hj 99.);
-                    cell (int_member hj "max");
-                  ])
+                  k
+                  :: List.map
+                       (fun f -> cell (int_member hj f))
+                       [ "count"; "p50"; "p90"; "p99"; "max" ])
                 fields
             in
             [
@@ -305,14 +283,14 @@ let bench_section bench =
             ]
       | _ -> [])
 
+let summary events =
+  if events = [] then [ Para "No trace events." ]
+  else overview_section events @ rollup_section events
+
 let of_sources ?metrics ?bench events =
   (Heading (1, "boundedreg health report") :: meta_section events)
-  @ (if events = [] then [ Para "No trace events." ]
-     else
-       overview_section events @ rollup_section events
-       @ verdict_section events @ witness_section events
-       @ coverage_section events)
-  @ metrics_section metrics @ bench_section bench
+  @ summary events @ verdict_section events @ witness_section events
+  @ coverage_section events @ metrics_section metrics @ bench_section bench
 
 (* {2 Markdown} *)
 

@@ -2,10 +2,10 @@
 
     Folds a trace's events plus (optionally) a {!Metrics} snapshot and a
     bench JSON into a small block document, rendered as Markdown or
-    self-contained HTML: per-category event counts, span rollups,
-    chaos-run verdicts, the fleet's witness inventory, coverage-over-time
-    curves (from [fleet.health] / [explore.progress] instants), histogram
-    percentiles, and benchmark rows. Pure and deterministic: fixed inputs
+    self-contained HTML: per-category and per-event-name counts, span
+    rollups, chaos-run verdicts, the fleet's witness inventory,
+    coverage-over-time curves (from [fleet.health] / [explore.progress]
+    instants), histogram percentiles, and benchmark rows. Pure and deterministic: fixed inputs
     give byte-identical output. The [boundedreg report] subcommand is a
     thin wrapper over this module. *)
 
@@ -18,10 +18,18 @@ type block =
   | Table of table
   | Curve of curve
 
+val summary : Sink.event list -> block list
+(** The Events section (event counts per category and per event name and
+    kind) and the Span rollups section (count, ticks and mean ticks per
+    span kind, pairing each End with the innermost open Begin on its
+    track). This is what [boundedreg trace summary] prints after
+    validating a trace. *)
+
 val of_sources : ?metrics:Json.t -> ?bench:Json.t -> Sink.event list -> block list
 (** Build the report document. [metrics] is a {!Metrics.snapshot} value;
     [bench] a [BENCH_*.json] document. Sections for absent inputs are
-    omitted. *)
+    omitted. Histogram rows read the snapshot's [p50]/[p90]/[p99]
+    fields. *)
 
 val to_markdown : block list -> string
 (** Curves render as unicode sparklines. *)

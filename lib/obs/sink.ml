@@ -1,23 +1,17 @@
 (* Pluggable trace consumers. Instrumentation sites produce neutral
    {!event}s; a sink decides what to do with them (JSONL lines, a Chrome
-   trace_event array, an in-memory list, a console summary). One global
-   sink is consulted by every site: the default [nil] sink makes disabled
-   tracing cost a single load-and-compare branch, because sites guard
-   event construction with {!enabled}.
+   trace_event array, an in-memory list). One global sink is consulted by
+   every site: the default [nil] sink makes disabled tracing cost a single
+   load-and-compare branch, because sites guard event construction with
+   {!enabled}.
 
-   Routing is per-domain. Each domain carries a small mode word:
-
-   - [Pass] (the default): events go to the global sink, and only from
-     the main domain — sinks are single-consumer (a Buffer, an
-     out_channel), so worker domains must not write into them.
-   - [Capture]: events go to a domain-private buffer installed by
-     {!captured}. This is how {!Sched.Par} workers stop being
-     observability black holes: each unit's events are captured where
-     they happen and drained on the main domain, in unit-index order,
-     after the pool joins.
-   - [Mute]: events are dropped ({!muted}) — internal
-     segments of a larger run whose telemetry the driver reports as a
-     whole. *)
+   Routing is per-domain. By default events go to the global sink, and
+   only from the main domain — sinks are single-consumer (a Buffer, an
+   out_channel), so worker domains must not write into them. Inside
+   {!captured} they go to a domain-private buffer instead: this is how
+   {!Sched.Par} workers trace. Each unit's events are captured where
+   they happen and drained on the main domain, in unit-index order,
+   after the pool joins. *)
 
 type kind = Begin | End | Instant
 
@@ -42,56 +36,42 @@ let nil = { emit = ignore; flush = ignore }
 let current = ref nil
 let active = ref false
 
-type mode = Pass | Capture | Mute
-type local = { mutable sink : t; mutable mode : mode }
-
-let local_key = Domain.DLS.new_key (fun () -> { sink = nil; mode = Pass })
+(* The calling domain's capture buffer, [Some] only inside {!captured}. *)
+let capture_key : t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
 (* [enabled] short-circuits on [!active], so the disabled cost stays one
-   load-and-branch; the per-domain mode is only consulted while a sink is
-   installed. Under [Capture] any domain may construct and emit (into its
-   private buffer); under [Pass] only the main domain may. *)
+   load-and-branch; the capture slot is only consulted while a sink is
+   installed. A capturing domain may construct and emit (into its private
+   buffer); otherwise only the main domain may. *)
 let enabled () =
   !active
   &&
-  match (Domain.DLS.get local_key).mode with
-  | Pass -> Domain.is_main_domain ()
-  | Capture -> true
-  | Mute -> false
+  match !(Domain.DLS.get capture_key) with
+  | None -> Domain.is_main_domain ()
+  | Some _ -> true
 
 let emit e =
-  let l = Domain.DLS.get local_key in
-  match l.mode with
-  | Pass -> !current.emit e
-  | Capture -> l.sink.emit e
-  | Mute -> ()
+  match !(Domain.DLS.get capture_key) with
+  | None -> !current.emit e
+  | Some buffer -> buffer.emit e
 
 let memory () =
   let acc = ref [] in
   ( { emit = (fun e -> acc := e :: !acc); flush = ignore },
     fun () -> List.rev !acc )
 
-let with_mode mode sink f =
-  let l = Domain.DLS.get local_key in
-  let saved_mode = l.mode and saved_sink = l.sink in
-  l.mode <- mode;
-  l.sink <- sink;
-  Fun.protect
-    ~finally:(fun () ->
-      l.mode <- saved_mode;
-      l.sink <- saved_sink)
-    f
-
 (* Capture the calling domain's emissions into a private buffer. Events
    keep the stamps of the capturing domain's logical clock — a consumer
    re-emitting them on the main domain re-stamps via {!Span.replay}, so
    the published trace stays a single monotone main-domain stream. *)
 let captured f =
-  let sink, events = memory () in
-  let r = with_mode Capture sink f in
+  let buffer, events = memory () in
+  let slot = Domain.DLS.get capture_key in
+  let saved = !slot in
+  slot := Some buffer;
+  let r = Fun.protect ~finally:(fun () -> slot := saved) f in
   (r, events ())
-
-let muted f = with_mode Mute nil f
 
 let set s =
   current := s;
@@ -231,52 +211,3 @@ let catapult write =
           write "\n]\n"
         end);
   }
-
-(* The console summarizer: per-(name, kind) event counts plus total
-   logical-clock time inside spans, printed on flush. Span durations pair
-   each End with the most recent unmatched Begin on the same track. *)
-let console ppf =
-  let counts : (string * kind, int) Hashtbl.t = Hashtbl.create 32 in
-  let open_spans : (int, (string * int) list) Hashtbl.t = Hashtbl.create 8 in
-  let durations : (string, int * int) Hashtbl.t = Hashtbl.create 32 in
-  let bump key =
-    Hashtbl.replace counts key
-      (1 + Option.value (Hashtbl.find_opt counts key) ~default:0)
-  in
-  let emit e =
-    bump (e.name, e.kind);
-    match e.kind with
-    | Instant -> ()
-    | Begin ->
-        let stack =
-          Option.value (Hashtbl.find_opt open_spans e.track) ~default:[]
-        in
-        Hashtbl.replace open_spans e.track ((e.name, e.ts) :: stack)
-    | End -> (
-        match Hashtbl.find_opt open_spans e.track with
-        | Some ((name, t0) :: rest) ->
-            Hashtbl.replace open_spans e.track rest;
-            let n, total =
-              Option.value (Hashtbl.find_opt durations name) ~default:(0, 0)
-            in
-            Hashtbl.replace durations name (n + 1, total + e.ts - t0)
-        | _ -> ())
-  in
-  let flush () =
-    let rows =
-      Hashtbl.fold (fun (name, kind) n acc -> (name, kind, n) :: acc) counts []
-      |> List.sort compare
-    in
-    Format.fprintf ppf "trace summary: %d event(s)@."
-      (List.fold_left (fun acc (_, _, n) -> acc + n) 0 rows);
-    List.iter
-      (fun (name, kind, n) ->
-        Format.fprintf ppf "  %-30s %-2s %6d" name (kind_to_string kind) n;
-        (match (kind, Hashtbl.find_opt durations name) with
-        | End, Some (spans, total) ->
-            Format.fprintf ppf "   (%d span(s), %d ticks inside)" spans total
-        | _ -> ());
-        Format.fprintf ppf "@.")
-      rows
-  in
-  { emit; flush }

@@ -7,11 +7,12 @@
     render them as-is, so a fixed schedule and seed produce byte-identical
     output run over run.
 
-    Routing is per-domain. By default ([Pass]) events reach the global
-    sink from the main domain only — sinks are single-consumer. A worker
-    domain participates by running under {!captured}, which buffers its
-    emissions privately for the pool driver to drain on the main domain
-    (in deterministic order) after join; {!muted} drops them instead. *)
+    Routing is per-domain. By default events reach the global sink from
+    the main domain only — sinks are single-consumer — and a bare worker
+    domain's emission sites stay disabled. A worker domain participates
+    by running under {!captured}, which buffers its emissions privately
+    for the pool driver to drain on the main domain (in deterministic
+    order) after join. *)
 
 type kind = Begin | End | Instant
 
@@ -33,10 +34,9 @@ val nil : t
 
 val enabled : unit -> bool
 (** Whether the calling domain should construct and emit events. [false]
-    when the installed sink is {!nil}; with a sink installed it depends
-    on the calling domain's mode: [true] on the main domain (and inside
-    {!captured} on any domain), [false] on bare worker domains and
-    inside {!muted}. Guard event construction with this:
+    when the installed sink is {!nil}; with a sink installed it is
+    [true] on the main domain and inside {!captured} on any domain,
+    [false] on bare worker domains. Guard event construction with this:
     [if Sink.enabled () then Sink.emit {...}]. *)
 
 val captured : (unit -> 'a) -> 'a * event list
@@ -47,18 +47,16 @@ val captured : (unit -> 'a) -> 'a * event list
     main domain in a deterministic order via {!Span.replay}. Captured
     events carry the capturing domain's clock stamps; replay re-stamps
     them. If [f] raises, the exception propagates and the buffered
-    events are dropped (the flight {!Recorder} still holds them). *)
-
-val muted : (unit -> 'a) -> 'a
-(** Run [f] with the calling domain's emissions dropped, restoring the
-    previous mode afterwards even on exceptions. For internal segments
-    of a larger run whose telemetry the driver reports as a whole. *)
+    events are dropped (the flight {!Recorder} still holds them). This
+    is the routing half of {!Span.captured}, which pool drivers call:
+    it also runs [f] on a scratch clock. *)
 
 val active : bool ref
 (** [true] iff a sink other than {!nil} is installed, as a bare ref for
     per-operation hot paths where a call-free [!active] guard matters
-    (it over-approximates {!enabled}: mode is not consulted). Read-only
-    outside this module — install sinks via {!set}/{!clear}/{!with_sink}. *)
+    (it over-approximates {!enabled}: the domain is not consulted).
+    Read-only outside this module — install sinks via
+    {!set}/{!clear}/{!with_sink}. *)
 
 val set : t -> unit
 
@@ -66,9 +64,8 @@ val clear : unit -> unit
 (** Flush the installed sink and restore {!nil}. *)
 
 val emit : event -> unit
-(** Route an event per the calling domain's mode: global sink ([Pass],
-    main-domain callers), private buffer (inside {!captured}), or
-    dropped (inside {!muted}). *)
+(** Route an event to the calling domain's private buffer inside
+    {!captured}, to the global sink otherwise. *)
 
 val flush : unit -> unit
 
@@ -112,7 +109,3 @@ val catapult : (string -> unit) -> t
 
 val memory : unit -> t * (unit -> event list)
 (** In-memory sink and its accessor, for tests. *)
-
-val console : Format.formatter -> t
-(** Accumulates per-event-name counts and span durations; prints the
-    summary table on [flush]. *)

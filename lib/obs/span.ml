@@ -59,16 +59,17 @@ let span ?cat ?track ?args name f =
         name;
       raise exn
 
-(* Run [f] on a fresh clock, restoring the caller's count after. Worker
-   domains have private clocks already; this exists for the main domain
-   executing its own share of captured units — without it those scratch
-   constructions would advance the main clock and shift every re-stamped
-   tick, making the trace depend on how units were divided. *)
-let scratched f =
+(* Capture [f]'s events on a fresh clock, restoring the caller's count
+   after. Worker domains have private clocks already; the fresh clock is
+   for the main domain executing its own share of captured units —
+   without it those scratch constructions would advance the main clock
+   and shift every re-stamped tick, making the trace depend on how units
+   were divided. *)
+let captured f =
   let clock = Domain.DLS.get clock_key in
   let saved = !clock in
   clock := 0;
-  Fun.protect ~finally:(fun () -> clock := saved) f
+  Fun.protect ~finally:(fun () -> clock := saved) (fun () -> Sink.captured f)
 
 (* Drain captured worker events into the live trace, re-stamped on the
    calling domain's clock so the published stream stays monotone. Sink

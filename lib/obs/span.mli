@@ -7,8 +7,8 @@
     and travels as a [wall_s] argument, never as the timestamp.
 
     The clock is per-domain. Parallel workers capturing events (see
-    {!Sink.captured}) stamp them on private clocks; {!replay} re-stamps
-    on the drain domain's clock, so a published trace is one monotone
+    {!captured}) stamp them on private clocks; {!replay} re-stamps on the
+    drain domain's clock, so a published trace is one monotone
     main-domain stream.
 
     Emission helpers construct an event when the calling domain is
@@ -54,12 +54,15 @@ val span :
     exception still closes the span (with an [exn] argument) before
     re-raising. *)
 
-val scratched : (unit -> 'a) -> 'a
-(** Run [f] on a fresh clock, restoring the caller's count afterwards.
-    Pool drivers wrap main-domain execution of captured units in this so
-    scratch constructions never advance the clock that {!replay} stamps
-    with — otherwise the published stamps would depend on which domain
-    happened to execute which unit. *)
+val captured : (unit -> 'a) -> 'a * Sink.event list
+(** [captured f] runs [f] under {!Sink.captured} on a fresh clock,
+    restoring the caller's count afterwards, and returns [f]'s result
+    with the events it emitted. Pool drivers run each unit in this, on
+    whichever domain executes it, and drain the events with {!replay}.
+    The fresh clock keeps a unit executed on the main domain from
+    advancing the clock that {!replay} stamps with — otherwise the
+    published stamps would depend on which domain happened to execute
+    which unit. *)
 
 val replay : Sink.event list -> unit
 (** Re-emit captured events into the calling domain's live trace,

@@ -61,11 +61,8 @@ let clock_stride = 64
    override reads the same time source, so concurrent explorations (the
    parallel driver's workers) judge the same deadline instead of each
    call site defaulting to its own [Unix.gettimeofday] closure. Tests
-   swap it with [set_clock] to drive time deterministically. *)
-let default_clock : (unit -> float) ref = ref Unix.gettimeofday
-
-let now () = !default_clock ()
-let set_clock c = default_clock := c
+   drive time deterministically with [arm ~clock]. *)
+let now () = Unix.gettimeofday ()
 
 type monitor = {
   b : t;

@@ -72,11 +72,6 @@ val now : unit -> float
     source (rather than a [Unix.gettimeofday] default captured per call
     site) means concurrent explorations judge the {e same} deadline. *)
 
-val set_clock : (unit -> float) -> unit
-(** Replace the shared clock — tests drive time deterministically with
-    this. Affects every monitor armed afterwards without an explicit
-    [clock] override. *)
-
 val arm : ?clock:(unit -> float) -> t -> monitor
 (** Start the wall-clock. [clock] defaults to the shared {!now}. *)
 

@@ -415,8 +415,20 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
      observation keys exactly as [expand] would have) and explores the
      subtree below it. Fresh visited and sleep sets only ever make the
      resumed walk explore {e more} than the original would have — sound,
-     and complete because every abandoned subtree is on the frontier. *)
-  let run_prefix prefix =
+     and complete because every abandoned subtree is on the frontier. A
+     checkpoint is outside input: each choice must name a running process
+     before it is replayed. Paths and choices are numbered from 1. *)
+  let check_choice ~path ~choice p =
+    let bad why =
+      invalid_arg
+        (Printf.sprintf "resume path %d, choice %d: %s" path choice why)
+    in
+    if p < 0 || p >= n then
+      bad (Printf.sprintf "pid %d outside 0..%d" p (n - 1))
+    else if Scheduler.running_mask state land (1 lsl p) = 0 then
+      bad (Printf.sprintf "process %d is not running" p)
+  in
+  let run_prefix path prefix =
     if !stop <> None then frontier := prefix :: !frontier
     else begin
       let saved_keys = Array.copy keys
@@ -424,15 +436,17 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
       and saved_zhash = !zhash in
       let m0 = Scheduler.journal_mark state in
       let depth = ref 0 and crashes = ref 0 and floor = ref 0 in
-      List.iter
-        (fun choice ->
+      List.iteri
+        (fun i choice ->
           match choice with
           | Budget.Step p ->
+              check_choice ~path ~choice:(i + 1) p;
               if dedup then push_obs p (observation p);
               Scheduler.step state p;
               incr depth;
               floor := 0
           | Budget.Crash p ->
+              check_choice ~path ~choice:(i + 1) p;
               if dedup then push_crash_obs p;
               Scheduler.crash state p;
               incr crashes;
@@ -453,7 +467,7 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
     match
       match resume with
       | None -> node ~sleep:0 ~depth:0 ~crashes:0 ~floor:0 ~path:[]
-      | Some paths -> List.iter run_prefix paths
+      | Some paths -> List.iteri (fun i -> run_prefix (i + 1)) paths
     with
     | () -> None
     | exception exn -> Some (exn, Printexc.get_raw_backtrace ())

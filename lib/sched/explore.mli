@@ -89,7 +89,10 @@ val explore :
     the {e same} [init]) explores exactly the abandoned subtrees: chaining
     budgeted calls until [Complete] visits every terminal state a single
     unbudgeted call would have, and with [dedup]/[por] off the terminal
-    counts partition exactly. [clock] (default: the shared {!Budget.now})
+    counts partition exactly. Before replaying a choice, resume checks
+    that it names a running process; otherwise it raises
+    [Invalid_argument "resume path L, choice C: …"] (both counted from
+    1), after closing the span like any escaping exception. [clock] (default: the shared {!Budget.now})
     is the deadline's time source, overridable for deterministic tests —
     the shared default means concurrent explorations judge the same
     deadline. [quiet] (default false) marks the call as an internal

@@ -51,23 +51,19 @@ let run_units ~jobs ~units f k =
     Array.iteri (fun i u -> k i (f u)) units
   else begin
     (* Decide once, on the main domain, whether units trace. Each unit
-       then runs under [Sink.captured] — events buffered privately on
-       whichever domain executes it — or [Sink.muted] when the caller
-       isn't tracing. Sinks are single-consumer, so even the main
-       domain's own units capture rather than emitting directly: the
-       buffers drain in unit-index order after the join, which is what
-       keeps traces byte-identical at any pool width. *)
+       then runs under [Span.captured] — events buffered privately on
+       whichever domain executes it — or bare when the caller isn't
+       tracing (no domain's emission sites are enabled then). Sinks are
+       single-consumer, so even the main domain's own units capture
+       rather than emitting directly: the buffers drain in unit-index
+       order after the join, which is what keeps traces byte-identical
+       at any pool width. *)
     let capture = Obs.Sink.enabled () in
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let failed = Atomic.make false in
     let exec u =
-      if capture then
-        (* Scratch clock: a unit executing on the main domain must not
-           advance the clock [replay] will stamp the drained events
-           with, or stamps would depend on the unit-to-domain split. *)
-        Obs.Span.scratched (fun () -> Obs.Sink.captured (fun () -> f u))
-      else (Obs.Sink.muted (fun () -> f u), [])
+      if capture then Obs.Span.captured (fun () -> f u) else (f u, [])
     in
     (* Workers claim unit indices in order from one atomic counter; result
        slots are per-index, so writes from distinct domains never alias. A
@@ -218,38 +214,38 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
       (* One progress instant per seed segment: logical-clock driven, so
          the cadence replays identically run over run. Rate fields only
          appear when the user opted into wall time. *)
-      let progress = Obs.Progress.create ~cat:"explore" "explore.progress" in
-      let progress_args phase extra () =
-        [
-          ("phase", Obs.Json.Str phase);
-          ("nodes", Obs.Json.Int !nodes_done);
-          ("terminals", Obs.Json.Int !terminals_done);
-        ]
-        @ extra
-        @
-        if Obs.Span.wall_enabled () then
-          let dt = Budget.elapsed monitor in
-          [ ("elapsed_s", Obs.Json.Float dt) ]
-          @
-          if dt > 0. then
-            [
-              ( "nodes_per_s",
-                Obs.Json.Float (float_of_int !nodes_done /. dt) );
-            ]
-          else []
-        else []
+      let progress phase extra =
+        Obs.Span.instant ~cat:"explore"
+          ~args:
+            ([
+               ("phase", Obs.Json.Str phase);
+               ("nodes", Obs.Json.Int !nodes_done);
+               ("terminals", Obs.Json.Int !terminals_done);
+             ]
+            @ extra
+            @
+            if Obs.Span.wall_enabled () then
+              let dt = Budget.elapsed monitor in
+              [ ("elapsed_s", Obs.Json.Float dt) ]
+              @
+              if dt > 0. then
+                [
+                  ( "nodes_per_s",
+                    Obs.Json.Float (float_of_int !nodes_done /. dt) );
+                ]
+              else []
+            else [])
+          "explore.progress"
       in
       let rec grow resume round =
         match segment resume with
         | Explore.Complete -> `Seed_complete
         | Explore.Exhausted { frontier; reason } ->
-            Obs.Progress.tick progress
-              (progress_args "seed"
-                 [
-                   ("round", Obs.Json.Int round);
-                   ( "frontier",
-                     Obs.Json.Int (Budget.frontier_size frontier) );
-                 ]);
+            progress "seed"
+              [
+                ("round", Obs.Json.Int round);
+                ("frontier", Obs.Json.Int (Budget.frontier_size frontier));
+              ];
             if budget_spent (remaining ()) then `Spent (frontier, reason)
             else if
               Budget.frontier_size frontier >= target || round >= grow_rounds
@@ -334,9 +330,7 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
           in
           nodes_done := Atomic.get nodes_a;
           terminals_done := Atomic.get terminals_a;
-          Obs.Progress.force progress
-            (progress_args "merged"
-               [ ("units", Obs.Json.Int (Array.length units)) ]);
+          progress "merged" [ ("units", Obs.Json.Int (Array.length units)) ];
           finish ~units:(Array.length units) ~stats:!stats ~value:!value
             ~outcome ~aborted:false
     in

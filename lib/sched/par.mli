@@ -14,7 +14,7 @@
       root, never less.
     - {b race-free telemetry}: metrics cells are atomic, and each unit's
       trace events are captured privately on the executing domain
-      ({!Obs.Sink.captured}) and drained into the trace on the main
+      ({!Obs.Span.captured}) and drained into the trace on the main
       domain in unit-index order after the join — worker spans and
       instants appear in traces, yet the published stream stays a single
       main-domain stream.
@@ -48,14 +48,15 @@ val run_units :
     calling domain participates, so [jobs - 1] domains are spawned.
 
     At [jobs = 1] (or a single unit) this is a plain loop: [f] then [k]
-    for each unit, with no capture or mute. If [f] or [k] raises, no
-    later unit runs.
+    for each unit, with no capture. If [f] or [k] raises, no later unit
+    runs.
 
     At [jobs > 1] the [f] calls run on the pool, claimed in index order
     from one atomic counter, and the [k] calls follow the join. When the
-    caller is tracing ({!Obs.Sink.enabled} at entry), each unit's events
-    are captured on the executing domain and replayed into the trace
-    ({!Obs.Span.replay}) just before its [k]; otherwise units run muted.
+    caller is tracing ({!Obs.Sink.enabled} at entry), each unit runs
+    under {!Obs.Span.captured} on the executing domain and its events
+    are replayed into the trace ({!Obs.Span.replay}) just before its [k];
+    otherwise units run bare, and no domain emits.
     If an [f] raises, the pool stops claiming units and in-flight ones
     finish; [k] then runs for every unit below the lowest-index failure,
     whose exception is re-raised with its backtrace. Since [k] sees

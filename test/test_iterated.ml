@@ -337,10 +337,13 @@ let test_iis_as_ic () =
       Alcotest.(check int) "max_bits" o.Iis.max_bits ic.Ic.max_bits);
   Alcotest.(check int) "13^2 executions" 169 !executions
 
-(* A round's schedule may only name current participants, each once. *)
+(* A round's schedule may only name current participants, each once, and
+   an IC round's matrix must be realizable. A stray array access is not a
+   rejection. *)
 let rejected what f =
   match f () with
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument m when m <> "index out of bounds" -> ()
+  | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: schedule accepted" what
 
 let two_rounds pid =
@@ -374,7 +377,21 @@ let test_ic_schedule_validated () =
     else two_rounds pid
   in
   rejected "decided pid"
-    (run ~programs [ plan [ 0; 1; 2 ]; plan [ 0; 1; 2 ] ])
+    (run ~programs [ plan [ 0; 1; 2 ]; plan [ 0; 1; 2 ] ]);
+  let matrix rows () =
+    Ic.run ~n:2 ~budget:Bits.Width.Unbounded ~measure:Bits.Width.unbounded
+      ~programs:two_rounds
+      ~schedule:(fun ~round:_ ~participants:_ ->
+        {
+          Ic.survivors = [ 0; 1 ];
+          sees = Array.of_list (List.map Array.of_list rows);
+        })
+      ~max_rounds:1 ()
+  in
+  rejected "survivors miss their own writes"
+    (matrix [ [ false; false ]; [ false; false ] ]);
+  rejected "mutual miss" (matrix [ [ true; false ]; [ false; true ] ]);
+  rejected "1x1 matrix for n = 2" (matrix [ [ true ] ])
 
 (* Algorithm 4: exhaustive for one simulated round. *)
 let test_one_bit_sim_exhaustive () =

@@ -315,39 +315,6 @@ let test_percentiles () =
   Alcotest.(check (option int)) "p99 hits overflow -> max seen" (Some 100)
     (M.percentile h 99.)
 
-let test_metrics_delta () =
-  M.reset ();
-  let c = M.counter "test.delta_ops" in
-  let g = M.gauge "test.delta_depth" in
-  let h = M.histogram ~bounds:[| 1; 2 |] "test.delta_hist" in
-  M.add c 3;
-  M.set g 7;
-  M.observe h 1;
-  let before = M.snapshot () in
-  M.add c 5;
-  M.set g 2;
-  M.observe h 2;
-  M.observe h 2;
-  let after = M.snapshot () in
-  let d = M.delta ~before ~after in
-  let counter_of j name =
-    Option.bind (J.member "counters" j) (J.member name)
-  in
-  Alcotest.(check (option string))
-    "counter difference" (Some "5")
-    (Option.map J.to_string (counter_of d "test.delta_ops"));
-  Alcotest.(check (option string))
-    "gauge is a point-in-time reading (after wins)" (Some "2")
-    (Option.map J.to_string
-       (Option.bind (J.member "gauges" d) (J.member "test.delta_depth")));
-  let hist = Option.bind (J.member "histograms" d) (J.member "test.delta_hist") in
-  Alcotest.(check (option string))
-    "histogram count difference" (Some "2")
-    (Option.map J.to_string (Option.bind hist (J.member "count")));
-  Alcotest.(check (option string))
-    "histogram sum difference" (Some "4")
-    (Option.map J.to_string (Option.bind hist (J.member "sum")))
-
 let test_empty_histogram_max_is_null () =
   M.reset ();
   let h = M.histogram ~bounds:[| 1 |] "test.empty_hist" in
@@ -782,6 +749,86 @@ let test_explore_metrics_registry () =
     r.Sched.Explore.stats.Sched.Explore.peak_depth
     (M.gauge_value (M.gauge "explore.peak_depth"))
 
+(* ------------------------------------------------------------------ *)
+(* Health report                                                       *)
+
+module R = Obs.Report
+
+(* Two tracks: track 0 nests a "<&>" span inside "run", track 1 runs one
+   more "run". Rollups pair each End with the innermost open Begin on its
+   own track. *)
+let report_events =
+  let ev kind ?(cat = "app") ?(track = 0) ts name =
+    { S.kind; name; cat; track; ts; args = [] }
+  in
+  [
+    ev S.Instant ~cat:"meta" 1 "meta";
+    ev S.Begin 2 "run";
+    ev S.Instant ~cat:"sched" 3 "step";
+    ev S.Begin 4 "<&>";
+    ev S.End 6 "<&>";
+    ev S.End 9 "run";
+    ev S.Begin ~track:1 10 "run";
+    ev S.Instant ~cat:"sched" ~track:1 11 "step";
+    ev S.End ~track:1 13 "run";
+  ]
+
+let report_table headers =
+  List.find_map
+    (function
+      | R.Table t when List.hd t.R.headers = List.hd headers -> Some t
+      | _ -> None)
+    (R.of_sources report_events)
+  |> function
+  | Some t ->
+      Alcotest.(check (list string)) "headers" headers t.R.headers;
+      t.R.rows
+  | None -> Alcotest.failf "no %s table" (List.hd headers)
+
+let test_report_rollups () =
+  Alcotest.(check (list (list string)))
+    "count, ticks, mean per span kind, largest first"
+    [ [ "app/run"; "2"; "10"; "5.0" ]; [ "app/<&>"; "1"; "2"; "2.0" ] ]
+    (report_table [ "span"; "count"; "ticks"; "mean" ])
+
+let test_report_categories () =
+  Alcotest.(check (list (list string)))
+    "events per category"
+    [ [ "app"; "6" ]; [ "meta"; "1" ]; [ "sched"; "2" ] ]
+    (report_table [ "category"; "events" ])
+
+let test_report_names () =
+  Alcotest.(check (list (list string)))
+    "events per name and kind"
+    [
+      [ "<&>"; "B"; "1" ];
+      [ "<&>"; "E"; "1" ];
+      [ "meta"; "i"; "1" ];
+      [ "run"; "B"; "2" ];
+      [ "run"; "E"; "2" ];
+      [ "step"; "i"; "2" ];
+    ]
+    (report_table [ "event"; "kind"; "events" ])
+
+let test_report_deterministic () =
+  let md () = R.to_markdown (R.of_sources report_events) in
+  let html () = R.to_html (R.of_sources report_events) in
+  Alcotest.(check string) "markdown" (md ()) (md ());
+  Alcotest.(check string) "html" (html ()) (html ())
+
+let test_report_html_escapes () =
+  let html = R.to_html (R.of_sources report_events) in
+  let contains sub =
+    let n = String.length sub in
+    let rec from i =
+      i + n <= String.length html && (String.sub html i n = sub || from (i + 1))
+    in
+    from 0
+  in
+  Alcotest.(check bool) "escaped name present" true
+    (contains "app/&lt;&amp;&gt;");
+  Alcotest.(check bool) "raw name absent" false (contains "<&>")
+
 let () =
   Alcotest.run "obs"
     [
@@ -803,7 +850,6 @@ let () =
           Alcotest.test_case "bucket-boundaries" `Quick
             test_histogram_boundary_values;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
-          Alcotest.test_case "delta" `Quick test_metrics_delta;
           Alcotest.test_case "empty-max" `Quick
             test_empty_histogram_max_is_null;
           Alcotest.test_case "hot-gating" `Quick test_hot_gating;
@@ -823,6 +869,14 @@ let () =
           Alcotest.test_case "recorder-dump-since" `Quick
             test_recorder_dump_since;
           Alcotest.test_case "worker-drain" `Quick test_worker_event_drain;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "rollups" `Quick test_report_rollups;
+          Alcotest.test_case "categories" `Quick test_report_categories;
+          Alcotest.test_case "names" `Quick test_report_names;
+          Alcotest.test_case "deterministic" `Quick test_report_deterministic;
+          Alcotest.test_case "html-escape" `Quick test_report_html_escapes;
         ] );
       ( "trace",
         [

@@ -643,6 +643,61 @@ let prop_stateful_equals_pure =
              && Sched.Program.Compiled.length code <= 2 + decide_heads ops)
            codes progs)
 
+(* A checkpoint is outside input. Byte edits of a real one (Algorithm 1,
+   k = 3, one crash, cut at 150 nodes) either fail to parse, resume, or
+   are refused with the positioned [Invalid_argument] — never another
+   exception from deep inside the engine. *)
+let resume_init () =
+  let algorithm = Core.Alg1_one_bit.algorithm ~k:3 in
+  Sched.Scheduler.start
+    ~memory:(algorithm.H.memory ())
+    ~programs:(fun pid -> algorithm.H.program ~pid ~input:pid)
+    ()
+
+let real_checkpoint =
+  lazy
+    (match
+       (Sched.Explore.explore ~max_crashes:1
+          ~budget:(Sched.Budget.make ~max_nodes:150 ())
+          ~init:resume_init ignore)
+         .Sched.Explore.outcome
+     with
+    | Sched.Explore.Exhausted { frontier; _ } ->
+        Sched.Budget.frontier_to_string frontier
+    | Sched.Explore.Complete -> failwith "150 nodes should not finish k = 3")
+
+let prop_hostile_checkpoint =
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofl [ 's'; 'c'; '0'; '1'; '2'; '9'; ' '; '\n'; '.' ]);
+          (1, char);
+        ])
+  in
+  let edits = QCheck.Gen.(list_size (int_range 1 3) (pair nat byte)) in
+  let print =
+    QCheck.Print.(list (pair int (fun c -> Printf.sprintf "%C" c)))
+  in
+  QCheck.Test.make ~name:"resume: hostile checkpoints refused" ~count:200
+    (QCheck.make ~print edits)
+    (fun edits ->
+      let text = Bytes.of_string (Lazy.force real_checkpoint) in
+      List.iter
+        (fun (pos, c) -> Bytes.set text (pos mod Bytes.length text) c)
+        edits;
+      match Sched.Budget.frontier_of_string (Bytes.to_string text) with
+      | Error _ -> true
+      | Ok frontier -> (
+          match
+            Sched.Explore.explore ~max_crashes:1
+              ~budget:(Sched.Budget.make ~max_nodes:300 ())
+              ~resume:frontier ~init:resume_init ignore
+          with
+          | _ -> true
+          | exception Invalid_argument m ->
+              String.starts_with ~prefix:"resume path " m))
+
 let () =
   Alcotest.run "properties"
     [
@@ -663,5 +718,6 @@ let () =
             prop_stateful_equals_pure;
             prop_par_digest_width_invariant;
             prop_trace_replay;
+            prop_hostile_checkpoint;
           ] );
     ]
