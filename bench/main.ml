@@ -1,29 +1,10 @@
-(* The benchmark harness: regenerates every experiment table (E1-E12, one
-   per figure/theorem of the paper — see DESIGN.md) and then times the core
-   operations with Bechamel. *)
+(* The benchmark harness: Bechamel timings of the core operations, or
+   with --json a machine-readable perf snapshot. The experiment tables
+   (one per figure/theorem of the paper — see DESIGN.md) are printed by
+   `boundedreg run all`. *)
 
 module Q = Bits.Rational
 module H = Tasks.Harness
-
-let run_tables () =
-  let ppf = Format.std_formatter in
-  Format.fprintf ppf
-    "==================================================================@\n\
-     Bounded-size registers: experiment suite@\n\
-     (paper: Delporte, Fauconnier, Fraigniaud, Rajsbaum, Travers, PODC'24)@\n\
-     ==================================================================@\n@\n";
-  List.iter
-    (fun e ->
-      Format.fprintf ppf
-        "------------------------------------------------------------------@\n\
-         %s  %s@\n\
-         reproduces: %s@\n\
-         ------------------------------------------------------------------@\n"
-        e.Experiments.Registry.id e.Experiments.Registry.slug
-        e.Experiments.Registry.paper;
-      e.Experiments.Registry.run Experiments.Ctx.default ppf;
-      Format.pp_print_flush ppf ())
-    Experiments.Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per timing-sensitive table.          *)
@@ -392,9 +373,7 @@ let supervision_stats b =
         "    \"harness\": {\"verdict\": \"sampled\", \"explored\": %d, \
          \"frontier\": %d, \"sampled\": %d, \"stop\": %S},\n"
         c.H.explored c.H.frontier c.H.sampled
-        (match c.H.stop with
-        | Some r -> B.stop_reason_to_string r
-        | None -> "truncation")
+        (B.stop_reason_to_string c.H.stop)
   | H.Violation _ ->
       Printf.bprintf b "    \"harness\": {\"verdict\": \"violation\"},\n");
   let module C = Msgpass.Chaos in
@@ -651,14 +630,5 @@ let json_target () =
 
 let () =
   match json_target () with
-  | Some file ->
-      (* Benchmarks + explorer counters only: the machine-readable path
-         skips the experiment tables. *)
-      let rows = measure_benchmarks () in
-      write_json file rows
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      run_tables ();
-      run_benchmarks ();
-      Format.printf "total experiment-suite time: %.1f s@\n"
-        (Unix.gettimeofday () -. t0)
+  | Some file -> write_json file (measure_benchmarks ())
+  | None -> run_benchmarks ()

@@ -231,34 +231,8 @@ let run_cmd =
         exit 1
     | Ok experiments ->
         let budget = Sched.Budget.make ?deadline ?max_nodes:max_states () in
-        (* The soft (budget) deadline fires first so checks can degrade
-           gracefully; the SIGALRM backstop gets 1.5x + 1s of slack and
-           only kills experiments that ignored their budget. *)
-        let hard = Option.map (fun d -> (d *. 1.5) +. 1.) deadline in
         let results =
-          List.map
-            (fun e ->
-              Format.printf "=== %s  %s ===@.reproduces: %s@.@."
-                e.Experiments.Registry.id e.Experiments.Registry.slug
-                e.Experiments.Registry.paper;
-              Format.print_flush ();
-              let r =
-                Experiments.Supervisor.run_one ?deadline:hard ~budget ~jobs e
-              in
-              Format.printf "%s@." r.Experiments.Supervisor.output;
-              (match r.Experiments.Supervisor.status with
-              | Experiments.Supervisor.Passed
-              | Experiments.Supervisor.Degraded _ ->
-                  ()
-              | Experiments.Supervisor.Timed_out s ->
-                  Format.printf "*** %s: timed out after %.1fs@.@."
-                    e.Experiments.Registry.id s
-              | Experiments.Supervisor.Crashed { exn_text; backtrace } ->
-                  Format.printf "*** %s: uncaught exception %s@.%s@."
-                    e.Experiments.Registry.id exn_text backtrace);
-              Format.print_flush ();
-              r)
-            experiments
+          Experiments.Supervisor.run_all ~budget ~jobs ~experiments ()
         in
         Experiments.Supervisor.summary Format.std_formatter results;
         Format.print_flush ();

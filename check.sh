@@ -154,14 +154,36 @@ if [ "$status" != 1 ] || ! printf '%s\n' "$hostile_err" \
     "$status" "$hostile_err" >&2
   exit 1
 fi
+# The same bad line after 22 real paths is named by its own line number
+# at any pool width (Sched.Par splits the checkpoint into units).
+dune exec bin/boundedreg.exe -- explore -k 4 --max-crashes 1 --max-nodes 100 \
+  --checkpoint "$ckpt_dir/k4" > /dev/null
+printf 's0 s99\n' >> "$ckpt_dir/k4"
+for jobs in 1 2; do
+  status=0
+  hostile_err=$(dune exec bin/boundedreg.exe -- explore -k 4 --max-crashes 1 \
+    --resume --checkpoint "$ckpt_dir/k4" --jobs "$jobs" 2>&1 >/dev/null) \
+    || status=$?
+  if [ "$status" != 1 ] || ! printf '%s\n' "$hostile_err" \
+    | grep -qF 'resume path 23, choice 2: pid 99 outside 0..1'; then
+    printf 'check.sh: hostile line 23 at --jobs %s: exit %s, stderr:\n%s\n' \
+      "$jobs" "$status" "$hostile_err" >&2
+    exit 1
+  fi
+done
 rm -rf "$ckpt_dir"
 
+# Supervised smoke: experiments under a tight per-experiment budget.
+# They degrade to sampled coverage (or skip rows) rather than blowing
+# the clock; crashes and hangs still exit 1. --quick runs the whole
+# registry; the full gate runs E5, the one experiment whose checks are
+# long random runs rather than explorations, which must stop at its
+# deadline instead of being killed by the watchdog.
+echo "== supervised experiment smoke (budgeted)"
 if [ "$QUICK" = 1 ]; then
-  # Supervised smoke: the whole experiment registry under a tight
-  # per-experiment budget. Experiments degrade to sampled coverage
-  # rather than blowing the CI clock; crashes and hangs still exit 1.
-  echo "== supervised experiment smoke (budgeted)"
   dune exec bin/boundedreg.exe -- run all --deadline 10 --max-states 20000
+else
+  dune exec bin/boundedreg.exe -- run E5 --deadline 10 --max-states 20000
 fi
 
 # Parallel smoke: the domain pool must be invisible in the output. With

@@ -15,19 +15,20 @@ let algorithm ~n ~t ~rounds ~chunk =
     ~name:(Printf.sprintf "pipeline(n=%d,t=%d)" n t)
     ()
 
-let measure ~n ~t ~rounds ~chunk ~runs ~seed =
+(* [`Stopped] when the deadline passed before all [runs] finished. *)
+let measure ~budget ~n ~t ~rounds ~chunk ~runs ~seed =
   let task =
     Tasks.Eps_agreement.task ~n
       ~k:(Core.Baseline_unbounded.denominator ~rounds)
   in
   match
-    H.check_random
-      ~task
+    H.check_random ~task
       ~algorithm:(algorithm ~n ~t ~rounds ~chunk)
-      ~resilience:t ~max_steps:400_000_000 ~runs ~seed ()
+      ~resilience:t ~max_steps:400_000_000 ~budget ~runs ~seed ()
   with
-  | H.Pass stats -> Ok stats
-  | H.Fail v -> Error v
+  | H.Pass stats when stats.H.runs < runs -> `Stopped
+  | H.Pass stats -> `Pass stats
+  | H.Fail _ -> `Violation
 
 let run ctx ppf =
   Format.fprintf ppf
@@ -36,40 +37,39 @@ let run ctx ppf =
      channels. Register width is 3(t+1) bits regardless of the source@\n\
      protocol; runs include up to t crash injections.@\n@\n";
   (* The n = 7 row alone takes ~80 s (message volume grows with n(t+1)
-     link copies), so under a supervision deadline the remaining rows are
-     skipped — degraded, not killed. The deadline is polled between rows:
-     each row is a single indivisible simulation. *)
+     link copies), so under a supervision deadline a row still running
+     when it passes is stopped, and so is every row after it: each gets
+     only what is left of the experiment's deadline. Stopped rows are
+     reported as skipped — degraded, not killed. *)
   let monitor = Sched.Budget.arm ctx.Ctx.budget in
-  let overdue () =
-    match ctx.Ctx.budget.Sched.Budget.deadline with
-    | Some d -> Sched.Budget.elapsed monitor >= d
-    | None -> false
-  in
   let skipped = ref 0 in
-  let skip row_prefix cols =
-    incr skipped;
-    row_prefix @ List.init cols (fun _ -> "-") @ [ "skipped (deadline)" ]
+  let row ~n ~t ~rounds ~chunk ~runs ~seed ~key ~cols ok =
+    let budget = Sched.Budget.remaining monitor ~nodes:0 in
+    match measure ~budget ~n ~t ~rounds ~chunk ~runs ~seed with
+    | `Pass stats -> ok stats
+    | `Violation -> key @ List.init cols (fun _ -> "-") @ [ "VIOLATION" ]
+    | `Stopped ->
+        incr skipped;
+        key @ List.init cols (fun _ -> "-") @ [ "skipped (deadline)" ]
   in
   let rows =
     List.map
       (fun (n, t, rounds, runs) ->
-        if overdue () then skip [ string_of_int n; string_of_int t ] 4
-        else
-          let declared = Msgpass.Pipeline.register_bits ~t ~chunk:1 in
-          match measure ~n ~t ~rounds ~chunk:1 ~runs ~seed:31 with
-          | Ok stats ->
-              [
-                string_of_int n;
-                string_of_int t;
-                Table.cell_q (Q.make 1 (Core.Baseline_unbounded.denominator ~rounds));
-                Printf.sprintf "%d (= 3(t+1) = %d)" stats.H.max_bits declared;
-                string_of_int stats.H.max_process_steps;
-                string_of_int stats.H.runs;
-                "pass";
-              ]
-          | Error _ ->
-              [ string_of_int n; string_of_int t; "-"; "-"; "-"; "-";
-                "VIOLATION" ])
+        let declared = Msgpass.Pipeline.register_bits ~t ~chunk:1 in
+        row ~n ~t ~rounds ~chunk:1 ~runs ~seed:31
+          ~key:[ string_of_int n; string_of_int t ]
+          ~cols:4
+          (fun stats ->
+            [
+              string_of_int n;
+              string_of_int t;
+              Table.cell_q
+                (Q.make 1 (Core.Baseline_unbounded.denominator ~rounds));
+              Printf.sprintf "%d (= 3(t+1) = %d)" stats.H.max_bits declared;
+              string_of_int stats.H.max_process_steps;
+              string_of_int stats.H.runs;
+              "pass";
+            ]))
       [ (3, 1, 2, 2); (5, 2, 1, 1); (7, 3, 1, 1) ]
   in
   Table.print ppf
@@ -79,17 +79,14 @@ let run ctx ppf =
   let ablation =
     List.map
       (fun chunk ->
-        if overdue () then skip [ string_of_int chunk ] 2
-        else
-          match measure ~n:3 ~t:1 ~rounds:2 ~chunk ~runs:1 ~seed:5 with
-          | Ok stats ->
-              [
-                string_of_int chunk;
-                string_of_int (Msgpass.Pipeline.register_bits ~t:1 ~chunk);
-                string_of_int stats.H.max_process_steps;
-                "pass";
-              ]
-          | Error _ -> [ string_of_int chunk; "-"; "-"; "VIOLATION" ])
+        row ~n:3 ~t:1 ~rounds:2 ~chunk ~runs:1 ~seed:5
+          ~key:[ string_of_int chunk ] ~cols:2 (fun stats ->
+            [
+              string_of_int chunk;
+              string_of_int (Msgpass.Pipeline.register_bits ~t:1 ~chunk);
+              string_of_int stats.H.max_process_steps;
+              "pass";
+            ]))
       [ 1; 2; 4; 8; 16 ]
   in
   Table.print ppf

@@ -148,20 +148,27 @@ let run_one ?deadline ?(budget = Sched.Budget.unlimited) ?(jobs = 1)
    | Passed | Degraded _ -> ());
   result
 
-let run_all ?deadline ?budget ?jobs ?(ppf = Format.std_formatter)
-    ?(experiments = Registry.all) () =
+let run_all ?(budget = Sched.Budget.unlimited) ?jobs
+    ?(ppf = Format.std_formatter) ?(experiments = Registry.all) () =
+  (* The soft (budget) deadline fires first so checks can degrade
+     gracefully; the SIGALRM backstop gets 1.5x + 1s of slack and only
+     kills experiments that ignored their budget. *)
+  let deadline =
+    Option.map (fun d -> (d *. 1.5) +. 1.) budget.Sched.Budget.deadline
+  in
   List.map
     (fun (e : Registry.t) ->
-      let r = run_one ?deadline ?budget ?jobs e in
+      Format.fprintf ppf "=== %s  %s ===@.reproduces: %s@.@." e.id e.slug
+        e.paper;
+      let r = run_one ?deadline ~budget ?jobs e in
       Format.fprintf ppf "%s@." r.output;
       (match r.status with
       | Passed | Degraded _ -> ()
       | Timed_out s ->
-          Format.fprintf ppf "*** %s %s: timed out after %.1fs@.@." e.id
-            e.slug s
+          Format.fprintf ppf "*** %s: timed out after %.1fs@.@." e.id s
       | Crashed { exn_text; backtrace } ->
-          Format.fprintf ppf "*** %s %s: uncaught exception %s@.%s@." e.id
-            e.slug exn_text backtrace);
+          Format.fprintf ppf "*** %s: uncaught exception %s@.%s@." e.id
+            exn_text backtrace);
       r)
     experiments
 

@@ -45,17 +45,21 @@ val run_one :
     under parallelism, exactly as precise as the units are short. *)
 
 val run_all :
-  ?deadline:float ->
   ?budget:Sched.Budget.t ->
   ?jobs:int ->
   ?ppf:Format.formatter ->
   ?experiments:Registry.t list ->
   unit ->
   result list
-(** {!run_one} over [experiments] (default {!Registry.all}), printing each
-    experiment's buffered output — and, for failures, the exception and
-    backtrace — to [ppf] (default stdout) as it completes. Always returns
-    all results: no experiment can prevent a later one from running. *)
+(** The suite loop behind [boundedreg run]: {!run_one} over [experiments]
+    (default {!Registry.all}), printing to [ppf] (default stdout) each
+    experiment's [=== id  slug ===] header before it starts, then its
+    buffered output and, for failures, a [***] status line with the
+    exception and backtrace. Each experiment gets the whole [budget]
+    (default unlimited); when it has a deadline [d], {!run_one}'s hard
+    alarm is set at [1.5 d + 1] seconds, so only an experiment that
+    ignores its budget is killed. Always returns all results: no
+    experiment can prevent a later one from running. *)
 
 val summary : Format.formatter -> result list -> unit
 (** The per-experiment status table (id, status, wall clock, attempts),

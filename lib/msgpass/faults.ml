@@ -586,11 +586,9 @@ let step_random rng profile t =
     true
   end
 
-let run_random ~rng ~profile ?(max_events = 100_000) ?(until = fun () -> false)
-    t =
+let run_random ~rng ~profile ?(max_events = 100_000) t =
   let rec loop budget =
-    if budget > 0 && (not (until ())) && step_random rng profile t then
-      loop (budget - 1)
+    if budget > 0 && step_random rng profile t then loop (budget - 1)
   in
   loop max_events
 

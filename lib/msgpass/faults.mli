@@ -175,11 +175,10 @@ val run_random :
   rng:Bits.Rng.t ->
   profile:profile ->
   ?max_events:int ->
-  ?until:(unit -> bool) ->
   'm t ->
   unit
-(** Randomized events until quiescence, [until ()], or [max_events]
-    (default 100_000). Each one fires the due schedule entries
+(** Randomized events until quiescence or [max_events] (default
+    100_000). Each one fires the due schedule entries
     ([enter_at], then [leave_at], then [crash_at]), picks a deliverable
     channel (skipping frozen ones unless all are frozen), rolls the
     fault dice and applies the outcome. *)

@@ -356,9 +356,8 @@ let quiescent t = deliverable_into t t.scratch = 0
 let deliveries t = t.delivered
 let hop_mask t = t.hop_mask
 
-let run_random ~rng ?(max_events = 1_000_000) ?(until = fun () -> false) t =
+let run_random ~rng ?(max_events = 1_000_000) t =
   let rec loop budget =
-    if budget > 0 && (not (until ())) && deliver_random rng t then
-      loop (budget - 1)
+    if budget > 0 && deliver_random rng t then loop (budget - 1)
   in
   loop max_events

@@ -149,7 +149,6 @@ val hop_mask : 'm t -> int
     cumulative [net.hop_latency] histogram — a coverage signal for the
     chaos fleet. *)
 
-val run_random :
-  rng:Bits.Rng.t -> ?max_events:int -> ?until:(unit -> bool) -> 'm t -> unit
-(** Deliver until quiescent, [until ()] holds, or [max_events] (default
-    1_000_000) deliveries happened. *)
+val run_random : rng:Bits.Rng.t -> ?max_events:int -> 'm t -> unit
+(** Deliver until quiescent or [max_events] (default 1_000_000)
+    deliveries happened. *)

@@ -149,10 +149,13 @@ let event_of_json j =
    print after "invalid trace FILE: "; jsonl line numbers count non-blank
    lines. *)
 let events_of_string text =
-  let event j =
+  let event where i j =
     match event_of_json j with
     | Some e -> Ok e
-    | None -> Error ("object is not a trace event: " ^ Json.to_string j)
+    | None ->
+        Error
+          (Printf.sprintf "%s %d: object is not a trace event: %s" where
+             (i + 1) (Json.to_string j))
   in
   let rec all acc = function
     | [] -> Ok (List.rev acc)
@@ -164,7 +167,7 @@ let events_of_string text =
   else if trimmed.[0] = '[' then
     match Json.of_string trimmed with
     | Error e -> Error (Printf.sprintf "unparseable catapult array (%s)" e)
-    | Ok (Json.List items) -> all [] (List.map event items)
+    | Ok (Json.List items) -> all [] (List.mapi (event "element") items)
     | Ok _ -> Error "expected a top-level array"
   else
     String.split_on_char '\n' text
@@ -173,7 +176,7 @@ let events_of_string text =
            match Json.of_string line with
            | Error e ->
                Error (Printf.sprintf "line %d unparseable (%s)" (i + 1) e)
-           | Ok j -> event j)
+           | Ok j -> event "line" i j)
     |> all []
 
 (* {2 Writers}

@@ -90,8 +90,9 @@ val event_of_json : Json.t -> event option
 val events_of_string : string -> (event list, string) result
 (** Parse a whole trace file, JSONL or catapult (chosen by a leading
     [[]). The first bad line or object is the [Error]: [line N
-    unparseable (…)] (N counts non-blank lines), [object is not a trace
-    event: …], [unparseable catapult array (…)] or [expected a top-level
+    unparseable (…)] (N counts non-blank lines), [line N: object is not
+    a trace event: …] ([element N: …] in a catapult array, counted from
+    1), [unparseable catapult array (…)] or [expected a top-level
     array]. Never raises. *)
 
 val kind_to_string : kind -> string

@@ -42,21 +42,21 @@ let publish kind ~cat ~track ~args name =
 let instant ?(cat = "app") ?(track = 0) ?(args = []) name =
   publish Sink.Instant ~cat ~track ~args name
 
-let begin_ ?(cat = "app") ?(track = 0) ?(args = []) name =
-  publish Sink.Begin ~cat ~track ~args name
+(* Spans live on track 0; only per-process instants name a track. *)
+let begin_ ?(cat = "app") ?(args = []) name =
+  publish Sink.Begin ~cat ~track:0 ~args name
 
-let end_ ?(cat = "app") ?(track = 0) ?(args = []) name =
-  publish Sink.End ~cat ~track ~args name
+let end_ ?(cat = "app") ?(args = []) name =
+  publish Sink.End ~cat ~track:0 ~args name
 
-let span ?cat ?track ?args name f =
-  begin_ ?cat ?track ?args name;
+let span ?cat ?args name f =
+  begin_ ?cat ?args name;
   match f () with
   | v ->
-      end_ ?cat ?track name;
+      end_ ?cat name;
       v
   | exception exn ->
-      end_ ?cat ?track ~args:[ ("exn", Json.Str (Printexc.to_string exn)) ]
-        name;
+      end_ ?cat ~args:[ ("exn", Json.Str (Printexc.to_string exn)) ] name;
       raise exn
 
 (* Capture [f]'s events on a fresh clock, restoring the caller's count

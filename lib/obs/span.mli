@@ -36,20 +36,17 @@ val wall_enabled : unit -> bool
 
 val instant :
   ?cat:string -> ?track:int -> ?args:(string * Json.t) list -> string -> unit
+(** [track] (default 0) is the process the instant belongs to: the
+    scheduler, the network and Dynreg stamp their per-process events
+    with its pid. *)
 
-val begin_ :
-  ?cat:string -> ?track:int -> ?args:(string * Json.t) list -> string -> unit
+val begin_ : ?cat:string -> ?args:(string * Json.t) list -> string -> unit
+(** Spans are on track 0. *)
 
-val end_ :
-  ?cat:string -> ?track:int -> ?args:(string * Json.t) list -> string -> unit
+val end_ : ?cat:string -> ?args:(string * Json.t) list -> string -> unit
 
 val span :
-  ?cat:string ->
-  ?track:int ->
-  ?args:(string * Json.t) list ->
-  string ->
-  (unit -> 'a) ->
-  'a
+  ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] brackets [f ()] in a [Begin]/[End] pair; an escaping
     exception still closes the span (with an [exn] argument) before
     re-raising. *)

@@ -1,16 +1,7 @@
-type t = {
-  deadline : float option;
-  max_nodes : int option;
-  max_terminals : int option;
-  max_visited : int option;
-}
+type t = { deadline : float option; max_nodes : int option }
 
-let unlimited =
-  { deadline = None; max_nodes = None; max_terminals = None;
-    max_visited = None }
-
-let make ?deadline ?max_nodes ?max_terminals ?max_visited () =
-  { deadline; max_nodes; max_terminals; max_visited }
+let unlimited = { deadline = None; max_nodes = None }
+let make ?deadline ?max_nodes () = { deadline; max_nodes }
 
 let is_unlimited b = b = unlimited
 
@@ -23,8 +14,6 @@ let min_caps a b =
   {
     deadline = opt_min a.deadline b.deadline;
     max_nodes = opt_min a.max_nodes b.max_nodes;
-    max_terminals = opt_min a.max_terminals b.max_terminals;
-    max_visited = opt_min a.max_visited b.max_visited;
   }
 
 let pp ppf b =
@@ -34,22 +23,18 @@ let pp ppf b =
       | None -> Format.pp_print_string ppf "-"
       | Some v -> pp_v ppf v
     in
-    Format.fprintf ppf "deadline=%a nodes=%a terminals=%a visited=%a"
+    Format.fprintf ppf "deadline=%a nodes=%a"
       (cap (fun ppf s -> Format.fprintf ppf "%.3gs" s))
       b.deadline (cap Format.pp_print_int) b.max_nodes
-      (cap Format.pp_print_int) b.max_terminals (cap Format.pp_print_int)
-      b.max_visited
   end
 
 type stop_reason =
   | Deadline
   | Node_cap
-  | Terminal_cap
 
 let stop_reason_to_string = function
   | Deadline -> "deadline"
   | Node_cap -> "node-cap"
-  | Terminal_cap -> "terminal-cap"
 
 let pp_stop_reason ppf r =
   Format.pp_print_string ppf (stop_reason_to_string r)
@@ -81,13 +66,12 @@ let elapsed m = max 0. (m.clock () -. m.started)
 let exceeds cap used =
   match cap with None -> false | Some cap -> used >= cap
 
-let stopped m ~nodes ~terminals =
+let stopped m ~nodes =
   match m.tripped with
   | Some _ as r -> r
   | None ->
       let r =
         if exceeds m.b.max_nodes nodes then Some Node_cap
-        else if exceeds m.b.max_terminals terminals then Some Terminal_cap
         else begin
           m.polls <- m.polls + 1;
           match m.b.deadline with
@@ -99,17 +83,10 @@ let stopped m ~nodes ~terminals =
       m.tripped <- r;
       r
 
-let visited_full m ~visited = exceeds m.b.max_visited visited
-
-let remaining m ~nodes ~terminals =
-  let minus cap used =
-    Option.map (fun c -> max 0 (c - used)) cap
-  in
+let remaining m ~nodes =
   {
     deadline = Option.map (fun d -> max 0. (d -. elapsed m)) m.b.deadline;
-    max_nodes = minus m.b.max_nodes nodes;
-    max_terminals = minus m.b.max_terminals terminals;
-    max_visited = m.b.max_visited;
+    max_nodes = Option.map (fun c -> max 0 (c - nodes)) m.b.max_nodes;
   }
 
 (* {1 Frontiers} *)

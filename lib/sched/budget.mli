@@ -3,16 +3,13 @@
     Exhaustive state spaces blow up without warning: a budget turns "run
     until done" into "run until done {e or} until a resource cap trips",
     and every consumer reports {e which} cap tripped instead of silently
-    truncating. One [t] bundles the caps the exploration engine (and the
-    chaos campaigns, and the experiment supervisor) understand:
+    truncating. One [t] bundles the two caps the exploration engine (and
+    the chaos campaigns, and the experiment supervisor) understand:
 
     - a wall-clock deadline, in seconds from the moment the budget is
       {!arm}ed;
     - a cap on expanded search nodes (total steps across the whole
-      exploration, not per path — per-path bounds stay [max_steps]);
-    - a cap on complete interleavings handed to the visitor;
-    - a cap on dedup-table entries (memory, not progress: when it fills,
-      the explorer keeps running and merely stops memoizing new states).
+      exploration, not per path — per-path bounds stay [max_steps]).
 
     A budgeted exploration that stops early hands back a {!frontier}: the
     schedule prefixes of every subtree it did not visit. The frontier is a
@@ -22,19 +19,11 @@
 type t = {
   deadline : float option;  (** wall-clock seconds, from {!arm} *)
   max_nodes : int option;  (** total search nodes expanded *)
-  max_terminals : int option;  (** complete executions visited *)
-  max_visited : int option;  (** dedup-table entries retained *)
 }
 
 val unlimited : t
 
-val make :
-  ?deadline:float ->
-  ?max_nodes:int ->
-  ?max_terminals:int ->
-  ?max_visited:int ->
-  unit ->
-  t
+val make : ?deadline:float -> ?max_nodes:int -> unit -> t
 (** Omitted caps are unlimited. *)
 
 val is_unlimited : t -> bool
@@ -44,7 +33,7 @@ val min_caps : t -> t -> t
     (composing an outer supervisor budget with a per-call one). *)
 
 val pp : Format.formatter -> t -> unit
-(** [deadline=2.0s nodes=100000 terminals=- visited=-]; [unlimited] when
+(** [deadline=2s nodes=100000] ([-] for an absent cap); [unlimited] when
     nothing is capped. *)
 
 (** {1 Stop reasons} *)
@@ -52,7 +41,6 @@ val pp : Format.formatter -> t -> unit
 type stop_reason =
   | Deadline
   | Node_cap
-  | Terminal_cap
 
 val pp_stop_reason : Format.formatter -> stop_reason -> unit
 val stop_reason_to_string : stop_reason -> string
@@ -77,16 +65,13 @@ val arm : ?clock:(unit -> float) -> t -> monitor
 
 val budget : monitor -> t
 
-val stopped : monitor -> nodes:int -> terminals:int -> stop_reason option
+val stopped : monitor -> nodes:int -> stop_reason option
 (** First tripped cap, if any. Once a monitor has reported a stop it keeps
     reporting it (a tripped deadline does not untrip). *)
 
-val visited_full : monitor -> visited:int -> bool
-(** True when the dedup-table cap is reached: stop memoizing, keep going. *)
-
 val elapsed : monitor -> float
 
-val remaining : monitor -> nodes:int -> terminals:int -> t
+val remaining : monitor -> nodes:int -> t
 (** The budget minus what the caller has already consumed — thread this
     into a sub-call so a sequence of explorations shares one budget. *)
 

@@ -170,7 +170,6 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
      collected paths become the resumable frontier. *)
   let stop = ref None in
   let frontier = ref [] in
-  let visited_count = ref 0 in
   let nodes = ref 0 and terminals = ref 0 and deduped = ref 0
   and pruned = ref 0 and truncated = ref 0 and peak_depth = ref 0 in
   (* Does the next op of process [i] conflict with the next op of process
@@ -262,7 +261,7 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
     else
       match
         if track_budget then
-          Budget.stopped monitor ~nodes:!nodes ~terminals:!terminals
+          Budget.stopped monitor ~nodes:!nodes
         else None
       with
       | Some r ->
@@ -316,17 +315,10 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
             in
             match List.find_opt (fun (k, _) -> k = keys) !bucket with
             | None ->
-                (* The dedup-table cap bounds memory, not progress: a full
-                   table stops memoizing new states and the walk carries
-                   on, merely re-exploring convergent interleavings. *)
-                if not (Budget.visited_full monitor ~visited:!visited_count)
-                then begin
-                  bucket :=
-                    ( Array.copy keys,
-                      { sleep_stored = sleep; floor_stored = floor } )
-                    :: !bucket;
-                  incr visited_count
-                end;
+                bucket :=
+                  ( Array.copy keys,
+                    { sleep_stored = sleep; floor_stored = floor } )
+                  :: !bucket;
                 fresh ~sleep ~depth ~crashes ~floor ~enabled ~path
             | Some (_, _) when terminal -> incr deduped
             | Some (_, e) ->
@@ -416,19 +408,36 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
      subtree below it. Fresh visited and sleep sets only ever make the
      resumed walk explore {e more} than the original would have — sound,
      and complete because every abandoned subtree is on the frontier. A
-     checkpoint is outside input: each choice must name a running process
-     before it is replayed. Paths and choices are numbered from 1. *)
-  let check_choice ~path ~choice p =
-    let bad why =
-      invalid_arg
-        (Printf.sprintf "resume path %d, choice %d: %s" path choice why)
-    in
-    if p < 0 || p >= n then
-      bad (Printf.sprintf "pid %d outside 0..%d" p (n - 1))
-    else if Scheduler.running_mask state land (1 lsl p) = 0 then
-      bad (Printf.sprintf "process %d is not running" p)
+     checkpoint is outside input: before anything is explored, every
+     path is replayed once and each choice must name a running process.
+     Checking them all up front (rather than as each is resumed) names
+     the checkpoint's own line even when a budget trip defers the path
+     or a caller splits the checkpoint. Paths and choices are numbered
+     from 1. *)
+  let check_paths paths =
+    List.iteri
+      (fun i prefix ->
+        let m0 = Scheduler.journal_mark state in
+        List.iteri
+          (fun j choice ->
+            let bad why =
+              invalid_arg
+                (Printf.sprintf "resume path %d, choice %d: %s" (i + 1)
+                   (j + 1) why)
+            in
+            let p = match choice with Budget.Step p | Budget.Crash p -> p in
+            if p < 0 || p >= n then
+              bad (Printf.sprintf "pid %d outside 0..%d" p (n - 1))
+            else if Scheduler.running_mask state land (1 lsl p) = 0 then
+              bad (Printf.sprintf "process %d is not running" p);
+            match choice with
+            | Budget.Step p -> Scheduler.step state p
+            | Budget.Crash p -> Scheduler.crash state p)
+          prefix;
+        Scheduler.undo_to state m0)
+      paths
   in
-  let run_prefix path prefix =
+  let run_prefix prefix =
     if !stop <> None then frontier := prefix :: !frontier
     else begin
       let saved_keys = Array.copy keys
@@ -436,17 +445,15 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
       and saved_zhash = !zhash in
       let m0 = Scheduler.journal_mark state in
       let depth = ref 0 and crashes = ref 0 and floor = ref 0 in
-      List.iteri
-        (fun i choice ->
+      List.iter
+        (fun choice ->
           match choice with
           | Budget.Step p ->
-              check_choice ~path ~choice:(i + 1) p;
               if dedup then push_obs p (observation p);
               Scheduler.step state p;
               incr depth;
               floor := 0
           | Budget.Crash p ->
-              check_choice ~path ~choice:(i + 1) p;
               if dedup then push_crash_obs p;
               Scheduler.crash state p;
               incr crashes;
@@ -467,7 +474,9 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
     match
       match resume with
       | None -> node ~sleep:0 ~depth:0 ~crashes:0 ~floor:0 ~path:[]
-      | Some paths -> List.iteri (fun i -> run_prefix (i + 1)) paths
+      | Some paths ->
+          check_paths paths;
+          List.iter run_prefix paths
     with
     | () -> None
     | exception exn -> Some (exn, Printexc.get_raw_backtrace ())

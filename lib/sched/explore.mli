@@ -82,17 +82,18 @@ val explore :
     non-wait-free protocols.
 
     [budget] (default {!Budget.unlimited}) bounds the whole exploration:
-    when its deadline, node cap, or terminal cap trips, no further subtree
-    is entered and the result's outcome is [Exhausted] with the frontier of
-    abandoned subtrees; the dedup-table cap degrades memoization instead of
-    stopping. [resume] (a frontier from an earlier [Exhausted] result over
-    the {e same} [init]) explores exactly the abandoned subtrees: chaining
-    budgeted calls until [Complete] visits every terminal state a single
-    unbudgeted call would have, and with [dedup]/[por] off the terminal
-    counts partition exactly. Before replaying a choice, resume checks
-    that it names a running process; otherwise it raises
+    when its deadline or node cap trips, no further subtree is entered
+    and the result's outcome is [Exhausted] with the frontier of
+    abandoned subtrees. [resume] (a frontier from an earlier [Exhausted]
+    result over the {e same} [init]) explores exactly the abandoned
+    subtrees: chaining budgeted calls until [Complete] visits every
+    terminal state a single unbudgeted call would have, and with
+    [dedup]/[por] off the terminal counts partition exactly. Before
+    exploring anything, resume replays every path and checks that each
+    choice names a running process; otherwise it raises
     [Invalid_argument "resume path L, choice C: …"] (both counted from
-    1), after closing the span like any escaping exception. [clock] (default: the shared {!Budget.now})
+    1, L being the path's position in [resume]), after closing the span
+    like any escaping exception. [clock] (default: the shared {!Budget.now})
     is the deadline's time source, overridable for deterministic tests —
     the shared default means concurrent explorations judge the same
     deadline. [quiet] (default false) marks the call as an internal

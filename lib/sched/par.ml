@@ -116,26 +116,26 @@ let run_units ~jobs ~units f k =
    metrics surface. *)
 let m_budget_trips = Obs.Metrics.counter "explore.budget_trips"
 
-let budget_spent (b : Budget.t) =
-  (match b.Budget.deadline with Some d -> d <= 0. | None -> false)
-  || b.Budget.max_nodes = Some 0
-  || b.Budget.max_terminals = Some 0
-
 let stop_reason_of_remaining (b : Budget.t) =
   if match b.Budget.deadline with Some d -> d <= 0. | None -> false then
     Some Budget.Deadline
   else if b.Budget.max_nodes = Some 0 then Some Budget.Node_cap
-  else if b.Budget.max_terminals = Some 0 then Some Budget.Terminal_cap
   else None
+
+let budget_spent b = stop_reason_of_remaining b <> None
 
 (* How many seed segments to run before settling for whatever frontier we
    have: each segment costs [seed_nodes] nodes, so this also bounds the
    sequential prelude. *)
 let grow_rounds = 64
 
+(* The seed pass stops once the frontier holds this many prefixes per
+   worker: a few units per worker even out skewed subtree sizes. *)
+let split_factor = 4
+
 let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
     ?(budget = Budget.unlimited) ?resume ?clock ?(jobs = 1)
-    ?(split_factor = 4) ?(seed_nodes = 512) ~init ~fold ~merge zero =
+    ?(seed_nodes = 512) ~init ~fold ~merge zero =
   let jobs = max 1 (min jobs max_jobs) in
   if jobs = 1 then begin
     (* The sequential path, untouched: one engine call, spans and metrics
@@ -195,9 +195,7 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
       let seed_acc = ref zero in
       let seed_stats = ref Explore.zero_stats in
       let nodes_done = ref 0 and terminals_done = ref 0 in
-      let remaining () =
-        Budget.remaining monitor ~nodes:!nodes_done ~terminals:!terminals_done
-      in
+      let remaining () = Budget.remaining monitor ~nodes:!nodes_done in
       let segment resume =
         let b =
           Budget.min_caps (remaining ()) (Budget.make ~max_nodes:seed_nodes ())
@@ -266,16 +264,12 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
              sees a budget already charged for finished units. The
              per-unit snapshot is taken once at unit start: a unit never
              stops because a *concurrent* unit consumed the budget, so
-             the global node/terminal caps can overshoot by at most
-             (jobs - 1) unit-sized runs. Deadlines don't overshoot: every
-             monitor reads the shared Budget.now. *)
+             the global node cap can overshoot by at most (jobs - 1)
+             unit-sized runs. Deadlines don't overshoot: every monitor
+             reads the shared Budget.now. *)
           let nodes_a = Atomic.make !nodes_done in
-          let terminals_a = Atomic.make !terminals_done in
           let run_unit path =
-            let rem =
-              Budget.remaining monitor ~nodes:(Atomic.get nodes_a)
-                ~terminals:(Atomic.get terminals_a)
-            in
+            let rem = Budget.remaining monitor ~nodes:(Atomic.get nodes_a) in
             if budget_spent rem then `Skipped path
             else begin
               let acc = ref zero in
@@ -286,9 +280,6 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
               in
               ignore
                 (Atomic.fetch_and_add nodes_a r.Explore.stats.Explore.nodes);
-              ignore
-                (Atomic.fetch_and_add terminals_a
-                   r.Explore.stats.Explore.terminals);
               let leftover, reason =
                 match r.Explore.outcome with
                 | Explore.Complete -> ([], None)
@@ -319,8 +310,7 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
               let reason =
                 match
                   stop_reason_of_remaining
-                    (Budget.remaining monitor ~nodes:(Atomic.get nodes_a)
-                       ~terminals:(Atomic.get terminals_a))
+                    (Budget.remaining monitor ~nodes:(Atomic.get nodes_a))
                 with
                 | Some r -> r
                 | None ->
@@ -329,7 +319,7 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
               Explore.Exhausted { frontier = leftovers; reason }
           in
           nodes_done := Atomic.get nodes_a;
-          terminals_done := Atomic.get terminals_a;
+          terminals_done := !stats.Explore.terminals;
           progress "merged" [ ("units", Obs.Json.Int (Array.length units)) ];
           finish ~units:(Array.length units) ~stats:!stats ~value:!value
             ~outcome ~aborted:false

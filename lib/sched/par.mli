@@ -77,7 +77,6 @@ val explore :
   ?resume:Budget.frontier ->
   ?clock:(unit -> float) ->
   ?jobs:int ->
-  ?split_factor:int ->
   ?seed_nodes:int ->
   init:(unit -> ('v, 'i, 'a) Scheduler.state) ->
   fold:(('v, 'i, 'a) Scheduler.state -> 'r -> 'r) ->
@@ -94,9 +93,8 @@ val explore :
     engine — same spans, same metrics, one [Explore.explore] call. For
     [jobs > 1], a seed pass of node-capped segments (each [seed_nodes]
     nodes, default 512) runs on the calling domain until the frontier
-    holds at least [split_factor * jobs] prefixes (default factor 4 — a
-    few units per worker evens out skewed subtree sizes), then the pool
-    drains the frontier. Trees smaller than the seed budget complete
+    holds at least [4 * jobs] prefixes (a few units per worker even out
+    skewed subtree sizes), then the pool drains the frontier. Trees smaller than the seed budget complete
     sequentially ([units = 0]).
 
     [fold] and [init] must be domain-safe: units run concurrently, each
@@ -110,8 +108,10 @@ val explore :
     [zero] should be its identity, since every unit starts from [zero].
 
     [budget] caps the whole parallel run. Each unit snapshots the
-    remaining budget when it starts, so global node/terminal caps can
+    remaining budget when it starts, so the global node cap can
     overshoot by up to [jobs - 1] unit-sized runs (deadlines cannot: all
     monitors share {!Budget.now}). Unfinished and unstarted subtrees come
     back on the merged [Exhausted] frontier, resumable like any other
-    checkpoint. *)
+    checkpoint. The first seed segment resumes the whole of [resume], so
+    a bad checkpoint choice is refused before any unit runs, with the
+    same [resume path L, choice C] position at every [jobs]. *)

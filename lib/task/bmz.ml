@@ -301,7 +301,10 @@ let to_task t =
   }
 
 
-let plan_searching ?(max_outputs = 12) t =
+(* Subset search sweeps 2^m masks: refuse more outputs than this. *)
+let max_outputs = 12
+
+let plan_searching t =
   let outputs = dedupe t t.outputs in
   let m = List.length outputs in
   if m > max_outputs then

@@ -58,13 +58,12 @@ val plan : ?sub:'o config list -> ('i, 'o) two_task -> (('i, 'o) plan, string) r
     task may still be solvable with a strict subset — callers supply one, or
     use {!plan_searching}. *)
 
-val plan_searching :
-  ?max_outputs:int -> ('i, 'o) two_task -> (('i, 'o) plan, string) result
+val plan_searching : ('i, 'o) two_task -> (('i, 'o) plan, string) result
 (** Lemma 5.7 is existential in O': try every subset of the outputs, largest
     first, until one satisfies connectivity and covering. Exponential in
-    [|O|]; refuses tasks with more than [max_outputs] (default 12)
-    configurations. The all-subsets sweep makes the {e rejection} verdict
-    meaningful too: no witness exists at all. *)
+    [|O|]; refuses tasks with more than 12 output configurations. The
+    all-subsets sweep makes the {e rejection} verdict meaningful too: no
+    witness exists at all. *)
 
 val to_task : ('i, 'o) two_task -> ('i, 'o) Task.t
 (** The same task as a generic arity-2 {!Task.t}; a partial output is legal

@@ -173,9 +173,41 @@ let replay algorithm (v : 'i violation) =
            ~schedule:(`Replay (pids, v.crashes))
            ())
 
-let check_random ~task ~algorithm ?resilience ?(max_steps = 100_000) ~runs
-    ~seed () =
+(* Scheduler steps per [run_random] call when a seeded run is driven in
+   slices: the deadline is read between slices, once per 50k steps. *)
+let slice_steps = 50_000
+
+(* [Scheduler.run_random ~until_outputs:true] in slices of [slice_steps].
+   Each slice re-checks the crash points and the stop conditions before
+   stepping, exactly as one long call would between two steps, so the
+   rng stream and the run are the same; [overdue] is read only between
+   slices. [false] when [overdue] stopped the run before it finished. *)
+let run_sliced ~max_steps ~crashes ~overdue rng state =
+  let rec go () =
+    let left = max_steps - Scheduler.steps_taken state in
+    Scheduler.run_random ~max_steps:(min slice_steps left) ~crashes
+      ~until_outputs:true rng state;
+    if
+      Scheduler.all_output state
+      || Scheduler.running_count state = 0
+      || Scheduler.steps_taken state >= max_steps
+    then true
+    else if overdue () then false
+    else go ()
+  in
+  go ()
+
+let check_random ~task ~algorithm ?resilience ?(max_steps = 100_000)
+    ?(budget = Sched.Budget.unlimited) ~runs ~seed () =
   let n = task.Task.arity in
+  (* A random run has no search nodes: only the deadline applies. *)
+  let overdue =
+    match budget.Sched.Budget.deadline with
+    | None -> fun () -> false
+    | Some d ->
+        let monitor = Sched.Budget.arm budget in
+        fun () -> Sched.Budget.elapsed monitor >= d
+  in
   let resilience = Option.value resilience ~default:(n - 1) in
   let configurations = Array.of_list (Task.input_configurations task) in
   if Array.length configurations = 0 then
@@ -211,36 +243,41 @@ let check_random ~task ~algorithm ?resilience ?(max_steps = 100_000) ~runs
   in
   (* One seeded run; [record_trace] replays the identical rng stream with
      tracing on, which is how a failure's concrete schedule is recovered
-     without paying trace allocation on the happy path. *)
-  let seeded_run ?record_trace run_seed =
+     without paying trace allocation on the happy path. The replay never
+     stops at the deadline: it re-runs a failure that already finished. *)
+  let seeded_run ?record_trace ~overdue run_seed =
     let rng = Bits.Rng.make run_seed in
     let ci = Bits.Rng.int rng (Array.length configurations) in
     let inputs = configurations.(ci) in
     let crashes = random_crash_pattern rng ~n ~resilience in
     let state = start_cached ?record_trace ci in
-    Scheduler.run_random ~max_steps ~crashes ~until_outputs:true rng state;
-    (inputs, crashes, state)
+    let finished = run_sliced ~max_steps ~crashes ~overdue rng state in
+    (inputs, crashes, state, finished)
   in
   let extract_schedule run_seed state =
     if Scheduler.steps_taken state > schedule_cap then None
     else
-      let _, _, traced = seeded_run ~record_trace:true run_seed in
+      let _, _, traced, _ =
+        seeded_run ~record_trace:true ~overdue:(fun () -> false) run_seed
+      in
       Some (Sched.Trace.schedule_of (Scheduler.trace traced))
   in
   let rec loop run stats =
     if run >= runs then Pass stats
     else
       let run_seed = seed + run in
-      let inputs, crashes, state = seeded_run run_seed in
-      Obs.Metrics.inc m_random_runs;
-      match
-        judge task ~inputs ~crashes ~seed:(Some run_seed) ~schedule:None
-          state
-      with
-      | Some v ->
-          Obs.Metrics.inc m_violations;
-          Fail { v with schedule = extract_schedule run_seed state }
-      | None -> loop (run + 1) (observe stats state)
+      match seeded_run ~overdue run_seed with
+      | _, _, _, false -> Pass stats
+      | inputs, crashes, state, true -> (
+          Obs.Metrics.inc m_random_runs;
+          match
+            judge task ~inputs ~crashes ~seed:(Some run_seed) ~schedule:None
+              state
+          with
+          | Some v ->
+              Obs.Metrics.inc m_violations;
+              Fail { v with schedule = extract_schedule run_seed state }
+          | None -> loop (run + 1) (observe stats state))
   in
   loop 0 initial_stats
 
@@ -251,9 +288,7 @@ type coverage = {
   frontier : int;
   sampled : int;
   sample_seed : int;
-  truncated : int;
-  first_truncated : int list option;
-  stop : Sched.Budget.stop_reason option;
+  stop : Sched.Budget.stop_reason;
 }
 
 type 'i verdict =
@@ -262,12 +297,8 @@ type 'i verdict =
   | Violation of 'i violation
 
 let pp_coverage ppf c =
-  Format.fprintf ppf "explored=%d frontier=%d sampled=%d (seed %d)"
-    c.explored c.frontier c.sampled c.sample_seed;
-  if c.truncated > 0 then
-    Format.fprintf ppf " truncated=%d" c.truncated;
-  Option.iter
-    (fun r -> Format.fprintf ppf " stop=%a" Sched.Budget.pp_stop_reason r)
+  Format.fprintf ppf "explored=%d frontier=%d sampled=%d (seed %d) stop=%a"
+    c.explored c.frontier c.sampled c.sample_seed Sched.Budget.pp_stop_reason
     c.stop
 
 let pp_verdict pp_i ppf = function
@@ -276,12 +307,7 @@ let pp_verdict pp_i ppf = function
         (Pass stats)
   | Verified_sampled (stats, c) ->
       Format.fprintf ppf "verified (SAMPLED, not exhaustive): %a@ coverage: %a"
-        (pp_report pp_i) (Pass stats) pp_coverage c;
-      Option.iter
-        (fun pids ->
-          Format.fprintf ppf "@ warning: first truncated schedule: %a"
-            pp_schedule pids)
-        c.first_truncated
+        (pp_report pp_i) (Pass stats) pp_coverage c
   | Violation v -> pp_violation pp_i ppf v
 
 let verdict_ok = function
@@ -292,13 +318,15 @@ let report_of_verdict = function
   | Verified_exhaustive stats | Verified_sampled (stats, _) -> Pass stats
   | Violation v -> Fail v
 
+(* Abandoned frontier subtrees completed per supervised check, at most. *)
+let samples = 64
+
 (* Supervised checking: the exhaustive pass runs under a resource budget;
    if the budget trips, the abandoned frontier is sampled with seeded
    random completions instead of being silently dropped, and the verdict
    records exactly how hard the claim was checked. *)
 let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
-    ?(budget = Sched.Budget.unlimited) ?(samples = 64) ?(seed = 1)
-    ?(truncation = `Fail) ?(jobs = 1) () =
+    ?(budget = Sched.Budget.unlimited) ?(seed = 1) ?(jobs = 1) () =
   Obs.Metrics.inc m_checks;
   Obs.Span.begin_ ~cat:"harness"
     ~args:
@@ -311,8 +339,6 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
   let stats = ref initial_stats in
   let search = ref Sched.Explore.zero_stats in
   let failure = ref None in
-  let truncated_count = ref 0 in
-  let first_truncated = ref None in
   let frontier_total = ref 0 in
   let sampled = ref 0 in
   let samples_left = ref samples in
@@ -352,17 +378,9 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
            stats := observe !stats state
          in
          let on_truncated state =
-           match truncation with
-           | `Fail ->
-               stop
-                 (witness state
-                    "interleaving exceeded the step budget \
-                     (non-termination?)")
-           | `Warn ->
-               incr truncated_count;
-               if !first_truncated = None then
-                 first_truncated :=
-                   Some (Sched.Trace.schedule_of (Scheduler.trace state))
+           stop
+             (witness state
+                "interleaving exceeded the step budget (non-termination?)")
          in
          (* Sample one abandoned subtree: re-execute its choice prefix and
             finish the run under a fair random schedule. Each sample
@@ -386,31 +404,20 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
                ~crashes:(Sched.Trace.crashes_of events)
                ~seed:(Some seed) ~schedule:None state
            with
-           | None -> `Ok state
-           | Some v -> (
-               match (truncation, Scheduler.all_output state) with
-               | `Warn, false ->
-                   (* An undecided sampled run under `Warn is a truncation
-                      warning, exactly like an undecided exhaustive path. *)
-                   `Trunc (Sched.Trace.schedule_of events)
-               | _ -> `Viol { (witness state v.reason) with seed = Some seed })
+           | None -> Ok state
+           | Some v -> Error { (witness state v.reason) with seed = Some seed }
          in
-         (* Outcomes fold on this domain in sample order: stats,
-            truncation warnings and the winning violation are the same at
-            any [jobs]. *)
+         (* Outcomes fold on this domain in sample order: stats and the
+            winning violation are the same at any [jobs]. *)
          let tally _ outcome =
            incr sampled;
            Obs.Metrics.inc m_sampled;
            match outcome with
-           | `Ok state -> stats := observe !stats state
-           | `Trunc schedule ->
-               incr truncated_count;
-               if !first_truncated = None then first_truncated := Some schedule
-           | `Viol v -> stop v
+           | Ok state -> stats := observe !stats state
+           | Error v -> stop v
          in
          let sub_budget =
            Sched.Budget.remaining monitor ~nodes:!search.Sched.Explore.nodes
-             ~terminals:!search.Sched.Explore.terminals
          in
          let r =
            Sched.Explore.explore ~max_steps ~max_crashes ~budget:sub_budget
@@ -437,20 +444,18 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
     | Some v -> Violation v
     | None ->
         let stats = { !stats with explored = Some !search } in
-        if !stop_reason = None && !truncated_count = 0 then
-          Verified_exhaustive stats
-        else
-          Verified_sampled
-            ( stats,
-              {
-                explored = !search.Sched.Explore.terminals;
-                frontier = !frontier_total;
-                sampled = !sampled;
-                sample_seed = seed;
-                truncated = !truncated_count;
-                first_truncated = !first_truncated;
-                stop = !stop_reason;
-              } )
+        match !stop_reason with
+        | None -> Verified_exhaustive stats
+        | Some stop ->
+            Verified_sampled
+              ( stats,
+                {
+                  explored = !search.Sched.Explore.terminals;
+                  frontier = !frontier_total;
+                  sampled = !sampled;
+                  sample_seed = seed;
+                  stop;
+                } )
   in
   (match verdict with Violation _ -> Obs.Metrics.inc m_violations | _ -> ());
   Obs.Span.end_ ~cat:"harness"
@@ -465,13 +470,12 @@ let check_supervised ~task ~algorithm ?(max_crashes = 0) ?(max_steps = 10_000)
         ("explored", Obs.Json.Int !search.Sched.Explore.terminals);
         ("frontier", Obs.Json.Int !frontier_total);
         ("sampled", Obs.Json.Int !sampled);
-        ("truncated", Obs.Json.Int !truncated_count);
       ]
     "harness.check";
   verdict
 
 let check_exhaustive ~task ~algorithm ?max_crashes ?max_steps () =
-  (* Unbudgeted and strict about truncation: [Verified_sampled] cannot
-     happen, so this collapses losslessly to the two-valued report. *)
+  (* Unbudgeted: [Verified_sampled] cannot happen, so this collapses
+     losslessly to the two-valued report. *)
   report_of_verdict
     (check_supervised ~task ~algorithm ?max_crashes ?max_steps ())

@@ -74,6 +74,7 @@ val check_random :
   algorithm:('v, 'i, 'o) algorithm ->
   ?resilience:int ->
   ?max_steps:int ->
+  ?budget:Sched.Budget.t ->
   runs:int ->
   seed:int ->
   unit ->
@@ -82,7 +83,14 @@ val check_random :
     schedule, and a uniformly drawn crash pattern of at most [resilience]
     processes (default: arity - 1, i.e. wait-free) crashing at random times.
     Fails if a surviving process does not decide within [max_steps] (default
-    100_000) total steps, or if the decided outputs violate Delta. *)
+    100_000) total steps, or if the decided outputs violate Delta.
+
+    Only [budget]'s deadline applies (default none; a random run has no
+    search nodes). Each run is driven in slices of 50,000 steps with the
+    same rng stream as one uninterrupted run, and the deadline is read
+    between slices: a run still going when it passes is abandoned
+    unjudged, and the result is [Pass] over the runs completed before it
+    — [runs] in the stats is then below the requested count. *)
 
 (** {1 Supervised checking}
 
@@ -97,14 +105,8 @@ type coverage = {
   frontier : int;  (** subtrees abandoned when the budget tripped *)
   sampled : int;  (** frontier subtrees finished under a random schedule *)
   sample_seed : int;  (** rng seed of the sampling pass *)
-  truncated : int;
-      (** interleavings abandoned at [max_steps] under [~truncation:`Warn] *)
-  first_truncated : int list option;
-      (** schedule prefix of the first truncated interleaving, for
-          diagnosis — [None] when nothing was truncated *)
-  stop : Sched.Budget.stop_reason option;
-      (** which budget cap ended the exhaustive pass; [None] when the
-          verdict is degraded only by truncation warnings *)
+  stop : Sched.Budget.stop_reason;
+      (** which budget cap ended the exhaustive pass *)
 }
 
 val pp_coverage : Format.formatter -> coverage -> unit
@@ -134,26 +136,20 @@ val check_supervised :
   ?max_crashes:int ->
   ?max_steps:int ->
   ?budget:Sched.Budget.t ->
-  ?samples:int ->
   ?seed:int ->
-  ?truncation:[ `Fail | `Warn ] ->
   ?jobs:int ->
   unit ->
   'i verdict
 (** {!check_exhaustive} under a resource [budget] (default
     {!Sched.Budget.unlimited}) shared across all input configurations:
     each configuration's exploration gets what the previous ones left
-    over ({!Sched.Budget.remaining}). When the budget trips, up to
-    [samples] (default 64) abandoned frontier subtrees are completed
-    under a fair random schedule seeded with [seed] (default 1) and
-    judged like any other execution — a violation found while sampling
-    is still a [Violation]; surviving yields [Verified_sampled] with the
-    coverage counters. [truncation] decides what an interleaving
-    exceeding [max_steps] means: [`Fail] (default) reports it as a
-    non-termination violation exactly like {!check_exhaustive}; [`Warn]
-    counts it, records the first truncated schedule prefix, and degrades
-    the verdict to [Verified_sampled] — for protocols whose tail is
-    legitimately unbounded rather than buggy.
+    over ({!Sched.Budget.remaining}). When the budget trips, up to 64
+    abandoned frontier subtrees are completed under a fair random
+    schedule seeded with [seed] (default 1) and judged like any other
+    execution — a violation found while sampling is still a [Violation],
+    an undecided sample included; surviving yields [Verified_sampled]
+    with the coverage counters. An interleaving exceeding [max_steps] is
+    a non-termination violation, exactly as in {!check_exhaustive}.
 
     [jobs] (default 1) fans the frontier sampling over a domain pool
     ({!Sched.Par.run_units}): samples are independent completions, each

@@ -1358,6 +1358,86 @@ let test_fleet_replay_rejects_hand_edits () =
       ("witness-writes-outside-pack.json", "packed message layout");
     ]
 
+(* Byte-edited copies of real witnesses (the frontier preset's and the
+   1-bit churn config's, which carries a membership block) must replay
+   or give an [Error] naming the file; no edit may raise. *)
+let prop_witness_replay_survives_byte_edits =
+  let module F = Msgpass.Fleet in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-witness-edits"
+  in
+  let witnesses =
+    lazy
+      (rm_rf dir;
+       Sys.mkdir dir 0o755;
+       let witness config seed =
+         let sub = Filename.concat dir (string_of_int seed) in
+         Sys.mkdir sub 0o755;
+         match
+           (F.campaign ~generations:8 ~seed ~corpus_dir:sub config).F.witnesses
+         with
+         | w :: _ ->
+             In_channel.with_open_bin (Option.get w.F.file) In_channel.input_all
+         | [] -> failwith "the campaign published no witness"
+       in
+       [|
+         witness (Msgpass.Chaos.frontier ()) 9;
+         witness (Msgpass.Chaos.churn ~width_bits:1 ()) 1;
+       |])
+  in
+  let open QCheck.Gen in
+  let chars s = List.of_seq (String.to_seq s) in
+  let byte =
+    frequency
+      [
+        (3, oneofl (chars "{}[]\":,0123456789-> "));
+        (1, oneofl (chars "delivrupfcashentmq"));
+        (1, map Char.chr (int_range 0 255));
+      ]
+  in
+  let edits =
+    pair (int_range 0 1)
+      (list_size (int_range 1 3)
+         (triple (int_range 0 2) (int_range 0 max_int) byte))
+  in
+  let print (which, edits) =
+    Printf.sprintf "witness %d, edits %s" which
+      (String.concat "; "
+         (List.map (fun (k, at, b) -> Printf.sprintf "%d@%d %C" k at b) edits))
+  in
+  let cases = ref 0 in
+  QCheck.Test.make ~name:"witness replay survives byte edits" ~count:200
+    (QCheck.make ~print edits)
+    (fun (which, edits) ->
+      let text =
+        List.fold_left
+          (fun t (kind, at, b) ->
+            let len = String.length t in
+            let at = at mod len in
+            match kind with
+            | 0 -> String.mapi (fun i c -> if i = at then b else c) t
+            | 1 ->
+                String.sub t 0 at ^ String.make 1 b ^ String.sub t at (len - at)
+            | _ -> String.sub t 0 at ^ String.sub t (at + 1) (len - at - 1))
+          (Lazy.force witnesses).(which) edits
+      in
+      (* A fresh name per case: truncating a written file can cost tens
+         of milliseconds on a filesystem that discards freed blocks. *)
+      incr cases;
+      let file = Filename.concat dir (Printf.sprintf "edited-%d.json" !cases) in
+      Out_channel.with_open_bin file (fun oc -> output_string oc text);
+      let result =
+        match F.replay_file file with r -> Ok r | exception exn -> Error exn
+      in
+      Sys.remove file;
+      match result with
+      | Error exn ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string exn)
+      | Ok (Ok _) -> true
+      | Ok (Error e) ->
+          String.starts_with ~prefix:(file ^ ": ") e
+          || QCheck.Test.fail_reportf "error names no file: %s" e)
+
 (* A hand-edited corpus that no longer loads names the file, the line
    on disk (blank lines counted) and, for JSON syntax, the column; a
    campaign over it raises [Corpus_error] with the same position. An
@@ -1681,16 +1761,13 @@ let test_abd_message_passing () =
     in
     let crash_pid = if Bits.Rng.bool rng then Some (Bits.Rng.int rng n) else None in
     let crash_at = Bits.Rng.int rng 300 in
-    let events = ref 0 in
-    Msgpass.Net.run_random ~rng ~max_events:100_000
-      ~until:(fun () ->
-        incr events;
-        (match crash_pid with
-        | Some p when !events = crash_at && Msgpass.Net.crashed net = [] ->
-            Msgpass.Net.crash net p
-        | _ -> ());
-        false)
-      net;
+    (* Crash (if at all) after [crash_at] deliveries, then run on. *)
+    Msgpass.Net.run_random ~rng ~max_events:crash_at net;
+    Option.iter
+      (fun p ->
+        if Msgpass.Net.deliveries net = crash_at then Msgpass.Net.crash net p)
+      crash_pid;
+    Msgpass.Net.run_random ~rng ~max_events:(100_000 - crash_at) net;
     let crashed = Msgpass.Net.crashed net in
     let decided =
       Array.to_list interps
@@ -2007,6 +2084,7 @@ let () =
             test_fleet_witness_tmp_leftover;
           Alcotest.test_case "witness replay rejects hand edits" `Quick
             test_fleet_replay_rejects_hand_edits;
+          QCheck_alcotest.to_alcotest prop_witness_replay_survives_byte_edits;
           Alcotest.test_case "corpus errors name the line" `Quick
             test_fleet_corpus_errors_name_the_line;
           Alcotest.test_case "corpus last line without newline" `Quick

@@ -590,8 +590,11 @@ let test_events_of_string () =
   Alcotest.(check bool) ("names line 3: " ^ m) true
     (String.starts_with ~prefix:"line 3 unparseable (" m);
   Alcotest.(check string) "non-event object"
-    "object is not a trace event: {\"ph\":\"i\"}"
-    (rejected "non-event" "{\"ph\":\"i\"}");
+    "line 2: object is not a trace event: {\"ph\":\"i\"}"
+    (rejected "non-event" (good ^ "\n\n{\"ph\":\"i\"}"));
+  Alcotest.(check string) "non-event array element"
+    "element 1: object is not a trace event: {}"
+    (rejected "non-event element" "[{}]");
   let m = rejected "torn catapult" "[{\"name\":\"run\"" in
   Alcotest.(check bool) ("torn catapult: " ^ m) true
     (String.starts_with ~prefix:"unparseable catapult array (" m)
@@ -621,6 +624,91 @@ let capture_jsonl f =
   Obs.Span.reset ();
   S.with_sink (S.jsonl (Buffer.add_string b)) f;
   Buffer.contents b
+
+(* The trace reader behind [trace summary] and [report] is fed byte-edited
+   copies of real traces (a chaos run and an exploration, in both
+   encodings). Each must parse or give an [Error] that says where: the
+   line or array element, or the character the JSON parser stopped at. *)
+let prop_trace_reader_survives_byte_edits =
+  let traces =
+    lazy
+      (let run () =
+         ignore
+           (Msgpass.Chaos.campaign ~seed:3 ~runs:1 (Msgpass.Chaos.sound ()));
+         ignore (Sched.Explore.explore ~init:workload (fun _ -> ()))
+       in
+       let catapult = Buffer.create 4096 in
+       Obs.Span.reset ();
+       S.with_sink (S.catapult (Buffer.add_string catapult)) run;
+       [| capture_jsonl run; Buffer.contents catapult |])
+  in
+  let open QCheck.Gen in
+  let chars s = List.of_seq (String.to_seq s) in
+  let byte =
+    frequency
+      [
+        (3, oneofl (chars "{}[]\":,\\\n ntfu0123456789BEi"));
+        (1, map Char.chr (int_range 0 255));
+      ]
+  in
+  let edits =
+    pair (int_range 0 1)
+      (list_size (int_range 1 4)
+         (triple (int_range 0 2) (int_range 0 max_int) byte))
+  in
+  let print (which, edits) =
+    Printf.sprintf "trace %d, edits %s" which
+      (String.concat "; "
+         (List.map (fun (k, at, b) -> Printf.sprintf "%d@%d %C" k at b) edits))
+  in
+  QCheck.Test.make ~name:"trace reader survives byte edits" ~count:300
+    (QCheck.make ~print edits)
+    (fun (which, edits) ->
+      let text =
+        List.fold_left
+          (fun t (kind, at, b) ->
+            let len = String.length t in
+            let at = at mod len in
+            match kind with
+            | 0 -> String.mapi (fun i c -> if i = at then b else c) t
+            | 1 ->
+                String.sub t 0 at ^ String.make 1 b ^ String.sub t at (len - at)
+            | _ -> String.sub t 0 at ^ String.sub t (at + 1) (len - at - 1))
+          (Lazy.force traces).(which) edits
+      in
+      let lines =
+        List.length
+          (List.filter
+             (fun l -> String.trim l <> "")
+             (String.split_on_char '\n' text))
+      in
+      let within lo hi x = lo <= x && x <= hi in
+      match S.events_of_string text with
+      | exception exn ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string exn)
+      | Ok _ -> true
+      | Error m -> (
+          let scan fmt = Scanf.sscanf_opt m fmt (fun n -> n) in
+          let positioned =
+            match scan "line %d unparseable (at %_d: %_s@)" with
+            | Some n -> within 1 lines n
+            | None -> (
+                match scan "line %d: object is not a trace event: %_s@!" with
+                | Some n -> within 1 lines n
+                | None -> (
+                    match
+                      scan "element %d: object is not a trace event: %_s@!"
+                    with
+                    | Some n -> n >= 1
+                    | None -> (
+                        match
+                          scan "unparseable catapult array (at %d: %_s@)"
+                        with
+                        | Some p -> within 0 (String.length text) p
+                        | None -> false)))
+          in
+          positioned
+          || QCheck.Test.fail_reportf "error not positioned: %s" m))
 
 let test_trace_determinism_explore () =
   let run () =
@@ -865,6 +953,7 @@ let () =
           Alcotest.test_case "event-roundtrip" `Quick
             test_event_json_roundtrip;
           Alcotest.test_case "events-of-string" `Quick test_events_of_string;
+          QCheck_alcotest.to_alcotest prop_trace_reader_survives_byte_edits;
           Alcotest.test_case "recorder-ring" `Quick test_recorder_ring;
           Alcotest.test_case "recorder-dump-since" `Quick
             test_recorder_dump_since;

@@ -698,6 +698,47 @@ let prop_hostile_checkpoint =
           | exception Invalid_argument m ->
               String.starts_with ~prefix:"resume path " m))
 
+(* A bad choice on a checkpoint's last line is refused with that line's
+   number at any pool width. [Sched.Par]'s seed pass defers the
+   paths past its node cap and each unit resumes a one-path list, so
+   only checking every path before exploring keeps the number. *)
+let test_resume_names_checkpoint_line () =
+  let init () =
+    let algorithm = Core.Alg1_one_bit.algorithm ~k:4 in
+    Sched.Scheduler.start
+      ~memory:(algorithm.H.memory ())
+      ~programs:(fun pid -> algorithm.H.program ~pid ~input:pid)
+      ()
+  in
+  let frontier =
+    match
+      (Sched.Explore.explore ~max_crashes:1
+         ~budget:(Sched.Budget.make ~max_nodes:100 ())
+         ~init ignore)
+        .Sched.Explore.outcome
+    with
+    | Sched.Explore.Exhausted { frontier; _ } -> frontier
+    | Sched.Explore.Complete -> Alcotest.fail "100 nodes cannot finish k = 4"
+  in
+  Alcotest.(check int) "a 22-path checkpoint" 22 (List.length frontier);
+  let resume = frontier @ [ [ Sched.Budget.Step 0; Sched.Budget.Step 99 ] ] in
+  let want = "resume path 23, choice 2: pid 99 outside 0..1" in
+  let cut = Some (Sched.Budget.make ~max_nodes:10 ()) in
+  List.iter
+    (fun (what, budget, jobs) ->
+      match
+        Sched.Par.explore ~max_crashes:1 ?budget ~resume ~jobs ~init
+          ~fold:(fun _ () -> ()) ~merge:(fun () () -> ()) ()
+      with
+      | _ -> Alcotest.failf "%s: the bad line was resumed" what
+      | exception Invalid_argument m -> Alcotest.(check string) what want m)
+    [
+      ("jobs 1", None, 1);
+      ("jobs 2", None, 2);
+      ("jobs 1, cut before the line", cut, 1);
+      ("jobs 2, cut before the line", cut, 2);
+    ]
+
 let () =
   Alcotest.run "properties"
     [
@@ -720,4 +761,9 @@ let () =
             prop_trace_replay;
             prop_hostile_checkpoint;
           ] );
+      ( "resume",
+        [
+          Alcotest.test_case "errors name the checkpoint line" `Quick
+            test_resume_names_checkpoint_line;
+        ] );
     ]

@@ -363,21 +363,20 @@ let test_budget_resume_partitions () =
   Alcotest.(check bool) "same multiset of terminal states" true
     (List.sort compare !full = List.sort compare !collected)
 
-let test_budget_terminal_cap () =
+let test_budget_node_cap () =
   let r =
     Sched.Explore.explore ~dedup:false ~por:false
-      ~budget:(Sched.Budget.make ~max_terminals:100 ())
+      ~budget:(Sched.Budget.make ~max_nodes:1000 ())
       ~init:writers_3x4_init
       (fun _ -> ())
   in
-  Alcotest.(check int) "visited exactly the cap" 100
-    r.Sched.Explore.stats.Sched.Explore.terminals;
+  Alcotest.(check int) "expanded exactly the cap" 1000
+    r.Sched.Explore.stats.Sched.Explore.nodes;
   match r.Sched.Explore.outcome with
-  | Sched.Explore.Exhausted { reason = Sched.Budget.Terminal_cap; frontier }
-    ->
+  | Sched.Explore.Exhausted { reason = Sched.Budget.Node_cap; frontier } ->
       Alcotest.(check bool) "rest of the tree on the frontier" true
         (frontier <> [])
-  | _ -> Alcotest.fail "expected terminal-cap exhaustion"
+  | _ -> Alcotest.fail "expected node-cap exhaustion"
 
 let test_budget_deadline_fake_clock () =
   (* A deterministic clock that advances 10ms per read: the 0.5s deadline
@@ -398,29 +397,6 @@ let test_budget_deadline_fake_clock () =
   | Sched.Explore.Exhausted { reason = Sched.Budget.Deadline; frontier } ->
       Alcotest.(check bool) "frontier is nonempty" true (frontier <> [])
   | _ -> Alcotest.fail "expected deadline exhaustion"
-
-let test_visited_cap_degrades_not_stops () =
-  (* Capping the dedup table weakens memoization but must not change the
-     reachable terminal-state set or the completeness of the run. *)
-  let init = writers_3x4_init in
-  let states budget =
-    let acc = ref [] in
-    let r =
-      Sched.Explore.explore ~budget ~init (fun s ->
-          acc := terminal_signature s :: !acc)
-    in
-    Alcotest.(check bool) "complete despite the visited cap" true
-      (r.Sched.Explore.outcome = Sched.Explore.Complete);
-    (List.sort_uniq compare !acc, r.Sched.Explore.stats)
-  in
-  let full_set, full = states Sched.Budget.unlimited in
-  let capped_set, capped =
-    states (Sched.Budget.make ~max_visited:10 ())
-  in
-  Alcotest.(check bool) "same terminal-state set" true
-    (full_set = capped_set);
-  Alcotest.(check bool) "weaker dedup explores at least as many nodes" true
-    (capped.Sched.Explore.nodes >= full.Sched.Explore.nodes)
 
 let test_frontier_of_string_rejects_garbage () =
   (match Sched.Budget.frontier_of_string "s0 x1\n" with
@@ -455,6 +431,33 @@ let writers_init ~n ~len () =
   S.start ~memory:(make_memory ~n ()) ~programs:(fun _ -> straight len) ()
 
 let collect_fold s acc = terminal_signature s :: acc
+
+(* A random run driven in slices of [max_steps] (how a deadline-aware
+   caller drives a long run) takes the same schedule as one call with the
+   whole step budget: each slice re-checks crash points before stepping
+   and continues the same rng stream. *)
+let test_run_random_slices () =
+  let crashes = [ (1, 9); (2, 0) ] in
+  let rec writes k : (int, string, int) P.t =
+    if k = 0 then P.return 0
+    else
+      let* () = P.write k in
+      writes (k - 1)
+  in
+  let run slices =
+    let s =
+      S.start ~record_trace:true ~memory:(make_memory ~n:3 ())
+        ~programs:(fun _ -> writes 40)
+        ()
+    in
+    let rng = Bits.Rng.make 17 in
+    List.iter (fun max_steps -> S.run_random ~max_steps ~crashes rng s) slices;
+    (S.trace s, List.init 3 (S.status s))
+  in
+  Alcotest.(check bool) "seven slices = one call" true
+    (run [ 50 ] = run [ 7; 7; 7; 7; 7; 7; 8 ]);
+  Alcotest.(check bool) "a run cut short stops where the budget does" true
+    (fst (run [ 30 ]) = fst (run [ 10; 10; 10 ]))
 
 let test_par_differential_sets () =
   let init = writers_3x4_init in
@@ -981,6 +984,8 @@ let () =
           Alcotest.test_case "trace replay" `Quick test_scheduler_trace_replay;
           Alcotest.test_case "output-and-continue" `Quick
             test_scheduler_output_continue;
+          Alcotest.test_case "random run in slices" `Quick
+            test_run_random_slices;
         ] );
       ( "explore",
         [
@@ -1001,12 +1006,10 @@ let () =
         [
           Alcotest.test_case "resume partitions the enumeration" `Quick
             test_budget_resume_partitions;
-          Alcotest.test_case "terminal cap is exact" `Quick
-            test_budget_terminal_cap;
+          Alcotest.test_case "node cap is exact" `Quick
+            test_budget_node_cap;
           Alcotest.test_case "deadline (deterministic clock)" `Quick
             test_budget_deadline_fake_clock;
-          Alcotest.test_case "visited cap degrades, not stops" `Quick
-            test_visited_cap_degrades_not_stops;
           Alcotest.test_case "frontier parsing rejects garbage" `Quick
             test_frontier_of_string_rejects_garbage;
         ] );

@@ -183,6 +183,41 @@ let test_harness_reproducible () =
         b.H.max_process_steps
   | _ -> Alcotest.fail "expected passes"
 
+(* check_random under a deadline: a run still going when it passes is
+   abandoned unjudged and the report covers the runs before it, so a
+   spinner that would fail at its step cap stops as a [Pass] of 0 runs; a
+   deadline that never passes leaves the report as it was. *)
+let test_check_random_deadline () =
+  let rec spin () : (int, int, Q.t) Sched.Program.t =
+    Sched.Program.Write (0, spin)
+  in
+  let spinner =
+    { H.name = "spinner"; memory = memory_1bit;
+      program = (fun ~pid:_ ~input:_ -> Sched.Program.Stateful (spin ())) }
+  in
+  let task = Tasks.Eps_agreement.task ~n:2 ~k:2 in
+  (match H.check_random ~task ~algorithm:spinner ~runs:1 ~seed:1 () with
+  | H.Fail _ -> ()
+  | H.Pass _ -> Alcotest.fail "an unbudgeted spinner must fail");
+  (match
+     H.check_random ~task ~algorithm:spinner ~max_steps:20_000_000
+       ~budget:(Sched.Budget.make ~deadline:0.05 ())
+       ~runs:3 ~seed:1 ()
+   with
+  | H.Pass stats -> Alcotest.(check int) "no run finished" 0 stats.H.runs
+  | H.Fail v -> Alcotest.fail ("a stopped run was judged: " ^ v.H.reason));
+  let k = 3 in
+  let task = Tasks.Eps_agreement.task ~n:2 ~k:(2 * k + 1) in
+  let algorithm = Core.Alg1_one_bit.algorithm ~k in
+  let run budget =
+    H.check_random ~task ~algorithm ?budget ~runs:40 ~seed:77 ()
+  in
+  match (run None, run (Some (Sched.Budget.make ~deadline:3600. ()))) with
+  | H.Pass a, H.Pass b ->
+      Alcotest.(check int) "every run finished" 40 b.H.runs;
+      Alcotest.(check bool) "same stats as unbudgeted" true (a = b)
+  | _ -> Alcotest.fail "expected passes"
+
 (* Every violation carries a concrete schedule; Harness.replay re-executes
    it bit-for-bit, reproducing the failing decisions. *)
 let bad_half_algorithm () =
@@ -257,8 +292,8 @@ let test_replay_nontermination_schedule () =
                 (Sched.Scheduler.steps_taken state)))
 
 (* Supervised checking: budgets degrade to sampled coverage instead of
-   failing, violations are still caught while sampling, and truncation
-   can be demoted from a failure to a coverage warning. *)
+   failing, and violations, non-termination included, are still caught
+   while sampling. *)
 
 let alg1_algorithm ~k =
   {
@@ -291,11 +326,11 @@ let test_supervised_degrades_to_sampled () =
   match
     H.check_supervised ~task ~algorithm ~max_crashes:1
       ~budget:(Sched.Budget.make ~max_nodes:50 ())
-      ~samples:32 ~seed:11 ()
+      ~seed:11 ()
   with
   | H.Verified_sampled (stats, c) ->
       Alcotest.(check bool) "stopped by the node cap" true
-        (c.H.stop = Some Sched.Budget.Node_cap);
+        (c.H.stop = Sched.Budget.Node_cap);
       Alcotest.(check bool) "frontier was recorded" true (c.H.frontier > 0);
       Alcotest.(check bool) "frontier was sampled" true (c.H.sampled > 0);
       Alcotest.(check int) "sample seed recorded" 11 c.H.sample_seed;
@@ -364,7 +399,7 @@ let test_supervised_parallel_sampling () =
       jobs_invariant name Format.pp_print_int (fun jobs ->
           H.check_supervised ~task ~algorithm ~max_crashes:1
             ~budget:(Sched.Budget.make ~max_nodes ())
-            ~samples:32 ~seed ~jobs ())
+            ~seed ~jobs ())
     with
     | H.Verified_sampled (_, c) ->
         Alcotest.(check bool) (name ^ ": the frontier was sampled") true
@@ -399,10 +434,10 @@ let test_supervised_parallel_sampling () =
   | H.Verified_exhaustive _ | H.Verified_sampled _ ->
       Alcotest.fail "parallel sampling missed the violation"
 
-let test_supervised_truncation_warn () =
-  (* The spinner never decides: under ~truncation:`Warn the harness
-     reports degraded coverage with the first truncated schedule prefix
-     instead of a non-termination failure. *)
+let test_supervised_undecided_sample () =
+  (* The spinner never decides. Cut at one node, the check can only meet
+     it in a frontier sample, and a sample still undecided at [max_steps]
+     is a non-termination violation, as an exhaustive path would be. *)
   let rec spin () : (int, int, Q.t) Sched.Program.t =
     Sched.Program.Write (0, spin)
   in
@@ -412,21 +447,16 @@ let test_supervised_truncation_warn () =
   in
   let task = Tasks.Eps_agreement.task ~n:2 ~k:2 in
   match
-    H.check_supervised ~task ~algorithm ~max_steps:40 ~truncation:`Warn ()
+    H.check_supervised ~task ~algorithm ~max_steps:40
+      ~budget:(Sched.Budget.make ~max_nodes:1 ())
+      ~seed:3 ()
   with
-  | H.Verified_sampled (_, c) ->
-      Alcotest.(check bool) "truncations counted" true (c.H.truncated > 0);
-      (match c.H.first_truncated with
-      | Some pids ->
-          Alcotest.(check int) "prefix capped at max_steps" 40
-            (List.length pids)
-      | None -> Alcotest.fail "first truncated prefix missing");
-      Alcotest.(check bool) "degraded by truncation, not a budget cap" true
-        (c.H.stop = None)
-  | H.Verified_exhaustive _ ->
-      Alcotest.fail "truncated search reported as exhaustive"
-  | H.Violation _ ->
-      Alcotest.fail "`Warn must not fail on truncation"
+  | H.Violation v ->
+      Alcotest.(check (option int)) "found while sampling" (Some 3) v.H.seed;
+      Alcotest.(check bool) "reported as non-termination" true
+        (String.starts_with ~prefix:"process(es)" v.H.reason)
+  | H.Verified_exhaustive _ | H.Verified_sampled _ ->
+      Alcotest.fail "an undecided sample must be a violation"
 
 let () =
   Alcotest.run "tasks"
@@ -458,6 +488,8 @@ let () =
             test_harness_detects_nontermination;
           Alcotest.test_case "reproducible from seed" `Quick
             test_harness_reproducible;
+          Alcotest.test_case "check_random stops at its deadline" `Quick
+            test_check_random_deadline;
           Alcotest.test_case "violations carry schedules" `Quick
             test_violation_carries_schedule;
           Alcotest.test_case "replay reproduces decisions" `Quick
@@ -475,7 +507,7 @@ let () =
             test_supervised_violation_found_while_sampling;
           Alcotest.test_case "parallel sampling is jobs-invariant" `Quick
             test_supervised_parallel_sampling;
-          Alcotest.test_case "truncation warnings degrade the verdict"
-            `Quick test_supervised_truncation_warn;
+          Alcotest.test_case "undecided samples are violations" `Quick
+            test_supervised_undecided_sample;
         ] );
     ]
