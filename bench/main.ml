@@ -1,7 +1,7 @@
-(* The benchmark harness: Bechamel timings of the core operations, or
-   with --json a machine-readable perf snapshot. The experiment tables
-   (one per figure/theorem of the paper — see DESIGN.md) are printed by
-   `boundedreg run all`. *)
+(* The benchmark harness: Bechamel timings of the core operations, one
+   table row each. scripts/perf_gate.py reads three of the rows. The
+   experiment tables (one per figure/theorem of the paper — see
+   DESIGN.md) are printed by `boundedreg run all`. *)
 
 module Q = Bits.Rational
 module H = Tasks.Harness
@@ -131,8 +131,7 @@ let run_bmz_plan () =
 
 (* The fixed explorer workload: 3 straight-line writers of 4 steps each —
    the test_sched count workload scaled to 3 processes. 34650 schedules
-   naively; the engine's counters on it are the perf trajectory tracked in
-   BENCH_PR1.json. *)
+   naively. *)
 let explore_workload_init () =
   let straight len : (int, unit, unit) Sched.Program.t =
     let rec go k =
@@ -161,7 +160,7 @@ let run_explore_raw () =
 
 (* Same workload with the flight recorder disarmed: the delta between
    this row and the always-on one is the recorder's whole cost on the
-   hot path, and bench_gate.py caps it at 3%. *)
+   hot path, and scripts/perf_gate.py caps the on/off ratio at 1.06. *)
 let run_explore_raw_recorder_off () =
   Obs.Recorder.armed := false;
   Fun.protect
@@ -197,21 +196,24 @@ let bench_rows : (string * (unit -> unit)) list =
     ("explore-3x4(raw-undo,recorder-off)", run_explore_raw_recorder_off);
   ]
 
-(* Each row carries the OLS time estimate and the OLS minor-allocation
-   estimate (Bechamel's [minor_allocated] instance: [Gc.minor_words]
-   deltas around the timed runs), so the JSON snapshot tracks both the
-   speed and the per-call allocation of every hot path across PRs.
+(* Each row carries Bechamel's OLS time estimate and the minor words one
+   call allocates, counted with [Gc.minor_words] over as many calls as
+   the warmup made. Bechamel's own [minor_allocated] instance reads
+   [Gc.quick_stat], whose minor-word total OCaml 5 only brings up to
+   date at a minor collection: a row that allocates a few hundred words
+   per call read 0 through it.
 
    Rows are measured one at a time, each behind its own warmup, and in a
    seeded-shuffled order rather than declaration order. Declaration-order
-   measurement is how BENCH_PR9 recorded explore(raw-undo,recorder-off)
-   as *slower* than the recorder-on row it follows: the earlier row paid
-   the row's warmup (page faults, branch training, heap shape) on behalf
-   of the later one. Warming each row before sampling removes the shared
-   state, and decorrelating the order keeps any residual drift from
-   systematically favoring whichever row happens to run second — so
-   bench_gate.py check_recorder compares like with like. The shuffle seed
-   is fixed: runs stay reproducible, just not declaration-ordered. *)
+   measurement is how an earlier snapshot recorded
+   explore(raw-undo,recorder-off) as *slower* than the recorder-on row it
+   follows: the earlier row paid the row's warmup (page faults, branch
+   training, heap shape) on behalf of the later one. Warming each row
+   before sampling removes the shared state, and decorrelating the order
+   keeps any residual drift from systematically favoring whichever row
+   happens to run second — so perf_gate.py's recorder ratio compares
+   like with like. The shuffle seed is fixed: runs stay reproducible,
+   just not declaration-ordered. *)
 let measure_benchmarks () =
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None () in
   let ols =
@@ -229,24 +231,24 @@ let measure_benchmarks () =
   Array.iter
     (fun (name, fn) ->
       let t0 = Unix.gettimeofday () in
+      let calls = ref 0 in
       while Unix.gettimeofday () -. t0 < 0.05 do
+        fn ();
+        incr calls
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to !calls do
         fn ()
       done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int !calls in
       let test =
         Test.make_grouped ~name:"bounded-registers"
           [ Test.make ~name (Staged.stage fn) ]
       in
-      let raw =
-        Benchmark.all cfg
-          [ Instance.monotonic_clock; Instance.minor_allocated ]
-          test
-      in
+      let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
       let times = Analyze.all ols Instance.monotonic_clock raw in
-      let allocs = Analyze.all ols Instance.minor_allocated raw in
       Hashtbl.iter
-        (fun key _ ->
-          rows :=
-            (key, estimate_of times key, estimate_of allocs key) :: !rows)
+        (fun key _ -> rows := (key, estimate_of times key, words) :: !rows)
         times)
     order;
   List.sort (fun (a, _, _) (b, _, _) -> compare a b) !rows
@@ -254,7 +256,7 @@ let measure_benchmarks () =
 let run_benchmarks () =
   Format.printf
     "------------------------------------------------------------------@\n\
-     Bechamel timings (monotonic clock + minor words, OLS per call)@\n\
+     Bechamel timings (monotonic clock, OLS per call; minor words per call)@\n\
      ------------------------------------------------------------------@\n";
   measure_benchmarks ()
   |> List.iter (fun (name, ns, words) ->
@@ -266,369 +268,4 @@ let run_benchmarks () =
          Format.printf "  %12.0f mw/call@\n" words);
   Format.printf "@\n"
 
-(* ------------------------------------------------------------------ *)
-(* --json FILE: machine-readable perf snapshot for tracking across PRs. *)
-
-let explorer_variants () =
-  let run ~dedup ~por =
-    (Sched.Explore.explore ~dedup ~por ~init:explore_workload_init
-       (fun _ -> ()))
-      .Sched.Explore.stats
-  in
-  [
-    ("dedup+por", run ~dedup:true ~por:true);
-    ("dedup", run ~dedup:true ~por:false);
-    ("por", run ~dedup:false ~por:true);
-    ("raw", run ~dedup:false ~por:false);
-  ]
-
-let json_stats b (s : Sched.Explore.stats) =
-  Printf.bprintf b
-    "{\"nodes\": %d, \"terminals\": %d, \"deduped\": %d, \"pruned\": %d, \
-     \"truncated\": %d, \"peak_depth\": %d}"
-    s.Sched.Explore.nodes s.Sched.Explore.terminals s.Sched.Explore.deduped
-    s.Sched.Explore.pruned s.Sched.Explore.truncated
-    s.Sched.Explore.peak_depth
-
-(* Chaos-campaign counters: throughput of the sound sweep and shrink
-   quality on the published frontier counterexample (seed 127). *)
-let chaos_stats () =
-  let module C = Msgpass.Chaos in
-  let t0 = Unix.gettimeofday () in
-  let sound = C.campaign ~seed:1 ~runs:50 (C.sound ()) in
-  let sound_s = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let frontier = C.campaign ~seed:127 ~runs:1 (C.frontier ()) in
-  let frontier_s = Unix.gettimeofday () -. t0 in
-  (sound, sound_s, frontier, frontier_s)
-
-let json_chaos b =
-  let module C = Msgpass.Chaos in
-  let sound, sound_s, frontier, frontier_s = chaos_stats () in
-  Printf.bprintf b
-    "    \"sound\": {\"runs\": %d, \"violations\": %d, \"fault_events\": %d, \
-     \"completed_ops\": %d, \"events_per_sec\": %.0f},\n"
-    sound.C.runs sound.C.violations sound.C.total_events
-    sound.C.total_completed
-    (float_of_int sound.C.total_events /. sound_s);
-  match frontier.C.first with
-  | None ->
-      Printf.bprintf b
-        "    \"frontier\": {\"runs\": %d, \"violations\": %d}\n"
-        frontier.C.runs frontier.C.violations
-  | Some f ->
-      Printf.bprintf b
-        "    \"frontier\": {\"seed\": %d, \"plan_events\": %d, \
-         \"shrunk_events\": %d, \"shrunk_deliveries\": %d, \
-         \"shrink_replays\": %d, \"find_and_shrink_sec\": %.2f}\n"
-        f.C.seed
-        (Array.length f.C.original.C.plan)
-        (List.length f.C.shrunk)
-        (Msgpass.Faults.deliveries f.C.shrunk)
-        f.C.shrink_tests frontier_s
-
-(* Supervision counters: exhaustive-vs-degraded behaviour of the budgeted
-   paths — a node-capped exploration resumed to completion (terminal
-   counts must reconcile with the unbudgeted run), a harness check forced
-   into sampled coverage, and a chaos campaign stopped by a deadline. *)
-let supervision_stats b =
-  let module E = Sched.Explore in
-  let module B = Sched.Budget in
-  let full =
-    E.explore ~dedup:false ~por:false ~init:explore_workload_init
-      (fun _ -> ())
-  in
-  let budget = B.make ~max_nodes:20_000 () in
-  let segments = ref 0 in
-  let resumed_terminals = ref 0 in
-  let rec drain resume =
-    incr segments;
-    let r =
-      E.explore ~dedup:false ~por:false ~budget ?resume
-        ~init:explore_workload_init (fun _ -> incr resumed_terminals)
-    in
-    match r.E.outcome with
-    | E.Complete -> ()
-    | E.Exhausted { frontier; _ } -> drain (Some frontier)
-  in
-  drain None;
-  Printf.bprintf b
-    "    \"explore\": {\"full_terminals\": %d, \"budget_max_nodes\": 20000, \
-     \"segments\": %d, \"resumed_terminals\": %d, \"resume_exact\": %b},\n"
-    full.E.stats.E.terminals !segments !resumed_terminals
-    (!resumed_terminals = full.E.stats.E.terminals);
-  let task =
-    Tasks.Eps_agreement.task ~n:2 ~k:(Core.Alg1_one_bit.denominator ~k:4)
-  in
-  let algorithm = Core.Alg1_one_bit.algorithm ~k:4 in
-  (match
-     H.check_supervised ~task ~algorithm ~max_crashes:1
-       ~budget:(B.make ~max_nodes:400 ())
-       ()
-   with
-  | H.Verified_exhaustive _ ->
-      Printf.bprintf b "    \"harness\": {\"verdict\": \"exhaustive\"},\n"
-  | H.Verified_sampled (_, c) ->
-      Printf.bprintf b
-        "    \"harness\": {\"verdict\": \"sampled\", \"explored\": %d, \
-         \"frontier\": %d, \"sampled\": %d, \"stop\": %S},\n"
-        c.H.explored c.H.frontier c.H.sampled
-        (B.stop_reason_to_string c.H.stop)
-  | H.Violation _ ->
-      Printf.bprintf b "    \"harness\": {\"verdict\": \"violation\"},\n");
-  let module C = Msgpass.Chaos in
-  let degraded = C.campaign ~deadline:0.05 ~seed:1 ~runs:100_000 (C.sound ()) in
-  Printf.bprintf b
-    "    \"chaos_deadline\": {\"requested\": %d, \"completed\": %d, \
-     \"degraded\": %b, \"violations\": %d}\n"
-    degraded.C.requested degraded.C.runs degraded.C.degraded
-    degraded.C.violations
-
-(* Parallel scaling: the raw-undo 3x4 exploration and a 200-run sound
-   chaos campaign at jobs in {1, 2, 4, 8}. The digest is an
-   order-insensitive checksum over terminal-state signatures (native-int
-   wraparound addition is commutative and associative, so the total is
-   independent of visit order); raw mode visits every schedule exactly
-   once globally, so equal digests across jobs values certify that the
-   partitioned runs reached byte-identical terminal-state multisets. *)
-let jobs_measured = [ 1; 2; 4; 8 ]
-
-let terminal_digest st acc =
-  acc
-  + Hashtbl.hash
-      ( Array.to_list (Sched.Scheduler.decisions st),
-        Array.to_list (Sched.Memory.contents (Sched.Scheduler.memory st)),
-        Sched.Scheduler.crashed st )
-
-let parallel_stats b =
-  let module C = Msgpass.Chaos in
-  let explore_row jobs =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Sched.Par.explore ~dedup:false ~por:false ~jobs
-        ~init:explore_workload_init ~fold:terminal_digest ~merge:( + ) 0
-    in
-    let sec = Unix.gettimeofday () -. t0 in
-    (jobs, sec, r.Sched.Par.stats.Sched.Explore.terminals, r.Sched.Par.value)
-  in
-  let chaos_row jobs =
-    let t0 = Unix.gettimeofday () in
-    let c = C.campaign ~jobs ~seed:1 ~runs:200 (C.sound ()) in
-    let sec = Unix.gettimeofday () -. t0 in
-    (jobs, sec, Format.asprintf "%a" C.pp_campaign c)
-  in
-  let explore_rows = List.map explore_row jobs_measured in
-  let chaos_rows = List.map chaos_row jobs_measured in
-  let sec_of jobs rows =
-    List.find_map (fun (j, sec, _, _) -> if j = jobs then Some sec else None)
-      rows
-    |> Option.get
-  in
-  let chaos_sec_of jobs =
-    List.find_map
-      (fun (j, sec, _) -> if j = jobs then Some sec else None)
-      chaos_rows
-    |> Option.get
-  in
-  let all_equal = function
-    | [] -> true
-    | x :: rest -> List.for_all (( = ) x) rest
-  in
-  let deterministic =
-    all_equal (List.map (fun (_, _, t, d) -> (t, d)) explore_rows)
-    && all_equal (List.map (fun (_, _, v) -> v) chaos_rows)
-  in
-  Printf.bprintf b "    \"explore_raw_3x4\": [\n";
-  List.iteri
-    (fun i (jobs, sec, terminals, digest) ->
-      Printf.bprintf b
-        "      {\"jobs\": %d, \"sec\": %.4f, \"terminals\": %d, \"digest\": \
-         %d}%s\n"
-        jobs sec terminals digest
-        (if i = List.length explore_rows - 1 then "" else ","))
-    explore_rows;
-  Printf.bprintf b "    ],\n    \"chaos_sound_200\": [\n";
-  List.iteri
-    (fun i (jobs, sec, verdict) ->
-      Printf.bprintf b "      {\"jobs\": %d, \"sec\": %.4f, \"campaign\": %S}%s\n"
-        jobs sec verdict
-        (if i = List.length chaos_rows - 1 then "" else ","))
-    chaos_rows;
-  Printf.bprintf b
-    "    ],\n\
-    \    \"explore_speedup_j4\": %.2f,\n\
-    \    \"chaos_speedup_j4\": %.2f,\n\
-    \    \"deterministic\": %b\n"
-    (sec_of 1 explore_rows /. sec_of 4 explore_rows)
-    (chaos_sec_of 1 /. chaos_sec_of 4)
-    deterministic
-
-(* Fleet counters: a short deterministic coverage-guided campaign on the
-   frontier configuration (fixed seed, fixed generation count, in-memory
-   corpus). mutant_new_signals is the dead-mutator guard the bench gate
-   checks: mutated corpus plans must keep moving coverage signals, or the
-   mutation engine has silently stopped contributing. *)
-let fleet_stats b =
-  let module F = Msgpass.Fleet in
-  let module C = Msgpass.Chaos in
-  let t0 = Unix.gettimeofday () in
-  let r = F.campaign ~generations:150 ~batch:16 ~seed:9 (C.frontier ()) in
-  let sec = Unix.gettimeofday () -. t0 in
-  let min_deliveries =
-    List.fold_left
-      (fun m (w : F.witness) -> min m w.F.deliveries)
-      max_int r.F.witnesses
-  in
-  Printf.bprintf b
-    "    \"frontier_g150\": {\"seed\": %d, \"generations\": %d, \"runs\": \
-     %d, \"violations\": %d, \"witness_classes\": %d, \
-     \"min_witness_deliveries\": %d, \"new_signals\": %d, \
-     \"mutant_new_signals\": %d, \"distinct_terminals\": %d, \
-     \"corpus_plans\": %d, \"cache_lookups\": %d, \"cache_hits\": %d, \
-     \"runs_per_sec\": %.0f},\n"
-    r.F.seed r.F.generations r.F.runs r.F.violations
-    (List.length r.F.witnesses)
-    (if min_deliveries = max_int then 0 else min_deliveries)
-    r.F.signals r.F.mutant_signals r.F.distinct_terminals r.F.corpus_size
-    r.F.cache_lookups r.F.cache_hits
-    (float_of_int r.F.runs /. sec);
-  (* Cache-effectiveness leg: a corpus-backed base campaign, then a
-     second campaign resumed over the same directory. The resume
-     re-executes every corpus plan once to pre-fill the run cache, so
-     mutants that reproduce known content answer from the cache —
-     bench_gate.py's cache-liveness guard reads this row. A fresh
-     in-memory campaign (the row above) legitimately records zero hits:
-     with duplicate-class shrinks skipped there are no confirmation
-     replays left to hit, so liveness is only observable on a resume. *)
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bench-fleet-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  ignore
-    (F.campaign ~generations:60 ~batch:16 ~seed:9 ~corpus_dir:dir
-       (C.frontier ())
-      : F.report);
-  let rr =
-    F.campaign ~generations:20 ~batch:16 ~seed:11 ~corpus_dir:dir
-      (C.frontier ())
-  in
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  Sys.rmdir dir;
-  Printf.bprintf b
-    "    \"resume_g20\": {\"seed\": %d, \"generations\": %d, \"runs\": %d, \
-     \"corpus_plans\": %d, \"cache_lookups\": %d, \"cache_hits\": %d}\n"
-    rr.F.seed rr.F.generations rr.F.runs rr.F.corpus_size rr.F.cache_lookups
-    rr.F.cache_hits
-
-(* Churn counters: the dynamic-membership emulation (Dynreg) under a
-   sound churn schedule — slack covers the rate, so every seeded run
-   must stay linearizable — and the churn-frontier preset on its
-   published counterexample seed, where above-bound churn with
-   unwidened quorums must surface a stale read and shrink it to a
-   replayable plan. bench_gate.py fails the build if either side
-   flips. *)
-let churn_stats b =
-  let module C = Msgpass.Chaos in
-  let t0 = Unix.gettimeofday () in
-  let sound = C.campaign ~seed:1 ~runs:50 (C.churn ()) in
-  let sound_s = Unix.gettimeofday () -. t0 in
-  Printf.bprintf b
-    "    \"sound\": {\"runs\": %d, \"violations\": %d, \"fault_events\": %d, \
-     \"completed_ops\": %d, \"events_per_sec\": %.0f},\n"
-    sound.C.runs sound.C.violations sound.C.total_events
-    sound.C.total_completed
-    (float_of_int sound.C.total_events /. sound_s);
-  let frontier = C.campaign ~seed:29 ~runs:1 (C.churn_frontier ()) in
-  match frontier.C.first with
-  | None ->
-      Printf.bprintf b
-        "    \"frontier\": {\"runs\": %d, \"violations\": %d}\n"
-        frontier.C.runs frontier.C.violations
-  | Some f ->
-      Printf.bprintf b
-        "    \"frontier\": {\"seed\": %d, \"violations\": %d, \
-         \"plan_events\": %d, \"shrunk_events\": %d, \
-         \"shrunk_churn_actions\": %d, \"shrink_replays\": %d}\n"
-        f.C.seed frontier.C.violations
-        (Array.length f.C.original.C.plan)
-        (List.length f.C.shrunk)
-        (List.length
-           (List.filter
-              (function
-                | Msgpass.Faults.Enter _ | Msgpass.Faults.Leave _ -> true
-                | _ -> false)
-              f.C.shrunk))
-        f.C.shrink_tests
-
-let write_json file rows =
-  (* The embedded metrics snapshot covers the deterministic counter
-     workloads below (explorer variants, chaos campaigns, supervision) —
-     not the Bechamel timing loops, whose iteration counts vary run to
-     run (and which run before this point, with hot tallies off, so the
-     timed paths stay untelemetered). Resetting here makes the snapshot
-     comparable across PRs. *)
-  Obs.Metrics.reset ();
-  Obs.Metrics.hot := true;
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, ns, words) ->
-      Printf.bprintf b
-        "    {\"name\": %S, \"ns_per_call\": %.2f, \
-         \"minor_words_per_call\": %.2f}%s\n"
-        name ns words
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf b "  ],\n  \"explorer\": {\n";
-  Printf.bprintf b "    \"workload\": \"3 processes x 4 writes each\",\n";
-  let variants = explorer_variants () in
-  List.iteri
-    (fun i (name, stats) ->
-      Printf.bprintf b "    %S: " name;
-      json_stats b stats;
-      Printf.bprintf b "%s\n"
-        (if i = List.length variants - 1 then "" else ","))
-    variants;
-  Printf.bprintf b "  },\n  \"chaos\": {\n";
-  json_chaos b;
-  Printf.bprintf b "  },\n  \"supervision\": {\n";
-  supervision_stats b;
-  Printf.bprintf b "  },\n  \"parallel\": {\n";
-  parallel_stats b;
-  Printf.bprintf b "  },\n  \"fleet\": {\n";
-  fleet_stats b;
-  Printf.bprintf b "  },\n  \"churn\": {\n";
-  churn_stats b;
-  Printf.bprintf b "  },\n  \"meta\": {\n";
-  Printf.bprintf b "    \"ocaml_version\": %S,\n" Sys.ocaml_version;
-  Printf.bprintf b "    \"recommended_domain_count\": %d,\n"
-    (Domain.recommended_domain_count ());
-  Printf.bprintf b "    \"jobs_measured\": [%s]\n"
-    (String.concat ", " (List.map string_of_int jobs_measured));
-  Printf.bprintf b "  },\n  \"metrics\": ";
-  Buffer.add_string b (Obs.Metrics.snapshot_string ());
-  Printf.bprintf b "\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.printf "wrote %s@\n" file
-
-let json_target () =
-  let argv = Sys.argv in
-  let rec scan i =
-    if i >= Array.length argv then None
-    else if argv.(i) = "--json" then
-      if i + 1 < Array.length argv then Some argv.(i + 1)
-      else Some "BENCH_PR6.json"
-    else scan (i + 1)
-  in
-  scan 1
-
-let () =
-  match json_target () with
-  | Some file -> write_json file (measure_benchmarks ())
-  | None -> run_benchmarks ()
+let () = run_benchmarks ()

@@ -1013,10 +1013,10 @@ let trace_cmd =
 let report_cmd =
   let doc =
     "Render a self-contained health report from telemetry artifacts: a \
-     trace (jsonl, catapult, or a flight-recorder dump), a --metrics \
-     snapshot, and/or a BENCH_*.json — event-category counts, span \
-     rollups, verdicts, witness inventory, coverage-over-time curves and \
-     histogram percentiles, as Markdown or HTML."
+     trace (jsonl, catapult, or a flight-recorder dump) and/or a \
+     --metrics snapshot — event-category counts, span rollups, verdicts, \
+     witness inventory, coverage-over-time curves and histogram \
+     percentiles, as Markdown or HTML."
   in
   let trace_arg =
     Arg.(
@@ -1031,12 +1031,6 @@ let report_cmd =
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:"Metrics snapshot written by --metrics.")
   in
-  let bench_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench" ] ~docv:"FILE" ~doc:"A BENCH_*.json document.")
-  in
   let out_arg =
     Arg.(
       value & opt string "-"
@@ -1049,10 +1043,9 @@ let report_cmd =
       & info [ "html" ] ~doc:"Render HTML (inline SVG curves) instead of \
                               Markdown.")
   in
-  let run trace metrics bench out html =
-    if trace = None && metrics = None && bench = None then begin
-      Format.eprintf
-        "nothing to report on: pass a trace file, --metrics or --bench@.";
+  let run trace metrics out html =
+    if trace = None && metrics = None then begin
+      Format.eprintf "nothing to report on: pass a trace file or --metrics@.";
       exit 1
     end;
     let read_file what file =
@@ -1070,8 +1063,7 @@ let report_cmd =
           exit 1
     in
     let metrics = Option.map (parse_json "metrics snapshot") metrics in
-    let bench = Option.map (parse_json "bench JSON") bench in
-    let blocks = Obs.Report.of_sources ?metrics ?bench events in
+    let blocks = Obs.Report.of_sources ?metrics events in
     let rendered =
       if html then Obs.Report.to_html blocks
       else Obs.Report.to_markdown blocks
@@ -1082,7 +1074,7 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ trace_arg $ metrics_arg $ bench_arg $ out_arg $ html_arg)
+      const run $ trace_arg $ metrics_arg $ out_arg $ html_arg)
 
 let dot_cmd =
   let doc =

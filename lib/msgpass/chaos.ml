@@ -817,29 +817,6 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
     "chaos.campaign";
   c
 
-type verdict =
-  | Verified_sampled of { runs : int; requested : int }
-  | Violation of found
-
-let verdict c =
-  match c.first with
-  | Some f -> Violation f
-  | None -> Verified_sampled { runs = c.runs; requested = c.requested }
-
-let pp_verdict ppf = function
-  | Verified_sampled { runs; requested } ->
-      if runs = requested then
-        Format.fprintf ppf "verified (sampled): %d/%d runs linearizable" runs
-          requested
-      else
-        Format.fprintf ppf
-          "verified (sampled, DEGRADED by deadline): %d/%d runs linearizable"
-          runs requested
-  | Violation f ->
-      Format.fprintf ppf "violation at seed %d: %a" f.seed
-        (L.pp_verdict Format.pp_print_int)
-        f.shrunk_outcome.verdict
-
 let pp_campaign ppf c =
   Format.fprintf ppf
     "%d runs, %d violation(s), %d fault events, %d completed ops" c.runs

@@ -199,13 +199,4 @@ val campaign :
     inherently depends on the pool; the fold still consumes a contiguous
     seed prefix and stops at the first skipped run. *)
 
-type verdict =
-  | Verified_sampled of { runs : int; requested : int }
-      (** no violation in [runs] seeded runs; [runs < requested] means the
-          deadline degraded the campaign *)
-  | Violation of found  (** a nonlinearizable run, shrunk and replayed *)
-
-val verdict : campaign -> verdict
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val pp_campaign : Format.formatter -> campaign -> unit

@@ -758,8 +758,9 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
      duplicate run of an already-witnessed class is recognizable before
      any ddmin replay. In a violation-dense campaign (the frontier finds
      the same stale read dozens of times) shrinking every duplicate is
-     the dominant cost of the whole fleet; skipping it is what the
-     throughput gate in scripts/bench_gate.py measures. A duplicate
+     the dominant cost of the whole fleet; skipping it is what
+     fleet-frontier's work_per_s level check in scripts/perf_gate.py
+     guards. A duplicate
      still re-enters the shrinker when its own run is already strictly
      smaller than the kept witness — ddmin only deletes actions, so only
      then can re-shrinking improve the published plan. *)

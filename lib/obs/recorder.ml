@@ -106,6 +106,10 @@ let dump ?(dir = Filename.current_dir_name) ?since ~reason () =
   if recorded = [] then None
   else
     let file = Filename.concat dir (Printf.sprintf "flight-%s.jsonl" reason) in
+    (* Unlink, never truncate: on some filesystems truncating an
+       allocated file costs tens of milliseconds, a fresh create does
+       not, and every campaign's first violation rewrites this file. *)
+    (try Sys.remove file with Sys_error _ -> ());
     match open_out file with
     | exception Sys_error _ -> None
     | oc ->

@@ -45,8 +45,10 @@ val dump : ?dir:string -> ?since:mark -> reason:string -> unit -> string option
     each prefixed with a ["dom"] field naming the recording domain; the
     main domain's events come first, oldest first; with [since], only
     those recorded after that mark (a ring created since gives all of
-    its own). Returns the path, or [None] when nothing was recorded or
-    the write failed — a dump is best-effort and never raises. *)
+    its own). An earlier dump for the same [reason] is unlinked first,
+    never truncated in place. Returns the path, or [None] when nothing
+    was recorded or the write failed — a dump is best-effort and never
+    raises. *)
 
 val events : ?since:mark -> unit -> (int * Sink.event) list
 (** Current contents of all rings, as [(domain, event)] pairs in dump

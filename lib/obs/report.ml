@@ -1,8 +1,8 @@
 (* The health-report renderer: fold telemetry artifacts (a trace's
-   events, a metrics snapshot, a bench JSON) into a small block
-   document, then print that document as Markdown or self-contained
-   HTML. Pure — no I/O, no clocks — so a report over fixed inputs is
-   byte-identical, like every other artifact in this repo. *)
+   events and a metrics snapshot) into a small block document, then
+   print that document as Markdown or self-contained HTML. Pure — no
+   I/O, no clocks — so a report over fixed inputs is byte-identical,
+   like every other artifact in this repo. *)
 
 type table = { headers : string list; rows : string list list }
 type curve = { title : string; points : (int * float) list }
@@ -195,7 +195,7 @@ let coverage_section events =
   in
   if curves = [] then [] else Heading (2, "Coverage over time") :: curves
 
-(* {2 Metrics and bench sections} *)
+(* {2 Metrics section} *)
 
 let int_member j k =
   match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
@@ -249,48 +249,14 @@ let metrics_section metrics =
       in
       counters @ histograms
 
-let bench_section bench =
-  match bench with
-  | None -> []
-  | Some doc -> (
-      match Json.member "benchmarks" doc with
-      | Some (Json.List rows) ->
-          let rendered =
-            List.filter_map
-              (fun row ->
-                match
-                  (Json.member "name" row, Json.member "ns_per_call" row)
-                with
-                | Some (Json.Str name), Some ns ->
-                    let minor =
-                      match Json.member "minor_words_per_call" row with
-                      | Some v -> Json.to_string v
-                      | None -> "-"
-                    in
-                    Some [ name; Json.to_string ns; minor ]
-                | _ -> None)
-              rows
-          in
-          if rendered = [] then []
-          else
-            [
-              Heading (2, "Benchmarks");
-              Table
-                {
-                  headers = [ "benchmark"; "ns/call"; "minor words/call" ];
-                  rows = rendered;
-                };
-            ]
-      | _ -> [])
-
 let summary events =
   if events = [] then [ Para "No trace events." ]
   else overview_section events @ rollup_section events
 
-let of_sources ?metrics ?bench events =
+let of_sources ?metrics events =
   (Heading (1, "boundedreg health report") :: meta_section events)
   @ summary events @ verdict_section events @ witness_section events
-  @ coverage_section events @ metrics_section metrics @ bench_section bench
+  @ coverage_section events @ metrics_section metrics
 
 (* {2 Markdown} *)
 

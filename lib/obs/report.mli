@@ -1,12 +1,12 @@
 (** Health-report rendering over telemetry artifacts.
 
-    Folds a trace's events plus (optionally) a {!Metrics} snapshot and a
-    bench JSON into a small block document, rendered as Markdown or
-    self-contained HTML: per-category and per-event-name counts, span
-    rollups, chaos-run verdicts, the fleet's witness inventory,
-    coverage-over-time curves (from [fleet.health] / [explore.progress]
-    instants), histogram percentiles, and benchmark rows. Pure and deterministic: fixed inputs
-    give byte-identical output. The [boundedreg report] subcommand is a
+    Folds a trace's events plus (optionally) a {!Metrics} snapshot into
+    a small block document, rendered as Markdown or self-contained HTML:
+    per-category and per-event-name counts, span rollups, chaos-run
+    verdicts, the fleet's witness inventory, coverage-over-time curves
+    (from [fleet.health] / [explore.progress] instants) and histogram
+    percentiles. Pure and deterministic: fixed inputs give
+    byte-identical output. The [boundedreg report] subcommand is a
     thin wrapper over this module. *)
 
 type table = { headers : string list; rows : string list list }
@@ -25,11 +25,10 @@ val summary : Sink.event list -> block list
     track). This is what [boundedreg trace summary] prints after
     validating a trace. *)
 
-val of_sources : ?metrics:Json.t -> ?bench:Json.t -> Sink.event list -> block list
+val of_sources : ?metrics:Json.t -> Sink.event list -> block list
 (** Build the report document. [metrics] is a {!Metrics.snapshot} value;
-    [bench] a [BENCH_*.json] document. Sections for absent inputs are
-    omitted. Histogram rows read the snapshot's [p50]/[p90]/[p99]
-    fields. *)
+    its sections are omitted when it is absent. Histogram rows read the
+    snapshot's [p50]/[p90]/[p99] fields. *)
 
 val to_markdown : block list -> string
 (** Curves render as unicode sparklines. *)

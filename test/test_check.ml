@@ -304,10 +304,11 @@ let test_frontier_seed_127 () =
 (* [C.shrink] memoizes probes on the compiled plan; the reference replays
    every probe with [run_plan] under the list ddmin. They must agree on
    the witness and on the probe count — on the static fleet and on the
-   dynamic one, both pooled. *)
+   dynamic one, both pooled. The churn witness must keep an enter or a
+   leave: without one, its violation no longer depends on churn. *)
 let test_shrink_vs_reference () =
   List.iter
-    (fun (name, config, seed) ->
+    (fun (name, config, seed, churn) ->
       let o = C.run_random ~seed config in
       let plan = Msgpass.Faults.decompile o.C.plan in
       let got, k = C.shrink config plan in
@@ -318,10 +319,17 @@ let test_shrink_vs_reference () =
       in
       Alcotest.(check bool) (name ^ " fails") true (C.failed o);
       Alcotest.(check int) (name ^ ": probes") k' k;
-      Alcotest.(check bool) (name ^ ": same witness") true (got = want))
+      Alcotest.(check bool) (name ^ ": same witness") true (got = want);
+      if churn then
+        Alcotest.(check bool) (name ^ ": keeps an enter or a leave") true
+          (List.exists
+             (function
+               | Msgpass.Faults.Enter _ | Msgpass.Faults.Leave _ -> true
+               | _ -> false)
+             got))
     [
-      ("frontier seed 127", C.frontier (), 127);
-      ("churn-frontier seed 29", C.churn_frontier (), 29);
+      ("frontier seed 127", C.frontier (), 127, false);
+      ("churn-frontier seed 29", C.churn_frontier (), 29, true);
     ]
 
 (* One pool serves both fleets and keys an instance on the fields it

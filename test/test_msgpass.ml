@@ -1251,6 +1251,59 @@ let test_fleet_witness_dedup_and_replay () =
     (List.length r2.F.witnesses);
   rm_rf dir
 
+(* Dead-mutator guard: a 150-generation frontier fleet must credit new
+   coverage signals to mutated or crossed-over corpus plans, and some of
+   them to mutation alone: a corpus entry of origin [mut:P@gG] whose plan
+   differs from its parent P's. Replaying a parent unchanged can still
+   reach a new terminal state, and crossovers keep [mutant_signals] up,
+   so neither notices when [Faults.mutate] stops mutating. *)
+let test_fleet_mutator_alive () =
+  let module F = Msgpass.Fleet in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-fleet-mutator"
+  in
+  rm_rf dir;
+  let r =
+    F.campaign ~generations:150 ~batch:16 ~seed:9 ~corpus_dir:dir
+      (Msgpass.Chaos.frontier ())
+  in
+  let entries =
+    match F.load_corpus dir with Ok e -> e | Error e -> Alcotest.fail e
+  in
+  rm_rf dir;
+  Alcotest.(check bool) "mutants find new coverage" true
+    (r.F.mutant_signals > 0);
+  let plan_of id =
+    (List.find (fun (e : F.entry) -> e.F.id = id) entries).F.plan
+  in
+  let mutated (e : F.entry) =
+    match Scanf.sscanf_opt e.F.origin "mut:%d@g%_d%!" Fun.id with
+    | Some parent -> e.F.plan <> plan_of parent
+    | None -> false
+  in
+  Alcotest.(check bool) "a mutated plan finds new coverage" true
+    (List.exists mutated entries)
+
+(* Run-cache liveness: a campaign resumed over a corpus another campaign
+   filled pre-fills the cache from every corpus plan it re-executes, so
+   its mutants must probe the cache and get at least one answer. A fresh
+   in-memory campaign legitimately records no hit. *)
+let test_fleet_cache_alive () =
+  let module F = Msgpass.Fleet in
+  let config = Msgpass.Chaos.frontier () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-fleet-cache"
+  in
+  rm_rf dir;
+  ignore
+    (F.campaign ~generations:60 ~batch:16 ~seed:9 ~corpus_dir:dir config
+      : F.report);
+  let r = F.campaign ~generations:20 ~batch:16 ~seed:11 ~corpus_dir:dir config in
+  rm_rf dir;
+  Alcotest.(check bool) "the resume probes the cache" true
+    (r.F.cache_lookups > 0);
+  Alcotest.(check bool) "the resume hits the cache" true (r.F.cache_hits > 0)
+
 (* Two campaigns in one process: the second one's first-violation dump
    opens with its own fleet.campaign Begin and holds no event of the
    first — not even the pool events an earlier parallel run left in the
@@ -2076,6 +2129,10 @@ let () =
             test_fleet_jobs_invariant;
           Alcotest.test_case "fleet dedups, replays and resumes witnesses"
             `Quick test_fleet_witness_dedup_and_replay;
+          Alcotest.test_case "fleet mutants find coverage" `Quick
+            test_fleet_mutator_alive;
+          Alcotest.test_case "fleet run cache answers a resume" `Quick
+            test_fleet_cache_alive;
           Alcotest.test_case "parallel campaigns match sequential" `Quick
             test_chaos_jobs_invariant;
           Alcotest.test_case "fleet dumps are scoped to their campaign"

@@ -472,6 +472,36 @@ let test_recorder_dump_since () =
     (render (Obs.Recorder.events ())) (dump_lines None);
   Obs.Recorder.clear ()
 
+(* A second, shorter dump for the same reason replaces the first: the
+   file holds exactly the second dump's lines, none of the first's tail. *)
+let test_recorder_dump_replaces () =
+  Obs.Recorder.clear ();
+  let dir = Filename.get_temp_dir_name () in
+  let dump_text () =
+    match Obs.Recorder.dump ~dir ~reason:"replace-test" () with
+    | None -> Alcotest.fail "dump returned no path"
+    | Some path -> In_channel.with_open_text path In_channel.input_all
+  in
+  for i = 1 to 50 do
+    Obs.Span.instant ~cat:"app" ~args:[ ("i", J.Int i) ] "long"
+  done;
+  let first = dump_text () in
+  Obs.Recorder.clear ();
+  Obs.Span.instant ~cat:"app" "short";
+  let expected =
+    String.concat ""
+      (List.map
+         (fun (dom, e) ->
+           J.to_string (J.Obj (("dom", J.Int dom) :: S.event_fields e)) ^ "\n")
+         (Obs.Recorder.events ()))
+  in
+  let second = dump_text () in
+  Alcotest.(check bool) "second dump is shorter" true
+    (String.length second < String.length first);
+  Alcotest.(check string) "file holds exactly the second dump" expected second;
+  Sys.remove (Filename.concat dir "flight-replace-test.jsonl");
+  Obs.Recorder.clear ()
+
 (* Worker-domain events surface on the main domain: after the join each
    parallel unit's captured events replay just before its [k], in
    unit-index order, re-stamped by the main domain's clock — the trace
@@ -955,6 +985,8 @@ let () =
           Alcotest.test_case "events-of-string" `Quick test_events_of_string;
           QCheck_alcotest.to_alcotest prop_trace_reader_survives_byte_edits;
           Alcotest.test_case "recorder-ring" `Quick test_recorder_ring;
+          Alcotest.test_case "recorder-dump-replaces" `Quick
+            test_recorder_dump_replaces;
           Alcotest.test_case "recorder-dump-since" `Quick
             test_recorder_dump_since;
           Alcotest.test_case "worker-drain" `Quick test_worker_event_drain;

@@ -497,8 +497,8 @@ let prop_compiled_equals_free_monad =
 
 (* Parallel digests: an order-insensitive digest of the terminal
    signatures (native-int wraparound sum of deep structural hashes, as
-   the bench and the CLI compute it) must be identical at every pool
-   width, with and without crashes. *)
+   the CLI computes it) must be identical at every pool width, with and
+   without crashes. *)
 let prop_par_digest_width_invariant =
   QCheck.Test.make ~name:"par: terminal digest invariant across jobs"
     ~count:20
@@ -536,7 +536,7 @@ let prop_par_digest_width_invariant =
           .Sched.Par.value
       in
       let d1 = digest 1 in
-      d1 = digest 2)
+      List.for_all (fun jobs -> digest jobs = d1) [ 2; 4; 8 ])
 
 (* Trace replay: any random execution is reproduced exactly from its own
    schedule. *)
