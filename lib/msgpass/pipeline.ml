@@ -1,5 +1,4 @@
 module P = Sched.Program
-open P.Infix
 
 type register = { data : Alt_bit.field array; acks : int array }
 
@@ -40,14 +39,27 @@ let compile ~n ~t ?(chunk = 1) ~value ~input ~init ~program ~me () =
   (* Mutable per-run state, hence the [Stateful] root below. *)
   let router = Router.create ~topology ~me in
   let interp, first = Interp.create ~n ~t ~me ~init ~program in
-  let senders = List.map (fun s -> (s, Alt_bit.sender ~chunk)) succs in
-  let receivers = List.map (fun p -> (p, Alt_bit.receiver ())) preds in
+  (* Each link carries [me]'s slot in the neighbour's register, so a read
+     indexes the register directly. *)
+  let slot_in neighbours = position_of me neighbours in
+  let senders =
+    List.map
+      (fun s ->
+        (s, Alt_bit.sender ~chunk, slot_in (Topology.predecessors topology s)))
+      succs
+  in
+  let receivers =
+    List.map
+      (fun p ->
+        (p, Alt_bit.receiver (), slot_in (Topology.successors topology p)))
+      preds
+  in
   let data =
     Array.of_list (List.map (fun _ -> Alt_bit.initial_field ~chunk) succs)
   in
   let enqueue (succ, envelope) =
-    Alt_bit.send_string (List.assoc succ senders)
-      (env_codec.Wire.to_string envelope)
+    let _, snd_, _ = List.find (fun (s, _, _) -> s = succ) senders in
+    Alt_bit.send_string snd_ (env_codec.Wire.to_string envelope)
   in
   let rec dispatch sends =
     List.iter
@@ -68,51 +80,37 @@ let compile ~n ~t ?(chunk = 1) ~value ~input ~init ~program ~me () =
       deliveries
   in
   dispatch first;
-  let my_slot_at_pred p = position_of me (Topology.successors topology p) in
-  let my_slot_at_succ s = position_of me (Topology.predecessors topology s) in
-  let read_pred (p, recv) =
-    let* reg = P.read p in
-    let field = reg.data.(my_slot_at_pred p) in
-    List.iter
-      (fun str -> handle_incoming (env_codec.Wire.of_string str))
-      (Alt_bit.receiver_poll recv ~data_seen:field);
-    P.return ()
-  in
-  let read_succ index (s, snd_) =
-    let* reg = P.read s in
-    (match
-       Alt_bit.sender_poll snd_ ~ack_seen:reg.acks.(my_slot_at_succ s)
-     with
-    | Some field -> data.(index) <- field
-    | None -> ());
-    P.return ()
-  in
-  let rec read_succs index = function
-    | [] -> P.return ()
-    | link :: rest ->
-        let* () = read_succ index link in
-        read_succs (index + 1) rest
-  in
+  (* The poll loop, in continuation style: read the predecessors, then the
+     successors, publish, [Output] the decision once, repeat. A step
+     allocates one node and one closure — no [bind] layer rewraps it. *)
   let announced = ref false in
-  let rec loop () =
-    let* () = P.iter_list read_pred receivers in
-    let* () = read_succs 0 senders in
-    let reg =
-      {
-        data = Array.copy data;
-        acks =
-          Array.of_list
-            (List.map (fun (_, r) -> Alt_bit.receiver_ack r) receivers);
-      }
-    in
-    let* () = P.write reg in
+  let rec read_preds = function
+    | [] -> read_succs 0 senders
+    | (p, recv, slot) :: rest ->
+        P.Read (p, fun reg ->
+          List.iter
+            (fun str -> handle_incoming (env_codec.Wire.of_string str))
+            (Alt_bit.receiver_poll recv ~data_seen:reg.data.(slot));
+          read_preds rest)
+  and read_succs index = function
+    | [] ->
+        let ack (_, r, _) = Alt_bit.receiver_ack r in
+        let acks = Array.of_list (List.map ack receivers) in
+        P.Write ({ data = Array.copy data; acks }, announce)
+    | (s, snd_, slot) :: rest ->
+        P.Read (s, fun reg ->
+          (match Alt_bit.sender_poll snd_ ~ack_seen:reg.acks.(slot) with
+          | Some field -> data.(index) <- field
+          | None -> ());
+          read_succs (index + 1) rest)
+  and announce () =
     match Interp.decision interp with
     | Some d when not !announced ->
         announced := true;
-        P.output d (loop ())
-    | Some _ | None -> loop ()
+        P.Output (d, fun () -> read_preds receivers)
+    | Some _ | None -> read_preds receivers
   in
-  P.Stateful (loop ())
+  P.Stateful (read_preds receivers)
 
 let algorithm ~n ~t ?(chunk = 1) ~value ~input ~init ~source ~name () =
   {

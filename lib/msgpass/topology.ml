@@ -1,4 +1,5 @@
-type t = { n : int; succs : int list array }
+(* [preds] is stored: the pipeline and the connectivity walks read it often. *)
+type t = { n : int; succs : int list array; preds : int list array }
 
 let augmented_ring ~n ~t =
   if t < 0 || t + 2 > n then
@@ -6,14 +7,16 @@ let augmented_ring ~n ~t =
   let succs =
     Array.init n (fun i -> List.init (t + 1) (fun d -> (i + d + 1) mod n))
   in
-  { n; succs }
+  let preds =
+    Array.init n (fun i ->
+        List.filter (fun j -> List.mem i succs.(j)) (List.init n Fun.id))
+  in
+  { n; succs; preds }
 
 let n t = t.n
 let successors t i = t.succs.(i)
 
-let predecessors t i =
-  List.init t.n (fun j -> j)
-  |> List.filter (fun j -> List.mem i t.succs.(j))
+let predecessors t i = t.preds.(i)
 
 let strongly_connected t ~without =
   let alive = Array.make t.n true in

@@ -43,12 +43,6 @@ let collect n =
   in
   loop 0 []
 
-let rec iter_list f = function
-  | [] -> Return ()
-  | x :: xs ->
-      let* () = f x in
-      iter_list f xs
-
 (* {2 Step-compiled programs} *)
 
 module Compiled = struct

@@ -51,8 +51,6 @@ val collect : int -> ('v, 'i, 'v array) t
 (** [collect n] reads registers [0..n-1] one by one in index order (a
     non-atomic collect, [n] steps). *)
 
-val iter_list : ('a -> ('v, 'i, unit) t) -> 'a list -> ('v, 'i, unit) t
-
 module Infix : sig
   val ( let* ) : ('v, 'i, 'a) t -> ('a -> ('v, 'i, 'b) t) -> ('v, 'i, 'b) t
   val ( let+ ) : ('v, 'i, 'a) t -> ('a -> 'b) -> ('v, 'i, 'b) t
@@ -65,8 +63,8 @@ end
     arrays indexed by a program counter — opcode and register operand
     as ints, continuations resolved to slot indices — so a scheduler's
     inner loop dispatches on [op code pc] with {e zero} allocation per
-    atomic operation. Lowering is lazy and memoized: the first
-    execution of a position invokes the free-monad continuation once
+    atomic operation of memoized code. Lowering is lazy and memoized: the
+    first execution of a position invokes the free-monad continuation once
     (for reads, once per distinct value read, keyed by structural
     equality — sound because protocol code is pure between steps) and
     every later execution is an array read.

@@ -4,8 +4,9 @@ module C = Program.Compiled
 
 (* Execution runs over the step-compiled form ({!Program.Compiled}): a
    process's suspended program is an int program counter into its
-   compiled code, so a step is opcode dispatch plus a couple of array
-   stores — no constructor or closure allocation per atomic op. [start]
+   compiled code, so a step of memoized code is opcode dispatch plus a
+   couple of array stores — no allocation per atomic op. Stateful code
+   runs its continuation on every step: one node and closure each. [start]
    compiles the free-monad programs it is given; [start_compiled] reuses
    code compiled earlier (single-domain reuse only — compiled code
    memoizes in place). Stateful code is claimed by the one run it may
@@ -649,27 +650,32 @@ let run_round_robin ?(max_steps = 1_000_000) t =
     if !budget <= 0 then continue_ := false
   done
 
+(* Allocation-free: a round fires the due crash triggers while counting
+   survivors (walking [status], exact for any [n]), then steps the k-th
+   running pid for k = [Rng.int rng count] — [Rng.pick]'s draw on the
+   ascending [running] list, so every seed keeps its schedule. *)
 let run_random ?(max_steps = 1_000_000) ?(crashes = []) ?(until_outputs = false)
     rng t =
-  let crash_after = Array.make (n t) max_int in
+  let n = n t in
+  let crash_after = Array.make n max_int in
   List.iter (fun (pid, after) -> crash_after.(pid) <- after) crashes;
-  let maybe_crash pid =
-    is_running t pid && t.step_counts.(pid) >= crash_after.(pid)
+  let rec nth_running k pid =
+    if t.status.(pid) <> s_running then nth_running k (pid + 1)
+    else if k > 0 then nth_running (k - 1) (pid + 1)
+    else pid
   in
-  let budget = ref max_steps in
-  let rec loop () =
-    List.iter (fun pid -> if maybe_crash pid then crash t pid) (running t);
-    if not (until_outputs && all_output t) then
-      match running t with
-      | [] -> ()
-      | procs ->
-          if !budget > 0 then begin
-            step t (Bits.Rng.pick rng procs);
-            decr budget;
-            loop ()
-          end
+  let rec loop budget =
+    let count = ref 0 in
+    for pid = 0 to n - 1 do
+      if t.status.(pid) = s_running then
+        if t.step_counts.(pid) >= crash_after.(pid) then crash t pid
+        else incr count
+    done;
+    if !count > 0 && budget > 0 && not (until_outputs && all_output t) then (
+      step t (nth_running (Bits.Rng.int rng !count) 0);
+      loop (budget - 1))
   in
-  loop ()
+  loop max_steps
 
 let run_solo ?(max_steps = 1_000_000) t pid =
   let budget = ref max_steps in

@@ -29,6 +29,25 @@ let test_topology_not_overconnected () =
   Alcotest.(check bool) "t+1 consecutive faults disconnect" false
     (T.strongly_connected ring ~without:[ 1; 2; 3 ])
 
+(* The stored predecessor lists are the in-neighbours in ascending order:
+   the filter over every node's successors. *)
+let test_topology_predecessors () =
+  for n = 2 to 8 do
+    for t = 0 to n - 2 do
+      let ring = T.augmented_ring ~n ~t in
+      for i = 0 to n - 1 do
+        let want =
+          List.filter
+            (fun j -> List.mem i (T.successors ring j))
+            (List.init n Fun.id)
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "n=%d t=%d predecessors %d" n t i)
+          want (T.predecessors ring i)
+      done
+    done
+  done
+
 let test_codec_roundtrip () =
   List.iter
     (fun s ->
@@ -2011,10 +2030,9 @@ let test_pipeline_check_random_fresh_code () =
       Alcotest.(check int) "seed 5's steps per process" 937_776
         stats.H.max_process_steps
 
-(* Seed 31 through [check_random]'s seeded drive, with the compiled code
-   kept for inspection: ~927k steps per process, and each process's code
-   is two scratch slots plus its one announced decision. *)
-let test_pipeline_constant_code () =
+(* Seed 31 through [check_random]'s seeded drive: its rng (already past
+   the input and crash draws), crash pattern, compiled code and state. *)
+let pipeline_seed31 () =
   let n = 3 and t = 1 and rounds = 1 in
   let task =
     Tasks.Eps_agreement.task ~n ~k:(Core.Baseline_unbounded.denominator ~rounds)
@@ -2040,13 +2058,19 @@ let test_pipeline_constant_code () =
       ~programs:(fun pid -> codes.(pid))
       ()
   in
+  (rng, crashes, codes, state)
+
+(* ~927k steps per process, and each process's code is two scratch slots
+   plus its one announced decision. *)
+let test_pipeline_constant_code () =
+  let rng, crashes, codes, state = pipeline_seed31 () in
   Sched.Scheduler.run_random ~max_steps:30_000_000 ~crashes
     ~until_outputs:true rng state;
   Alcotest.(check bool) "every survivor decided" true
     (Sched.Scheduler.all_output state);
   let per_proc =
     List.fold_left max 0
-      (List.init n (Sched.Scheduler.steps_of state))
+      (List.init (Array.length codes) (Sched.Scheduler.steps_of state))
   in
   Alcotest.(check int) "steps per process" 927_045 per_proc;
   Array.iteri
@@ -2056,6 +2080,23 @@ let test_pipeline_constant_code () =
         true
         (Sched.Program.Compiled.length code <= 3))
     codes
+
+(* Allocation ceiling for the simulation's driver loop: the first 300k
+   steps of seed 31 allocate about 24 minor words per step (OCaml 5.1.1,
+   x86-64) — the protocol's own work, one program node and one closure
+   per step. The list-building random driver and the [bind]-wrapped poll
+   loop cost ~95. Words are counted, not timed, so the bound is
+   deterministic on a given compiler. *)
+let test_pipeline_allocation_ceiling () =
+  let rng, crashes, _, state = pipeline_seed31 () in
+  let steps = 300_000 in
+  let before = Gc.minor_words () in
+  Sched.Scheduler.run_random ~max_steps:steps ~crashes ~until_outputs:true rng
+    state;
+  let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
+  Alcotest.(check int) "steps driven" steps (Sched.Scheduler.steps_taken state);
+  if per_step > 32. then
+    Alcotest.failf "%.1f minor words per step (ceiling 32)" per_step
 
 (* Exhaustive checking explores, and exploration journals: both refuse
    the pipeline's stateful programs instead of backtracking into them. *)
@@ -2078,6 +2119,8 @@ let () =
             test_topology_connectivity;
           Alcotest.test_case "connectivity is tight" `Quick
             test_topology_not_overconnected;
+          Alcotest.test_case "stored predecessors = filter definition" `Quick
+            test_topology_predecessors;
           Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "codec framing" `Quick test_codec_framing;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
@@ -2183,6 +2226,8 @@ let () =
             test_pipeline_check_random_fresh_code;
           Alcotest.test_case "constant-size compiled code" `Slow
             test_pipeline_constant_code;
+          Alcotest.test_case "minor words per step" `Quick
+            test_pipeline_allocation_ceiling;
           Alcotest.test_case "exhaustive checking refused" `Quick
             test_pipeline_refuses_explore;
         ] );

@@ -459,6 +459,151 @@ let test_run_random_slices () =
   Alcotest.(check bool) "a run cut short stops where the budget does" true
     (fst (run [ 30 ]) = fst (run [ 10; 10; 10 ]))
 
+(* The list-based random driver [Scheduler.run_random] replaced: each
+   round builds the running list once to fire the due crash triggers and
+   once more to [Rng.pick] from. Kept here as the differential reference
+   for the allocation-free driver. *)
+let reference_run_random ?(max_steps = 1_000_000) ?(crashes = [])
+    ?(until_outputs = false) rng t =
+  let crash_after = Array.make (S.n t) max_int in
+  List.iter (fun (pid, after) -> crash_after.(pid) <- after) crashes;
+  let maybe_crash pid =
+    S.status t pid = S.Running && S.steps_of t pid >= crash_after.(pid)
+  in
+  let budget = ref max_steps in
+  let rec loop () =
+    List.iter (fun pid -> if maybe_crash pid then S.crash t pid) (S.running t);
+    if not (until_outputs && S.all_output t) then
+      match S.running t with
+      | [] -> ()
+      | procs ->
+          if !budget > 0 then begin
+            S.step t (Bits.Rng.pick rng procs);
+            decr budget;
+            loop ()
+          end
+  in
+  loop ()
+
+type driver_op = W of int | R of int | O
+
+(* A random run's inputs: per-process straight-line programs whose
+   decisions sum the values they read (so they depend on the schedule),
+   a crash pattern, [until_outputs], and the [max_steps] slices the run is
+   driven in ([None] = the default budget). *)
+type driver_case = {
+  programs : driver_op list array;
+  crash_points : (int * int) list;
+  until_outputs : bool;
+  slices : int option list;
+  seed : int;
+}
+
+let driver_program me ops : (int, string, int) P.t =
+  let rec go acc = function
+    | [] -> P.Return acc
+    | W v :: rest -> P.Write (v, fun () -> go acc rest)
+    | R j :: rest -> P.Read (j, fun v -> go (acc + v) rest)
+    | O :: rest -> P.Output (acc, fun () -> go acc rest)
+  in
+  go (100 * me) ops
+
+(* Drive one case with [run] and observe everything a schedule decides:
+   the trace (pid sequence, crash points, decide events), statuses, step
+   counts, decisions and the rng stream's position. *)
+let drive_case run c =
+  let n = Array.length c.programs in
+  let s =
+    S.start ~record_trace:true ~memory:(make_memory ~n ())
+      ~programs:(fun pid -> driver_program pid c.programs.(pid))
+      ()
+  in
+  let rng = Bits.Rng.make c.seed in
+  List.iter (fun max_steps -> run max_steps c rng s) c.slices;
+  ( S.trace s,
+    List.init n (S.status s),
+    List.init n (S.steps_of s),
+    S.decisions s,
+    Bits.Rng.state rng )
+
+let driver max_steps c rng s =
+  S.run_random ?max_steps ~crashes:c.crash_points ~until_outputs:c.until_outputs
+    rng s
+
+let reference_driver max_steps c rng s =
+  reference_run_random ?max_steps ~crashes:c.crash_points
+    ~until_outputs:c.until_outputs rng s
+
+let driver_agrees c = drive_case driver c = drive_case reference_driver c
+
+let gen_driver_case =
+  let open QCheck.Gen in
+  (* One case in ten runs more processes than a mask has bits. *)
+  let* n = frequency [ (9, int_range 1 5); (1, return (Sys.int_size + 1)) ] in
+  let op =
+    frequency
+      [ (3, map (fun v -> W v) (int_range 0 7));
+        (3, map (fun j -> R j) (int_range 0 (n - 1)));
+        (2, return O) ]
+  in
+  let* programs = array_repeat n (list_size (int_range 0 10) op) in
+  (* Crash points inside the programs' lengths, so triggers meet decides. *)
+  let* crash_points =
+    list_size (int_range 0 3) (pair (int_range 0 (n - 1)) (int_range 0 8))
+  in
+  let* until_outputs = bool in
+  let* slices =
+    list_size (int_range 1 4)
+      (frequency [ (4, map Option.some (int_range 0 40)); (1, return None) ])
+  in
+  let+ seed = int_range 0 100_000 in
+  { programs; crash_points; until_outputs; slices; seed }
+
+let print_driver_case c =
+  let op = function
+    | W v -> Printf.sprintf "w%d" v
+    | R j -> Printf.sprintf "r%d" j
+    | O -> "out"
+  in
+  let program ops = String.concat " " (List.map op ops) in
+  Printf.sprintf
+    "n=%d programs=[%s] crashes=[%s] until_outputs=%b slices=[%s] seed=%d"
+    (Array.length c.programs)
+    (String.concat "; " (Array.to_list (Array.map program c.programs)))
+    (String.concat "; "
+       (List.map (fun (p, a) -> Printf.sprintf "%d@%d" p a) c.crash_points))
+    c.until_outputs
+    (String.concat "; "
+       (List.map
+          (function None -> "default" | Some m -> string_of_int m)
+          c.slices))
+    c.seed
+
+let prop_run_random_matches_reference =
+  QCheck.Test.make ~name:"run_random = list-based reference driver" ~count:3000
+    (QCheck.make ~print:print_driver_case gen_driver_case)
+    driver_agrees
+
+(* p1 outputs before any step; p0 outputs on its first step, the step
+   count at which its crash trigger is due. The next round fires the
+   trigger before [until_outputs] looks, so p0 ends crashed, with its
+   decision announced, and the run stops there. *)
+let test_run_random_crash_meets_decide () =
+  let c =
+    {
+      programs = [| [ W 1; O; W 2 ]; [ O; W 4 ] |];
+      crash_points = [ (0, 1) ];
+      until_outputs = true;
+      slices = [ None ];
+      seed = 5;
+    }
+  in
+  Alcotest.(check bool) "agrees with the reference" true (driver_agrees c);
+  let _, statuses, steps, decisions, _ = drive_case driver c in
+  Alcotest.(check bool) "p0 crashed after deciding" true
+    (List.hd statuses = S.Crashed && decisions.(0) <> None);
+  Alcotest.(check int) "p0 took one step" 1 (List.hd steps)
+
 let test_par_differential_sets () =
   let init = writers_3x4_init in
   let naive = ref [] in
@@ -986,6 +1131,9 @@ let () =
             test_scheduler_output_continue;
           Alcotest.test_case "random run in slices" `Quick
             test_run_random_slices;
+          QCheck_alcotest.to_alcotest prop_run_random_matches_reference;
+          Alcotest.test_case "run_random: crash trigger meets a decide" `Quick
+            test_run_random_crash_meets_decide;
         ] );
       ( "explore",
         [
