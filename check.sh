@@ -269,14 +269,18 @@ for w in "$fleet_j1"/witness-*.json; do
   diff "$w" "$fleet_j2/$(basename "$w")"
   dune exec bin/boundedreg.exe -- fleet --replay "$w"
 done
-# The first violation dumps the flight recorder, scoped to the campaign:
-# the dump opens with the fleet.campaign Begin, not earlier events.
-if ! head -n 1 flight-nonlinearizable.jsonl 2>/dev/null \
+# The first violation dumps the flight recorder beside the corpus,
+# scoped to the campaign: the dump opens with the fleet.campaign Begin,
+# not earlier events, and nothing is dumped into the working directory.
+if ! head -n 1 "$fleet_j1/flight-nonlinearizable.jsonl" 2>/dev/null \
   | grep -q '"name":"fleet.campaign","cat":"fleet","ph":"B"'; then
   echo "check.sh: seed-9 fleet dump missing or not opened by its campaign" >&2
   exit 1
 fi
-rm -f flight-nonlinearizable.jsonl
+if [ -e flight-nonlinearizable.jsonl ]; then
+  echo "check.sh: a fleet with a corpus dumped into the working directory" >&2
+  exit 1
+fi
 # The jobs diff above compares one build with itself, so a codec or
 # mutation-draw change that altered the corpus bytes would still pass
 # it. Pin the artifacts' digests (measured with OCaml 5.1.1).
@@ -355,7 +359,6 @@ if ! head -c "$(wc -c < "$tmp_seq")" "$fleet_ref/corpus.jsonl" \
   exit 1
 fi
 "$exe" fleet --frontier --generations 1 --corpus "$fleet_kill" > /dev/null
-rm -f flight-nonlinearizable.jsonl
 # Cache-effectiveness smoke: a second fleet resumed over the (fixed-seed,
 # hence byte-deterministic) corpus re-executes every corpus plan once to
 # seed coverage and the content-addressed run cache, so mutants that
@@ -390,7 +393,6 @@ else
   dune exec bin/boundedreg.exe -- fleet --frontier --generations 120 --seed 1 \
     --corpus ci-fleet-corpus --expect witness
 fi
-rm -f flight-nonlinearizable.jsonl
 
 echo "check.sh: OK"
 

@@ -424,7 +424,9 @@ let reliable =
    single [n * n] arrays. [chans]/[chans2] are the scratch buffers the
    random driver fills via {!Net.deliverable_into} — the only heap the
    driver touches after [wrap], which makes a pooled wrapper's steady
-   state allocation-free. *)
+   state allocation-free. Nor does it branch on random data per channel:
+   the frozen filter, like the scan, stores every candidate and advances
+   its count by a 0/1 flag (DESIGN.md, "Message-passing fast path"). *)
 type 'm t = {
   net : 'm Net.t;
   size : int;
@@ -538,10 +540,9 @@ let step_random rng profile t =
       else begin
         let unfrozen = ref 0 in
         for i = 0 to all - 1 do
-          if t.frozen.(t.chans.(i)) <= t.events then begin
-            t.chans2.(!unfrozen) <- t.chans.(i);
-            incr unfrozen
-          end
+          let c = t.chans.(i) in
+          t.chans2.(!unfrozen) <- c;
+          unfrozen := !unfrozen + Bool.to_int (t.frozen.(c) <= t.events)
         done;
         (* All channels frozen: thaw by decree rather than livelock. *)
         if !unfrozen = 0 then (t.chans, all) else (t.chans2, !unfrozen)

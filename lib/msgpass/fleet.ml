@@ -968,7 +968,8 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
                fleet.run replay handle and the witness class. *)
             flight_dumped := true;
             ignore
-              (Obs.Recorder.dump ~since:flight_mark ~reason:"nonlinearizable" ()
+              (Obs.Recorder.dump ?dir:corpus_dir ~since:flight_mark
+                 ~reason:"nonlinearizable" ()
                 : string option)
           end
         end)

@@ -163,7 +163,9 @@ val campaign :
     Appends share one channel, opened by the first append (after cutting
     off a torn last line or ending an unterminated one), flushed per line
     so a kill loses at most one line, and closed when the campaign ends.
-    The first violating run's flight dump holds this campaign's events.
+    The first violating run's flight dump holds this campaign's events;
+    it is written as [flight-nonlinearizable.jsonl] in [corpus_dir] when
+    one is given, in the current directory otherwise.
 
     @raise Corpus_error when [corpus_dir] holds a corpus that fails to
     parse or names a slot outside the configuration's [n]. *)

@@ -17,13 +17,18 @@ let h_hop_latency = Obs.Metrics.histogram ~bounds:hop_bounds "net.hop_latency"
 
 (* Index of the hop-latency bucket [hops] lands in (last = overflow) —
    the same bucketing the registry histogram applies, computed locally so
-   each network can report which buckets its own deliveries occupied. *)
+   each network can report which buckets its own deliveries occupied.
+   Searched once per hop count up to the last bound: a delivery reads
+   the table rather than running a search whose exit depends on data. *)
+let hop_table =
+  Array.init (hop_bounds.(Array.length hop_bounds - 1) + 1) (fun h ->
+      let i = ref 0 in
+      while h > hop_bounds.(!i) do incr i done;
+      !i)
+
 let hop_bucket hops =
-  let rec go i =
-    if i >= Array.length hop_bounds || hops <= hop_bounds.(i) then i
-    else go (i + 1)
-  in
-  go 0
+  if hops < Array.length hop_table then hop_table.(hops)
+  else Array.length hop_bounds
 
 type 'm node = {
   on_start : unit -> unit;
@@ -107,8 +112,9 @@ let ring_push t src dst stamp m =
 let ring_pop t src dst =
   let ch = (src * t.size) + dst in
   t.q_head.(ch) <- (t.q_head.(ch) + 1) land (Array.length t.q_stamp.(ch) - 1);
-  t.q_len.(ch) <- t.q_len.(ch) - 1;
-  if t.q_len.(ch) = 0 then t.rows.(src) <- t.rows.(src) land lnot (bit dst)
+  let len = t.q_len.(ch) - 1 in
+  t.q_len.(ch) <- len;
+  t.rows.(src) <- t.rows.(src) land lnot (Bool.to_int (len = 0) lsl dst)
 
 (* A node's own sends, while it is alive and present. Mirrors the old
    [enqueue]: messages from a crashed or absent source vanish silently,
@@ -182,10 +188,8 @@ let deliverable_into t buf =
   for src = 0 to n - 1 do
     let m = ref (t.rows.(src) land live) and ch = ref (src * n) in
     while !m <> 0 do
-      if !m land 1 <> 0 then begin
-        buf.(!k) <- !ch;
-        incr k
-      end;
+      buf.(!k) <- !ch;
+      k := !k + (!m land 1);
       m := !m lsr 1;
       incr ch
     done

@@ -76,7 +76,9 @@ val deliverable_into : 'm t -> int array -> int
     [Rng.pick rng (deliverable t)] drew, with the same single RNG step —
     the fault layer's replay streams depend on this. The scan walks a
     per-source bitset of non-empty channels, so empty channels cost
-    nothing. *)
+    nothing. It is branch-free: each scanned position is stored at the
+    count, which advances by the position's bit, so a clear bit's code
+    is overwritten and nothing at or past the returned count is written. *)
 
 val pending : 'm t -> src:int -> dst:int -> int
 (** Messages queued on channel [src → dst].

@@ -987,6 +987,215 @@ let prop_net_matches_netref =
        N.reset ~present net;
        matches ~drain:true (oracle ()) plan2))
 
+(* ----- the random fault driver vs its branchy reference ----- *)
+
+(* [Faults.run_random] over a [Net] must record the same plan and the
+   same [hop_mask] as [Oracle.Faultref], the driver as it was before its
+   per-event path went branch-free, over the persistent [Netref]. Both
+   networks run one bounded gossip protocol: every slot starts by
+   sending [ttl] to two slots, a message [m > 0] is forwarded as [m - 1]
+   to one slot (two when [m] is a multiple of 3), and a departing slot
+   says goodbye. Cases are the four chaos presets' profiles, with the
+   crash and churn schedules a seeded chaos run rolled, or random
+   profiles over up to 61 slots. *)
+type driver_case = {
+  dc_label : string;
+  dc_n : int;
+  dc_members : int;  (** slots [0 .. dc_members - 1] present at start *)
+  dc_profile : Msgpass.Faults.profile;
+  dc_rng : int64;
+  dc_max_events : int;
+  dc_ttl : int;
+}
+
+let gossip ~n ~ttl pid : int Oracle.Netref.node =
+  {
+    Oracle.Netref.on_start =
+      (fun () -> [ ((pid + 1) mod n, ttl); (((pid * 7) + 3) mod n, ttl) ]);
+    on_message =
+      (fun ~from m ->
+        if m = 0 then []
+        else
+          ((pid + m) mod n, m - 1)
+          :: (if m mod 3 = 0 then [ ((from + (2 * pid) + 1) mod n, m - 1) ]
+              else []));
+    on_leave = (fun () -> [ ((pid + 2) mod n, 1) ]);
+  }
+
+(* The plan and hop mask each driver records, and the reference's count
+   of all-frozen events served by decree. *)
+let run_both c =
+  let module F = Msgpass.Faults in
+  let module R = Oracle.Netref in
+  let present pid = pid < c.dc_members in
+  let nodes = gossip ~n:c.dc_n ~ttl:c.dc_ttl in
+  let net = Msgpass.Net.create ~present ~n:c.dc_n ~nodes:(R.lift nodes) () in
+  let ft = F.wrap net in
+  F.run_random ~rng:(Bits.Rng.of_state c.dc_rng) ~profile:c.dc_profile
+    ~max_events:c.dc_max_events ft;
+  let ref_net = R.create ~present ~n:c.dc_n ~nodes () in
+  let r = Oracle.Faultref.wrap ref_net in
+  Oracle.Faultref.run_random ~rng:(Bits.Rng.of_state c.dc_rng)
+    ~profile:c.dc_profile ~max_events:c.dc_max_events r;
+  ( (F.decompile (F.compiled_plan ft), Msgpass.Net.hop_mask net),
+    (Oracle.Faultref.plan r, R.hop_mask ref_net),
+    Oracle.Faultref.decrees r )
+
+let preset_case_gen =
+  let open QCheck.Gen in
+  let module C = Msgpass.Chaos in
+  let* label, config =
+    oneofl
+      [
+        ("sound", C.sound ()); ("churn", C.churn ()); ("frontier", C.frontier ());
+        ("churn_frontier", C.churn_frontier ());
+      ]
+  in
+  let* seed = int_bound 100_000 in
+  let* ttl = int_range 1 12 in
+  (* The schedules a chaos run of this seed rolled, merged as
+     [Chaos.run_at] merges them. *)
+  let point = Option.get (C.run_random ~seed config).C.rng_point in
+  let p = config.C.profile in
+  return
+    {
+      dc_label = Printf.sprintf "%s seed %d" label seed;
+      dc_n = config.C.n;
+      dc_members =
+        (match config.C.membership with
+        | Some d -> d.C.seed_members
+        | None -> config.C.n);
+      dc_profile =
+        {
+          p with
+          crash_at = p.crash_at @ point.C.crash_at;
+          enter_at = p.enter_at @ point.C.churn.Msgpass.Membership.enter_at;
+          leave_at = p.leave_at @ point.C.churn.Msgpass.Membership.leave_at;
+        };
+      dc_rng = point.C.rng_state;
+      dc_max_events = config.C.max_events;
+      dc_ttl = ttl;
+    }
+
+let random_case_gen =
+  let open QCheck.Gen in
+  let* n = frequency [ (5, int_range 1 8); (1, int_range 9 61) ] in
+  let* members = int_range 1 n in
+  let prob hi = oneof [ return 0.; float_bound_inclusive hi ] in
+  let* drop = prob 0.3 in
+  let* duplicate = prob 0.3 in
+  let* defer = prob 0.4 in
+  let* delay = prob 0.9 in
+  let* delay_span = int_range 1 40 in
+  let* max_channel_drops = oneof [ return max_int; int_bound 4 ] in
+  let schedule = list_size (int_bound 3) (pair (int_bound (n - 1)) (int_bound 300)) in
+  let* crash_at = schedule in
+  let* enter_at = schedule in
+  let* leave_at = schedule in
+  let* seed = int_bound 1_000_000 in
+  let* max_events = int_range 1 3000 in
+  let* ttl = int_range 1 12 in
+  return
+    {
+      dc_label = "random";
+      dc_n = n;
+      dc_members = members;
+      dc_profile =
+        {
+          Msgpass.Faults.drop;
+          duplicate;
+          defer;
+          delay;
+          delay_span;
+          max_channel_drops;
+          crash_at;
+          enter_at;
+          leave_at;
+        };
+      dc_rng = Bits.Rng.state (Bits.Rng.make seed);
+      dc_max_events = max_events;
+      dc_ttl = ttl;
+    }
+
+let print_driver_case c =
+  let p = c.dc_profile in
+  let sched l =
+    String.concat ";" (List.map (fun (pid, at) -> Printf.sprintf "%d@%d" pid at) l)
+  in
+  Printf.sprintf
+    "%s: n=%d members=%d ttl=%d max_events=%d rng=%Ld drop=%g dup=%g \
+     defer=%g delay=%g span=%d max_drops=%d crash=[%s] enter=[%s] leave=[%s]"
+    c.dc_label c.dc_n c.dc_members c.dc_ttl c.dc_max_events c.dc_rng p.drop
+    p.duplicate p.defer p.delay p.delay_span p.max_channel_drops
+    (sched p.crash_at) (sched p.enter_at) (sched p.leave_at)
+
+let prop_random_driver_matches_reference =
+  QCheck.Test.make ~name:"random fault driver = branchy reference driver"
+    ~count:500
+    (QCheck.make ~print:print_driver_case
+       (QCheck.Gen.frequency [ (1, preset_case_gen); (3, random_case_gen) ]))
+    (fun c ->
+      let got, want, _ = run_both c in
+      got = want)
+
+(* Heavy delay on two slots freezes every candidate channel at once, so
+   the reference serves all of them by decree; the driver must make the
+   same picks there too. *)
+let test_random_driver_thaw_by_decree () =
+  let c =
+    {
+      dc_label = "decree";
+      dc_n = 2;
+      dc_members = 2;
+      dc_profile =
+        { Msgpass.Faults.reliable with delay = 0.9; delay_span = 40 };
+      dc_rng = Bits.Rng.state (Bits.Rng.make 5);
+      dc_max_events = 3000;
+      dc_ttl = 12;
+    }
+  in
+  let (plan, mask), (ref_plan, ref_mask), decrees = run_both c in
+  Alcotest.(check bool) "the all-frozen branch is reached" true (decrees > 0);
+  Alcotest.(check bool) "same plan" true (plan = ref_plan);
+  Alcotest.(check int) "same hop mask" ref_mask mask
+
+(* A delivery made after [h] intermediate deliveries is [h] hops old and
+   must set exactly the bit of the bucket the search over
+   [Net.hop_bounds] gives ([Oracle.Netref.hop_bucket]). Slot 1 pings
+   itself — every ping is 0 hops old, bucket 0 — while slot 0's message
+   to slot 2 waits. The Netref differential above compares [hop_mask]
+   only for the small hop counts its plans reach; this walks every
+   bucket edge, the table's end at 512 and one count far past it. *)
+let test_hop_bucket_edges () =
+  let module N = Msgpass.Net in
+  let pow2 = List.init 10 (fun i -> 1 lsl i) in
+  let nodes ~send pid =
+    {
+      N.on_start =
+        (fun () ->
+          if pid = 0 then send ~dst:2 () else if pid = 1 then send ~dst:1 ());
+      on_message = (fun ~from:_ () -> if pid = 1 then send ~dst:1 ());
+      on_leave = ignore;
+    }
+  in
+  List.iter
+    (fun h ->
+      let net = N.create ~n:3 ~nodes () in
+      for _ = 1 to h do
+        ignore (N.deliver net ~src:1 ~dst:1 : bool)
+      done;
+      let before = N.hop_mask net in
+      Alcotest.(check int)
+        (Printf.sprintf "%d pings hit bucket 0 only" h)
+        (if h = 0 then 0 else 1) before;
+      Alcotest.(check bool) "the waiting message is delivered" true
+        (N.deliver net ~src:0 ~dst:2);
+      Alcotest.(check int)
+        (Printf.sprintf "hop_mask after a %d-hop delivery" h)
+        (before lor (1 lsl Oracle.Netref.hop_bucket h))
+        (N.hop_mask net))
+    ([ 0; 1; 2; 3 ] @ pow2 @ List.map succ pow2 @ [ 100_000 ])
+
 let test_plan_codec_rejects_garbage () =
   List.iter
     (fun text ->
@@ -1326,13 +1535,18 @@ let test_fleet_cache_alive () =
 (* Two campaigns in one process: the second one's first-violation dump
    opens with its own fleet.campaign Begin and holds no event of the
    first — not even the pool events an earlier parallel run left in the
-   graveyard ring. *)
+   graveyard ring. The first campaign has a corpus, so its dump lands
+   beside it and not in the working directory; the second has none and
+   dumps into the working directory. *)
 let test_fleet_dump_scoped_to_campaign () =
   let module F = Msgpass.Fleet in
   let config = Msgpass.Chaos.frontier () in
-  let dump = "flight-nonlinearizable.jsonl" in
+  let name = "flight-nonlinearizable.jsonl" in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-fleet-dump"
+  in
   let main = (Domain.self () :> int) in
-  let read_dump () =
+  let read_dump dump =
     let lines = In_channel.with_open_text dump In_channel.input_lines in
     Sys.remove dump;
     List.map
@@ -1356,10 +1570,14 @@ let test_fleet_dump_scoped_to_campaign () =
   Sched.Par.run_units ~jobs:2 ~units:[| 0; 1 |]
     (fun _ -> Obs.Span.instant ~cat:"test" "before-campaigns")
     (fun _ () -> ());
-  if Sys.file_exists dump then Sys.remove dump;
-  let r1 = F.campaign ~generations:8 ~seed:9 config in
+  if Sys.file_exists name then Sys.remove name;
+  rm_rf dir;
+  let r1 = F.campaign ~generations:8 ~seed:9 ~corpus_dir:dir config in
   Alcotest.(check bool) "first campaign violates" true (r1.F.violations > 0);
-  check_opens_campaign ~seed:9 (read_dump ());
+  Alcotest.(check bool) "a corpus campaign dumps beside its corpus" false
+    (Sys.file_exists name);
+  check_opens_campaign ~seed:9 (read_dump (Filename.concat dir name));
+  rm_rf dir;
   let last_ts =
     List.fold_left
       (fun m (dom, (e : Obs.Sink.event)) -> if dom = main then max m e.ts else m)
@@ -1367,7 +1585,7 @@ let test_fleet_dump_scoped_to_campaign () =
   in
   let r2 = F.campaign ~generations:8 ~seed:10 config in
   Alcotest.(check bool) "second campaign violates" true (r2.F.violations > 0);
-  let second = read_dump () in
+  let second = read_dump name in
   check_opens_campaign ~seed:10 second;
   List.iter
     (fun j ->
@@ -1406,8 +1624,12 @@ let test_fleet_witness_tmp_leftover () =
           Alcotest.(check bool) "renamed witness replays" true rep.F.bit_for_bit
       | Error e -> Alcotest.fail e)
   | ws -> Alcotest.failf "expected one witness, got %d" (List.length ws));
+  (* The campaign violates, so its flight dump sits beside the corpus. *)
   Alcotest.(check (list string)) "no temporary survives the campaign"
-    [ "corpus.jsonl"; "witness-11d375a62583849e.json" ]
+    [
+      "corpus.jsonl"; "flight-nonlinearizable.jsonl";
+      "witness-11d375a62583849e.json";
+    ]
     (List.sort compare (Array.to_list (Sys.readdir dir)));
   rm_rf dir
 
@@ -2158,6 +2380,10 @@ let () =
           Alcotest.test_case "pp_plan line breaking is pinned" `Quick
             test_pp_plan_golden;
           QCheck_alcotest.to_alcotest prop_net_matches_netref;
+          QCheck_alcotest.to_alcotest prop_random_driver_matches_reference;
+          Alcotest.test_case "random driver thaws by decree" `Quick
+            test_random_driver_thaw_by_decree;
+          Alcotest.test_case "hop bucket edges" `Quick test_hop_bucket_edges;
           Alcotest.test_case "plan parser rejects garbage" `Quick
             test_plan_codec_rejects_garbage;
           Alcotest.test_case "plan parse errors are positional" `Quick
