@@ -2,6 +2,14 @@
 
 open Cmdliner
 
+(* Print a message on stderr and exit 1. *)
+let fail fmt =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "%s@." m;
+      exit 1)
+    fmt
+
 (* Write [contents] to [file] through [file.tmp] and a rename, so a kill
    leaves the old file or the new one, never a truncated one. *)
 let write_file_atomic file contents =
@@ -9,20 +17,14 @@ let write_file_atomic file contents =
   Out_channel.with_open_text tmp (fun oc -> output_string oc contents);
   Sys.rename tmp file
 
-(* Load a --trace file (jsonl or catapult); unreadable or malformed input
-   exits 1 with a message naming the file. *)
-let read_trace file =
-  let text =
-    try In_channel.with_open_text file In_channel.input_all
-    with Sys_error e ->
-      Format.eprintf "cannot read trace: %s@." e;
-      exit 1
-  in
-  match Obs.Sink.events_of_string text with
-  | Ok events -> events
-  | Error m ->
-      Format.eprintf "invalid trace %s: %s@." file m;
-      exit 1
+(* Fold a --trace file (jsonl or catapult) into a health report with
+   [fold] ([Obs.Report.of_trace] or [validate]) as it is read; unreadable
+   or malformed input exits 1 with a message naming the file. *)
+let read_report fold file =
+  match In_channel.with_open_text file fold with
+  | Ok report -> report
+  | Error m -> fail "invalid trace %s: %s" file m
+  | exception Sys_error e -> fail "cannot read trace: %s" e
 
 (* ----- telemetry plumbing shared by the run/explore/chaos commands ----- *)
 
@@ -212,31 +214,23 @@ let run_cmd =
   let run keys deadline max_states jobs tel =
     with_telemetry tel @@ fun () ->
     emit_meta ~jobs ();
-    let selected =
-      if List.exists (fun k -> String.lowercase_ascii k = "all") keys then
-        Ok Experiments.Registry.all
-      else
-        let rec resolve acc = function
-          | [] -> Ok (List.rev acc)
-          | k :: rest -> (
-              match Experiments.Registry.find k with
-              | Some e -> resolve (e :: acc) rest
-              | None -> Error k)
-        in
-        resolve [] keys
+    let find k =
+      match Experiments.Registry.find k with
+      | Some e -> e
+      | None -> fail "unknown experiment %S (try 'boundedreg list')" k
     in
-    match selected with
-    | Error k ->
-        Format.eprintf "unknown experiment %S (try 'boundedreg list')@." k;
-        exit 1
-    | Ok experiments ->
-        let budget = Sched.Budget.make ?deadline ?max_nodes:max_states () in
-        let results =
-          Experiments.Supervisor.run_all ~budget ~jobs ~experiments ()
-        in
-        Experiments.Supervisor.summary Format.std_formatter results;
-        Format.print_flush ();
-        exit (Experiments.Supervisor.exit_code results)
+    let experiments =
+      if List.exists (fun k -> String.lowercase_ascii k = "all") keys then
+        Experiments.Registry.all
+      else List.map find keys
+    in
+    let budget = Sched.Budget.make ?deadline ?max_nodes:max_states () in
+    let results =
+      Experiments.Supervisor.run_all ~budget ~jobs ~experiments ()
+    in
+    Experiments.Supervisor.summary Format.std_formatter results;
+    Format.print_flush ();
+    exit (Experiments.Supervisor.exit_code results)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -250,6 +244,16 @@ module H = Tasks.Harness
 
 let seed_arg =
   Cmdliner.Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED")
+
+let print_decisions state =
+  Array.iteri
+    (fun pid d ->
+      match d with
+      | Some v ->
+          Format.printf "process %d: decides %a after %d steps@." pid Q.pp v
+            (Sched.Scheduler.steps_of state pid)
+      | None -> Format.printf "process %d: no decision@." pid)
+    (Sched.Scheduler.decisions state)
 
 let alg1_cmd =
   let doc = "Run Algorithm 1 (2-process eps-agreement, 1-bit registers)." in
@@ -273,14 +277,7 @@ let alg1_cmd =
         (Sched.Trace.pp Format.pp_print_int)
         (Sched.Scheduler.trace state);
     Format.printf "eps = 1/%d@." (Core.Alg1_one_bit.denominator ~k);
-    Array.iteri
-      (fun pid d ->
-        match d with
-        | Some v ->
-            Format.printf "process %d: decides %a after %d steps@." pid Q.pp v
-              (Sched.Scheduler.steps_of state pid)
-        | None -> Format.printf "process %d: no decision@." pid)
-      (Sched.Scheduler.decisions state)
+    print_decisions state
   in
   Cmd.v (Cmd.info "alg1" ~doc)
     Term.(const run $ k_arg $ inputs_arg $ seed_arg $ trace_arg)
@@ -302,14 +299,7 @@ let fast_cmd =
       (Core.Fast_agreement.denominator ~delta:2 ~rounds)
       rounds
       (Core.Ring_sim.register_bits ~delta:2);
-    Array.iteri
-      (fun pid d ->
-        match d with
-        | Some v ->
-            Format.printf "process %d: decides %a after %d steps@." pid Q.pp v
-              (Sched.Scheduler.steps_of state pid)
-        | None -> Format.printf "process %d: no decision@." pid)
-      (Sched.Scheduler.decisions state)
+    print_decisions state
   in
   Cmd.v (Cmd.info "fast" ~doc)
     Term.(const run $ rounds_arg $ inputs_arg $ seed_arg)
@@ -322,10 +312,7 @@ let pipeline_cmd =
   let t_arg = Arg.(value & opt int 1 & info [ "t" ] ~docv:"T") in
   let rounds_arg = Arg.(value & opt int 1 & info [ "rounds" ] ~docv:"R") in
   let run n t rounds seed =
-    if 2 * t >= n then begin
-      Format.eprintf "need t < n/2@.";
-      exit 1
-    end;
+    if 2 * t >= n then fail "need t < n/2";
     let value =
       Msgpass.Wire.(list_codec (pair_codec int_codec rational_codec))
     in
@@ -347,14 +334,7 @@ let pipeline_cmd =
         ~schedule:(`Random (rng, []))
         ~max_steps:400_000_000 ()
     in
-    Array.iteri
-      (fun pid d ->
-        match d with
-        | Some v ->
-            Format.printf "process %d: decides %a after %d steps@." pid Q.pp v
-              (Sched.Scheduler.steps_of state pid)
-        | None -> Format.printf "process %d: no decision@." pid)
-      (Sched.Scheduler.decisions state)
+    print_decisions state
   in
   Cmd.v (Cmd.info "pipeline" ~doc)
     Term.(const run $ n_arg $ t_arg $ rounds_arg $ seed_arg)
@@ -520,9 +500,7 @@ let dyn_config ?n (o : churn_opts) =
 let check_config config =
   match Msgpass.Chaos.validate config with
   | Ok _ -> ()
-  | Error e ->
-      Format.eprintf "invalid configuration: %s@." e;
-      exit 1
+  | Error e -> fail "invalid configuration: %s" e
 
 (* The configuration flags chaos and fleet share: a static ABD preset
    (sound, or --frontier) or a Dynreg one ([churn_term]), with --n, --t,
@@ -657,12 +635,10 @@ let chaos_cmd =
     | _ -> ());
     match expect with
     | Some `Pass when c.Msgpass.Chaos.violations > 0 ->
-        Format.eprintf "expected a clean campaign, found %d violation(s)@."
-          c.Msgpass.Chaos.violations;
-        exit 1
+        fail "expected a clean campaign, found %d violation(s)"
+          c.Msgpass.Chaos.violations
     | Some `Violation when c.Msgpass.Chaos.violations = 0 ->
-        Format.eprintf "expected the campaign to find a violation@.";
-        exit 1
+        fail "expected the campaign to find a violation"
     | _ -> ()
   in
   Cmd.v (Cmd.info "chaos" ~doc)
@@ -747,9 +723,7 @@ let fleet_cmd =
     match replay with
     | Some file -> (
         match Msgpass.Fleet.replay_file file with
-        | Error e ->
-            Format.eprintf "%s@." e;
-            exit 1
+        | Error e -> fail "%s" e
         | Ok r ->
             let cfg = r.Msgpass.Fleet.config in
             (match cfg.Msgpass.Chaos.membership with
@@ -774,15 +748,13 @@ let fleet_cmd =
               r.Msgpass.Fleet.outcome.Msgpass.Chaos.verdict;
             if r.Msgpass.Fleet.bit_for_bit then
               Format.printf "bit-for-bit: reproduced@."
-            else begin
-              Format.eprintf
+            else
+              fail
                 "bit-for-bit: MISMATCH (stored events=%d deliveries=%d \
-                 hash=%016x)@."
+                 hash=%016x)"
                 r.Msgpass.Fleet.stored_events
                 r.Msgpass.Fleet.stored_deliveries
-                r.Msgpass.Fleet.stored_terminal_hash;
-              exit 1
-            end)
+                r.Msgpass.Fleet.stored_terminal_hash)
     | None ->
         let config = resolve_config copts in
         pp_config_line "fleet" config;
@@ -792,20 +764,15 @@ let fleet_cmd =
           try
             Msgpass.Fleet.campaign ?budget ?generations ~jobs ~batch
               ~swarm:(not no_swarm) ?corpus_dir:corpus ~seed config
-          with Msgpass.Fleet.Corpus_error e ->
-            Format.eprintf "%s@." e;
-            exit 1
+          with Msgpass.Fleet.Corpus_error e -> fail "%s" e
         in
         Format.printf "%a@." Msgpass.Fleet.pp_report r;
         let witnesses = List.length r.Msgpass.Fleet.witnesses in
         (match expect with
         | Some `Pass when witnesses > 0 ->
-            Format.eprintf "expected a clean fleet, found %d witness(es)@."
-              witnesses;
-            exit 1
+            fail "expected a clean fleet, found %d witness(es)" witnesses
         | Some `Witness when witnesses = 0 ->
-            Format.eprintf "expected the fleet to find a witness@.";
-            exit 1
+            fail "expected the fleet to find a witness"
         | _ -> ())
   in
   Cmd.v (Cmd.info "fleet" ~doc)
@@ -885,18 +852,14 @@ let explore_cmd =
       else
         let text =
           try In_channel.with_open_text checkpoint In_channel.input_all
-          with Sys_error e ->
-            Format.eprintf "cannot read checkpoint: %s@." e;
-            exit 1
+          with Sys_error e -> fail "cannot read checkpoint: %s" e
         in
         match Sched.Budget.frontier_of_string text with
         | Ok f ->
             Format.printf "resuming %d frontier path(s) from %s@."
               (Sched.Budget.frontier_size f) checkpoint;
             Some f
-        | Error e ->
-            Format.eprintf "corrupt checkpoint %s: %s@." checkpoint e;
-            exit 1
+        | Error e -> fail "corrupt checkpoint %s: %s" checkpoint e
     in
     let budget = Sched.Budget.make ?deadline ?max_nodes () in
     (* The parallel driver with jobs=1 is exactly the sequential engine.
@@ -925,8 +888,7 @@ let explore_cmd =
       with
       | Invalid_argument m
         when resume && String.starts_with ~prefix:"resume path " m ->
-          Format.eprintf "cannot resume from %s: %s@." checkpoint m;
-          exit 1
+          fail "cannot resume from %s: %s" checkpoint m
     in
     let _, digest = r.Sched.Par.value in
     Format.printf "k=%d max_crashes=%d jobs=%d budget: %a@.%a@.digest=0x%08x@."
@@ -965,45 +927,8 @@ let trace_cmd =
       Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
     in
     let run file =
-      let events = read_trace file in
-      let fail fmt = Format.kasprintf (fun m ->
-          Format.eprintf "invalid trace %s: %s@." file m;
-          exit 1) fmt
-      in
-      (* Every event must belong to a known subsystem category — a typo'd
-         cat would otherwise slip through every downstream consumer
-         silently. This list is the single CLI-side registry; extend it
-         when a subsystem starts emitting a new category. *)
-      let known_categories =
-        [
-          "app"; "chaos"; "dynreg"; "experiment"; "explore"; "fleet";
-          "harness"; "membership"; "meta"; "net"; "sched";
-        ]
-      in
-      List.iter
-        (fun (e : Obs.Sink.event) ->
-          if not (List.mem e.cat known_categories) then
-            fail "unknown event category %S (event %S)" e.cat e.name)
-        events;
-      (* Spans must nest: every End matches the innermost open Begin on
-         its track. The report's rollups pair them the same way;
-         unbalanced files fail the validation. *)
-      let depth = Hashtbl.create 8 in
-      List.iter
-        (fun (e : Obs.Sink.event) ->
-          let d = Option.value (Hashtbl.find_opt depth e.track) ~default:0 in
-          match e.kind with
-          | Obs.Sink.Begin -> Hashtbl.replace depth e.track (d + 1)
-          | Obs.Sink.End ->
-              if d = 0 then fail "span end without begin on track %d" e.track
-              else Hashtbl.replace depth e.track (d - 1)
-          | Obs.Sink.Instant -> ())
-        events;
-      Hashtbl.iter
-        (fun track d ->
-          if d > 0 then fail "%d unclosed span(s) on track %d" d track)
-        depth;
-      print_string (Obs.Report.to_markdown (Obs.Report.summary events));
+      let report = read_report Obs.Report.validate file in
+      print_string (Obs.Report.to_markdown (Obs.Report.summary report));
       Format.printf "trace %s: valid@." file
     in
     Cmd.v (Cmd.info "summary" ~doc) Term.(const run $ file_arg)
@@ -1044,26 +969,24 @@ let report_cmd =
                               Markdown.")
   in
   let run trace metrics out html =
-    if trace = None && metrics = None then begin
-      Format.eprintf "nothing to report on: pass a trace file or --metrics@.";
-      exit 1
-    end;
+    if trace = None && metrics = None then
+      fail "nothing to report on: pass a trace file or --metrics";
     let read_file what file =
       try In_channel.with_open_text file In_channel.input_all
-      with Sys_error e ->
-        Format.eprintf "cannot read %s: %s@." what e;
-        exit 1
+      with Sys_error e -> fail "cannot read %s: %s" what e
     in
-    let events = match trace with None -> [] | Some file -> read_trace file in
+    let report =
+      match trace with
+      | None -> Obs.Report.create ()
+      | Some file -> read_report Obs.Report.of_trace file
+    in
     let parse_json what file =
       match Obs.Json.of_string (read_file what file) with
       | Ok j -> j
-      | Error e ->
-          Format.eprintf "unparseable %s %s (%s)@." what file e;
-          exit 1
+      | Error e -> fail "unparseable %s %s (%s)" what file e
     in
     let metrics = Option.map (parse_json "metrics snapshot") metrics in
-    let blocks = Obs.Report.of_sources ?metrics events in
+    let blocks = Obs.Report.of_sources ?metrics report in
     let rendered =
       if html then Obs.Report.to_html blocks
       else Obs.Report.to_markdown blocks

@@ -121,6 +121,27 @@ dune exec bin/boundedreg.exe -- report ci-smoke.trace.jsonl \
   --metrics ci-metrics.json --html -o ci-report.html
 grep -q "boundedreg health report" ci-report.md
 
+# Trace-memory smoke: `trace summary` and `report` fold a trace as they
+# read it, so their peak resident set must not grow with the file. The
+# 100-generation churn fleet writes 355,421 events, ~36 MB in each
+# encoding; both readers must stay under 50 MB on both (a reader that
+# holds the whole file peaks at 154 MB on the JSONL and 404 MB on the
+# catapult array). scripts/peak_rss.py polls /proc/<pid>/status for
+# VmHWM, so it runs the built binary, not `dune exec`.
+echo "== trace memory smoke"
+exe=_build/default/bin/boundedreg.exe
+trace_mem=$(mktemp -d)
+trap 'rm -rf "$trace_mem"' EXIT
+"$exe" fleet --churn --generations 100 --seed 1 \
+  --trace "$trace_mem/churn.jsonl" > /dev/null
+"$exe" fleet --churn --generations 100 --seed 1 \
+  --trace "$trace_mem/churn.json" --trace-format catapult > /dev/null
+for t in "$trace_mem/churn.jsonl" "$trace_mem/churn.json"; do
+  python3 scripts/peak_rss.py 50 "$exe" trace summary "$t" > /dev/null
+  python3 scripts/peak_rss.py 50 "$exe" report "$t" > /dev/null
+done
+rm -rf "$trace_mem"
+
 # Checkpoint smoke: a node-capped exploration writes its frontier, and
 # chained --resume runs finish it. The checkpoint (like --metrics and
 # report -o) is written to FILE.tmp and renamed into place, so no .tmp

@@ -123,61 +123,144 @@ let event_fields e =
 let event_json e = Json.Obj (event_fields e)
 
 let event_of_json j =
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  match (str "name", str "ph") with
-  | Some name, Some ph -> (
-      match kind_of_string ph with
-      | None -> None
-      | Some kind ->
-          Some
-            {
-              kind;
-              name;
-              cat = Option.value (str "cat") ~default:"";
-              track = Option.value (int "tid") ~default:0;
-              ts = Option.value (int "ts") ~default:0;
-              args =
-                (match Json.member "args" j with
-                | Some (Json.Obj fields) -> fields
-                | _ -> []);
-            })
+  let str k = Json.member_str k j and int k = Json.member_int k j in
+  match (str "name", Option.bind (str "ph") kind_of_string) with
+  | Some name, Some kind ->
+      Some
+        {
+          kind;
+          name;
+          cat = Option.value (str "cat") ~default:"";
+          track = Option.value (int "tid") ~default:0;
+          ts = Option.value (int "ts") ~default:0;
+          args =
+            (match Json.member "args" j with
+            | Some (Json.Obj fields) -> fields
+            | _ -> []);
+        }
   | _ -> None
 
-(* A trace file is either JSONL (one event object per non-blank line) or
-   a catapult array. Errors keep the wording [trace summary] and [report]
-   print after "invalid trace FILE: "; jsonl line numbers count non-blank
-   lines. *)
-let events_of_string text =
-  let event where i j =
-    match event_of_json j with
-    | Some e -> Ok e
-    | None ->
-        Error
-          (Printf.sprintf "%s %d: object is not a trace event: %s" where
-             (i + 1) (Json.to_string j))
+(* {2 Reading a trace back}
+
+   A trace file is JSONL (one event object per non-blank line) or a
+   catapult array, told apart by its first non-blank character, and is
+   read one event at a time. Errors keep the wording [trace summary] and
+   [report] print after "invalid trace FILE: ". *)
+
+exception Stop of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Stop m)) fmt
+
+(* [String.trim]'s blanks, and the subset the JSON parser skips. *)
+let blank c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+let json_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
+let event_at where i j f =
+  match event_of_json j with
+  | Some e -> Result.iter_error (fun m -> raise (Stop m)) (f e)
+  | None ->
+      fail "%s %d: object is not a trace event: %s" where i (Json.to_string j)
+
+(* [n] non-blank lines read so far. *)
+let rec read_jsonl ic f n line =
+  let next = In_channel.input_line in
+  match line with
+  | None -> ()
+  | Some l when String.trim l = "" -> read_jsonl ic f n (next ic)
+  | Some l ->
+      (match Json.of_string l with
+      | Error e -> fail "line %d unparseable (%s)" (n + 1) e
+      | Ok j -> event_at "line" (n + 1) j f);
+      read_jsonl ic f (n + 1) (next ic)
+
+(* A scanner that knows bracket depth, strings and escapes cuts the array
+   (its opening bracket already read) into elements, and each is parsed
+   alone. Positions count from that bracket: an element's parse error is
+   re-based there, and where a parser handed the whole array would stop
+   at the delimiter after an element rather than inside it (an empty
+   element, a stray closer, a torn end), the scanner names that stop. *)
+let read_catapult ic f =
+  let bad at what = fail "unparseable catapult array (at %d: %s)" at what in
+  let elem = Buffer.create 256 in
+  let start = ref 1 and count = ref 0 and depth = ref 0 in
+  let in_string = ref false and escaped = ref false in
+  (* Past the closing bracket, [garbage] is where the first character
+     that is not JSON whitespace stands; only blanks may follow it. *)
+  let closed = ref false and garbage = ref (-1) in
+  (* The element from [!start] to [at], where [delim] stands ([None]: the
+     input's end, trailing blanks cut). *)
+  let element at delim =
+    let text = Buffer.contents elem and from = !start in
+    Buffer.clear elem;
+    start := at + 1;
+    if delim <> None && String.for_all json_ws text then begin
+      if !count > 0 || delim <> Some ']' then bad at {|bad number ""|}
+    end
+    else begin
+      match Json.of_string text with
+      | Error e ->
+          Scanf.sscanf e "at %d: %s@\n" (fun p what ->
+              bad (from + p)
+                (if what = "trailing garbage" then "expected ']'" else what))
+      | Ok j ->
+          incr count;
+          event_at "element" !count j f;
+          if delim <> Some ',' && delim <> Some ']' then bad at "expected ']'"
+    end;
+    closed := delim = Some ']'
   in
-  let rec all acc = function
-    | [] -> Ok (List.rev acc)
-    | Ok e :: rest -> all (e :: acc) rest
-    | Error m :: _ -> Error m
+  let scan at c =
+    if !closed then begin
+      if !garbage < 0 && not (json_ws c) then garbage := at;
+      if not (blank c) then bad !garbage "trailing garbage"
+    end
+    else if !in_string then begin
+      Buffer.add_char elem c;
+      if !escaped then escaped := false
+      else if c = '\\' then escaped := true
+      else in_string := c <> '"'
+    end
+    else if !depth = 0 && (c = ',' || c = ']' || c = '}') then
+      element at (Some c)
+    else begin
+      Buffer.add_char elem c;
+      match c with
+      | '"' -> in_string := true
+      | '[' | '{' -> incr depth
+      | ']' | '}' -> decr depth
+      | _ -> ()
+    end
   in
-  let trimmed = String.trim text in
-  if trimmed = "" then Ok []
-  else if trimmed.[0] = '[' then
-    match Json.of_string trimmed with
-    | Error e -> Error (Printf.sprintf "unparseable catapult array (%s)" e)
-    | Ok (Json.List items) -> all [] (List.mapi (event "element") items)
-    | Ok _ -> Error "expected a top-level array"
-  else
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.mapi (fun i line ->
-           match Json.of_string line with
-           | Error e ->
-               Error (Printf.sprintf "line %d unparseable (%s)" (i + 1) e)
-           | Ok j -> event "line" i j)
-    |> all []
+  let chunk = Bytes.create 65536 in
+  let rec go at =
+    match In_channel.input ic chunk 0 (Bytes.length chunk) with
+    | 0 when !closed -> ()
+    | 0 ->
+        let len = ref (Buffer.length elem) in
+        while !len > 0 && blank (Buffer.nth elem (!len - 1)) do decr len done;
+        Buffer.truncate elem !len;
+        element (!start + !len) None
+    | n ->
+        for i = 0 to n - 1 do scan (at + i) (Bytes.get chunk i) done;
+        go (at + n)
+  in
+  go 1
+
+let iter_trace ic f =
+  (* A JSONL first line keeps the blanks before it on its own line. *)
+  let line = Buffer.create 16 in
+  let rec lead () =
+    match In_channel.input_char ic with
+    | None -> ()
+    | Some '\n' -> Buffer.clear line; lead ()
+    | Some c when blank c -> Buffer.add_char line c; lead ()
+    | Some '[' -> read_catapult ic f
+    | Some c ->
+        Buffer.add_char line c;
+        let rest = Option.value (In_channel.input_line ic) ~default:"" in
+        read_jsonl ic f 0 (Some (Buffer.contents line ^ rest))
+  in
+  match lead () with () -> Ok () | exception Stop m -> Error m
 
 (* {2 Writers}
 
@@ -194,17 +277,12 @@ let jsonl write =
   }
 
 let catapult write =
-  let first = ref true in
-  let opened = ref false in
-  let closed = ref false in
+  let opened = ref false and closed = ref false in
   {
     emit =
       (fun e ->
-        if not !opened then begin
-          opened := true;
-          write "[\n"
-        end;
-        if !first then first := false else write ",\n";
+        write (if !opened then ",\n" else "[\n");
+        opened := true;
         write (Json.to_string (event_json e)));
     flush =
       (fun () ->

@@ -87,13 +87,16 @@ val event_of_json : Json.t -> event option
 (** Inverse of {!event_json}; [None] when [name]/[ph] are missing.
     Unknown fields (e.g. a flight dump's [dom]) are ignored. *)
 
-val events_of_string : string -> (event list, string) result
-(** Parse a whole trace file, JSONL or catapult (chosen by a leading
-    [[]). The first bad line or object is the [Error]: [line N
-    unparseable (…)] (N counts non-blank lines), [line N: object is not
-    a trace event: …] ([element N: …] in a catapult array, counted from
-    1), [unparseable catapult array (…)] or [expected a top-level
-    array]. Never raises. *)
+val iter_trace :
+  in_channel -> (event -> (unit, string) result) -> (unit, string) result
+(** [iter_trace ic f] reads a trace file, JSONL or catapult (chosen by a
+    leading [[]), one event at a time, handing each to [f]. The first
+    fault in file order, an [Error] of [f] or a bad line or element, is
+    the result: [line N unparseable (…)] (N counts non-blank lines),
+    [line N: object is not a trace event: …] ([element N: …] in a
+    catapult array, counted from 1), or [unparseable catapult array (at
+    P: …)], P being where a parser handed the whole array, blanks around
+    it trimmed, stops. Raises only the channel's [Sys_error]. *)
 
 val kind_to_string : kind -> string
 

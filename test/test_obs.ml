@@ -577,11 +577,30 @@ let test_event_json_roundtrip () =
   | Some e' -> Alcotest.(check bool) "event roundtrip" true (e = e')
   | None -> Alcotest.fail "event_of_json rejected its own output"
 
+(* Trace readers take a channel, as the CLI does: hand them [text]
+   through a fresh temp file. *)
+let with_trace_file text f =
+  let file = Filename.temp_file "trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc text);
+      In_channel.with_open_bin file f)
+
+let read_events text =
+  let acc = ref [] in
+  with_trace_file text (fun ic ->
+      S.iter_trace ic (fun e ->
+          acc := e :: !acc;
+          Ok ()))
+  |> Result.map (fun () -> List.rev !acc)
+
 (* The one trace-file reader behind [trace summary] and [report]: both
-   encodings and flight dumps parse back to the events written, and each
+   encodings and flight dumps parse back to the events written, each
    malformed input is an [Error] carrying the CLI's message, not an
-   exception. *)
-let test_events_of_string () =
+   exception, and the first fault in file order wins — the consumer's
+   own included. *)
+let test_iter_trace () =
   let ev kind name ts =
     { S.kind; name; cat = "app"; track = 1; ts; args = [ ("x", J.Int ts) ] }
   in
@@ -592,18 +611,25 @@ let test_events_of_string () =
     Buffer.contents b
   in
   let parsed what text =
-    match S.events_of_string text with
+    match read_events text with
     | Ok got -> got
     | Error m -> Alcotest.failf "%s rejected: %s" what m
   in
   let rejected what text =
-    match S.events_of_string text with
+    match read_events text with
     | Ok _ -> Alcotest.failf "%s accepted" what
     | Error m -> m
   in
   Alcotest.(check bool) "jsonl" true (parsed "jsonl" (render S.jsonl) = evs);
   Alcotest.(check bool) "catapult" true
     (parsed "catapult" (render S.catapult) = evs);
+  let one_line =
+    "  ["
+    ^ String.concat "," (List.map (fun e -> J.to_string (S.event_json e)) evs)
+    ^ "]\012\n"
+  in
+  Alcotest.(check bool) "catapult on one line" true
+    (parsed "one-line catapult" one_line = evs);
   let dump =
     String.concat "\n"
       (List.map
@@ -613,21 +639,49 @@ let test_events_of_string () =
   Alcotest.(check bool) "flight dump (dom ignored)" true
     (parsed "flight dump" dump = evs);
   Alcotest.(check int) "empty string" 0 (List.length (parsed "empty" ""));
+  Alcotest.(check int) "empty array" 0 (List.length (parsed "empty" " [ ] "));
   let good = J.to_string (S.event_json (List.hd evs)) in
-  let m =
-    rejected "bad line 3" (String.concat "\n" [ good; good; "{\"name\":" ])
-  in
-  Alcotest.(check bool) ("names line 3: " ^ m) true
-    (String.starts_with ~prefix:"line 3 unparseable (" m);
+  Alcotest.(check string) "bad line 3"
+    "line 3 unparseable (at 8: unexpected end of input)"
+    (rejected "bad line 3" (String.concat "\n" [ good; good; "{\"name\":" ]));
   Alcotest.(check string) "non-event object"
     "line 2: object is not a trace event: {\"ph\":\"i\"}"
     (rejected "non-event" (good ^ "\n\n{\"ph\":\"i\"}"));
   Alcotest.(check string) "non-event array element"
     "element 1: object is not a trace event: {}"
     (rejected "non-event element" "[{}]");
-  let m = rejected "torn catapult" "[{\"name\":\"run\"" in
-  Alcotest.(check bool) ("torn catapult: " ^ m) true
-    (String.starts_with ~prefix:"unparseable catapult array (" m)
+  (* Where a whole-array parser would stop at a delimiter, not inside an
+     element, the position and wording are still the reference's. *)
+  let n = String.length good in
+  List.iter
+    (fun (text, at, what) ->
+      let want =
+        Printf.sprintf "unparseable catapult array (at %d: %s)" at what
+      in
+      Alcotest.(check string) text want (rejected text text);
+      Alcotest.(check (result reject string)) (text ^ " (reference)")
+        (Error want) (Oracle.Trace_reader.events_of_string text))
+    [
+      ("[{\"name\":\"run\"", 14, "expected '}'");
+      ("[" ^ good ^ ",]", n + 2, {|bad number ""|});
+      ("[}", 1, {|bad number ""|});
+      ("[" ^ good ^ "}", n + 1, "expected ']'");
+      ("[" ^ good ^ " x]", n + 2, "expected ']'");
+      ("[" ^ good ^ ",", n + 2, "unexpected end of input");
+      ("[" ^ good ^ "] \012 x", n + 3, "trailing garbage");
+    ];
+  (* A parse error later in the file does not hide an earlier fault. *)
+  let first_fault =
+    with_trace_file
+      (String.concat "\n" [ good; good; "{" ])
+      (fun ic ->
+        let n = ref 0 in
+        S.iter_trace ic (fun _ ->
+            incr n;
+            if !n = 2 then Error "consumer stops at 2" else Ok ()))
+  in
+  Alcotest.(check (result unit string)) "consumer's fault first"
+    (Error "consumer stops at 2") first_fault
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end traces                                                   *)
@@ -655,22 +709,35 @@ let capture_jsonl f =
   S.with_sink (S.jsonl (Buffer.add_string b)) f;
   Buffer.contents b
 
-(* The trace reader behind [trace summary] and [report] is fed byte-edited
-   copies of real traces (a chaos run and an exploration, in both
-   encodings). Each must parse or give an [Error] that says where: the
-   line or array element, or the character the JSON parser stopped at. *)
+(* The streaming reader against the whole-file reader it replaced
+   ([Oracle.Trace_reader]), on byte-edited copies of real traces: a chaos
+   run and an exploration (plus one event whose string argument holds an
+   escaped backslash, a quote and a bracket) as JSONL, as JSONL with a
+   blank line after every event, and as a catapult array. The reader must accept
+   exactly what the reference accepts, with the same events. A rejection
+   says where — the line or array element, or the character a
+   whole-array parser stops at — and is the reference's own message,
+   except that a catapult element that is not an event is named before a
+   later parse error, which the reference reports first. *)
 let prop_trace_reader_survives_byte_edits =
   let traces =
     lazy
       (let run () =
          ignore
            (Msgpass.Chaos.campaign ~seed:3 ~runs:1 (Msgpass.Chaos.sound ()));
+         Obs.Span.instant ~cat:"app"
+           ~args:[ ("text", J.Str "\\\"]") ]
+           "quoted";
          ignore (Sched.Explore.explore ~init:workload (fun _ -> ()))
        in
        let catapult = Buffer.create 4096 in
        Obs.Span.reset ();
        S.with_sink (S.catapult (Buffer.add_string catapult)) run;
-       [| capture_jsonl run; Buffer.contents catapult |])
+       let jsonl = capture_jsonl run in
+       let spaced =
+         String.concat "\n\n" (String.split_on_char '\n' jsonl)
+       in
+       [| jsonl; spaced; Buffer.contents catapult |])
   in
   let open QCheck.Gen in
   let chars s = List.of_seq (String.to_seq s) in
@@ -682,7 +749,7 @@ let prop_trace_reader_survives_byte_edits =
       ]
   in
   let edits =
-    pair (int_range 0 1)
+    pair (int_range 0 2)
       (list_size (int_range 1 4)
          (triple (int_range 0 2) (int_range 0 max_int) byte))
   in
@@ -713,32 +780,40 @@ let prop_trace_reader_survives_byte_edits =
              (String.split_on_char '\n' text))
       in
       let within lo hi x = lo <= x && x <= hi in
-      match S.events_of_string text with
+      let scan m fmt = Scanf.sscanf_opt m fmt (fun n -> n) in
+      let array_error m = scan m "unparseable catapult array (at %d: %_s@)" in
+      match (read_events text, Oracle.Trace_reader.events_of_string text) with
       | exception exn ->
           QCheck.Test.fail_reportf "raised %s" (Printexc.to_string exn)
-      | Ok _ -> true
-      | Error m -> (
-          let scan fmt = Scanf.sscanf_opt m fmt (fun n -> n) in
+      | Ok got, Ok want ->
+          got = want || QCheck.Test.fail_reportf "accepted, other events"
+      | Ok _, Error m -> QCheck.Test.fail_reportf "accepted; reference: %s" m
+      | Error m, Ok _ -> QCheck.Test.fail_reportf "rejected: %s" m
+      | Error m, Error want ->
           let positioned =
-            match scan "line %d unparseable (at %_d: %_s@)" with
+            match scan m "line %d unparseable (at %_d: %_s@)" with
             | Some n -> within 1 lines n
             | None -> (
-                match scan "line %d: object is not a trace event: %_s@!" with
+                match scan m "line %d: object is not a trace event: %_s@!" with
                 | Some n -> within 1 lines n
                 | None -> (
                     match
-                      scan "element %d: object is not a trace event: %_s@!"
+                      scan m "element %d: object is not a trace event: %_s@!"
                     with
                     | Some n -> n >= 1
                     | None -> (
-                        match
-                          scan "unparseable catapult array (at %d: %_s@)"
-                        with
+                        match array_error m with
                         | Some p -> within 0 (String.length text) p
                         | None -> false)))
           in
-          positioned
-          || QCheck.Test.fail_reportf "error not positioned: %s" m))
+          let same =
+            m = want
+            || String.starts_with ~prefix:"element " m
+               && array_error want <> None
+          in
+          (positioned || QCheck.Test.fail_reportf "error not positioned: %s" m)
+          && (same
+             || QCheck.Test.fail_reportf "rejected: %s; reference: %s" m want))
 
 let test_trace_determinism_explore () =
   let run () =
@@ -776,34 +851,17 @@ let test_catapult_well_formed () =
       ignore
         (Msgpass.Chaos.campaign ~seed:3 ~runs:1 (Msgpass.Chaos.sound ()));
       ignore (Sched.Explore.explore ~init:workload (fun _ -> ())));
-  match J.of_string (Buffer.contents b) with
-  | Error e -> Alcotest.failf "catapult output unparseable: %s" e
+  let text = Buffer.contents b in
+  (match J.of_string text with
   | Ok (J.List items) ->
-      Alcotest.(check bool) "has events" true (List.length items > 10);
-      (* Spans must balance per track: every E matches an open B. *)
-      let depth = Hashtbl.create 4 in
-      List.iter
-        (fun item ->
-          match S.event_of_json item with
-          | None ->
-              Alcotest.failf "array element is not a trace event: %s"
-                (J.to_string item)
-          | Some e -> (
-              let d =
-                Option.value (Hashtbl.find_opt depth e.S.track) ~default:0
-              in
-              match e.S.kind with
-              | S.Begin -> Hashtbl.replace depth e.track (d + 1)
-              | S.End ->
-                  if d = 0 then Alcotest.fail "span end without begin";
-                  Hashtbl.replace depth e.track (d - 1)
-              | S.Instant -> ()))
-        items;
-      Hashtbl.iter
-        (fun track d ->
-          if d <> 0 then Alcotest.failf "%d unclosed span(s) on track %d" d track)
-        depth
+      Alcotest.(check bool) "has events" true (List.length items > 10)
   | Ok _ -> Alcotest.fail "catapult output is not a JSON array"
+  | Error e -> Alcotest.failf "catapult output unparseable: %s" e);
+  (* Every element is an event of a known category, and spans balance per
+     track: every E matches an open B, none is left open. *)
+  match with_trace_file text Obs.Report.validate with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "catapult output invalid: %s" m
 
 let test_hot_gating () =
   M.reset ();
@@ -891,12 +949,22 @@ let report_events =
     ev S.End ~track:1 13 "run";
   ]
 
+(* [events] folded as [boundedreg report] folds a trace file. *)
+let report_of events =
+  let text =
+    String.concat ""
+      (List.map (fun e -> J.to_string (S.event_json e) ^ "\n") events)
+  in
+  match with_trace_file text R.of_trace with
+  | Ok r -> r
+  | Error m -> Alcotest.failf "report input rejected: %s" m
+
 let report_table headers =
   List.find_map
     (function
       | R.Table t when List.hd t.R.headers = List.hd headers -> Some t
       | _ -> None)
-    (R.of_sources report_events)
+    (R.of_sources (report_of report_events))
   |> function
   | Some t ->
       Alcotest.(check (list string)) "headers" headers t.R.headers;
@@ -929,13 +997,13 @@ let test_report_names () =
     (report_table [ "event"; "kind"; "events" ])
 
 let test_report_deterministic () =
-  let md () = R.to_markdown (R.of_sources report_events) in
-  let html () = R.to_html (R.of_sources report_events) in
+  let md () = R.to_markdown (R.of_sources (report_of report_events)) in
+  let html () = R.to_html (R.of_sources (report_of report_events)) in
   Alcotest.(check string) "markdown" (md ()) (md ());
   Alcotest.(check string) "html" (html ()) (html ())
 
 let test_report_html_escapes () =
-  let html = R.to_html (R.of_sources report_events) in
+  let html = R.to_html (R.of_sources (report_of report_events)) in
   let contains sub =
     let n = String.length sub in
     let rec from i =
@@ -946,6 +1014,51 @@ let test_report_html_escapes () =
   Alcotest.(check bool) "escaped name present" true
     (contains "app/&lt;&amp;&gt;");
   Alcotest.(check bool) "raw name absent" false (contains "<&>")
+
+(* [trace summary]'s rejections, through the fold the CLI calls: each
+   input has one fault, and the message is the one the CLI prints after
+   "invalid trace FILE: ". With spans left open on two tracks, the track
+   named is the span table's first, not the first opened. *)
+let test_report_validate_messages () =
+  let ev ?(name = "run") ?(cat = "app") ph ts track =
+    Printf.sprintf
+      {|{"name":"%s","cat":"%s","ph":"%s","ts":%d,"pid":0,"tid":%d}|} name
+      cat ph ts track
+  in
+  let lines ls = String.concat "\n" ls ^ "\n" in
+  let rejected what text want =
+    match with_trace_file text R.validate with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error m -> Alcotest.(check string) what want m
+  in
+  rejected "unknown category"
+    (lines [ ev "B" 1 0; ev ~name:"x" ~cat:"bogus" "i" 2 0; ev "E" 3 0 ])
+    {|unknown event category "bogus" (event "x")|};
+  rejected "end without begin"
+    (lines [ ev "B" 1 0; ev "E" 2 0; ev "E" 3 1 ])
+    "span end without begin on track 1";
+  rejected "unclosed, track 2 opened last"
+    (lines [ ev "B" 1 1; ev "B" 2 2; ev "B" 3 2 ])
+    "2 unclosed span(s) on track 2";
+  rejected "unclosed, track 2 opened first"
+    (lines [ ev "B" 1 2; ev "B" 2 1; ev "B" 3 1 ])
+    "1 unclosed span(s) on track 2";
+  rejected "bad line after blank lines"
+    ("\n" ^ ev "B" 1 0 ^ "\n\n   \n" ^ ev "E" 2 0 ^ "\n\n  {\"name\":\n")
+    "line 3 unparseable (at 10: unexpected end of input)";
+  rejected "non-event element"
+    ("[\n" ^ ev "B" 1 0 ^ "\n,\n{\"ph\":\"i\"}\n,\n" ^ ev "E" 2 0 ^ "\n]\n")
+    {|element 2: object is not a trace event: {"ph":"i"}|};
+  rejected "torn array"
+    ("[\n" ^ ev "B" 1 0 ^ ",\n{\"name\":\"ru")
+    "unparseable catapult array (at 73: unterminated string)";
+  rejected "array torn after an element"
+    ("[\n" ^ ev "B" 1 0 ^ ",\n" ^ ev "E" 2 0 ^ "\n")
+    "unparseable catapult array (at 120: expected ']')";
+  (* Several faults: the first in file order. *)
+  rejected "category before a parse error"
+    (lines [ ev ~cat:"bogus" "i" 1 0; "{" ])
+    {|unknown event category "bogus" (event "run")|}
 
 let () =
   Alcotest.run "obs"
@@ -982,7 +1095,7 @@ let () =
             test_span_closes_on_exception;
           Alcotest.test_case "event-roundtrip" `Quick
             test_event_json_roundtrip;
-          Alcotest.test_case "events-of-string" `Quick test_events_of_string;
+          Alcotest.test_case "iter-trace" `Quick test_iter_trace;
           QCheck_alcotest.to_alcotest prop_trace_reader_survives_byte_edits;
           Alcotest.test_case "recorder-ring" `Quick test_recorder_ring;
           Alcotest.test_case "recorder-dump-replaces" `Quick
@@ -998,6 +1111,8 @@ let () =
           Alcotest.test_case "names" `Quick test_report_names;
           Alcotest.test_case "deterministic" `Quick test_report_deterministic;
           Alcotest.test_case "html-escape" `Quick test_report_html_escapes;
+          Alcotest.test_case "validate messages" `Quick
+            test_report_validate_messages;
         ] );
       ( "trace",
         [

@@ -26,6 +26,28 @@ let hanging id =
 
 let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
+(* A crashed or timed-out experiment dumps [flight-<reason>.jsonl] into
+   the current directory, which every test executable shares: run such a
+   case in a fresh directory, check that each expected dump landed there,
+   and remove the directory. *)
+let dumps_into_fresh_dir dumps f () =
+  let dir = Filename.temp_dir "supervisor" "" and cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Sys.readdir dir
+      |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
+      Sys.rmdir dir)
+    (fun () ->
+      f ();
+      List.iter
+        (fun reason ->
+          let file = Printf.sprintf "flight-%s.jsonl" reason in
+          Alcotest.(check bool) (file ^ " in the case's directory") true
+            (Sys.file_exists file))
+        dumps)
+
 let test_crash_is_isolated () =
   let results =
     S.run_all ~ppf:null_ppf
@@ -152,19 +174,23 @@ let () =
     [
       ( "supervisor",
         [
-          Alcotest.test_case "crash isolation" `Quick test_crash_is_isolated;
-          Alcotest.test_case "hang times out" `Quick test_hang_times_out;
+          Alcotest.test_case "crash isolation" `Quick
+            (dumps_into_fresh_dir [ "exception" ] test_crash_is_isolated);
+          Alcotest.test_case "hang times out" `Quick
+            (dumps_into_fresh_dir [ "watchdog" ] test_hang_times_out);
           Alcotest.test_case "seeded crash retried" `Quick
             test_seeded_crash_retried_once;
           Alcotest.test_case "unseeded crash not retried" `Quick
-            test_unseeded_crash_not_retried;
+            (dumps_into_fresh_dir [ "exception" ]
+               test_unseeded_crash_not_retried);
           Alcotest.test_case "double crash reports failure" `Quick
-            test_seeded_double_crash_reports_first;
+            (dumps_into_fresh_dir [ "exception" ]
+               test_seeded_double_crash_reports_first);
           Alcotest.test_case "degraded still passes" `Quick
             test_degraded_is_still_ok;
           Alcotest.test_case "jobs threads through the context" `Quick
             test_jobs_threads_through_context;
           Alcotest.test_case "summary names failures" `Quick
-            test_summary_names_failures;
+            (dumps_into_fresh_dir [ "exception" ] test_summary_names_failures);
         ] );
     ]
