@@ -96,7 +96,8 @@ let run_abd_ops () =
       ~nodes:(fun ~send pid -> Msgpass.Interp.node interps.(pid) ~send)
       ()
   in
-  Msgpass.Net.run_random ~rng:(Bits.Rng.make 9) net
+  Msgpass.Faults.run_random ~rng:(Bits.Rng.make 9)
+    ~profile:Msgpass.Faults.reliable (Msgpass.Faults.wrap net)
 
 let run_chaos_sound () =
   (* One sound-quorum chaos run: faults + history recording + the

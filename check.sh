@@ -417,5 +417,6 @@ fi
 
 echo "check.sh: OK"
 
-# Size report: every change states its lib/ line delta against this.
+# Size report: every change states its lib/ line and val deltas against this.
 echo "lib/: $(cat lib/*/*.ml lib/*/*.mli | wc -l) lines"
+echo "lib/*.mli: $(cat lib/*/*.mli | grep -cE '^\s*val ') vals"

@@ -91,10 +91,9 @@ let deliveries plan =
 
    The corpus files of the chaos fleet must be human-editable, so the
    serialized form of an action is exactly what [action_to_string]
-   prints — the grammar quoted in EXPERIMENTS.md — and a plan is either
-   the ";"-separated rendering of [pp_plan] or a JSON array of action
-   strings (one corpus line). Parsing accepts any whitespace where the
-   pretty-printer may break a line. *)
+   prints — the grammar quoted in EXPERIMENTS.md — and a plan is a JSON
+   array of action strings (one corpus line). Parsing an action accepts
+   blanks around it and around its operands. *)
 
 (* Scanners of the printer's own form, top-level so that they allocate
    nothing; [action_of_string] and [scan_compiled_json] share them. *)
@@ -166,24 +165,6 @@ let action_of_string s =
         | "enter" -> pid (fun p -> Enter p)
         | "leave" -> pid (fun p -> Leave p)
         | _ -> fail "unknown action keyword %S in %S" kw s)
-
-let plan_of_string text =
-  (* Walk the ";"-splits keeping the absolute character offset, so a
-     parse failure names the offending action's index (among non-empty
-     segments) and where in the input it starts — corpus lines are
-     hand-edited, and "action 37" beats re-counting semicolons. *)
-  let rec go idx offset acc = function
-    | [] -> Ok (List.rev acc)
-    | seg :: rest -> (
-        let next = offset + String.length seg + 1 in
-        if String.trim seg = "" then go idx next acc rest
-        else
-          match action_of_string seg with
-          | Ok a -> go (idx + 1) next (a :: acc) rest
-          | Error e ->
-              Error (Printf.sprintf "action %d (at char %d): %s" idx offset e))
-  in
-  go 0 0 [] (String.split_on_char ';' text)
 
 let plan_to_json plan =
   Obs.Json.List (List.map (fun a -> Obs.Json.Str (action_to_string a)) plan)

@@ -46,9 +46,9 @@ val deliveries : plan -> int
 (** {1 Plan codecs}
 
     The chaos-fleet corpus persists plans on disk in a human-editable
-    form: every action serializes to exactly what {!action_to_string}
-    returns, and the parsers below invert it and {!pp_plan} (accepting
-    any whitespace where the pretty-printer breaks lines). *)
+    form: a JSON array whose elements are exactly what
+    {!action_to_string} returns, and the parsers below invert it.
+    {!pp_plan} text is for people; nothing reads it back. *)
 
 val action_to_string : action -> string
 (** [deliver 0>2], [drop 0>2], [dup 0>2], [defer 0>2], [crash 3],
@@ -60,12 +60,6 @@ val action_of_string : string -> (action, string) result
 (** Inverse of {!action_to_string}; [Error] names the offending token
     (unknown keyword, malformed channel, non-integer pid). The printer's
     own form is read in place, without allocating. *)
-
-val plan_of_string : string -> (plan, string) result
-(** Parse a ";"-separated action list — the {!pp_plan} rendering. Empty
-    segments are skipped, so a trailing ";" is fine. [Error] reports the
-    offending action's index and character offset in the input, plus the
-    token-level diagnosis from {!action_of_string}. *)
 
 val plan_to_json : plan -> Obs.Json.t
 (** A JSON array of action strings — one corpus line's [plan] field. *)
@@ -155,9 +149,9 @@ type profile = {
 }
 
 val reliable : profile
-(** All fault probabilities zero, no crashes: {!run_random} degenerates to
-    {!Net.run_random} up to channel choice. Build custom profiles with
-    [{ reliable with drop = 0.1; ... }]. *)
+(** All fault probabilities zero, no crashes: {!run_random} is then a
+    fault-free random delivery schedule over the reliable-FIFO {!Net}.
+    Build custom profiles with [{ reliable with drop = 0.1; ... }]. *)
 
 type 'm t
 

@@ -55,9 +55,9 @@ type 'm node = {
    a delivery or drop empties the ring. The per-event deliverable scan
    walks the set bits of [rows.(src) land alive land present] — no
    list is ever built, and empty channels cost nothing;
-   [deliverable_into] writes channel codes into the preallocated
-   [scratch] buffer in lexicographic order, exactly the order the old
-   persistent implementation enumerated. *)
+   [deliverable_into] writes channel codes into the caller's buffer in
+   lexicographic order, exactly the order the old persistent
+   implementation enumerated. *)
 type 'm t = {
   size : int;
   nodes : 'm node array;
@@ -71,7 +71,6 @@ type 'm t = {
   mutable left : int;  (** bitset: departed gracefully *)
   mutable delivered : int;
   mutable hop_mask : int;  (** bit [b] set: some delivery hit bucket [b] *)
-  scratch : int array;  (** [deliverable_into] buffer, length n*n *)
 }
 
 let initial_cap = 8
@@ -150,7 +149,6 @@ let create ?(present = fun _ -> true) ~n ~nodes () =
       left = 0;
       delivered = 0;
       hop_mask = 0;
-      scratch = Array.make (n * n) 0;
     }
   in
   for pid = 0 to n - 1 do
@@ -196,12 +194,6 @@ let deliverable_into t buf =
   done;
   !k
 
-let deliverable t =
-  let k = deliverable_into t t.scratch in
-  List.init k (fun i ->
-      let ch = t.scratch.(i) in
-      (ch / t.size, ch mod t.size))
-
 let check_channel t ~src ~dst =
   if src < 0 || src >= t.size || dst < 0 || dst >= t.size then
     invalid_arg "Net: channel out of range"
@@ -237,14 +229,6 @@ let deliver t ~src ~dst =
         "deliver";
     t.nodes.(dst).on_message ~from:src m;
     true
-  end
-
-let deliver_random rng t =
-  let k = deliverable_into t t.scratch in
-  if k = 0 then false
-  else begin
-    let ch = t.scratch.(Bits.Rng.int rng k) in
-    deliver t ~src:(ch / t.size) ~dst:(ch mod t.size)
   end
 
 let drop t ~src ~dst =
@@ -304,9 +288,6 @@ let alive t pid =
   if pid < 0 || pid >= t.size then invalid_arg "Net: pid out of range";
   has t.alive pid
 
-let crashed t =
-  List.init t.size (fun i -> i) |> List.filter (fun i -> not (has t.alive i))
-
 (* {2 Dynamic membership}
 
    [enter] brings a never-before-present slot into the computation: its
@@ -353,15 +334,4 @@ let is_present t pid =
   if pid < 0 || pid >= t.size then invalid_arg "Net: pid out of range";
   has t.present pid
 
-let departed t =
-  List.init t.size (fun i -> i) |> List.filter (fun i -> has t.left i)
-
-let quiescent t = deliverable_into t t.scratch = 0
-let deliveries t = t.delivered
 let hop_mask t = t.hop_mask
-
-let run_random ~rng ?(max_events = 1_000_000) t =
-  let rec loop budget =
-    if budget > 0 && deliver_random rng t then loop (budget - 1)
-  in
-  loop max_events

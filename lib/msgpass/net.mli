@@ -5,7 +5,9 @@
     (the scheduler picks any non-empty channel). A crashed process neither
     processes nor sends. Nodes are mutable callbacks, so this substrate has
     no exhaustive mode — correctness here is checked with seeded random
-    schedules. *)
+    schedules. {!Faults} is the one driver: {!Faults.run_random} under
+    {!Faults.reliable} is the fault-free random schedule, and
+    {!Faults.replay_compiled} a scripted one. *)
 
 type 'm node = {
   on_start : unit -> unit;
@@ -50,10 +52,6 @@ val reset : ?present:(int -> bool) -> 'm t -> unit
 
 val n : 'm t -> int
 
-val deliver_random : Bits.Rng.t -> 'm t -> bool
-(** Deliver one message from a uniformly chosen non-empty channel with a
-    live destination; [false] when nothing is deliverable. *)
-
 val deliver : 'm t -> src:int -> dst:int -> bool
 (** Scripted delivery: pop the head of channel [src → dst] and run the
     destination's handler. Adversarial delivery orders are expressed by
@@ -63,18 +61,14 @@ val deliver : 'm t -> src:int -> dst:int -> bool
     or the destination has crashed (the message stays queued).
     @raise Invalid_argument if [src] or [dst] is out of range. *)
 
-val deliverable : 'm t -> (int * int) list
-(** Channels [(src, dst)] with queued messages and a live destination,
-    lexicographic. *)
-
 val deliverable_into : 'm t -> int array -> int
-(** Allocation-free {!deliverable}: writes the flat channel codes
-    [src * n + dst] of deliverable channels into the buffer in
-    lexicographic order and returns how many were written. The buffer
-    must have length at least [n * n]. Picking index [Rng.int rng count]
-    of the filled prefix draws the same channel the historical
-    [Rng.pick rng (deliverable t)] drew, with the same single RNG step —
-    the fault layer's replay streams depend on this. The scan walks a
+(** The deliverable channels — queued messages and a live, present
+    destination: writes their flat codes [src * n + dst] into the buffer
+    in lexicographic order and returns how many were written; [0] means
+    the network is quiescent. The buffer must have length at least
+    [n * n]. {!Faults.run_random} draws index [Rng.int rng count] of the
+    filled prefix, so this order is part of every recorded seed's
+    replay stream. The scan walks a
     per-source bitset of non-empty channels, so empty channels cost
     nothing. It is branch-free: each scanned position is stored at the
     count, which advances by the position's bit, so a clear bit's code
@@ -103,7 +97,6 @@ val defer : 'm t -> src:int -> dst:int -> bool
 
 val crash : 'm t -> int -> unit
 val alive : 'm t -> int -> bool
-val crashed : 'm t -> int list
 
 (** {1 Dynamic membership}
 
@@ -131,14 +124,6 @@ val is_present : 'm t -> int -> bool
     presence — a crashed member is a faulty member, not a departed one.
     @raise Invalid_argument if the pid is out of range. *)
 
-val departed : 'm t -> int list
-(** Slots that left gracefully, ascending. *)
-
-val quiescent : 'm t -> bool
-(** No deliverable messages remain. *)
-
-val deliveries : 'm t -> int
-
 val hop_bounds : int array
 (** Bucket upper bounds of the hop-latency histogram (logical hops
     between a message's enqueue and its delivery; last bucket implicit
@@ -150,7 +135,3 @@ val hop_mask : 'm t -> int
     {!hop_bounds}. The per-run, replay-stable view of the registry's
     cumulative [net.hop_latency] histogram — a coverage signal for the
     chaos fleet. *)
-
-val run_random : rng:Bits.Rng.t -> ?max_events:int -> 'm t -> unit
-(** Deliver until quiescent or [max_events] (default 1_000_000)
-    deliveries happened. *)

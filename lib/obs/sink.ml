@@ -209,29 +209,38 @@ let read_catapult ic f =
     end;
     closed := delim = Some ']'
   in
-  let scan at c =
-    if !closed then begin
-      if !garbage < 0 && not (json_ws c) then garbage := at;
-      if not (blank c) then bad !garbage "trailing garbage"
-    end
-    else if !in_string then begin
-      Buffer.add_char elem c;
-      if !escaped then escaped := false
-      else if c = '\\' then escaped := true
-      else in_string := c <> '"'
-    end
-    else if !depth = 0 && (c = ',' || c = ']' || c = '}') then
-      element at (Some c)
-    else begin
-      Buffer.add_char elem c;
-      match c with
-      | '"' -> in_string := true
-      | '[' | '{' -> incr depth
-      | ']' | '}' -> decr depth
-      | _ -> ()
-    end
+  (* [chunk]'s bytes from [!pending] on are element text not yet in [elem]:
+     text is appended a run at a time, when an element or the chunk
+     ends, so a byte costs only the state update. [in_string] is tested
+     first, as most bytes sit in strings; it is false once [closed]. *)
+  let chunk = Bytes.create 65536 and pending = ref 0 in
+  let scan_chunk at n =
+    pending := 0;
+    for i = 0 to n - 1 do
+      let c = Bytes.unsafe_get chunk i in
+      if !in_string then begin
+        if !escaped then escaped := false
+        else if c = '\\' then escaped := true
+        else in_string := c <> '"'
+      end
+      else if !closed then begin
+        if !garbage < 0 && not (json_ws c) then garbage := at + i;
+        if not (blank c) then bad !garbage "trailing garbage"
+      end
+      else if !depth = 0 && (c = ',' || c = ']' || c = '}') then begin
+        Buffer.add_subbytes elem chunk !pending (i - !pending);
+        pending := i + 1;
+        element (at + i) (Some c)
+      end
+      else
+        match c with
+        | '"' -> in_string := true
+        | '[' | '{' -> incr depth
+        | ']' | '}' -> decr depth
+        | _ -> ()
+    done;
+    if not !closed then Buffer.add_subbytes elem chunk !pending (n - !pending)
   in
-  let chunk = Bytes.create 65536 in
   let rec go at =
     match In_channel.input ic chunk 0 (Bytes.length chunk) with
     | 0 when !closed -> ()
@@ -241,7 +250,7 @@ let read_catapult ic f =
         Buffer.truncate elem !len;
         element (!start + !len) None
     | n ->
-        for i = 0 to n - 1 do scan (at + i) (Bytes.get chunk i) done;
+        scan_chunk at n;
         go (at + n)
   in
   go 1

@@ -37,6 +37,3 @@ let lockstep view =
     (fun best pid ->
       if view.steps_of pid < view.steps_of best then pid else best)
     (List.hd view.running) (List.tl view.running)
-
-let solo_then ~first view =
-  if List.mem first view.running then first else lockstep view

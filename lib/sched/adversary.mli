@@ -29,7 +29,3 @@ val lockstep : t
 (** Always step a least-advanced running process (ties to the smallest id):
     strict alternation while everyone runs — keeps Algorithm 1's two
     processes synchronized for the full 2k+3 steps. *)
-
-val solo_then : first:int -> t
-(** Run [first] until it halts, then fall back to {!lockstep} for the rest
-    — the paper's "solo execution followed by late arrivals" pattern. *)

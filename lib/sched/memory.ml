@@ -21,8 +21,6 @@ type ('v, 'i) t = {
          check, no maximum to bump, no histogram to feed. *)
   regs : 'v array;
   inputs : 'i option array;
-  mutable reads : int;
-  mutable writes : int;
   mutable max_bits : int;
 }
 
@@ -43,8 +41,6 @@ let create ~n ~budget ~measure ~init =
     untracked;
     regs = Array.make n init;
     inputs = Array.make n None;
-    reads = 0;
-    writes = 0;
     max_bits = 0;
   }
 
@@ -57,21 +53,16 @@ let write_tracked t pid v =
   Bits.Width.check t.budget bits;
   if bits > t.max_bits then t.max_bits <- bits;
   t.regs.(pid) <- v;
-  t.writes <- t.writes + 1;
   if !Obs.Metrics.hot then begin
     Obs.Metrics.inc m_writes;
     Obs.Metrics.observe width_hist bits
   end
 
 let[@inline] write t ~pid v =
-  if t.untracked && not !Obs.Metrics.hot then begin
-    t.regs.(pid) <- v;
-    t.writes <- t.writes + 1
-  end
+  if t.untracked && not !Obs.Metrics.hot then t.regs.(pid) <- v
   else write_tracked t pid v
 
 let read t j =
-  t.reads <- t.reads + 1;
   if !Obs.Metrics.hot then Obs.Metrics.inc m_reads;
   t.regs.(j)
 
@@ -81,30 +72,19 @@ let[@inline] peek t j = t.regs.(j)
    by construction. *)
 let[@inline] peek_trusted t j = Array.unsafe_get t.regs j
 
-(* [poke]/[unpoke] pids come from the scheduler's fused walk, which only
-   steps pids it started — in range by construction. *)
-let[@inline] poke t ~pid v =
-  Array.unsafe_set t.regs pid v;
-  t.writes <- t.writes + 1
+(* [poke] pids come from the scheduler's fused walk, which only steps
+   pids it started — in range by construction. *)
+let[@inline] poke t ~pid v = Array.unsafe_set t.regs pid v
 
-let[@inline] unpoke t ~pid ~old =
-  Array.unsafe_set t.regs pid old;
-  t.writes <- t.writes - 1
-
-(* [poke_imm]/[unpoke_imm]: the caller has checked that both the stored
-   value and the value it overwrites are runtime immediates
-   ([Obj.is_int]), so the store needs no write barrier — neither the
-   remembered set (nothing young is being pointed at) nor the deletion
-   barrier (nothing white is being dropped) applies. The [int array] cast
-   is sound for the same reason: an array observed to hold an immediate
-   cannot be a flat float array. *)
+(* [poke_imm]: the caller has checked that both the stored value and
+   the value it overwrites are runtime immediates ([Obj.is_int]), so the
+   store needs no write barrier — neither the remembered set (nothing
+   young is being pointed at) nor the deletion barrier (nothing white is
+   being dropped) applies. The [int array] cast is sound for the same
+   reason: an array observed to hold an immediate cannot be a flat float
+   array. *)
 let[@inline] poke_imm t ~pid v =
-  Array.unsafe_set (Obj.magic t.regs : int array) pid (Obj.magic v : int);
-  t.writes <- t.writes + 1
-
-let[@inline] unpoke_imm t ~pid ~old =
-  Array.unsafe_set (Obj.magic t.regs : int array) pid (Obj.magic old : int);
-  t.writes <- t.writes - 1
+  Array.unsafe_set (Obj.magic t.regs : int array) pid (Obj.magic v : int)
 
 let write_input t ~pid v =
   (match t.inputs.(pid) with
@@ -114,15 +94,10 @@ let write_input t ~pid v =
 
 let read_input t j = t.inputs.(j)
 let contents t = Array.copy t.regs
-
-let reads_performed t = t.reads
-let writes_performed t = t.writes
 let max_bits_written t = t.max_bits
 
 let[@inline] unwrite t ~pid ~old ~old_max_bits =
   t.regs.(pid) <- old;
-  t.writes <- t.writes - 1;
   t.max_bits <- old_max_bits
 
-let[@inline] unread t = t.reads <- t.reads - 1
 let[@inline] unwrite_input t pid = t.inputs.(pid) <- None

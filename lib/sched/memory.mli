@@ -27,9 +27,9 @@ val write : ('v, 'i) t -> pid:int -> 'v -> unit
 val read : ('v, 'i) t -> int -> 'v
 
 val peek : ('v, 'i) t -> int -> 'v
-(** Like {!read} but without bumping the read counter — for explorers and
-    adversaries that inspect memory outside the protocol's own step
-    accounting. *)
+(** Like {!read} but without ticking the [sched.reads] metric — for
+    explorers and adversaries that inspect memory outside the protocol's
+    own step accounting. *)
 
 val write_input : ('v, 'i) t -> pid:int -> 'i -> unit
 (** @raise Invalid_argument on a second write to the same input register. *)
@@ -41,9 +41,6 @@ val contents : ('v, 'i) t -> 'v array
     concatenating the register contents" of the Section 4 pigeonhole
     argument, compared structurally. *)
 
-val reads_performed : ('v, 'i) t -> int
-val writes_performed : ('v, 'i) t -> int
-
 val max_bits_written : ('v, 'i) t -> int
 (** Largest measured width over all writes so far (0 if none). *)
 
@@ -53,8 +50,8 @@ val max_bits_written : ('v, 'i) t -> int
     measure is the canonical {!Bits.Width.unbounded}: every width is 0 by
     construction, so there is no budget to check, no maximum to bump and
     no histogram to feed. Hot loops that have hoisted the test (and the
-    metrics gate) may then write through {!poke}/{!unpoke} — a register
-    store and a counter bump, nothing else. *)
+    metrics gate) may then write through {!poke} — a register store,
+    nothing else. Reverting a poke is poking the old value back. *)
 
 val is_untracked : ('v, 'i) t -> bool
 
@@ -65,33 +62,24 @@ val poke : ('v, 'i) t -> pid:int -> 'v -> unit
 (** {!write} minus width accounting and metrics. Only sound on an
     untracked memory with metrics cold. *)
 
-val unpoke : ('v, 'i) t -> pid:int -> old:'v -> unit
-(** Revert one {!poke}. *)
-
 val poke_imm : ('v, 'i) t -> pid:int -> 'v -> unit
 (** {!poke} without the write barrier. Only sound when both the stored
     value and the register's current value are runtime immediates
     ([Obj.is_int]) — the caller must check both. *)
-
-val unpoke_imm : ('v, 'i) t -> pid:int -> old:'v -> unit
-(** Revert one {!poke_imm}; same immediacy obligation. *)
 
 (** {1 Undo support}
 
     Reverse operations, called by {!Scheduler.undo_to} when replaying its
     journal backwards. Operands arrive as plain arguments (the journal
     keeps them in flat arrays), so reverting allocates nothing. Reverting
-    a write restores both the register and the statistics counters, so a
-    backtracking search observes exactly the counters of the execution
-    path it is currently on. Calls must mirror the forward operations in
-    LIFO order. *)
+    a write restores both the register and the max-width statistic, so a
+    backtracking search observes exactly the widths of the execution path
+    it is currently on. A read changes nothing to revert. Calls must
+    mirror the forward operations in LIFO order. *)
 
 val unwrite : ('v, 'i) t -> pid:int -> old:'v -> old_max_bits:int -> unit
-(** Revert one {!write}: restore the register's previous value, the write
-    counter, and the max-width statistic. *)
-
-val unread : ('v, 'i) t -> unit
-(** Revert one {!read} (the read counter). *)
+(** Revert one {!write}: restore the register's previous value and the
+    max-width statistic. *)
 
 val unwrite_input : ('v, 'i) t -> int -> unit
 (** Revert one {!write_input}: the input register becomes empty again. *)

@@ -18,7 +18,7 @@ module C = Program.Compiled
    old trace head). A mark is the arena cursor; undoing rewinds the
    cursor, replaying slots in reverse. A step changes at most: the
    process's pc, its status/output (via [settle]), the trace head, one
-   memory cell and the memory counters, and the two step counters — so
+   memory cell and the width statistic, and the two step counters — so
    a slot is O(1) to write and to revert, and pushing one allocates
    nothing (growth is amortized doubling). *)
 
@@ -324,7 +324,6 @@ let undo_to t m =
       if base = k_write then
         Memory.unwrite t.mem ~pid ~old:(t.j_val.(l))
           ~old_max_bits:(Array.unsafe_get t.j_bits l)
-      else if base = k_read then Memory.unread t.mem
       else if base = k_write_input then Memory.unwrite_input t.mem pid
     end
   done
@@ -427,8 +426,8 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
       Array.unsafe_set pcs p nx;
       let acc = descend code nx p depth acc in
       Array.unsafe_set pcs p pc;
-      if imm then Memory.unpoke_imm mem ~pid:p ~old:old_v
-      else if fast then Memory.unpoke mem ~pid:p ~old:old_v
+      if imm then Memory.poke_imm mem ~pid:p old_v
+      else if fast then Memory.poke mem ~pid:p old_v
       else Memory.unwrite mem ~pid:p ~old:old_v ~old_max_bits:old_bits;
       unstep p acc
     end
@@ -440,7 +439,6 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
       Array.unsafe_set pcs p nx;
       let acc = descend code nx p depth acc in
       Array.unsafe_set pcs p pc;
-      Memory.unread mem;
       unstep p acc
     end
     else if op = C.op_write_input then begin
@@ -454,7 +452,7 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
       unstep p acc
     end
     else begin
-      (* op_read_input: reads an input register, no memory counter *)
+      (* op_read_input: reads an input register *)
       let j = C.reg code pc in
       let v = Memory.read_input mem j in
       if sink then record t p (Trace.Read_input j);
@@ -605,8 +603,6 @@ let running t =
   done;
   !acc
 
-let all_halted t = running_count t = 0
-
 (* The option view of one announced decision: the payload's compile-time
    [Some] block, so no allocation. *)
 let output t pid =
@@ -676,10 +672,3 @@ let run_random ?(max_steps = 1_000_000) ?(crashes = []) ?(until_outputs = false)
       loop (budget - 1))
   in
   loop max_steps
-
-let run_solo ?(max_steps = 1_000_000) t pid =
-  let budget = ref max_steps in
-  while is_running t pid && !budget > 0 do
-    step t pid;
-    decr budget
-  done

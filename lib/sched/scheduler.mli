@@ -72,8 +72,9 @@ val journal_mark : ('v, 'i, 'a) state -> journal_mark
 
 val undo_to : ('v, 'i, 'a) state -> journal_mark -> unit
 (** Rewind to a previously obtained mark, reverting programs, statuses,
-    outputs, step counters, memory contents and memory statistics, and the
-    recorded trace. Marks must be used LIFO.
+    outputs, step counters, memory contents, the memory's max-width
+    statistic ({!Memory.max_bits_written}) and the recorded trace. Marks
+    must be used LIFO.
     @raise Invalid_argument if the mark is ahead of the journal. *)
 
 (** {1 Fused raw exploration} *)
@@ -138,8 +139,6 @@ val running_mask : ('v, 'i, 'a) state -> int
 (** Bitmask of running pids (bit [pid] set iff running), allocation-free —
     the explorer's per-node enabled set. Requires [n <= Sys.int_size]. *)
 
-val all_halted : ('v, 'i, 'a) state -> bool
-
 val all_output : ('v, 'i, 'a) state -> bool
 (** Every non-crashed process has announced a decision — through [Return] or
     the decide-and-continue [Output]. *)
@@ -179,7 +178,3 @@ val run_random :
     the termination condition for never-halting simulation protocols that
     decide via [Output]. Random schedules are fair with probability 1, so
     with [max_steps] large enough every wait-free protocol run completes. *)
-
-val run_solo : ?max_steps:int -> ('v, 'i, 'a) state -> int -> unit
-(** Run only process [pid] until it halts: the paper's solo execution, all
-    other processes crashed at the start. *)

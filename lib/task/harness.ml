@@ -164,15 +164,6 @@ let random_crash_pattern rng ~n ~resilience =
    re-deriving and printing hundreds of millions of pids helps nobody. *)
 let schedule_cap = 2_000_000
 
-let replay algorithm (v : 'i violation) =
-  match v.schedule with
-  | None -> None
-  | Some pids ->
-      Some
-        (run_once algorithm ~inputs:v.inputs
-           ~schedule:(`Replay (pids, v.crashes))
-           ())
-
 (* Scheduler steps per [run_random] call when a seeded run is driven in
    slices: the deadline is read between slices, once per 50k steps. *)
 let slice_steps = 50_000

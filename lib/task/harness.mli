@@ -25,8 +25,11 @@ type 'i violation = {
           present for exhaustive failures (recovered from the explorer's
           trace, crashes included); present for random failures up to a
           2M-step cap (re-derived by replaying the seed with tracing on).
-          Feed it back through [run_once ~schedule:(`Replay ...)] — or
-          {!replay} — to re-execute the failure bit-for-bit. *)
+          Feed it back through
+          [run_once ~inputs ~schedule:(`Replay (pids, crashes))] to
+          re-execute the failure bit-for-bit: the returned state exhibits
+          the reported failure, with the same decisions and step
+          counts. *)
   reason : string;
 }
 
@@ -61,13 +64,6 @@ val run_once :
     with [`Replay (pids, crashes)] it re-executes a recorded failure
     bit-for-bit — exactly the listed steps, crash placements applied, no
     round-robin tail. *)
-
-val replay :
-  ('v, 'i, 'o) algorithm -> 'i violation ->
-  ('v, 'i, 'o) Sched.Scheduler.state option
-(** Re-execute a violation from its recorded schedule and crash pattern
-    ([None] when the violation carries no schedule). The returned state
-    exhibits the reported failure: same decisions, same step counts. *)
 
 val check_random :
   task:('i, 'o) Task.t ->

@@ -132,9 +132,6 @@ let defer t ~src ~dst =
 let crash t pid = t.alive.(pid) <- false
 let alive t pid = t.alive.(pid)
 
-let crashed t =
-  List.init t.size (fun i -> i) |> List.filter (fun i -> not t.alive.(i))
-
 let enter t pid =
   if pid < 0 || pid >= t.size then invalid_arg "Netref: pid out of range";
   if t.present.(pid) || t.left.(pid) || not t.alive.(pid) then false
@@ -158,9 +155,4 @@ let is_present t pid =
   if pid < 0 || pid >= t.size then invalid_arg "Netref: pid out of range";
   t.present.(pid)
 
-let departed t =
-  List.init t.size (fun i -> i) |> List.filter (fun i -> t.left.(i))
-
-let quiescent t = deliverable t = []
-let deliveries t = t.delivered
 let hop_mask t = t.hop_mask

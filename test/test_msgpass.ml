@@ -305,6 +305,11 @@ let prop_alt_bit_fifo =
       received := !received @ AB.receiver_poll receiver ~data_seen:!data;
       !received = messages)
 
+(* A fault-free random schedule, with optional (pid, event) crashes. *)
+let run_reliable ?(crash_at = []) rng net =
+  let profile = { Msgpass.Faults.reliable with crash_at } in
+  Msgpass.Faults.run_random ~rng ~profile (Msgpass.Faults.wrap net)
+
 (* Scripted delivery on the base substrate: per-channel FIFO is an
    invariant of Net itself, whatever delivery order the adversary picks. *)
 let two_node_net received =
@@ -347,8 +352,8 @@ let test_net_deliver_respects_crash () =
   Alcotest.(check (list string)) "nothing handled" [] !received
 
 let prop_net_random_fifo =
-  (* Whatever channel order deliver_random picks, each channel's messages
-     arrive in send order. *)
+  (* Whatever channel order the random driver picks, each channel's
+     messages arrive in send order. *)
   QCheck.Test.make ~name:"random delivery keeps per-channel FIFO" ~count:60
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -372,7 +377,7 @@ let prop_net_random_fifo =
             }))
           ()
       in
-      Msgpass.Net.run_random ~rng:(Bits.Rng.make seed) net;
+      run_reliable (Bits.Rng.make seed) net;
       (* Per (receiver, sender): sequence numbers strictly increase. *)
       Array.for_all
         (fun log ->
@@ -695,19 +700,22 @@ let plan_arbitrary gen =
 let fault_plan_arbitrary =
   plan_arbitrary (fault_plan_gen_over (QCheck.Gen.int_bound 9))
 
-(* The corpus on disk is human-editable: the serialized form of a plan is
-   exactly what pp_plan prints, and both codecs invert it. Operands run
-   to 300, past the printer's 256-entry small-int table and across one-,
-   two- and three-digit widths. *)
+(* The corpus loader's general path: JSON text through plan_of_json. *)
+let plan_of_text text =
+  Result.bind (Obs.Json.of_string text) Msgpass.Faults.plan_of_json
+
+(* The corpus on disk is human-editable: each action is stored as exactly
+   what action_to_string prints, and the JSON codec inverts it. Operands
+   run to 300, past the printer's 256-entry small-int table and across
+   one-, two- and three-digit widths. *)
 let prop_plan_codec_roundtrip =
   QCheck.Test.make ~name:"fault-plan codecs round-trip random plans"
     ~count:200
     (plan_arbitrary (fault_plan_gen_over (QCheck.Gen.int_bound 300)))
     (fun plan ->
-      let text = Format.asprintf "%a" Msgpass.Faults.pp_plan plan in
-      Msgpass.Faults.plan_of_string text = Ok plan
-      && Msgpass.Faults.plan_of_json (Msgpass.Faults.plan_to_json plan)
-         = Ok plan)
+      let json = Msgpass.Faults.plan_to_json plan in
+      Msgpass.Faults.plan_of_json json = Ok plan
+      && plan_of_text (Obs.Json.to_string json) = Ok plan)
 
 (* The action parser before its in-place fast path, kept verbatim as
    the oracle the fast path must agree with on every input: same
@@ -886,14 +894,14 @@ let test_pp_plan_golden () =
    included. Both networks run the same bounded gossip protocol and log
    every handler invocation; after every plan action the two must agree
    on the action's effect, the delivery log, the deliverable set, the
-   membership view and the counters — and a final lexicographic drain
+   membership view and the hop mask — and a final lexicographic drain
    must leave both quiescent with identical logs. Slots 7..9 start
    absent so random Enter actions are effective. Each case runs two
    plans through one Net, [reset] between them as the chaos pool does,
    each against a fresh oracle. The first stops undrained, so the reset
    meets queued traffic, grown rings and dead slots; the second plan then
    pins what reset restores — rings, non-empty-channel rows, membership
-   and counters. *)
+   and the hop clock. *)
 let prop_net_matches_netref =
   let module N = Msgpass.Net in
   let module R = Oracle.Netref in
@@ -919,15 +927,16 @@ let prop_net_matches_netref =
       let present pid = pid < 7 in
       let net = N.create ~present ~n ~nodes:(R.lift (nodes log_n)) () in
       let pids = List.init n Fun.id in
+      let buf = Array.make (n * n) 0 in
+      let deliverable () =
+        List.init (N.deliverable_into net buf) (fun i ->
+            (buf.(i) / n, buf.(i) mod n))
+      in
       let matches ~drain oracle plan =
         let same_state () =
           !log_n = !log_r
-          && N.deliverable net = R.deliverable oracle
-          && N.deliveries net = R.deliveries oracle
+          && deliverable () = R.deliverable oracle
           && N.hop_mask net = R.hop_mask oracle
-          && N.crashed net = R.crashed oracle
-          && N.departed net = R.departed oracle
-          && N.quiescent net = R.quiescent oracle
           && List.for_all
                (fun pid ->
                  N.alive net pid = R.alive oracle pid
@@ -975,7 +984,8 @@ let prop_net_matches_netref =
                   N.deliver net ~src ~dst = R.deliver oracle ~src ~dst
                   && same_state ()
           done;
-          !ok && !budget > 0 && N.quiescent net && R.quiescent oracle
+          !ok && !budget > 0
+          && deliverable () = [] && R.deliverable oracle = []
         in
         scripted && drained
       in
@@ -1199,15 +1209,16 @@ let test_hop_bucket_edges () =
 let test_plan_codec_rejects_garbage () =
   List.iter
     (fun text ->
-      match Msgpass.Faults.plan_of_string text with
+      match plan_of_text text with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "parsed %S" text)
     [
-      "deliver"; "deliver 0-1"; "crash x"; "teleport 0>1"; "deliver 0>1; zap";
-      "enter"; "leave 1>2";
+      {|["deliver"]|}; {|["deliver 0-1"]|}; {|["crash x"]|};
+      {|["teleport 0>1"]|}; {|["deliver 0>1", "zap"]|}; {|["enter"]|};
+      {|["leave 1>2"]|}; {|"deliver 0>1"|}; {|["crash 1", 2]|};
     ]
 
-(* A rejected plan names the offending action and where it sits, so a
+(* A rejected plan names the offending action by its index, so a
    hand-edited corpus line fails with something greppable instead of a
    bare "parse error". *)
 let contains hay needle =
@@ -1218,7 +1229,7 @@ let contains hay needle =
 let test_plan_parse_errors_are_positional () =
   List.iter
     (fun (text, fragments) ->
-      match Msgpass.Faults.plan_of_string text with
+      match plan_of_text text with
       | Ok _ -> Alcotest.failf "parsed %S" text
       | Error e ->
           List.iter
@@ -1227,16 +1238,19 @@ let test_plan_parse_errors_are_positional () =
                 Alcotest.failf "error for %S lacks %S: %s" text frag e)
             fragments)
     [
-      ("deliver 0>1; zap 3", [ "action 1"; "char 12"; "zap" ]);
-      ("deliver 0>1; deliver 2>3; crash x", [ "action 2"; "char 25"; "x" ]);
-      ("enter 0; leave y", [ "action 1"; "leave"; "y" ]);
-      ("deliver 9", [ "action 0"; "char 0"; "src>dst" ]);
+      ({|["deliver 0>1", "zap 3"]|}, [ "element 1"; "zap" ]);
+      ({|["deliver 0>1", "deliver 2>3", "crash x"]|}, [ "element 2"; "x" ]);
+      ({|["enter 0", "leave y"]|}, [ "element 1"; "leave"; "y" ]);
+      ({|["deliver 9"]|}, [ "element 0"; "src>dst" ]);
+      ({|["crash 1", 2]|}, [ "element 1"; "not a string" ]);
     ]
 
-(* Hostile plan text: byte-edit a valid [pp_plan] rendering (replace,
-   insert or delete, biased towards the grammar's own bytes) and parse
-   it. The parser never raises, every [Error] starts by naming the
-   action index, and every [Ok] re-prints and re-parses to itself. *)
+(* Hostile plan text: byte-edit a valid corpus rendering of a plan
+   (replace, insert or delete, biased towards the grammar's own bytes)
+   and parse it. The general loader path never raises, every [Error]
+   names a byte offset or a plan element, every [Ok] re-prints and
+   re-parses to itself, and the corpus fast path ([scan_compiled_json])
+   accepts only text the general path reads as the same plan. *)
 let prop_plan_parser_survives_byte_edits =
   let module Fa = Msgpass.Faults in
   let open QCheck.Gen in
@@ -1258,14 +1272,14 @@ let prop_plan_parser_survives_byte_edits =
   let byte =
     frequency
       [
-        (3, oneofl (chars ";> \n\t-+_0x123456789"));
+        (3, oneofl (chars "\",[]> \n\t-+_0x123456789"));
         (2, oneofl (chars "delivrupfcash"));
         (1, map Char.chr (int_range 0 255));
       ]
   in
   let text_gen =
     list_size (int_range 1 30) action >>= fun plan ->
-    let text = Format.asprintf "%a" Fa.pp_plan plan in
+    let text = Obs.Json.to_string (Fa.plan_to_json plan) in
     list_size (int_range 1 4)
       (triple (int_range 0 2) (int_range 0 max_int) byte)
     >|= fun edits ->
@@ -1284,20 +1298,22 @@ let prop_plan_parser_survives_byte_edits =
   QCheck.Test.make ~name:"plan parser survives byte edits" ~count:1000
     (QCheck.make ~print:(Printf.sprintf "%S") text_gen)
     (fun text ->
-      match Fa.plan_of_string text with
+      let fast = Fa.scan_compiled_json ~n:13 text 0 (String.length text) in
+      match plan_of_text text with
       | exception exn ->
           QCheck.Test.fail_reportf "raised %s" (Printexc.to_string exn)
-      | Error e -> (
-          match
-            Scanf.sscanf_opt e "action %d (at char %d): " (fun i c -> (i, c))
-          with
-          | Some (i, c) when i >= 0 && c >= 0 && c <= String.length text ->
-              true
-          | _ -> QCheck.Test.fail_reportf "error names no action: %s" e)
-      | Ok plan -> (
-          match Fa.plan_of_string (Format.asprintf "%a" Fa.pp_plan plan) with
-          | Ok again when again = plan -> true
-          | _ -> QCheck.Test.fail_reportf "re-printed plan does not re-parse"))
+      | Error e ->
+          let pos fmt =
+            Scanf.sscanf_opt e fmt (fun p -> p >= 0 && p <= String.length text)
+          in
+          fast = None
+          && (pos "at %d: " = Some true || pos "plan element %d" = Some true
+             || e = "plan is not a JSON array")
+          || QCheck.Test.fail_reportf "fast path read it, or no position: %s" e
+      | Ok plan ->
+          plan_of_text (Obs.Json.to_string (Fa.plan_to_json plan)) = Ok plan
+          && Option.fold ~none:true ~some:(fun c -> Fa.decompile c = plan) fast
+          || QCheck.Test.fail_reportf "re-printed plan does not re-parse")
 
 (* Mutation is a pure function of the rng stream: same corpus plan + same
    seed give byte-identical children. *)
@@ -1329,18 +1345,14 @@ let test_fleet_mutator_deterministic () =
    empty parents included. *)
 let test_mutation_draws_pinned () =
   let module Fa = Msgpass.Faults in
-  let compile ~n text =
-    match Fa.plan_of_string text with
-    | Ok p -> Fa.compile ~n p
-    | Error e -> Alcotest.fail e
-  in
+  let compile ~n text = Fa.compile ~n (Result.get_ok (plan_of_text text)) in
   let show c = String.concat "; " (List.map Fa.action_to_string (Fa.decompile c)) in
   let static_base =
-    "deliver 0>1; deliver 1>2; drop 2>3; crash 3; dup 0>2; defer 1>0; \
-     deliver 3>1; deliver 2>0"
+    {|["deliver 0>1", "deliver 1>2", "drop 2>3", "crash 3", "dup 0>2",
+      "defer 1>0", "deliver 3>1", "deliver 2>0"]|}
   and churn_base =
-    "deliver 0>1; enter 5; deliver 1>2; leave 2; drop 2>3; dup 4>0; \
-     defer 1>6; deliver 5>1"
+    {|["deliver 0>1", "enter 5", "deliver 1>2", "leave 2", "drop 2>3",
+      "dup 4>0", "defer 1>6", "deliver 5>1"]|}
   in
   let rng = Bits.Rng.make 16 in
   let static = compile ~n:4 static_base in
@@ -1359,7 +1371,7 @@ let test_mutation_draws_pinned () =
     ]
     (List.init 10 (fun _ -> show (Fa.mutate rng ~n:4 static)));
   let rng = Bits.Rng.make 16 in
-  let churn = compile ~n:8 churn_base and empty = compile ~n:8 "" in
+  let churn = compile ~n:8 churn_base and empty = compile ~n:8 "[]" in
   Alcotest.(check (list string)) "churn mutants"
     [
       "deliver 0>1; enter 5; crash 1; dup 4>0; defer 1>6; deliver 5>1";
@@ -2055,18 +2067,13 @@ let test_abd_message_passing () =
     in
     let crash_pid = if Bits.Rng.bool rng then Some (Bits.Rng.int rng n) else None in
     let crash_at = Bits.Rng.int rng 300 in
-    (* Crash (if at all) after [crash_at] deliveries, then run on. *)
-    Msgpass.Net.run_random ~rng ~max_events:crash_at net;
-    Option.iter
-      (fun p ->
-        if Msgpass.Net.deliveries net = crash_at then Msgpass.Net.crash net p)
-      crash_pid;
-    Msgpass.Net.run_random ~rng ~max_events:(100_000 - crash_at) net;
-    let crashed = Msgpass.Net.crashed net in
+    (* Crash (if at all) after [crash_at] events, then run on. *)
+    let crash = Option.map (fun p -> (p, crash_at)) crash_pid in
+    run_reliable rng net ~crash_at:(Option.to_list crash);
     let decided =
       Array.to_list interps
       |> List.mapi (fun pid (i, _) -> (pid, Msgpass.Interp.decision i))
-      |> List.filter (fun (pid, _) -> not (List.mem pid crashed))
+      |> List.filter (fun (pid, _) -> Msgpass.Net.alive net pid)
     in
     List.iter
       (fun (pid, d) ->
@@ -2116,7 +2123,7 @@ let test_abd_atomicity () =
         ~nodes:(fun ~send pid -> Msgpass.Interp.node interps.(pid) ~send)
         ()
     in
-    Msgpass.Net.run_random ~rng:(Bits.Rng.make (400 + seed)) net;
+    run_reliable (Bits.Rng.make (400 + seed)) net;
     (* Per-reader monotonicity: the sequence of values each reader returns
        never decreases (reads are sequential per process, so regression
        would be a new/old inversion against its own earlier read). *)
@@ -2168,7 +2175,7 @@ let test_router_flooding () =
   (* Crash two consecutive intermediate nodes. *)
   Msgpass.Net.crash net 1;
   Msgpass.Net.crash net 2;
-  Msgpass.Net.run_random ~rng:(Bits.Rng.make 7) net;
+  run_reliable (Bits.Rng.make 7) net;
   Alcotest.(check (list (pair int string)))
     "delivered exactly once despite crashes"
     [ (4, "ping") ]

@@ -17,8 +17,6 @@ let test_memory_basics () =
   Alcotest.(check int) "read back" 42 (M.read m 1);
   Alcotest.(check int) "other registers untouched" 0 (M.read m 0);
   Alcotest.(check (array int)) "contents" [| 0; 42; 0 |] (M.contents m);
-  Alcotest.(check int) "write count" 1 (M.writes_performed m);
-  Alcotest.(check int) "read count" 2 (M.reads_performed m);
   Alcotest.(check int) "max bits = bits of 42" 6 (M.max_bits_written m)
 
 let test_memory_budget () =
@@ -62,7 +60,7 @@ let test_scheduler_step_semantics () =
   (match S.status s 1 with
   | S.Decided 1 -> ()
   | _ -> Alcotest.fail "p1 should have decided 1 (saw p0's write)");
-  Alcotest.(check bool) "all halted" true (S.all_halted s);
+  Alcotest.(check int) "all halted" 0 (S.running_count s);
   Alcotest.(check int) "4 steps total" 4 (S.steps_taken s)
 
 let test_scheduler_crash () =
@@ -72,8 +70,8 @@ let test_scheduler_crash () =
   Alcotest.check_raises "stepping crashed raises"
     (Invalid_argument "Scheduler.step: process 1 halted") (fun () ->
       S.step s 1);
-  S.run_solo s 0;
-  Alcotest.(check bool) "solo decided" true (S.all_halted s);
+  S.run_round_robin s;
+  Alcotest.(check int) "solo decided" 0 (S.running_count s);
   Alcotest.(check (array (option int))) "solo read 0" [| Some 0; None |]
     (S.decisions s)
 
@@ -163,7 +161,8 @@ let test_explore_crashes_include_solo () =
     (List.mem (`P1, 0) !solo_outcomes)
 
 (* Undo journal: stepping and crashing, then rewinding, restores programs,
-   statuses, outputs, memory contents, and every statistics counter. *)
+   statuses, outputs, memory contents, step counts and the width
+   statistic. *)
 let journal_snap s =
   ( S.decisions s,
     M.contents (S.memory s),
@@ -171,9 +170,7 @@ let journal_snap s =
     S.crashed s,
     S.steps_taken s,
     (S.steps_of s 0, S.steps_of s 1),
-    ( M.reads_performed (S.memory s),
-      M.writes_performed (S.memory s),
-      M.max_bits_written (S.memory s) ) )
+    M.max_bits_written (S.memory s) )
 
 let test_undo_rollback_across_crashes () =
   let s = start ~record_trace:true () in
@@ -205,7 +202,7 @@ let test_undo_rollback_across_crashes () =
   Alcotest.(check int) "trace rewound too" 0 (List.length (S.trace s));
   (* The rewound state is still live: a full run completes normally. *)
   S.run_round_robin s;
-  Alcotest.(check bool) "rewound state replays" true (S.all_halted s)
+  Alcotest.(check int) "rewound state replays" 0 (S.running_count s)
 
 let test_undo_rollback_write_over () =
   (* Overwrites and width stats rewind: write a wide value, undo, and the
@@ -227,8 +224,7 @@ let test_undo_rollback_write_over () =
   Alcotest.(check int) "8 bits seen" 8 (M.max_bits_written m);
   S.undo_to s mark;
   Alcotest.(check int) "register restored" 1 (M.peek m 0);
-  Alcotest.(check int) "width stat restored" 1 (M.max_bits_written m);
-  Alcotest.(check int) "read counter restored" 1 (M.reads_performed m)
+  Alcotest.(check int) "width stat restored" 1 (M.max_bits_written m)
 
 (* The acceptance workload: 3 straight-line writers, 4 steps each. The
    engine must (a) reach exactly the naive walker's terminal states and
@@ -833,7 +829,7 @@ let test_adversary_solo_then () =
     | S.Decided _ when !p1_steps_at_p0_decision < 0 ->
         p1_steps_at_p0_decision := view.Sched.Adversary.steps_of 1
     | _ -> ());
-    Sched.Adversary.solo_then ~first:0 view
+    if List.mem 0 view.running then 0 else Sched.Adversary.lockstep view
   in
   Sched.Adversary.run adversary s;
   Alcotest.(check int) "p1 had taken no steps" 0 !p1_steps_at_p0_decision;
@@ -933,8 +929,6 @@ let test_journal_grows_and_rewinds () =
   S.undo_to s mark;
   Alcotest.(check int) "steps rewound" 0 (S.steps_taken s);
   Alcotest.(check int) "register restored" 0 (M.peek (S.memory s) 0);
-  Alcotest.(check int) "write counter restored" 0
-    (M.writes_performed (S.memory s));
   Alcotest.(check int) "max-width statistic restored" 0
     (M.max_bits_written (S.memory s));
   Alcotest.(check bool) "process running again" true (S.status s 0 = S.Running);
@@ -987,8 +981,9 @@ let test_compiled_code_shared_across_runs () =
 (* The fused in-frame walk ([Scheduler.raw_dfs]) and the journaled
    general path must be observationally identical. [record_trace] forces
    the engine off the fused path, so the same protocol run both ways is
-   a direct differential — stats field-for-field, terminals as
-   multisets, with and without crash branching. *)
+   a direct differential — stats field-for-field, terminals and their
+   width statistic as multisets, with and without crash branching, on
+   untracked and width-tracked memory. *)
 let test_fused_equals_journaled () =
   let prog pid =
     let other = 1 - pid in
@@ -997,17 +992,17 @@ let test_fused_equals_journaled () =
             P.Write (v + 2, fun () ->
                 P.Read (other, fun w -> P.Return (v, w)))))
   in
-  let init ~record_trace () =
-    S.start ~record_trace ~memory:(untracked_memory 2) ~programs:prog ()
+  let init memory ~record_trace () =
+    S.start ~record_trace ~memory:(memory ()) ~programs:prog ()
   in
   List.iter
-    (fun max_crashes ->
+    (fun (max_crashes, memory) ->
       let run record_trace =
         let acc = ref [] in
         let stats =
           (Sched.Explore.explore ~max_crashes ~dedup:false ~por:false
-             ~init:(init ~record_trace) (fun st ->
-               acc := signature st :: !acc))
+             ~init:(init memory ~record_trace) (fun st ->
+               acc := (signature st, M.max_bits_written (S.memory st)) :: !acc))
             .Sched.Explore.stats
         in
         (List.sort compare !acc, stats)
@@ -1021,7 +1016,8 @@ let test_fused_equals_journaled () =
         (sigs_fused = sigs_journaled);
       Alcotest.(check bool) (label "fused = journaled stats") true
         (stats_fused = stats_journaled))
-    [ 0; 1 ]
+    [ (0, fun () -> untracked_memory 2); (1, fun () -> untracked_memory 2);
+      (1, fun () -> make_memory ()) ]
 
 (* A stateful program keeps its state outside the monad — here a step
    counter bumped by every continuation, the shape of the Theorem 1.3

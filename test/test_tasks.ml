@@ -218,8 +218,9 @@ let test_check_random_deadline () =
       Alcotest.(check bool) "same stats as unbudgeted" true (a = b)
   | _ -> Alcotest.fail "expected passes"
 
-(* Every violation carries a concrete schedule; Harness.replay re-executes
-   it bit-for-bit, reproducing the failing decisions. *)
+(* Every violation carries a concrete schedule; [run_once] with
+   [`Replay] re-executes it bit-for-bit, reproducing the failing
+   decisions. *)
 let bad_half_algorithm () =
   {
     H.name = "bad-half";
@@ -246,18 +247,20 @@ let test_replay_reproduces_decisions () =
   let task = Tasks.Eps_agreement.task ~n:2 ~k:2 in
   let algorithm = bad_half_algorithm () in
   let replayed v =
-    match H.replay algorithm v with
-    | None -> Alcotest.fail "violation not replayable"
-    | Some state ->
-        (* Same illegal outcome: both survivors decided 1/2 on inputs the
-           task rejects, with the recorded crash pattern applied. *)
-        Alcotest.(check bool) "decisions violate the task" false
-          (task.Tasks.Task.legal ~inputs:v.H.inputs
-             ~outputs:(Sched.Scheduler.decisions state));
-        Alcotest.(check (list int))
-          "crash pattern reproduced"
-          (List.sort compare (List.map fst v.H.crashes))
-          (List.sort compare (Sched.Scheduler.crashed state))
+    let pids = Option.get v.H.schedule in
+    let state =
+      H.run_once algorithm ~inputs:v.H.inputs
+        ~schedule:(`Replay (pids, v.H.crashes)) ()
+    in
+    (* Same illegal outcome: both survivors decided 1/2 on inputs the
+       task rejects, with the recorded crash pattern applied. *)
+    Alcotest.(check bool) "decisions violate the task" false
+      (task.Tasks.Task.legal ~inputs:v.H.inputs
+         ~outputs:(Sched.Scheduler.decisions state));
+    Alcotest.(check (list int))
+      "crash pattern reproduced"
+      (List.sort compare (List.map fst v.H.crashes))
+      (List.sort compare (Sched.Scheduler.crashed state))
   in
   (match H.check_exhaustive ~task ~algorithm () with
   | H.Fail v -> replayed v
@@ -285,11 +288,10 @@ let test_replay_nontermination_schedule () =
       | Some pids -> (
           Alcotest.(check int) "schedule capped at max_steps" 64
             (List.length pids);
-          match H.replay algorithm v with
-          | None -> Alcotest.fail "not replayable"
-          | Some state ->
-              Alcotest.(check int) "replay takes the same steps" 64
-                (Sched.Scheduler.steps_taken state)))
+          H.run_once algorithm ~inputs:v.H.inputs
+            ~schedule:(`Replay (pids, v.H.crashes)) ()
+          |> Sched.Scheduler.steps_taken
+          |> Alcotest.(check int) "replay takes the same steps" 64))
 
 (* Supervised checking: budgets degrade to sampled coverage instead of
    failing, and violations, non-termination included, are still caught
