@@ -208,6 +208,29 @@ else
   dune exec bin/boundedreg.exe -- run E5 --deadline 10 --max-states 20000
 fi
 
+# Explore pins: the exact stats and terminal digest of a reduced crashy
+# exploration (the general walk, undoing through Scheduler.branch) and of
+# the raw tree (the fused Scheduler.raw_dfs). The jobs diff below compares
+# two runs of one build, so an undo bug both share would pass it.
+echo "== explore pins"
+explore_pin() {
+  stats=$1; digest=$2; shift 2
+  out=$(dune exec bin/boundedreg.exe -- explore "$@")
+  printf '%s\n' "$out"
+  for want in "$stats" "$digest"; do
+    if ! printf '%s\n' "$out" | grep -qF "$want"; then
+      echo "check.sh: explore $* did not print '$want'" >&2
+      exit 1
+    fi
+  done
+}
+explore_pin \
+  'nodes=486 terminals=35 deduped=186 pruned=175 truncated=0 peak_depth=18' \
+  'digest=0x7ef1d5ff' -k 3 --max-crashes 1
+explore_pin \
+  'nodes=14727 terminals=6232 deduped=0 pruned=0 truncated=0 peak_depth=14' \
+  'digest=0x5a2e4772' -k 2 --no-dedup --no-por
+
 # Parallel smoke: the domain pool must be invisible in the output. With
 # reductions off the raw tree partitions exactly, so the stats and
 # terminal-digest lines of a jobs=2 exploration are byte-identical to

@@ -21,7 +21,7 @@
     Compiled programs carry per-run mutable state (router, ABD,
     alternating-bit channels) and are marked {!Sched.Program.Stateful}:
     each runs forward once, in constant compiled size. A second start of
-    the same code, and {!Sched.Explore}, [Scheduler.enable_journal]
+    the same code, and {!Sched.Explore}, [Scheduler.branch]
     and [Scheduler.raw_dfs] over it, raise
     [Invalid_argument]; build a fresh program per run. *)
 

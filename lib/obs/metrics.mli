@@ -7,8 +7,9 @@
     allocation. Per-operation sites additionally guard with {!hot} so
     the instrumentation costs one branch while nobody is reading the
     registry. Metrics are monotone event tallies: the exploration
-    engine's undo journal rewinds scheduler {e state}, not the count of
-    work performed, so re-explored operations count every time they run.
+    engine's undo ([Scheduler.branch]) rewinds scheduler {e state}, not
+    the count of work performed, so re-explored operations count every
+    time they run.
 
     Registration is idempotent per name; re-registering a name as a
     different kind (or a histogram with different bounds) raises

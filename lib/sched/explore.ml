@@ -1,9 +1,10 @@
 (* The exploration engine. Three independent mechanisms stack on top of a
-   depth-first walk over one shared, journaled scheduler state:
+   depth-first walk over one shared scheduler state:
 
    - undo-based backtracking: instead of copying the state at every
-     branch, a branch is [step]; recurse; [undo_to] — the journal is a
-     flat arena, so a branch allocates nothing at all in raw mode.
+     branch, a branch is {!Scheduler.branch}, which steps, recurses
+     through its continuation and reverts the step from its own frame —
+     the walk's recursion is the undo stack, and the state keeps no log.
 
    - state deduplication: the canonical name of a state is the per-process
      observation history (which ops ran, and what every read returned).
@@ -128,7 +129,6 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
     ?(por = true) ?(budget = Budget.unlimited) ?resume ?clock ?(quiet = false)
     ?(on_truncated = fun _ -> ()) ~init visit =
   let state = init () in
-  Scheduler.enable_journal state;
   let n = Scheduler.n state in
   if n >= Sys.int_size - 1 then
     invalid_arg "Explore.explore: sleep-set bitmasks need n < word size";
@@ -232,9 +232,9 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
     pdepth.(p) <- pos + 1
   in
   (* Whenever a subtree has no dedup, no POR, no budget to poll, no trace
-     to journal and no crash budget left, it is a pure product walk:
-     hand it to the fused scheduler-level DFS, which keeps per-edge undo
-     data on the call stack instead of in the journal. This covers the
+     to restore and no crash budget left, it is a pure product walk:
+     hand it to the fused scheduler-level DFS, which inlines each edge's
+     step and undo instead of calling [branch] per edge. This covers the
      whole tree in raw mode, and the post-last-crash subtrees of a raw
      crashy run. *)
   let fused =
@@ -367,11 +367,9 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
         in
         let old_key = keys.(p) and old_h = !zhash in
         if dedup then push_obs p (observation p);
-        let m = Scheduler.journal_mark state in
-        Scheduler.step state p;
-        node ~sleep:child_sleep ~depth:(depth + 1) ~crashes ~floor:0
-          ~path:(if track_budget then Budget.Step p :: path else path);
-        Scheduler.undo_to state m;
+        Scheduler.branch state p (fun () ->
+            node ~sleep:child_sleep ~depth:(depth + 1) ~crashes ~floor:0
+              ~path:(if track_budget then Budget.Step p :: path else path));
         if dedup then begin
           keys.(p) <- old_key;
           pdepth.(p) <- pdepth.(p) - 1;
@@ -389,12 +387,10 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
           let child_sleep = if por then !covered land lnot (1 lsl p) else 0 in
           let old_key = keys.(p) and old_h = !zhash and old_d = pdepth.(p) in
           if dedup then push_crash_obs p;
-          let m = Scheduler.journal_mark state in
-          Scheduler.crash state p;
-          node ~sleep:child_sleep ~depth ~crashes:(crashes + 1)
-            ~floor:(p + 1)
-            ~path:(if track_budget then Budget.Crash p :: path else path);
-          Scheduler.undo_to state m;
+          Scheduler.branch_crash state p (fun () ->
+              node ~sleep:child_sleep ~depth ~crashes:(crashes + 1)
+                ~floor:(p + 1)
+                ~path:(if track_budget then Budget.Crash p :: path else path));
           if dedup then begin
             keys.(p) <- old_key;
             pdepth.(p) <- old_d;
@@ -417,24 +413,25 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
   let check_paths paths =
     List.iteri
       (fun i prefix ->
-        let m0 = Scheduler.journal_mark state in
-        List.iteri
-          (fun j choice ->
-            let bad why =
-              invalid_arg
-                (Printf.sprintf "resume path %d, choice %d: %s" (i + 1)
-                   (j + 1) why)
-            in
-            let p = match choice with Budget.Step p | Budget.Crash p -> p in
-            if p < 0 || p >= n then
-              bad (Printf.sprintf "pid %d outside 0..%d" p (n - 1))
-            else if Scheduler.running_mask state land (1 lsl p) = 0 then
-              bad (Printf.sprintf "process %d is not running" p);
-            match choice with
-            | Budget.Step p -> Scheduler.step state p
-            | Budget.Crash p -> Scheduler.crash state p)
-          prefix;
-        Scheduler.undo_to state m0)
+        let rec replay j = function
+          | [] -> ()
+          | choice :: rest ->
+              let bad why =
+                invalid_arg
+                  (Printf.sprintf "resume path %d, choice %d: %s" (i + 1)
+                     (j + 1) why)
+              in
+              let p = match choice with Budget.Step p | Budget.Crash p -> p in
+              if p < 0 || p >= n then
+                bad (Printf.sprintf "pid %d outside 0..%d" p (n - 1))
+              else if Scheduler.running_mask state land (1 lsl p) = 0 then
+                bad (Printf.sprintf "process %d is not running" p);
+              let k () = replay (j + 1) rest in
+              (match choice with
+              | Budget.Step p -> Scheduler.branch state p k
+              | Budget.Crash p -> Scheduler.branch_crash state p k)
+        in
+        replay 0 prefix)
       paths
   in
   let run_prefix prefix =
@@ -443,25 +440,18 @@ let explore ?(max_steps = 10_000) ?(max_crashes = 0) ?(dedup = true)
       let saved_keys = Array.copy keys
       and saved_pdepth = Array.copy pdepth
       and saved_zhash = !zhash in
-      let m0 = Scheduler.journal_mark state in
-      let depth = ref 0 and crashes = ref 0 and floor = ref 0 in
-      List.iter
-        (fun choice ->
-          match choice with
-          | Budget.Step p ->
-              if dedup then push_obs p (observation p);
-              Scheduler.step state p;
-              incr depth;
-              floor := 0
-          | Budget.Crash p ->
-              if dedup then push_crash_obs p;
-              Scheduler.crash state p;
-              incr crashes;
-              floor := p + 1)
-        prefix;
-      node ~sleep:0 ~depth:!depth ~crashes:!crashes ~floor:!floor
-        ~path:(List.rev prefix);
-      Scheduler.undo_to state m0;
+      let rec replay depth crashes floor = function
+        | [] -> node ~sleep:0 ~depth ~crashes ~floor ~path:(List.rev prefix)
+        | Budget.Step p :: rest ->
+            if dedup then push_obs p (observation p);
+            Scheduler.branch state p (fun () ->
+                replay (depth + 1) crashes 0 rest)
+        | Budget.Crash p :: rest ->
+            if dedup then push_crash_obs p;
+            Scheduler.branch_crash state p (fun () ->
+                replay depth (crashes + 1) (p + 1) rest)
+      in
+      replay 0 0 0 prefix;
       Array.blit saved_keys 0 keys 0 n;
       Array.blit saved_pdepth 0 pdepth 0 n;
       zhash := saved_zhash

@@ -3,8 +3,9 @@
 
     Impossibility arguments in the paper quantify over {e all} executions;
     for small systems (2–3 processes, short protocols) we can visit all of
-    them. The engine walks a single scheduler state depth-first, undoing
-    steps on backtrack instead of copying the state per branch, merges
+    them. The engine walks a single scheduler state depth-first, each
+    edge a {!Scheduler.branch} that undoes its step when the subtree
+    below returns instead of copying the state per branch, merges
     interleavings that converge to the same canonical state, and prunes
     redundant orderings of commuting operations (sleep-set partial-order
     reduction). Together these preserve the set of reachable {e final}
@@ -101,7 +102,9 @@ val explore :
     publication — {!Par.explore} uses it for seed passes and per-unit
     worker calls and reports the merged whole once.
 
-    The visitor receives the engine's single journaled state; it may read
+    The visitor receives the engine's single shared state; it may read
     anything ({!Scheduler.decisions}, {!Scheduler.trace}, memory contents,
     step counts — all reflect exactly the current path) but must not step,
-    crash, or undo it, and must not retain it after returning. *)
+    crash or branch it, and must not retain it after returning.
+    @raise Invalid_argument when the walk would step a process running
+    {!Program.Stateful} code. *)

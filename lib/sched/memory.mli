@@ -69,12 +69,12 @@ val poke_imm : ('v, 'i) t -> pid:int -> 'v -> unit
 
 (** {1 Undo support}
 
-    Reverse operations, called by {!Scheduler.undo_to} when replaying its
-    journal backwards. Operands arrive as plain arguments (the journal
-    keeps them in flat arrays), so reverting allocates nothing. Reverting
-    a write restores both the register and the max-width statistic, so a
-    backtracking search observes exactly the widths of the execution path
-    it is currently on. A read changes nothing to revert. Calls must
+    Reverse operations, called by {!Scheduler.branch} and
+    {!Scheduler.raw_dfs} when a branch returns. Operands arrive as plain
+    arguments (the branching frame keeps them in locals), so reverting
+    allocates nothing. Reverting a write restores both the register and
+    the max-width statistic, so a backtracking search observes exactly
+    the widths of the execution path it is currently on. A read changes nothing to revert. Calls must
     mirror the forward operations in LIFO order. *)
 
 val unwrite : ('v, 'i) t -> pid:int -> old:'v -> old_max_bits:int -> unit

@@ -9,7 +9,7 @@
       until it holds enough disjoint prefixes to feed the pool;
    2. the prefixes fan out to [jobs] domains pulling from one atomic
       queue; each unit is an independent [Explore.explore ~resume] over a
-      private journaled scheduler state built by its own [init ()] call —
+      private scheduler state built by its own [init ()] call —
       no scheduler state is ever shared between domains;
    3. per-unit stats merge with [add_stats] and per-unit visitor results
       merge with the caller's [merge], both in unit-index order, so the

@@ -3,8 +3,8 @@
 
     A budgeted sequential {e seed} pass grows a {!Budget.frontier} of
     disjoint subtree prefixes, the prefixes fan out to a worker pool
-    (one atomic work-queue index; each unit rebuilds a private journaled
-    scheduler state from its own [init ()] call and replays its prefix
+    (one atomic work-queue index; each unit rebuilds a private scheduler
+    state from its own [init ()] call and replays its prefix
     via [explore ~resume]), and per-unit results merge in unit-index
     order. Three guarantees, tested in [test/test_sched.ml]:
 
@@ -103,7 +103,7 @@ val explore :
     inside each unit — compiled code is mutable and single-domain, so
     [init] must never close over a shared {!Program.Compiled.code} (use
     {!Scheduler.start_compiled} only for sequential reuse). [fold] gets
-    the engine's usual journaled-state view (read, don't step/retain).
+    the engine's usual shared-state view (read, don't step/retain).
     [merge] needs no commutativity — the reduction order is fixed — but
     [zero] should be its identity, since every unit starts from [zero].
 

@@ -32,7 +32,7 @@ type ('v, 'i, 'a) t =
           outside the monad, so replaying or backtracking it is
           meaningless. Compiled without a memo (see {!Compiled}); the
           scheduler runs such code forward exactly once and rejects
-          journaling and the fused exploration over it. Only
+          branching on it and the fused exploration over it. Only
           meaningful at a program's root; a [Stateful] below the root of a
           pure program is rejected when lowering reaches it. *)
 

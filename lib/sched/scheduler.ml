@@ -10,17 +10,14 @@ module C = Program.Compiled
    compiles the free-monad programs it is given; [start_compiled] reuses
    code compiled earlier (single-domain reuse only — compiled code
    memoizes in place). Stateful code is claimed by the one run it may
-   take part in, and the journal and [raw_dfs] refuse it.
+   take part in, and [branch] and [raw_dfs] refuse it.
 
-   The undo journal is a flat column arena rather than a list of entry
-   records: one slot per {!step}/{!crash} spread over parallel arrays
-   (kind, pid, old pc, old write value, old width statistic, old output,
-   old trace head). A mark is the arena cursor; undoing rewinds the
-   cursor, replaying slots in reverse. A step changes at most: the
-   process's pc, its status/output (via [settle]), the trace head, one
-   memory cell and the width statistic, and the two step counters — so
-   a slot is O(1) to write and to revert, and pushing one allocates
-   nothing (growth is amortized doubling). *)
+   Undo is frame-local: [branch] and [raw_dfs] keep what a step
+   overwrote (old pc, old register value, old width statistic, whether
+   the output was unset, old trace head) in their own locals and revert
+   it when the continuation returns. A step changes at most those, the
+   process's status and the two step counters, so reverting one is O(1)
+   and the state carries no undo log. *)
 
 (* Statuses live in an int array ([s_running]/[s_decided]/[s_crashed]),
    not an ['a status array]: the hot loop then never allocates a
@@ -29,8 +26,8 @@ module C = Program.Compiled
    decided process's pc still sits on its [Return] slot, so the decision
    value is one payload read away. [running] caches the running-pid
    bitmask ({!running_mask} is a field read); it is maintained by
-   [settle], [crash] and [undo_to] and meaningful for [pid < Sys.int_size]
-   like the mask itself. *)
+   [settle], [crash] and the undo paths, and meaningful for
+   [pid < Sys.int_size] like the mask itself. *)
 type ('v, 'i, 'a) state = {
   mem : ('v, 'i) Memory.t;
   code : ('v, 'i, 'a) C.code array;  (* per pid; may share elements *)
@@ -48,35 +45,11 @@ type ('v, 'i, 'a) state = {
   mutable total_steps : int;
   mutable events : 'v Trace.event list;
   record_trace : bool;
-  mutable journaling : bool;
-  (* journal columns; all the same capacity, [j_len] slots live *)
-  mutable j_kind : int array;
-  mutable j_pid : int array;
-  mutable j_pc : int array;
-  mutable j_bits : int array;
-  mutable j_val : 'v array;
-  mutable j_events : 'v Trace.event list array;
-  mutable j_len : int;
 }
 
 let s_running = 0
 let s_decided = 1
 let s_crashed = 2
-
-(* Journal slot kinds, in the low bits of [j_kind]. [k_decided_bit] is
-   ORed in when the step's [settle] announced the process's decision
-   (outputs transition once, [-1] to a payload pc, so undoing such a step
-   just resets the slot's pid to [-1] — no old-output column needed).
-   The trace-head column [j_events] is only written and restored when
-   [record_trace] is on: an untraced run's event list is always [], and
-   skipping the store also skips its write barrier in the hot loop. *)
-let k_read = 0
-let k_write = 1
-let k_write_input = 2
-let k_read_input = 3
-let k_crash = 4
-let k_base_mask = 7
-let k_decided_bit = 8
 
 let m_steps = Obs.Metrics.counter "sched.steps"
 let m_crashes = Obs.Metrics.counter "sched.crashes"
@@ -114,15 +87,8 @@ let record_read t pid j v =
   if t.record_trace || !Obs.Sink.active then record t pid (Trace.Read (j, v))
 
 (* [Return] and [Output] heads need no memory step: deciding is local.
-   When the settled step is journaled (its slot is [j_len - 1] — [step]
-   pushes the slot before settling), a [None -> Some] output transition
-   marks that slot with [k_decided_bit] so undo can reset the output. *)
-let mark_decided t =
-  if t.journaling then begin
-    let l = t.j_len - 1 in
-    t.j_kind.(l) <- t.j_kind.(l) lor k_decided_bit
-  end
-
+   An output transitions once, unset to a payload pc, so undoing a step
+   that announced it just unsets it again. *)
 let rec settle t pid =
   let code = t.code.(pid) in
   let pc = t.pcs.(pid) in
@@ -130,17 +96,13 @@ let rec settle t pid =
   if op = C.op_return then begin
     t.status.(pid) <- s_decided;
     t.running <- t.running land lnot (1 lsl pid);
-    if t.out_pcs.(pid) < 0 then begin
-      t.out_pcs.(pid) <- pc;
-      mark_decided t
-    end;
+    if t.out_pcs.(pid) < 0 then t.out_pcs.(pid) <- pc;
     if !Obs.Metrics.hot then Obs.Metrics.inc m_decides;
     if t.record_trace || !Obs.Sink.active then record t pid Trace.Decide
   end
   else if op = C.op_output then begin
     if t.out_pcs.(pid) < 0 then begin
       t.out_pcs.(pid) <- pc;
-      mark_decided t;
       if !Obs.Metrics.hot then Obs.Metrics.inc m_decides;
       if t.record_trace || !Obs.Sink.active then record t pid Trace.Decide
     end;
@@ -164,14 +126,6 @@ let start_compiled ?(record_trace = false) ~memory ~programs () =
       total_steps = 0;
       events = [];
       record_trace;
-      journaling = false;
-      j_kind = [||];
-      j_pid = [||];
-      j_pc = [||];
-      j_bits = [||];
-      j_val = [||];
-      j_events = [||];
-      j_len = 0;
     }
   in
   for pid = 0 to n - 1 do
@@ -187,68 +141,30 @@ let start ?record_trace ~memory ~programs () =
 let memory t = t.mem
 let n t = Memory.n t.mem
 
-(* Grow every journal column together. The value column needs a fill
-   element of type ['v]; any live register supplies one ([pid] indexes a
-   process that is mid-step, so the memory is nonempty). *)
-let grow_journal t pid =
-  let cap = Array.length t.j_kind in
-  let cap' = if cap = 0 then 256 else 2 * cap in
-  let extend a fill =
-    let a' = Array.make cap' fill in
-    Array.blit a 0 a' 0 cap;
-    a'
-  in
-  t.j_kind <- extend t.j_kind 0;
-  t.j_pid <- extend t.j_pid 0;
-  t.j_pc <- extend t.j_pc 0;
-  t.j_bits <- extend t.j_bits 0;
-  t.j_val <- extend t.j_val (Memory.peek t.mem pid);
-  t.j_events <- extend t.j_events []
-
 let step t pid =
   if t.status.(pid) <> s_running then
     invalid_arg (Printf.sprintf "Scheduler.step: process %d halted" pid);
   let code = t.code.(pid) in
   let pc = t.pcs.(pid) in
   let op = C.op code pc in
-  let journaling = t.journaling in
-  let l = t.j_len in
-  (* Journal-column writes at [l] use unsafe indexing: the grow check
-     just above guarantees [l < capacity], and every column shares that
-     capacity. [pid] was bounds-checked by the status guard. *)
-  if journaling then begin
-    if l = Array.length t.j_kind then grow_journal t pid;
-    Array.unsafe_set t.j_pid l pid;
-    Array.unsafe_set t.j_pc l pc;
-    if t.record_trace then t.j_events.(l) <- t.events;
-    t.j_len <- l + 1
-  end;
   if op = C.op_write then begin
-    if journaling then begin
-      Array.unsafe_set t.j_kind l k_write;
-      t.j_val.(l) <- Memory.peek t.mem pid;
-      Array.unsafe_set t.j_bits l (Memory.max_bits_written t.mem)
-    end;
     let v = C.write_value code pc in
     Memory.write t.mem ~pid v;
     record_write t pid v;
     t.pcs.(pid) <- C.next_unit code pc
   end
   else if op = C.op_read then begin
-    if journaling then Array.unsafe_set t.j_kind l k_read;
     let j = C.reg code pc in
     let v = Memory.read t.mem j in
     record_read t pid j v;
     t.pcs.(pid) <- C.next_read code pc v
   end
   else if op = C.op_write_input then begin
-    if journaling then Array.unsafe_set t.j_kind l k_write_input;
     Memory.write_input t.mem ~pid (C.input_value code pc);
     record t pid Trace.Write_input;
     t.pcs.(pid) <- C.next_unit code pc
   end
   else if op = C.op_read_input then begin
-    if journaling then Array.unsafe_set t.j_kind l k_read_input;
     let j = C.reg code pc in
     let v = Memory.read_input t.mem j in
     record t pid (Trace.Read_input j);
@@ -265,98 +181,83 @@ let step t pid =
 let crash t pid =
   if t.status.(pid) <> s_running then
     invalid_arg (Printf.sprintf "Scheduler.crash: process %d halted" pid);
-  if t.journaling then begin
-    let l = t.j_len in
-    if l = Array.length t.j_kind then grow_journal t pid;
-    t.j_kind.(l) <- k_crash;
-    t.j_pid.(l) <- pid;
-    if t.record_trace then t.j_events.(l) <- t.events;
-    t.j_len <- l + 1
-  end;
   t.status.(pid) <- s_crashed;
   t.running <- t.running land lnot (1 lsl pid);
   if !Obs.Metrics.hot then Obs.Metrics.inc m_crashes;
   record t pid Trace.Crash
 
-(* {2 Undo journal} *)
+(* {2 Branching} *)
 
-type journal_mark = int
-
-(* Stateful code runs forward once: undo and the fused walk would both
-   re-enter positions whose continuations have moved on. *)
-let forward_only t what =
-  if Array.exists C.stateful t.code then
+(* Stateful code runs forward once: undoing a step of it, or walking it,
+   would re-enter positions whose continuations have moved on. *)
+let refuse_stateful what code =
+  if C.stateful code then
     invalid_arg (Printf.sprintf "Scheduler.%s: stateful program" what)
 
-let enable_journal t =
-  forward_only t "enable_journal";
-  t.journaling <- true
+(* Everything [step] may overwrite is saved in this frame before it runs
+   and put back after [k] returns. The pre-step status is [s_running]
+   ([step] refuses anything else), and the register's old value is only
+   restored when the step was a write. *)
+let branch t pid k =
+  let code = t.code.(pid) in
+  refuse_stateful "branch" code;
+  let pc = t.pcs.(pid) in
+  let events = t.events in
+  let had_output = t.out_pcs.(pid) >= 0 in
+  let op = C.op code pc in
+  let old_v = Memory.peek t.mem pid in
+  let old_bits = Memory.max_bits_written t.mem in
+  step t pid;
+  let r = k () in
+  t.pcs.(pid) <- pc;
+  t.status.(pid) <- s_running;
+  t.running <- t.running lor (1 lsl pid);
+  if not had_output then t.out_pcs.(pid) <- -1;
+  if t.record_trace then t.events <- events;
+  t.step_counts.(pid) <- t.step_counts.(pid) - 1;
+  t.total_steps <- t.total_steps - 1;
+  if op = C.op_write then
+    Memory.unwrite t.mem ~pid ~old:old_v ~old_max_bits:old_bits
+  else if op = C.op_write_input then Memory.unwrite_input t.mem pid;
+  r
 
-let journal_mark t = t.j_len
-
-let undo_to t m =
-  if m > t.j_len || m < 0 then
-    invalid_arg "Scheduler.undo_to: mark is not in the journal";
-  (* Unsafe journal-column reads: [l < j_len <= capacity] throughout. *)
-  while t.j_len > m do
-    let l = t.j_len - 1 in
-    t.j_len <- l;
-    let pid = Array.unsafe_get t.j_pid l in
-    let kind = Array.unsafe_get t.j_kind l in
-    let base = kind land k_base_mask in
-    (* The status before any journaled step or crash is [s_running]. *)
-    if base = k_crash then begin
-      t.status.(pid) <- s_running;
-      t.running <- t.running lor (1 lsl pid);
-      if t.record_trace then t.events <- t.j_events.(l)
-    end
-    else begin
-      t.pcs.(pid) <- Array.unsafe_get t.j_pc l;
-      t.status.(pid) <- s_running;
-      t.running <- t.running lor (1 lsl pid);
-      (* Outputs transition once ([-1] -> a payload pc), so the decided
-         bit is a full inverse: the pre-step output was necessarily
-         unset. *)
-      if kind land k_decided_bit <> 0 then t.out_pcs.(pid) <- -1;
-      if t.record_trace then t.events <- t.j_events.(l);
-      t.step_counts.(pid) <- t.step_counts.(pid) - 1;
-      t.total_steps <- t.total_steps - 1;
-      if base = k_write then
-        Memory.unwrite t.mem ~pid ~old:(t.j_val.(l))
-          ~old_max_bits:(Array.unsafe_get t.j_bits l)
-      else if base = k_write_input then Memory.unwrite_input t.mem pid
-    end
-  done
+(* A crash runs no continuation, so undoing one is exact for stateful
+   code too. *)
+let branch_crash t pid k =
+  let events = t.events in
+  crash t pid;
+  let r = k () in
+  t.status.(pid) <- s_running;
+  t.running <- t.running lor (1 lsl pid);
+  if t.record_trace then t.events <- events;
+  r
 
 (* {2 Fused raw exploration}
 
    The explorer's raw mode (no dedup, no POR, no budget, no trace, no
    crash budget left) is a pure depth-first product walk: step, recurse,
-   undo. Driving it through {!step}/{!undo_to} pays the journal arena a
-   full slot of stores and loads per edge, plus cross-module calls, for
-   undo state that is only ever consumed by the matching undo one frame
-   up. [raw_dfs] fuses the walk: each frame keeps the undo data (old pc,
-   overwritten register value, width statistic, output transition) in
-   locals on the OCaml stack and reverts in place, so an edge touches no
-   journal at all. Journaling is suspended for the duration (the walk
-   pushes nothing, and [settle]'s decided-bit marking must not touch a
-   caller's older slots); any enclosing journal (e.g. a replayed parallel
-   prefix) is untouched and still undoable afterwards, because the walk
-   restores the state exactly.
+   undo. Driving it through [branch] pays a closure, a cross-module call
+   and the general step's dispatch per edge. [raw_dfs] fuses the walk:
+   each frame keeps the same undo data as [branch] (old pc, overwritten
+   register value, width statistic, output transition) in locals on the
+   OCaml stack and reverts in place, with the hot cases of [step] and
+   [settle] inlined. It restores the state exactly, so it may run below
+   any number of enclosing [branch] frames (e.g. a replayed parallel
+   prefix).
 
-   Observable behavior matches the journaled walk: same visit order,
-   same counters and metrics, same sink events. Requires an untraced
-   state ([record_trace = false]) — the caller gates on
-   {!recording_trace}. *)
+   Observable behavior matches the general walk: same visit order, same
+   counters and metrics, same sink events. Requires an untraced state
+   ([record_trace = false]: the walk does not restore trace heads) — the
+   caller gates on {!recording_trace}. *)
 
 let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
   if t.record_trace then invalid_arg "Scheduler.raw_dfs: state records traces";
-  forward_only t "raw_dfs";
+  Array.iter (refuse_stateful "raw_dfs") t.code;
   let terminals = ref 0 and truncated = ref 0 in
   let peak = ref depth in
   let n = Array.length t.status in
-  (* Metrics/sink gates are snapshotted once per walk (the journaled path
-     polls them per step): a walk is one uninterrupted call, and nothing
+  (* Metrics/sink gates are snapshotted once per walk ([step] polls them
+     per step): a walk is one uninterrupted call, and nothing
      in this codebase toggles either mid-exploration. *)
   let hot = !Obs.Metrics.hot in
   let sink = !Obs.Sink.active in
@@ -364,9 +265,7 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
      {!Memory.poke} — the [is_untracked]/hot test is paid once here
      instead of on every edge inside {!Memory.write}. *)
   let fast = Memory.is_untracked t.mem && not hot in
-  (* The arrays below are immutable fields of [t] (only the journal
-     columns are ever replaced, and the walk does not touch them):
-     hoisting them drops a dependent field load from every access in
+  (* The arrays below are immutable fields of [t]: hoisting them drops a dependent field load from every access in
      the loop. [running]/[total_steps] are mutable fields and stay
      behind [t]. *)
   let mem = t.mem in
@@ -400,7 +299,7 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
         (if mask land (1 lsl p) <> 0 then child p depth acc else acc)
   (* Execute process [p]'s next op, recurse ([descend]), revert — the
      op's inverse operands live in this frame. Mirrors {!step} exactly
-     (including metrics and sink events), minus the journal pushes. *)
+     (including metrics and sink events). *)
   and child p depth acc =
     let code = Array.unsafe_get codes p in
     let pc = Array.unsafe_get pcs p in
@@ -485,8 +384,8 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
       else over t.running 0 d1 (acc + 1)
     end
   (* The step landed on the Return/Output head [pc] (opcode [opn]):
-     settle the decision, recurse, revert. [settle] with journaling
-     suspended touches exactly: status, the running mask, outputs (once,
+     settle the decision, recurse, revert. [settle] touches exactly:
+     status, the running mask, outputs (once,
      unset -> a payload pc), pc (over Output heads — covered by the
      caller's pc restore), and metrics/sink. *)
   and settled opn pc p depth acc =
@@ -495,8 +394,7 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
        non-[Output] protocol; with telemetry cold its settle is three
        stores, inlined here along with [go] on the already-known mask,
        and the undo is unconditional (the status certainly flipped).
-       [Output] chains and live telemetry take the general [settle]
-       (journaling is off, so [mark_decided] is inert either way). *)
+       [Output] chains and live telemetry take the general [settle]. *)
     if opn = C.op_return && (not hot) && not sink then begin
       let mask = t.running land lnot (1 lsl p) in
       Array.unsafe_set status p s_decided;
@@ -536,13 +434,7 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
       acc
     end
   in
-  let journaling = t.journaling in
-  t.journaling <- false;
-  let nodes =
-    Fun.protect
-      ~finally:(fun () -> t.journaling <- journaling)
-      (fun () -> go depth 0)
-  in
+  let nodes = go depth 0 in
   (nodes, !terminals, !truncated, !peak)
 
 let recording_trace t = t.record_trace

@@ -51,31 +51,27 @@ val crash : ('v, 'i, 'a) state -> int -> unit
 (** Process takes no further steps, ever.
     @raise Invalid_argument if the process is not [Running]. *)
 
-(** {1 Undo journal}
+(** {1 Branching}
 
-    Backtracking support for {!module:Explore}: with the journal enabled,
-    every {!step} and {!crash} records what it overwrote, and {!undo_to}
-    rewinds the state to an earlier {!journal_mark} in O(steps undone) —
-    no copying of the memory or the per-process arrays. *)
+    Backtracking for {!module:Explore}: take one step or crash, explore
+    below it, take it back. The undo data lives in the branching call's
+    own frame, so branches nest like the recursion that makes them and
+    the state carries no undo log. *)
 
-type journal_mark
+val branch : ('v, 'i, 'a) state -> int -> (unit -> 'b) -> 'b
+(** [branch t pid k] steps [pid] ({!step}), runs [k ()], then restores
+    the state exactly — program, status, output, step counters, memory
+    contents, the memory's max-width statistic
+    ({!Memory.max_bits_written}) and the recorded trace — and returns
+    [k]'s result. [k] may branch further but must leave the state as it
+    found it. If [k] raises, the state is left mid-branch.
+    @raise Invalid_argument if the process is not [Running] or runs
+    {!Program.Stateful} code (it runs forward once). *)
 
-val enable_journal : ('v, 'i, 'a) state -> unit
-(** Start journaling. Off by default ([step] stays allocation-free for plain
-    runs). Steps taken before enabling cannot be undone. So
-    {!module:Explore}, which journals every state it walks, rejects
-    stateful programs through this call.
-    @raise Invalid_argument when a process runs {!Program.Stateful} code. *)
-
-val journal_mark : ('v, 'i, 'a) state -> journal_mark
-(** The current rewind point. *)
-
-val undo_to : ('v, 'i, 'a) state -> journal_mark -> unit
-(** Rewind to a previously obtained mark, reverting programs, statuses,
-    outputs, step counters, memory contents, the memory's max-width
-    statistic ({!Memory.max_bits_written}) and the recorded trace. Marks
-    must be used LIFO.
-    @raise Invalid_argument if the mark is ahead of the journal. *)
+val branch_crash : ('v, 'i, 'a) state -> int -> (unit -> 'b) -> 'b
+(** {!branch} for a {!crash} of [pid]. A crash runs no program code, so
+    this accepts {!Program.Stateful} code.
+    @raise Invalid_argument if the process is not [Running]. *)
 
 (** {1 Fused raw exploration} *)
 
@@ -90,19 +86,15 @@ val raw_dfs :
     current state, visiting each terminal state ([visit state depth]) and
     restoring the state exactly on return. Equivalent to the explorer's
     raw mode (no dedup, no partial-order reduction, no crashes) driven
-    through {!step}/{!undo_to}, but each edge's undo data lives in the
-    recursion frame instead of the journal, so an edge costs no journal
-    traffic at all. Nodes at [depth >= max_depth] that are not terminal
+    through {!branch}, with the step and its undo inlined into the walk's
+    own frames. Nodes at [depth >= max_depth] that are not terminal
     are not expanded: [on_truncated state] fires instead. Returns
     [(nodes, terminals, truncated, peak_depth)], counted as the explorer
-    counts them ([depth] is the starting node's depth).
-
-    Any enclosing journal is suspended during the walk and intact after
-    it; marks taken before the call remain valid.
-    @raise Invalid_argument on a [record_trace] state — the per-step
-    trace would have to be journaled, which this walk avoids; callers
-    gate on {!recording_trace} — and when a process runs
-    {!Program.Stateful} code. *)
+    counts them ([depth] is the starting node's depth). It may run
+    inside enclosing {!branch} calls.
+    @raise Invalid_argument on a [record_trace] state — the walk does not
+    restore trace heads; callers gate on {!recording_trace} — and when a
+    process runs {!Program.Stateful} code. *)
 
 val recording_trace : ('v, 'i, 'a) state -> bool
 (** Whether the state was started with [~record_trace:true]. *)

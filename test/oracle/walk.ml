@@ -1,9 +1,10 @@
 (* The reference walker for [Sched.Explore]: one visit per maximal
-   schedule, no reductions, no undo journal. A branch forks by replaying
-   its choice path from a fresh [init ()], so the walker shares neither
-   the engine's journal nor any state-copy code with it: it only needs
-   [init] to be deterministic. The first child of each node reuses the
-   node's own state, which is why only sibling branches pay a replay. *)
+   schedule, no reductions, no undo. A branch forks by replaying its
+   choice path from a fresh [init ()], so the walker shares neither the
+   engine's undo ([Scheduler.branch]) nor any state-copy code with it:
+   it only needs [init] to be deterministic. The first child of each node
+   reuses the node's own state, which is why only sibling branches pay a
+   replay. *)
 
 module S = Sched.Scheduler
 open Sched.Budget

@@ -2327,7 +2327,7 @@ let test_pipeline_allocation_ceiling () =
   if per_step > 32. then
     Alcotest.failf "%.1f minor words per step (ceiling 32)" per_step
 
-(* Exhaustive checking explores, and exploration journals: both refuse
+(* Exhaustive checking explores, and exploration branches: both refuse
    the pipeline's stateful programs instead of backtracking into them. *)
 let test_pipeline_refuses_explore () =
   let n = 3 and t = 1 and rounds = 1 in

@@ -199,7 +199,7 @@ let prop_explore_count =
       Oracle.Walk.count ~init = fact (a + b) / (fact a * fact b))
 
 (* Differential oracle for the exploration engine: on random small programs
-   (reads feed into decisions, so observation order matters), the journaled
+   (reads feed into decisions, so observation order matters), the
    engine with reductions off walks the same tree as the replaying
    reference walker, and with dedup+POR on it reaches exactly the same set of
    terminal states, each visited once. *)
@@ -326,7 +326,7 @@ let prop_par_raw_equals_seq =
       && par.Sched.Par.outcome = Sched.Explore.Complete)
 
 (* Free-monad oracle: an interpreter over the [Program.t] constructors
-   themselves — no [Scheduler], no compiled code, no journal — enumerating
+   themselves — no [Scheduler], no compiled code, no undo — enumerating
    schedules exactly like [Oracle.Walk] (steps in pid order, crashes
    with an increasing-pid floor). The engine lowers programs into flat
    step arrays and walks them with in-frame undo; this oracle pins that

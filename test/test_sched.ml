@@ -10,6 +10,10 @@ let make_memory ?(n = 2) ?(budget = Bits.Width.Unbounded) () =
   M.create ~n ~budget ~measure:(fun (v : int) -> Bits.Width.bits_for v)
     ~init:0
 
+let untracked_memory n =
+  M.create ~n ~budget:Bits.Width.Unbounded ~measure:Bits.Width.unbounded
+    ~init:0
+
 let test_memory_basics () =
   let m = make_memory ~n:3 () in
   Alcotest.(check int) "n" 3 (M.n m);
@@ -160,10 +164,10 @@ let test_explore_crashes_include_solo () =
   Alcotest.(check bool) "p1 solo reads 0" true
     (List.mem (`P1, 0) !solo_outcomes)
 
-(* Undo journal: stepping and crashing, then rewinding, restores programs,
-   statuses, outputs, memory contents, step counts and the width
-   statistic. *)
-let journal_snap s =
+(* Undo: stepping and crashing inside nested branches, then returning,
+   restores programs, statuses, outputs, memory contents, step counts and
+   the width statistic. *)
+let undo_snap s =
   ( S.decisions s,
     M.contents (S.memory s),
     S.running s,
@@ -174,31 +178,29 @@ let journal_snap s =
 
 let test_undo_rollback_across_crashes () =
   let s = start ~record_trace:true () in
-  S.enable_journal s;
-  let root = journal_snap s in
-  let m0 = S.journal_mark s in
-  S.step s 0;
-  (* p0 wrote 1 *)
-  let after_write = journal_snap s in
-  let m1 = S.journal_mark s in
-  (* Branch A: crash p1, run p0 to decision. *)
-  S.crash s 1;
-  S.step s 0;
-  Alcotest.(check (list int)) "branch A: p1 crashed" [ 1 ] (S.crashed s);
-  Alcotest.(check (array (option int))) "branch A: p0 decided solo"
-    [| Some 0; None |] (S.decisions s);
-  S.undo_to s m1;
-  Alcotest.(check bool) "undo to mid-point restores everything" true
-    (journal_snap s = after_write);
-  (* Branch B from the same mid-point: p1 runs and sees p0's write. *)
-  S.step s 1;
-  S.step s 1;
-  (match S.status s 1 with
-  | S.Decided 1 -> ()
-  | _ -> Alcotest.fail "branch B: p1 should have seen p0's write");
-  S.undo_to s m0;
+  let root = undo_snap s in
+  S.branch s 0 (fun () ->
+      (* p0 wrote 1 *)
+      let after_write = undo_snap s in
+      (* Branch A: crash p1, run p0 to decision. *)
+      S.branch_crash s 1 (fun () ->
+          S.branch s 0 (fun () ->
+              Alcotest.(check (list int)) "branch A: p1 crashed" [ 1 ]
+                (S.crashed s);
+              Alcotest.(check (array (option int)))
+                "branch A: p0 decided solo" [| Some 0; None |]
+                (S.decisions s)));
+      Alcotest.(check bool) "undo to mid-point restores everything" true
+        (undo_snap s = after_write);
+      (* Branch B from the same mid-point: p1 runs and sees p0's write. *)
+      S.branch s 1 (fun () ->
+          S.branch s 1 (fun () ->
+              match S.status s 1 with
+              | S.Decided 1 -> ()
+              | _ ->
+                  Alcotest.fail "branch B: p1 should have seen p0's write")));
   Alcotest.(check bool) "undo to root restores everything" true
-    (journal_snap s = root);
+    (undo_snap s = root);
   Alcotest.(check int) "trace rewound too" 0 (List.length (S.trace s));
   (* The rewound state is still live: a full run completes normally. *)
   S.run_round_robin s;
@@ -216,13 +218,10 @@ let test_undo_rollback_write_over () =
         P.return ())
       ()
   in
-  S.enable_journal s;
   S.step s 0;
-  let mark = S.journal_mark s in
-  S.step s 0;
-  Alcotest.(check int) "wide value written" 255 (M.read m 0);
-  Alcotest.(check int) "8 bits seen" 8 (M.max_bits_written m);
-  S.undo_to s mark;
+  S.branch s 0 (fun () ->
+      Alcotest.(check int) "wide value written" 255 (M.read m 0);
+      Alcotest.(check int) "8 bits seen" 8 (M.max_bits_written m));
   Alcotest.(check int) "register restored" 1 (M.peek m 0);
   Alcotest.(check int) "width stat restored" 1 (M.max_bits_written m)
 
@@ -481,7 +480,7 @@ let reference_run_random ?(max_steps = 1_000_000) ?(crashes = [])
   in
   loop ()
 
-type driver_op = W of int | R of int | O
+type driver_op = W of int | R of int | O | WI | RI of int
 
 (* A random run's inputs: per-process straight-line programs whose
    decisions sum the values they read (so they depend on the schedule),
@@ -501,6 +500,12 @@ let driver_program me ops : (int, string, int) P.t =
     | W v :: rest -> P.Write (v, fun () -> go acc rest)
     | R j :: rest -> P.Read (j, fun v -> go (acc + v) rest)
     | O :: rest -> P.Output (acc, fun () -> go acc rest)
+    | WI :: rest -> P.Write_input (string_of_int me, fun () -> go acc rest)
+    | RI j :: rest ->
+        P.Read_input
+          ( j,
+            fun i -> go (acc + Option.fold ~none:0 ~some:int_of_string i) rest
+          )
   in
   go (100 * me) ops
 
@@ -560,6 +565,8 @@ let print_driver_case c =
     | W v -> Printf.sprintf "w%d" v
     | R j -> Printf.sprintf "r%d" j
     | O -> "out"
+    | WI -> "wi"
+    | RI j -> Printf.sprintf "ri%d" j
   in
   let program ops = String.concat " " (List.map op ops) in
   Printf.sprintf
@@ -599,6 +606,101 @@ let test_run_random_crash_meets_decide () =
   Alcotest.(check bool) "p0 crashed after deciding" true
     (List.hd statuses = S.Crashed && decisions.(0) <> None);
   Alcotest.(check int) "p0 took one step" 1 (List.hd steps)
+
+(* [branch] against forward replay. Random programs (the driver's ops,
+   plus an input write and input reads) are walked along random nested
+   step and crash choices through [branch]/[branch_crash], traced or not,
+   on untracked or width-tracked memory. On entry to every branch the
+   state must equal a fresh start with the same choices applied forward,
+   and after every branch returns it must equal what it was before. *)
+type branch_case = {
+  ops : driver_op list array;
+  traced : bool;
+  tracked : bool;
+  walk_seed : int;
+}
+
+let branch_snapshot s =
+  let n = S.n s in
+  let mem = S.memory s in
+  ( S.decisions s,
+    M.contents mem,
+    List.init n (M.read_input mem),
+    List.init n (S.status s),
+    S.running_mask s,
+    List.init n (S.steps_of s),
+    S.steps_taken s,
+    M.max_bits_written mem,
+    S.trace s,
+    List.init n (S.peek s) )
+
+let branch_agrees c =
+  let n = Array.length c.ops in
+  let fresh () =
+    let memory =
+      if c.tracked then make_memory ~n () else untracked_memory n
+    in
+    S.start ~record_trace:c.traced ~memory
+      ~programs:(fun pid -> driver_program pid c.ops.(pid))
+      ()
+  in
+  let s = fresh () in
+  let rng = Bits.Rng.make c.walk_seed in
+  let budget = ref 60 and ok = ref true in
+  let rec walk path =
+    let f = fresh () in
+    List.iter
+      (function `Step p -> S.step f p | `Crash p -> S.crash f p)
+      (List.rev path);
+    if branch_snapshot f <> branch_snapshot s then ok := false;
+    for _ = 1 to 1 + Bits.Rng.int rng 2 do
+      match S.running s with
+      | _ :: _ as running when !budget > 0 ->
+          decr budget;
+          let p = Bits.Rng.pick rng running in
+          let before = branch_snapshot s in
+          if Bits.Rng.int rng 5 = 0 then
+            S.branch_crash s p (fun () -> walk (`Crash p :: path))
+          else S.branch s p (fun () -> walk (`Step p :: path));
+          if branch_snapshot s <> before then ok := false
+      | _ -> ()
+    done
+  in
+  walk [];
+  !ok
+
+let gen_branch_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 4 in
+  let op =
+    frequency
+      [ (3, map (fun v -> W v) (int_range 0 300));
+        (3, map (fun j -> R j) (int_range 0 (n - 1)));
+        (1, map (fun j -> RI j) (int_range 0 (n - 1)));
+        (2, return O) ]
+  in
+  let program =
+    let* input = bool in
+    let+ ops = list_size (int_range 0 8) op in
+    if input then WI :: ops else ops
+  in
+  let* ops = array_repeat n program in
+  let* traced = bool in
+  let* tracked = bool in
+  let+ walk_seed = int_range 0 100_000 in
+  { ops; traced; tracked; walk_seed }
+
+let print_branch_case c =
+  Printf.sprintf "%s traced=%b tracked=%b walk_seed=%d"
+    (print_driver_case
+       { programs = c.ops; crash_points = []; until_outputs = false;
+         slices = []; seed = 0 })
+    c.traced c.tracked c.walk_seed
+
+let prop_branch_matches_forward_replay =
+  QCheck.Test.make ~name:"branch = forward replay" ~count:500
+    (QCheck.make ~print:print_branch_case gen_branch_case)
+    branch_agrees
 
 let test_par_differential_sets () =
   let init = writers_3x4_init in
@@ -845,11 +947,7 @@ let test_adversary_rejects_bad_pick () =
     (Invalid_argument "Adversary.run: pid 7 is not running") (fun () ->
       Sched.Adversary.run (fun _ -> 7) s)
 
-(* {2 Compiled programs: dedup hashing, journal arena, code sharing} *)
-
-let untracked_memory n =
-  M.create ~n ~budget:Bits.Width.Unbounded ~measure:Bits.Width.unbounded
-    ~init:0
+(* {2 Compiled programs: dedup hashing, code sharing, stateful code} *)
 
 let signature st =
   ( Array.to_list (S.decisions st),
@@ -906,11 +1004,12 @@ let test_dedup_distinguishes_deep_histories () =
   Alcotest.(check bool) "dedup+por terminal set = raw" true
     (set !opt = set !raw)
 
-(* The journal's flat columns start at 256 slots; a path longer than that
-   exercises [grow_journal] mid-path, and [undo_to] back to the root must
-   still restore program, memory and statistics exactly. *)
-let test_journal_grows_and_rewinds () =
-  let n_writes = 600 in
+(* Undo data lives in the branching frames, so a path is as deep as the
+   recursion that walks it. 10,000 nested branches — the explorer's
+   default [max_steps] — must rewind to the root and restore program,
+   memory and statistics exactly. *)
+let test_deep_branch_rewinds () =
+  let n_writes = 10_000 in
   let prog =
     let rec go k =
       if k = 0 then P.Return () else P.Write (k, fun () -> go (k - 1))
@@ -918,15 +1017,18 @@ let test_journal_grows_and_rewinds () =
     go n_writes
   in
   let s = S.start ~memory:(make_memory ~n:1 ()) ~programs:(fun _ -> prog) () in
-  S.enable_journal s;
-  let mark = S.journal_mark s in
-  while S.status s 0 = S.Running do
-    S.step s 0
-  done;
-  Alcotest.(check int) "all steps taken" n_writes (S.steps_taken s);
-  Alcotest.(check int) "register holds the last write" 1
-    (M.peek (S.memory s) 0);
-  S.undo_to s mark;
+  let bottom = ref false in
+  let rec descend () =
+    if S.status s 0 = S.Running then S.branch s 0 descend
+    else begin
+      bottom := true;
+      Alcotest.(check int) "all steps taken" n_writes (S.steps_taken s);
+      Alcotest.(check int) "register holds the last write" 1
+        (M.peek (S.memory s) 0)
+    end
+  in
+  descend ();
+  Alcotest.(check bool) "the path reached its end" true !bottom;
   Alcotest.(check int) "steps rewound" 0 (S.steps_taken s);
   Alcotest.(check int) "register restored" 0 (M.peek (S.memory s) 0);
   Alcotest.(check int) "max-width statistic restored" 0
@@ -978,13 +1080,13 @@ let test_compiled_code_shared_across_runs () =
   Alcotest.(check int) "memo complete: no new slots on reuse" len_after_first
     (P.Compiled.length codes.(0) + P.Compiled.length codes.(1))
 
-(* The fused in-frame walk ([Scheduler.raw_dfs]) and the journaled
-   general path must be observationally identical. [record_trace] forces
-   the engine off the fused path, so the same protocol run both ways is
-   a direct differential — stats field-for-field, terminals and their
-   width statistic as multisets, with and without crash branching, on
-   untracked and width-tracked memory. *)
-let test_fused_equals_journaled () =
+(* The fused walk ([Scheduler.raw_dfs]) and the general walk through
+   [Scheduler.branch] must be observationally identical. [record_trace]
+   forces the engine off the fused path, so the same protocol run both
+   ways is a direct differential — stats field-for-field, terminals and
+   their width statistic as multisets, with and without crash branching,
+   on untracked and width-tracked memory. *)
+let test_fused_equals_branch () =
   let prog pid =
     let other = 1 - pid in
     P.Write (1, fun () ->
@@ -1008,14 +1110,14 @@ let test_fused_equals_journaled () =
         (List.sort compare !acc, stats)
       in
       let sigs_fused, stats_fused = run false in
-      let sigs_journaled, stats_journaled = run true in
+      let sigs_branch, stats_branch = run true in
       let label s = Printf.sprintf "%s (max_crashes=%d)" s max_crashes in
       Alcotest.(check bool)
-        (label "fused = journaled terminal multiset")
+        (label "fused = branch terminal multiset")
         true
-        (sigs_fused = sigs_journaled);
-      Alcotest.(check bool) (label "fused = journaled stats") true
-        (stats_fused = stats_journaled))
+        (sigs_fused = sigs_branch);
+      Alcotest.(check bool) (label "fused = branch stats") true
+        (stats_fused = stats_branch))
     [ (0, fun () -> untracked_memory 2); (1, fun () -> untracked_memory 2);
       (1, fun () -> make_memory ()) ]
 
@@ -1074,7 +1176,7 @@ let test_stateful_code_constant_size () =
     (S.decisions s);
   Alcotest.(check int) "output + two scratch + return" 4 (P.Compiled.length ret)
 
-(* Stateful code runs forward once: restarting it, journaling it or
+(* Stateful code runs forward once: restarting it, branching on it or
    walking it must fail loudly, not replay moved-on continuations. *)
 let test_stateful_rejections () =
   let memory () = make_memory ~n:1 () in
@@ -1083,7 +1185,7 @@ let test_stateful_rejections () =
   S.run_round_robin ~max_steps:10 s;
   raises_invalid_arg "second start" (fun () ->
       S.start_compiled ~memory:(memory ()) ~programs:(fun _ -> code) ());
-  raises_invalid_arg "enable_journal" (fun () -> S.enable_journal s);
+  raises_invalid_arg "branch" (fun () -> S.branch s 0 (fun () -> ()));
   raises_invalid_arg "raw_dfs" (fun () ->
       S.raw_dfs s ~depth:0 ~max_depth:4
         ~visit:(fun _ _ -> ())
@@ -1130,6 +1232,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_run_random_matches_reference;
           Alcotest.test_case "run_random: crash trigger meets a decide" `Quick
             test_run_random_crash_meets_decide;
+          QCheck_alcotest.to_alcotest prop_branch_matches_forward_replay;
         ] );
       ( "explore",
         [
@@ -1141,6 +1244,8 @@ let () =
             test_undo_rollback_across_crashes;
           Alcotest.test_case "undo restores overwritten registers" `Quick
             test_undo_rollback_write_over;
+          Alcotest.test_case "deep nested branches rewind" `Quick
+            test_deep_branch_rewinds;
           Alcotest.test_case "dedup+POR: >=5x fewer nodes, same states" `Quick
             test_explore_reductions_5x;
           Alcotest.test_case "canonical crash order" `Quick
@@ -1186,12 +1291,10 @@ let () =
             `Quick test_zobrist_beats_hash_truncation;
           Alcotest.test_case "dedup distinguishes deep histories" `Quick
             test_dedup_distinguishes_deep_histories;
-          Alcotest.test_case "journal arena grows and rewinds" `Quick
-            test_journal_grows_and_rewinds;
           Alcotest.test_case "compiled code shared across runs" `Quick
             test_compiled_code_shared_across_runs;
-          Alcotest.test_case "fused walk = journaled walk" `Quick
-            test_fused_equals_journaled;
+          Alcotest.test_case "fused walk = branch walk" `Quick
+            test_fused_equals_branch;
           Alcotest.test_case "stateful code stays constant-size" `Quick
             test_stateful_code_constant_size;
           Alcotest.test_case "stateful code runs forward once" `Quick
