@@ -193,6 +193,43 @@ for jobs in 1 2; do
     exit 1
   fi
 done
+# A node-capped parallel run admits unit results in unit-index order, so
+# its stdout and checkpoint are the same run after run, and the resume
+# chain still visits every terminal of the raw crash tree once.
+capped() {
+  dune exec bin/boundedreg.exe -- explore -k 2 --max-crashes 1 \
+    --max-nodes 700 --no-dedup --no-por --jobs 2 \
+    --checkpoint "$ckpt_dir/cap" "$@"
+}
+capped > "$ckpt_dir/cap.out"
+cp "$ckpt_dir/cap" "$ckpt_dir/cap.first"
+for run in 2 3 4; do
+  capped > "$ckpt_dir/cap.again"
+  if ! cmp -s "$ckpt_dir/cap.out" "$ckpt_dir/cap.again" \
+    || ! cmp -s "$ckpt_dir/cap" "$ckpt_dir/cap.first"; then
+    echo "check.sh: capped --jobs 2 explore run $run differs from run 1" >&2
+    diff "$ckpt_dir/cap.out" "$ckpt_dir/cap.again" >&2 || true
+    exit 1
+  fi
+done
+terminals=0
+resumes=0
+while :; do
+  t=$(sed -n 's/.*terminals=\([0-9]*\).*/\1/p' "$ckpt_dir/cap.out")
+  terminals=$((terminals + t))
+  grep -q '^outcome: exhausted' "$ckpt_dir/cap.out" || break
+  resumes=$((resumes + 1))
+  if [ "$resumes" -ge 50 ]; then
+    echo "check.sh: capped resume chain did not complete in 50 runs" >&2
+    exit 1
+  fi
+  capped --resume > "$ckpt_dir/cap.out"
+done
+if [ "$terminals" != 6232 ]; then
+  echo "check.sh: capped resume chain visited $terminals terminals," \
+    "not 6232" >&2
+  exit 1
+fi
 rm -rf "$ckpt_dir"
 
 # Supervised smoke: experiments under a tight per-experiment budget.

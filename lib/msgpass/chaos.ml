@@ -489,10 +489,10 @@ let dyn_create config dyn =
    configs that differ only in how a run is driven (fault profile,
    crash budget, churn rate and window, which only the rng roll reads)
    share one instance, and the key hashes in a few int ops. Every
-   driver below funnels through [prepare]. *)
+   driver below funnels through [pooled]. *)
 let pool = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let prepare config =
+let pooled config =
   let tbl = Domain.DLS.get pool in
   let key =
     ( config.n, config.t, config.quorum, config.writes, config.readers,
@@ -513,6 +513,10 @@ let prepare config =
         Hashtbl.add tbl key p;
         p
   in
+  p
+
+let prepare config =
+  let p = pooled config in
   p.reset ();
   p.prepared
 
@@ -600,24 +604,30 @@ let run_plan config plan =
 (* Shrink probes on the compiled plan's sub-arrays. A probe asks only
    whether the candidate still fails, so it skips every outcome field but
    the verdict; a candidate ddmin already tried is answered from the memo
-   — it counts as a probe, but does not replay. *)
-module Probes = Hashtbl.Make (struct
-  type t = Faults.compiled
+   — it counts as a probe, but does not replay. A key carries its hash;
+   the memo has room for the 1-2k probes of a usual shrink. *)
+type probe = { h : int; c : Faults.compiled }
 
-  let hash = Faults.compiled_hash
-  let equal = Faults.compiled_equal
+module Probes = Hashtbl.Make (struct
+  type t = probe
+
+  let hash k = k.h
+  let equal a b = a.h = b.h && Faults.compiled_equal a.c b.c
 end)
 
 let shrink config plan =
-  let memo = Probes.create 256 in
+  let memo = Probes.create 1024 in
+  let p = pooled config in
   let test c =
-    match Probes.find_opt memo c with
+    let key = { h = Faults.compiled_hash c; c } in
+    match Probes.find_opt memo key with
     | Some fails -> fails
     | None ->
-        let (Prepared (ft, finalize)) = prepare config in
+        p.reset ();
+        let (Prepared (ft, finalize)) = p.prepared in
         Faults.replay_compiled ft c;
         let fails = violates (check (finalize ())) in
-        Probes.add memo c fails;
+        Probes.add memo key fails;
         fails
   in
   let shrunk, tests =

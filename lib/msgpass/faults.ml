@@ -52,26 +52,45 @@ let action_of_code c =
   else if k = k_enter then Enter a
   else Leave a
 
-(* The one printer of the action grammar, on opcode fields: the fleet
-   prints every corpus line straight from packed plans, without [Format]
-   and with operands from a table built on first use. *)
+(* The one printer of the action grammar, on opcode fields, into bytes:
+   [put_action b p k x y] writes the action at [b.[p..]] and returns its
+   end. The keyword goes as one 8-byte store of its zero-padded bytes
+   (the operands overwrite the padding), so [b] needs 8 bytes of room at
+   [p]; the scanner compares the same word under the keyword's mask. *)
 let keywords =
   [| "deliver "; "drop "; "dup "; "defer "; "crash "; "enter "; "leave " |]
 
-let small_ints = lazy (Array.init 256 string_of_int)
+let keyword_words =
+  Array.map (fun kw -> String.get_int64_le (kw ^ "\000\000\000\000") 0)
+    keywords
 
-let int_str i =
-  if i >= 0 && i < 256 then (Lazy.force small_ints).(i) else string_of_int i
+let keyword_masks =
+  Array.map
+    (fun kw -> Int64.shift_right_logical (-1L) (64 - (8 * String.length kw)))
+    keywords
 
-let add_action buf k a b =
-  Buffer.add_string buf keywords.(k);
-  Buffer.add_string buf (int_str a);
-  if k < k_crash then (Buffer.add_char buf '>'; Buffer.add_string buf (int_str b))
+let rec put_int b p x =
+  if x < 0 then (
+    let d = string_of_int x in
+    Bytes.blit_string d 0 b p (String.length d);
+    p + String.length d)
+  else
+    let p = if x >= 10 then put_int b p (x / 10) else p in
+    Bytes.set b p (Char.unsafe_chr (48 + (x mod 10)));
+    p + 1
 
+let put_action b p k x y =
+  Bytes.set_int64_le b p keyword_words.(k);
+  let p = put_int b (p + String.length keywords.(k)) x in
+  if k < k_crash then (
+    Bytes.set b p '>';
+    put_int b (p + 1) y)
+  else p
+
+(* A keyword and two operands of up to 20 characters each. *)
 let action_to_string act =
-  let buf = Buffer.create 16 in
-  with_fields (add_action buf) act;
-  Buffer.contents buf
+  let b = Bytes.create 64 in
+  Bytes.sub_string b 0 (with_fields (put_action b 0) act)
 
 let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
 
@@ -95,76 +114,43 @@ let deliveries plan =
    array of action strings (one corpus line). Parsing an action accepts
    blanks around it and around its operands. *)
 
-(* Scanners of the printer's own form, top-level so that they allocate
-   nothing; [action_of_string] and [scan_compiled_json] share them. *)
-let rec index_of c s i j =
-  if i >= j || s.[i] = c then i else index_of c s (i + 1) j
-
-let rec has_prefix s i p k =
-  k = String.length p
-  || (i + k < String.length s && s.[i + k] = p.[k] && has_prefix s i p (k + 1))
-
-let rec keyword_kind s i k =
-  if k > k_leave || has_prefix s i keywords.(k) 0 then k
-  else keyword_kind s i (k + 1)
-
-(* [s.[i..j)] as a decimal below 260, or -1; [acc] starts at -1. *)
-let rec decimal s i j acc =
-  if i >= j then acc
-  else if s.[i] >= '0' && s.[i] <= '9' && acc < 26 then
-    decimal s (i + 1) j ((max acc 0 * 10) + Char.code s.[i] - 48)
-  else -1
-
-(* The opcode of [s.[i..j)] in the printer's form, operands up to 255;
-   -1 for any other spelling. *)
-let scan_action s i j =
-  let k = keyword_kind s i 0 in
-  let i = if k > k_leave then j else i + String.length keywords.(k) in
-  let g = if k < k_crash then index_of '>' s i j else j in
-  let a = decimal s i g (-1) in
-  let b = if k < k_crash then decimal s (g + 1) j (-1) else 0 in
-  if a >= 0 && a < 256 && b >= 0 && b < 256 then encode k a b else -1
-
 let action_of_string s =
-  (* Anything but the printer's form (padding, signs, radix prefixes)
-     takes the general path, which alone decides errors. *)
-  let c = scan_action s 0 (String.length s) in
-  if c >= 0 then Ok (action_of_code c)
-  else
-    let s = String.trim s in
-    let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
-    match String.index_opt s ' ' with
-    | None -> fail "cannot parse action %S: expected \"keyword arg\"" s
-    | Some i -> (
-        let kw = String.sub s 0 i in
-        let rest = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
-        let channel k =
-          match String.index_opt rest '>' with
-          | None -> fail "bad channel %S after %S: expected src>dst" rest kw
-          | Some j -> (
-              let src = String.trim (String.sub rest 0 j) in
-              let dst =
-                String.trim (String.sub rest (j + 1) (String.length rest - j - 1))
-              in
-              match (int_of_string_opt src, int_of_string_opt dst) with
-              | Some src, Some dst -> Ok (k { src; dst })
-              | None, _ -> fail "bad channel source %S after %S" src kw
-              | _, None -> fail "bad channel destination %S after %S" dst kw)
-        in
-        let pid k =
-          match int_of_string_opt rest with
-          | Some p -> Ok (k p)
-          | None -> fail "bad pid %S after %S" rest kw
-        in
-        match kw with
-        | "deliver" -> channel (fun ch -> Deliver ch)
-        | "drop" -> channel (fun ch -> Drop ch)
-        | "dup" -> channel (fun ch -> Duplicate ch)
-        | "defer" -> channel (fun ch -> Defer ch)
-        | "crash" -> pid (fun p -> Crash p)
-        | "enter" -> pid (fun p -> Enter p)
-        | "leave" -> pid (fun p -> Leave p)
-        | _ -> fail "unknown action keyword %S in %S" kw s)
+  let s = String.trim s in
+  let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
+  match String.index_opt s ' ' with
+  | None -> fail "cannot parse action %S: expected \"keyword arg\"" s
+  | Some i -> (
+      let kw = String.sub s 0 i in
+      let rest =
+        String.trim (String.sub s (i + 1) (String.length s - i - 1))
+      in
+      let channel k =
+        match String.index_opt rest '>' with
+        | None -> fail "bad channel %S after %S: expected src>dst" rest kw
+        | Some j -> (
+            let src = String.trim (String.sub rest 0 j) in
+            let dst =
+              String.trim (String.sub rest (j + 1) (String.length rest - j - 1))
+            in
+            match (int_of_string_opt src, int_of_string_opt dst) with
+            | Some src, Some dst -> Ok (k { src; dst })
+            | None, _ -> fail "bad channel source %S after %S" src kw
+            | _, None -> fail "bad channel destination %S after %S" dst kw)
+      in
+      let pid k =
+        match int_of_string_opt rest with
+        | Some p -> Ok (k p)
+        | None -> fail "bad pid %S after %S" rest kw
+      in
+      match kw with
+      | "deliver" -> channel (fun ch -> Deliver ch)
+      | "drop" -> channel (fun ch -> Drop ch)
+      | "dup" -> channel (fun ch -> Duplicate ch)
+      | "defer" -> channel (fun ch -> Defer ch)
+      | "crash" -> pid (fun p -> Crash p)
+      | "enter" -> pid (fun p -> Enter p)
+      | "leave" -> pid (fun p -> Leave p)
+      | _ -> fail "unknown action keyword %S in %S" kw s)
 
 let plan_to_json plan =
   Obs.Json.List (List.map (fun a -> Obs.Json.Str (action_to_string a)) plan)
@@ -185,36 +171,93 @@ let plan_of_json j =
 type code = int
 type compiled = code array
 
-(* Action text needs no JSON escaping: each element goes between quotes. *)
+(* Each plan's text is built in a per-domain scratch and appended whole.
+   Action text needs no JSON escaping: each element goes between quotes.
+   An element takes at most 18 bytes ([,"deliver 255>255"]). *)
+let line_scratch = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096))
+
 let add_compiled_json buf c =
-  Array.iteri
-    (fun i code ->
-      Buffer.add_string buf (if i = 0 then "[\"" else ",\"");
-      add_action buf (code_kind code) (code_a code) (code_b code);
-      Buffer.add_char buf '"')
-    c;
-  Buffer.add_string buf (if Array.length c = 0 then "[]" else "]")
+  let scratch = Domain.DLS.get line_scratch in
+  if Bytes.length !scratch <= 18 * Array.length c then
+    scratch := Bytes.create ((36 * Array.length c) + 1);
+  let b = !scratch and p = ref 0 in
+  for i = 0 to Array.length c - 1 do
+    Bytes.set b !p ',';
+    Bytes.set b (!p + 1) '"';
+    let k = code_kind c.(i) and x = code_a c.(i) and y = code_b c.(i) in
+    p := put_action b (!p + 2) k x y + 1;
+    Bytes.set b (!p - 1) '"'
+  done;
+  if !p = 0 then Buffer.add_string buf "[]"
+  else (
+    Bytes.set b 0 '[';
+    Bytes.set b !p ']';
+    Buffer.add_subbytes buf b 0 (!p + 1))
+
+(* The corpus scanner of the printer's own form, allocating nothing.
+   [keyword_at] is the kind whose keyword [s.[i..j)] starts with, or -1,
+   read as one 8-byte word: [s] must hold 8 bytes from [i]. *)
+let keyword_at s i j =
+  let w = if i + 8 <= String.length s then String.get_int64_le s i else 0L in
+  let k = ref k_deliver in
+  while
+    !k <= k_leave && Int64.logand w keyword_masks.(!k) <> keyword_words.(!k)
+  do
+    incr k
+  done;
+  if !k <= k_leave && i + String.length keywords.(!k) <= j then !k else -1
+
+let opcode_bits = 19
+
+(* The opcode of kind [k] whose operands start at [s.[p..j)], with the
+   end of the action above its 19 bits (no tuple to allocate), or -1.
+   [acc] is the operand being read: -1 before its first digit, and no
+   digit may follow a value of 26 or more. [a] is the first operand of
+   a channel once a '>' has closed it. *)
+let rec operands s p j k a acc =
+  let c = if p < j then s.[p] else ' ' in
+  if c >= '0' && c <= '9' && acc < 26 then
+    operands s (p + 1) j k a ((Int.max acc 0 * 10) + Char.code c - 48)
+  else if c = '>' && k < k_crash && a < 0 && acc >= 0 then
+    operands s (p + 1) j k acc (-1)
+  else
+    let x = if k < k_crash then a else acc in
+    let y = if k < k_crash then acc else 0 in
+    if x >= 0 && x < 256 && y >= 0 && y < 256 then
+      encode k x y lor (p lsl opcode_bits)
+    else -1
+
+(* How many elements [s.[p..j)] holds, read into [codes.(len..)] up to a
+   closing bracket at [j - 1], or -1. Tail calls, no closure. *)
+let rec elements ~n s j codes p len =
+  let k =
+    if p < j && s.[p] = '"' && len < Array.length codes then
+      keyword_at s (p + 1) j
+    else -1
+  in
+  let r =
+    if k < 0 then -1
+    else operands s (p + 1 + String.length keywords.(k)) j k (-1) (-1)
+  in
+  let c = r land ((1 lsl opcode_bits) - 1) and q = r lsr opcode_bits in
+  if r < 0 || q + 1 >= j || s.[q] <> '"' || code_a c >= n || code_b c >= n
+  then -1
+  else (
+    codes.(len) <- c;
+    if s.[q + 1] = ',' then elements ~n s j codes (q + 2) (len + 1)
+    else if s.[q + 1] = ']' && q + 2 = j then len + 1
+    else -1)
 
 let scan_compiled_json ~n s i j =
+  if i < 0 || j > String.length s then invalid_arg "Faults.scan_compiled_json";
   (* An element and its separator take at least 10 bytes. *)
-  let codes = Array.make (((j - i) / 10) + 1) 0 and len = ref 0 in
-  let rec elements p =
-    (p + 1 = j && s.[p] = ']' && !len = 0)
-    || p < j && s.[p] = '"' && !len < Array.length codes
-    &&
-    let q = index_of '"' s (p + 1) j in
-    let c = if q + 1 < j then scan_action s (p + 1) q else -1 in
-    c >= 0 && code_a c < n && code_b c < n
-    && begin
-         codes.(!len) <- c;
-         incr len;
-         if s.[q + 1] = ',' then elements (q + 2)
-         else s.[q + 1] = ']' && q + 2 = j
-       end
+  let codes = Array.make ((Int.max 0 (j - i) / 10) + 1) 0 in
+  let len =
+    if i + 2 = j && s.[i] = '[' && s.[i + 1] = ']' then 0
+    else if i < j && s.[i] = '[' then elements ~n s j codes (i + 1) 0
+    else -1
   in
-  if i < j && s.[i] = '[' && elements (i + 1) then
-    Some (Array.sub codes 0 !len)
-  else None
+  if len < 0 then None else Some (Array.sub codes 0 len)
 
 (* Why [a] cannot run in a universe of [n] slots, if it cannot. *)
 let operand_error ~n =

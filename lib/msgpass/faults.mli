@@ -53,13 +53,12 @@ val deliveries : plan -> int
 val action_to_string : action -> string
 (** [deliver 0>2], [drop 0>2], [dup 0>2], [defer 0>2], [crash 3],
     [enter 3], [leave 3] — the fault-plan grammar quoted in
-    EXPERIMENTS.md. The single printer of that grammar:
-    {!pp_plan}, {!plan_to_json} and {!add_compiled_json} go through it. *)
+    EXPERIMENTS.md. One printer writes that grammar, and
+    {!pp_plan}, {!plan_to_json} and {!add_compiled_json} all use it. *)
 
 val action_of_string : string -> (action, string) result
 (** Inverse of {!action_to_string}; [Error] names the offending token
-    (unknown keyword, malformed channel, non-integer pid). The printer's
-    own form is read in place, without allocating. *)
+    (unknown keyword, malformed channel, non-integer pid). *)
 
 val plan_to_json : plan -> Obs.Json.t
 (** A JSON array of action strings — one corpus line's [plan] field. *)
@@ -93,12 +92,16 @@ val compile : n:int -> plan -> compiled
 val decompile : compiled -> plan
 
 val add_compiled_json : Buffer.t -> compiled -> unit
-(** Appends the text of [plan_to_json (decompile c)], building neither. *)
+(** Appends the text of [plan_to_json (decompile c)], building neither:
+    one [Buffer.add_subbytes] of text built in a per-domain scratch. *)
 
 val scan_compiled_json : n:int -> string -> int -> int -> compiled option
-(** [s.[i..j)] when it is exactly text {!add_compiled_json} prints, every
-    operand below [n], read in one pass by {!action_of_string}'s scanner;
-    [None] leaves any other text to {!plan_of_json} and {!check}. *)
+(** [s.[i..j)] when it is text {!add_compiled_json} prints, save that an
+    operand may carry leading zeros (a digit after a value of 26 or more
+    ends the form), with every operand below 256 and [n]; read in one
+    pass. [None] leaves any other text, and every error, to
+    {!plan_of_json} and {!check}.
+    @raise Invalid_argument unless [0 <= i] and [j <= String.length s]. *)
 
 val compiled_deliveries : compiled -> int
 (** {!deliveries} over the packed form, without decoding. *)

@@ -209,7 +209,9 @@ let cache_cap = 1 lsl 16
 type entry = { id : int; origin : string; plan : Faults.plan }
 
 let corpus_line buf ~id ~origin cplan =
-  Printf.bprintf buf "{\"id\":%d,\"origin\":" id;
+  Buffer.add_string buf "{\"id\":";
+  Buffer.add_string buf (Int.to_string id);
+  Buffer.add_string buf ",\"origin\":";
   Obs.Json.to_buffer buf (Obs.Json.Str origin);
   Buffer.add_string buf ",\"plan\":";
   Faults.add_compiled_json buf cplan;
@@ -238,7 +240,10 @@ let rec end_of s p j stop =
 
 let skip lit s p j =
   let e = p + String.length lit in
-  if p >= 0 && e <= j && String.sub s p (e - p) = lit then e else -1
+  let rec same k =
+    k = String.length lit || (s.[p + k] = lit.[k] && same (k + 1))
+  in
+  if p >= 0 && e <= j && same 0 then e else -1
 
 (* [fast id origin plan] when [s.[i..j)] is exactly a line [corpus_line]
    prints, its origin free of escapes and its operands below [n]. *)

@@ -259,27 +259,38 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
             ~outcome:(Explore.Exhausted { frontier; reason })
             ~aborted:false
       | `Frontier frontier ->
-          let units = Array.of_list frontier in
-          (* Cumulative progress across the pool, so a unit starting late
-             sees a budget already charged for finished units. The
-             per-unit snapshot is taken once at unit start: a unit never
-             stops because a *concurrent* unit consumed the budget, so
-             the global node cap can overshoot by at most (jobs - 1)
-             unit-sized runs. Deadlines don't overshoot: every monitor
-             reads the shared Budget.now. *)
-          let nodes_a = Atomic.make !nodes_done in
-          let run_unit path =
-            let rem = Budget.remaining monitor ~nodes:(Atomic.get nodes_a) in
-            if budget_spent rem then `Skipped path
+          let paths = Array.of_list frontier in
+          let n = Array.length paths in
+          (* Each unit runs under the node cap the seed pass left, and
+             results are admitted in unit-index order until the cap is
+             reached; later units go back whole as leftover frontier. A
+             unit skips itself only when every lower-index unit is done
+             and their nodes reach the cap. *)
+          let seed_done = !nodes_done in
+          let done_nodes = Array.init n (fun _ -> Atomic.make (-1)) in
+          let cap_reached nodes =
+            (Budget.remaining monitor ~nodes).Budget.max_nodes = Some 0
+          in
+          let rec lower_done i k total =
+            if k = i then cap_reached total
+            else
+              let d = Atomic.get done_nodes.(k) in
+              d >= 0 && lower_done i (k + 1) (total + d)
+          in
+          let run_unit i =
+            let rem = Budget.remaining monitor ~nodes:seed_done in
+            if budget_spent rem || lower_done i 0 seed_done then begin
+              Atomic.set done_nodes.(i) 0;
+              `Skipped
+            end
             else begin
               let acc = ref zero in
               let r =
                 Explore.explore ?max_steps ?max_crashes ~dedup ~por
-                  ~budget:rem ~resume:[ path ] ~quiet:true ~init (fun st ->
-                    acc := fold st !acc)
+                  ~budget:rem ~resume:[ paths.(i) ] ~quiet:true ~init
+                  (fun st -> acc := fold st !acc)
               in
-              ignore
-                (Atomic.fetch_and_add nodes_a r.Explore.stats.Explore.nodes);
+              Atomic.set done_nodes.(i) r.Explore.stats.Explore.nodes;
               let leftover, reason =
                 match r.Explore.outcome with
                 | Explore.Complete -> ([], None)
@@ -296,13 +307,17 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
           let value = ref !seed_acc in
           let first_reason = ref None in
           let leftovers = ref [] in
-          run_units ~jobs ~units run_unit (fun _ -> function
-            | `Done (acc, st, leftover, reason) ->
+          let admitted = ref seed_done in
+          run_units ~jobs ~units:(Array.init n Fun.id) run_unit (fun i ->
+            function
+            | `Done (acc, st, leftover, reason) when not (cap_reached !admitted)
+              ->
+                admitted := !admitted + st.Explore.nodes;
                 stats := Explore.add_stats !stats st;
                 if !first_reason = None then first_reason := reason;
                 value := merge !value acc;
                 leftovers := List.rev_append leftover !leftovers
-            | `Skipped path -> leftovers := path :: !leftovers);
+            | `Done _ | `Skipped -> leftovers := paths.(i) :: !leftovers);
           let leftovers = List.rev !leftovers in
           let outcome =
             if leftovers = [] then Explore.Complete
@@ -310,7 +325,7 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
               let reason =
                 match
                   stop_reason_of_remaining
-                    (Budget.remaining monitor ~nodes:(Atomic.get nodes_a))
+                    (Budget.remaining monitor ~nodes:!admitted)
                 with
                 | Some r -> r
                 | None ->
@@ -318,10 +333,10 @@ let explore ?max_steps ?max_crashes ?(dedup = true) ?(por = true)
               in
               Explore.Exhausted { frontier = leftovers; reason }
           in
-          nodes_done := Atomic.get nodes_a;
+          nodes_done := !admitted;
           terminals_done := !stats.Explore.terminals;
-          progress "merged" [ ("units", Obs.Json.Int (Array.length units)) ];
-          finish ~units:(Array.length units) ~stats:!stats ~value:!value
+          progress "merged" [ ("units", Obs.Json.Int n) ];
+          finish ~units:n ~stats:!stats ~value:!value
             ~outcome ~aborted:false
     in
     match body () with

@@ -107,10 +107,11 @@ val explore :
     [merge] needs no commutativity — the reduction order is fixed — but
     [zero] should be its identity, since every unit starts from [zero].
 
-    [budget] caps the whole parallel run. Each unit snapshots the
-    remaining budget when it starts, so the global node cap can
-    overshoot by up to [jobs - 1] unit-sized runs (deadlines cannot: all
-    monitors share {!Budget.now}). Unfinished and unstarted subtrees come
+    [budget] caps the whole parallel run. Units run under the node cap
+    the seed pass left and are admitted in unit-index order until the
+    cap is reached (it can overshoot by one unit's run), so a capped
+    run's output does not depend on worker scheduling. Deadlines read
+    the shared {!Budget.now}. Unfinished and unadmitted subtrees come
     back on the merged [Exhausted] frontier, resumable like any other
     checkpoint. The first seed segment resumes the whole of [resume], so
     a bad checkpoint choice is refused before any unit runs, with the

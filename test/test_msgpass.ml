@@ -717,9 +717,9 @@ let prop_plan_codec_roundtrip =
       Msgpass.Faults.plan_of_json json = Ok plan
       && plan_of_text (Obs.Json.to_string json) = Ok plan)
 
-(* The action parser before its in-place fast path, kept verbatim as
-   the oracle the fast path must agree with on every input: same
-   actions, same error texts. *)
+(* The general action parser, kept verbatim as the oracle
+   [action_of_string] must agree with on every input: same actions,
+   same error texts. *)
 let reference_action_of_string s =
   let open Msgpass.Faults in
   let s = String.trim s in
@@ -764,8 +764,8 @@ let check_against_reference s =
   if Msgpass.Faults.action_of_string s <> reference_action_of_string s then
     Alcotest.failf "action_of_string %S disagrees with the reference" s
 
-(* Every canonical action with operands 0..300: the fast path's whole
-   domain, past the 8-bit opcode range. *)
+(* Every canonical action with operands 0..300, past the 8-bit opcode
+   range. *)
 let test_action_parser_canonical () =
   List.iter
     (fun kw ->
@@ -1314,6 +1314,120 @@ let prop_plan_parser_survives_byte_edits =
           plan_of_text (Obs.Json.to_string (Fa.plan_to_json plan)) = Ok plan
           && Option.fold ~none:true ~some:(fun c -> Fa.decompile c = plan) fast
           || QCheck.Test.fail_reportf "re-printed plan does not re-parse")
+
+(* The corpus plan printer writes, byte for byte, what the reference
+   ([Oracle.Codecref], one [Buffer] call per token) appends, after
+   whatever the buffer already holds: every kind, operands 0..255. *)
+let prop_compiled_printer_matches_reference =
+  let gen =
+    QCheck.Gen.pair origin_gen (fault_plan_gen_over (QCheck.Gen.int_bound 255))
+  in
+  QCheck.Test.make ~name:"plan printer matches its reference" ~count:500
+    (QCheck.make
+       ~print:(fun (prefix, plan) ->
+         Format.asprintf "%S %a" prefix Msgpass.Faults.pp_plan plan)
+       gen)
+    (fun (prefix, plan) ->
+      let c = Msgpass.Faults.compile ~n:256 plan in
+      let print add =
+        let buf = Buffer.create 16 in
+        Buffer.add_string buf prefix;
+        add buf c;
+        Buffer.contents buf
+      in
+      print Msgpass.Faults.add_compiled_json
+      = print Oracle.Codecref.add_compiled_json)
+
+(* Lines of real runs, static and churn: what a campaign appends. *)
+let real_corpus_lines =
+  lazy
+    (List.concat_map
+       (fun config ->
+         List.init 6 (fun seed ->
+             let o = Msgpass.Chaos.run_random ~seed config in
+             let buf = Buffer.create 1024 in
+             Msgpass.Fleet.corpus_line buf ~id:seed ~origin:"seed:1" o.plan;
+             Buffer.contents buf))
+       [ Msgpass.Chaos.frontier (); Msgpass.Chaos.churn_frontier () ])
+
+(* The corpus plan scanner reads exactly what the reference reads, as the
+   same plan, on any range [[i, j)] of any text. The texts are printed
+   plans with operands up to 300 and real corpus lines, byte-edited
+   (biased towards the grammar's bytes) and embedded in longer text.
+   Universes above 256 are where a scanner that checked only [< n] would
+   fold operand 256 into another field. *)
+let prop_compiled_scanner_matches_reference =
+  let module Fa = Msgpass.Faults in
+  let open QCheck.Gen in
+  let chars s = List.of_seq (String.to_seq s) in
+  let byte =
+    frequency
+      [
+        (3, oneofl (chars "\",[]>{} 0123456789"));
+        (2, oneofl (chars "delivrupfcashnt"));
+        (1, map Char.chr (int_range 0 255));
+      ]
+  in
+  let printed =
+    fault_plan_gen_over (int_bound 300) >|= fun plan ->
+    Obs.Json.to_string (Fa.plan_to_json plan)
+  in
+  let real =
+    int_bound 1000 >|= fun k ->
+    let lines = Lazy.force real_corpus_lines in
+    List.nth lines (k mod List.length lines)
+  in
+  (* Replace, insert or delete a byte, or insert a run of up to 24
+     digits: long enough to overflow an operand that has no cut-off. *)
+  let edit t (kind, at, b) =
+    let len = String.length t in
+    let at = if len = 0 then 0 else at mod len in
+    let insert u = String.sub t 0 at ^ u ^ String.sub t at (len - at) in
+    match kind with
+    | 0 when len > 0 -> String.mapi (fun i c -> if i = at then b else c) t
+    | 1 -> insert (String.make 1 b)
+    | 2 -> insert (String.make (1 + (Char.code b mod 24)) '9')
+    | _ when len > 0 -> String.sub t 0 at ^ String.sub t (at + 1) (len - at - 1)
+    | _ -> t
+  in
+  let case =
+    oneofl [ 4; 13; 61; 256; 300 ] >>= fun n ->
+    frequency [ (1, printed); (1, real) ] >>= fun text ->
+    list_size (int_bound 4) (triple (int_range 0 3) (int_range 0 max_int) byte)
+    >>= fun edits ->
+    let text = List.fold_left edit text edits in
+    let pad = string_size ~gen:byte (int_bound 4) in
+    pair pad pad
+    >>= fun (before, after) ->
+    let s = before ^ text ^ after in
+    (* The plan range of a corpus line, else the embedded text. *)
+    let i, j =
+      let key = "\"plan\":" in
+      let rec find p =
+        if p + String.length key > String.length s then None
+        else if String.sub s p (String.length key) = key then Some p
+        else find (p + 1)
+      in
+      match find 0 with
+      | Some p ->
+          (p + String.length key, String.length s - 1 - String.length after)
+      | None ->
+          (String.length before, String.length before + String.length text)
+    in
+    frequency
+      [
+        (3, pure (i, j));
+        (1, pair (int_bound (String.length s)) (int_bound (String.length s)));
+      ]
+    >|= fun (i, j) -> (n, s, i, j)
+  in
+  QCheck.Test.make ~name:"plan scanner matches its reference" ~count:3000
+    (QCheck.make
+       ~print:(fun (n, s, i, j) -> Printf.sprintf "n=%d [%d, %d) of %S" n i j s)
+       case)
+    (fun (n, s, i, j) ->
+      let read scan = Option.map Fa.decompile (scan ~n s i j) in
+      read Fa.scan_compiled_json = read Oracle.Codecref.scan_compiled_json)
 
 (* Mutation is a pure function of the rng stream: same corpus plan + same
    seed give byte-identical children. *)
@@ -2396,6 +2510,8 @@ let () =
           Alcotest.test_case "plan parse errors are positional" `Quick
             test_plan_parse_errors_are_positional;
           QCheck_alcotest.to_alcotest prop_plan_parser_survives_byte_edits;
+          QCheck_alcotest.to_alcotest prop_compiled_printer_matches_reference;
+          QCheck_alcotest.to_alcotest prop_compiled_scanner_matches_reference;
           Alcotest.test_case "fleet mutator is seed-deterministic" `Quick
             test_fleet_mutator_deterministic;
           Alcotest.test_case "mutation draws are pinned" `Quick

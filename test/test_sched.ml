@@ -802,6 +802,47 @@ let test_par_budget_resume () =
   Alcotest.(check bool) "same multiset of terminal states" true
     (List.sort compare !full = List.sort compare !collected)
 
+(* A node-capped parallel run is a function of the workload: every unit
+   runs under the cap the seed pass left, and results are admitted in
+   unit-index order, so the stats, the visitor value and the leftover
+   frontier do not depend on which units finish first. The fold spins a
+   random while per terminal so that the finishing order varies from run
+   to run. *)
+let test_par_capped_reproducible () =
+  let init = writers_init ~n:3 ~len:2 in
+  let rng = Random.State.make_self_init () in
+  let run () =
+    let r =
+      Sched.Par.explore ~max_crashes:1 ~dedup:false ~por:false ~jobs:2
+        ~seed_nodes:8
+        ~budget:(Sched.Budget.make ~max_nodes:300 ())
+        ~init
+        ~fold:(fun s acc ->
+          for _ = 1 to Random.State.int rng 2_000 do
+            ignore (Sys.opaque_identity ())
+          done;
+          collect_fold s acc)
+        ~merge:( @ ) []
+    in
+    let frontier =
+      match r.Sched.Par.outcome with
+      | Sched.Explore.Complete -> ""
+      | Sched.Explore.Exhausted { frontier; reason } ->
+          Sched.Budget.stop_reason_to_string reason ^ "\n"
+          ^ Sched.Budget.frontier_to_string frontier
+    in
+    (r.Sched.Par.stats, r.Sched.Par.value, frontier)
+  in
+  let first = run () in
+  let _, _, frontier = first in
+  Alcotest.(check bool) "the cap trips" true (frontier <> "");
+  for i = 2 to 10 do
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d = run 1" i)
+      true
+      (run () = first)
+  done
+
 (* The unit runner's contract: [k] sees units in index order on the
    calling domain; at jobs = 1 a raising [k] leaves later units unrun;
    at jobs > 1 a failing [f] at unit j follows [k] for exactly 0..j-1. *)
@@ -1272,6 +1313,8 @@ let () =
             test_par_raw_partition_exact;
           Alcotest.test_case "budget + resume through the pool" `Quick
             test_par_budget_resume;
+          Alcotest.test_case "capped parallel runs are reproducible" `Quick
+            test_par_capped_reproducible;
           Alcotest.test_case "run_units contract" `Quick
             test_par_run_units_contract;
         ] );
