@@ -68,6 +68,25 @@ fi
 expect_shrink 'shrunk 50 (35 deliveries, 5097 replays)' \
   chaos --churn-frontier --runs 40 --seed 1 --expect violation
 
+# Trace replay smoke: the seed in a run's chaos.run trace instant is its
+# replay handle. Trace a frontier campaign, take the seed of the first
+# instant that says nonlinearizable (127 for this sweep) and run that
+# seed alone: it must find and shrink the same published witness.
+echo "== chaos trace replay smoke"
+replay_trace=$(mktemp)
+dune exec bin/boundedreg.exe -- chaos --frontier --runs 5 --seed 123 \
+  --expect violation --trace "$replay_trace" > /dev/null
+replay_seed=$(grep '"name":"chaos.run"' "$replay_trace" \
+  | grep '"verdict":"nonlinearizable"' | head -n 1 \
+  | sed -n 's/.*"seed":\([0-9][0-9]*\).*/\1/p')
+rm -f "$replay_trace"
+if [ -z "$replay_seed" ]; then
+  echo "check.sh: no nonlinearizable chaos.run instant in the traced sweep" >&2
+  exit 1
+fi
+expect_shrink 'shrunk 23 (19 deliveries, 1746 replays)' \
+  chaos --frontier --runs 1 --seed "$replay_seed" --expect violation
+
 # Pipeline smoke: Theorem 1.3's compiled protocol over 6-bit registers
 # (n=3, t=1) must reproduce seed 31's decisions and per-process step
 # counts exactly. ~927k steps per process: it runs in about half a

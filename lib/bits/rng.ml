@@ -15,7 +15,6 @@ let of_state state =
 
 let make seed = of_state (Int64.of_int seed)
 let copy t = Bytes.copy t
-let state t = Bytes.get_int64_le t 0
 
 (* splitmix64: fast, well-distributed, and trivially reproducible. *)
 let next t =

@@ -12,16 +12,6 @@ val make : int -> t
 val copy : t -> t
 (** Independent clone that continues from the same point. *)
 
-val state : t -> int64
-(** The generator's current internal state. A stream is resumable from any
-    point: [of_state (state t)] continues exactly where [t] is, without
-    re-rolling the draws that led there — the replay primitive the chaos
-    and fleet layers record per run. *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from a saved {!state}. Unlike {!make}, which
-    treats its argument as a seed, this restores the stream mid-flight. *)
-
 val split : t -> t
 (** A statistically independent generator derived from (and advancing) [t]. *)
 

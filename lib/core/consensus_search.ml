@@ -9,14 +9,6 @@ let state_count ~rounds = 1 lsl (rounds + 1)
 
 let rule_bit mask state = (mask lsr state) land 1
 
-let candidate_count ~rounds =
-  let rule_space r = 1 lsl state_count ~rounds:r in
-  let writes =
-    List.fold_left (fun acc r -> acc * rule_space (r - 1)) 1
-      (List.init rounds (fun r -> r + 1))
-  in
-  writes * rule_space rounds
-
 let candidates ~rounds =
   let rec enumerate r =
     (* all write_rule assignments for rounds r..rounds, as lists *)

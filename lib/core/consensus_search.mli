@@ -26,8 +26,6 @@ val state_count : rounds:int -> int
 val candidates : rounds:int -> candidate Seq.t
 (** All candidates, lazily. *)
 
-val candidate_count : rounds:int -> int
-
 val program :
   candidate -> me:int -> input:int -> (int, int, int) Sched.Program.t
 

@@ -49,44 +49,6 @@ let immediacy ~equal views =
               v))
        views)
 
-let write_order_consistency ~equal ~written ~order views =
-  let position = Hashtbl.create 8 in
-  List.iteri (fun idx pid -> Hashtbl.replace position pid idx) order;
-  let pos pid = Hashtbl.find position pid in
-  List.for_all
-    (fun i ->
-      List.for_all
-        (fun j ->
-          (not (pos i < pos j))
-          ||
-          match views.(j).(i) with
-          | Some x -> equal x written.(i)
-          | None -> false)
-        order)
-    order
-
-let consistent_with_some_order ~equal ~written views =
-  let rec permutations = function
-    | [] -> [ [] ]
-    | l ->
-        List.concat_map
-          (fun x ->
-            List.map
-              (fun rest -> x :: rest)
-              (permutations (List.filter (fun y -> y <> x) l)))
-          l
-  in
-  let pids = List.init (Array.length views) (fun i -> i) in
-  List.exists
-    (fun order -> write_order_consistency ~equal ~written ~order views)
-    (permutations pids)
-
-let support v =
-  Array.to_list v
-  |> List.mapi (fun i entry -> (i, entry))
-  |> List.filter_map (fun (i, entry) ->
-         match entry with Some _ -> Some i | None -> None)
-
 let pp pp_v ppf v =
   let pp_entry ppf = function
     | None -> Format.pp_print_string ppf "_"

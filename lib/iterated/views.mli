@@ -24,21 +24,5 @@ val inclusion : equal:('v -> 'v -> bool) -> 'v vector array -> bool
 val immediacy : equal:('v -> 'v -> bool) -> 'v vector array -> bool
 (** If [v_i[j]] is defined then [v_j ⊆ v_i] — immediate snapshots only. *)
 
-val write_order_consistency :
-  equal:('v -> 'v -> bool) -> written:'v array -> order:int list ->
-  'v vector array -> bool
-(** The collect property of Section 7: under the given write order, a
-    process that wrote earlier is seen by every later writer —
-    [order = [i; j; ...]] meaning [i] wrote first. *)
-
-val consistent_with_some_order :
-  equal:('v -> 'v -> bool) -> written:'v array -> 'v vector array -> bool
-(** Some write order satisfies {!write_order_consistency} — the semantic
-    test that a family of views is a possible collect outcome (checked by
-    enumerating permutations; use for small n). *)
-
-val support : 'v vector -> int list
-(** Indices of defined entries, ascending. *)
-
 val pp :
   (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v vector -> unit

@@ -209,12 +209,6 @@ let validate config =
             | Some e -> Error e
             | None -> clamp_crashes config))
 
-type rng_point = {
-  rng_state : int64;
-  crash_at : (int * int) list;
-  churn : Membership.churn;
-}
-
 type outcome = {
   verdict : int L.verdict;
   history : int L.event list;
@@ -223,7 +217,6 @@ type outcome = {
   deliveries : int;
   completed : int;
   hop_mask : int;
-  rng_point : rng_point option;
 }
 
 let violates = function L.Nonlinearizable _ -> true | L.Linearizable _ -> false
@@ -523,7 +516,7 @@ let prepare config =
 let check history =
   L.check ~pp:Format.pp_print_int ~init:(fun _ -> 0) ~equal:Int.equal history
 
-let outcome_of ?rng_point ft finalize =
+let outcome_of ft finalize =
   let history = finalize () in
   let plan = Faults.compiled_plan ft in
   {
@@ -537,7 +530,6 @@ let outcome_of ?rng_point ft finalize =
         (fun k (e : int L.event) -> if e.res <> None then k + 1 else k)
         0 history;
     hop_mask = Net.hop_mask (Faults.net ft);
-    rng_point;
   }
 
 let random_crashes rng config =
@@ -565,41 +557,28 @@ let random_churn rng config =
         ~rate:d.churn_rate ~window:d.churn_window
         ~span:(max 1 (config.max_events / 4))
 
-(* The replay point is taken after the crash and churn patterns have
-   been rolled: resuming from it re-runs exactly the fault-injection
-   loop, without re-rolling the schedule-derivation prefix of the
-   stream. *)
-let run_at point config =
-  let rng = Bits.Rng.of_state point.rng_state in
-  let profile =
-    {
-      config.profile with
-      crash_at = config.profile.crash_at @ point.crash_at;
-      enter_at = config.profile.enter_at @ point.churn.Membership.enter_at;
-      leave_at = config.profile.leave_at @ point.churn.Membership.leave_at;
-    }
-  in
-  let (Prepared (ft, finalize)) = prepare config in
-  Faults.run_random ~rng ~profile ~max_events:config.max_events ft;
-  outcome_of ~rng_point:point ft finalize
-
+(* The seed's stream rolls the crash and churn schedules first, then
+   drives the fault loop: the seed alone names the run. *)
 let run_random ~seed config =
   let rng = Bits.Rng.make seed in
   let crash_at = random_crashes rng config in
   let churn = random_churn rng config in
-  run_at { rng_state = Bits.Rng.state rng; crash_at; churn } config
+  let profile =
+    {
+      config.profile with
+      crash_at = config.profile.crash_at @ crash_at;
+      enter_at = config.profile.enter_at @ churn.Membership.enter_at;
+      leave_at = config.profile.leave_at @ churn.Membership.leave_at;
+    }
+  in
+  let (Prepared (ft, finalize)) = prepare config in
+  Faults.run_random ~rng ~profile ~max_events:config.max_events ft;
+  outcome_of ft finalize
 
 let run_compiled config compiled =
   let (Prepared (ft, finalize)) = prepare config in
   Faults.replay_compiled ft compiled;
   outcome_of ft finalize
-
-let run_plan config plan =
-  (* Compiling first both validates the (possibly hand-edited) plan's
-     operands against the universe size and turns the replay into a
-     dense int-array walk — the form every shrink probe and corpus
-     mutant re-execution takes. *)
-  run_compiled config (Faults.compile ~n:config.n plan)
 
 (* Shrink probes on the compiled plan's sub-arrays. A probe asks only
    whether the candidate still fails, so it skips every outcome field but
@@ -724,42 +703,18 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
   let tally s o =
     Obs.Metrics.inc m_runs;
     if failed o then Obs.Metrics.inc m_violations;
-    (* Each run's instant carries its resolved RNG point (state after the
-       crash-pattern prefix, plus the crash schedule itself): a single
-       mid-campaign run replays from the trace via [run_at], without
-       re-rolling the campaign prefix. *)
+    (* Each run's instant carries its seed: [run_random ~seed] replays
+       any single run of a traced campaign. *)
     Obs.Span.instant ~cat:"chaos"
       ~args:
-        ([
-           ("seed", Obs.Json.Int s);
-           ( "verdict",
-             Obs.Json.Str
-               (if failed o then "nonlinearizable" else "linearizable") );
-           ("events", Obs.Json.Int o.events);
-           ("completed", Obs.Json.Int o.completed);
-         ]
-        @
-        match o.rng_point with
-        | None -> []
-        | Some p ->
-            let pid_at entries =
-              Obs.Json.List
-                (List.map
-                   (fun (pid, at) ->
-                     Obs.Json.List [ Obs.Json.Int pid; Obs.Json.Int at ])
-                   entries)
-            in
-            [
-              ("rng_state", Obs.Json.Str (Int64.to_string p.rng_state));
-              ("crash_at", pid_at p.crash_at);
-            ]
-            @
-            if p.churn = Membership.no_churn then []
-            else
-              [
-                ("enter_at", pid_at p.churn.Membership.enter_at);
-                ("leave_at", pid_at p.churn.Membership.leave_at);
-              ])
+        [
+          ("seed", Obs.Json.Int s);
+          ( "verdict",
+            Obs.Json.Str
+              (if failed o then "nonlinearizable" else "linearizable") );
+          ("events", Obs.Json.Int o.events);
+          ("completed", Obs.Json.Int o.completed);
+        ]
       "chaos.run";
     let c = !acc in
     let first =
@@ -771,15 +726,16 @@ let campaign ?deadline ?(jobs = 1) ~seed ~runs config =
               seed = s;
               original = o;
               shrunk;
-              shrunk_outcome = run_plan config shrunk;
+              shrunk_outcome =
+                run_compiled config (Faults.compile ~n:config.n shrunk);
               shrink_tests;
             }
           in
           (* First NONLINEARIZABLE verdict: dump the flight recorder.
-             The rings now hold the failing run's chaos.run instant
-             (rng point, crash/churn schedule) and the shrink replays —
-             enough to reproduce without having traced. Best-effort and
-             silent: campaigns run inside tests too. *)
+             The rings now hold the failing run's chaos.run instant (its
+             seed) and the shrink replays — enough to reproduce without
+             having traced. Best-effort and silent: campaigns run inside
+             tests too. *)
           ignore (Obs.Recorder.dump ~since:flight_mark ~reason:"nonlinearizable" ());
           Some found
       | first, _ -> first

@@ -99,17 +99,6 @@ val validate : config -> (config * string list, string) result
     configuration outside the packed layout or with [t >= n/2] and no
     override. *)
 
-type rng_point = {
-  rng_state : int64;
-      (** the {!Bits.Rng} stream state at the start of the fault loop —
-          after the crash and churn patterns were rolled *)
-  crash_at : (int * int) list;  (** the crash schedule that roll produced *)
-  churn : Membership.churn;  (** the churn schedule ditto *)
-}
-(** The resolved randomness of one run: everything {!run_at} needs to
-    re-execute a single mid-campaign run without re-rolling the prefix
-    of the stream that led to it. *)
-
 type outcome = {
   verdict : int Check.Linearize.verdict;
   history : int Check.Linearize.event list;
@@ -123,35 +112,22 @@ type outcome = {
   hop_mask : int;
       (** {!Net.hop_mask} of the run's network: which hop-latency buckets
           its deliveries occupied — a fleet coverage signal *)
-  rng_point : rng_point option;
-      (** [Some] for randomized runs ({!run_random}, {!run_at});
-          [None] for scripted replays ({!run_plan}) *)
 }
 
 val failed : outcome -> bool
 
 val run_random : seed:int -> config -> outcome
 (** One seeded campaign run: random crash pattern (at most
-    [config.crashes], never more than [config.t] processes), then
-    {!Faults.run_random} until quiescence or [config.max_events]. *)
-
-val run_at : rng_point -> config -> outcome
-(** Re-execute one randomized run from its recorded {!rng_point} —
-    bit-for-bit: [run_at (Option.get o.rng_point) config] for an
-    [o = run_random ~seed config] reproduces [o]'s plan, history and
-    verdict without re-rolling the crash-derivation prefix. The per-run
-    trace instants ([chaos.run]) carry the point's fields, so any single
-    run of a traced campaign is replayable from the trace alone. *)
-
-val run_plan : config -> Faults.plan -> outcome
-(** Deterministic replay of a plan from the initial state — bit-for-bit:
-    [run_plan c (Faults.decompile (run_random ~seed c).plan)] reproduces
-    the run. The plan is {!Faults.compile}d first, so out-of-range
-    operands raise [Invalid_argument] before anything executes. *)
+    [config.crashes], never more than [config.t] processes) and churn
+    schedule, then {!Faults.run_random} until quiescence or
+    [config.max_events]. The seed names the run: the same seed and
+    config give the same plan, history and verdict. *)
 
 val run_compiled : config -> Faults.compiled -> outcome
-(** {!run_plan} over an already-compiled plan — what the fleet executes
-    for mutants, whose plans it compiles once for content addressing. *)
+(** Replay a compiled plan from the initial state, bit-for-bit:
+    [run_compiled c (run_random ~seed c).plan] reproduces that run. A
+    list-form plan replays through {!Faults.compile}, which raises
+    [Invalid_argument] on an out-of-range operand. *)
 
 val shrink : config -> Faults.plan -> Faults.plan * int
 (** ddmin a failing plan down to a 1-minimal failing plan, and the number
@@ -188,6 +164,10 @@ val campaign :
     graceful degradation rather than an unbounded tail. An individual run
     is already bounded by [config.max_events], so the overshoot past the
     deadline is at most one run (plus one shrink, if that run fails).
+
+    Each run's [chaos.run] trace instant carries its [seed], [verdict],
+    [events] and [completed]; the seed is the replay handle:
+    [run_random ~seed config] reproduces the run.
 
     [jobs] (default 1) is the width of the {!Sched.Par.run_units} pool
     the seeded runs — one unit each, mutually independent by

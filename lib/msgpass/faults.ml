@@ -359,7 +359,7 @@ let mutate rng ~n ?(churn = false) plan =
   let insert at seg =
     a := Array.concat [ Array.sub !a 0 at; seg; Array.sub !a at (len () - at) ]
   in
-  let run_at () =
+  let pick_run () =
     let start = Bits.Rng.int rng (len ()) in
     (start, 1 + Bits.Rng.int rng (min 8 (len () - start)))
   in
@@ -373,16 +373,16 @@ let mutate rng ~n ?(churn = false) plan =
     match Bits.Rng.int rng 6 with
     (* splice a run out *)
     | 0 when len () > 0 ->
-        let start, k = run_at () in
+        let start, k = pick_run () in
         remove start k
     (* duplicate a run elsewhere *)
     | 1 when len () > 0 ->
-        let start, k = run_at () in
+        let start, k = pick_run () in
         let seg = Array.sub !a start k in
         insert (Bits.Rng.int rng (len () + 1)) seg
     (* move a run *)
     | 2 when len () > 1 ->
-        let start, k = run_at () in
+        let start, k = pick_run () in
         let seg = Array.sub !a start k in
         remove start k;
         insert (Bits.Rng.int rng (len () + 1)) seg

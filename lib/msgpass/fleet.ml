@@ -574,7 +574,10 @@ let replay_file file =
             match decoded with
             | Error e -> Error (Printf.sprintf "%s: %s" file e)
             | Ok (config, plan) ->
-                let outcome = Chaos.run_plan config plan in
+                let outcome =
+                  Chaos.run_compiled config
+                    (Faults.compile ~n:config.Chaos.n plan)
+                in
                 let sg = signature_of outcome in
                 let fresh_reason =
                   match outcome.Chaos.verdict with
@@ -670,6 +673,15 @@ let exec chaos = function
 
 let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
     ?corpus_dir ~seed chaos =
+  (* Validated as [Chaos.campaign] validates: hard errors raise before
+     anything runs, warnings print once per campaign. *)
+  let chaos =
+    match Chaos.validate chaos with
+    | Error e -> invalid_arg ("Fleet.campaign: " ^ e)
+    | Ok (chaos, warnings) ->
+        List.iter (fun w -> Printf.eprintf "fleet: warning: %s\n%!" w) warnings;
+        chaos
+  in
   let generations =
     match (generations, budget) with
     | Some g, _ -> Some g

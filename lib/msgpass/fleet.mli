@@ -167,6 +167,11 @@ val campaign :
     it is written as [flight-nonlinearizable.jsonl] in [corpus_dir] when
     one is given, in the current directory otherwise.
 
+    The configuration goes through {!Chaos.validate} first, as in
+    {!Chaos.campaign}: warnings print to stderr once, clamps apply.
+
+    @raise Invalid_argument on a configuration {!Chaos.validate} rejects,
+    before anything runs.
     @raise Corpus_error when [corpus_dir] holds a corpus that fails to
     parse or names a slot outside the configuration's [n]. *)
 

@@ -29,11 +29,6 @@ let merge a b =
     left = a.left lor b.left;
   }
 
-let includes a b =
-  a.entered lor b.entered = a.entered
-  && a.act lor b.act = a.act
-  && a.left lor b.left = a.left
-
 let current v = v.entered land lnot v.left
 let active v = v.act land lnot v.left
 
@@ -105,18 +100,3 @@ let random rng ~joiners ~leavers ~rate ~window ~span =
     done;
     { enter_at = List.rev !enter_at; leave_at = List.rev !leave_at }
   end
-
-let max_in_window ~window c =
-  let times =
-    List.sort compare (List.map snd c.enter_at @ List.map snd c.leave_at)
-  in
-  let arr = Array.of_list times in
-  Array.fold_left
-    (fun best t0 ->
-      let k =
-        Array.fold_left
-          (fun k t -> if t >= t0 && t < t0 + window then k + 1 else k)
-          0 arr
-      in
-      max best k)
-    0 arr

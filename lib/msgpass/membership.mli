@@ -41,9 +41,6 @@ val merge : view -> view -> view
 (** Pointwise union — the gossip merge. Commutative, associative,
     idempotent; [merge] never loses knowledge. *)
 
-val includes : view -> view -> bool
-(** [includes a b]: [a] knows everything [b] knows. *)
-
 val current : view -> int
 (** The current-member bitset ([entered land lnot left]). *)
 
@@ -94,7 +91,3 @@ val random :
     layer's logical time. [joiners] enter in list order; [leavers] are
     drawn randomly. [rate <= 0] disables churn. Driving [rate] toward
     [window] (spacing 1) is the above-bound adversary. *)
-
-val max_in_window : window:int -> churn -> int
-(** The actual worst-case churn count in any [window]-length stretch of
-    the schedule — what a test asserts against the configured rate. *)

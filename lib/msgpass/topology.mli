@@ -16,10 +16,3 @@ val successors : t -> int -> int list
 (** Out-neighbours, ascending by distance for the ring. *)
 
 val predecessors : t -> int -> int list
-
-val strongly_connected : t -> without:int list -> bool
-(** Is the digraph strongly connected once the given nodes are removed? *)
-
-val survivor_connected : t -> faults:int -> bool
-(** [strongly_connected] for {e every} set of at most [faults] removed nodes
-    — exponential in [faults], for tests and small systems. *)

@@ -8,6 +8,10 @@ let ddmin ~test xs = fst (S.ddmin_count ~test xs)
 let minimize ~test xs = fst (S.minimize_count ~test xs)
 module C = Msgpass.Chaos
 
+(* Replays a list-form plan: compiling checks every operand. *)
+let run_plan config plan =
+  C.run_compiled config (Msgpass.Faults.compile ~n:config.C.n plan)
+
 let ev ?(proc = 0) ?(reg = 0) op inv res = { L.proc; reg; op; inv; res }
 let w ?proc ?reg v inv res = ev ?proc ?reg (L.Write v) inv (Some res)
 let r ?proc ?reg v inv res = ev ?proc ?reg (L.Read v) inv (Some res)
@@ -291,13 +295,13 @@ let test_frontier_seed_127 () =
   Alcotest.(check (triple int int int))
     "23 events, 19 deliveries, 1746 replays" (23, 19, 1746)
     (List.length shrunk, deliveries, replays);
-  let replayed = C.run_plan config shrunk in
+  let replayed = run_plan config shrunk in
   (match replayed.C.verdict with
   | L.Nonlinearizable { reg; _ } ->
       Alcotest.(check int) "replay re-triggers on register 0" 0 reg
   | L.Linearizable _ -> Alcotest.fail "shrunk plan no longer fails");
   (* Replay is bit-for-bit: same plan, same history, same verdict. *)
-  let again = C.run_plan config shrunk in
+  let again = run_plan config shrunk in
   Alcotest.(check bool) "replay deterministic" true
     (again.C.history = replayed.C.history)
 
@@ -314,7 +318,7 @@ let test_shrink_vs_reference () =
       let got, k = C.shrink config plan in
       let want, k' =
         Oracle.Ddmin.minimize_count
-          ~test:(fun p -> C.failed (C.run_plan config p))
+          ~test:(fun p -> C.failed (run_plan config p))
           plan
       in
       Alcotest.(check bool) (name ^ " fails") true (C.failed o);
@@ -390,7 +394,7 @@ let test_pool_alternation () =
 let test_run_plan_reproduces_run_random () =
   let config = C.sound () in
   let o = C.run_random ~seed:3 config in
-  let replayed = C.run_plan config (Msgpass.Faults.decompile o.C.plan) in
+  let replayed = run_plan config (Msgpass.Faults.decompile o.C.plan) in
   Alcotest.(check bool) "same history under plan replay" true
     (replayed.C.history = o.C.history);
   Alcotest.(check int) "same delivery count" o.C.deliveries

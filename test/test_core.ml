@@ -488,7 +488,7 @@ let test_consensus_search_none () =
     (fun rounds ->
       let s = CS.search ~rounds in
       Alcotest.(check int) "class fully enumerated"
-        (CS.candidate_count ~rounds) s.CS.total;
+        (Oracle.Props.candidate_count ~rounds) s.CS.total;
       Alcotest.(check int)
         (Printf.sprintf "no %d-round protocol survives" rounds)
         0

@@ -79,7 +79,7 @@ let test_write_order_consistency () =
     (fun model ->
       one_round_views ~model ~n:3 (fun views ->
           Alcotest.(check bool) "some order consistent" true
-            (Views.consistent_with_some_order ~equal:Int.equal
+            (Oracle.Props.consistent_with_some_order ~equal:Int.equal
                ~written:[| 0; 1; 2 |] views)))
     [ `Iis; `Ic ];
   (* A fabricated mutual miss admits none. *)
@@ -87,8 +87,8 @@ let test_write_order_consistency () =
     [| [| Some 0; None |]; [| None; Some 1 |] |]
   in
   Alcotest.(check bool) "mutual miss rejected" false
-    (Views.consistent_with_some_order ~equal:Int.equal ~written:[| 0; 1 |]
-       views)
+    (Oracle.Props.consistent_with_some_order ~equal:Int.equal
+       ~written:[| 0; 1 |] views)
 
 let test_ic_collect_weaker () =
   let n = 3 in
@@ -224,7 +224,7 @@ let test_bg_snapshot_crashes () =
     let views = Array.of_list views in
     if Array.length views > 0 then begin
       Alcotest.(check bool) "survivor views non-empty" true
-        (Array.for_all (fun v -> List.length (Views.support v) > 0) views);
+        (Array.for_all (Array.exists Option.is_some) views);
       Alcotest.(check bool) "inclusion (survivors)" true
         (Views.inclusion ~equal:Int.equal views)
     end

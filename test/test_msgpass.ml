@@ -15,7 +15,7 @@ let test_topology_connectivity () =
       Alcotest.(check bool)
         (Printf.sprintf "ring n=%d t=%d is (t+1)-connected" n t)
         true
-        (T.survivor_connected ring ~faults:t);
+        (Oracle.Props.survivor_connected ring ~faults:t);
       Alcotest.(check int) "out-degree t+1" (t + 1)
         (List.length (T.successors ring 0));
       Alcotest.(check int) "in-degree t+1" (t + 1)
@@ -27,7 +27,7 @@ let test_topology_not_overconnected () =
      is tight. *)
   let ring = T.augmented_ring ~n:7 ~t:2 in
   Alcotest.(check bool) "t+1 consecutive faults disconnect" false
-    (T.strongly_connected ring ~without:[ 1; 2; 3 ])
+    (Oracle.Props.strongly_connected ring ~without:[ 1; 2; 3 ])
 
 (* The stored predecessor lists are the in-neighbours in ascending order:
    the filter over every node's successors. *)
@@ -426,6 +426,12 @@ let test_faults_drop_and_duplicate () =
   Alcotest.(check int) "deliveries on an empty channel are not recorded" 5
     (F.events ft)
 
+(* Replays a list-form plan: compiling checks every operand, so an
+   out-of-range one raises [Invalid_argument] before anything runs. *)
+let run_plan config plan =
+  Msgpass.Chaos.run_compiled config
+    (Msgpass.Faults.compile ~n:config.Msgpass.Chaos.n plan)
+
 (* Regression: chaos campaigns are a pure function of the seed. Every
    shrunk counterexample in EXPERIMENTS.md is quoted by seed, so a drift
    in the RNG stream or the fault layer would silently invalidate them. *)
@@ -446,7 +452,7 @@ let test_chaos_deterministic () =
       Alcotest.(check int) (label ^ ": identical event count") a.C.events
         b.C.events;
       (* And the plan really replays to the same verdict. *)
-      let r = C.run_plan config (Msgpass.Faults.decompile a.C.plan) in
+      let r = run_plan config (Msgpass.Faults.decompile a.C.plan) in
       Alcotest.(check bool)
         (label ^ ": replay agrees")
         true
@@ -495,34 +501,72 @@ let test_chaos_jobs_invariant () =
       ("churn frontier violation", C.churn_frontier (), 29, 5);
     ]
 
-(* A single mid-campaign run must be replayable from its recorded
-   rng_point alone — the resolved RNG state plus the crash schedule it
-   rolled — without re-running the seeds that preceded it. *)
-let test_chaos_rng_point_replay () =
+(* The seed in each [chaos.run] instant of a traced campaign is that
+   run's replay handle: [run_random ~seed] must give the instant's
+   verdict, event count and completed count, and for the first
+   violating seed, the plan and history the campaign shrank. The
+   instant carries nothing else. *)
+let test_chaos_traced_seed_replay () =
   let module C = Msgpass.Chaos in
+  let module S = Obs.Sink in
   List.iter
-    (fun (label, config, seed) ->
-      let a = C.run_random ~seed config in
-      let point =
-        match a.C.rng_point with
-        | Some p -> p
-        | None -> Alcotest.failf "%s: randomized run recorded no rng_point" label
+    (fun (label, config, seed, runs) ->
+      let sink, events = S.memory () in
+      let c = S.with_sink sink (fun () -> C.campaign ~seed ~runs config) in
+      let first =
+        match c.C.first with
+        | Some f -> f
+        | None -> Alcotest.failf "%s: the campaign found no violation" label
       in
-      let b = C.run_at point config in
-      Alcotest.(check bool) (label ^ ": same plan") true (a.C.plan = b.C.plan);
-      Alcotest.(check bool)
-        (label ^ ": same history")
-        true (a.C.history = b.C.history);
-      Alcotest.(check int) (label ^ ": same events") a.C.events b.C.events;
-      Alcotest.(check bool)
-        (label ^ ": same verdict")
-        true
-        (C.failed a = C.failed b))
+      let instants =
+        List.filter
+          (fun (e : S.event) -> e.kind = S.Instant && e.name = "chaos.run")
+          (events ())
+      in
+      Alcotest.(check int) (label ^ ": one instant per run") c.C.runs
+        (List.length instants);
+      let first_violating = ref None in
+      List.iter
+        (fun (e : S.event) ->
+          let say what = Printf.sprintf "%s: %s" label what in
+          Alcotest.(check (list string))
+            (say "instant arguments")
+            [ "seed"; "verdict"; "events"; "completed" ]
+            (List.map fst e.args);
+          let int k =
+            match List.assoc k e.args with
+            | Obs.Json.Int i -> i
+            | _ -> Alcotest.failf "%s: %s is not an int" label k
+          in
+          let s = int "seed" in
+          let o = C.run_random ~seed:s config in
+          let verdict =
+            if C.failed o then "nonlinearizable" else "linearizable"
+          in
+          Alcotest.(check bool)
+            (say (Printf.sprintf "seed %d verdict" s))
+            true
+            (List.assoc "verdict" e.args = Obs.Json.Str verdict);
+          Alcotest.(check int) (say (Printf.sprintf "seed %d events" s))
+            (int "events") o.C.events;
+          Alcotest.(check int) (say (Printf.sprintf "seed %d completed" s))
+            (int "completed") o.C.completed;
+          if C.failed o && !first_violating = None then
+            first_violating := Some (s, o))
+        instants;
+      match !first_violating with
+      | None -> Alcotest.failf "%s: no instant says nonlinearizable" label
+      | Some (s, o) ->
+          Alcotest.(check int)
+            (label ^ ": first violating seed")
+            first.C.seed s;
+          Alcotest.(check bool) (label ^ ": same plan") true
+            (o.C.plan = first.C.original.C.plan);
+          Alcotest.(check bool) (label ^ ": same history") true
+            (o.C.history = first.C.original.C.history))
     [
-      ("sound", C.sound (), 3);
-      ("frontier violation", C.frontier (), 127);
-      ("churn", C.churn (), 3);
-      ("churn frontier violation", C.churn_frontier (), 29);
+      ("frontier", C.frontier (), 123, 5);
+      ("churn frontier", C.churn_frontier (), 25, 5);
     ]
 
 (* ----- dynamic membership ----- *)
@@ -549,7 +593,7 @@ let test_membership_views () =
   Alcotest.(check bool) "merge commutes" true (m = M.merge w v);
   Alcotest.(check bool) "merge is idempotent" true (M.merge m m = m);
   Alcotest.(check bool) "merge includes both sides" true
-    (M.includes m v && M.includes m w);
+    (Oracle.Props.includes m v && Oracle.Props.includes m w);
   Alcotest.(check bool) "leave wins over enter" false (M.mem m 2);
   Alcotest.(check int) "slack widens the quorum" 3 (M.quorum ~slack:1 v);
   Alcotest.(check int) "slack is capped at the active set" 2
@@ -569,7 +613,7 @@ let prop_churn_schedule_rate_bounded =
         M.random rng ~joiners:[ 5; 6; 7 ] ~leavers:[ 1; 2; 3; 4 ] ~rate:4
           ~window:16 ~span:400
       in
-      M.max_in_window ~window:16 c <= 4)
+      Oracle.Props.max_in_window ~window:16 c <= 4)
 
 (* Dynreg under a faultless FIFO transport: the join protocol activates
    a late arrival, a seeded writer's value reaches a joiner's read, and
@@ -671,8 +715,8 @@ let test_fleet_churn_mutants () =
   in
   Alcotest.(check bool) "churn grammar is reachable" true
     (List.exists has_churn (children true 5));
-  List.iter (fun m -> ignore (C.run_plan config m)) (children true 7);
-  List.iter (fun m -> ignore (C.run_plan config m)) (children false 7)
+  List.iter (fun m -> ignore (run_plan config m)) (children true 7);
+  List.iter (fun m -> ignore (run_plan config m)) (children false 7)
 
 (* ----- chaos fleet ----- *)
 
@@ -1013,7 +1057,7 @@ type driver_case = {
   dc_n : int;
   dc_members : int;  (** slots [0 .. dc_members - 1] present at start *)
   dc_profile : Msgpass.Faults.profile;
-  dc_rng : int64;
+  dc_seed : int;
   dc_max_events : int;
   dc_ttl : int;
 }
@@ -1041,16 +1085,21 @@ let run_both c =
   let nodes = gossip ~n:c.dc_n ~ttl:c.dc_ttl in
   let net = Msgpass.Net.create ~present ~n:c.dc_n ~nodes:(R.lift nodes) () in
   let ft = F.wrap net in
-  F.run_random ~rng:(Bits.Rng.of_state c.dc_rng) ~profile:c.dc_profile
+  F.run_random ~rng:(Bits.Rng.make c.dc_seed) ~profile:c.dc_profile
     ~max_events:c.dc_max_events ft;
   let ref_net = R.create ~present ~n:c.dc_n ~nodes () in
   let r = Oracle.Faultref.wrap ref_net in
-  Oracle.Faultref.run_random ~rng:(Bits.Rng.of_state c.dc_rng)
+  Oracle.Faultref.run_random ~rng:(Bits.Rng.make c.dc_seed)
     ~profile:c.dc_profile ~max_events:c.dc_max_events r;
   ( (F.decompile (F.compiled_plan ft), Msgpass.Net.hop_mask net),
     (Oracle.Faultref.plan r, R.hop_mask ref_net),
     Oracle.Faultref.decrees r )
 
+(* A preset's universe, seed group, profile and event budget, with crash
+   and churn schedules drawn the way its chaos runs roll them: at most
+   [min crashes t] crashes of any pid; for a dynamic preset, entries of
+   unseeded slots and departures of seed members other than the writer,
+   all within the first quarter of the event budget. *)
 let preset_case_gen =
   let open QCheck.Gen in
   let module C = Msgpass.Chaos in
@@ -1061,28 +1110,38 @@ let preset_case_gen =
         ("churn_frontier", C.churn_frontier ());
       ]
   in
+  let n = config.C.n in
+  let members =
+    match config.C.membership with Some d -> d.C.seed_members | None -> n
+  in
+  let at = int_bound (max 1 (config.C.max_events / 4) - 1) in
+  let schedule k pid = list_size (int_bound k) (pair pid at) in
+  let* crash_at =
+    schedule (min config.C.crashes config.C.t) (int_bound (n - 1))
+  in
+  let* enter_at, leave_at =
+    if members = n then return ([], [])
+    else
+      pair
+        (schedule (n - members) (int_range members (n - 1)))
+        (schedule (members - 1) (int_range 1 (members - 1)))
+  in
   let* seed = int_bound 100_000 in
   let* ttl = int_range 1 12 in
-  (* The schedules a chaos run of this seed rolled, merged as
-     [Chaos.run_at] merges them. *)
-  let point = Option.get (C.run_random ~seed config).C.rng_point in
   let p = config.C.profile in
   return
     {
       dc_label = Printf.sprintf "%s seed %d" label seed;
-      dc_n = config.C.n;
-      dc_members =
-        (match config.C.membership with
-        | Some d -> d.C.seed_members
-        | None -> config.C.n);
+      dc_n = n;
+      dc_members = members;
       dc_profile =
         {
           p with
-          crash_at = p.crash_at @ point.C.crash_at;
-          enter_at = p.enter_at @ point.C.churn.Msgpass.Membership.enter_at;
-          leave_at = p.leave_at @ point.C.churn.Msgpass.Membership.leave_at;
+          crash_at = p.crash_at @ crash_at;
+          enter_at = p.enter_at @ enter_at;
+          leave_at = p.leave_at @ leave_at;
         };
-      dc_rng = point.C.rng_state;
+      dc_seed = seed;
       dc_max_events = config.C.max_events;
       dc_ttl = ttl;
     }
@@ -1122,7 +1181,7 @@ let random_case_gen =
           enter_at;
           leave_at;
         };
-      dc_rng = Bits.Rng.state (Bits.Rng.make seed);
+      dc_seed = seed;
       dc_max_events = max_events;
       dc_ttl = ttl;
     }
@@ -1133,9 +1192,9 @@ let print_driver_case c =
     String.concat ";" (List.map (fun (pid, at) -> Printf.sprintf "%d@%d" pid at) l)
   in
   Printf.sprintf
-    "%s: n=%d members=%d ttl=%d max_events=%d rng=%Ld drop=%g dup=%g \
+    "%s: n=%d members=%d ttl=%d max_events=%d seed=%d drop=%g dup=%g \
      defer=%g delay=%g span=%d max_drops=%d crash=[%s] enter=[%s] leave=[%s]"
-    c.dc_label c.dc_n c.dc_members c.dc_ttl c.dc_max_events c.dc_rng p.drop
+    c.dc_label c.dc_n c.dc_members c.dc_ttl c.dc_max_events c.dc_seed p.drop
     p.duplicate p.defer p.delay p.delay_span p.max_channel_drops
     (sched p.crash_at) (sched p.enter_at) (sched p.leave_at)
 
@@ -1159,7 +1218,7 @@ let test_random_driver_thaw_by_decree () =
       dc_members = 2;
       dc_profile =
         { Msgpass.Faults.reliable with delay = 0.9; delay_span = 40 };
-      dc_rng = Bits.Rng.state (Bits.Rng.make 5);
+      dc_seed = 5;
       dc_max_events = 3000;
       dc_ttl = 12;
     }
@@ -1533,13 +1592,25 @@ let prop_fleet_mutants_replay =
       let base = (C.run_random ~seed:(seed land 31) config).C.plan in
       let m = Fa.mutate rng ~n:config.C.n base in
       let x = Fa.crossover rng m base in
-      ignore (C.run_plan config (Fa.decompile m));
-      ignore (C.run_plan config (Fa.decompile x));
+      ignore (run_plan config (Fa.decompile m));
+      ignore (run_plan config (Fa.decompile x));
       true)
 
 (* Fleet reports are a pure function of the seed at any pool width: job
    planning, coverage, corpus growth and shrinking all happen on the
    calling domain in batch order. *)
+(* A fleet validates its configuration as a chaos campaign does: one
+   [Chaos.validate] rejects raises [Invalid_argument] naming the field
+   before any run, instead of dying mid-run or running a vacuous fleet. *)
+let test_fleet_refuses field config () =
+  match Msgpass.Fleet.campaign ~generations:1 ~batch:2 ~seed:1 config with
+  | _ -> Alcotest.failf "Fleet.campaign ran with a bad %s" field
+  | exception Invalid_argument e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %s" e field)
+        true
+        (String.starts_with ~prefix:"Fleet.campaign: " e && contains e field)
+
 let test_fleet_jobs_invariant () =
   let module C = Msgpass.Chaos in
   let module F = Msgpass.Fleet in
@@ -1584,7 +1655,7 @@ let test_fleet_witness_dedup_and_replay () =
   Alcotest.(check int) "every later find deduplicated" (r.F.violations - 1)
     w.F.duplicates;
   Alcotest.(check bool) "witness plan still fails" true
-    (C.failed (C.run_plan config w.F.plan));
+    (C.failed (run_plan config w.F.plan));
   (match F.replay_file (Option.get w.F.file) with
   | Error e -> Alcotest.fail e
   | Ok rep ->
@@ -2491,8 +2562,8 @@ let () =
             test_faults_drop_and_duplicate;
           Alcotest.test_case "chaos campaigns are seed-deterministic" `Quick
             test_chaos_deterministic;
-          Alcotest.test_case "rng_point replays a mid-campaign run" `Quick
-            test_chaos_rng_point_replay;
+          Alcotest.test_case "traced seeds replay their runs" `Quick
+            test_chaos_traced_seed_replay;
           QCheck_alcotest.to_alcotest prop_plan_codec_roundtrip;
           Alcotest.test_case "action parser: canonical 0..300" `Quick
             test_action_parser_canonical;
@@ -2517,6 +2588,15 @@ let () =
           Alcotest.test_case "mutation draws are pinned" `Quick
             test_mutation_draws_pinned;
           QCheck_alcotest.to_alcotest prop_fleet_mutants_replay;
+          Alcotest.test_case "fleet refuses seed_members 0" `Quick
+            (test_fleet_refuses "seed_members"
+               (Msgpass.Chaos.churn ~seed_members:0 ()));
+          Alcotest.test_case "fleet refuses quorum 0" `Quick
+            (test_fleet_refuses "quorum"
+               { (Msgpass.Chaos.sound ()) with Msgpass.Chaos.quorum = Some 0 });
+          Alcotest.test_case "fleet refuses churn_window 0" `Quick
+            (test_fleet_refuses "churn_window"
+               (Msgpass.Chaos.churn ~window:0 ()));
           Alcotest.test_case "fleet reports are jobs-invariant" `Quick
             test_fleet_jobs_invariant;
           Alcotest.test_case "fleet dedups, replays and resumes witnesses"

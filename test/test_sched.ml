@@ -511,7 +511,7 @@ let driver_program me ops : (int, string, int) P.t =
 
 (* Drive one case with [run] and observe everything a schedule decides:
    the trace (pid sequence, crash points, decide events), statuses, step
-   counts, decisions and the rng stream's position. *)
+   counts, decisions and the rng stream's next draw. *)
 let drive_case run c =
   let n = Array.length c.programs in
   let s =
@@ -525,7 +525,7 @@ let drive_case run c =
     List.init n (S.status s),
     List.init n (S.steps_of s),
     S.decisions s,
-    Bits.Rng.state rng )
+    Bits.Rng.bits53 rng )
 
 let driver max_steps c rng s =
   S.run_random ?max_steps ~crashes:c.crash_points ~until_outputs:c.until_outputs
