@@ -55,7 +55,9 @@ val check :
   equal:('v -> 'v -> bool) ->
   'v event list ->
   'v verdict
-(** Partition the history by register and decide each part. [init reg] is
-    the register's value before any write; [pp] is only used to render the
-    [reason] of a failure. Event order in the input list is irrelevant —
-    only the [inv]/[res] stamps matter. *)
+(** Decide each register's part of the history, ascending by register.
+    [init reg] is the register's value before any write; [pp] is only used
+    to render the [reason] of a failure. The verdict depends only on the
+    [inv]/[res] stamps; the witness, and on ties the reason, follow input
+    order (candidates are tried in it, and the reason cites the
+    earliest-invoked stuck read, the first of equals). *)

@@ -293,15 +293,19 @@ let compile ~n plan =
 let decompile compiled =
   Array.fold_right (fun c l -> action_of_code c :: l) compiled []
 
-let compiled_deliveries compiled =
+let compiled_deliveries (c : compiled) =
   let k = ref 0 in
-  Array.iter (fun c -> if code_kind c = k_deliver then incr k) compiled;
+  for i = 0 to Array.length c - 1 do
+    if code_kind c.(i) = k_deliver then incr k
+  done;
   !k
 
 let compiled_hash (c : compiled) =
-  Array.fold_left
-    (fun h code -> Sched.Zobrist.combine h (code + 1))
-    (Array.length c) c
+  let h = ref (Array.length c) in
+  for i = 0 to Array.length c - 1 do
+    h := Sched.Zobrist.combine !h (c.(i) + 1)
+  done;
+  !h
 
 let compiled_equal (a : compiled) (b : compiled) =
   a == b

@@ -196,11 +196,10 @@ module Cache_tbl = Hashtbl.Make (struct
   let hash = function K_fresh { h; _ } -> h | K_plan { h; _ } -> h
 end)
 
-(* Cached entries are whole outcomes: a hit folds into coverage, triage
-   and the corpus exactly as the execution it stands in for would have,
-   so memoization cannot change a report — only skip re-simulation.
+(* The cache holds keys only: a run is a pure function of its key, so a
+   hit is re-executed, and an outcome never outlives its generation.
    Bounded so a long budget fleet cannot grow the table without limit;
-   once full, new results simply stop being memoized. *)
+   once full, new keys simply stop being recorded. *)
 let cache_cap = 1 lsl 16
 
 (* ------------------------------------------------------------------ *)
@@ -696,21 +695,25 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
   (* The campaign's run cache. Probes and fills happen only on the
      calling domain — before dispatch for batch jobs, inline for triage
      replays — so its contents, and hence every hit, are identical at
-     any [jobs] width. *)
+     any [jobs] width. [probe] counts one lookup and says whether it
+     hit; a miss joins the cache while there is room. *)
   let cache = Cache_tbl.create 1024 in
   let cache_lookups = ref 0 in
   let cache_hits = ref 0 in
-  let cached_run key run =
+  let hit () =
+    incr cache_hits;
+    Obs.Metrics.inc m_cache_hits
+  in
+  let probe key =
     incr cache_lookups;
-    match Cache_tbl.find_opt cache key with
-    | Some o ->
-        incr cache_hits;
-        Obs.Metrics.inc m_cache_hits;
-        o
-    | None ->
-        let o = run () in
-        if Cache_tbl.length cache < cache_cap then Cache_tbl.add cache key o;
-        o
+    let cached = Cache_tbl.mem cache key in
+    if cached then hit ()
+    else if Cache_tbl.length cache < cache_cap then Cache_tbl.add cache key ();
+    cached
+  in
+  let run_keyed c =
+    ignore (probe (plan_cache_key c) : bool);
+    Chaos.run_compiled chaos c
   in
   let cov = coverage_create () in
   let witnesses = Hashtbl.create 8 in
@@ -725,14 +728,11 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
   (* Re-execute the loaded corpus once, on the calling domain: coverage
      resumes where the previous campaign over this directory left off
      (instead of re-discovering — and re-appending — its own entries),
-     and the run cache is pre-filled with every corpus plan's outcome,
-     so mutants that reproduce a corpus entry answer without
-     re-simulation. Fresh campaigns load nothing and skip this. *)
+     and the run cache is pre-filled with every corpus plan's key, so
+     mutants that reproduce a corpus entry count as hits. Fresh
+     campaigns load nothing and skip this. *)
   for i = 0 to corpus.size - 1 do
-    let c = corpus.arr.(i).cplan in
-    let o =
-      cached_run (plan_cache_key c) (fun () -> Chaos.run_compiled chaos c)
-    in
+    let o = run_keyed corpus.arr.(i).cplan in
     ignore (coverage_observe cov (signature_of o) : bool)
   done;
   let flight_mark = Obs.Recorder.mark () in
@@ -800,10 +800,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
        runs ddmin onto the same 1-minimal plan, and the confirmation
        replay hits. *)
     let compiled = Faults.compile ~n:chaos.Chaos.n shrunk in
-    let replay =
-      cached_run (plan_cache_key compiled) (fun () ->
-          Chaos.run_compiled chaos compiled)
-    in
+    let replay = run_keyed compiled in
     let reg, reason =
       match replay.Chaos.verdict with
       | L.Nonlinearizable { reg; reason } -> (reg, reason)
@@ -894,51 +891,34 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
           end)
     in
     (* Content-addressed dispatch: probe every job's key on the calling
-       domain, collapse within-batch duplicates, and hand the pool only
-       the misses. Results are filled back in batch order, so campaign
-       state after a generation is identical at any [jobs] width. *)
+       domain, collapse within-batch duplicates (a hit, cached or not),
+       and hand the pool each distinct job once. Results are filled back
+       in batch order, so campaign state after a generation is identical
+       at any [jobs] width. *)
     let phash = Sched.Zobrist.value_hash profile in
-    let keys = Array.map (job_key ~phash) jobs_arr in
-    let slot = Array.make batch (-1) in
-    let fresh_jobs = ref [] in
-    let fresh_count = ref 0 in
+    let slot = Array.make batch 0 in
+    let distinct = ref [] in
+    let count = ref 0 in
     let seen = Cache_tbl.create 32 in
     Array.iteri
-      (fun i k ->
-        incr cache_lookups;
-        if Cache_tbl.mem cache k then begin
-          incr cache_hits;
-          Obs.Metrics.inc m_cache_hits
-        end
-        else
-          match Cache_tbl.find_opt seen k with
-          | Some j ->
-              incr cache_hits;
-              Obs.Metrics.inc m_cache_hits;
-              slot.(i) <- j
-          | None ->
-              Cache_tbl.add seen k !fresh_count;
-              slot.(i) <- !fresh_count;
-              incr fresh_count;
-              fresh_jobs := jobs_arr.(i) :: !fresh_jobs)
-      keys;
-    let units = Array.of_list (List.rev !fresh_jobs) in
+      (fun i job ->
+        let k = job_key ~phash job in
+        let cached = probe k in
+        match Cache_tbl.find_opt seen k with
+        | Some j ->
+            if not cached then hit ();
+            slot.(i) <- j
+        | None ->
+            Cache_tbl.add seen k !count;
+            slot.(i) <- !count;
+            incr count;
+            distinct := job :: !distinct)
+      jobs_arr;
+    let units = Array.of_list (List.rev !distinct) in
     let fresh = Array.make (Array.length units) None in
     Sched.Par.run_units ~jobs ~units (exec chaos) (fun j o ->
         fresh.(j) <- Some o);
-    Array.iteri
-      (fun i k ->
-        if
-          slot.(i) >= 0
-          && (not (Cache_tbl.mem cache k))
-          && Cache_tbl.length cache < cache_cap
-        then Cache_tbl.add cache k (Option.get fresh.(slot.(i))))
-      keys;
-    let outcomes =
-      Array.init batch (fun i ->
-          if slot.(i) >= 0 then Option.get fresh.(slot.(i))
-          else Cache_tbl.find cache keys.(i))
-    in
+    let outcomes = Array.map (fun j -> Option.get fresh.(j)) slot in
     let gen_signals = ref 0 in
     Array.iteri
       (fun i o ->

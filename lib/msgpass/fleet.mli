@@ -121,13 +121,15 @@ type report = {
           re-executed when resuming over a directory, and one per
           triage's shrunk-plan confirmation replay *)
   cache_hits : int;
-      (** probes answered without re-simulation. The campaign keeps a
-          content-addressed cache — fresh jobs keyed by (seed, rolled
-          profile, crash budget), scripted jobs by
-          {!Faults.compiled_hash} of their compiled plan — so duplicate
-          mutants, recurring shrunk plans and colliding fresh seeds cost
-          O(1). Probes and fills happen on the calling domain only,
-          keeping reports byte-identical at any [jobs] width. *)
+      (** probes of content the campaign has run before: a job that
+          repeats an earlier job of its batch, or a key the cache
+          already holds. The cache holds keys, not outcomes — fresh
+          jobs keyed by (seed, rolled profile, crash budget), scripted
+          jobs by {!Faults.compiled_hash} of their compiled plan — so a
+          repeat within a batch runs once, and a repeat of an earlier
+          generation runs again (a run is a pure function of its key).
+          Probes and fills happen on the calling domain only, keeping
+          reports byte-identical at any [jobs] width. *)
   distinct_terminals : int;
   hop_mask : int;  (** union over all runs *)
   verdict_mask : int;
@@ -156,7 +158,7 @@ val campaign :
     [batch] (default 16) is runs per generation, [swarm] (default true)
     re-rolls a random fault feature mix each generation, [jobs]
     (default 1) is the width of the {!Sched.Par.run_units} pool that
-    runs a generation's uncached jobs — job planning, coverage, corpus
+    runs a generation's distinct jobs — job planning, coverage, corpus
     growth and shrinking stay on the calling domain in batch order, so
     the report, corpus and witnesses are byte-identical at any width. [corpus_dir] persists the corpus
     ([corpus.jsonl]) and witnesses; omitted, the campaign is in-memory.

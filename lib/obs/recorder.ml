@@ -96,11 +96,6 @@ let events ?since () =
     (fun r -> List.map (fun e -> (r.domain, e)) (ring_events ?since r))
     (all_rings ())
 
-let clear () =
-  locked (fun () ->
-      List.iter (fun r -> r.count <- 0) !rings;
-      graveyard.count <- 0)
-
 let dump ?(dir = Filename.current_dir_name) ?since ~reason () =
   let recorded = events ?since () in
   if recorded = [] then None

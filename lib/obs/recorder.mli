@@ -49,10 +49,3 @@ val dump : ?dir:string -> ?since:mark -> reason:string -> unit -> string option
     never truncated in place. Returns the path, or [None] when nothing
     was recorded or the write failed — a dump is best-effort and never
     raises. *)
-
-val events : ?since:mark -> unit -> (int * Sink.event) list
-(** Current contents of all rings, as [(domain, event)] pairs in dump
-    order (from [since] on, as for {!dump}). For tests. *)
-
-val clear : unit -> unit
-(** Empty all rings. For tests. *)

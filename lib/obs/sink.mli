@@ -110,6 +110,3 @@ val catapult : (string -> unit) -> t
 (** A Chrome [trace_event] JSON array, viewable in [about:tracing] and
     Perfetto. The closing bracket is written on [flush] — flush exactly
     once, e.g. via {!with_sink} or {!clear}. *)
-
-val memory : unit -> t * (unit -> event list)
-(** In-memory sink and its accessor, for tests. *)

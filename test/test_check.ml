@@ -115,11 +115,11 @@ let test_linearize_witness_legal () =
 
 (* Differential: the greedy-read checker agrees with plain Wing–Gong
    backtracking on small random histories. *)
-let gen_history =
+let gen_history_over ~regs ~size =
   let open QCheck.Gen in
   let gen_event =
     int_range 0 2 >>= fun proc ->
-    int_range 0 1 >>= fun reg ->
+    int_range 0 (regs - 1) >>= fun reg ->
     int_range 0 2 >>= fun v ->
     bool >>= fun is_write ->
     int_range 0 12 >>= fun inv ->
@@ -129,7 +129,9 @@ let gen_history =
     let op = if is_write then L.Write v else L.Read v in
     return { L.proc; reg; op; inv; res }
   in
-  list_size (int_bound 6) gen_event
+  list_size (int_bound size) gen_event
+
+let gen_history = gen_history_over ~regs:2 ~size:6
 
 let prop_check_vs_naive =
   QCheck.Test.make ~name:"greedy checker agrees with naive Wing-Gong"
@@ -138,6 +140,41 @@ let prop_check_vs_naive =
     (fun evs ->
       is_lin (check evs)
       = Oracle.Wing_gong.check ~init:(fun _ -> 0) ~equal:Int.equal evs)
+
+(* Differential against the checker's previous form ([Oracle.Linref]):
+   the same verdict, the same witness order and the same reason text, on
+   random histories over one to four registers and recorded chaos
+   histories, each as drawn and rearranged into response order with
+   pending events last (the order chaos runs record, whose index needs
+   no sort). *)
+let gen_chaos_history =
+  QCheck.Gen.(
+    map2
+      (fun seed config -> (C.run_random ~seed config).C.history)
+      (int_range 0 100_000)
+      (oneofl [ C.sound (); C.frontier (); C.churn (); C.churn_frontier () ]))
+
+let in_res_order evs =
+  let key (e : int L.event) = Option.value e.L.res ~default:max_int in
+  List.stable_sort (fun a b -> Int.compare (key a) (key b)) evs
+
+let same_as_linref evs =
+  check evs
+  = Oracle.Linref.check ~pp:Format.pp_print_int ~init:(fun _ -> 0)
+      ~equal:Int.equal evs
+
+let prop_check_vs_linref =
+  QCheck.Test.make ~name:"checker = its previous form, witness and reason"
+    ~count:2000
+    (QCheck.make
+       (QCheck.Gen.oneof
+          [
+            gen_history;
+            gen_history_over ~regs:1 ~size:12;
+            gen_history_over ~regs:4 ~size:12;
+            gen_chaos_history;
+          ]))
+    (fun evs -> same_as_linref evs && same_as_linref (in_res_order evs))
 
 (* Differential at scale: the iterative fast path must also agree with the
    exhaustive oracle on real recorded histories — sound runs with crash
@@ -415,6 +452,7 @@ let () =
             test_linearize_witness_legal;
           QCheck_alcotest.to_alcotest prop_check_vs_naive;
           QCheck_alcotest.to_alcotest prop_fast_vs_naive_chaos;
+          QCheck_alcotest.to_alcotest prop_check_vs_linref;
         ] );
       ( "shrink",
         [

@@ -511,7 +511,9 @@ let test_chaos_traced_seed_replay () =
   let module S = Obs.Sink in
   List.iter
     (fun (label, config, seed, runs) ->
-      let sink, events = S.memory () in
+      let acc = ref [] in
+      let sink = { S.emit = (fun e -> acc := e :: !acc); flush = ignore } in
+      let events () = List.rev !acc in
       let c = S.with_sink sink (fun () -> C.campaign ~seed ~runs config) in
       let first =
         match c.C.first with
@@ -1729,6 +1731,58 @@ let test_fleet_cache_alive () =
     (r.F.cache_lookups > 0);
   Alcotest.(check bool) "the resume hits the cache" true (r.F.cache_hits > 0)
 
+(* The run cache's counts, pinned with the rest of the report text: a
+   seed-9 frontier campaign and a resume over its corpus (the fleet
+   benchmark's batch shape), then a resume over a 60-generation corpus
+   whose mutants reproduce a corpus plan once. *)
+let test_fleet_reports_pinned () =
+  let module F = Msgpass.Fleet in
+  let config = Msgpass.Chaos.frontier () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-fleet-pin"
+  in
+  let text r = Format.asprintf "%a" F.pp_report r in
+  rm_rf dir;
+  let r = F.campaign ~generations:20 ~seed:9 ~corpus_dir:dir config in
+  let r2 = F.campaign ~generations:7 ~seed:500_009 ~corpus_dir:dir config in
+  rm_rf dir;
+  ignore (F.campaign ~generations:60 ~seed:9 ~corpus_dir:dir config : F.report);
+  let r3 = F.campaign ~generations:20 ~seed:11 ~corpus_dir:dir config in
+  rm_rf dir;
+  Alcotest.(check string) "seed 9, 20 generations"
+    (String.concat "\n"
+       [
+         "fleet seed 9: 20 generation(s), 320 runs, 3 violating run(s)";
+         "coverage: 217 distinct terminal states, hop-mask 0x1ff, \
+          verdict-mask 0x3, depth<=2^9";
+         "corpus: 218 plan(s) (218 added)";
+         "cache: 0 hit(s) over 321 lookup(s)";
+         "witnesses: 1 class(es)";
+         "  class 11d375a62583849e (gen 3, via mut:32@g3): 24 deliveries, 26 \
+          events, reg 0 — read by p2 over [3,6] returned 0, which no \
+          interleaving of the writes consistent with real-time order can \
+          produce";
+         "  (755 shrink replays, 2 duplicate run(s) deduplicated; " ^ dir
+         ^ "/witness-11d375a62583849e.json)";
+       ])
+    (text r);
+  Alcotest.(check string) "resume at seed 500009, 7 generations"
+    "fleet seed 500009: 7 generation(s), 112 runs, 1 violating run(s)\n\
+     coverage: 284 distinct terminal states, hop-mask 0x1ff, verdict-mask \
+     0x3, depth<=2^9\n\
+     corpus: 284 plan(s) (66 added)\n\
+     cache: 0 hit(s) over 330 lookup(s)\n\
+     witnesses: 0 class(es)"
+    (text r2);
+  Alcotest.(check string) "resume at seed 11 over 60 generations"
+    "fleet seed 11: 20 generation(s), 320 runs, 6 violating run(s)\n\
+     coverage: 770 distinct terminal states, hop-mask 0x1ff, verdict-mask \
+     0x3, depth<=2^9\n\
+     corpus: 771 plan(s) (184 added)\n\
+     cache: 1 hit(s) over 907 lookup(s)\n\
+     witnesses: 0 class(es)"
+    (text r3)
+
 (* Two campaigns in one process: the second one's first-violation dump
    opens with its own fleet.campaign Begin and holds no event of the
    first — not even the pool events an earlier parallel run left in the
@@ -1775,11 +1829,8 @@ let test_fleet_dump_scoped_to_campaign () =
     (Sys.file_exists name);
   check_opens_campaign ~seed:9 (read_dump (Filename.concat dir name));
   rm_rf dir;
-  let last_ts =
-    List.fold_left
-      (fun m (dom, (e : Obs.Sink.event)) -> if dom = main then max m e.ts else m)
-      0 (Obs.Recorder.events ())
-  in
+  (* Every main-domain event recorded so far is stamped before this. *)
+  let last_ts = Obs.Span.now () in
   let r2 = F.campaign ~generations:8 ~seed:10 config in
   Alcotest.(check bool) "second campaign violates" true (r2.F.violations > 0);
   let second = read_dump name in
@@ -2605,6 +2656,8 @@ let () =
             test_fleet_mutator_alive;
           Alcotest.test_case "fleet run cache answers a resume" `Quick
             test_fleet_cache_alive;
+          Alcotest.test_case "fleet reports pin the cache counts" `Quick
+            test_fleet_reports_pinned;
           Alcotest.test_case "parallel campaigns match sequential" `Quick
             test_chaos_jobs_invariant;
           Alcotest.test_case "fleet dumps are scoped to their campaign"

@@ -7,6 +7,31 @@ module J = Obs.Json
 module M = Obs.Metrics
 module S = Obs.Sink
 
+(* An in-memory sink and its accessor. *)
+let memory () =
+  let acc = ref [] in
+  ( { S.emit = (fun e -> acc := e :: !acc); flush = ignore },
+    fun () -> List.rev !acc )
+
+(* The recorder's contents (from [since] on), as [(domain, event)] pairs
+   in dump order, read back through a dump. *)
+let recorded ?since () =
+  let dir = Filename.get_temp_dir_name () in
+  match Obs.Recorder.dump ~dir ?since ~reason:"read-back" () with
+  | None -> []
+  | Some path ->
+      let lines = In_channel.with_open_text path In_channel.input_lines in
+      Sys.remove path;
+      List.map
+        (fun line ->
+          match J.of_string line with
+          | Error e -> Alcotest.failf "unparseable dump line: %s" e
+          | Ok j -> (
+              match (J.member_int "dom" j, S.event_of_json j) with
+              | Some dom, Some e -> (dom, e)
+              | _ -> Alcotest.failf "not a dump line: %s" line))
+        lines
+
 (* ------------------------------------------------------------------ *)
 (* JSON codec                                                          *)
 
@@ -340,7 +365,7 @@ let test_logical_clock_gating () =
      Disarm it to observe pure sink gating. *)
   Obs.Recorder.armed := false;
   Fun.protect ~finally:(fun () -> Obs.Recorder.armed := true) @@ fun () ->
-  let sink, events = S.memory () in
+  let sink, events = memory () in
   Obs.Span.reset ();
   Obs.Span.instant "dropped-before";
   (* nil sink + disarmed recorder: nothing constructed, no tick *)
@@ -356,7 +381,7 @@ let test_logical_clock_gating () =
 (* The recorder keeps the last [capacity] events per domain, untraced
    runs included, and dumps them as JSONL with a "dom" field. *)
 let test_recorder_ring () =
-  Obs.Recorder.clear ();
+  let m = Obs.Recorder.mark () in
   Obs.Span.reset ();
   let extra = 10 in
   (* No sink installed: these are untraced, yet the armed recorder sees
@@ -364,19 +389,8 @@ let test_recorder_ring () =
   for i = 1 to Obs.Recorder.capacity + extra do
     Obs.Span.instant ~cat:"app" ~args:[ ("i", J.Int i) ] "tick"
   done;
-  let evs = List.map snd (Obs.Recorder.events ()) in
-  Alcotest.(check int)
-    "ring holds exactly capacity events" Obs.Recorder.capacity
-    (List.length evs);
-  (match evs with
-  | first :: _ ->
-      Alcotest.(check (option string))
-        "oldest surviving event is capacity back from the newest"
-        (Some (string_of_int (extra + 1)))
-        (Option.map J.to_string (List.assoc_opt "i" first.S.args))
-  | [] -> Alcotest.fail "ring is empty");
   let dir = Filename.get_temp_dir_name () in
-  (match Obs.Recorder.dump ~dir ~reason:"test" () with
+  (match Obs.Recorder.dump ~dir ~since:m ~reason:"test" () with
   | None -> Alcotest.fail "dump returned no path"
   | Some path ->
       Alcotest.(check string) "dump file name"
@@ -397,16 +411,23 @@ let test_recorder_ring () =
               | _ -> Alcotest.failf "dump line lacks a dom field: %s" line))
         lines;
       Sys.remove path);
-  Obs.Recorder.clear ();
-  Alcotest.(check int) "clear empties the rings" 0
-    (List.length (Obs.Recorder.events ()))
+  let evs = List.map snd (recorded ~since:m ()) in
+  Alcotest.(check int)
+    "ring holds exactly capacity events" Obs.Recorder.capacity
+    (List.length evs);
+  match evs with
+  | first :: _ ->
+      Alcotest.(check (option string))
+        "oldest surviving event is capacity back from the newest"
+        (Some (string_of_int (extra + 1)))
+        (Option.map J.to_string (List.assoc_opt "i" first.S.args))
+  | [] -> Alcotest.fail "ring is empty"
 
 (* A mark scopes a dump to what every ring recorded after it: the main
    ring, a worker ring that was already live, the graveyard a later pool
    retires into, and — whole — a ring first created after the mark. A
    dump without [since] still holds everything. *)
 let test_recorder_dump_since () =
-  Obs.Recorder.clear ();
   let tick name = Obs.Span.instant ~cat:"app" name in
   let pool name =
     Sched.Par.run_units ~jobs:2 ~units:[| 0; 1; 2; 3 |]
@@ -440,74 +461,58 @@ let test_recorder_dump_since () =
              List.length
                (List.filter (fun (_, (e : S.event)) -> e.S.name = name) evs) ))
   in
-  let since = Obs.Recorder.events ~since:m () in
   Alcotest.(check (list (pair string int)))
     "since the mark: exactly the post-mark events of every ring"
     [ ("late", 4); ("live-post", 2); ("pool-post", 4); ("post", 3) ]
-    (counts since);
+    (counts (recorded ~since:m ()));
+  (* A dump without [since] also holds earlier tests' events, which carry
+     other names. *)
+  let mine =
+    [ "late"; "live-post"; "live-pre"; "pool-post"; "pool-pre"; "post"; "pre" ]
+  in
   Alcotest.(check (list (pair string int)))
     "without since: every recorded event"
     [
       ("late", 4); ("live-post", 2); ("live-pre", 1); ("pool-post", 4);
       ("pool-pre", 4); ("post", 3); ("pre", 5);
     ]
-    (counts (Obs.Recorder.events ()));
-  let dump_lines since =
-    let dir = Filename.get_temp_dir_name () in
-    match Obs.Recorder.dump ~dir ?since ~reason:"since-test" () with
-    | None -> Alcotest.fail "dump returned no path"
-    | Some path ->
-        let lines = In_channel.with_open_text path In_channel.input_lines in
-        Sys.remove path;
-        lines
-  in
-  let render evs =
-    List.map
-      (fun (dom, e) -> J.to_string (J.Obj (("dom", J.Int dom) :: S.event_fields e)))
-      evs
-  in
-  Alcotest.(check (list string)) "dump ~since writes the post-mark events"
-    (render since) (dump_lines (Some m));
-  Alcotest.(check (list string)) "dump without since writes every event"
-    (render (Obs.Recorder.events ())) (dump_lines None);
-  Obs.Recorder.clear ()
+    (counts
+       (List.filter (fun (_, (e : S.event)) -> List.mem e.S.name mine)
+          (recorded ())))
 
 (* A second, shorter dump for the same reason replaces the first: the
-   file holds exactly the second dump's lines, none of the first's tail. *)
+   file holds exactly the second dump's line, none of the first's tail. *)
 let test_recorder_dump_replaces () =
-  Obs.Recorder.clear ();
   let dir = Filename.get_temp_dir_name () in
-  let dump_text () =
-    match Obs.Recorder.dump ~dir ~reason:"replace-test" () with
+  let dump_lines since =
+    match Obs.Recorder.dump ~dir ~since ~reason:"replace-test" () with
     | None -> Alcotest.fail "dump returned no path"
-    | Some path -> In_channel.with_open_text path In_channel.input_all
+    | Some path -> In_channel.with_open_text path In_channel.input_lines
   in
+  let m = Obs.Recorder.mark () in
   for i = 1 to 50 do
     Obs.Span.instant ~cat:"app" ~args:[ ("i", J.Int i) ] "long"
   done;
-  let first = dump_text () in
-  Obs.Recorder.clear ();
+  Alcotest.(check int) "first dump" 50 (List.length (dump_lines m));
+  let m = Obs.Recorder.mark () in
   Obs.Span.instant ~cat:"app" "short";
-  let expected =
-    String.concat ""
-      (List.map
-         (fun (dom, e) ->
-           J.to_string (J.Obj (("dom", J.Int dom) :: S.event_fields e)) ^ "\n")
-         (Obs.Recorder.events ()))
-  in
-  let second = dump_text () in
-  Alcotest.(check bool) "second dump is shorter" true
-    (String.length second < String.length first);
-  Alcotest.(check string) "file holds exactly the second dump" expected second;
+  let second = dump_lines m in
   Sys.remove (Filename.concat dir "flight-replace-test.jsonl");
-  Obs.Recorder.clear ()
+  Alcotest.(check (list (option string))) "file holds exactly the second dump"
+    [ Some "short" ]
+    (List.map
+       (fun l ->
+         match J.of_string l with
+         | Ok j -> J.member_str "name" j
+         | Error _ -> None)
+       second)
 
 (* Worker-domain events surface on the main domain: after the join each
    parallel unit's captured events replay just before its [k], in
    unit-index order, re-stamped by the main domain's clock — the trace
    is identical at any --jobs. *)
 let test_worker_event_drain () =
-  let sink, events = S.memory () in
+  let sink, events = memory () in
   Obs.Span.reset ();
   S.with_sink sink (fun () ->
       let units = [| 0; 1; 2; 3; 4; 5 |] in
@@ -544,7 +549,7 @@ let test_worker_event_drain () =
     (increasing (List.map (fun (e : S.event) -> e.S.ts) evs))
 
 let test_span_closes_on_exception () =
-  let sink, events = S.memory () in
+  let sink, events = memory () in
   Obs.Span.reset ();
   (match
      S.with_sink sink (fun () ->
