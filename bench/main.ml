@@ -96,7 +96,7 @@ let run_abd_ops () =
       ~nodes:(fun ~send pid -> Msgpass.Interp.node interps.(pid) ~send)
       ()
   in
-  Msgpass.Faults.run_random ~rng:(Bits.Rng.make 9)
+  Msgpass.Faults.run_random ~rng:(Bits.Rng.make 9) ~max_events:100_000
     ~profile:Msgpass.Faults.reliable (Msgpass.Faults.wrap net)
 
 let run_chaos_sound () =
@@ -121,7 +121,9 @@ let run_linearize_check () =
              :: !evs
     done
   done;
-  match check ~init:(fun _ -> 0) ~equal:Int.equal !evs with
+  match
+    check ~pp:Format.pp_print_int ~init:(fun _ -> 0) ~equal:Int.equal !evs
+  with
   | Linearizable _ -> ()
   | Nonlinearizable _ -> failwith "bench history must be linearizable"
 

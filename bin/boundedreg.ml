@@ -686,14 +686,6 @@ let fleet_cmd =
       value & opt int 16
       & info [ "batch" ] ~docv:"RUNS" ~doc:"Runs per generation.")
   in
-  let no_swarm_arg =
-    Arg.(
-      value & flag
-      & info [ "no-swarm" ]
-          ~doc:
-            "Disable swarm testing: every generation keeps the preset's \
-             fault profile instead of re-rolling a random feature mix.")
-  in
   let fleet_seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED")
   in
@@ -717,8 +709,8 @@ let fleet_cmd =
              non-zero unless it reproduces bit-for-bit (same verdict, \
              terminal hash, event and delivery counts).")
   in
-  let run copts corpus budget generations batch no_swarm seed expect replay
-      jobs tel =
+  let run copts corpus budget generations batch seed expect replay jobs
+      tel =
     with_telemetry tel @@ fun () ->
     match replay with
     | Some file -> (
@@ -758,12 +750,12 @@ let fleet_cmd =
     | None ->
         let config = resolve_config copts in
         pp_config_line "fleet" config;
-        Format.printf "fleet: batch=%d swarm=%b@." batch (not no_swarm);
+        Format.printf "fleet: batch=%d@." batch;
         emit_meta ~seed ~jobs ();
         let r =
           try
             Msgpass.Fleet.campaign ?budget ?generations ~jobs ~batch
-              ~swarm:(not no_swarm) ?corpus_dir:corpus ~seed config
+              ?corpus_dir:corpus ~seed config
           with Msgpass.Fleet.Corpus_error e -> fail "%s" e
         in
         Format.printf "%a@." Msgpass.Fleet.pp_report r;
@@ -778,7 +770,7 @@ let fleet_cmd =
   Cmd.v (Cmd.info "fleet" ~doc)
     Term.(
       const run $ config_term $ corpus_arg $ budget_arg $ generations_arg
-      $ batch_arg $ no_swarm_arg $ fleet_seed_arg $ expect_arg $ replay_arg
+      $ batch_arg $ fleet_seed_arg $ expect_arg $ replay_arg
       $ jobs_arg $ telemetry_term)
 
 let explore_cmd =

@@ -131,6 +131,23 @@ if ! printf '%s\n' "$summary" | grep -q '^## Span rollups$'; then
   exit 1
 fi
 
+# Trace-size smoke: a traced run is sized by what it says. The scheduler
+# records its steps in Sched.Trace only, so a traced `run E2 E11` holds
+# the experiments', explorations' and harness checks' spans (74,199
+# events, ~11.6 MB) and no per-step event, whose cost grows with the
+# step count (an event per step is ~6x that). It must validate and stay
+# within 12 MB.
+echo "== trace size smoke"
+size_trace=$(mktemp)
+dune exec bin/boundedreg.exe -- run E2 E11 --trace "$size_trace" > /dev/null
+dune exec bin/boundedreg.exe -- trace summary "$size_trace" > /dev/null
+size_bytes=$(wc -c < "$size_trace")
+rm -f "$size_trace"
+if [ "$size_bytes" -gt 12000000 ]; then
+  echo "check.sh: traced run E2 E11 wrote $size_bytes bytes (> 12 MB)" >&2
+  exit 1
+fi
+
 # Report smoke: the health-report renderer must consume the trace and
 # metrics the step above just wrote. Both renderings are CI artifacts.
 echo "== report smoke"

@@ -230,9 +230,7 @@ let rec by_reg = function
       let mine, rest = List.partition (fun x -> x.reg = e.reg) events in
       (e.reg, mine) :: by_reg rest
 
-let default_pp ppf _ = Format.pp_print_string ppf "<v>"
-
-let check ?(pp = default_pp) ~init ~equal events =
+let check ~pp ~init ~equal events =
   let decide reg evs =
     check_reg ~pp ~init:(fun () -> init reg) ~equal
       (Array.of_list (List.filter kept evs))

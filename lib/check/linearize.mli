@@ -50,7 +50,7 @@ val pp_verdict :
   (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v verdict -> unit
 
 val check :
-  ?pp:(Format.formatter -> 'v -> unit) ->
+  pp:(Format.formatter -> 'v -> unit) ->
   init:(int -> 'v) ->
   equal:('v -> 'v -> bool) ->
   'v event list ->

@@ -29,7 +29,6 @@ type label = {
           this process was solo *)
 }
 
-val rounds_of : label -> int
 val equal : label -> label -> bool
 val pp : Format.formatter -> label -> unit
 
@@ -49,4 +48,5 @@ val reconstruct : label -> outcome list
     choice). *)
 
 val value : label -> Bits.Rational.t
-(** The path position, a multiple of [1/3^(rounds_of label)]. *)
+(** The path position, a multiple of [1/3^r] for a label of [r]
+    rounds. *)

@@ -8,10 +8,6 @@
 
 type 'v vector = 'v option array
 
-val subseteq : equal:('v -> 'v -> bool) -> 'v vector -> 'v vector -> bool
-(** [subseteq v v']: every defined entry of [v] is defined and equal in
-    [v']. *)
-
 val validity : equal:('v -> 'v -> bool) -> written:'v array -> 'v vector array -> bool
 (** Every defined entry [v_i[j]] equals the value [written.(j)]. *)
 

@@ -69,8 +69,7 @@ let reset t =
   t.phase <- (if seeded then Idle else Joining { acks = 0 });
   t.done_ <- None
 
-let create ~n ~me ?(slack = 0) ?width_bits ~registers ~init ~initial ~send ()
-    =
+let create ~n ~me ~slack ?width_bits ~registers ~init ~initial ~send () =
   if me < 0 || me >= n then invalid_arg "Dynreg.create: me out of range";
   if registers < 1 then invalid_arg "Dynreg.create: registers >= 1";
   if slack < 0 then invalid_arg "Dynreg.create: slack >= 0";

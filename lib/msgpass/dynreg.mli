@@ -61,7 +61,7 @@ type 'v t
 val create :
   n:int ->
   me:int ->
-  ?slack:int ->
+  slack:int ->
   ?width_bits:int ->
   registers:int ->
   init:(int -> 'v) ->
@@ -71,9 +71,8 @@ val create :
   'v t
 (** [n] is the slot universe ({!Net}'s size). A [me] inside [initial]
     starts active; outside, it starts joining (broadcast via {!start}).
-    [slack] (default 0) widens every quorum per {!Membership.quorum} —
-    soundness under churn requires slack at least the per-window churn
-    bound. [width_bits] bounds timestamps to [b] bits (default:
+    [slack] widens every quorum per {!Membership.quorum} — soundness
+    under churn requires slack at least the per-window churn bound. [width_bits] bounds timestamps to [b] bits (default:
     unbounded).
     @raise Invalid_argument on out-of-range [me], [registers < 1],
     negative [slack], or [width_bits] outside 1..30. *)

@@ -615,7 +615,7 @@ let step_random rng profile t =
     true
   end
 
-let run_random ~rng ~profile ?(max_events = 100_000) t =
+let run_random ~rng ~profile ~max_events t =
   let rec loop budget =
     if budget > 0 && step_random rng profile t then loop (budget - 1)
   in

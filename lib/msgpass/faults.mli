@@ -171,14 +171,14 @@ val compiled_plan : 'm t -> compiled
 val run_random :
   rng:Bits.Rng.t ->
   profile:profile ->
-  ?max_events:int ->
+  max_events:int ->
   'm t ->
   unit
-(** Randomized events until quiescence or [max_events] (default
-    100_000). Each one fires the due schedule entries
-    ([enter_at], then [leave_at], then [crash_at]), picks a deliverable
-    channel (skipping frozen ones unless all are frozen), rolls the
-    fault dice and applies the outcome. *)
+(** Randomized events until quiescence or [max_events]. Each one fires
+    the due schedule entries ([enter_at], then [leave_at], then
+    [crash_at]), picks a deliverable channel (skipping frozen ones
+    unless all are frozen), rolls the fault dice and applies the
+    outcome. *)
 
 val replay_compiled : 'm t -> compiled -> unit
 (** Execute a plan action by action, recording the effective ones. An

@@ -670,8 +670,8 @@ let exec chaos = function
       Chaos.run_random ~seed { chaos with Chaos.profile; crashes }
   | Mutant { plan; _ } -> Chaos.run_compiled chaos plan
 
-let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
-    ?corpus_dir ~seed chaos =
+let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
+    chaos =
   (* Validated as [Chaos.campaign] validates: hard errors raise before
      anything runs, warnings print once per campaign. *)
   let chaos =
@@ -860,10 +860,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?(swarm = true)
   in
   let run_generation g =
     let rng = gen_rng seed g in
-    let profile, crashes =
-      if swarm then swarm_roll rng chaos
-      else (chaos.Chaos.profile, chaos.Chaos.crashes)
-    in
+    let profile, crashes = swarm_roll rng chaos in
     let jobs_arr =
       Array.init batch (fun _ ->
           if corpus.size = 0 || Bits.Rng.float rng < 0.25 then

@@ -145,7 +145,6 @@ val campaign :
   ?generations:int ->
   ?jobs:int ->
   ?batch:int ->
-  ?swarm:bool ->
   ?corpus_dir:string ->
   seed:int ->
   Chaos.config ->
@@ -155,8 +154,8 @@ val campaign :
     between generations like the chaos deadline — overshoot is at most
     one generation) fills a time box instead; given neither, 10
     generations run; given both, the budget can degrade the fixed count.
-    [batch] (default 16) is runs per generation, [swarm] (default true)
-    re-rolls a random fault feature mix each generation, [jobs]
+    [batch] (default 16) is runs per generation; each generation
+    re-rolls a random fault feature mix (swarm testing). [jobs]
     (default 1) is the width of the {!Sched.Par.run_units} pool that
     runs a generation's distinct jobs — job planning, coverage, corpus
     growth and shrinking stay on the calling domain in batch order, so

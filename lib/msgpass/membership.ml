@@ -52,7 +52,7 @@ let members v =
    taken under a view at most [slack] churn events away. The cap at the
    active cardinality keeps a heavily-slacked quorum satisfiable at all
    (it degrades to "every active member I know of"). *)
-let quorum ?(slack = 0) v =
+let quorum ~slack v =
   let c = popcount (active v) in
   min (max 1 c) ((c / 2) + 1 + slack)
 

@@ -57,7 +57,7 @@ val cardinal : view -> int
 
 val popcount : int -> int
 
-val quorum : ?slack:int -> view -> int
+val quorum : slack:int -> view -> int
 (** [quorum ~slack v] = [min a (a / 2 + 1 + slack)] for
     [a = popcount (active v)], at least 1. [slack = 0] is a plain
     majority of the view's active members — sound only without churn.

@@ -93,8 +93,6 @@ let gauge name =
   | `G g -> g
   | _ -> assert false
 
-let default_bounds = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
-
 let check_bounds name bounds =
   if Array.length bounds = 0 then
     invalid_arg (Printf.sprintf "Obs.Metrics: %S needs >= 1 bound" name);
@@ -104,7 +102,7 @@ let check_bounds name bounds =
         (Printf.sprintf "Obs.Metrics: %S bounds must strictly increase" name)
   done
 
-let histogram ?(bounds = default_bounds) name =
+let histogram ~bounds name =
   match
     register name
       (fun () ->

@@ -52,13 +52,9 @@ val set_max : gauge -> int -> unit
 
 val gauge_value : gauge -> int
 
-val default_bounds : int array
-(** Powers of two, 1 to 1024. *)
-
-val histogram : ?bounds:int array -> string -> histogram
+val histogram : bounds:int array -> string -> histogram
 (** [bounds] are strictly increasing bucket upper bounds; an implicit
-    overflow bucket catches everything above the last. Defaults to
-    {!default_bounds}. *)
+    overflow bucket catches everything above the last. *)
 
 val observe : histogram -> int -> unit
 (** Count [v] in the first bucket with [v <= bound] (else overflow),

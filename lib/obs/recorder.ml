@@ -6,12 +6,11 @@
 
    Recording is deliberately dumb and cheap: every constructed event
    (see {!Span}) lands in the calling domain's preallocated ring — an
-   array store and a counter bump, no allocation, no locking. The hot
-   per-operation sites are unaffected because they guard event
-   {e construction} ([!Sink.active] / [Sink.enabled ()]) before anything
-   reaches the recorder: an untraced run still costs one load-and-branch
-   per operation, and only the coarse always-constructed events (run and
-   campaign boundaries, verdict instants) feed the ring. *)
+   array store and a counter bump, no allocation, no locking. Per-message
+   sites guard event {e construction} on [Sink.enabled ()], and scheduler
+   steps construct no event at all, so only the coarse always-constructed
+   events (run and campaign boundaries, verdict instants) feed the ring
+   of an untraced run. *)
 
 let capacity = 4096 (* slots per ring; power of two, index by [land] *)
 let mask = capacity - 1

@@ -9,11 +9,10 @@
     schedule without having asked for [--trace] in advance.
 
     Recording is allocation-free (preallocated arrays, an index store
-    and a counter bump) and lock-free on the fast path. Hot
-    per-operation instrumentation is unaffected: those sites guard event
-    construction on [Sink.enabled ()] / [!Sink.active], so an untraced
-    run still pays one load-and-branch per operation and only coarse
-    always-constructed events reach the ring. *)
+    and a counter bump) and lock-free on the fast path. Per-message
+    sites guard event construction on [Sink.enabled ()] and scheduler
+    steps construct no event, so only coarse always-constructed events
+    reach the ring of an untraced run. *)
 
 val capacity : int
 (** Slots per ring (the last [capacity] events per domain are kept). *)

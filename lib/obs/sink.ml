@@ -30,9 +30,8 @@ let nil = { emit = ignore; flush = ignore }
 
 (* {2 The global sink and the per-domain mode} *)
 
-(* [active] mirrors [!current != nil] as a bare bool ref: hot
-   instrumentation sites read [!active] directly — a load and a branch,
-   no call — where a function-call guard would be measurable. *)
+(* [active] mirrors [!current != nil] as a bare bool, so {!enabled}'s
+   disabled case is a load and a branch. *)
 let current = ref nil
 let active = ref false
 

@@ -51,13 +51,6 @@ val captured : (unit -> 'a) -> 'a * event list
     is the routing half of {!Span.captured}, which pool drivers call:
     it also runs [f] on a scratch clock. *)
 
-val active : bool ref
-(** [true] iff a sink other than {!nil} is installed, as a bare ref for
-    per-operation hot paths where a call-free [!active] guard matters
-    (it over-approximates {!enabled}: the domain is not consulted).
-    Read-only outside this module — install sinks via
-    {!set}/{!clear}/{!with_sink}. *)
-
 val set : t -> unit
 
 val clear : unit -> unit

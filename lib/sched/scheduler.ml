@@ -55,36 +55,21 @@ let m_steps = Obs.Metrics.counter "sched.steps"
 let m_crashes = Obs.Metrics.counter "sched.crashes"
 let m_decides = Obs.Metrics.counter "sched.decides"
 
-(* Per-operation timeline events, one track per pid. Values are
-   polymorphic and stay out of the trace; Sched.Trace still carries them
-   for callers that record it. Gated on the sink so the disabled cost is
-   the one branch in [record]. *)
-let emit_op pid (op : _ Trace.op) =
-  let name, args =
-    match op with
-    | Trace.Write _ -> ("write", [])
-    | Trace.Read (j, _) -> ("read", [ ("reg", Obs.Json.Int j) ])
-    | Trace.Write_input -> ("write_input", [])
-    | Trace.Read_input j -> ("read_input", [ ("reg", Obs.Json.Int j) ])
-    | Trace.Crash -> ("crash", [])
-    | Trace.Decide -> ("decide", [])
-  in
-  Obs.Span.instant ~cat:"sched" ~track:pid ~args name
-
+(* The one record of a step: [Sched.Trace], kept only on states started
+   with [~record_trace:true]. Telemetry sees steps through the
+   [sched.*] counters alone, so a traced run is sized by its spans and
+   message events, not by its step count. *)
 let record t pid op =
-  if t.record_trace then t.events <- { Trace.pid; op } :: t.events;
-  if Obs.Sink.enabled () then emit_op pid op
+  if t.record_trace then t.events <- { Trace.pid; op } :: t.events
 
 (* [Write]/[Read] ops carry values, so building one allocates. The
-   exhaustive explorer runs with tracing and the sink both off and takes
-   these paths hundreds of thousands of times per run — the op is only
-   constructed once a consumer exists ([!Obs.Sink.active] is the
-   call-free spelling of [Sink.enabled ()]). *)
-let record_write t pid v =
-  if t.record_trace || !Obs.Sink.active then record t pid (Trace.Write v)
+   exhaustive explorer runs untraced and takes these paths hundreds of
+   thousands of times per run — the op is only constructed for a state
+   that records. *)
+let record_write t pid v = if t.record_trace then record t pid (Trace.Write v)
 
 let record_read t pid j v =
-  if t.record_trace || !Obs.Sink.active then record t pid (Trace.Read (j, v))
+  if t.record_trace then record t pid (Trace.Read (j, v))
 
 (* [Return] and [Output] heads need no memory step: deciding is local.
    An output transitions once, unset to a payload pc, so undoing a step
@@ -98,13 +83,13 @@ let rec settle t pid =
     t.running <- t.running land lnot (1 lsl pid);
     if t.out_pcs.(pid) < 0 then t.out_pcs.(pid) <- pc;
     if !Obs.Metrics.hot then Obs.Metrics.inc m_decides;
-    if t.record_trace || !Obs.Sink.active then record t pid Trace.Decide
+    record t pid Trace.Decide
   end
   else if op = C.op_output then begin
     if t.out_pcs.(pid) < 0 then begin
       t.out_pcs.(pid) <- pc;
       if !Obs.Metrics.hot then Obs.Metrics.inc m_decides;
-      if t.record_trace || !Obs.Sink.active then record t pid Trace.Decide
+      record t pid Trace.Decide
     end;
     t.pcs.(pid) <- C.next_unit code pc;
     settle t pid
@@ -246,7 +231,7 @@ let branch_crash t pid k =
    prefix).
 
    Observable behavior matches the general walk: same visit order, same
-   counters and metrics, same sink events. Requires an untraced state
+   counters and metrics. Requires an untraced state
    ([record_trace = false]: the walk does not restore trace heads) — the
    caller gates on {!recording_trace}. *)
 
@@ -256,11 +241,10 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
   let terminals = ref 0 and truncated = ref 0 in
   let peak = ref depth in
   let n = Array.length t.status in
-  (* Metrics/sink gates are snapshotted once per walk ([step] polls them
-     per step): a walk is one uninterrupted call, and nothing
-     in this codebase toggles either mid-exploration. *)
+  (* The metrics gate is snapshotted once per walk ([step] polls it per
+     step): a walk is one uninterrupted call, and nothing in this
+     codebase toggles it mid-exploration. *)
   let hot = !Obs.Metrics.hot in
-  let sink = !Obs.Sink.active in
   (* Untracked memory with metrics cold: writes go through
      {!Memory.poke} — the [is_untracked]/hot test is paid once here
      instead of on every edge inside {!Memory.write}. *)
@@ -299,7 +283,7 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
         (if mask land (1 lsl p) <> 0 then child p depth acc else acc)
   (* Execute process [p]'s next op, recurse ([descend]), revert — the
      op's inverse operands live in this frame. Mirrors {!step} exactly
-     (including metrics and sink events). *)
+     (including metrics). *)
   and child p depth acc =
     let code = Array.unsafe_get codes p in
     let pc = Array.unsafe_get pcs p in
@@ -320,7 +304,6 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
       if imm then Memory.poke_imm mem ~pid:p v
       else if fast then Memory.poke mem ~pid:p v
       else Memory.write mem ~pid:p v;
-      if sink then record t p (Trace.Write v);
       let nx = C.next_unit code pc in
       Array.unsafe_set pcs p nx;
       let acc = descend code nx p depth acc in
@@ -333,7 +316,6 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
     else if op = C.op_read then begin
       let j = C.reg code pc in
       let v = Memory.read mem j in
-      if sink then record t p (Trace.Read (j, v));
       let nx = C.next_read code pc v in
       Array.unsafe_set pcs p nx;
       let acc = descend code nx p depth acc in
@@ -342,7 +324,6 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
     end
     else if op = C.op_write_input then begin
       Memory.write_input mem ~pid:p (C.input_value code pc);
-      if sink then record t p Trace.Write_input;
       let nx = C.next_unit code pc in
       Array.unsafe_set pcs p nx;
       let acc = descend code nx p depth acc in
@@ -354,7 +335,6 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
       (* op_read_input: reads an input register *)
       let j = C.reg code pc in
       let v = Memory.read_input mem j in
-      if sink then record t p (Trace.Read_input j);
       let nx = C.next_read_input code pc v in
       Array.unsafe_set pcs p nx;
       let acc = descend code nx p depth acc in
@@ -387,15 +367,15 @@ let raw_dfs t ~depth ~max_depth ~visit ~on_truncated =
      settle the decision, recurse, revert. [settle] touches exactly:
      status, the running mask, outputs (once,
      unset -> a payload pc), pc (over Output heads — covered by the
-     caller's pc restore), and metrics/sink. *)
+     caller's pc restore), and metrics. *)
   and settled opn pc p depth acc =
     let had_output = Array.unsafe_get out_pcs p >= 0 in
     (* The landing head is a plain [Return] on every final edge of a
-       non-[Output] protocol; with telemetry cold its settle is three
+       non-[Output] protocol; with metrics cold its settle is three
        stores, inlined here along with [go] on the already-known mask,
        and the undo is unconditional (the status certainly flipped).
-       [Output] chains and live telemetry take the general [settle]. *)
-    if opn = C.op_return && (not hot) && not sink then begin
+       [Output] chains and hot metrics take the general [settle]. *)
+    if opn = C.op_return && not hot then begin
       let mask = t.running land lnot (1 lsl p) in
       Array.unsafe_set status p s_decided;
       t.running <- mask;

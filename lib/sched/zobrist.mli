@@ -21,9 +21,6 @@ val value_hash : 'a -> int
     and therefore conflates deep values, this distinguishes values
     differing anywhere in their first 256 nodes. Non-negative. *)
 
-val table_size : int
-(** Size of the seeded contribution table (a power of two). *)
-
 val combine : int -> int -> int
 (** [combine acc h] folds one element hash into a sequence hash —
     order-sensitive (unlike the explorer's self-inverse per-cell XOR) and

@@ -9,6 +9,3 @@ val task : n:int -> k:int -> (int, Bits.Rational.t) Task.t
 
 val epsilon : k:int -> Bits.Rational.t
 (** [1/k]. *)
-
-val on_grid : k:int -> Bits.Rational.t -> bool
-(** Whether a value is of the form m/k with 0 <= m <= k. *)

@@ -131,6 +131,38 @@ let test_rng_copy_and_split () =
     (List.init 20 (fun _ -> Rng.int r 100)
     <> List.init 20 (fun _ -> Rng.int s 100))
 
+(* The splitmix64 stream is part of every seeded result (schedules, chaos
+   plans, fleet corpora): the first draws of a fixed seed are pinned, and
+   a draw keeps the state in registers, allocating nothing. *)
+let test_rng_stream_pinned () =
+  let r = Rng.make 2024 in
+  Alcotest.(check (list int)) "int 1000" [ 826; 721; 735; 212 ]
+    (List.init 4 (fun _ -> Rng.int r 1000));
+  Alcotest.(check (list bool)) "bool" [ false; true; true; false ]
+    (List.init 4 (fun _ -> Rng.bool r));
+  Alcotest.(check (list int)) "bits53"
+    [ 1520887044732220; 3844783598175936; 4157326343513140 ]
+    (List.init 3 (fun _ -> Rng.bits53 r));
+  Alcotest.(check (float 0.)) "float" 0x1.ac8947332d4b9p-1 (Rng.float r)
+
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.make 7 in
+  let draws = 100_000 in
+  let per_draw name draw =
+    let acc = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to draws do
+      acc := !acc lxor draw ()
+    done;
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity !acc);
+    Alcotest.(check int) (name ^ ": minor words per draw") 0
+      (int_of_float (words /. float_of_int draws))
+  in
+  per_draw "int" (fun () -> Rng.int r 1000);
+  per_draw "bool" (fun () -> Bool.to_int (Rng.bool r));
+  per_draw "bits53" (fun () -> Rng.bits53 r)
+
 let () =
   Alcotest.run "bits"
     [
@@ -159,5 +191,8 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick
             test_rng_shuffle_is_permutation;
           Alcotest.test_case "copy and split" `Quick test_rng_copy_and_split;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
     ]

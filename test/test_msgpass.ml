@@ -308,7 +308,8 @@ let prop_alt_bit_fifo =
 (* A fault-free random schedule, with optional (pid, event) crashes. *)
 let run_reliable ?(crash_at = []) rng net =
   let profile = { Msgpass.Faults.reliable with crash_at } in
-  Msgpass.Faults.run_random ~rng ~profile (Msgpass.Faults.wrap net)
+  Msgpass.Faults.run_random ~rng ~profile ~max_events:100_000
+    (Msgpass.Faults.wrap net)
 
 (* Scripted delivery on the base substrate: per-channel FIFO is an
    invariant of Net itself, whatever delivery order the adversary picks. *)
@@ -580,16 +581,18 @@ let test_membership_views () =
   let module M = Msgpass.Membership in
   let v = M.initial 3 in
   Alcotest.(check int) "initial cardinal" 3 (M.cardinal v);
-  Alcotest.(check int) "initial quorum" 2 (M.quorum v);
+  Alcotest.(check int) "initial quorum" 2 (M.quorum ~slack:0 v);
   let v = M.enter v 5 in
   Alcotest.(check bool) "entered joiner is current" true (M.mem v 5);
   Alcotest.(check int) "joiner not active: quorum base unchanged" 2
-    (M.quorum v);
+    (M.quorum ~slack:0 v);
   let v = M.activate v 5 in
-  Alcotest.(check int) "activation widens the quorum base" 3 (M.quorum v);
+  Alcotest.(check int) "activation widens the quorum base" 3
+    (M.quorum ~slack:0 v);
   let v = M.leave v 0 in
   Alcotest.(check bool) "leaver is gone" false (M.mem v 0);
-  Alcotest.(check int) "leaver out of the quorum base" 2 (M.quorum v);
+  Alcotest.(check int) "leaver out of the quorum base" 2
+    (M.quorum ~slack:0 v);
   let w = M.leave (M.initial 3) 2 in
   let m = M.merge v w in
   Alcotest.(check bool) "merge commutes" true (m = M.merge w v);
@@ -628,7 +631,7 @@ let test_dynreg_join_read_write () =
   let q = Queue.create () in
   let peers =
     Array.init n (fun me ->
-        D.create ~n ~me ~registers:1 ~init:(fun _ -> 0) ~initial
+        D.create ~n ~me ~slack:0 ~registers:1 ~init:(fun _ -> 0) ~initial
           ~send:(fun ~dst m -> Queue.add (me, dst, m) q)
           ())
   in

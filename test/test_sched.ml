@@ -1250,6 +1250,53 @@ let test_stateful_rejections () =
       (S.start_compiled ~memory:(memory ()) ~programs:(fun _ -> pure) ())
   done
 
+(* A step is recorded once: in [Sched.Trace], on states started with
+   [~record_trace:true]. Under an installed sink the explorer's spans
+   arrive but no per-step [sched] event does — on the general walk (with
+   crash branching), the fused raw walk and a random run alike — and the
+   recorded traces and terminal decisions are those of the untraced
+   runs. *)
+let test_traced_runs_emit_no_sched_events () =
+  let prog pid =
+    let other = 1 - pid in
+    P.Write (1, fun () ->
+        P.Read (other, fun v ->
+            P.Write (v + 2, fun () ->
+                P.Read (other, fun w -> P.Return (v, w)))))
+  in
+  let init ~record_trace () =
+    S.start ~record_trace ~memory:(make_memory ()) ~programs:prog ()
+  in
+  let explored ~raw observe =
+    let acc = ref [] in
+    ignore
+      (Sched.Explore.explore
+         ~max_crashes:(if raw then 0 else 1)
+         ~dedup:(not raw) ~por:(not raw)
+         ~init:(init ~record_trace:(not raw))
+         (fun st -> acc := observe st :: !acc));
+    List.rev !acc
+  in
+  let runs () =
+    let general = explored ~raw:false (fun st -> (S.trace st, S.decisions st)) in
+    let raw = explored ~raw:true (fun st -> ([], S.decisions st)) in
+    let s = init ~record_trace:true () in
+    S.run_random ~crashes:[ (1, 2) ] (Bits.Rng.make 5) s;
+    (general, raw, (S.trace s, S.decisions s))
+  in
+  let untraced = runs () in
+  let events = ref [] in
+  let sink =
+    { Obs.Sink.emit = (fun e -> events := e :: !events); flush = ignore }
+  in
+  let traced = Obs.Sink.with_sink sink runs in
+  let cats = List.map (fun (e : Obs.Sink.event) -> e.cat) !events in
+  Alcotest.(check bool) "the sink saw the explorations" true
+    (List.mem "explore" cats);
+  Alcotest.(check bool) "no sched event" false (List.mem "sched" cats);
+  Alcotest.(check bool) "traces and decisions unchanged" true
+    (traced = untraced)
+
 let () =
   Alcotest.run "sched"
     [
@@ -1274,6 +1321,8 @@ let () =
           Alcotest.test_case "run_random: crash trigger meets a decide" `Quick
             test_run_random_crash_meets_decide;
           QCheck_alcotest.to_alcotest prop_branch_matches_forward_replay;
+          Alcotest.test_case "traced runs emit no sched events" `Quick
+            test_traced_runs_emit_no_sched_events;
         ] );
       ( "explore",
         [
