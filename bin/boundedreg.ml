@@ -11,11 +11,16 @@ let fail fmt =
     fmt
 
 (* Write [contents] to [file] through [file.tmp] and a rename, so a kill
-   leaves the old file or the new one, never a truncated one. *)
+   leaves the old file or the new one, never a truncated one. A path that
+   cannot be written exits 1 naming it. *)
 let write_file_atomic file contents =
   let tmp = file ^ ".tmp" in
-  Out_channel.with_open_text tmp (fun oc -> output_string oc contents);
-  Sys.rename tmp file
+  try
+    Out_channel.with_open_text tmp (fun oc -> output_string oc contents);
+    Sys.rename tmp file
+  with Sys_error e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    fail "cannot write %s: %s" file e
 
 (* Fold a --trace file (jsonl or catapult) into a health report with
    [fold] ([Obs.Report.of_trace] or [validate]) as it is read; unreadable
@@ -110,7 +115,10 @@ let with_telemetry tel f =
       match tel.trace with
       | None -> ignore
       | Some file ->
-          let oc = open_out file in
+          let oc =
+            try open_out file
+            with Sys_error e -> fail "cannot write trace: %s" e
+          in
           Obs.Sink.set
             (match tel.trace_format with
             | `Jsonl -> Obs.Sink.jsonl (output_string oc)

@@ -331,11 +331,14 @@ diff "$tmp_seq" "$tmp_par"
 # buffers in unit-index order, so up to the echoed jobs value the
 # jobs=1 and jobs=2 traces are byte-identical — and the jobs=2 trace
 # must actually contain the workers' per-run net events. The first
-# violation also dumps the flight recorder post-mortem.
+# violation also dumps the flight recorder post-mortem; the ring is fed
+# by the same in-order drain, so the two dumps are byte-identical.
 rm -f flight-nonlinearizable.jsonl
 dune_trace_seq=$(mktemp) && dune_trace_par=$(mktemp)
+flight_seq=$(mktemp)
 dune exec bin/boundedreg.exe -- chaos --frontier --runs 5 --seed 127 \
   --jobs 1 --expect violation --trace "$dune_trace_seq" > /dev/null
+mv flight-nonlinearizable.jsonl "$flight_seq"
 dune exec bin/boundedreg.exe -- chaos --frontier --runs 5 --seed 127 \
   --jobs 2 --expect violation --trace "$dune_trace_par" > /dev/null
 sed 's/"jobs":[0-9]*/"jobs":_/' "$dune_trace_seq" > "$tmp_seq"
@@ -343,9 +346,9 @@ sed 's/"jobs":[0-9]*/"jobs":_/' "$dune_trace_par" > "$tmp_par"
 diff "$tmp_seq" "$tmp_par"
 grep -q '"cat":"net"' "$dune_trace_par"
 rm -f "$dune_trace_seq" "$dune_trace_par"
-test -s flight-nonlinearizable.jsonl
-grep -q '"dom"' flight-nonlinearizable.jsonl
-rm -f flight-nonlinearizable.jsonl
+test -s "$flight_seq"
+cmp "$flight_seq" flight-nonlinearizable.jsonl
+rm -f "$flight_seq" flight-nonlinearizable.jsonl
 # Churn campaigns draw enter/leave schedules from per-run streams, so
 # the worker split must be invisible there too.
 dune exec bin/boundedreg.exe -- chaos --churn-frontier --runs 40 --seed 1 \
@@ -372,8 +375,8 @@ diff "$tmp_seq" "$tmp_par"
 echo "== fleet smoke"
 fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d) && fleet_churn=$(mktemp -d)
 fleet_bad=$(mktemp -d) && fleet_torn=$(mktemp -d)
-fleet_ref=$(mktemp -d) && fleet_kill=$(mktemp -d)
-trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_bad" "$fleet_torn" "$fleet_ref" "$fleet_kill"' EXIT
+fleet_ref=$(mktemp -d) && fleet_kill=$(mktemp -d) && unopenable=$(mktemp -d)
+trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_bad" "$fleet_torn" "$fleet_ref" "$fleet_kill" "$unopenable"' EXIT
 rm -f flight-nonlinearizable.jsonl
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
   --corpus "$fleet_j1" --jobs 1 --expect witness > "$tmp_seq"
@@ -398,6 +401,13 @@ if [ -e flight-nonlinearizable.jsonl ]; then
   echo "check.sh: a fleet with a corpus dumped into the working directory" >&2
   exit 1
 fi
+# Pool units reach the flight ring only through the main domain's
+# in-order replay, so the two dumps are byte-identical up to the jobs
+# value the campaign's Begin echoes.
+sed 's/"jobs":[0-9]*/"jobs":_/' "$fleet_j1/flight-nonlinearizable.jsonl" \
+  > "$tmp_seq"
+sed 's/"jobs":[0-9]*/"jobs":_/' "$fleet_j2/flight-nonlinearizable.jsonl" \
+  | cmp "$tmp_seq" -
 # The jobs diff above compares one build with itself, so a codec or
 # mutation-draw change that altered the corpus bytes would still pass
 # it. Pin the artifacts' digests (measured with OCaml 5.1.1).
@@ -426,6 +436,39 @@ dune exec bin/boundedreg.exe -- fleet --frontier --generations 1 \
 if [ "$status" != 1 ] || ! grep -q 'corpus.jsonl:1:' "$tmp_par"; then
   echo "check.sh: fleet over a bad corpus exited $status; stderr:" >&2
   cat "$tmp_par" >&2
+  exit 1
+fi
+# Paths the CLI cannot open are refused the same way: exit 1 with a
+# message naming the path, no internal error and no flight dump. Covers
+# a witness that is a directory, a corpus that is a file, a corpus.jsonl
+# that is a directory, and --trace, --metrics and --checkpoint files in
+# a missing directory.
+# Usage: refuses PATH ARGS...
+refuses() {
+  path=$1; shift
+  status=0
+  dune exec bin/boundedreg.exe -- "$@" > /dev/null 2> "$tmp_par" || status=$?
+  if [ "$status" != 1 ] || ! grep -qF "$path" "$tmp_par"; then
+    echo "check.sh: $* exited $status; stderr:" >&2
+    cat "$tmp_par" >&2
+    exit 1
+  fi
+}
+rm -f flight-exception.jsonl
+touch "$unopenable/file"
+mkdir -p "$unopenable/dir/corpus.jsonl"
+missing="$unopenable/missing"
+refuses "$unopenable" fleet --replay "$unopenable"
+refuses "$unopenable/file" fleet --frontier --generations 1 \
+  --corpus "$unopenable/file"
+refuses "$unopenable/dir/corpus.jsonl" fleet --frontier --generations 1 \
+  --corpus "$unopenable/dir"
+refuses "$missing/t.jsonl" chaos --runs 1 --seed 1 --trace "$missing/t.jsonl"
+refuses "$missing/m.json" chaos --runs 1 --seed 1 --metrics "$missing/m.json"
+refuses "$missing/c" explore -k 3 --max-crashes 1 --max-nodes 150 \
+  --checkpoint "$missing/c"
+if [ -e flight-exception.jsonl ]; then
+  echo "check.sh: an unopenable path left flight-exception.jsonl" >&2
   exit 1
 fi
 # A torn last line (a kill mid-append) is loaded around with exactly one

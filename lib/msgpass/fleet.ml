@@ -228,6 +228,11 @@ let entry_of_json j =
 
 let corpus_file dir = Filename.concat dir "corpus.jsonl"
 
+(* A [Sys_error] message about [path], naming it: messages from reading
+   (e.g. ["Is a directory"]) do not, those from opening already do. *)
+let path_error path e =
+  if String.starts_with ~prefix:path e then e else path ^ ": " ^ e
+
 (* [text] as the contents of [file], through a renamed [file.tmp]: a kill
    leaves a stray temporary, never a torn file. *)
 let write_atomic file text =
@@ -267,11 +272,13 @@ let m_torn = Obs.Metrics.counter "fleet.corpus_torn_lines"
    append, if its tail is torn or lacks a newline. *)
 let read_corpus ~n dir ~fast ~general =
   let file = corpus_file dir in
-  let s =
-    if Sys.file_exists file then
-      In_channel.with_open_bin file In_channel.input_all
-    else ""
+  let text =
+    if not (Sys.file_exists file) then Ok ""
+    else
+      try Ok (In_channel.with_open_bin file In_channel.input_all)
+      with Sys_error e -> Error (path_error file e)
   in
+  Result.bind text @@ fun s ->
   let len = String.length s in
   let rec go lineno i acc =
     if i >= len then
@@ -329,7 +336,12 @@ let corpus_open ~n dir =
     match dir with
     | None -> ([], None)
     | Some d -> (
-        if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+        (match Sys.is_directory d with
+        | true -> ()
+        | false -> raise (Corpus_error (d ^ ": Not a directory"))
+        | exception Sys_error _ -> (
+            try Sys.mkdir d 0o755
+            with Sys_error e -> raise (Corpus_error (path_error d e))));
         let general e =
           Result.map
             (fun () ->
@@ -551,6 +563,7 @@ let replay_file file =
       Obs.Json.of_string
         (In_channel.with_open_text file In_channel.input_all)
     with
+    | exception Sys_error e -> Error (path_error file e)
     | Error e -> Error (Printf.sprintf "%s: %s" file e)
     | Ok j -> (
         match

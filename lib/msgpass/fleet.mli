@@ -45,17 +45,19 @@ val corpus_line : Buffer.t -> id:int -> origin:string -> Faults.compiled -> unit
 
 val load_corpus : string -> (entry list, string) result
 (** Parse [<dir>/corpus.jsonl], oldest first. [Ok []] when the file does
-    not exist; [Error] reads [<file>:<line>: <problem>], the problem
+    not exist; [Error] reads [<file>: <problem>] when it cannot be read
+    (a directory, say), [<file>:<line>: <problem>] otherwise, the problem
     carrying the column for a JSON syntax error (the corpus is
     human-editable, so failures are loud, not skipped) — except a torn
     append: an unterminated last line that is not JSON is left out,
     counted in [fleet.corpus_torn_lines] and named on stderr. *)
 
 exception Corpus_error of string
-(** Raised by {!campaign} when its corpus directory does not load. The
-    message is positioned like {!load_corpus}'s errors; a campaign also
-    checks every operand against its configuration's [n] and names the
-    offending action:
+(** Raised by {!campaign} when its corpus directory does not load, or
+    names a path that is not a directory and cannot be created as one.
+    The message names the path and is positioned like {!load_corpus}'s
+    errors; a campaign also checks every operand against its
+    configuration's [n] and names the offending action:
     [<dir>/corpus.jsonl:<line>: action <k>: channel 0>9 out of range (n = 4)]. *)
 
 (** {1 Witnesses} *)
@@ -99,8 +101,9 @@ type replay = {
 
 val replay_file : string -> (replay, string) result
 (** Load a [witness-<class>.json] file and re-execute its plan against a
-    freshly built network of its stored configuration. A hand-edited file
-    gives an [Error] naming the file, never an exception: malformed JSON,
+    freshly built network of its stored configuration. A path that cannot
+    be read (a directory, say) or a hand-edited file gives an [Error]
+    naming the file, never an exception: malformed JSON,
     a configuration {!Chaos.validate} rejects, or a plan operand outside
     the configuration's [n] slots. *)
 

@@ -9,9 +9,10 @@
    only from the main domain — sinks are single-consumer (a Buffer, an
    out_channel), so worker domains must not write into them. Inside
    {!captured} they go to a domain-private buffer instead: this is how
-   {!Sched.Par} workers trace. Each unit's events are captured where
+   {!Sched.Par} units trace. Each unit's events are captured where
    they happen and drained on the main domain, in unit-index order,
-   after the pool joins. *)
+   after the pool joins; the drain ({!Span.replay}) also feeds the
+   flight recorder. *)
 
 type kind = Begin | End | Instant
 
@@ -61,9 +62,9 @@ let memory () =
     fun () -> List.rev !acc )
 
 (* Capture the calling domain's emissions into a private buffer. Events
-   keep the stamps of the capturing domain's logical clock — a consumer
-   re-emitting them on the main domain re-stamps via {!Span.replay}, so
-   the published trace stays a single monotone main-domain stream. *)
+   are captured unstamped; {!Span.replay} stamps them on the main
+   domain's clock, so the published trace stays a single monotone
+   main-domain stream. *)
 let captured f =
   let buffer, events = memory () in
   let slot = Domain.DLS.get capture_key in
@@ -71,6 +72,8 @@ let captured f =
   slot := Some buffer;
   let r = Fun.protect ~finally:(fun () -> slot := saved) f in
   (r, events ())
+
+let capturing () = Option.is_some !(Domain.DLS.get capture_key)
 
 let set s =
   current := s;
@@ -102,7 +105,7 @@ let kind_of_string = function
   | "i" -> Some Instant
   | _ -> None
 
-let event_fields e =
+let event_json e =
   let base =
     [
       ("name", Json.Str e.name);
@@ -117,9 +120,7 @@ let event_fields e =
   let args =
     match e.args with [] -> [] | args -> [ ("args", Json.Obj args) ]
   in
-  base @ scope @ args
-
-let event_json e = Json.Obj (event_fields e)
+  Json.Obj (base @ scope @ args)
 
 let event_of_json j =
   let str k = Json.member_str k j and int k = Json.member_int k j in

@@ -9,10 +9,10 @@
 
     Routing is per-domain. By default events reach the global sink from
     the main domain only — sinks are single-consumer — and a bare worker
-    domain's emission sites stay disabled. A worker domain participates
-    by running under {!captured}, which buffers its emissions privately
-    for the pool driver to drain on the main domain (in deterministic
-    order) after join. *)
+    domain's emission sites stay disabled. A pool unit participates by
+    running under {!captured}, which buffers its emissions privately for
+    the pool driver to drain on the main domain (in deterministic order)
+    after join; {!Span} states the whole routing rule. *)
 
 type kind = Begin | End | Instant
 
@@ -42,14 +42,15 @@ val enabled : unit -> bool
 val captured : (unit -> 'a) -> 'a * event list
 (** [captured f] runs [f] with the calling domain's emissions redirected
     into a private in-memory buffer and returns them alongside [f]'s
-    result. {!enabled} is [true] inside, on any domain — this is how
-    parallel workers trace: capture where the work runs, drain on the
-    main domain in a deterministic order via {!Span.replay}. Captured
-    events carry the capturing domain's clock stamps; replay re-stamps
-    them. If [f] raises, the exception propagates and the buffered
-    events are dropped (the flight {!Recorder} still holds them). This
-    is the routing half of {!Span.captured}, which pool drivers call:
-    it also runs [f] on a scratch clock. *)
+    result. {!enabled} is [true] inside, on any domain, while a sink is
+    installed — this is how pool units trace: capture where the work
+    runs, drain on the main domain in a deterministic order via
+    {!Span.replay}, which stamps them and feeds the sink and the flight
+    {!Recorder}. If [f] raises, the exception propagates and the
+    buffered events are dropped. *)
+
+val capturing : unit -> bool
+(** Whether the calling domain is inside {!captured}. *)
 
 val set : t -> unit
 
@@ -68,17 +69,14 @@ val with_sink : t -> (unit -> 'a) -> 'a
 
 (** {2 Serialization} *)
 
-val event_fields : event -> (string * Json.t) list
-(** The fields of {!event_json}, exposed so writers that prepend their
-    own fields (the flight {!Recorder}'s [dom]) stay in one format. *)
-
 val event_json : event -> Json.t
 (** Chrome [trace_event] object: [name]/[cat]/[ph]/[ts]/[pid]/[tid],
     [s:"t"] on instants, [args] when non-empty. *)
 
 val event_of_json : Json.t -> event option
 (** Inverse of {!event_json}; [None] when [name]/[ph] are missing.
-    Unknown fields (e.g. a flight dump's [dom]) are ignored. *)
+    Unknown fields (e.g. the [dom] of flight dumps written before the
+    recorder kept one ring) are ignored. *)
 
 val iter_trace :
   in_channel -> (event -> (unit, string) result) -> (unit, string) result

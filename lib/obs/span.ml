@@ -5,22 +5,23 @@
    deterministic and diffable. Wall time, when a caller wants it, rides
    along as an event argument instead of replacing the clock.
 
-   The clock is per-domain: parallel workers stamp their captured events
-   on private clocks (scratch stamps — {!replay} re-stamps on the main
-   clock when draining), so no cross-domain ordering ever leaks into a
-   trace. Every constructed event also feeds the flight {!Recorder}
-   unless it is disarmed, which is why construction is gated on
-   [traced || armed] rather than on tracing alone. *)
+   One rule routes every event. Inside a {!Sink.captured} block, on any
+   domain, it goes to the capture buffer only, unstamped. On the main
+   domain outside a capture it is stamped on the one clock, emitted if
+   traced and recorded by the flight {!Recorder} if armed — which is why
+   construction is gated on [traced || armed] rather than on tracing
+   alone. A bare worker domain constructs nothing. {!replay} applies the
+   main-domain rule to captured events, so a pool unit's events reach
+   the trace and the ring by the same route as the main domain's own. *)
 
-let clock_key = Domain.DLS.new_key (fun () -> ref 0)
+let clock = ref 0
 let wall_clock : (unit -> float) option ref = ref None
 
-let reset () = Domain.DLS.get clock_key := 0
+let reset () = clock := 0
 let set_wall_clock c = wall_clock := c
 let wall_enabled () = !wall_clock <> None
 
 let now () =
-  let clock = Domain.DLS.get clock_key in
   incr clock;
   !clock
 
@@ -29,15 +30,19 @@ let stamp_args args =
   | None -> args
   | Some c -> ("wall_s", Json.Float (c ())) :: args
 
+(* The main domain's rule for an event stamped on its clock. *)
+let deliver ~traced e =
+  if traced then Sink.emit e;
+  if !Recorder.armed then Recorder.record e
+
 let publish kind ~cat ~track ~args name =
   let traced = Sink.enabled () in
-  if traced || !Recorder.armed then begin
-    let e =
-      { Sink.kind; name; cat; track; ts = now (); args = stamp_args args }
-    in
-    if traced then Sink.emit e;
-    if !Recorder.armed then Recorder.record e
-  end
+  if traced || !Recorder.armed then
+    if Sink.capturing () then
+      Sink.emit { Sink.kind; name; cat; track; ts = 0; args = stamp_args args }
+    else if Domain.is_main_domain () then
+      deliver ~traced
+        { Sink.kind; name; cat; track; ts = now (); args = stamp_args args }
 
 let instant ?(cat = "app") ?(track = 0) ?(args = []) name =
   publish Sink.Instant ~cat ~track ~args name
@@ -59,22 +64,12 @@ let span ?cat ?args name f =
       end_ ?cat ~args:[ ("exn", Json.Str (Printexc.to_string exn)) ] name;
       raise exn
 
-(* Capture [f]'s events on a fresh clock, restoring the caller's count
-   after. Worker domains have private clocks already; the fresh clock is
-   for the main domain executing its own share of captured units —
-   without it those scratch constructions would advance the main clock
-   and shift every re-stamped tick, making the trace depend on how units
-   were divided. *)
-let captured f =
-  let clock = Domain.DLS.get clock_key in
-  let saved = !clock in
-  clock := 0;
-  Fun.protect ~finally:(fun () -> clock := saved) (fun () -> Sink.captured f)
-
-(* Drain captured worker events into the live trace, re-stamped on the
-   calling domain's clock so the published stream stays monotone. Sink
-   only, never back into the recorder: the originating domain's ring
-   already holds these events. *)
+(* Inside an enclosing capture the events pass on unstamped, as if
+   constructed there. *)
 let replay events =
-  if Sink.enabled () then
-    List.iter (fun (e : Sink.event) -> Sink.emit { e with ts = now () }) events
+  let traced = Sink.enabled () in
+  if Sink.capturing () then List.iter Sink.emit events
+  else if (traced || !Recorder.armed) && Domain.is_main_domain () then
+    List.iter
+      (fun (e : Sink.event) -> deliver ~traced { e with ts = now () })
+      events

@@ -6,23 +6,27 @@
     property the trace determinism tests pin down. Wall time is opt-in
     and travels as a [wall_s] argument, never as the timestamp.
 
-    The clock is per-domain. Parallel workers capturing events (see
-    {!captured}) stamp them on private clocks; {!replay} re-stamps on the
-    drain domain's clock, so a published trace is one monotone
-    main-domain stream.
+    One rule decides where an event goes:
+    - inside a {!Sink.captured} block, on any domain: into the capture
+      buffer only, unstamped and unrecorded;
+    - on the main domain outside a capture: stamped on the one clock,
+      emitted if traced ({!Sink.enabled}), recorded by the flight
+      {!Recorder} if armed (the default);
+    - on a worker domain outside a capture: nowhere — no event is
+      constructed.
 
-    Emission helpers construct an event when the calling domain is
-    traced ({!Sink.enabled}) {e or} the flight {!Recorder} is armed (the
-    default) — so the clock ticks exactly when an event is constructed.
-    With the recorder disarmed and tracing off, a helper call is a no-op
-    and does not tick the clock. *)
+    Pool drivers capture each unit and drain its events with {!replay},
+    which applies the main-domain rule, so a published trace and the
+    flight ring are both one monotone main-domain stream. The clock
+    ticks exactly when the main domain constructs or replays an event:
+    with the recorder disarmed and tracing off, a helper call is a no-op
+    and does not tick it. *)
 
 val now : unit -> int
-(** Tick and read the calling domain's logical clock. *)
+(** Tick and read the logical clock. Main domain only. *)
 
 val reset : unit -> unit
-(** Rewind the calling domain's clock to 0 — the start of a fresh
-    capture. *)
+(** Rewind the clock to 0 — the start of a fresh trace. *)
 
 val set_wall_clock : (unit -> float) option -> unit
 (** Install (or remove, with [None]) a wall-time source; when set, every
@@ -37,8 +41,7 @@ val wall_enabled : unit -> bool
 val instant :
   ?cat:string -> ?track:int -> ?args:(string * Json.t) list -> string -> unit
 (** [track] (default 0) is the process the instant belongs to: the
-    scheduler, the network and Dynreg stamp their per-process events
-    with its pid. *)
+    network and Dynreg stamp their per-process events with its pid. *)
 
 val begin_ : ?cat:string -> ?args:(string * Json.t) list -> string -> unit
 (** Spans are on track 0. *)
@@ -51,19 +54,9 @@ val span :
     exception still closes the span (with an [exn] argument) before
     re-raising. *)
 
-val captured : (unit -> 'a) -> 'a * Sink.event list
-(** [captured f] runs [f] under {!Sink.captured} on a fresh clock,
-    restoring the caller's count afterwards, and returns [f]'s result
-    with the events it emitted. Pool drivers run each unit in this, on
-    whichever domain executes it, and drain the events with {!replay}.
-    The fresh clock keeps a unit executed on the main domain from
-    advancing the clock that {!replay} stamps with — otherwise the
-    published stamps would depend on which domain happened to execute
-    which unit. *)
-
 val replay : Sink.event list -> unit
-(** Re-emit captured events into the calling domain's live trace,
-    re-stamping each on this domain's clock (capture-time stamps are
-    scratch). Emits to the sink only — never back into the recorder, the
-    originating domain's ring already holds them. No-op when
-    {!Sink.enabled} is [false]. *)
+(** Apply the main-domain rule to events captured by {!Sink.captured}, in
+    order: each is stamped on the clock (capture-time stamps are
+    scratch), emitted if traced and recorded if armed. Inside an
+    enclosing capture the events pass into its buffer instead; on a
+    bare worker domain they are dropped. *)

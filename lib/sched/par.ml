@@ -50,21 +50,16 @@ let run_units ~jobs ~units f k =
        one starts, so a raising [k] leaves later units unrun. *)
     Array.iteri (fun i u -> k i (f u)) units
   else begin
-    (* Decide once, on the main domain, whether units trace. Each unit
-       then runs under [Span.captured] — events buffered privately on
-       whichever domain executes it — or bare when the caller isn't
-       tracing (no domain's emission sites are enabled then). Sinks are
-       single-consumer, so even the main domain's own units capture
-       rather than emitting directly: the buffers drain in unit-index
-       order after the join, which is what keeps traces byte-identical
-       at any pool width. *)
-    let capture = Obs.Sink.enabled () in
+    (* Every unit runs under [Sink.captured] — its events buffered
+       privately on whichever domain executes it. Sinks are
+       single-consumer and the flight recorder is the main domain's, so
+       even the main domain's own units capture rather than emitting or
+       recording directly: the buffers drain in unit-index order after
+       the join, which is what keeps traces and flight dumps
+       byte-identical at any pool width. *)
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let failed = Atomic.make false in
-    let exec u =
-      if capture then Obs.Span.captured (fun () -> f u) else (f u, [])
-    in
     (* Workers claim unit indices in order from one atomic counter; result
        slots are per-index, so writes from distinct domains never alias. A
        failed unit flips [failed] and the pool drains: in-flight units
@@ -74,7 +69,7 @@ let run_units ~jobs ~units f k =
       if not (Atomic.get failed) then begin
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          (match exec units.(i) with
+          (match Obs.Sink.captured (fun () -> f units.(i)) with
           | r -> results.(i) <- Some (Ok r)
           | exception exn ->
               results.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ()));
@@ -83,19 +78,12 @@ let run_units ~jobs ~units f k =
         end
       end
     in
-    let spawned =
-      List.init (jobs - 1) (fun _ ->
-          Domain.spawn (fun () ->
-              (* Fold the dying domain's flight-recorder ring into the
-                 shared graveyard: pools spawn fresh domains per call,
-                 and a long fleet run must not accumulate dead rings. *)
-              Fun.protect ~finally:Obs.Recorder.retire worker))
-    in
+    let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     List.iter Domain.join spawned;
     (* Consume in unit-index order — the order a sequential pass would
        have emitted and consumed them — replaying each unit's events,
-       re-stamped on the main domain's clock, just before its [k]. The
+       stamped on the main domain's clock, just before its [k]. The
        first failed slot ends the pass, so [k] sees exactly the units
        the jobs = 1 loop would have reached. *)
     Array.iteri

@@ -13,11 +13,11 @@
       dedup/sleep sets only ever make a unit explore {e more} below its
       root, never less.
     - {b race-free telemetry}: metrics cells are atomic, and each unit's
-      trace events are captured privately on the executing domain
-      ({!Obs.Span.captured}) and drained into the trace on the main
-      domain in unit-index order after the join — worker spans and
-      instants appear in traces, yet the published stream stays a single
-      main-domain stream.
+      events are captured privately on the executing domain
+      ({!Obs.Sink.captured}) and drained on the main domain in
+      unit-index order after the join, into the trace and the flight
+      recorder alike — worker spans and instants appear in both, yet
+      each stays a single main-domain stream.
     - {b deterministic output}: stats, visitor values and leftover
       frontiers reduce in unit-index order (in {!run_units}'s [k]) —
       fixed workload and seed give byte-identical merged results
@@ -52,21 +52,23 @@ val run_units :
     runs.
 
     At [jobs > 1] the [f] calls run on the pool, claimed in index order
-    from one atomic counter, and the [k] calls follow the join. When the
-    caller is tracing ({!Obs.Sink.enabled} at entry), each unit runs
-    under {!Obs.Span.captured} on the executing domain and its events
-    are replayed into the trace ({!Obs.Span.replay}) just before its [k];
-    otherwise units run bare, and no domain emits.
+    from one atomic counter, and the [k] calls follow the join. Each
+    unit runs under {!Obs.Sink.captured} on the executing domain and its
+    events are replayed ({!Obs.Span.replay}) just before its [k]: stamped
+    on the main domain's clock, emitted if the caller is tracing,
+    recorded by the flight recorder if it is armed.
     If an [f] raises, the pool stops claiming units and in-flight ones
     finish; [k] then runs for every unit below the lowest-index failure,
     whose exception is re-raised with its backtrace. Since [k] sees
     exactly the units the jobs = 1 loop would have reached, with the
-    same events before each, the outcome and the trace do not depend on
-    [jobs]. Worker domains fold their flight-recorder rings into the
-    graveyard as they exit ({!Obs.Recorder.retire}).
+    same events before each, the outcome, the trace and the flight
+    recorder's ring do not depend on [jobs] — up to the failing unit's
+    own events, which at [jobs > 1] are dropped with its capture.
 
     [f] must be domain-safe when [jobs > 1]: it runs off the main domain
-    and concurrently with itself on other units. *)
+    and concurrently with itself on other units. Its events reach the
+    trace and the ring only from inside the unit's capture: a domain [f]
+    spawns itself constructs none ({!Obs.Span} states the rule). *)
 
 val explore :
   ?max_steps:int ->

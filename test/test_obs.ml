@@ -13,8 +13,8 @@ let memory () =
   ( { S.emit = (fun e -> acc := e :: !acc); flush = ignore },
     fun () -> List.rev !acc )
 
-(* The recorder's contents (from [since] on), as [(domain, event)] pairs
-   in dump order, read back through a dump. *)
+(* The recorder's contents (from [since] on), in dump order, read back
+   through a dump. *)
 let recorded ?since () =
   let dir = Filename.get_temp_dir_name () in
   match Obs.Recorder.dump ~dir ?since ~reason:"read-back" () with
@@ -27,9 +27,9 @@ let recorded ?since () =
           match J.of_string line with
           | Error e -> Alcotest.failf "unparseable dump line: %s" e
           | Ok j -> (
-              match (J.member_int "dom" j, S.event_of_json j) with
-              | Some dom, Some e -> (dom, e)
-              | _ -> Alcotest.failf "not a dump line: %s" line))
+              match S.event_of_json j with
+              | Some e -> e
+              | None -> Alcotest.failf "not a dump line: %s" line))
         lines
 
 (* ------------------------------------------------------------------ *)
@@ -378,8 +378,8 @@ let test_logical_clock_gating () =
   Alcotest.(check (list int))
     "disabled emissions do not tick the clock" [ 1; 2; 3 ] ts
 
-(* The recorder keeps the last [capacity] events per domain, untraced
-   runs included, and dumps them as JSONL with a "dom" field. *)
+(* The recorder keeps the last [capacity] events, untraced runs
+   included, and dumps them as JSONL, one trace event object per line. *)
 let test_recorder_ring () =
   let m = Obs.Recorder.mark () in
   Obs.Span.reset ();
@@ -406,12 +406,12 @@ let test_recorder_ring () =
           match J.of_string line with
           | Error e -> Alcotest.failf "unparseable dump line: %s" e
           | Ok j -> (
-              match J.member "dom" j with
-              | Some (J.Int _) -> ()
-              | _ -> Alcotest.failf "dump line lacks a dom field: %s" line))
+              match S.event_of_json j with
+              | Some e when J.to_string (S.event_json e) = line -> ()
+              | _ -> Alcotest.failf "dump line is not a trace event: %s" line))
         lines;
       Sys.remove path);
-  let evs = List.map snd (recorded ~since:m ()) in
+  let evs = recorded ~since:m () in
   Alcotest.(check int)
     "ring holds exactly capacity events" Obs.Recorder.capacity
     (List.length evs);
@@ -423,10 +423,9 @@ let test_recorder_ring () =
         (Option.map J.to_string (List.assoc_opt "i" first.S.args))
   | [] -> Alcotest.fail "ring is empty"
 
-(* A mark scopes a dump to what every ring recorded after it: the main
-   ring, a worker ring that was already live, the graveyard a later pool
-   retires into, and — whole — a ring first created after the mark. A
-   dump without [since] still holds everything. *)
+(* A mark scopes a dump to what the ring recorded after it: the main
+   domain's own events and those a pool replays, on either side of the
+   mark. A dump without [since] still holds everything. *)
 let test_recorder_dump_since () =
   let tick name = Obs.Span.instant ~cat:"app" name in
   let pool name =
@@ -434,51 +433,30 @@ let test_recorder_dump_since () =
       (fun _ -> tick name)
       (fun _ () -> ())
   in
-  (* A domain whose ring predates the mark and records on both sides of
-     it; it is never retired, so its ring stays live. *)
-  let marked = Atomic.make false and recorded_pre = Atomic.make false in
-  let live =
-    Domain.spawn (fun () ->
-        tick "live-pre";
-        Atomic.set recorded_pre true;
-        while not (Atomic.get marked) do Domain.cpu_relax () done;
-        tick "live-post";
-        tick "live-post")
-  in
   for _ = 1 to 5 do tick "pre" done;
   pool "pool-pre";
-  while not (Atomic.get recorded_pre) do Domain.cpu_relax () done;
   let m = Obs.Recorder.mark () in
-  Atomic.set marked true;
-  Domain.join live;
   for _ = 1 to 3 do tick "post" done;
   pool "pool-post";
-  Domain.join (Domain.spawn (fun () -> for _ = 1 to 4 do tick "late" done));
   let counts evs =
-    List.sort_uniq compare (List.map (fun (_, (e : S.event)) -> e.S.name) evs)
+    List.sort_uniq compare (List.map (fun (e : S.event) -> e.S.name) evs)
     |> List.map (fun name ->
            ( name,
-             List.length
-               (List.filter (fun (_, (e : S.event)) -> e.S.name = name) evs) ))
+             List.length (List.filter (fun (e : S.event) -> e.S.name = name) evs)
+           ))
   in
   Alcotest.(check (list (pair string int)))
-    "since the mark: exactly the post-mark events of every ring"
-    [ ("late", 4); ("live-post", 2); ("pool-post", 4); ("post", 3) ]
+    "since the mark: exactly the post-mark events"
+    [ ("pool-post", 4); ("post", 3) ]
     (counts (recorded ~since:m ()));
   (* A dump without [since] also holds earlier tests' events, which carry
      other names. *)
-  let mine =
-    [ "late"; "live-post"; "live-pre"; "pool-post"; "pool-pre"; "post"; "pre" ]
-  in
+  let mine = [ "pool-post"; "pool-pre"; "post"; "pre" ] in
   Alcotest.(check (list (pair string int)))
     "without since: every recorded event"
-    [
-      ("late", 4); ("live-post", 2); ("live-pre", 1); ("pool-post", 4);
-      ("pool-pre", 4); ("post", 3); ("pre", 5);
-    ]
+    [ ("pool-post", 4); ("pool-pre", 4); ("post", 3); ("pre", 5) ]
     (counts
-       (List.filter (fun (_, (e : S.event)) -> List.mem e.S.name mine)
-          (recorded ())))
+       (List.filter (fun (e : S.event) -> List.mem e.S.name mine) (recorded ())))
 
 (* A second, shorter dump for the same reason replaces the first: the
    file holds exactly the second dump's line, none of the first's tail. *)
@@ -547,6 +525,36 @@ let test_worker_event_drain () =
   Alcotest.(check bool)
     "replayed stamps are strictly increasing main-domain ticks" true
     (increasing (List.map (fun (e : S.event) -> e.S.ts) evs))
+
+(* A traced pool leaves in the flight recorder's ring exactly what the
+   sequential loop leaves — names, args and stamps — because unit events
+   reach the ring only through the main domain's in-order replay. *)
+let test_recorder_jobs_invariant () =
+  let ring jobs =
+    let sink, _ = memory () in
+    Obs.Span.reset ();
+    let m = Obs.Recorder.mark () in
+    S.with_sink sink (fun () ->
+        Obs.Span.span "pool" (fun () ->
+            Sched.Par.run_units ~jobs ~units:[| 0; 1; 2; 3; 4; 5; 6; 7 |]
+              (fun u ->
+                Obs.Span.span ~args:[ ("unit", J.Int u) ] "unit" (fun () ->
+                    for i = 0 to u do
+                      Obs.Span.instant ~cat:"test" ~track:u
+                        ~args:[ ("i", J.Int i) ] "tick"
+                    done))
+              (fun i () ->
+                Obs.Span.instant ~args:[ ("unit", J.Int i) ] "consumed")));
+    recorded ~since:m ()
+  in
+  let sequential = ring 1 in
+  Alcotest.(check int) "the sequential ring holds every event" 62
+    (List.length sequential);
+  let show (e : S.event) = J.to_string (S.event_json e) in
+  Alcotest.(check (list string))
+    "jobs=2 ring equals jobs=1 ring"
+    (List.map show sequential)
+    (List.map show (ring 2))
 
 let test_span_closes_on_exception () =
   let sink, events = memory () in
@@ -638,7 +646,10 @@ let test_iter_trace () =
   let dump =
     String.concat "\n"
       (List.map
-         (fun e -> J.to_string (J.Obj (("dom", J.Int 0) :: S.event_fields e)))
+         (fun e ->
+           match S.event_json e with
+           | J.Obj fields -> J.to_string (J.Obj (("dom", J.Int 0) :: fields))
+           | j -> J.to_string j)
          evs)
   in
   Alcotest.(check bool) "flight dump (dom ignored)" true
@@ -1108,6 +1119,8 @@ let () =
           Alcotest.test_case "recorder-dump-since" `Quick
             test_recorder_dump_since;
           Alcotest.test_case "worker-drain" `Quick test_worker_event_drain;
+          Alcotest.test_case "recorder-jobs-invariant" `Quick
+            test_recorder_jobs_invariant;
         ] );
       ( "report",
         [
