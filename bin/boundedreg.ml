@@ -10,6 +10,13 @@ let fail fmt =
       exit 1)
     fmt
 
+(* Exit 1 on a [Sys_error] [e] reading [what] from [file], naming the
+   file: messages from reading (e.g. ["Is a directory"]) do not, those
+   from opening already do. *)
+let cannot_read what file e =
+  fail "cannot read %s: %s" what
+    (if String.starts_with ~prefix:file e then e else file ^ ": " ^ e)
+
 (* Write [contents] to [file] through [file.tmp] and a rename, so a kill
    leaves the old file or the new one, never a truncated one. A path that
    cannot be written exits 1 naming it. *)
@@ -29,7 +36,7 @@ let read_report fold file =
   match In_channel.with_open_text file fold with
   | Ok report -> report
   | Error m -> fail "invalid trace %s: %s" file m
-  | exception Sys_error e -> fail "cannot read trace: %s" e
+  | exception Sys_error e -> cannot_read "trace" file e
 
 (* ----- telemetry plumbing shared by the run/explore/chaos commands ----- *)
 
@@ -852,7 +859,7 @@ let explore_cmd =
       else
         let text =
           try In_channel.with_open_text checkpoint In_channel.input_all
-          with Sys_error e -> fail "cannot read checkpoint: %s" e
+          with Sys_error e -> cannot_read "checkpoint" checkpoint e
         in
         match Sched.Budget.frontier_of_string text with
         | Ok f ->
@@ -973,7 +980,7 @@ let report_cmd =
       fail "nothing to report on: pass a trace file or --metrics";
     let read_file what file =
       try In_channel.with_open_text file In_channel.input_all
-      with Sys_error e -> fail "cannot read %s: %s" what e
+      with Sys_error e -> cannot_read what file e
     in
     let report =
       match trace with

@@ -376,7 +376,8 @@ echo "== fleet smoke"
 fleet_j1=$(mktemp -d) && fleet_j2=$(mktemp -d) && fleet_churn=$(mktemp -d)
 fleet_bad=$(mktemp -d) && fleet_torn=$(mktemp -d)
 fleet_ref=$(mktemp -d) && fleet_kill=$(mktemp -d) && unopenable=$(mktemp -d)
-trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_bad" "$fleet_torn" "$fleet_ref" "$fleet_kill" "$unopenable"' EXIT
+fleet_nosig=$(mktemp -d)
+trap 'rm -f "$tmp_seq" "$tmp_par"; rm -rf "$fleet_j1" "$fleet_j2" "$fleet_churn" "$fleet_bad" "$fleet_torn" "$fleet_ref" "$fleet_kill" "$unopenable" "$fleet_nosig"' EXIT
 rm -f flight-nonlinearizable.jsonl
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 60 --seed 9 \
   --corpus "$fleet_j1" --jobs 1 --expect witness > "$tmp_seq"
@@ -423,7 +424,7 @@ pin_md5() {
     exit 1
   fi
 }
-pin_md5 seed-9 "$fleet_j1" corpus.jsonl 76cf3687e0e650644b98abcc3d4d006d
+pin_md5 seed-9 "$fleet_j1" corpus.jsonl 8ed56f65228b04256c07af47d4887c2d
 pin_md5 seed-9 "$fleet_j1" witness-11d375a62583849e.json \
   efac722480726f73db467b5258911096
 # A hand-edited corpus with an operand outside n must be refused cleanly:
@@ -441,8 +442,9 @@ fi
 # Paths the CLI cannot open are refused the same way: exit 1 with a
 # message naming the path, no internal error and no flight dump. Covers
 # a witness that is a directory, a corpus that is a file, a corpus.jsonl
-# that is a directory, and --trace, --metrics and --checkpoint files in
-# a missing directory.
+# that is a directory, --trace, --metrics and --checkpoint files in a
+# missing directory, and a trace, metrics snapshot or checkpoint to read
+# that is a directory.
 # Usage: refuses PATH ARGS...
 refuses() {
   path=$1; shift
@@ -467,6 +469,10 @@ refuses "$missing/t.jsonl" chaos --runs 1 --seed 1 --trace "$missing/t.jsonl"
 refuses "$missing/m.json" chaos --runs 1 --seed 1 --metrics "$missing/m.json"
 refuses "$missing/c" explore -k 3 --max-crashes 1 --max-nodes 150 \
   --checkpoint "$missing/c"
+refuses "$unopenable/dir" trace summary "$unopenable/dir"
+refuses "$unopenable/dir" report "$unopenable/dir"
+refuses "$unopenable/dir" report --metrics "$unopenable/dir"
+refuses "$unopenable/dir" explore -k 3 --resume --checkpoint "$unopenable/dir"
 if [ -e flight-exception.jsonl ]; then
   echo "check.sh: an unopenable path left flight-exception.jsonl" >&2
   exit 1
@@ -519,13 +525,28 @@ if ! head -c "$(wc -c < "$tmp_seq")" "$fleet_ref/corpus.jsonl" \
   exit 1
 fi
 "$exe" fleet --frontier --generations 1 --corpus "$fleet_kill" > /dev/null
+# Each corpus line carries its run's signature ("sig"), which a resume
+# under the same configuration folds into coverage instead of re-running
+# the plan; a line without one is re-executed. So the seed-9 corpus with
+# every sig removed, as written before lines carried one, must resume to
+# the same report as the corpus as written.
+cp "$fleet_j1"/witness-*.json "$fleet_nosig/"
+sed 's/"sig":\[[-0-9,]*\],//' "$fleet_j1/corpus.jsonl" \
+  > "$fleet_nosig/corpus.jsonl"
+if grep -q '"sig"' "$fleet_nosig/corpus.jsonl"; then
+  echo "check.sh: sed left a sig in the seed-9 corpus" >&2
+  exit 1
+fi
 # Cache-effectiveness smoke: a second fleet resumed over the (fixed-seed,
-# hence byte-deterministic) corpus re-executes every corpus plan once to
-# seed coverage and the content-addressed run cache, so mutants that
+# hence byte-deterministic) corpus seeds coverage and the
+# content-addressed run cache with every corpus plan, so mutants that
 # reproduce known content must answer from the cache — at least one hit,
 # or the content addressing has silently stopped working.
 dune exec bin/boundedreg.exe -- fleet --frontier --generations 20 --seed 11 \
   --corpus "$fleet_j1" > "$tmp_par"
+dune exec bin/boundedreg.exe -- fleet --frontier --generations 20 --seed 11 \
+  --corpus "$fleet_nosig" > "$tmp_seq"
+sed "s|$fleet_nosig|$fleet_j1|" "$tmp_seq" | diff "$tmp_par" -
 grep 'cache: ' "$tmp_par"
 if grep -q 'cache: 0 hit(s)' "$tmp_par"; then
   echo "check.sh: fleet run cache recorded no hits on the corpus re-fill smoke" >&2
@@ -539,7 +560,7 @@ fi
 # on, so the pins below also guard that draw order.
 dune exec bin/boundedreg.exe -- fleet --churn --width-bits 1 --generations 5 \
   --batch 16 --seed 1 --corpus "$fleet_churn" --expect witness
-pin_md5 churn "$fleet_churn" corpus.jsonl d6c502d20d797fd471a559839a0573ca
+pin_md5 churn "$fleet_churn" corpus.jsonl f2e1c37bf308179c64d4f62fbd94b4e3
 pin_md5 churn "$fleet_churn" witness-11d375a62583849e.json \
   a652ed9d40d4434ec68ec3b1f9cb3a4c
 for w in "$fleet_churn"/witness-*.json; do

@@ -207,23 +207,35 @@ let cache_cap = 1 lsl 16
 
 type entry = { id : int; origin : string; plan : Faults.plan }
 
-let corpus_line buf ~id ~origin cplan =
+let corpus_line buf ~id ~origin ~signature:s ~cfg cplan =
   Buffer.add_string buf "{\"id\":";
   Buffer.add_string buf (Int.to_string id);
   Buffer.add_string buf ",\"origin\":";
   Obs.Json.to_buffer buf (Obs.Json.Str origin);
-  Buffer.add_string buf ",\"plan\":";
+  Printf.bprintf buf ",\"sig\":[%d,%d,%d,%d,%d],\"plan\":" s.terminal_hash
+    s.hop_mask s.verdict_class s.depth_bucket cfg;
   Faults.add_compiled_json buf cplan;
   Buffer.add_char buf '}'
 
+(* The entry, and its ["sig"] ints if it has one. *)
 let entry_of_json j =
+  let ( let* ) = Result.bind in
+  let* stamp =
+    match Obs.Json.member "sig" j with
+    | None -> Ok None
+    | Some Obs.Json.(List [ Int a; Int b; Int c; Int d; Int e ]) ->
+        Ok (Some [ a; b; c; d; e ])
+    | Some _ -> Error "corpus entry sig needs five ints"
+  in
   match
     ( Obs.Json.member_int "id" j,
       Obs.Json.member_str "origin" j,
       Obs.Json.member "plan" j )
   with
   | Some id, Some origin, Some pj ->
-      Result.map (fun plan -> { id; origin; plan }) (Faults.plan_of_json pj)
+      Result.map
+        (fun plan -> ({ id; origin; plan }, stamp))
+        (Faults.plan_of_json pj)
   | _ -> Error "corpus entry needs id, origin and plan fields"
 
 let corpus_file dir = Filename.concat dir "corpus.jsonl"
@@ -249,18 +261,39 @@ let skip lit s p j =
   in
   if p >= 0 && e <= j && same 0 then e else -1
 
-(* [fast id origin plan] when [s.[i..j)] is exactly a line [corpus_line]
-   prints, its origin free of escapes and its operands below [n]. *)
+(* The [k] ints left of a ["sig"] array from [p] on, and the index past
+   its [']'], if they are in the printer's form. *)
+let rec scan_stamp s p j k =
+  let q = end_of s p j (fun c -> c <> '-' && (c < '0' || c > '9')) in
+  match int_of_string_opt (String.sub s p (q - p)) with
+  | Some x when q < j && k = 1 && s.[q] = ']' -> Some ([ x ], q + 1)
+  | Some x when q < j && s.[q] = ',' ->
+      Option.map (fun (l, e) -> (x :: l, e)) (scan_stamp s (q + 1) j (k - 1))
+  | _ -> None
+
+(* [fast id origin stamp plan] when [s.[i..j)] is exactly a line
+   [corpus_line] prints, with or without its ["sig"], its origin free of
+   escapes and its operands below [n]. *)
 let scan_line ~n s i j fast =
   let a = skip "{\"id\":" s i j in
   let b = if a < 0 then a else end_of s a j (fun c -> c < '0' || c > '9') in
   let c = if b <= a || b - a > 18 then -1 else skip ",\"origin\":\"" s b j in
   let d = if c < 0 then c else end_of s c j (fun c -> c = '"' || c = '\\') in
-  let e = if c < 0 then c else skip "\",\"plan\":" s d j in
+  let o = if c < 0 then c else skip "\"," s d j in
+  let stamp, p =
+    match skip "\"sig\":[" s o j with
+    | p when p < 0 -> (None, o)
+    | p -> (
+        match scan_stamp s p j 5 with
+        | Some (stamp, q) -> (Some stamp, skip "," s q j)
+        | None -> (None, -1))
+  in
+  let e = skip "\"plan\":" s p j in
   if e < 0 || s.[j - 1] <> '}' then None
   else
     Option.map
-      (fast (int_of_string (String.sub s a (b - a))) (String.sub s c (d - c)))
+      (fast (int_of_string (String.sub s a (b - a))) (String.sub s c (d - c))
+         stamp)
       (Faults.scan_compiled_json ~n s e (j - 1))
 
 let m_torn = Obs.Metrics.counter "fleet.corpus_torn_lines"
@@ -307,18 +340,26 @@ let read_corpus ~n dir ~fast ~general =
 
 let load_corpus dir =
   Result.map fst
-    (read_corpus ~n:256 dir ~general:Result.ok ~fast:(fun id origin c ->
-         { id; origin; plan = Faults.decompile c }))
+    (read_corpus ~n:256 dir
+       ~general:(fun (e, _) -> Ok e)
+       ~fast:(fun id origin _ c -> { id; origin; plan = Faults.decompile c }))
 
 (* Oldest first, newest at [size - 1] — matching the JSONL on disk. A
    growable array, not a list: generation planning picks parents by
    index, and a 60 s fleet grows the corpus to tens of thousands of
    plans. Entries hold their plan compiled: a loaded line is compiled
-   once and an executed run's recorded plan is stored as is. *)
-type centry = { cid : int; corigin : string; cplan : Faults.compiled }
+   once and an executed run's recorded plan is stored as is, with its
+   signature when known under the campaign's configuration. *)
+type centry = {
+  cid : int;
+  corigin : string;
+  cplan : Faults.compiled;
+  csig : signature option;
+}
 
 type corpus = {
   dir : string option;
+  cfg : int;  (** hash of the campaign's validated configuration *)
   mutable arr : centry array;
   mutable size : int;
   mutable next_id : int;
@@ -331,7 +372,8 @@ exception Corpus_error of string
 
 (* A hand-edited operand outside the campaign's [n] slots fails here,
    positioned like a parse error, rather than in a later replay. *)
-let corpus_open ~n dir =
+let corpus_open (chaos : Chaos.config) dir =
+  let n = chaos.Chaos.n and cfg = Sched.Zobrist.value_hash chaos in
   let loaded, repair =
     match dir with
     | None -> ([], None)
@@ -342,13 +384,21 @@ let corpus_open ~n dir =
         | exception Sys_error _ -> (
             try Sys.mkdir d 0o755
             with Sys_error e -> raise (Corpus_error (path_error d e))));
-        let general e =
+        let fast cid corigin stamp cplan =
+          let csig =
+            match stamp with
+            | Some [ terminal_hash; hop_mask; verdict_class; depth_bucket; c ]
+              when c = cfg ->
+                Some { terminal_hash; hop_mask; verdict_class; depth_bucket }
+            | _ -> None
+          in
+          { cid; corigin; cplan; csig }
+        in
+        let general (e, stamp) =
           Result.map
-            (fun () ->
-              { cid = e.id; corigin = e.origin; cplan = Faults.compile ~n e.plan })
+            (fun () -> fast e.id e.origin stamp (Faults.compile ~n e.plan))
             (Faults.check ~n e.plan)
         in
-        let fast cid corigin cplan = { cid; corigin; cplan } in
         match read_corpus ~n d ~fast ~general with
         | Error e -> raise (Corpus_error e)
         | Ok r -> r)
@@ -362,6 +412,7 @@ let corpus_open ~n dir =
   in
   {
     dir;
+    cfg;
     arr;
     size = Array.length arr;
     next_id = Array.fold_left (fun m e -> max m (e.cid + 1)) 0 arr;
@@ -371,8 +422,10 @@ let corpus_open ~n dir =
   }
 
 (* One [flush] per line: a kill loses at most the line being written. *)
-let corpus_add corpus ~origin cplan =
-  let e = { cid = corpus.next_id; corigin = origin; cplan } in
+let corpus_add corpus ~origin ~signature cplan =
+  let e =
+    { cid = corpus.next_id; corigin = origin; cplan; csig = Some signature }
+  in
   corpus.next_id <- corpus.next_id + 1;
   if corpus.size = Array.length corpus.arr then begin
     let grown = Array.make (max 64 (2 * Array.length corpus.arr)) e in
@@ -386,7 +439,7 @@ let corpus_add corpus ~origin cplan =
   if corpus.dir <> None then begin
     let oc = Lazy.force corpus.oc in
     Buffer.clear corpus.line;
-    corpus_line corpus.line ~id:e.cid ~origin cplan;
+    corpus_line corpus.line ~id:e.cid ~origin ~signature ~cfg:corpus.cfg cplan;
     Buffer.add_char corpus.line '\n';
     Buffer.output_buffer oc corpus.line;
     flush oc
@@ -700,7 +753,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
     | None, Some _ -> None
     | None, None -> Some 10
   in
-  let corpus = corpus_open ~n:chaos.Chaos.n corpus_dir in
+  let corpus = corpus_open chaos corpus_dir in
   Fun.protect ~finally:(fun () ->
       if Lazy.is_val corpus.oc then close_out_noerr (Lazy.force corpus.oc))
   @@ fun () ->
@@ -738,15 +791,23 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
   | Some d ->
       List.iter (fun k -> Hashtbl.replace witnesses k None)
         (load_witness_classes d));
-  (* Re-execute the loaded corpus once, on the calling domain: coverage
-     resumes where the previous campaign over this directory left off
-     (instead of re-discovering — and re-appending — its own entries),
-     and the run cache is pre-filled with every corpus plan's key, so
-     mutants that reproduce a corpus entry count as hits. Fresh
-     campaigns load nothing and skip this. *)
+  (* Fold the loaded corpus into coverage, on the calling domain:
+     coverage resumes where the previous campaign over this directory
+     left off (instead of re-discovering — and re-appending — its own
+     entries), and the run cache is pre-filled with every corpus plan's
+     key, so mutants that reproduce a corpus entry count as hits. A run
+     is a pure function of its plan and configuration, so only entries
+     without a signature stored under this configuration re-execute. *)
   for i = 0 to corpus.size - 1 do
-    let o = run_keyed corpus.arr.(i).cplan in
-    ignore (coverage_observe cov (signature_of o) : bool)
+    let { cplan; csig; _ } = corpus.arr.(i) in
+    let s =
+      match csig with
+      | Some s ->
+          ignore (probe (plan_cache_key cplan) : bool);
+          s
+      | None -> signature_of (run_keyed cplan)
+    in
+    ignore (coverage_observe cov s : bool)
   done;
   let flight_mark = Obs.Recorder.mark () in
   Obs.Span.begin_ ~cat:"fleet"
@@ -814,6 +875,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
        replay hits. *)
     let compiled = Faults.compile ~n:chaos.Chaos.n shrunk in
     let replay = run_keyed compiled in
+    let signature = signature_of replay in
     let reg, reason =
       match replay.Chaos.verdict with
       | L.Nonlinearizable { reg; reason } -> (reg, reason)
@@ -830,7 +892,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
           w.plan_key <- plan_key shrunk;
           w.deliveries <- replay.Chaos.deliveries;
           w.events <- replay.Chaos.events;
-          w.terminal_hash <- (signature_of replay).terminal_hash;
+          w.terminal_hash <- signature.terminal_hash;
           w.reason <- reason;
           w.shrink_tests <- shrink_tests;
           write_witness w
@@ -846,7 +908,7 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
             found_gen = g;
             deliveries = replay.Chaos.deliveries;
             events = replay.Chaos.events;
-            terminal_hash = (signature_of replay).terminal_hash;
+            terminal_hash = signature.terminal_hash;
             reg;
             reason;
             shrink_tests;
@@ -868,7 +930,8 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
           "fleet.witness";
         (* The shrunk witness joins the corpus: its mutants probe the
            boundary of the violation class. *)
-        corpus_add corpus ~origin:(Printf.sprintf "witness:%016x" key) compiled
+        corpus_add corpus ~origin:(Printf.sprintf "witness:%016x" key)
+          ~signature compiled
     end
   in
   let run_generation g =
@@ -950,7 +1013,8 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
               ("events", Obs.Json.Int o.Chaos.events);
             ]
           "fleet.run";
-        let interesting = coverage_observe cov (signature_of o) in
+        let signature = signature_of o in
+        let interesting = coverage_observe cov signature in
         if interesting then begin
           incr signals;
           incr gen_signals;
@@ -963,7 +1027,8 @@ let campaign ?budget ?generations ?(jobs = 1) ?(batch = 16) ?corpus_dir ~seed
           (* The *executed* plan joins the corpus: for mutants that is
              the effective action sequence (no-ops already dropped), so
              corpus plans stay tight and replayable. *)
-          corpus_add corpus ~origin:(job_origin jobs_arr.(i)) o.Chaos.plan
+          corpus_add corpus ~origin:(job_origin jobs_arr.(i)) ~signature
+            o.Chaos.plan
         end;
         if Chaos.failed o then begin
           incr violations;

@@ -29,6 +29,18 @@
     campaign — corpus ids continue, and witness classes already published
     stay deduplicated across invocations. *)
 
+(** {1 Coverage} *)
+
+type signature = {
+  terminal_hash : int;
+  hop_mask : int;
+  verdict_class : int;
+  depth_bucket : int;
+}
+(** A run's coverage signals, as listed above. *)
+
+val signature_of : Chaos.outcome -> signature
+
 (** {1 Plans} *)
 
 val mutate : Bits.Rng.t -> n:int -> ?churn:bool -> Faults.plan -> Faults.plan
@@ -40,13 +52,26 @@ val mutate : Bits.Rng.t -> n:int -> ?churn:bool -> Faults.plan -> Faults.plan
 
 type entry = { id : int; origin : string; plan : Faults.plan }
 
-val corpus_line : Buffer.t -> id:int -> origin:string -> Faults.compiled -> unit
-(** Append a [corpus.jsonl] line (no newline) printed from the opcodes. *)
+val corpus_line :
+  Buffer.t ->
+  id:int ->
+  origin:string ->
+  signature:signature ->
+  cfg:int ->
+  Faults.compiled ->
+  unit
+(** Append a [corpus.jsonl] line (no newline) printed from the opcodes,
+    with ["sig"]: the run's {!signature}, then [cfg], the hash of the
+    validated configuration it ran under. A campaign resumed under that
+    hash reads the signature instead of re-executing the plan; a line
+    without ["sig"], or of another hash, is re-executed. Signatures steer
+    coverage only, never a verdict, witness or class. *)
 
 val load_corpus : string -> (entry list, string) result
 (** Parse [<dir>/corpus.jsonl], oldest first. [Ok []] when the file does
     not exist; [Error] reads [<file>: <problem>] when it cannot be read
-    (a directory, say), [<file>:<line>: <problem>] otherwise, the problem
+    (a directory, say), [<file>:<line>: <problem>] otherwise (a ["sig"]
+    that is not an array of five ints among them), the problem
     carrying the column for a JSON syntax error (the corpus is
     human-editable, so failures are loud, not skipped) — except a torn
     append: an unterminated last line that is not JSON is left out,
@@ -121,7 +146,7 @@ type report = {
   mutant_signals : int;  (** ... of which were mutants or crossovers *)
   cache_lookups : int;
       (** run-cache probes: one per batch job, one per corpus entry
-          re-executed when resuming over a directory, and one per
+          loaded when resuming over a directory, and one per
           triage's shrunk-plan confirmation replay *)
   cache_hits : int;
       (** probes of content the campaign has run before: a job that

@@ -886,26 +886,76 @@ let origin_gen =
   in
   map (String.concat "") (list_size (int_bound 12) piece)
 
+(* A corpus line's ["sig"]: any five ints, extremes included. *)
+let stamp_gen =
+  let open QCheck.Gen in
+  list_repeat 5
+    (frequency [ (3, int); (1, oneofl [ 0; 1; -1; max_int; min_int ]) ])
+
+let json_ints l = Obs.Json.List (List.map (fun v -> Obs.Json.Int v) l)
+
+(* [Fleet.corpus_line] with the stamp [[th; hop; verdict; depth; cfg]]. *)
+let print_corpus_line buf ~id ~origin stamp c =
+  match stamp with
+  | [ terminal_hash; hop_mask; verdict_class; depth_bucket; cfg ] ->
+      Msgpass.Fleet.corpus_line buf ~id ~origin ~cfg
+        ~signature:
+          { Msgpass.Fleet.terminal_hash; hop_mask; verdict_class; depth_bucket }
+        c
+  | _ -> invalid_arg "print_corpus_line"
+
+(* [edit line i j ints] of a printed corpus line whose ["sig"] key starts
+   at [i] and whose sig array of [ints] ends at [j]; the line unchanged
+   when it has no sig. *)
+let with_sig edit line =
+  let key = "\"sig\":[" in
+  let k = String.length key in
+  let rec find i =
+    if i + k > String.length line then line
+    else if String.sub line i k = key then
+      let j = String.index_from line i ']' in
+      String.sub line (i + k) (j - i - k)
+      |> String.split_on_char ',' |> List.map int_of_string |> edit line i j
+    else find (i + 1)
+  in
+  find 0
+
+(* A printed corpus line as printed before lines carried ["sig"]. *)
+let strip_sig =
+  with_sig (fun line i j _ ->
+      let rest = String.length line - j - 2 in
+      String.sub line 0 i ^ String.sub line (j + 2) rest)
+
+(* A printed corpus line with its sig ints replaced by [f] of them. *)
+let map_sig f =
+  with_sig (fun line i j ints ->
+      let ints = String.concat "," (List.map string_of_int (f ints)) in
+      String.sub line 0 (i + 6) ^ "[" ^ ints ^ "]"
+      ^ String.sub line (j + 1) (String.length line - j - 1))
+
 let prop_corpus_line_matches_json_tree =
   let gen =
-    QCheck.Gen.triple QCheck.Gen.nat origin_gen
+    QCheck.Gen.quad QCheck.Gen.nat origin_gen stamp_gen
       (fault_plan_gen_over (QCheck.Gen.int_bound 255))
   in
   QCheck.Test.make ~name:"corpus line writer matches the JSON tree" ~count:300
     (QCheck.make
-       ~print:(fun (id, origin, plan) ->
-         Format.asprintf "%d %S %a" id origin Msgpass.Faults.pp_plan plan)
+       ~print:(fun (id, origin, stamp, plan) ->
+         Format.asprintf "%d %S [%s] %a" id origin
+           (String.concat "," (List.map string_of_int stamp))
+           Msgpass.Faults.pp_plan plan)
        gen)
-    (fun (id, origin, plan) ->
+    (fun (id, origin, stamp, plan) ->
       let c = Msgpass.Faults.compile ~n:256 plan in
       let buf = Buffer.create 64 in
-      Msgpass.Fleet.corpus_line buf ~id ~origin c;
+      print_corpus_line buf ~id ~origin stamp c;
       Buffer.contents buf
       = Obs.Json.to_string
           (Obs.Json.Obj
              [
                ("id", Obs.Json.Int id);
                ("origin", Obs.Json.Str origin);
+               ("sig", json_ints stamp);
                ( "plan",
                  Msgpass.Faults.plan_to_json (Msgpass.Faults.decompile c) );
              ]))
@@ -1410,7 +1460,8 @@ let real_corpus_lines =
          List.init 6 (fun seed ->
              let o = Msgpass.Chaos.run_random ~seed config in
              let buf = Buffer.create 1024 in
-             Msgpass.Fleet.corpus_line buf ~id:seed ~origin:"seed:1" o.plan;
+             Msgpass.Fleet.corpus_line buf ~id:seed ~origin:"seed:1"
+               ~signature:(Msgpass.Fleet.signature_of o) ~cfg:seed o.plan;
              Buffer.contents buf))
        [ Msgpass.Chaos.frontier (); Msgpass.Chaos.churn_frontier () ])
 
@@ -1631,6 +1682,10 @@ let test_fleet_jobs_invariant () =
         seq (report jobs))
     [ 2; 4 ]
 
+let corpus_path dir = Filename.concat dir "corpus.jsonl"
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+let write_file f s = Out_channel.with_open_bin f (fun oc -> output_string oc s)
+
 let rec rm_rf path =
   if Sys.file_exists path then
     if Sys.is_directory path then begin
@@ -1715,9 +1770,10 @@ let test_fleet_mutator_alive () =
     (List.exists mutated entries)
 
 (* Run-cache liveness: a campaign resumed over a corpus another campaign
-   filled pre-fills the cache from every corpus plan it re-executes, so
-   its mutants must probe the cache and get at least one answer. A fresh
-   in-memory campaign legitimately records no hit. *)
+   filled pre-fills the cache with every corpus plan's key, whether it
+   reads the plan's stored signature or re-executes it, so its mutants
+   must probe the cache and get at least one answer. A fresh in-memory
+   campaign legitimately records no hit. *)
 let test_fleet_cache_alive () =
   let module F = Msgpass.Fleet in
   let config = Msgpass.Chaos.frontier () in
@@ -1733,6 +1789,193 @@ let test_fleet_cache_alive () =
   Alcotest.(check bool) "the resume probes the cache" true
     (r.F.cache_lookups > 0);
   Alcotest.(check bool) "the resume hits the cache" true (r.F.cache_hits > 0)
+
+let corpus_lines dir =
+  String.split_on_char '\n' (read_file (corpus_path dir))
+  |> List.filter (fun l -> l <> "")
+
+let json_exn line =
+  match Obs.Json.of_string line with Ok j -> j | Error e -> Alcotest.fail e
+
+let stored_sig line =
+  match Obs.Json.member "sig" (json_exn line) with
+  | Some (Obs.Json.List l) -> List.filter_map Obs.Json.to_int l
+  | _ -> Alcotest.failf "no sig: %s" line
+
+(* A run is a pure function of its plan and configuration, which is what
+   lets a resume read a signature instead of re-running its plan: every
+   "sig" a campaign stores is the signature of its line's plan re-executed
+   under the campaign's validated configuration — fresh runs (run under
+   the swarm-rolled profile and crash budget), mutants, crossovers and
+   shrunk witnesses alike — followed by one configuration hash per
+   campaign, different for each preset. *)
+let test_fleet_signatures_replay () =
+  let module C = Msgpass.Chaos in
+  let module F = Msgpass.Fleet in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-fleet-sig"
+  in
+  let kinds = Hashtbl.create 4 in
+  let check_preset (name, config, generations) =
+    rm_rf dir;
+    ignore (F.campaign ~generations ~seed:3 ~corpus_dir:dir config : F.report);
+    let lines = corpus_lines dir in
+    rm_rf dir;
+    let config =
+      match C.validate config with Ok (c, _) -> c | Error e -> Alcotest.fail e
+    in
+    let cfgs =
+      List.mapi
+        (fun k line ->
+          let j = json_exn line in
+          let plan =
+            match Obs.Json.member "plan" j with
+            | Some pj -> Result.get_ok (Msgpass.Faults.plan_of_json pj)
+            | None -> Alcotest.failf "%s line %d: no plan" name (k + 1)
+          in
+          let origin = Option.get (Obs.Json.member_str "origin" j) in
+          Hashtbl.replace kinds (List.hd (String.split_on_char ':' origin)) ();
+          let c = Msgpass.Faults.compile ~n:config.C.n plan in
+          let s = F.signature_of (C.run_compiled config c) in
+          match stored_sig line with
+          | [ th; hop; verdict; depth; cfg ] ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s line %d (%s) replays its sig" name (k + 1)
+                   origin)
+                [ s.F.terminal_hash; s.F.hop_mask; s.F.verdict_class;
+                  s.F.depth_bucket ]
+                [ th; hop; verdict; depth ];
+              cfg
+          | _ -> Alcotest.failf "%s line %d: sig is not five ints" name (k + 1))
+        lines
+    in
+    match List.sort_uniq compare cfgs with
+    | [ cfg ] -> cfg
+    | _ -> Alcotest.failf "%s: not one configuration hash" name
+  in
+  let cfgs =
+    List.map check_preset
+      [
+        ("frontier", C.frontier (), 40);
+        ("sound", C.sound (), 20);
+        ("churn", C.churn (), 10);
+        ("churn-frontier", C.churn_frontier (), 10);
+      ]
+  in
+  Alcotest.(check int) "one configuration hash per preset" 4
+    (List.length (List.sort_uniq compare cfgs));
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " entries checked") true
+        (Hashtbl.mem kinds kind))
+    [ "seed"; "mut"; "xover"; "witness" ]
+
+(* The seed-9 corpus resumed three ways gives one report: with a sig on
+   every line, with none (a corpus written before lines carried one), and
+   with half the lines stamped under another configuration. Only the
+   work differs: a line whose sig the resume cannot use is re-executed,
+   which the network's send counter shows, and a resume that may read
+   every sig re-executes nothing. *)
+let test_fleet_resume_reads_signatures () =
+  let module F = Msgpass.Fleet in
+  let config = Msgpass.Chaos.frontier () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-fleet-resume"
+  in
+  rm_rf dir;
+  ignore (F.campaign ~generations:60 ~seed:9 ~corpus_dir:dir config : F.report);
+  let lines = corpus_lines dir in
+  let witnesses =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (String.starts_with ~prefix:"witness-")
+    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+  in
+  let sends = Obs.Metrics.counter "net.sends" in
+  let resume ~generations lines =
+    rm_rf dir;
+    Sys.mkdir dir 0o755;
+    write_file (corpus_path dir) (String.concat "\n" lines ^ "\n");
+    List.iter (fun (f, t) -> write_file (Filename.concat dir f) t) witnesses;
+    let hot = !Obs.Metrics.hot in
+    Obs.Metrics.hot := true;
+    let before = Obs.Metrics.counter_value sends in
+    let r =
+      Fun.protect ~finally:(fun () -> Obs.Metrics.hot := hot) @@ fun () ->
+      F.campaign ~generations ~seed:11 ~corpus_dir:dir config
+    in
+    let sent = Obs.Metrics.counter_value sends - before in
+    (Format.asprintf "%a" F.pp_report r, sent)
+  in
+  let stamped, sent = resume ~generations:20 lines in
+  let bare, sent_bare = resume ~generations:20 (List.map strip_sig lines) in
+  let half, sent_half =
+    resume ~generations:20
+      (List.mapi
+         (fun k l ->
+           if k mod 2 = 1 then l
+           else
+             map_sig
+               (function
+                 | [ th; hop; v; depth; cfg ] -> [ th; hop; v; depth; cfg + 1 ]
+                 | ints -> ints)
+               l)
+         lines)
+  in
+  let _, sent_none = resume ~generations:0 lines in
+  rm_rf dir;
+  Alcotest.(check string) "a corpus without sig resumes alike" stamped bare;
+  Alcotest.(check string) "foreign stamps resume alike" stamped half;
+  Alcotest.(check bool) "foreign stamps are re-executed" true
+    (sent < sent_half && sent_half < sent_bare);
+  Alcotest.(check int) "a stamped corpus is not re-executed" 0 sent_none
+
+(* A lying sig steers coverage only. Every violating line of the seed-9
+   corpus is stamped as a passing run of depth bucket 62: the resume folds
+   the lie (its depth bucket reads 62), but its violations, witness
+   classes and witnesses are those of the honest resume. One generation,
+   so both resumes run the same jobs; no witness file is kept, so each
+   resume publishes its classes. *)
+let test_fleet_lying_signature () =
+  let module F = Msgpass.Fleet in
+  let config = Msgpass.Chaos.frontier () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "boundedreg-fleet-lie"
+  in
+  rm_rf dir;
+  ignore (F.campaign ~generations:60 ~seed:9 ~corpus_dir:dir config : F.report);
+  let lines = corpus_lines dir in
+  let forge =
+    map_sig (function
+      | [ th; hop; 1; _; cfg ] -> [ th + 1; hop; 0; 62; cfg ]
+      | ints -> ints)
+  in
+  let resume lines =
+    rm_rf dir;
+    Sys.mkdir dir 0o755;
+    write_file (corpus_path dir) (String.concat "\n" lines ^ "\n");
+    F.campaign ~generations:1 ~batch:256 ~seed:12 ~corpus_dir:dir config
+  in
+  let honest = resume lines in
+  let forged = resume (List.map forge lines) in
+  rm_rf dir;
+  Alcotest.(check bool) "some line was forged" true
+    (List.map forge lines <> lines);
+  Alcotest.(check bool) "the resume finds violations" true
+    (honest.F.violations > 0);
+  Alcotest.(check int) "the lie is folded" 62 forged.F.max_depth_bucket;
+  Alcotest.(check bool) "the honest resume is shallower" true
+    (honest.F.max_depth_bucket < 62);
+  Alcotest.(check int) "violations" honest.F.violations forged.F.violations;
+  let shown (r : F.report) =
+    List.map
+      (fun (w : F.witness) ->
+        Format.asprintf "%016x %s g%d: %a %d/%d/%d %s %d %d" w.F.class_key
+          w.F.origin w.F.found_gen Msgpass.Faults.pp_plan w.F.plan
+          w.F.deliveries w.F.events w.F.reg w.F.reason w.F.shrink_tests
+          w.F.duplicates)
+      r.F.witnesses
+  in
+  Alcotest.(check (list string)) "witnesses" (shown honest) (shown forged)
 
 (* The run cache's counts, pinned with the rest of the report text: a
    seed-9 frontier campaign and a resume over its corpus (the fleet
@@ -2061,9 +2304,6 @@ let test_fleet_corpus_errors_name_the_line () =
       if not (String.starts_with ~prefix:(orphan ^ ": ") e) then
         Alcotest.failf "corpus error does not name %s: %s" orphan e)
 
-let corpus_path dir = Filename.concat dir "corpus.jsonl"
-let read_file f = In_channel.with_open_bin f In_channel.input_all
-let write_file f s = Out_channel.with_open_bin f (fun oc -> output_string oc s)
 let torn_lines () =
   Obs.Metrics.counter_value (Obs.Metrics.counter "fleet.corpus_torn_lines")
 
@@ -2144,18 +2384,28 @@ let test_fleet_torn_tail () =
   rm_rf dir
 
 (* The corpus reader before its line scanner, kept as the oracle: every
-   nonblank line through Obs.Json, the entry fields and plan_of_json,
+   nonblank line through Obs.Json, the entry fields (a ["sig"], when
+   present, must be five ints) and plan_of_json,
    then, for a campaign, the operand check against [n]. The final line,
    when unterminated and not JSON, is torn and dropped. *)
 let reference_corpus ?n file text =
   let lines = String.split_on_char '\n' text in
   let last = List.length lines in
   let entry j =
+    let stamped =
+      match Obs.Json.member "sig" j with
+      | None -> true
+      | Some (Obs.Json.List l) ->
+          List.length l = 5
+          && List.for_all (function Obs.Json.Int _ -> true | _ -> false) l
+      | Some _ -> false
+    in
     match
       ( Obs.Json.member_int "id" j,
         Obs.Json.member_str "origin" j,
         Obs.Json.member "plan" j )
     with
+    | _ when not stamped -> Error "corpus entry sig needs five ints"
     | Some id, Some origin, Some pj ->
         Result.map
           (fun plan -> { Msgpass.Fleet.id; origin; plan })
@@ -2180,10 +2430,12 @@ let reference_corpus ?n file text =
   in
   go 1 [] lines
 
-(* Corpus files as the printer writes them, then edited at the byte
-   level: a deleted, inserted or replaced byte, a space, a CR, a cut, keys
-   in another order, leading zeros, operands 255/256/300, ids near and
-   past [max_int]; the last line with or without its newline. *)
+(* Corpus files as the printer writes them, with or without ["sig"],
+   then edited at the byte level: a deleted, inserted or replaced byte, a
+   space, a CR, a cut, keys in another order, leading zeros, operands
+   255/256/300, ids near and past [max_int], a ["sig"] that is not five
+   ints or whose ints are signed, padded or past [max_int]; the last line
+   with or without its newline. *)
 let corpus_text_gen =
   let open QCheck.Gen in
   let id =
@@ -2248,28 +2500,54 @@ let corpus_text_gen =
             ^ pick [| "4611686018427387904"; "4611686018427387903"; "-7" |]
             ^ String.sub line i (len - i)
         | None -> line)
+    | 11 -> (
+        (* the sig array replaced, or one put where there was none *)
+        let bad =
+          pick
+            [| "[1,2,3,4]"; "[1,2,3,4,5,6]"; "[1,2,\"3\",4,5]"; "null"; "{}";
+               "[]"; "[1.5,2,3,4,5]"; "[1,2,3,4,4611686018427387904]";
+               "[-0,007,+3,4,-4611686018427387904]"; "[1,2,3,4,5]" |]
+        in
+        match (find "\"sig\":[" 0, find "\"plan\":" 0) with
+        | Some i, _ ->
+            let j = String.index_from line i ']' in
+            splice (i + 6) (j + 1 - i - 6) bad
+        | None, Some i -> splice i 0 ("\"sig\":" ^ bad ^ ",")
+        | None, None -> line)
+    | 12 ->
+        after "\"sig\":["
+          (pick [| "-"; "0"; "-0"; "--"; "99999999999999999999" |])
     | _ -> line
   in
   let line =
     map2
-      (fun (id, origin, plan, reorder) e ->
+      (fun (id, origin, plan, (reorder, stamp)) e ->
+        let sig_ =
+          match stamp with
+          | Some v -> [ ("sig", json_ints v) ]
+          | None -> []
+        in
         if reorder then
           Obs.Json.to_string
             (Obs.Json.Obj
-               [
-                 ("plan", Msgpass.Faults.plan_to_json plan);
-                 ("origin", Obs.Json.Str origin);
-                 ("id", Obs.Json.Int id);
-               ])
+               ([
+                  ("plan", Msgpass.Faults.plan_to_json plan);
+                  ("origin", Obs.Json.Str origin);
+                ]
+               @ sig_
+               @ [ ("id", Obs.Json.Int id) ]))
         else
           let buf = Buffer.create 64 in
-          Msgpass.Fleet.corpus_line buf ~id ~origin
+          print_corpus_line buf ~id ~origin
+            (Option.value stamp ~default:[ 0; 0; 0; 0; 0 ])
             (Msgpass.Faults.compile ~n:256 plan);
-          edit e (Buffer.contents buf))
-      (quad id origin_gen plan (map (fun k -> k = 0) (int_bound 7)))
+          let text = Buffer.contents buf in
+          edit e (if stamp = None then strip_sig text else text))
+      (quad id origin_gen plan
+         (pair (map (fun k -> k = 0) (int_bound 7)) (opt stamp_gen)))
       (frequency
          [ (3, pure (-1, 0, ' '));
-           (4, triple (int_bound 10) nat char) ])
+           (4, triple (int_bound 12) nat char) ])
   in
   map2
     (fun lines terminated ->
@@ -2686,6 +2964,12 @@ let () =
             test_fleet_cache_alive;
           Alcotest.test_case "fleet reports pin the cache counts" `Quick
             test_fleet_reports_pinned;
+          Alcotest.test_case "fleet sigs replay under their config" `Quick
+            test_fleet_signatures_replay;
+          Alcotest.test_case "fleet resume reads sigs, else re-runs" `Quick
+            test_fleet_resume_reads_signatures;
+          Alcotest.test_case "fleet lying sig steers coverage only" `Quick
+            test_fleet_lying_signature;
           Alcotest.test_case "parallel campaigns match sequential" `Quick
             test_chaos_jobs_invariant;
           Alcotest.test_case "fleet dumps are scoped to their campaign"
