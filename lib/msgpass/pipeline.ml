@@ -8,12 +8,12 @@ let register_bits ~t ~chunk =
 let measure ~t ~chunk { data; acks } =
   if Array.length data <> t + 1 || Array.length acks <> t + 1 then
     invalid_arg "Pipeline.measure: field counts";
-  Array.fold_left
-    (fun acc f -> acc + Alt_bit.measure_field ~chunk f)
-    0 data
-  + Array.fold_left
-      (fun acc b -> acc + Bits.Width.uint ~max:1 b)
-      0 acks
+  let bits = ref 0 in
+  for i = 0 to t do
+    bits := !bits + Alt_bit.measure_field ~chunk data.(i);
+    bits := !bits + Bits.Width.uint ~max:1 acks.(i)
+  done;
+  !bits
 
 let initial ~n ~t ~chunk =
   ignore n;
@@ -22,17 +22,10 @@ let initial ~n ~t ~chunk =
     acks = Array.make (t + 1) 0;
   }
 
-let position_of x lst =
-  let rec go i = function
-    | [] -> invalid_arg "Pipeline: not a neighbour"
-    | y :: rest -> if y = x then i else go (i + 1) rest
-  in
-  go 0 lst
-
 let compile ~n ~t ?(chunk = 1) ~value ~input ~init ~program ~me () =
   let topology = Topology.augmented_ring ~n ~t in
-  let succs = Topology.successors topology me in
-  let preds = Topology.predecessors topology me in
+  let succs = Array.of_list (Topology.successors topology me) in
+  let preds = Array.of_list (Topology.predecessors topology me) in
   let env_codec =
     Wire.envelope_codec (Wire.abd_msg_codec (Wire.cell_codec value input))
   in
@@ -41,25 +34,13 @@ let compile ~n ~t ?(chunk = 1) ~value ~input ~init ~program ~me () =
   let interp, first = Interp.create ~n ~t ~me ~init ~program in
   (* Each link carries [me]'s slot in the neighbour's register, so a read
      indexes the register directly. *)
-  let slot_in neighbours = position_of me neighbours in
-  let senders =
-    List.map
-      (fun s ->
-        (s, Alt_bit.sender ~chunk, slot_in (Topology.predecessors topology s)))
-      succs
-  in
-  let receivers =
-    List.map
-      (fun p ->
-        (p, Alt_bit.receiver (), slot_in (Topology.successors topology p)))
-      preds
-  in
-  let data =
-    Array.of_list (List.map (fun _ -> Alt_bit.initial_field ~chunk) succs)
-  in
+  let slot_in neighbours = Option.get (List.find_index (( = ) me) neighbours) in
+  (* Indexed by pid; only the successors' senders are ever polled. *)
+  let senders = Array.init n (fun _ -> Alt_bit.sender ~chunk) in
+  let receivers = Array.map (fun _ -> Alt_bit.receiver ()) preds in
+  let data = Array.map (fun _ -> Alt_bit.initial_field ~chunk) succs in
   let enqueue (succ, envelope) =
-    let _, snd_, _ = List.find (fun (s, _, _) -> s = succ) senders in
-    Alt_bit.send_string snd_ (env_codec.Wire.to_string envelope)
+    Alt_bit.send_string senders.(succ) (env_codec.Wire.to_string envelope)
   in
   let rec dispatch sends =
     List.iter
@@ -71,8 +52,10 @@ let compile ~n ~t ?(chunk = 1) ~value ~input ~init ~program ~me () =
           locals)
       sends
   in
-  let handle_incoming envelope =
-    let deliveries, forwards = Router.receive router envelope in
+  let incoming str =
+    let deliveries, forwards =
+      Router.receive router (env_codec.Wire.of_string str)
+    in
     List.iter enqueue forwards;
     List.iter
       (fun (e : _ Router.envelope) ->
@@ -80,37 +63,54 @@ let compile ~n ~t ?(chunk = 1) ~value ~input ~init ~program ~me () =
       deliveries
   in
   dispatch first;
-  (* The poll loop, in continuation style: read the predecessors, then the
-     successors, publish, [Output] the decision once, repeat. A step
-     allocates one node and one closure — no [bind] layer rewraps it. *)
-  let announced = ref false in
-  let rec read_preds = function
-    | [] -> read_succs 0 senders
-    | (p, recv, slot) :: rest ->
-        P.Read (p, fun reg ->
-          List.iter
-            (fun str -> handle_incoming (env_codec.Wire.of_string str))
-            (Alt_bit.receiver_poll recv ~data_seen:reg.data.(slot));
-          read_preds rest)
-  and read_succs index = function
-    | [] ->
-        let ack (_, r, _) = Alt_bit.receiver_ack r in
-        let acks = Array.of_list (List.map ack receivers) in
-        P.Write ({ data = Array.copy data; acks }, announce)
-    | (s, snd_, slot) :: rest ->
-        P.Read (s, fun reg ->
-          (match Alt_bit.sender_poll snd_ ~ack_seen:reg.acks.(slot) with
-          | Some field -> data.(index) <- field
-          | None -> ());
-          read_succs (index + 1) rest)
+  (* The poll loop is a fixed cycle of nodes built once: read the
+     predecessors, then the successors, publish, [Output] the decision
+     once, repeat. A publish after a cycle that changed no data field and
+     no ack re-issues its previous [Write] node. *)
+  let dirty = ref false in
+  let poll_pred i p next =
+    let recv = receivers.(i) in
+    let slot = slot_in (Topology.successors topology p) in
+    P.Read (p, fun reg ->
+      let ack = Alt_bit.receiver_ack recv in
+      let field = reg.data.(slot) in
+      List.iter incoming (Alt_bit.receiver_poll recv ~data_seen:field);
+      if Alt_bit.receiver_ack recv <> ack then dirty := true;
+      next ())
+  in
+  let poll_succ i s next =
+    let snd_ = senders.(s) in
+    let slot = slot_in (Topology.predecessors topology s) in
+    P.Read (s, fun reg ->
+      (match Alt_bit.sender_poll snd_ ~ack_seen:reg.acks.(slot) with
+      | Some field -> data.(i) <- field; dirty := true
+      | None -> ());
+      next ())
+  in
+  let published = ref None and announced = ref false in
+  let rec publish () =
+    match !published with
+    | Some w when not !dirty -> w
+    | Some _ | None ->
+        dirty := false;
+        let acks = Array.map Alt_bit.receiver_ack receivers in
+        let w = P.Write ({ data = Array.copy data; acks }, announce) in
+        published := Some w;
+        w
   and announce () =
     match Interp.decision interp with
     | Some d when not !announced ->
         announced := true;
-        P.Output (d, fun () -> read_preds receivers)
-    | Some _ | None -> read_preds receivers
+        P.Output (d, fun () -> Lazy.force cycle)
+    | Some _ | None -> Lazy.force cycle
+  and cycle =
+    lazy
+      (Array.fold_right
+         (fun poll next -> let node = poll next in fun () -> node)
+         Array.(append (mapi poll_pred preds) (mapi poll_succ succs))
+         publish ())
   in
-  P.Stateful (read_preds receivers)
+  P.Stateful (Lazy.force cycle)
 
 let algorithm ~n ~t ?(chunk = 1) ~value ~input ~init ~source ~name () =
   {

@@ -102,7 +102,7 @@ module Compiled = struct
 
   type ('v, 'i, 'a) code = {
     mutable ops : int array;  (** opcode per pc *)
-    mutable regs : int array;  (** register operand (reads); 0 otherwise *)
+    mutable regs : int array;  (** register operand, read by reads only *)
     mutable nexts : int array;  (** resolved continuation pc, or -1 *)
     mutable pays : ('v, 'i, 'a) payload array;
     mutable konts : ('v, 'i, 'a) kont array;
@@ -129,17 +129,14 @@ module Compiled = struct
     c.pays <- extend c.pays P_read;
     c.konts <- extend c.konts K_resolved
 
-  let set c pc ~op ~reg ~pay ~kont =
+  let add c ~op ~reg ~pay ~kont =
+    if c.len = Array.length c.ops then grow c;
+    let pc = c.len in
     c.ops.(pc) <- op;
     c.regs.(pc) <- reg;
     c.nexts.(pc) <- -1;
     c.pays.(pc) <- pay;
-    c.konts.(pc) <- kont
-
-  let add c ~op ~reg ~pay ~kont =
-    if c.len = Array.length c.ops then grow c;
-    let pc = c.len in
-    set c pc ~op ~reg ~pay ~kont;
+    c.konts.(pc) <- kont;
     c.len <- pc + 1;
     pc
 
@@ -149,7 +146,8 @@ module Compiled = struct
      turns in two scratch slots — each overwrites the one the process is
      not standing on ([from]) — while [Return]/[Output] heads are still
      appended, because a scheduler keeps their pcs as the announced
-     decisions. *)
+     decisions. A scratch slot is written only where its op reads back:
+     a read its register, a write its payload and an unresolved [next]. *)
   let place c ~from ~op ~reg ~pay ~kont =
     if c.stateful then begin
       if c.scratch < 0 then begin
@@ -159,7 +157,13 @@ module Compiled = struct
         done
       end;
       let pc = if from = c.scratch then c.scratch + 1 else c.scratch in
-      set c pc ~op ~reg ~pay ~kont;
+      c.ops.(pc) <- op;
+      if op = op_read || op = op_read_input then c.regs.(pc) <- reg
+      else begin
+        c.nexts.(pc) <- -1;
+        c.pays.(pc) <- pay
+      end;
+      c.konts.(pc) <- kont;
       pc
     end
     else add c ~op ~reg ~pay ~kont

@@ -6,11 +6,11 @@ module C = Program.Compiled
    process's suspended program is an int program counter into its
    compiled code, so a step of memoized code is opcode dispatch plus a
    couple of array stores — no allocation per atomic op. Stateful code
-   runs its continuation on every step: one node and closure each. [start]
-   compiles the free-monad programs it is given; [start_compiled] reuses
-   code compiled earlier (single-domain reuse only — compiled code
-   memoizes in place). Stateful code is claimed by the one run it may
-   take part in, and [branch] and [raw_dfs] refuse it.
+   runs its continuation on every step. [start] compiles the free-monad
+   programs it is given; [start_compiled] reuses code compiled earlier
+   (single-domain reuse only — compiled code memoizes in place).
+   Stateful code is claimed by the one run it may take part in, and
+   [branch] and [raw_dfs] refuse it.
 
    Undo is frame-local: [branch] and [raw_dfs] keep what a step
    overwrote (old pc, old register value, old width statistic, whether
@@ -518,29 +518,40 @@ let run_round_robin ?(max_steps = 1_000_000) t =
     if !budget <= 0 then continue_ := false
   done
 
-(* Allocation-free: a round fires the due crash triggers while counting
-   survivors (walking [status], exact for any [n]), then steps the k-th
-   running pid for k = [Rng.int rng count] — [Rng.pick]'s draw on the
-   ascending [running] list, so every seed keeps its schedule. *)
+(* Allocation-free and incremental: one walk over [status] (exact for
+   any [n]) fires the due crash triggers and lists the survivors in
+   [order]. After a step only the stepped pid is re-checked, and
+   [all_output] only after a decision or a crash. Each round steps
+   [order.(Rng.int rng count)] — [Rng.pick]'s draw on the ascending
+   [running] list, so every seed keeps its schedule. *)
 let run_random ?(max_steps = 1_000_000) ?(crashes = []) ?(until_outputs = false)
     rng t =
   let n = n t in
   let crash_after = Array.make n max_int in
   List.iter (fun (pid, after) -> crash_after.(pid) <- after) crashes;
-  let rec nth_running k pid =
-    if t.status.(pid) <> s_running then nth_running k (pid + 1)
-    else if k > 0 then nth_running (k - 1) (pid + 1)
-    else pid
+  let order = Array.make n 0 in
+  let count = ref 0 in
+  for pid = 0 to n - 1 do
+    if t.status.(pid) = s_running then
+      if t.step_counts.(pid) >= crash_after.(pid) then crash t pid
+      else (order.(!count) <- pid; incr count)
+  done;
+  let done_ () = until_outputs && all_output t in
+  let rec loop budget finished =
+    if !count > 0 && budget > 0 && not finished then begin
+      let k = Bits.Rng.int rng !count in
+      let pid = order.(k) in
+      let announced = t.out_pcs.(pid) >= 0 in
+      step t pid;
+      if t.status.(pid) = s_running && t.step_counts.(pid) >= crash_after.(pid)
+      then crash t pid;
+      let halted = t.status.(pid) <> s_running in
+      if halted then (
+        decr count;
+        Array.blit order (k + 1) order k (!count - k));
+      loop (budget - 1)
+        (if halted || ((not announced) && t.out_pcs.(pid) >= 0) then done_ ()
+         else finished)
+    end
   in
-  let rec loop budget =
-    let count = ref 0 in
-    for pid = 0 to n - 1 do
-      if t.status.(pid) = s_running then
-        if t.step_counts.(pid) >= crash_after.(pid) then crash t pid
-        else incr count
-    done;
-    if !count > 0 && budget > 0 && not (until_outputs && all_output t) then (
-      step t (nth_running (Bits.Rng.int rng !count) 0);
-      loop (budget - 1))
-  in
-  loop max_steps
+  loop max_steps (done_ ())

@@ -241,6 +241,12 @@ let prop_explore_differential =
           | `W v :: rest -> Sched.Program.Write (v, fun () -> go rest acc)
           | `R j :: rest ->
               Sched.Program.Read (j, fun v -> go rest (v :: acc))
+          | `WI :: rest ->
+              Sched.Program.Write_input
+                (List.length acc, fun () -> go rest acc)
+          | `RI j :: rest ->
+              Sched.Program.Read_input
+                (j, fun i -> go rest (Option.value i ~default:(-1) :: acc))
         in
         go ops []
       in
@@ -300,6 +306,12 @@ let prop_par_raw_equals_seq =
           | `W v :: rest -> Sched.Program.Write (v, fun () -> go rest acc)
           | `R j :: rest ->
               Sched.Program.Read (j, fun v -> go rest (v :: acc))
+          | `WI :: rest ->
+              Sched.Program.Write_input
+                (List.length acc, fun () -> go rest acc)
+          | `RI j :: rest ->
+              Sched.Program.Read_input
+                (j, fun i -> go rest (Option.value i ~default:(-1) :: acc))
         in
         go ops []
       in
@@ -455,6 +467,12 @@ let prop_compiled_equals_free_monad =
           | `W v :: rest -> Sched.Program.Write (v, fun () -> go rest acc)
           | `R j :: rest ->
               Sched.Program.Read (j, fun v -> go rest (v :: acc))
+          | `WI :: rest ->
+              Sched.Program.Write_input
+                (List.length acc, fun () -> go rest acc)
+          | `RI j :: rest ->
+              Sched.Program.Read_input
+                (j, fun i -> go rest (Option.value i ~default:(-1) :: acc))
         in
         go ops []
       in
@@ -511,6 +529,12 @@ let prop_par_digest_width_invariant =
           | `W v :: rest -> Sched.Program.Write (v, fun () -> go rest acc)
           | `R j :: rest ->
               Sched.Program.Read (j, fun v -> go rest (v :: acc))
+          | `WI :: rest ->
+              Sched.Program.Write_input
+                (List.length acc, fun () -> go rest acc)
+          | `RI j :: rest ->
+              Sched.Program.Read_input
+                (j, fun i -> go rest (Option.value i ~default:(-1) :: acc))
         in
         go ops []
       in
@@ -561,11 +585,14 @@ let prop_trace_replay =
       Array.for_all2 (Option.equal Q.equal) d d')
 
 (* Stateful lowering is a memory-layout change only: on pure random
-   scripts — the [`W]/[`R] ops above plus [`O], which announces the reads
-   so far and keeps going — [Stateful p] must run exactly like [p] under
-   the same seeded random schedule and crash list (same trace, decisions,
-   statuses and step counts), in at most two scratch slots plus one per
-   decision head. *)
+   scripts — the [`W]/[`R] ops above, input reads [`RI], at most one
+   input write [`WI] (input registers are write-once), and [`O], which
+   announces the reads so far and keeps going — [Stateful p] must run
+   exactly like [p] under the same seeded random schedule and crash list
+   (same trace, decisions, statuses and step counts), in at most two
+   scratch slots plus one per decision head. Every op kind is generated:
+   a scratch slot keeps only the arrays its op reads back, so each kind
+   following each other kind into a slot is what this checks. *)
 let stateful_gen =
   QCheck.Gen.(
     int_range 1 4 >>= fun n ->
@@ -574,10 +601,21 @@ let stateful_gen =
         [
           (3, map (fun v -> `W v) (int_range 0 3));
           (3, map (fun j -> `R j) (int_range 0 (n - 1)));
+          (1, map (fun j -> `RI j) (int_range 0 (n - 1)));
           (1, return `O);
         ]
     in
-    list_repeat n (list_size (int_range 0 12) op) >>= fun progs ->
+    let prog =
+      list_size (int_range 0 12) op >>= fun ops ->
+      bool >>= fun input ->
+      int_range 0 (List.length ops) >>= fun at ->
+      return
+        (if input then
+           List.filteri (fun i _ -> i < at) ops
+           @ (`WI :: List.filteri (fun i _ -> i >= at) ops)
+         else ops)
+    in
+    list_repeat n prog >>= fun progs ->
     list_size (int_range 0 2) (pair (int_range 0 (n - 1)) (int_range 0 6))
     >>= fun crashes ->
     int >>= fun seed -> return (n, crashes, seed, Array.of_list progs))
@@ -595,6 +633,8 @@ let stateful_print (n, crashes, seed, progs) =
                    (function
                      | `W v -> Printf.sprintf "W%d" v
                      | `R j -> Printf.sprintf "R%d" j
+                     | `WI -> "WI"
+                     | `RI j -> Printf.sprintf "RI%d" j
                      | `O -> "O")
                    ops))))
 
@@ -609,6 +649,12 @@ let prop_stateful_equals_pure =
           | `W v :: rest -> Sched.Program.Write (v, fun () -> go rest acc)
           | `R j :: rest ->
               Sched.Program.Read (j, fun v -> go rest (v :: acc))
+          | `WI :: rest ->
+              Sched.Program.Write_input
+                (List.length acc, fun () -> go rest acc)
+          | `RI j :: rest ->
+              Sched.Program.Read_input
+                (j, fun i -> go rest (Option.value i ~default:(-1) :: acc))
           | `O :: rest ->
               Sched.Program.Output (List.rev acc, fun () -> go rest acc)
         in

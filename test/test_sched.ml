@@ -545,9 +545,21 @@ let gen_driver_case =
     frequency
       [ (3, map (fun v -> W v) (int_range 0 7));
         (3, map (fun j -> R j) (int_range 0 (n - 1)));
+        (1, map (fun j -> RI j) (int_range 0 (n - 1)));
         (2, return O) ]
   in
-  let* programs = array_repeat n (list_size (int_range 0 10) op) in
+  (* Input registers are write-once: at most one input write per
+     program, anywhere in it. *)
+  let program =
+    let* ops = list_size (int_range 0 10) op in
+    let* input = bool in
+    let+ at = int_range 0 (List.length ops) in
+    if input then
+      List.filteri (fun i _ -> i < at) ops
+      @ (WI :: List.filteri (fun i _ -> i >= at) ops)
+    else ops
+  in
+  let* programs = array_repeat n program in
   (* Crash points inside the programs' lengths, so triggers meet decides. *)
   let* crash_points =
     list_size (int_range 0 3) (pair (int_range 0 (n - 1)) (int_range 0 8))
