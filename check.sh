@@ -91,7 +91,7 @@ expect_shrink 'shrunk 23 (19 deliveries, 1746 replays)' \
 # (n=3, t=1) must reproduce seed 31's decisions and per-process step
 # counts exactly. ~927k steps per process: it runs in about a third of
 # a second on a 2-core x86-64 host, because pipeline programs compile to
-# constant-size stateful code and a step allocates ~9 minor words.
+# constant-size stateful code and a step allocates ~5 minor words.
 echo "== pipeline smoke"
 pipeline_got=$(dune exec bin/boundedreg.exe -- pipeline --seed 31 | grep '^process')
 pipeline_want='process 0: decides 1/2 after 927080 steps

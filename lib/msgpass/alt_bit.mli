@@ -12,10 +12,17 @@
     [chunk] generalizes the paper's one-bit payload to up to [chunk] bits
     per handshake — an ablation of register width against step count. With
     [chunk = 1] the data field is the paper's 2 bits (payload + tag) and a
-    whole process register costs [3 (t+1)] bits. *)
+    whole process register costs [3 (t+1)] bits.
 
-type field = { payload : bool list; tag : int }
-(** What the sender publishes: between 1 and [chunk] framed bits. *)
+    The channel carries strings as one stream of framed bits, with the
+    paper's stuffing: a message of [k] bytes is [16 k + 1] bits, a 0
+    continuation flag before each of its [8 k] payload bits (most
+    significant bit of each byte first) and a 1 terminator, so an empty
+    message is the single bit 1. Chunks may span message boundaries. *)
+
+type field = { bits : int; len : int; tag : int }
+(** What the sender publishes: [len] framed bits, between 1 and [chunk],
+    the first in bit 0 of [bits]. *)
 
 val initial_field : chunk:int -> field
 (** Tag-1 idle value; never accepted. *)
@@ -30,8 +37,10 @@ val measure_field : chunk:int -> field Bits.Width.measure
 type sender
 
 val sender : chunk:int -> sender
+(** @raise Invalid_argument unless [1 <= chunk < Sys.int_size]. *)
+
 val send_string : sender -> string -> unit
-(** Queue a message ({!Codec.frame}d). *)
+(** Queue a message for framing. *)
 
 val sender_poll : sender -> ack_seen:int -> field option
 (** New data field to publish, if the acknowledgement allows it. *)
@@ -43,6 +52,8 @@ type receiver
 val receiver : unit -> receiver
 
 val receiver_poll : receiver -> data_seen:field -> string list
-(** Accept at most one chunk; a chunk can complete several framed messages. *)
+(** Accept at most one chunk; a chunk can complete several framed messages.
+    @raise Invalid_argument if a terminator ends a payload that is not
+    whole bytes. *)
 
 val receiver_ack : receiver -> int

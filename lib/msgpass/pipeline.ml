@@ -15,8 +15,7 @@ let measure ~t ~chunk { data; acks } =
   done;
   !bits
 
-let initial ~n ~t ~chunk =
-  ignore n;
+let initial ~t ~chunk =
   {
     data = Array.init (t + 1) (fun _ -> Alt_bit.initial_field ~chunk);
     acks = Array.make (t + 1) 0;
@@ -120,7 +119,7 @@ let algorithm ~n ~t ?(chunk = 1) ~value ~input ~init ~source ~name () =
         Sched.Memory.create ~n
           ~budget:(Bits.Width.Bounded (register_bits ~t ~chunk))
           ~measure:(measure ~t ~chunk)
-          ~init:(initial ~n ~t ~chunk));
+          ~init:(initial ~t ~chunk));
     program =
       (fun ~pid ~input:task_input ->
         compile ~n ~t ~chunk ~value ~input ~init

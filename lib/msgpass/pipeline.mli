@@ -33,9 +33,6 @@ type register = {
 val register_bits : t:int -> chunk:int -> int
 (** [3 (t+1)] when [chunk = 1]. *)
 
-val measure : t:int -> chunk:int -> register Bits.Width.measure
-val initial : n:int -> t:int -> chunk:int -> register
-
 val compile :
   n:int ->
   t:int ->

@@ -148,7 +148,3 @@ let envelope_codec m =
             }
         | _ -> invalid_arg "Wire.envelope_codec");
   }
-
-(* The fixed-width companion of the string codecs above: ABD messages
-   bit-packed into immediate ints for the allocation-free fast path. *)
-module Pack = Pack

@@ -21,7 +21,3 @@ val cell_codec :
 val abd_msg_codec : 'v codec -> 'v Abd.msg codec
 
 val envelope_codec : 'm codec -> 'm Router.envelope codec
-
-module Pack : module type of Pack
-(** Fixed-width companion of the string codecs: ABD messages bit-packed
-    into immediate ints for the allocation-free fast path (see {!Pack}). *)

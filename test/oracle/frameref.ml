@@ -1,3 +1,11 @@
+(* The alternating-bit layer's bit codec as it was before [Msgpass.Alt_bit]
+   took the framing over and began walking a message's frame with a
+   cursor, kept as a differential oracle: strings become [bool list]s (8
+   bits per byte, most significant first), [frame] puts a 0 continuation
+   flag before every payload bit and a 1 terminator at the end, and the
+   deframer conses bits onto a list until the terminator. test_msgpass
+   holds the channel's published bits and delivered messages to it. *)
+
 let bits_of_string s =
   String.fold_right
     (fun c acc ->

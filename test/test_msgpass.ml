@@ -3,7 +3,7 @@
 
 module Q = Bits.Rational
 module T = Msgpass.Topology
-module Codec = Msgpass.Codec
+module Frameref = Oracle.Frameref
 module Wire = Msgpass.Wire
 module AB = Msgpass.Alt_bit
 module H = Tasks.Harness
@@ -52,32 +52,32 @@ let test_codec_roundtrip () =
   List.iter
     (fun s ->
       Alcotest.(check string) "string->bits->string" s
-        (Codec.string_of_bits (Codec.bits_of_string s)))
+        (Frameref.string_of_bits (Frameref.bits_of_string s)))
     [ ""; "a"; "hello world"; String.init 17 Char.chr ]
 
 let test_codec_framing () =
   (* Several frames through one deframer, one bit at a time. *)
   let messages = [ "alpha"; ""; "x"; "12:34:56" ] in
-  let stream = List.concat_map Codec.encode messages in
-  let d = Codec.decoder () in
+  let stream = List.concat_map Frameref.encode messages in
+  let d = Frameref.decoder () in
   let received =
-    List.filter_map (fun bit -> Codec.decode d bit) stream
+    List.filter_map (fun bit -> Frameref.decode d bit) stream
   in
   Alcotest.(check (list string)) "frames recovered in order" messages received
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"codec roundtrip (random strings)" ~count:200
     QCheck.(string_of_size (Gen.int_bound 40))
-    (fun s -> Codec.string_of_bits (Codec.bits_of_string s) = s)
+    (fun s -> Frameref.string_of_bits (Frameref.bits_of_string s) = s)
 
 let prop_framing_stream =
   QCheck.Test.make ~name:"framing recovers random message streams" ~count:100
     QCheck.(list_of_size (Gen.int_bound 5) (string_of_size (Gen.int_bound 12)))
     (fun messages ->
-      let d = Codec.decoder () in
+      let d = Frameref.decoder () in
       let received =
-        List.filter_map (fun b -> Codec.decode d b)
-          (List.concat_map Codec.encode messages)
+        List.filter_map (fun b -> Frameref.decode d b)
+          (List.concat_map Frameref.encode messages)
       in
       received = messages)
 
@@ -90,7 +90,7 @@ let prop_wire_roundtrip =
     QCheck.(list_of_size (Gen.int_bound 6) (string_of_size (Gen.int_bound 20)))
     (fun chunks -> Wire.dec (Wire.enc chunks) = chunks)
 
-(* ----- packed ABD messages (Codec.Pack) ----- *)
+(* ----- packed ABD messages (Pack) ----- *)
 
 (* Re-encode one ABD message from encoding [src] into encoding [dst]. *)
 let transcode (src : ('v, 'a) Msgpass.Abd.encoding)
@@ -304,6 +304,83 @@ let prop_alt_bit_fifo =
       done;
       received := !received @ AB.receiver_poll receiver ~data_seen:!data;
       !received = messages)
+
+(* The channel against the list-building codec it replaced: under a random
+   interleaving of polls, the bits the sender publishes are, in order,
+   [Frameref.encode] of each message, and the receiver returns the
+   messages in order. Chunks of 1..16 bits span message boundaries; the
+   messages include "" and bytes >= 0x80. *)
+let prop_alt_bit_frames =
+  let message =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return "");
+          ( 4,
+            string_size
+              ~gen:(frequency [ (1, char_range '\x80' '\xff'); (1, char) ])
+              (int_bound 6) );
+        ])
+  in
+  let messages =
+    QCheck.make
+      ~print:(fun l -> String.concat "; " (List.map (Printf.sprintf "%S") l))
+      QCheck.Gen.(list_size (int_bound 6) message)
+  in
+  QCheck.Test.make ~name:"alt-bit: published bits are the reference frames"
+    ~count:200
+    QCheck.(triple (int_range 1 16) messages (int_range 0 10_000))
+    (fun (chunk, messages, seed) ->
+      let rng = Bits.Rng.make seed in
+      let sender = AB.sender ~chunk in
+      List.iter (AB.send_string sender) messages;
+      let receiver = AB.receiver () in
+      let data = ref (AB.initial_field ~chunk) in
+      let published = ref [] and received = ref [] in
+      let steps = ref 0 in
+      while (not (AB.sender_idle sender)) && !steps < 100_000 do
+        incr steps;
+        if Bits.Rng.bool rng then (
+          match
+            AB.sender_poll sender ~ack_seen:(AB.receiver_ack receiver)
+          with
+          | Some f ->
+              data := f;
+              for i = 0 to f.AB.len - 1 do
+                published := ((f.AB.bits lsr i) land 1 = 1) :: !published
+              done
+          | None -> ())
+        else
+          received :=
+            List.rev_append (AB.receiver_poll receiver ~data_seen:!data)
+              !received
+      done;
+      received :=
+        List.rev_append (AB.receiver_poll receiver ~data_seen:!data) !received;
+      List.rev !published = List.concat_map Frameref.encode messages
+      && List.rev !received = messages)
+
+(* A terminator after a payload that is not whole bytes is refused, as
+   [Frameref.string_of_bits] refuses it; so is a chunk width outside
+   1 .. Sys.int_size - 1. A frame of one whole byte is accepted. *)
+let test_alt_bit_rejects () =
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let poll bits len =
+    AB.receiver_poll (AB.receiver ()) ~data_seen:{ AB.bits; len; tag = 0 }
+  in
+  (* flag 0, payload 1, terminator 1 *)
+  raises "1 payload bit" (fun () -> poll 0b110 3);
+  (* seven flag/payload pairs of 0s, then the terminator *)
+  raises "7 payload bits" (fun () -> poll (1 lsl 14) 15);
+  Alcotest.(check (list string)) "one whole byte" [ "\x80" ]
+    (poll ((1 lsl 1) lor (1 lsl 16)) 17);
+  raises "chunk 0" (fun () -> AB.sender ~chunk:0);
+  raises "chunk Sys.int_size" (fun () -> AB.sender ~chunk:Sys.int_size);
+  ignore (AB.sender ~chunk:(Sys.int_size - 1))
 
 (* A fault-free random schedule, with optional (pid, event) crashes. *)
 let run_reliable ?(crash_at = []) rng net =
@@ -2860,14 +2937,15 @@ let test_pipeline_constant_code () =
     codes
 
 (* Allocation ceiling for the simulation's driver loop: the first 300k
-   steps of seed 31 allocate 9.0 minor words per step (OCaml 5.1.1,
+   steps of seed 31 allocate 5.3 minor words per step (OCaml 5.1.1,
    x86-64). A read step allocates only its scratch slot's continuation
-   tag; the rest is the alternating-bit channels' work and a fresh
-   register on the publishes that change one. The ceiling leaves three
-   words of margin: a poll loop that rebuilds its nodes or its register
-   every cycle costs ~24, the list-building random driver and the
-   [bind]-wrapped poll loop ~95. Words are counted, not timed, so the
-   bound is deterministic on a given compiler. *)
+   tag; the rest is the alternating-bit channels' published fields and
+   a fresh register on the publishes that change one. The ceiling leaves
+   1.7 words of margin: channels that frame through a bool list per bit
+   cost 9.0, a poll loop that rebuilds its nodes or its register every
+   cycle ~24, the list-building random driver and the [bind]-wrapped
+   poll loop ~95. Words are counted, not timed, so the bound is
+   deterministic on a given compiler. *)
 let test_pipeline_allocation_ceiling () =
   let rng, crashes, _, state = pipeline_seed31 () in
   let steps = 300_000 in
@@ -2876,8 +2954,8 @@ let test_pipeline_allocation_ceiling () =
     state;
   let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
   Alcotest.(check int) "steps driven" steps (Sched.Scheduler.steps_taken state);
-  if per_step > 12. then
-    Alcotest.failf "%.1f minor words per step (ceiling 12)" per_step
+  if per_step > 7. then
+    Alcotest.failf "%.1f minor words per step (ceiling 7)" per_step
 
 (* Exhaustive checking explores, and exploration branches: both refuse
    the pipeline's stateful programs instead of backtracking into them. *)
@@ -2915,6 +2993,9 @@ let () =
           Alcotest.test_case "alternating-bit channel" `Quick
             test_alt_bit_channel;
           QCheck_alcotest.to_alcotest prop_alt_bit_fifo;
+          QCheck_alcotest.to_alcotest prop_alt_bit_frames;
+          Alcotest.test_case "alt-bit rejects bad frames and widths" `Quick
+            test_alt_bit_rejects;
         ] );
       ( "faults",
         [
